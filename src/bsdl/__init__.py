@@ -33,6 +33,7 @@ from .circle import (
     chart_to_real,
     circle_dist,
     wrap,
+    orbit,
     parse_k_spec,
     load_lift_spec,
 )
@@ -49,7 +50,6 @@ from .torus import (
     conjugate_rotation_set_check,
     bs_rotation_constraint,
     torus_dist,
-    wrap2,
 )
 from .bsgroup import (
     Word,
@@ -80,9 +80,7 @@ from .estimators import (
     MinimalSetEstimate,
     DifferentialReport,
     fixed_cells,
-    alpha_limit,
     bs_minimal_set,
-    birkhoff_displacement,
     differential_at,
 )
 from .experiments import (
@@ -109,12 +107,12 @@ __all__ = [
     "CircleLift", "RotationLift", "ChartAffineLift", "MobiusLift",
     "FunctionLift", "PiecewiseLift", "GluedLift", "DenjoyLift",
     "RotationNumberEstimate", "compose", "rotation_number", "denjoy_lift",
-    "chart_from_real", "chart_to_real", "circle_dist", "wrap",
+    "chart_from_real", "chart_to_real", "circle_dist", "wrap", "orbit",
     "parse_k_spec", "load_lift_spec",
     "TorusLift", "ProductTorusLift", "LinearTorusLift", "FunctionTorusLift",
     "RotationVectorEstimate", "RotationSetEstimate", "compose2",
     "rotation_vector", "rotation_set", "conjugate_rotation_set_check",
-    "bs_rotation_constraint", "torus_dist", "wrap2",
+    "bs_rotation_constraint", "torus_dist",
     "Word", "BSAction", "FiniteOrbit", "make_action", "normalize",
     "evaluate", "relation_report", "relation_residual", "finite_bs_orbit",
     "CATALOG", "build_action", "faithfulness_evidence",
@@ -122,8 +120,7 @@ __all__ = [
     "periodic_circle_example", "periodic_torus_example", "perturbed_torus",
     "morse_smale_example", "nonfaithful_circle",
     "CellSet", "MinimalSetEstimate", "DifferentialReport", "fixed_cells",
-    "alpha_limit", "bs_minimal_set", "birkhoff_displacement",
-    "differential_at",
+    "bs_minimal_set", "differential_at",
     "InvariantCircleEstimate", "TrichotomyReport",
     "RotationPersistenceReport", "GraphFoldError", "NonConvergentError",
     "find_invariant_circle", "restricted_circle_map", "classify_perturbed",

@@ -32,7 +32,6 @@ from .torus import (
     TorusLift,
     compose2,
     torus_dist,
-    wrap2,
 )
 
 __all__ = [
@@ -262,11 +261,6 @@ class BSAction:
             return circle_dist(p, q)
         return torus_dist(p, q)
 
-    def wrap_point(self, p):
-        if self.space == "circle":
-            return wrap(p)
-        return wrap2(p)
-
 
 def word_lift(action: BSAction, word: Word):
     """Materialize the lift of a word, fusing parameters where possible."""
@@ -306,6 +300,8 @@ def relation_residual(
 
     Exactly zero when both sides collapse to the same fused parameters.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be positive, got {grid}")
     space = "circle" if isinstance(f, CircleLift) else "torus"
     comp = compose_circle if space == "circle" else compose2
     hp = power_lift(h, power)
@@ -398,7 +394,7 @@ def make_action(
     """Bundle a pair into a BSAction, verifying the relation numerically.
 
     The space is inferred from the lift types. With check=True (default)
-    a primary relation residual above tol raises.
+    a primary relation residual above tol, or NaN, raises.
     """
     if isinstance(f, CircleLift) and isinstance(h, CircleLift):
         space = "circle"
@@ -413,7 +409,7 @@ def make_action(
     action = BSAction(n=n, f=f, h=h, space=space, name=name)
     if check:
         resid = relation_residual(f, h, n, power=1, grid=2048)
-        if resid > tol:
+        if not resid <= tol:  # a NaN residual fails too
             raise ValueError(
                 f"pair does not satisfy h f h^-1 = f^{n}: residual {resid:.3e}"
             )
@@ -482,7 +478,7 @@ def finite_bs_orbit(
     def norm_point(p):
         if dim == 1:
             return float(wrap(p))
-        return tuple(np.asarray(wrap2(p), dtype=float))
+        return tuple(np.asarray(wrap(p), dtype=float))
 
     def key_of(p):
         if dim == 1:
@@ -537,7 +533,7 @@ def finite_bs_orbit(
     if closed and len(points) <= verify_cap:
         defect = 0.0
         for g in gens:
-            imgs = action.wrap_point(g.raw(pts))
+            imgs = wrap(g.raw(pts))
             for img in np.atleast_1d(imgs) if dim == 1 else imgs:
                 d = float(
                     np.min(

@@ -43,6 +43,7 @@ __all__ = [
     "chart_from_real",
     "chart_to_real",
     "wrap",
+    "orbit",
     "circle_dist",
     "parse_k_spec",
     "load_lift_spec",
@@ -54,11 +55,56 @@ PROPERTY_CHECK_TOL = 1e-10
 INVERSE_TOL = 1e-12
 BISECTION_STEPS = 80
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
+# largest double below 1: x - floor(x) rounds up to 1.0 for x within
+# 2^-54 below an integer, and that point belongs at the top of [0, 1)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def wrap(x):
-    """Reduce to [0, 1)."""
+    """Reduce to [0, 1), componentwise for torus points."""
     return np.asarray(x, dtype=float) - np.floor(x)
+
+
+def orbit(F, x0, iterates: int, transient: int = 0):
+    """Yield (x_k, F(x_k)) along the orbit of x0 under a circle or torus lift.
+
+    x_k is rewrapped to [0, 1)^d before every step. The displacement
+    F(x) - x is periodic, so Birkhoff sums over the yielded pairs are
+    those of the unwrapped orbit, while the fractional part never loses
+    precision to a growing integer part. The first `transient` steps
+    are not yielded; `iterates` pairs follow.
+
+    A scalar start steps as a Python float with math.floor, several
+    times cheaper than a 0-d array. An array start (a torus point, or a
+    batch of circle or torus starts) steps as one array with np.floor,
+    each start following the orbit it would follow alone; the yielded
+    arrays are fresh every step.
+    """
+    if iterates < 1 or transient < 0:
+        raise ValueError(
+            f"need iterates >= 1 and transient >= 0, got {iterates}, {transient}"
+        )
+    raw = F.raw
+    if np.ndim(x0) == 0:
+        fx = float(x0)
+        for k in range(-transient, iterates):
+            try:
+                x = fx - math.floor(fx)
+            except (OverflowError, ValueError):
+                raise ValueError(f"orbit left the real line at {fx}") from None
+            if x == 1.0:
+                x = _BELOW_ONE
+            fx = float(raw(x))
+            if k >= 0:
+                yield x, fx
+        return
+    fv = np.asarray(x0, dtype=float)
+    for k in range(-transient, iterates):
+        v = fv - np.floor(fv)
+        np.minimum(v, _BELOW_ONE, out=v)
+        fv = raw(v)
+        if k >= 0:
+            yield v, fv
 
 
 def circle_dist(a, b):
@@ -216,7 +262,11 @@ class ChartAffineLift(CircleLift):
     def params_power(self, m: int):
         if self.a == 1.0:
             return 1.0, self.b * m
-        am = self.a ** m
+        try:
+            am = self.a ** m
+        except OverflowError:
+            # callers test isfinite and fall back to stepping
+            am = math.inf
         return am, self.b * (am - 1.0) / (self.a - 1.0)
 
     def iterate(self, x, m: int):
@@ -514,15 +564,9 @@ def rotation_number(
         end = F.iterate(x0, iterates)
         value = float(wrap((end - x0) / iterates))
     else:
-        # step with the orbit point rewrapped to [0,1); the displacement is
-        # periodic, so the Birkhoff sum is unchanged and the fractional part
-        # never loses precision to a large integer part
-        y = float(wrap(x0))
         total = 0.0
-        for _ in range(iterates):
-            fy = float(F.raw(np.float64(y)))
+        for y, fy in orbit(F, x0, iterates):
             total += fy - y
-            y = fy - math.floor(fy)
         value = float(wrap(total / iterates))
     witness = None
     xs = np.arange(cert_grid) / cert_grid
@@ -707,8 +751,10 @@ def _parse_angle(tok: str) -> float:
     if tok.startswith("ln"):
         return math.log(float(tok[2:].lstrip(":"))) % 1.0
     if "/" in tok:
-        p, q = tok.split("/")
-        return float(int(p)) / float(int(q))
+        p, q = (int(t) for t in tok.split("/"))
+        if q == 0:
+            raise ValueError(f"angle {tok!r} has a zero denominator")
+        return float(p) / float(q)
     return float(tok)
 
 

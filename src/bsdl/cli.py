@@ -4,7 +4,7 @@ numerical estimators, all reporting JSON.
 Exit status is 0 for a conclusive positive report, 2 for an inconclusive
 or failing one (Unknown labels, open orbits, no fixed point found, a
 relation or criterion that does not pass), and 1 for usage or runtime
-errors. Set BSDL_THREADS to cap worker threads in the orbit sweeps.
+errors. Reports are strict JSON: a NaN or infinite value is an error.
 """
 
 from __future__ import annotations
@@ -46,8 +46,17 @@ def _atomic_write(path, text):
         raise
 
 
+def _dumps(payload):
+    return json.dumps(_jsonable(payload), indent=1, sort_keys=True, allow_nan=False)
+
+
+def _or(value, default):
+    """The flag's value when given (0 included), else the default."""
+    return default if value is None else value
+
+
 def _emit(payload, args):
-    text = json.dumps(_jsonable(payload), indent=1, sort_keys=True)
+    text = _dumps(payload)
     if args.out:
         _atomic_write(args.out, text + "\n")
     else:
@@ -122,8 +131,8 @@ def _cmd_verify_relation(args):
     act = _build(args)
     rep = relation_report(
         act,
-        grid=args.resolution or 10000,
-        primary_tol=args.tol if args.tol is not None else 1e-8,
+        grid=_or(args.resolution, 10000),
+        primary_tol=_or(args.tol, 1e-8),
     )
     _emit({"action": act.name, **rep.to_json()}, args)
     return OK if rep.passed else INCONCLUSIVE
@@ -139,8 +148,8 @@ def _cmd_rotation_number(args):
     lift = act.h if args.gen == "h" else act.f
     est = rotation_number(
         lift,
-        iterates=args.iterates or 10**5,
-        tol=args.tol if args.tol is not None else 1e-8,
+        iterates=_or(args.iterates, 10**5),
+        tol=_or(args.tol, 1e-8),
     )
     _emit({"action": act.name, "generator": args.gen, **est.to_json()}, args)
     return OK
@@ -151,7 +160,7 @@ def _cmd_rotation_set(args):
     if act.space != "torus":
         raise ValueError("rotation-set needs a torus action")
     est = rotation_set(
-        act.f, grid=args.resolution or 32, iterates=args.iterates or 10**4
+        act.f, grid=_or(args.resolution, 32), iterates=_or(args.iterates, 10**4)
     )
     constraint = bs_rotation_constraint(est.center, act.h.linear_part, act.n)
     _emit(
@@ -167,7 +176,7 @@ def _cmd_rotation_set(args):
 
 def _cmd_fixed_set(args):
     act = _build(args)
-    cells = fixed_cells(act.f, resolution=args.resolution or 256, delta=args.tol)
+    cells = fixed_cells(act.f, resolution=_or(args.resolution, 256), delta=args.tol)
     _emit(
         {
             "action": act.name,
@@ -184,8 +193,8 @@ def _cmd_minimal_set(args):
     act = _build(args)
     est = bs_minimal_set(
         act,
-        resolution=args.resolution or 256,
-        orbit_iterates=args.iterates or 10**5,
+        resolution=_or(args.resolution, 256),
+        orbit_iterates=_or(args.iterates, 10**5),
     )
     _emit({"action": act.name, **est.to_json()}, args)
     return OK if est.label != "Unknown" else INCONCLUSIVE
@@ -199,7 +208,7 @@ def _cmd_finite_orbit(args):
         else (0.0 if act.space == "circle" else np.zeros(2))
     )
     orb = finite_bs_orbit(
-        act, x0, merge_tol=args.tol if args.tol is not None else 1e-6
+        act, x0, merge_tol=_or(args.tol, 1e-6)
     )
     _emit({"action": act.name, **orb.to_json()}, args)
     return OK if orb.closed else INCONCLUSIVE
@@ -226,11 +235,11 @@ def _cmd_classify_matrix(args):
 
 def _cmd_trichotomy(args):
     act = _build(args)
-    base = args.resolution or 256
+    base = _or(args.resolution, 256)
     rep = classify_perturbed(
         act,
         resolutions=(base, 2 * base, 4 * base),
-        orbit_iterates=args.iterates or 10**5,
+        orbit_iterates=_or(args.iterates, 10**5),
     )
     _emit({"action": act.name, **rep.to_json()}, args)
     return OK if rep.outcome != "Unknown" else INCONCLUSIVE
@@ -240,8 +249,8 @@ def _cmd_persistent_fp(args):
     act = _build(args)
     v = persistent_fixed_point(
         act,
-        search_resolution=args.resolution or 64,
-        tol=args.tol if args.tol is not None else 1e-8,
+        search_resolution=_or(args.resolution, 64),
+        tol=_or(args.tol, 1e-8),
     )
     if v is None:
         _emit({"action": act.name, "found": False, "point": None}, args)
@@ -260,7 +269,7 @@ def _cmd_reproduce_all(args):
     print(f"{n_pass}/{len(rows)} criteria passed (seed {args.seed})")
     if args.out:
         _atomic_write(
-            args.out, json.dumps(_jsonable(rows), indent=1, sort_keys=True) + "\n"
+            args.out, _dumps(rows) + "\n"
         )
     return OK if n_pass == len(rows) else INCONCLUSIVE
 

@@ -1,4 +1,4 @@
-"""Grid estimators for fixed sets, limit sets, and minimal-set type.
+"""Grid estimators for fixed sets, the K_l family, and minimal-set type.
 
 Displacement tests run on cell centers of a uniform partition of the
 circle or torus, with one refinement pass so flagged cells are re-tested
@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from .bsgroup import BSAction, finite_bs_orbit
-from .circle import CircleLift, circle_dist, wrap
-from .torus import TorusLift, torus_dist, wrap2
+from .circle import CircleLift, circle_dist, orbit, wrap
+from .torus import TorusLift, torus_dist
 
 FIXED_POINT_TOL = 1e-8
 
@@ -31,14 +31,10 @@ def _space_of(F):
 
 def _cells_of(points, resolution, space):
     """Cell indices hit by an array of points (wrapped first)."""
-    pts = np.asarray(points, dtype=float)
+    idx = np.minimum((wrap(points) * resolution).astype(int), resolution - 1)
     if space == "circle":
-        idx = np.minimum((wrap(pts) * resolution).astype(int), resolution - 1)
         return frozenset(int(i) for i in np.atleast_1d(idx).ravel())
-    ij = np.minimum(
-        (wrap2(pts.reshape(-1, 2)) * resolution).astype(int), resolution - 1
-    )
-    return frozenset((int(a), int(b)) for a, b in ij)
+    return frozenset((int(a), int(b)) for a, b in idx.reshape(-1, 2))
 
 
 @dataclass
@@ -191,45 +187,6 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
     return CellSet(resolution, space, cells)
 
 
-def alpha_limit(h, x, transient: int = 200, samples: int = 500) -> np.ndarray:
-    """Tail of the backward orbit of x under h, wrapped.
-
-    Iterates h^-1 for `transient` steps, then records the next `samples`
-    backward images; the tail approximates the alpha-limit set of x.
-    """
-    g = h.inverse()
-    space = _space_of(h)
-    rewrap = wrap if space == "circle" else wrap2
-    y = rewrap(np.asarray(x, dtype=float))
-    for _ in range(transient):
-        y = rewrap(g.raw(y))
-    out = []
-    for _ in range(samples):
-        out.append(np.array(y, copy=True))
-        y = rewrap(g.raw(y))
-    return np.array(out)
-
-
-def birkhoff_displacement(F, x, iterates: int = 10000):
-    """Average displacement (1/N) sum_k (F(x_k) - x_k) along the orbit.
-
-    The orbit point is rewrapped each step, so each displacement is read
-    off the fundamental domain; the average agrees with the rotation
-    number or vector estimate over the same orbit up to round-off.
-    """
-    space = _space_of(F)
-    rewrap = wrap if space == "circle" else wrap2
-    v = rewrap(np.asarray(x, dtype=float))
-    total = np.zeros(2) if space == "torus" else 0.0
-    for _ in range(int(iterates)):
-        w = F.raw(v)
-        total = total + (w - v)
-        v = rewrap(w)
-    if space == "circle":
-        return float(total) / float(iterates)
-    return total / float(iterates)
-
-
 @dataclass
 class DifferentialReport:
     """Central-difference Jacobian with a step-halving diagnostic.
@@ -313,6 +270,35 @@ def _largest_gap(vals):
     return max(inner, float(1.0 - s[-1] + s[0]))
 
 
+GAP_SIZES = (1000, 10000, 100000)
+
+
+def gap_profile_label(coords, resolution: int):
+    """(label, profile, reason) of one long circle orbit from its largest gaps.
+
+    profile maps str(N) to the largest empty arc g of the first N points,
+    N in GAP_SIZES capped at the orbit length. A filling orbit has
+    g ~ log(N)/N: MinimalCircle needs g < 5/sqrt(N) at the last size and
+    at most half the first size's gap. A Cantor set keeps its widest
+    gap: MinimalCantor needs the last two sizes within 10% and g above
+    ten cells at `resolution`, the coarsest grid the caller reads.
+    reason says why a label is Unknown, and is None otherwise.
+    """
+    sizes = sorted({min(s, len(coords)) for s in GAP_SIZES})
+    gaps = [_largest_gap(coords[:s]) for s in sizes]
+    profile = {str(s): g for s, g in zip(sizes, gaps)}
+    g = gaps[-1]
+    if g < 5.0 / math.sqrt(sizes[-1]) and g <= 0.5 * gaps[0]:
+        return "MinimalCircle", profile, None
+    if len(gaps) >= 2 and abs(gaps[-2] - g) <= 0.1 * g:
+        if g > 10.0 / resolution:
+            return "MinimalCantor", profile, None
+        return "Unknown", profile, (
+            f"gap profile stabilized below ten cells at resolution {resolution}"
+        )
+    return "Unknown", profile, "gap profile neither vanishing nor stabilized"
+
+
 @dataclass
 class MinimalSetEstimate:
     """Outcome of the minimal-set search for one action.
@@ -346,21 +332,6 @@ class MinimalSetEstimate:
             "diagnostics": self.diagnostics,
             "points": listed,
         }
-
-
-def _orbit_tail(h, x0, space, transient, iterates):
-    rewrap = wrap if space == "circle" else wrap2
-    y = rewrap(np.asarray(x0, dtype=float))
-    for _ in range(transient):
-        y = rewrap(h.raw(y))
-    if space == "circle":
-        pts = np.empty(iterates)
-    else:
-        pts = np.empty((iterates, 2))
-    for k in range(iterates):
-        pts[k] = y
-        y = rewrap(h.raw(y))
-    return pts
 
 
 def bs_minimal_set(
@@ -402,7 +373,6 @@ def bs_minimal_set(
 
     h = action.h
     hinv = h.inverse()
-    rewrap = wrap if space == "circle" else wrap2
     target = P.dilate()
     if space == "circle":
         mask = np.zeros(resolution, dtype=bool)
@@ -416,14 +386,9 @@ def bs_minimal_set(
     def hits(pts):
         # (m, k[, 2]) samples -> (m,) flags: some sample lands in the
         # dilated fixed set
+        idx = np.minimum((wrap(pts) * resolution).astype(int), resolution - 1)
         if space == "circle":
-            idx = np.minimum(
-                (wrap(pts) * resolution).astype(int), resolution - 1
-            )
             return mask[idx].any(axis=-1)
-        idx = np.minimum(
-            (wrap2(pts) * resolution).astype(int), resolution - 1
-        )
         return mask[idx[..., 0], idx[..., 1]].any(axis=-1)
 
     # Sample closed cells corner-first: corners sit on invariant circles
@@ -444,8 +409,8 @@ def bs_minimal_set(
     K = P
     family = [P]
     for _ in range(depth):
-        fwd = rewrap(h.raw(fwd))
-        bwd = rewrap(hinv.raw(bwd))
+        fwd = wrap(h.raw(fwd))
+        bwd = wrap(hinv.raw(bwd))
         keep = hits(fwd) & hits(bwd)
         cells_now = [c for c, ok in zip(cells_now, keep) if ok]
         fwd = fwd[keep]
@@ -483,7 +448,7 @@ def bs_minimal_set(
             "FiniteOrbit", orb.points, cells, P, family, diag
         )
 
-    pts = _orbit_tail(h, x0, space, transient, int(orbit_iterates))
+    pts = np.array([x for x, _ in orbit(h, x0, int(orbit_iterates), transient)])
     if space == "circle":
         coords = pts
     else:
@@ -494,22 +459,11 @@ def bs_minimal_set(
         diag["axis"] = axis
         diag["axis_gaps"] = [g0, g1]
 
-    N = coords.shape[0]
-    sizes = sorted({min(s, N) for s in (1000, 10000, 100000)})
-    profile = {s: _largest_gap(coords[:s]) for s in sizes}
-    diag["gap_profile"] = {str(s): profile[s] for s in sizes}
-    g_last = profile[sizes[-1]]
-    cell = 1.0 / resolution
-    label = "Unknown"
-    if g_last < 5.0 / math.sqrt(sizes[-1]) and g_last <= 0.5 * profile[sizes[0]]:
-        label = "MinimalCircle"
-    elif (
-        len(sizes) >= 2
-        and abs(profile[sizes[-2]] - g_last) <= 0.1 * g_last
-        and g_last > 10.0 * cell
-    ):
-        label = "MinimalCantor"
+    label, diag["gap_profile"], reason = gap_profile_label(coords, resolution)
+    if reason is not None:
+        diag["reason"] = reason
 
+    N = coords.shape[0]
     stride = max(1, N // 5000)
     sample = pts[::stride]
     cells = CellSet.from_points(pts, resolution, space)

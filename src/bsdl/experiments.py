@@ -12,7 +12,6 @@ evidence is inconclusive the harness says Unknown instead of guessing.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -23,10 +22,11 @@ from .circle import (
     RotationNumberEstimate,
     circle_dist,
     compose as compose_circle,
+    orbit,
     rotation_number,
     wrap,
 )
-from .estimators import CellSet, _largest_gap, fixed_cells
+from .estimators import CellSet, fixed_cells, gap_profile_label
 from .gl2z import IntMatrix2
 from .torus import (
     FunctionTorusLift,
@@ -38,7 +38,6 @@ from .torus import (
     compose2,
     rotation_set,
     torus_dist,
-    wrap2,
 )
 
 
@@ -311,23 +310,16 @@ def classify_perturbed(
 
     # irrational: one long restricted orbit, gap statistics at several
     # sample sizes, cell coverage at several resolutions
-    t = 0.0
-    for _ in range(transient):
-        t = restriction.raw(t)
-    angles = np.empty(int(orbit_iterates))
-    for k in range(int(orbit_iterates)):
-        angles[k] = t
-        t = restriction.raw(t)
-    angles = wrap(angles)
-    sizes = sorted({min(s, len(angles)) for s in (1000, 10000, 100000)})
-    profile = {s: _largest_gap(angles[:s]) for s in sizes}
-    evidence["gap_profile"] = {str(s): profile[s] for s in sizes}
-    g_last = profile[sizes[-1]]
+    angles = np.array(
+        [t for t, _ in orbit(restriction, 0.0, int(orbit_iterates), transient)]
+    )
+    label, evidence["gap_profile"], reason = gap_profile_label(
+        angles, min(resolutions)
+    )
 
     orbit_pts = np.stack([wrap(circle.at(angles)), angles], axis=-1)
     per_res = []
     all_strict = True
-    all_above_cell = True
     for R in resolutions:
         tg = np.arange(4 * R) / (4 * R)
         cpts = np.stack([wrap(circle.at(tg)), tg], axis=-1)
@@ -343,20 +335,13 @@ def classify_perturbed(
             }
         )
         all_strict = all_strict and strict
-        all_above_cell = all_above_cell and g_last > 10.0 / R
     evidence["refinements"] = per_res
 
-    if g_last < 5.0 / math.sqrt(sizes[-1]) and g_last <= 0.5 * profile[sizes[0]]:
-        return TrichotomyReport(rho, "MinimalCircle", evidence)
-    stabilized = (
-        len(sizes) >= 2
-        and abs(profile[sizes[-2]] - g_last) <= 0.1 * g_last
-    )
-    if stabilized and all_above_cell:
+    if label == "MinimalCantor":
         evidence["cantor_strict_subset"] = all_strict
-        return TrichotomyReport(rho, "MinimalCantor", evidence)
-    evidence["reason"] = "gap profile neither vanishing nor stabilized"
-    return TrichotomyReport(rho, "Unknown", evidence)
+    if reason is not None:
+        evidence["reason"] = reason
+    return TrichotomyReport(rho, label, evidence)
 
 
 def persistent_fixed_point(
@@ -371,6 +356,8 @@ def persistent_fixed_point(
     """
     f, h = action.f, action.h
     S = int(search_resolution)
+    if S < 1:
+        raise ValueError(f"search_resolution must be positive, got {S}")
     if action.space == "circle":
         xs = np.arange(S) / S
         disp = circle_dist(h.raw(xs), xs)
@@ -423,7 +410,7 @@ def persistent_fixed_point(
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(J, -gv, rcond=None)[0]
             v = v + step
-        v = wrap2(v)
+        v = wrap(v)
         if (
             torus_dist(h.raw(v), v) < tol
             and torus_dist(f.raw(v), v) < tol

@@ -16,14 +16,12 @@ Z^2, see `bs_rotation_constraint`).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .circle import CircleLift, circle_dist, compose as compose_circle
+from .circle import CircleLift, circle_dist, compose as compose_circle, orbit
 from .gl2z import IntMatrix2, rational_to_json
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "FunctionTorusLift",
     "ComposedTorusLift",
     "compose2",
-    "wrap2",
     "torus_dist",
     "rotation_vector",
     "RotationVectorEstimate",
@@ -48,20 +45,6 @@ __all__ = [
 ]
 
 PERIODICITY_TOL = 1e-10
-
-
-def thread_count() -> int:
-    """Worker count for grid sweeps, from BSDL_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("BSDL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def wrap2(v):
-    """Componentwise reduction to [0, 1)^2."""
-    v = np.asarray(v, dtype=float)
-    return v - np.floor(v)
 
 
 def torus_dist(p, q):
@@ -294,21 +277,18 @@ def rotation_vector(
     spread.
     """
     _require_identity_linear_part(F, "rotation_vector")
-    v = wrap2(np.asarray(v0, dtype=float))
     half = iterates // 2
     total = np.zeros(2)
     first = np.zeros(2)
     lo = np.full(2, np.inf)
     hi = np.full(2, -np.inf)
-    for k in range(iterates):
-        fv = F.raw(v)
+    for k, (v, fv) in enumerate(orbit(F, v0, iterates)):
         d = fv - v
         total += d
         if k < half:
             first += d
         lo = np.minimum(lo, d)
         hi = np.maximum(hi, d)
-        v = fv - np.floor(fv)
     mean = total / iterates
     mean_first = first / max(half, 1)
     mean_second = (total - first) / max(iterates - half, 1)
@@ -420,22 +400,6 @@ class RotationSetEstimate:
         }
 
 
-def _mean_displacements(F, starts, iterates, transient):
-    v = np.array(starts, dtype=float)
-    total = np.zeros_like(v)
-    lo = np.full(2, np.inf)
-    hi = np.full(2, -np.inf)
-    for k in range(transient + iterates):
-        fv = F.raw(v)
-        d = fv - v
-        if k >= transient:
-            total += d
-            lo = np.minimum(lo, d.reshape(-1, 2).min(axis=0))
-            hi = np.maximum(hi, d.reshape(-1, 2).max(axis=0))
-        v = fv - np.floor(fv)
-    return total / iterates, lo, hi
-
-
 def rotation_set(
     F: TorusLift,
     grid: int = 32,
@@ -447,26 +411,21 @@ def rotation_set(
 
     Runs mean displacements from a grid x grid array of starts (after a
     short transient) and returns the convex hull of the resulting cloud.
-    Worker threads split the grid when BSDL_THREADS is set; chunking does
-    not change any orbit, so the result is identical either way.
     """
     _require_identity_linear_part(F, "rotation_set")
+    if grid < 1:
+        raise ValueError(f"grid must be positive, got {grid}")
     g = (np.arange(grid) + 0.5) / grid
     starts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    workers = thread_count()
-    if workers > 1:
-        chunks = np.array_split(starts, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: _mean_displacements(F, c, iterates, transient), chunks
-                )
-            )
-        means = np.concatenate([p[0] for p in parts])
-        lo = np.min([p[1] for p in parts], axis=0)
-        hi = np.max([p[2] for p in parts], axis=0)
-    else:
-        means, lo, hi = _mean_displacements(F, starts, iterates, transient)
+    total = np.zeros_like(starts)
+    lo = np.full(2, np.inf)
+    hi = np.full(2, -np.inf)
+    for v, fv in orbit(F, starts, iterates, transient):
+        d = fv - v
+        total += d
+        lo = np.minimum(lo, d.min(axis=0))
+        hi = np.maximum(hi, d.max(axis=0))
+    means = total / iterates
     hull = convex_hull(means)
     pts = np.atleast_2d(hull)
     diam = 0.0

@@ -199,6 +199,16 @@ class TestRelationReports:
         with pytest.raises(ValueError):
             make_action(RotationLift(0.3), RotationLift(0.1), 2)
 
+    def test_make_action_rejects_nan_residual(self):
+        f = ProductTorusLift(ChartAffineLift(1.0, 1.0), RotationLift(math.nan))
+        h = ProductTorusLift(ChartAffineLift(2.0, 0.0), RotationLift(0.3))
+        with pytest.raises(ValueError, match="residual nan"):
+            make_action(f, h, 2)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid must be positive"):
+            relation_report(affine_action(2), grid=0)
+
     def test_report_json(self):
         js = relation_report(affine_action(2)).to_json()
         assert js["passed"] is True

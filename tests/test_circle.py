@@ -140,6 +140,15 @@ class TestChartAffineLift:
     def test_validate_passes(self):
         ChartAffineLift(0.5, -2.0).validate()
 
+    def test_overflowing_power_falls_back_to_stepping(self):
+        F = ChartAffineLift(2.0, 0.0)
+        am, _ = F.params_power(10**5)
+        assert am == math.inf
+        G = GluedLift(3, 2.0, 0.0)
+        # 0 is fixed, so stepping stops as soon as the orbit freezes
+        assert F.iterate(0.0, 10**5) == 0.0
+        assert G.iterate(0.0, -(10**5)) == 0.0
+
 
 class TestMobiusLift:
     def test_agrees_with_affine_translation(self):

@@ -11,6 +11,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity extensions."""
+
+    def refuse(token):
+        raise ValueError(f"non-finite {token} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestCatalog:
     def test_lists_all_entries(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -142,6 +151,71 @@ class TestEstimatorCommands:
         code2, out2, _ = run(capsys, "persistent-fp", "standard-torus")
         assert code2 == cli.INCONCLUSIVE
         assert json.loads(out2)["found"] is False
+
+
+class TestOverflowingPowers:
+    # powers like a**(10**5) of an expanding chart map overflow; the
+    # estimators fall back to stepping instead of crashing
+    def test_trichotomy_finds_the_fixed_orbit(self, capsys):
+        code, out, _ = run(capsys, "trichotomy", "morse-smale")
+        d = strict_json(out)
+        assert code == cli.OK
+        assert d["outcome"] == "FiniteOrbits"
+        w = d["evidence"]["witness"]
+        assert (w["p"], w["q"]) == (0, 1)
+
+    def test_trichotomy_unknown_carries_reason(self, capsys):
+        code, out, _ = run(capsys, "trichotomy", "periodic-torus")
+        d = strict_json(out)
+        assert code == cli.INCONCLUSIVE
+        assert d["outcome"] == "Unknown"
+        assert d["evidence"]["reason"] == "f-fixed cells never meet the circle"
+
+    @pytest.mark.parametrize("action", ["standard-line", "periodic-circle"])
+    def test_rotation_number_of_expanding_generator(self, capsys, action):
+        code, out, _ = run(capsys, "rotation-number", action, "--gen", "h")
+        d = strict_json(out)
+        assert code == cli.OK
+        assert d["value"] == 0.0
+
+
+class TestBadInput:
+    def test_nan_parameter_is_an_error(self, capsys):
+        code, out, err = run(capsys, "verify-relation", "perturbed-torus", "--eps", "nan")
+        assert code == cli.ERROR
+        assert out == ""
+        assert "residual nan" in err
+
+    def test_non_finite_report_is_an_error(self, capsys):
+        code, out, err = run(capsys, "verify-relation", "standard-torus", "--tol", "nan")
+        assert code == cli.ERROR
+        assert out == ""
+        assert "JSON" in err
+
+    def test_zero_denominator_angle_is_an_error(self, capsys):
+        code, _, err = run(capsys, "finite-orbit", "product", "--k", "rot:1/0")
+        assert code == cli.ERROR
+        assert "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-relation", "standard-line", "--resolution", "0"),
+            ("rotation-number", "standard-line", "--iterates", "0"),
+            ("rotation-set", "standard-torus", "--resolution", "0"),
+            ("rotation-set", "standard-torus", "--iterates", "0"),
+            ("fixed-set", "standard-torus", "--resolution", "0"),
+            ("minimal-set", "nonfaithful-circle", "--resolution", "0"),
+            ("minimal-set", "nonfaithful-circle", "--iterates", "0"),
+            ("trichotomy", "perturbed-torus", "--resolution", "0"),
+            ("persistent-fp", "morse-smale", "--resolution", "0"),
+        ],
+    )
+    def test_zero_flags_are_not_replaced_by_defaults(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.ERROR
+        assert out == ""
+        assert "positive" in err or ">= 2" in err or ">= 1" in err
 
 
 class TestOutputFile:

@@ -11,14 +11,13 @@ from bsdl.catalog import (
     standard_line,
     standard_torus,
 )
-from bsdl.circle import GluedLift, RotationLift, circle_dist
+from bsdl.circle import GOLDEN_MEAN, GluedLift, RotationLift, circle_dist, orbit
 from bsdl.estimators import (
     CellSet,
-    alpha_limit,
-    birkhoff_displacement,
     bs_minimal_set,
     differential_at,
     fixed_cells,
+    gap_profile_label,
 )
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import LinearTorusLift, rotation_vector, torus_dist
@@ -115,21 +114,31 @@ class TestFixedCells:
             fixed_cells(RotationLift(0.0), 15)
 
 
+def backward_tail(h, x, transient, samples):
+    """Wrapped backward orbit of x after a transient: the alpha-limit tail."""
+    return np.array([y for y, _ in orbit(h.inverse(), x, samples, transient)])
+
+
+def birkhoff_mean(F, x, iterates):
+    """(1/N) sum_k (F(x_k) - x_k) over the wrapped orbit of x."""
+    return sum(fy - y for y, fy in orbit(F, x, iterates)) / iterates
+
+
 class TestAlphaLimit:
     def test_scaling_chart_backward_settles_at_origin_chart(self):
         h = standard_line(2).h
-        tail = alpha_limit(h, 0.3, transient=300, samples=50)
+        tail = backward_tail(h, 0.3, transient=300, samples=50)
         assert tail.shape == (50,)
         assert np.max(circle_dist(tail, 0.5)) < 1e-12
 
     def test_glued_blocks_backward_settles_in_block(self):
         h = periodic_circle_example(3).h
-        tail = alpha_limit(h, 0.1, transient=400, samples=20)
+        tail = backward_tail(h, 0.1, transient=400, samples=20)
         assert np.max(circle_dist(tail, 0.25)) < 1e-9
 
     def test_torus_backward_tail(self):
         h = standard_torus(2).h
-        tail = alpha_limit(h, (0.3, 0.1), transient=300, samples=40)
+        tail = backward_tail(h, (0.3, 0.1), transient=300, samples=40)
         assert tail.shape == (40, 2)
         assert np.max(circle_dist(tail[:, 0], 0.5)) < 1e-12
         # fiber is an irrational rotation, backward tail spreads out
@@ -138,19 +147,44 @@ class TestAlphaLimit:
 
 class TestBirkhoffDisplacement:
     def test_rigid_rotation_exact(self):
-        bd = birkhoff_displacement(RotationLift(0.3), 0.0, 500)
+        bd = birkhoff_mean(RotationLift(0.3), 0.0, 500)
         assert abs(bd - 0.3) < 1e-13
 
     def test_translation_chart_telescopes(self):
-        bd = birkhoff_displacement(standard_line(2).f, 0.25, 2000)
+        bd = birkhoff_mean(standard_line(2).f, 0.25, 2000)
         assert 0.0 < bd < 1e-3
 
     def test_matches_rotation_vector_arithmetic(self):
         h = standard_torus(2).h
-        bd = birkhoff_displacement(h, (0.2, 0.1), 2000)
+        bd = birkhoff_mean(h, (0.2, 0.1), 2000)
         rv = rotation_vector(h, (0.2, 0.1), iterates=2000)
         assert np.max(np.abs(bd - np.array(rv.value))) < 1e-12
         assert abs(bd[1] - math.log(2.0)) < 1e-12
+
+
+class TestGapProfileLabel:
+    golden = (np.arange(100000) * GOLDEN_MEAN) % 1.0
+
+    def test_equidistributed_orbit_is_a_circle(self):
+        label, profile, reason = gap_profile_label(self.golden, 256)
+        assert (label, reason) == ("MinimalCircle", None)
+        assert list(profile) == ["1000", "10000", "100000"]
+
+    def test_orbit_missing_an_arc_is_a_cantor_set(self):
+        label, profile, reason = gap_profile_label(0.5 * self.golden, 256)
+        assert (label, reason) == ("MinimalCantor", None)
+        assert profile["100000"] == pytest.approx(0.5, abs=1e-4)
+
+    def test_stable_gap_below_ten_cells_is_unknown(self):
+        label, _, reason = gap_profile_label(0.5 * self.golden, 16)
+        assert label == "Unknown"
+        assert reason == "gap profile stabilized below ten cells at resolution 16"
+
+    def test_short_orbit_is_unknown(self):
+        label, profile, reason = gap_profile_label(self.golden[:500], 256)
+        assert list(profile) == ["500"]
+        assert label == "Unknown"
+        assert reason == "gap profile neither vanishing nor stabilized"
 
 
 class TestDifferentialAt:

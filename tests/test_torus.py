@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from bsdl.circle import ChartAffineLift, RotationLift
+from bsdl.circle import ChartAffineLift, RotationLift, wrap
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
     ComposedTorusLift,
@@ -19,7 +19,6 @@ from bsdl.torus import (
     rotation_set,
     rotation_vector,
     torus_dist,
-    wrap2,
 )
 
 I2 = IntMatrix2.identity()
@@ -173,14 +172,6 @@ class TestRotationSet:
         # the fixed point at the origin keeps (0,0) in the set
         assert min(np.linalg.norm(np.atleast_2d(est.vertices), axis=1)) < 1e-2
 
-    def test_threaded_sweep_matches_serial(self, monkeypatch):
-        F = ProductTorusLift(RotationLift(0.3), RotationLift(0.7))
-        serial = rotation_set(F, grid=6, iterates=200, transient=5)
-        monkeypatch.setenv("BSDL_THREADS", "3")
-        threaded = rotation_set(F, grid=6, iterates=200, transient=5)
-        assert np.array_equal(serial.vertices, threaded.vertices)
-        assert serial.error_bound == threaded.error_bound
-
 
 class TestConjugacyCovariance:
     def test_conjugate_translations_consistent(self):
@@ -207,7 +198,7 @@ class TestRelationConstraint:
         h = LinearTorusLift(A)
         lhs = compose2(compose2(h, f), h.inverse())
         v = np.array([0.37, 0.81])
-        assert float(torus_dist(wrap2(lhs.raw(v)), wrap2(f.iterate(v, 4)))) < 1e-12
+        assert float(torus_dist(wrap(lhs.raw(v)), wrap(f.iterate(v, 4)))) < 1e-12
 
         est = rotation_vector(f, iterates=500)
         rep = bs_rotation_constraint(est, A, 4)
