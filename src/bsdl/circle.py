@@ -249,12 +249,14 @@ class ChartAffineLift(CircleLift):
         k = np.floor(x)
         r = x - k
         with np.errstate(divide="ignore", over="ignore"):
-            t = np.tan(np.pi * r)
-            xr = np.where(t == 0.0, -np.inf, -1.0 / t)
-            # a * xr may overflow to inf for r within a few ulp of the
-            # glued point; the arctan re-chart saturates there anyway
+            # xr is -inf at r = 0 and may overflow to inf for r within a
+            # few ulp of the glued point: the glued branch below and the
+            # arctan re-chart make both harmless
+            xr = -1.0 / np.tan(np.pi * r)
             y = self.a * xr + self.b
-        return k + np.where(r == 0.0, 0.0, _atan_frac(y))
+        # r rounds up to 1.0 for x within 2^-54 below an integer: that is
+        # the glued point of k + 1, so both glued cases return k + r
+        return k + np.where(np.rint(r) == r, r, _atan_frac(y))
 
     def inverse(self):
         return ChartAffineLift(1.0 / self.a, -self.b / self.a)

@@ -46,7 +46,8 @@ class GraphFoldError(RuntimeError):
 
 
 class NonConvergentError(RuntimeError):
-    """Graph transform failed to reach the residual target."""
+    """An iteration (the graph transform, the bump inverse) failed to
+    reach its target; `residuals` holds its history."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -489,57 +490,133 @@ def rotation_set_persistence(
     )
 
 
+def _bump_field(size: float, seed: int, modes: int):
+    """Displacement field of `near_identity_diffeo` and its Jacobian.
+
+    Returns field(p), which takes points as the columns of a (2, N)
+    array, or one point as a (2,) array, and returns the rows D_0, D_1,
+    dD_0/du, dD_0/dt, dD_1/du, dD_1/dt, with D = size * B. Validates the
+    arguments as `near_identity_diffeo` documents.
+    """
+    if not (np.isfinite(size) and size >= 0.0):
+        raise ValueError(f"need a finite size >= 0, got {size}")
+    if modes < 1:
+        raise ValueError(f"need modes >= 1, got {modes}")
+    rng = np.random.default_rng(seed)
+    ks = np.array(
+        [
+            (p, q)
+            for p in range(-modes, modes + 1)
+            for q in range(0, modes + 1)
+            if q > 0 or p > 0
+        ],
+        dtype=float,
+    )
+    amp = rng.normal(size=(2, len(ks)))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(2, len(ks)))
+
+    # amp cos(a + phase) = cos a (amp cos phase) - sin a (amp sin phase),
+    # and its gradient is -amp sin(a + phase) k: each row of M weighs the
+    # stacked [cos a, sin a] into one output row.
+    K = 2.0 * np.pi * ks
+    ca = amp * np.cos(phase)
+    sa = amp * np.sin(phase)
+    M = np.array(
+        [np.concatenate([ca[i], -sa[i]]) for i in range(2)]
+        + [
+            np.concatenate([-sa[i] * K[:, d], -ca[i] * K[:, d]])
+            for i in range(2)
+            for d in range(2)
+        ]
+    )
+    J = len(ks)
+
+    def waves(p):
+        # one mode per row: numpy's cos and sin measured about twice as
+        # fast on rows of like angles as on interleaved modes; the angles
+        # are formed in the sine rows, so no other buffer is made
+        out = np.empty((2 * J,) + p.shape[1:])
+        a = np.matmul(K, p, out=out[J:])
+        np.cos(a, out=out[:J])
+        np.sin(a, out=a)
+        return out
+
+    g = np.arange(64) / 64
+    mesh = np.stack([np.repeat(g, 64), np.tile(g, 64)])
+    scale = 1.0 / float(np.max(np.abs(M[:2] @ waves(mesh))))
+    lip = scale * float(np.max(np.abs(amp) @ np.hypot(K[:, 0], K[:, 1])))
+    if not size * lip < 0.5:
+        raise ValueError(
+            f"size {size:g} times the Lipschitz bound {lip:.3g} of the "
+            "unit field is not below 1/2, so the map may fold"
+        )
+    M = size * scale * M
+
+    def field(p):
+        return M @ waves(p)
+
+    return field
+
+
 def near_identity_diffeo(
     size: float = 1e-3, seed: int = 0, modes: int = 2
 ) -> FunctionTorusLift:
     """Random torus diffeomorphism v -> v + size * B(v), sup|B| = 1.
 
     B is a seeded random trigonometric displacement field with integer
-    frequencies up to `modes`, normalized to unit sup norm on a sample
-    grid, so `size` is the C0 distance to the identity. The inverse is
-    computed by fixed-point iteration, which contracts because
-    size * Lip(B) stays well below one for the sizes used here.
+    frequencies up to `modes`, normalized to unit sup norm on a 64 x 64
+    sample grid, so `size` is the C0 distance to the identity. One
+    vectorized pass gives B and its analytic Jacobian; the inverse is
+    computed by Newton's method from the starting guess y = w, and
+    raises NonConvergentError if its steps do not fall below 1e-15
+    within 60 iterations.
+
+    Raises ValueError unless size is finite and nonnegative, modes >= 1
+    and size * Lip < 1/2. Lip = scale * max_i sum_k |amp_ik| 2 pi |k|,
+    with scale the sup-norm normalization, bounds the gradient of each
+    component of B, so each gradient row of size * B is below 1/2, the
+    derivative of the map is invertible everywhere and the map is a
+    diffeomorphism. Over 2000 seeds Lip is at most 26.3, so sizes up to
+    about 0.019 pass for every seed.
     """
-    rng = np.random.default_rng(seed)
-    ks = [
-        (p, q)
-        for p in range(-modes, modes + 1)
-        for q in range(0, modes + 1)
-        if q > 0 or p > 0
-    ]
-    amp = rng.normal(size=(2, len(ks)))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(2, len(ks)))
+    field = _bump_field(size, seed, modes)
 
-    def raw_field(v):
-        u = v[..., 0]
-        t = v[..., 1]
-        out0 = np.zeros_like(u)
-        out1 = np.zeros_like(u)
-        for j, (p, q) in enumerate(ks):
-            ang = 2.0 * np.pi * (p * u + q * t)
-            out0 = out0 + amp[0, j] * np.cos(ang + phase[0, j])
-            out1 = out1 + amp[1, j] * np.cos(ang + phase[1, j])
-        return np.stack([out0, out1], axis=-1)
-
-    gg = np.arange(64) / 64
-    mu, mt = np.meshgrid(gg, gg, indexing="ij")
-    mesh = np.stack([mu.ravel(), mt.ravel()], axis=-1)
-    scale = 1.0 / float(np.max(np.abs(raw_field(mesh))))
+    def columns(v):
+        # a single point stays 1-D, so its Newton arithmetic is on scalars
+        return v.reshape(-1, 2).T if v.ndim > 1 else v
 
     def fn(v):
         v = np.asarray(v, dtype=float)
-        return v + size * scale * raw_field(v)
+        d = field(columns(v))
+        return v + d[:2].T.reshape(v.shape)
 
     def inv(w):
+        # Newton on the displacement z = y - w, with D evaluated at
+        # frac(w) + z (D is periodic): the residual z + D stays at the
+        # size of z and its argument keeps the bits of z, so steps fall
+        # below 1e-15 even where w itself is large.
         w = np.asarray(w, dtype=float)
-        y = w.copy()
+        p = columns(w)
+        p = p - np.floor(p)
+        z = np.zeros_like(p)
+        steps = []
         for _ in range(60):
-            y2 = w - size * scale * raw_field(y)
-            done = float(np.max(np.abs(y2 - y))) < 1e-15
-            y = y2
-            if done:
-                break
-        return y
+            d0, d1, j00, j01, j10, j11 = field(p + z)
+            r0 = z[0] + d0
+            r1 = z[1] + d1
+            j00 += 1.0
+            j11 += 1.0
+            det = j00 * j11 - j01 * j10
+            step = np.stack([(j11 * r0 - j01 * r1) / det, (j00 * r1 - j10 * r0) / det])
+            z -= step
+            steps.append(float(np.max(np.abs(step))))
+            if steps[-1] < 1e-15:
+                return w + z.T.reshape(w.shape)
+        raise NonConvergentError(
+            f"bump inverse steps stalled at {steps[-1]:.3e} after "
+            f"{len(steps)} Newton iterations (tol 1e-15)",
+            steps,
+        )
 
     return FunctionTorusLift(
         fn, None, inv, label=f"bump(size={size:g},seed={seed})"

@@ -89,6 +89,14 @@ class TestChartAffineLift:
         assert F(0.0) == 0.0
         assert F(3.0) == 3.0
 
+    def test_continuous_just_below_an_integer(self):
+        # x - floor(x) rounds to 1.0 for x in (-2^-54, 0): that is the
+        # glued point of the next integer, not a point next to it
+        F = ChartAffineLift(0.0625**6, 0.0)
+        for x in (-1e-300, 0.0, 1e-300):
+            assert abs(F.raw(x)) < 1e-12
+        assert np.all(np.abs(F.raw(np.array([-1e-300, 0.0, 1e-300]))) < 1e-12)
+
     def test_matches_real_line_action(self):
         F = ChartAffineLift(2.0, 1.0)
         xs = np.array([-5.0, -0.3, 0.0, 0.7, 4.0, 1e5])

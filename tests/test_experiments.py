@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsdl.bsgroup import relation_report
 from bsdl.catalog import (
@@ -17,6 +18,7 @@ from bsdl.estimators import CellSet, fixed_cells
 from bsdl.experiments import (
     GraphFoldError,
     NonConvergentError,
+    _bump_field,
     classify_perturbed,
     conjugated_action,
     find_invariant_circle,
@@ -304,3 +306,125 @@ class TestNearIdentityDiffeo:
         rep = relation_report(act, grid=2000)
         assert rep.primary_residual < 1e-8
         assert rep.secondary_residual < 1e-6
+
+    def test_rejects_maps_that_may_fold(self):
+        for bad in (float("nan"), float("inf"), -1e-3):
+            with pytest.raises(ValueError):
+                near_identity_diffeo(bad)
+        with pytest.raises(ValueError):
+            near_identity_diffeo(1e-3, modes=0)
+        # seed 0's unit field has Lipschitz bound 16.6: size 0.05 may fold
+        with pytest.raises(ValueError, match="Lipschitz"):
+            near_identity_diffeo(0.05, seed=0)
+        near_identity_diffeo(0.0).inverse().raw(np.array([0.3, 0.4]))
+
+    def test_inverse_converges_far_from_the_unit_square(self):
+        # an absolute 1e-15 step is below the spacing of doubles there
+        psi = near_identity_diffeo(1e-2, seed=3)
+        w = np.random.default_rng(2).uniform(-1e6, 1e6, size=(64, 2))
+        back = psi.raw(psi.inverse().raw(w))
+        assert np.all(np.abs(back - w) <= 2.0 * np.spacing(np.abs(w)))
+
+    def test_inverse_raises_when_newton_stalls(self):
+        with pytest.raises(NonConvergentError):
+            near_identity_diffeo(1e-3).inverse().raw(np.array([np.nan, 0.5]))
+
+
+def reference_bump(size, seed, modes=2):
+    """The 12-mode loop field with a fixed-point inverse, as the bump was
+    first written: the reference the vectorized Newton version must
+    reproduce."""
+    rng = np.random.default_rng(seed)
+    ks = [
+        (p, q)
+        for p in range(-modes, modes + 1)
+        for q in range(0, modes + 1)
+        if q > 0 or p > 0
+    ]
+    amp = rng.normal(size=(2, len(ks)))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(2, len(ks)))
+
+    def raw_field(v):
+        u, t = v[..., 0], v[..., 1]
+        out0 = np.zeros_like(u)
+        out1 = np.zeros_like(u)
+        for j, (p, q) in enumerate(ks):
+            ang = 2.0 * np.pi * (p * u + q * t)
+            out0 = out0 + amp[0, j] * np.cos(ang + phase[0, j])
+            out1 = out1 + amp[1, j] * np.cos(ang + phase[1, j])
+        return np.stack([out0, out1], axis=-1)
+
+    g = np.arange(64) / 64
+    mu, mt = np.meshgrid(g, g, indexing="ij")
+    mesh = np.stack([mu.ravel(), mt.ravel()], axis=-1)
+    scale = 1.0 / float(np.max(np.abs(raw_field(mesh))))
+
+    def fn(v):
+        return v + size * scale * raw_field(v)
+
+    def inv(w):
+        y = w.copy()
+        for _ in range(60):
+            y2 = w - size * scale * raw_field(y)
+            done = float(np.max(np.abs(y2 - y))) < 1e-15
+            y = y2
+            if done:
+                break
+        return y
+
+    return fn, inv
+
+
+seeds = st.integers(0, 2**32 - 1)
+sizes = st.floats(1e-4, 1e-2)
+points = st.lists(
+    st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)), min_size=1, max_size=16
+).map(lambda ps: np.array(ps, dtype=float))
+
+
+class TestBumpLaws:
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, sizes, points, st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)]))
+    def test_periodic(self, seed, size, v, e):
+        psi = near_identity_diffeo(size, seed)
+        e = np.array(e, dtype=float)
+        assert np.max(np.abs(psi.raw(v + e) - (psi.raw(v) + e))) < 1e-14
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, sizes, points)
+    def test_round_trips(self, seed, size, v):
+        psi = near_identity_diffeo(size, seed)
+        inv = psi.inverse()
+        assert np.max(np.abs(inv.raw(psi.raw(v)) - v)) < 1e-14
+        assert np.max(np.abs(psi.raw(inv.raw(v)) - v)) < 1e-14
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, sizes, points)
+    def test_batch_rows_equal_single_points(self, seed, size, v):
+        psi = near_identity_diffeo(size, seed)
+        inv = psi.inverse()
+        fwd, back = psi.raw(v), inv.raw(v)
+        for i, p in enumerate(v):
+            assert np.max(np.abs(fwd[i] - psi.raw(p))) <= 1e-15
+            assert np.max(np.abs(back[i] - inv.raw(p))) <= 1e-15
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, sizes, points)
+    def test_matches_the_mode_loop_reference(self, seed, size, v):
+        psi = near_identity_diffeo(size, seed)
+        fn, inv = reference_bump(size, seed)
+        assert np.max(np.abs(psi.raw(v) - fn(v))) <= 1e-15
+        assert np.max(np.abs(psi.inverse().raw(v) - inv(v))) <= 1e-15
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, sizes, points)
+    def test_jacobian_matches_central_differences(self, seed, size, v):
+        field = _bump_field(size, seed, 2)
+        h = 1e-6
+        p = v.T
+        jac = field(p)[2:].reshape(2, 2, -1)
+        for d in range(2):
+            e = np.zeros((2, 1))
+            e[d] = h
+            fd = (field(p + e)[:2] - field(p - e)[:2]) / (2.0 * h)
+            assert np.max(np.abs(jac[:, d] - fd)) < 1e-7
