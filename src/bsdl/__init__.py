@@ -20,7 +20,6 @@ from .circle import (
     CircleLift,
     RotationLift,
     ChartAffineLift,
-    MobiusLift,
     FunctionLift,
     PiecewiseLift,
     GluedLift,
@@ -104,8 +103,8 @@ __version__ = "0.1.0"
 __all__ = [
     "IntMatrix2", "AffineMapQ2", "finite_order", "conjugate_in_gl2z",
     "bs_linear_compatible", "affine_fixed_point",
-    "CircleLift", "RotationLift", "ChartAffineLift", "MobiusLift",
-    "FunctionLift", "PiecewiseLift", "GluedLift", "DenjoyLift",
+    "CircleLift", "RotationLift", "ChartAffineLift", "FunctionLift",
+    "PiecewiseLift", "GluedLift", "DenjoyLift",
     "RotationNumberEstimate", "compose", "rotation_number", "denjoy_lift",
     "chart_from_real", "chart_to_real", "circle_dist", "wrap", "orbit",
     "parse_k_spec", "load_lift_spec",

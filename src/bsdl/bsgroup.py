@@ -10,6 +10,7 @@ x -> n^k x + w with w in Z[1/n], using exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -460,13 +461,23 @@ def finite_bs_orbit(
 ) -> FiniteOrbit:
     """Breadth-first closure of x0 under both generators and inverses.
 
+    Each level steps its whole frontier at once: one raw call per
+    generator (f, h, f^-1, h^-1) on the frontier array, wrapped to
+    [0, 1)^d and turned into Python floats in one pass. The candidates
+    are merged in the order a point-at-a-time search visits them (each
+    frontier point in turn, its images in generator order), and a lift
+    maps a batch row exactly as it maps that point alone, so the result
+    equals single-point stepping bit for bit.
+
     Points closer than merge_tol (circle or torus metric) are merged via
     a spatial hash, so a numerically periodic orbit closes up. If the
-    search exceeds max_size the orbit is reported open. Closed orbits of
+    search exceeds max_size the orbit is reported open, cut after the
+    frontier point whose images pushed it past. Closed orbits of
     moderate size get a verification pass recomputing every generator
     image against the final point set.
     """
-    dim = 1 if action.space == "circle" else 2
+    torus = action.space == "torus"
+    dim = 2 if torus else 1
     gens = [
         action.f,
         action.h,
@@ -474,58 +485,61 @@ def finite_bs_orbit(
         action.h.inverse(),
     ]
     K = int(np.ceil(1.0 / merge_tol))
-
-    def norm_point(p):
-        if dim == 1:
-            return float(wrap(p))
-        return tuple(np.asarray(wrap(p), dtype=float))
-
-    def key_of(p):
-        if dim == 1:
-            return (int(p / merge_tol) % K,)
-        return (int(p[0] / merge_tol) % K, int(p[1] / merge_tol) % K)
-
-    def close(p, q):
-        if dim == 1:
-            return circle_dist(p, q) < merge_tol
-        return torus_dist(np.asarray(p), np.asarray(q)) < merge_tol
-
+    floor = math.floor
     buckets: dict = {}
     points: list = []
 
-    def find(p):
-        k = key_of(p)
-        for off in _neighbor_offsets(dim):
-            kk = tuple((k[i] + off[i]) % K for i in range(dim))
+    # Both merge tests compute circle_dist(q, p) < merge_tol in the same
+    # float arithmetic; on the torus, the sup metric is below merge_tol
+    # exactly when both coordinates are.
+    def merge_circle(q):
+        """Add q unless a point within merge_tol is already there."""
+        k = int(q / merge_tol)
+        for kk in ((k - 1) % K, k % K, (k + 1) % K):
             for idx in buckets.get(kk, ()):
-                if close(p, points[idx]):
-                    return idx
-        return None
+                d = q - points[idx]
+                d -= floor(d)
+                if min(d, 1.0 - d) < merge_tol:
+                    return False
+        buckets.setdefault(k % K, []).append(len(points))
+        points.append(q)
+        return True
 
-    def add(p):
-        idx = len(points)
-        points.append(p)
-        buckets.setdefault(key_of(p), []).append(idx)
-        return idx
+    def merge_torus(q):
+        u, t = q
+        ku, kt = int(u / merge_tol), int(t / merge_tol)
+        for i in ((ku - 1) % K, ku % K, (ku + 1) % K):
+            for j in ((kt - 1) % K, kt % K, (kt + 1) % K):
+                for idx in buckets.get((i, j), ()):
+                    pu, pt = points[idx]
+                    d = u - pu
+                    d -= floor(d)
+                    if min(d, 1.0 - d) < merge_tol:
+                        d = t - pt
+                        d -= floor(d)
+                        if min(d, 1.0 - d) < merge_tol:
+                            return False
+        buckets.setdefault((ku % K, kt % K), []).append(len(points))
+        points.append(q)
+        return True
 
-    start = norm_point(np.asarray(x0, dtype=float))
-    add(start)
+    merge = merge_torus if torus else merge_circle
+    start = wrap(np.asarray(x0, dtype=float)).tolist()
+    merge(start)
     frontier = [start]
     overflow = False
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = norm_point(g.raw(np.asarray(p, dtype=float)))
-                if find(q) is None:
-                    add(q)
-                    nxt.append(q)
+    while frontier and not overflow:
+        batch = np.array(frontier, dtype=float)
+        # row i holds the images of frontier point i, in generator order
+        images = wrap(np.stack([g.raw(batch) for g in gens], axis=1)).tolist()
+        frontier = []
+        for cands in images:
+            for q in cands:
+                if merge(q):
+                    frontier.append(q)
             if len(points) > max_size:
                 overflow = True
                 break
-        if overflow:
-            break
-        frontier = nxt
 
     pts = np.asarray(points, dtype=float)
     closed = not overflow
@@ -549,11 +563,5 @@ def finite_bs_orbit(
         closed=closed,
         merge_tol=merge_tol,
         defect=defect,
-        start=start,
+        start=tuple(start) if torus else start,
     )
-
-
-def _neighbor_offsets(dim):
-    if dim == 1:
-        return ((-1,), (0,), (1,))
-    return tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))

@@ -29,7 +29,6 @@ __all__ = [
     "CircleLift",
     "RotationLift",
     "ChartAffineLift",
-    "MobiusLift",
     "PiecewiseLift",
     "GluedLift",
     "DenjoyLift",
@@ -278,45 +277,6 @@ class ChartAffineLift(CircleLift):
         if not (np.isfinite(am) and np.isfinite(bm)) or am <= 0.0:
             return super().iterate(x, m)
         return ChartAffineLift(am, bm)(x)
-
-
-class MobiusLift(CircleLift):
-    """Circle lift of a general Mobius map with positive determinant.
-
-    Works projectively: the chart angle phi = pi (u - 1/2) parametrizes
-    directions, the matrix acts on direction vectors and the image angle
-    is unrolled around the base point so evaluation stays pointwise.
-    """
-
-    def __init__(self, mat, label: str = ""):
-        m = np.asarray(mat, dtype=float)
-        if m.shape != (2, 2) or m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] <= 0.0:
-            raise ValueError("need a 2x2 matrix with positive determinant")
-        self.mat = m
-        self.label = label or "mobius"
-        (a, b), (c, d) = m
-        # image angle of the glued point, and its chart position: these pin
-        # the lift branch at F(0) = u0 in [0, 1)
-        self._m0 = math.atan2(-a, -c) % math.pi
-        self._u0 = (self._m0 / math.pi + 0.5) % 1.0
-        self.validate()
-
-    def raw(self, x):
-        x = np.asarray(x, dtype=float)
-        k = np.floor(x)
-        r = x - k
-        phi = np.pi * (r - 0.5)
-        s, c = np.sin(phi), np.cos(phi)
-        (a, b), (cc, d) = self.mat
-        v1 = a * s + b * c
-        v2 = cc * s + d * c
-        ang = np.arctan2(v1, v2) % np.pi
-        ang = np.where(ang < self._m0 - 1e-15, ang + np.pi, ang)
-        return k + self._u0 + (ang - self._m0) / np.pi
-
-    def inverse(self):
-        (a, b), (c, d) = self.mat
-        return MobiusLift([[d, -b], [-c, a]], label=self.label + "^-1")
 
 
 class PiecewiseLift(CircleLift):
@@ -720,8 +680,8 @@ def denjoy_lift(alpha: float, depth: int, gap_ratio: float) -> CircleLift:
 def load_lift_spec(obj) -> CircleLift:
     """Build a lift from a JSON-style dict.
 
-    Supported types: rotation {alpha}, mobius {matrix}, denjoy
-    {alpha, depth, gap_ratio}, piecewise {bx, by}, affine {a, b}.
+    Supported types: rotation {alpha}, denjoy {alpha, depth, gap_ratio},
+    piecewise {bx, by}, affine {a, b}.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"lift spec must be a dict with a 'type', got {obj!r}")
@@ -730,8 +690,6 @@ def load_lift_spec(obj) -> CircleLift:
         return RotationLift(float(obj["alpha"])).validate()
     if kind == "affine":
         return ChartAffineLift(float(obj["a"]), float(obj["b"])).validate()
-    if kind == "mobius":
-        return MobiusLift(obj["matrix"])
     if kind == "denjoy":
         return denjoy_lift(
             float(obj["alpha"]), int(obj["depth"]), float(obj["gap_ratio"])

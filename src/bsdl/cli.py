@@ -3,8 +3,10 @@ numerical estimators, all reporting JSON.
 
 Exit status is 0 for a conclusive positive report, 2 for an inconclusive
 or failing one (Unknown labels, open orbits, no fixed point found, a
-relation or criterion that does not pass), and 1 for usage or runtime
-errors. Reports are strict JSON: a NaN or infinite value is an error.
+relation or criterion that does not pass, or a numerical method that
+gave up on valid input: GraphFoldError, NonConvergentError), and 1 for
+usage or runtime errors. Reports are strict JSON: a NaN or infinite
+value is an error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ from .bsgroup import finite_bs_orbit, relation_report
 from .catalog import CATALOG, build_action
 from .circle import rotation_number
 from .estimators import bs_minimal_set, fixed_cells
-from .experiments import classify_perturbed, persistent_fixed_point
+from .experiments import (
+    GraphFoldError,
+    NonConvergentError,
+    classify_perturbed,
+    persistent_fixed_point,
+)
 from .gl2z import IntMatrix2, conjugate_in_gl2z, finite_order
 from .torus import bs_rotation_constraint, rotation_set
 
@@ -361,6 +368,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (GraphFoldError, NonConvergentError) as exc:
+        # valid input on which a numerical method gave up: inconclusive
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return INCONCLUSIVE
     except _CLI_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

@@ -146,12 +146,18 @@ class LinearTorusLift(TorusLift):
             raise ValueError(f"linear part must have determinant +-1, got {A.det()}")
         self.linear_part = A
         self.b = (float(b[0]), float(b[1]))
-        self._mat = np.array(A.rows(), dtype=float)
+        self._rows = tuple(tuple(float(x) for x in r) for r in A.rows())
         self.label = label or f"linear{A.rows()}"
 
     def raw(self, v):
+        # elementwise, not v @ A.T: BLAS sums the rows of a large batch
+        # in another order than a lone point, and a batch row must equal
+        # that point mapped alone
         v = np.asarray(v, dtype=float)
-        return v @ self._mat.T + np.array(self.b)
+        v0, v1 = v[..., 0], v[..., 1]
+        (m00, m01), (m10, m11) = self._rows
+        b0, b1 = self.b
+        return np.stack([v0 * m00 + v1 * m01 + b0, v0 * m10 + v1 * m11 + b1], axis=-1)
 
     def inverse(self):
         Ainv = self.linear_part.inverse()
@@ -236,7 +242,7 @@ def compose2(outer: TorusLift, inner: TorusLift) -> TorusLift:
     if isinstance(outer, LinearTorusLift) and isinstance(inner, LinearTorusLift):
         A = outer.linear_part * inner.linear_part
         ob = np.array(outer.b)
-        nb = np.array(outer._mat) @ np.array(inner.b) + ob
+        nb = np.array(outer._rows) @ np.array(inner.b) + ob
         return LinearTorusLift(A, (nb[0], nb[1]))
     return ComposedTorusLift(outer, inner)
 

@@ -1,8 +1,10 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsdl.bsgroup import (
     BSAction,
@@ -18,15 +20,25 @@ from bsdl.bsgroup import (
     word_lift,
     word_to_affine,
 )
+from bsdl.catalog import (
+    morse_smale_example,
+    nonfaithful_circle,
+    periodic_torus_example,
+    perturbed_torus,
+    product_action,
+)
 from bsdl.circle import (
+    GOLDEN_MEAN,
     ChartAffineLift,
     GluedLift,
     RotationLift,
     circle_dist,
     compose,
+    denjoy_lift,
     wrap,
 )
-from bsdl.torus import ProductTorusLift
+from bsdl.gl2z import IntMatrix2
+from bsdl.torus import LinearTorusLift, ProductTorusLift, torus_dist
 
 
 def affine_action(n):
@@ -254,3 +266,166 @@ class TestFiniteOrbits:
         # the start merges with the fixed point at 0 after one h^-1 step
         assert orb.closed
         assert orb.size <= 3
+
+
+# ---------------------------------------------------------------------------
+# frontier-batched closure against the point-at-a-time reference
+
+
+def reference_finite_orbit(action, x0, merge_tol=1e-6, max_size=10000, verify_cap=3000):
+    """The closure as it stepped before frontier batching: one raw call
+    per point and generator, merged through the same spatial hash."""
+    dim = 1 if action.space == "circle" else 2
+    gens = [action.f, action.h, action.f.inverse(), action.h.inverse()]
+    K = int(np.ceil(1.0 / merge_tol))
+
+    def norm_point(p):
+        if dim == 1:
+            return float(wrap(p))
+        return tuple(np.asarray(wrap(p), dtype=float))
+
+    def key_of(p):
+        if dim == 1:
+            return (int(p / merge_tol) % K,)
+        return (int(p[0] / merge_tol) % K, int(p[1] / merge_tol) % K)
+
+    def close(p, q):
+        if dim == 1:
+            return circle_dist(p, q) < merge_tol
+        return torus_dist(np.asarray(p), np.asarray(q)) < merge_tol
+
+    offsets = ((-1,), (0,), (1,)) if dim == 1 else tuple(
+        (i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)
+    )
+    buckets = {}
+    points = []
+
+    def find(p):
+        k = key_of(p)
+        for off in offsets:
+            kk = tuple((k[i] + off[i]) % K for i in range(dim))
+            for idx in buckets.get(kk, ()):
+                if close(p, points[idx]):
+                    return idx
+        return None
+
+    def add(p):
+        points.append(p)
+        buckets.setdefault(key_of(p), []).append(len(points) - 1)
+
+    start = norm_point(np.asarray(x0, dtype=float))
+    add(start)
+    frontier = [start]
+    overflow = False
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = norm_point(g.raw(np.asarray(p, dtype=float)))
+                if find(q) is None:
+                    add(q)
+                    nxt.append(q)
+            if len(points) > max_size:
+                overflow = True
+                break
+        if overflow:
+            break
+        frontier = nxt
+
+    pts = np.asarray(points, dtype=float)
+    closed = not overflow
+    defect = None
+    if closed and len(points) <= verify_cap:
+        defect = 0.0
+        for g in gens:
+            imgs = wrap(g.raw(pts))
+            for img in np.atleast_1d(imgs) if dim == 1 else imgs:
+                d = float(
+                    np.min(
+                        circle_dist(img, pts)
+                        if dim == 1
+                        else torus_dist(img[None, :], pts)
+                    )
+                )
+                defect = max(defect, d)
+    return pts, len(points), closed, defect
+
+
+def linear_shear_action(n, k, j, c):
+    # f translates by (j/(n-1), 0) and h = [[1, k], [0, 1]] v + c fixes
+    # that translation, so h f h^-1 = f = f^n mod Z^2; rational starts
+    # have finite orbits, generic ones dense
+    f = LinearTorusLift(IntMatrix2.identity(), (j / (n - 1), 0.0))
+    h = LinearTorusLift(IntMatrix2.from_rows((1, k), (0, 1)), c)
+    return make_action(f, h, n)
+
+
+@functools.lru_cache(maxsize=None)
+def denjoy_action(n, alpha, depth):
+    return nonfaithful_circle(n, k=denjoy_lift(alpha, depth, 0.45))
+
+
+ns = st.sampled_from([2, 3, 5])
+rationals = st.integers(1, 12).flatmap(
+    lambda q: st.integers(-q, 2 * q - 1).map(lambda p: p / q)
+)
+angles = st.one_of(rationals, st.floats(-1.0, 2.0, exclude_max=True))
+circle_starts = st.one_of(rationals, st.floats(-1.0, 2.0, exclude_max=True))
+torus_starts = st.tuples(circle_starts, circle_starts)
+circle_actions = st.one_of(
+    # rotation: h by any angle, f by a multiple of 1/(n-1)
+    st.builds(
+        lambda n, j, beta: make_action(
+            RotationLift(j / (n - 1)), RotationLift(beta), n
+        ),
+        ns, st.integers(0, 4), angles,
+    ),
+    st.builds(affine_action, ns),
+    st.builds(glued_action, st.sampled_from([3, 4, 5])),
+    st.builds(
+        denjoy_action, ns,
+        st.sampled_from([GOLDEN_MEAN, math.log(2.0), math.log(3.0) % 1.0]),
+        st.sampled_from([4, 11]),
+    ),
+)
+torus_actions = st.one_of(
+    st.builds(perturbed_torus, ns, st.sampled_from([0.0, 1e-3, 0.25 - math.log(2.0), 0.02])),
+    st.builds(lambda n, q: product_action(n, k=f"rot:1/{q}"), ns, st.integers(1, 9)),
+    st.builds(periodic_torus_example, st.sampled_from([3, 4])),
+    st.builds(morse_smale_example, ns),
+    st.builds(
+        linear_shear_action,
+        st.sampled_from([2, 3]), st.sampled_from([1, 2, 3, 5]), st.integers(0, 3),
+        st.tuples(angles, angles),
+    ),
+)
+cases = st.one_of(
+    st.tuples(circle_actions, circle_starts),
+    st.tuples(torus_actions, torus_starts),
+)
+
+
+class TestFrontierClosure:
+    """The frontier-batched closure equals point-at-a-time stepping bit
+    for bit, with the overflow cut landing at every frontier position."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases, st.integers(1, 400))
+    def test_equals_point_at_a_time_reference(self, case, max_size):
+        action, x0 = case
+        orb = finite_bs_orbit(action, x0, max_size=max_size)
+        pts, size, closed, defect = reference_finite_orbit(
+            action, x0, max_size=max_size
+        )
+        assert np.array_equal(orb.points, pts)
+        assert orb.points.shape == pts.shape
+        assert (orb.size, orb.closed, orb.defect) == (size, closed, defect)
+
+    def test_overflow_cut_follows_the_frontier_point(self):
+        # every point of the dense affine orbit has four new images, so
+        # the cut lands after the first point that passes max_size
+        act = affine_action(2)
+        for max_size in range(1, 40):
+            orb = finite_bs_orbit(act, 0.3, max_size=max_size)
+            assert not orb.closed
+            assert orb.size == reference_finite_orbit(act, 0.3, max_size=max_size)[1]

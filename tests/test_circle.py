@@ -12,7 +12,6 @@ from bsdl.circle import (
     FunctionLift,
     GOLDEN_MEAN,
     GluedLift,
-    MobiusLift,
     PiecewiseLift,
     RotationLift,
     chart_from_real,
@@ -156,38 +155,6 @@ class TestChartAffineLift:
         # 0 is fixed, so stepping stops as soon as the orbit freezes
         assert F.iterate(0.0, 10**5) == 0.0
         assert G.iterate(0.0, -(10**5)) == 0.0
-
-
-class TestMobiusLift:
-    def test_agrees_with_affine_translation(self):
-        M = MobiusLift([[1.0, 1.0], [0.0, 1.0]])
-        A = ChartAffineLift(1.0, 1.0)
-        xs = np.arange(0.0, 2.0, 1.0 / 193.0)
-        assert np.max(np.abs(M.raw(xs) - A.raw(xs))) < 1e-10
-
-    def test_agrees_with_affine_scaling(self):
-        M = MobiusLift([[2.0, 0.0], [0.0, 1.0]])
-        A = ChartAffineLift(2.0, 0.0)
-        xs = np.arange(0.0, 1.0, 1.0 / 193.0)
-        assert np.max(np.abs(M.raw(xs) - A.raw(xs))) < 1e-10
-
-    def test_rotation_by_half(self):
-        M = MobiusLift([[0.0, -1.0], [1.0, 0.0]])
-        est = rotation_number(M, iterates=2000)
-        assert est.rational_witness is not None
-        assert est.rational_witness[:2] == (1, 2)
-        assert abs(est.value - 0.5) <= est.error_bound
-
-    def test_inverse_round_trip_mod_one(self):
-        M = MobiusLift([[3.0, 1.0], [1.0, 2.0]])
-        G = M.inverse()
-        xs = np.arange(0.0, 1.0, 1.0 / 101.0)
-        d = circle_dist(G.raw(M.raw(xs)), xs)
-        assert np.max(d) < 1e-10
-
-    def test_rejects_negative_determinant(self):
-        with pytest.raises(ValueError):
-            MobiusLift([[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestPiecewiseLift:
@@ -408,10 +375,6 @@ class TestSpecs:
     def test_load_lift_spec(self):
         assert isinstance(load_lift_spec({"type": "rotation", "alpha": 0.25}), RotationLift)
         assert isinstance(load_lift_spec({"type": "affine", "a": 2.0, "b": 0.0}), ChartAffineLift)
-        assert isinstance(
-            load_lift_spec({"type": "mobius", "matrix": [[1.0, 1.0], [0.0, 1.0]]}),
-            MobiusLift,
-        )
         assert isinstance(
             load_lift_spec({"type": "denjoy", "alpha": GOLDEN_MEAN, "depth": 4, "gap_ratio": 0.6}),
             DenjoyLift,

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bsdl import cli
+from bsdl import cli, experiments
+from bsdl.experiments import GraphFoldError, NonConvergentError
 
 
 def run(capsys, *argv):
@@ -216,6 +217,33 @@ class TestBadInput:
         assert code == cli.ERROR
         assert out == ""
         assert "positive" in err or ">= 2" in err or ">= 1" in err
+
+
+class TestNumericalGiveUp:
+    """A numerical method that gives up on valid input is inconclusive (2),
+    not an error (1), and ends without a traceback."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            GraphFoldError("pushed graph folded over the fiber"),
+            NonConvergentError("graph transform stalled", [1e-3, 2e-3]),
+        ],
+    )
+    def test_graph_failure_is_inconclusive(self, capsys, monkeypatch, error):
+        def give_up(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(experiments, "find_invariant_circle", give_up)
+        code, out, err = run(capsys, "trichotomy", "perturbed-torus")
+        assert code == cli.INCONCLUSIVE
+        assert out == ""
+        assert str(error) in err
+        assert "Traceback" not in err
+
+    def test_usage_errors_keep_exit_one(self, capsys):
+        code, _, _ = run(capsys, "trichotomy", "standard-line")
+        assert code == cli.ERROR
 
 
 class TestOutputFile:

@@ -69,6 +69,18 @@ class TestLifts:
         assert np.max(np.abs(H.iterate(v, 5) - w)) < 1e-9
         assert np.max(np.abs(H.iterate(H.iterate(v, -3), 3) - v)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "rows",
+        [((1, 3), (0, 1)), ((2, 1), (1, 1)), ((-3, 2), (-2, 1)), ((5, 7), (2, 3)), ((0, -1), (1, 0))],
+    )
+    def test_linear_batch_rows_equal_single_points(self, rows):
+        # a BLAS product of 64 or more rows rounded otherwise than a lone row
+        H = LinearTorusLift(IntMatrix2.from_rows(*rows), (0.1, -0.7))
+        vs = np.random.default_rng(11).uniform(-1.0, 2.0, (300, 2))
+        batch = H.raw(vs)
+        for v, row in zip(vs, batch):
+            assert np.array_equal(H.raw(v), row)
+
     def test_linear_requires_unimodular(self):
         with pytest.raises(ValueError):
             LinearTorusLift(IntMatrix2.from_rows((2, 0), (0, 1)))
