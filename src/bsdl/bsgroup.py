@@ -461,13 +461,12 @@ def finite_bs_orbit(
 ) -> FiniteOrbit:
     """Breadth-first closure of x0 under both generators and inverses.
 
-    Each level steps its whole frontier at once: one raw call per
-    generator (f, h, f^-1, h^-1) on the frontier array, wrapped to
-    [0, 1)^d and turned into Python floats in one pass. The candidates
-    are merged in the order a point-at-a-time search visits them (each
-    frontier point in turn, its images in generator order), and a lift
-    maps a batch row exactly as it maps that point alone, so the result
-    equals single-point stepping bit for bit.
+    Each frontier point in turn is mapped by f, h, f^-1 and h^-1 through
+    their `step` methods, in Python floats (a float on the circle, a
+    (u, t) pair on the torus), and each image is wrapped to [0, 1)^d
+    with q - q // 1.0, the bits of np.floor's wrap. `step` returns the
+    bits of `raw`, so the closure is the one a raw call per point and
+    generator gives.
 
     Points closer than merge_tol (circle or torus metric) are merged via
     a spatial hash, so a numerically periodic orbit closes up. If the
@@ -484,29 +483,34 @@ def finite_bs_orbit(
         action.f.inverse(),
         action.h.inverse(),
     ]
+    steps = [g.step for g in gens]
     K = int(np.ceil(1.0 / merge_tol))
     floor = math.floor
     buckets: dict = {}
     points: list = []
 
-    # Both merge tests compute circle_dist(q, p) < merge_tol in the same
-    # float arithmetic; on the torus, the sup metric is below merge_tol
-    # exactly when both coordinates are.
+    # Both merges wrap their point, then add it unless a point within
+    # merge_tol is already there, and return it if added. Their tests
+    # compute circle_dist(q, p) < merge_tol in the same float arithmetic;
+    # on the torus, the sup metric is below merge_tol exactly when both
+    # coordinates are.
     def merge_circle(q):
-        """Add q unless a point within merge_tol is already there."""
+        q -= q // 1.0
         k = int(q / merge_tol)
         for kk in ((k - 1) % K, k % K, (k + 1) % K):
             for idx in buckets.get(kk, ()):
                 d = q - points[idx]
                 d -= floor(d)
                 if min(d, 1.0 - d) < merge_tol:
-                    return False
+                    return None
         buckets.setdefault(k % K, []).append(len(points))
         points.append(q)
-        return True
+        return q
 
     def merge_torus(q):
         u, t = q
+        u -= u // 1.0
+        t -= t // 1.0
         ku, kt = int(u / merge_tol), int(t / merge_tol)
         for i in ((ku - 1) % K, ku % K, (ku + 1) % K):
             for j in ((kt - 1) % K, kt % K, (kt + 1) % K):
@@ -518,28 +522,27 @@ def finite_bs_orbit(
                         d = t - pt
                         d -= floor(d)
                         if min(d, 1.0 - d) < merge_tol:
-                            return False
+                            return None
+        q = (u, t)
         buckets.setdefault((ku % K, kt % K), []).append(len(points))
         points.append(q)
-        return True
+        return q
 
     merge = merge_torus if torus else merge_circle
-    start = wrap(np.asarray(x0, dtype=float)).tolist()
-    merge(start)
+    start = merge(np.asarray(x0, dtype=float).tolist())
     frontier = [start]
     overflow = False
     while frontier and not overflow:
-        batch = np.array(frontier, dtype=float)
-        # row i holds the images of frontier point i, in generator order
-        images = wrap(np.stack([g.raw(batch) for g in gens], axis=1)).tolist()
-        frontier = []
-        for cands in images:
-            for q in cands:
-                if merge(q):
-                    frontier.append(q)
+        nxt = []
+        for p in frontier:
+            for step in steps:
+                q = merge(step(p))
+                if q is not None:
+                    nxt.append(q)
             if len(points) > max_size:
                 overflow = True
                 break
+        frontier = nxt
 
     pts = np.asarray(points, dtype=float)
     closed = not overflow
@@ -563,5 +566,5 @@ def finite_bs_orbit(
         closed=closed,
         merge_tol=merge_tol,
         defect=defect,
-        start=tuple(start) if torus else start,
+        start=start,
     )

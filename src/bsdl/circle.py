@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,30 +74,42 @@ def orbit(F, x0, iterates: int, transient: int = 0):
     precision to a growing integer part. The first `transient` steps
     are not yielded; `iterates` pairs follow.
 
-    A scalar start steps as a Python float with math.floor, several
-    times cheaper than a 0-d array. An array start (a torus point, or a
-    batch of circle or torus starts) steps as one array with np.floor,
-    each start following the orbit it would follow alone; the yielded
-    arrays are fresh every step.
+    A single point steps through `F.step` in Python floats: a scalar
+    start of a circle lift as one float, a (2,) start of a torus lift as
+    a (u, t) pair, yielded as fresh (2,) arrays. The kind of point
+    follows the lift, not the shape of the start: an array start of a
+    circle lift, or an (m, 2) start of a torus lift, is a batch and
+    steps as one array through `F.raw`, each start following the orbit
+    it would follow alone. `step` returns the bits of `raw`, and the
+    wrap x - floor(x) is the same on floats and arrays, so a start
+    yields the same numbers alone as inside a batch. A value that rounds
+    up to 1.0 (x within 2^-54 below an integer) becomes the largest
+    double below 1. A non-finite image of a single point raises
+    ValueError.
     """
     if iterates < 1 or transient < 0:
         raise ValueError(
             f"need iterates >= 1 and transient >= 0, got {iterates}, {transient}"
         )
-    raw = F.raw
-    if np.ndim(x0) == 0:
+    if isinstance(F, CircleLift) and np.ndim(x0) == 0:
+        step = F.step
         fx = float(x0)
         for k in range(-transient, iterates):
-            try:
-                x = fx - math.floor(fx)
-            except (OverflowError, ValueError):
-                raise ValueError(f"orbit left the real line at {fx}") from None
-            if x == 1.0:
-                x = _BELOW_ONE
-            fx = float(raw(x))
+            x = _wrap_float(fx)
+            fx = step(x)
             if k >= 0:
                 yield x, fx
         return
+    if not isinstance(F, CircleLift) and np.ndim(x0) == 1:
+        step = F.step
+        fu, ft = (float(c) for c in x0)
+        for k in range(-transient, iterates):
+            p = (_wrap_float(fu), _wrap_float(ft))
+            fu, ft = step(p)
+            if k >= 0:
+                yield np.array(p), np.array((fu, ft))
+        return
+    raw = F.raw
     fv = np.asarray(x0, dtype=float)
     for k in range(-transient, iterates):
         v = fv - np.floor(fv)
@@ -104,6 +117,17 @@ def orbit(F, x0, iterates: int, transient: int = 0):
         fv = raw(v)
         if k >= 0:
             yield v, fv
+
+
+def _wrap_float(x: float) -> float:
+    """x - floor(x) in [0, 1) with the bits of the array wrap in `orbit`."""
+    # x // 1.0 is np.floor(x) as a float, signed zeros included
+    r = x - x // 1.0
+    if r < 1.0:
+        return r
+    if r == 1.0:
+        return _BELOW_ONE
+    raise ValueError(f"orbit left the real line at {x}")
 
 
 def circle_dist(a, b):
@@ -153,6 +177,14 @@ class CircleLift:
 
     def raw(self, x):
         raise NotImplementedError
+
+    def step(self, x: float) -> float:
+        """The lift at one point, as a Python float, with the bits of `raw`.
+
+        Exact families override this with float arithmetic; the fallback
+        calls `raw` on the point.
+        """
+        return float(self.raw(x))
 
     def __call__(self, x):
         out = self.raw(np.asarray(x, dtype=float))
@@ -219,6 +251,9 @@ class RotationLift(CircleLift):
     def raw(self, x):
         return x + self.alpha
 
+    def step(self, x):
+        return x + self.alpha
+
     def inverse(self):
         return RotationLift(-self.alpha, label=f"rot({-self.alpha:g})")
 
@@ -256,6 +291,20 @@ class ChartAffineLift(CircleLift):
         # r rounds up to 1.0 for x within 2^-54 below an integer: that is
         # the glued point of k + 1, so both glued cases return k + r
         return k + np.where(np.rint(r) == r, r, _atan_frac(y))
+
+    def step(self, x):
+        # raw's arithmetic on floats; tan and arctan stay numpy's, since
+        # math.tan and math.atan round otherwise on some inputs
+        k = x // 1.0
+        r = x - k
+        if r == 0.0 or r == 1.0:
+            return k + r
+        y = self.a * (-1.0 / float(np.tan(math.pi * r))) + self.b
+        if y > 1.0:
+            return k + (1.0 - float(np.arctan(1.0 / y)) / math.pi)
+        if y < -1.0:
+            return k + float(np.arctan(-1.0 / y)) / math.pi
+        return k + (0.5 + float(np.arctan(y)) / math.pi)
 
     def inverse(self):
         return ChartAffineLift(1.0 / self.a, -self.b / self.a)
@@ -300,6 +349,10 @@ class PiecewiseLift(CircleLift):
         self.by = by
         self._xs = np.concatenate([bx, [bx[0] + 1.0]])
         self._ys = np.concatenate([by, [by[0] + 1.0]])
+        # float tables for `step`, with np.interp's slopes
+        self._xl = self._xs.tolist()
+        self._yl = self._ys.tolist()
+        self._sl = (np.diff(self._ys) / np.diff(self._xs)).tolist()
         self.label = label or f"piecewise[{bx.size}]"
 
     def raw(self, x):
@@ -309,6 +362,23 @@ class PiecewiseLift(CircleLift):
         shift = r < self.bx[0]
         rr = np.where(shift, r + 1.0, r)
         return k + np.interp(rr, self._xs, self._ys) - shift.astype(float)
+
+    def step(self, x):
+        k = x // 1.0
+        r = x - k
+        xs, ys = self._xl, self._yl
+        shift = r < xs[0]
+        rr = r + 1.0 if shift else r
+        j = bisect_right(xs, rr) - 1
+        # np.interp: the end values outside the table, the table value
+        # at a breakpoint, else slope * (rr - xs[j]) + ys[j]
+        if j < 0:
+            y = ys[0]
+        elif j >= len(xs) - 1 or xs[j] == rr:
+            y = ys[j]
+        else:
+            y = self._sl[j] * (rr - xs[j]) + ys[j]
+        return k + y - (1.0 if shift else 0.0)
 
     def inverse(self):
         # unwrap image breakpoints into a canonical [0,1) table
@@ -364,6 +434,20 @@ class GluedLift(CircleLift):
         v = np.clip(r * self.m - i, 0.0, 1.0)
         return k + (i + self.base.raw(v)) / self.m
 
+    def step(self, x):
+        m = self.m
+        k = x // 1.0
+        r = x - k
+        i = (r * m) // 1.0
+        if i > m - 1:
+            i = m - 1.0
+        v = r * m - i
+        if v < 0.0:
+            v = 0.0
+        elif v > 1.0:
+            v = 1.0
+        return k + (i + self.base.step(v)) / m
+
     def inverse(self):
         return GluedLift(self.m, 1.0 / self.a, -self.b / self.a)
 
@@ -391,6 +475,9 @@ class ComposedLift(CircleLift):
 
     def raw(self, x):
         return self.outer.raw(self.inner.raw(np.asarray(x, dtype=float)))
+
+    def step(self, x):
+        return self.outer.step(self.inner.step(x))
 
     def inverse(self):
         return ComposedLift(self.inner.inverse(), self.outer.inverse())

@@ -30,11 +30,15 @@ def _space_of(F):
 
 
 def _cells_of(points, resolution, space):
-    """Cell indices hit by an array of points (wrapped first)."""
+    """Cell indices hit by an array of points (wrapped first), as a
+    frozenset of Python ints or int pairs."""
     idx = np.minimum((wrap(points) * resolution).astype(int), resolution - 1)
     if space == "circle":
-        return frozenset(int(i) for i in np.atleast_1d(idx).ravel())
-    return frozenset((int(a), int(b)) for a, b in idx.reshape(-1, 2))
+        return frozenset(np.unique(idx).tolist())
+    # one pass over the points: unique flat indices i * R + j
+    idx = idx.reshape(-1, 2)
+    i, j = np.divmod(np.unique(idx[:, 0] * resolution + idx[:, 1]), resolution)
+    return frozenset(zip(i.tolist(), j.tolist()))
 
 
 @dataclass
@@ -60,9 +64,15 @@ class CellSet:
             for c in self.cells
         )
 
+    def _with(self, cells: frozenset) -> "CellSet":
+        """A set on this grid from Python ints or int pairs, taken as is."""
+        out = object.__new__(CellSet)
+        out.resolution, out.space, out.cells = self.resolution, self.space, cells
+        return out
+
     @classmethod
     def from_points(cls, points, resolution, space):
-        return cls(resolution, space, _cells_of(points, resolution, space))
+        return cls(resolution, space)._with(_cells_of(points, resolution, space))
 
     def __len__(self):
         return len(self.cells)
@@ -85,11 +95,11 @@ class CellSet:
 
     def intersect(self, other):
         self._compatible(other)
-        return CellSet(self.resolution, self.space, self.cells & other.cells)
+        return self._with(self.cells & other.cells)
 
     def union(self, other):
         self._compatible(other)
-        return CellSet(self.resolution, self.space, self.cells | other.cells)
+        return self._with(self.cells | other.cells)
 
     def centers(self):
         """Cell centers, sorted by index; (k,) or (k, 2) array."""
@@ -116,7 +126,7 @@ class CellSet:
                         for dj in (-1, 0, 1):
                             grown.add(((i + di) % R, (j + dj) % R))
             out = grown
-        return CellSet(R, self.space, out)
+        return self._with(frozenset(out))
 
     def measure(self):
         """Total cell area as a fraction of the whole space."""
@@ -159,7 +169,7 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
         kids = np.concatenate([2 * flag, 2 * flag + 1])
         xs = (kids + 0.5) / resolution
         keep = circle_dist(f.raw(xs), xs) < fine_delta
-        return CellSet(resolution, space, frozenset(int(k) for k in kids[keep]))
+        return CellSet(resolution, space)._with(frozenset(kids[keep].tolist()))
     g = (np.arange(coarse) + 0.5) / coarse
     uu, tt = np.meshgrid(g, g, indexing="ij")
     vs = np.stack([uu.ravel(), tt.ravel()], axis=-1)
@@ -181,10 +191,8 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
         [(kid_i + 0.5) / resolution, (kid_j + 0.5) / resolution], axis=-1
     )
     keep = torus_dist(f.raw(cand), cand) < fine_delta
-    cells = frozenset(
-        (int(a), int(b)) for a, b in zip(kid_i[keep], kid_j[keep])
-    )
-    return CellSet(resolution, space, cells)
+    cells = frozenset(zip(kid_i[keep].tolist(), kid_j[keep].tolist()))
+    return CellSet(resolution, space)._with(cells)
 
 
 @dataclass
@@ -415,7 +423,7 @@ def bs_minimal_set(
         cells_now = [c for c, ok in zip(cells_now, keep) if ok]
         fwd = fwd[keep]
         bwd = bwd[keep]
-        K = CellSet(resolution, space, cells_now)
+        K = P._with(frozenset(cells_now))
         family.append(K)
     diag["k_counts"] = [len(k) for k in family]
 

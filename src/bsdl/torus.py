@@ -64,6 +64,15 @@ class TorusLift:
     def raw(self, v):
         raise NotImplementedError
 
+    def step(self, p):
+        """The lift at one point (u, t), as a pair of Python floats, with
+        the bits of `raw`.
+
+        Exact families override this with float arithmetic; the fallback
+        calls `raw` on the point as a (2,) array.
+        """
+        return tuple(self.raw(np.array(p, dtype=float)).tolist())
+
     def __call__(self, v):
         out = self.raw(np.asarray(v, dtype=float))
         return out
@@ -116,6 +125,10 @@ class ProductTorusLift(TorusLift):
             [self.base.raw(v[..., 0]), self.fiber.raw(v[..., 1])], axis=-1
         )
 
+    def step(self, p):
+        u, t = p
+        return self.base.step(u), self.fiber.step(t)
+
     def inverse(self):
         return ProductTorusLift(self.base.inverse(), self.fiber.inverse())
 
@@ -150,14 +163,13 @@ class LinearTorusLift(TorusLift):
         self.label = label or f"linear{A.rows()}"
 
     def raw(self, v):
-        # elementwise, not v @ A.T: BLAS sums the rows of a large batch
-        # in another order than a lone point, and a batch row must equal
-        # that point mapped alone
-        v = np.asarray(v, dtype=float)
-        v0, v1 = v[..., 0], v[..., 1]
+        return _affine(v, self._rows, self.b)
+
+    def step(self, p):
+        u, t = p
         (m00, m01), (m10, m11) = self._rows
         b0, b1 = self.b
-        return np.stack([v0 * m00 + v1 * m01 + b0, v0 * m10 + v1 * m11 + b1], axis=-1)
+        return u * m00 + t * m01 + b0, u * m10 + t * m11 + b1
 
     def inverse(self):
         Ainv = self.linear_part.inverse()
@@ -175,12 +187,29 @@ class LinearTorusLift(TorusLift):
         A = g.linear_part
         if A == IntMatrix2.identity():
             return np.asarray(v, dtype=float) + abs(m) * np.array(g.b)
+        # v -> P v + S with P = A^|m| and S = sum of A^i b, i < |m|
+        b0, b1 = g.b
         P = IntMatrix2.identity()
-        S = np.zeros(2)
+        s0 = s1 = 0.0
         for _ in range(abs(m)):
-            S = np.array(P.rows(), dtype=float) @ np.array(g.b) + S
-            P = g.linear_part * P
-        return np.asarray(v, dtype=float) @ np.array(P.rows(), dtype=float).T + S
+            (p00, p01), (p10, p11) = P.rows()
+            s0, s1 = p00 * b0 + p01 * b1 + s0, p10 * b0 + p11 * b1 + s1
+            P = A * P
+        rows = tuple(tuple(float(x) for x in r) for r in P.rows())
+        return _affine(v, rows, (s0, s1))
+
+
+def _affine(v, rows, b):
+    """v -> M v + b on (..., 2) arrays, M given by float rows.
+
+    Elementwise, not v @ M.T: BLAS sums the rows of a large batch in
+    another order than a lone point, and a batch row must equal that
+    point mapped alone.
+    """
+    v = np.asarray(v, dtype=float)
+    v0, v1 = v[..., 0], v[..., 1]
+    (m00, m01), (m10, m11) = rows
+    return np.stack([v0 * m00 + v1 * m01 + b[0], v0 * m10 + v1 * m11 + b[1]], axis=-1)
 
 
 class FunctionTorusLift(TorusLift):
@@ -215,6 +244,9 @@ class ComposedTorusLift(TorusLift):
 
     def raw(self, v):
         return self.outer.raw(self.inner.raw(np.asarray(v, dtype=float)))
+
+    def step(self, p):
+        return self.outer.step(self.inner.step(p))
 
     def inverse(self):
         return ComposedTorusLift(self.inner.inverse(), self.outer.inverse())

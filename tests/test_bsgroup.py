@@ -406,8 +406,10 @@ cases = st.one_of(
 
 
 class TestFrontierClosure:
-    """The frontier-batched closure equals point-at-a-time stepping bit
-    for bit, with the overflow cut landing at every frontier position."""
+    """The closure, stepping each point through the generators' `step`,
+    equals the reference that calls `raw` once per point and generator,
+    bit for bit, with the overflow cut landing at every frontier
+    position."""
 
     @settings(max_examples=150, deadline=None)
     @given(cases, st.integers(1, 400))

@@ -11,7 +11,7 @@ from bsdl.catalog import (
     standard_line,
     standard_torus,
 )
-from bsdl.circle import GOLDEN_MEAN, GluedLift, RotationLift, circle_dist, orbit
+from bsdl.circle import GOLDEN_MEAN, GluedLift, RotationLift, circle_dist, orbit, wrap
 from bsdl.estimators import (
     CellSet,
     bs_minimal_set,
@@ -42,6 +42,20 @@ class TestCellSet:
         pts = [(0.1, 0.9), (1.1, -0.1)]
         cs = CellSet.from_points(pts, 4, "torus")
         assert cs.cells == {(0, 3)}
+
+    @pytest.mark.parametrize("R", [256, 1024])
+    def test_from_points_equals_per_point_cells(self, R):
+        # the one-pass numpy build against converting every point's cell
+        pts = np.random.default_rng(R).uniform(-1.0, 2.0, (20000, 2))
+        pts[:4] = [(0.0, 0.0), (-1e-20, 1.0), (1.0 - 1e-16, 0.5), (2.0, -0.0)]
+        idx = np.minimum((wrap(pts) * R).astype(int), R - 1)
+        ref = frozenset((int(a), int(b)) for a, b in idx)
+        cs = CellSet.from_points(pts, R, "torus")
+        assert cs.cells == ref and cs == CellSet(R, "torus", ref)
+        assert all(type(i) is int and type(j) is int for i, j in cs.cells)
+        circ = CellSet.from_points(pts[:, 0], R, "circle")
+        assert circ.cells == frozenset(int(i) for i in idx[:, 0])
+        assert all(type(i) is int for i in circ.cells)
 
     def test_dilate_circle_wraps(self):
         cs = CellSet(8, "circle", {0}).dilate()

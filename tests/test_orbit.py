@@ -71,6 +71,40 @@ def test_batch_steps_each_start_as_alone(F, xs, n, transient):
         assert [fv[i] for _, fv in batch] == [fx for _, fx in alone]
 
 
+torus_lifts = st.one_of(
+    st.builds(ProductTorusLift, lifts, lifts),
+    st.builds(
+        lambda rows, b: LinearTorusLift(IntMatrix2.from_rows(*rows), b),
+        st.sampled_from([((1, 0), (0, 1)), ((1, 3), (0, 1)), ((-3, 2), (-2, 1))]),
+        st.tuples(offsets, offsets),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(torus_lifts, st.tuples(starts, starts), st.lists(st.tuples(starts, starts), max_size=4),
+       lengths, st.integers(0, 20))
+def test_torus_point_steps_as_row_zero_of_a_batch(F, p0, others, n, transient):
+    # a lone torus point steps in floats, a batch as one array: same bits
+    alone = list(orbit(F, p0, n, transient))
+    batch = list(orbit(F, np.array([p0] + others), n, transient))
+    assert len(alone) == len(batch) == n
+    for (v, fv), (bv, bfv) in zip(alone, batch):
+        assert v.shape == fv.shape == (2,)
+        assert v.tobytes() == bv[0].tobytes() and fv.tobytes() == bfv[0].tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(lifts, starts, starts, lengths)
+def test_two_circle_starts_are_a_batch(F, x0, x1, n):
+    # shape (2,) is a torus point only for a torus lift
+    pairs = list(orbit(F, np.array([x0, x1]), n))
+    for start, i in ((x0, 0), (x1, 1)):
+        alone = list(orbit(F, start, n))
+        assert [v[i] for v, _ in pairs] == [x for x, _ in alone]
+        assert [fv[i] for _, fv in pairs] == [fx for _, fx in alone]
+
+
 def test_transient_steps_are_not_yielded():
     F = RotationLift(0.25)
     assert [x for x, _ in orbit(F, 0.0, 3, transient=2)] == [0.5, 0.75, 0.0]
@@ -109,3 +143,6 @@ def test_non_finite_image_is_an_error():
     F = RotationLift(math.inf)
     with pytest.raises(ValueError, match="left the real line"):
         list(orbit(F, 0.0, 2))
+    G = ProductTorusLift(RotationLift(0.5), RotationLift(math.nan))
+    with pytest.raises(ValueError, match="left the real line"):
+        list(orbit(G, (0.0, 0.0), 2))

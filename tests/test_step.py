@@ -1,0 +1,210 @@
+"""The law of `step`: a lift maps one point in Python floats to the bits
+`raw` gives for that point, alone or inside a batch. Property-tested on
+the exact circle and torus families, their inverses and compositions,
+at generic points, glued points, points within 2^-54 below an integer,
+piecewise breakpoints, large |x| and non-finite input."""
+
+import functools
+import math
+import struct
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from bsdl.circle import (
+    GOLDEN_MEAN,
+    BisectionInverse,
+    ChartAffineLift,
+    ComposedLift,
+    FunctionLift,
+    GluedLift,
+    PiecewiseLift,
+    RotationLift,
+    compose,
+    denjoy_lift,
+)
+from bsdl.gl2z import IntMatrix2
+from bsdl.torus import (
+    ComposedTorusLift,
+    FunctionTorusLift,
+    LinearTorusLift,
+    ProductTorusLift,
+    compose2,
+)
+
+# a batch long enough for numpy's vector loops, with the point appended
+BACKGROUND = np.random.default_rng(5).uniform(-2.0, 3.0, 98)
+
+
+def same(a, b):
+    """Equal bits, or both NaN."""
+    return (a != a and b != b) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def raw_alone_and_in_batch(F, p, width):
+    with np.errstate(all="ignore"):
+        alone = F.raw(np.array([p], dtype=float))[0]
+        background = BACKGROUND if width == 1 else BACKGROUND.reshape(-1, 2)
+        batch = F.raw(np.concatenate([background, [p]]))[-1]
+    return alone, batch
+
+
+def assert_circle_step_is_raw(F, x):
+    try:
+        y = F.step(x)
+    except ValueError:
+        # the orbit kernel's error for a point off the real line
+        assert not math.isfinite(x)
+        return
+    assert type(y) is float
+    alone, batch = raw_alone_and_in_batch(F, x, 1)
+    assert same(y, float(alone)), (F.label, x, y, float(alone))
+    assert same(y, float(batch)), (F.label, x, y, float(batch))
+
+
+def assert_torus_step_is_raw(F, p):
+    try:
+        q = F.step(p)
+    except ValueError:
+        assert not all(math.isfinite(c) for c in p)
+        return
+    assert type(q) is tuple and len(q) == 2
+    assert all(type(c) is float for c in q)
+    alone, batch = raw_alone_and_in_batch(F, p, 2)
+    for c, a, b in zip(q, alone.tolist(), batch.tolist()):
+        assert same(c, a) and same(c, b), (F.label, p, q, alone, batch)
+
+
+# ---------------------------------------------------------------------------
+# lifts
+
+
+def random_piecewise(seed, count):
+    rng = np.random.default_rng(seed)
+    bx = np.unique(rng.uniform(0.0, 1.0, count))
+    steps = rng.uniform(0.05, 1.0, bx.size)
+    by = rng.uniform(-2.0, 2.0) + np.cumsum(steps) / (steps.sum() * 1.01)
+    return PiecewiseLift(bx, by)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_denjoy(alpha, depth):
+    return denjoy_lift(alpha, depth, 0.45)
+
+
+slopes = st.one_of(st.floats(0.05, 20.0), st.sampled_from([1e-8, 0.0625**6, 1.0, 1e8]))
+offsets = st.floats(-1e3, 1e3)
+exact_circle = st.one_of(
+    st.builds(RotationLift, st.floats(-4.0, 4.0)),
+    st.builds(ChartAffineLift, slopes, offsets),
+    st.builds(GluedLift, st.integers(1, 6), slopes, offsets),
+    st.builds(random_piecewise, st.integers(0, 2**32 - 1), st.integers(1, 8)),
+    st.builds(
+        cached_denjoy,
+        st.sampled_from([GOLDEN_MEAN, math.log(2.0), math.log(3.0) % 1.0]),
+        st.sampled_from([1, 4, 11]),
+    ),
+)
+circle_lifts = st.one_of(
+    exact_circle,
+    exact_circle.map(lambda F: F.inverse()),
+    st.builds(ComposedLift, exact_circle, exact_circle),
+    st.builds(compose, exact_circle, exact_circle),
+)
+
+matrices = st.sampled_from(
+    [((1, 0), (0, 1)), ((1, 3), (0, 1)), ((2, 1), (1, 1)), ((-3, 2), (-2, 1)),
+     ((5, 7), (2, 3)), ((0, -1), (1, 0))]
+)
+exact_torus = st.one_of(
+    st.builds(ProductTorusLift, circle_lifts, circle_lifts),
+    st.builds(
+        lambda rows, b: LinearTorusLift(IntMatrix2.from_rows(*rows), b),
+        matrices, st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    ),
+)
+torus_lifts = st.one_of(
+    exact_torus,
+    exact_torus.map(lambda F: F.inverse()),
+    st.builds(ComposedTorusLift, exact_torus, exact_torus),
+    st.builds(compose2, exact_torus, exact_torus),
+)
+
+
+# ---------------------------------------------------------------------------
+# points
+
+
+def seams_of(F):
+    """Breakpoints and glued points of F and its parts, on [0, 1)."""
+    if isinstance(F, PiecewiseLift):
+        return F.bx.tolist()
+    if isinstance(F, GluedLift):
+        return [i / F.m for i in range(F.m)]
+    if isinstance(F, ComposedLift):
+        return seams_of(F.inner) + seams_of(F.outer)
+    return [0.0]
+
+
+BELOW = [-(2.0 ** -e) for e in (55, 60, 80, 300)] + [-5e-324]
+SPECIAL = [
+    math.inf, -math.inf, math.nan, 2.0**52, -(2.0**52), 2.0**52 + 0.5, 2.0**53,
+    1e300, -1e300, -0.0,
+]
+
+
+def circle_points(F):
+    near = [s + d for s in seams_of(F) for d in (0.0, 1e-12, -1e-12)]
+    near += [math.nextafter(s, v) for s in seams_of(F) for v in (-1.0, 2.0)]
+    return st.one_of(
+        st.floats(-4.0, 4.0),
+        # x within 2^-54 below an integer: x - floor(x) rounds up to 1.0
+        st.builds(lambda k, d: k + d, st.integers(-3, 3), st.sampled_from(BELOW)),
+        st.builds(lambda k, s: k + s, st.integers(-3, 3), st.sampled_from(near)),
+        st.floats(1e6, 1e300).flatmap(lambda a: st.sampled_from([a, -a])),
+        st.sampled_from(SPECIAL),
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(circle_lifts, st.data())
+def test_circle_step_is_raw(F, data):
+    for x in data.draw(st.lists(circle_points(F), min_size=1, max_size=8)):
+        assert_circle_step_is_raw(F, x)
+
+
+def torus_points(F):
+    if isinstance(F, ProductTorusLift):
+        return st.tuples(circle_points(F.base), circle_points(F.fiber))
+    inner = circle_points(RotationLift(0.0))
+    return st.tuples(inner, inner)
+
+
+@settings(max_examples=400, deadline=None)
+@given(torus_lifts, st.data())
+def test_torus_step_is_raw(F, data):
+    for p in data.draw(st.lists(torus_points(F), min_size=1, max_size=8)):
+        assert_torus_step_is_raw(F, p)
+
+
+def test_chart_affine_on_a_dense_grid():
+    # the glued point, both sides of it, and enough points for 1-ulp
+    # differences of tan and arctan to show if the step rounded otherwise
+    xs = np.concatenate([
+        np.random.default_rng(2).uniform(-2.0, 2.0, 20000),
+        np.arange(-2.0, 3.0), -np.ldexp(1.0, -np.arange(53, 70)),
+    ])
+    for F in (ChartAffineLift(2.0, 0.0), ChartAffineLift(0.3, 5.0),
+              GluedLift(3, 2.0, 0.0), GluedLift(4, 0.5, -1.0)):
+        batch = F.raw(xs).tolist()
+        assert all(same(F.step(x), y) for x, y in zip(xs.tolist(), batch))
+
+
+def test_fallbacks_call_raw():
+    F = FunctionLift(lambda x: x + 0.25 * np.sin(2 * np.pi * x) / (2 * np.pi))
+    for x in (0.0, 0.3, -1.7):
+        assert same(F.step(x), float(F.raw(np.array([x]))[0]))
+    B = BisectionInverse(ChartAffineLift(2.0, 0.5))
+    assert same(B.step(0.4), float(B.raw(np.array([0.4]))[0]))
+    G = FunctionTorusLift(lambda v: v + 0.1 * np.sin(2 * np.pi * v[..., ::-1]))
+    assert_torus_step_is_raw(G, (0.1, 0.7))

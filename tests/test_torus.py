@@ -81,6 +81,17 @@ class TestLifts:
         for v, row in zip(vs, batch):
             assert np.array_equal(H.raw(v), row)
 
+    @pytest.mark.parametrize("m", [1, 5, -3])
+    def test_linear_iterate_batch_rows_equal_single_points(self, m):
+        # A^m applied with a BLAS product rounded batch rows otherwise
+        H = LinearTorusLift(IntMatrix2.from_rows((-3, 2), (-2, 1)), (0.1, -0.7))
+        vs = np.random.default_rng(11).uniform(-1.0, 2.0, (300, 2))
+        batch = H.iterate(vs, m)
+        for v, row in zip(vs, batch):
+            assert H.iterate(v, m).tobytes() == row.tobytes()
+        if m == 1:
+            assert H.iterate(vs, 1).tobytes() == H.raw(vs).tobytes()
+
     def test_linear_requires_unimodular(self):
         with pytest.raises(ValueError):
             LinearTorusLift(IntMatrix2.from_rows((2, 0), (0, 1)))
