@@ -10,11 +10,9 @@ headline dynamics.
 
 from .gl2z import (
     IntMatrix2,
-    AffineMapQ2,
     finite_order,
     conjugate_in_gl2z,
     bs_linear_compatible,
-    affine_fixed_point,
 )
 from .circle import (
     CircleLift,
@@ -34,7 +32,6 @@ from .circle import (
     wrap,
     orbit,
     parse_k_spec,
-    load_lift_spec,
 )
 from .torus import (
     TorusLift,
@@ -50,6 +47,7 @@ from .torus import (
     bs_rotation_constraint,
     torus_dist,
 )
+from .space import Space, CIRCLE, TORUS, space_of
 from .bsgroup import (
     Word,
     BSAction,
@@ -85,14 +83,12 @@ from .estimators import (
 from .experiments import (
     InvariantCircleEstimate,
     TrichotomyReport,
-    RotationPersistenceReport,
     GraphFoldError,
     NonConvergentError,
     find_invariant_circle,
     restricted_circle_map,
     classify_perturbed,
     persistent_fixed_point,
-    rotation_set_persistence,
     near_identity_diffeo,
     conjugated_action,
 )
@@ -101,17 +97,18 @@ from .acceptance import run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix2", "AffineMapQ2", "finite_order", "conjugate_in_gl2z",
-    "bs_linear_compatible", "affine_fixed_point",
+    "IntMatrix2", "finite_order", "conjugate_in_gl2z",
+    "bs_linear_compatible",
     "CircleLift", "RotationLift", "ChartAffineLift", "FunctionLift",
     "PiecewiseLift", "GluedLift", "DenjoyLift",
     "RotationNumberEstimate", "compose", "rotation_number", "denjoy_lift",
     "chart_from_real", "chart_to_real", "circle_dist", "wrap", "orbit",
-    "parse_k_spec", "load_lift_spec",
+    "parse_k_spec",
     "TorusLift", "ProductTorusLift", "LinearTorusLift", "FunctionTorusLift",
     "RotationVectorEstimate", "RotationSetEstimate", "compose2",
     "rotation_vector", "rotation_set", "conjugate_rotation_set_check",
     "bs_rotation_constraint", "torus_dist",
+    "Space", "CIRCLE", "TORUS", "space_of",
     "Word", "BSAction", "FiniteOrbit", "make_action", "normalize",
     "evaluate", "relation_report", "relation_residual", "finite_bs_orbit",
     "CATALOG", "build_action", "faithfulness_evidence",
@@ -121,9 +118,9 @@ __all__ = [
     "CellSet", "MinimalSetEstimate", "DifferentialReport", "fixed_cells",
     "bs_minimal_set", "differential_at",
     "InvariantCircleEstimate", "TrichotomyReport",
-    "RotationPersistenceReport", "GraphFoldError", "NonConvergentError",
+    "GraphFoldError", "NonConvergentError",
     "find_invariant_circle", "restricted_circle_map", "classify_perturbed",
-    "persistent_fixed_point", "rotation_set_persistence",
+    "persistent_fixed_point",
     "near_identity_diffeo", "conjugated_action",
     "run_all",
 ]

@@ -39,6 +39,7 @@ from .experiments import (
     restricted_circle_map,
 )
 from .gl2z import IntMatrix2, conjugate_in_gl2z, finite_order
+from .space import CIRCLE, TORUS
 from .torus import (
     LinearTorusLift,
     bs_rotation_constraint,
@@ -369,22 +370,18 @@ def _c10_perturbed(seed):
     return ok, {"tuned": first, "detuned": second}
 
 
+# Per space, the offset and period of each coordinate of the sample points
+_SEAM_SAMPLES = {CIRCLE: ((0.391, 17.0),), TORUS: ((0.37, 17.0), (0.61, 13.0))}
+
+
 def _seam_free_points(m, space, count=3, margin=0.05):
     out = []
-    if space == "circle":
-        for k in range(40):
-            x = float((k + 0.391) / 17.0 % 1.0)
-            d = m.seam_distance(x)
-            if d is None or d > margin:
-                out.append(x)
-            if len(out) == count:
-                break
-        return out
     for k in range(40):
-        v = np.array([(k + 0.37) / 17.0 % 1.0, (k + 0.61) / 13.0 % 1.0])
-        d = m.seam_distance(v)
+        coords = [(k + o) / q % 1.0 for o, q in _SEAM_SAMPLES[space]]
+        p = np.reshape(coords, space.shape)
+        d = m.seam_distance(p)
         if d is None or d > margin:
-            out.append(v)
+            out.append(p)
         if len(out) == count:
             break
     return out

@@ -16,24 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import (
-    ChartAffineLift,
-    CircleLift,
-    ComposedLift,
-    GluedLift,
-    RotationLift,
-    circle_dist,
-    compose as compose_circle,
-    wrap,
-)
-from .gl2z import IntMatrix2
-from .torus import (
-    LinearTorusLift,
-    ProductTorusLift,
-    TorusLift,
-    compose2,
-    torus_dist,
-)
+from .circle import ChartAffineLift, GluedLift, RotationLift, wrap
+from .space import CIRCLE, SPACES, TORUS, space_of
+from .torus import LinearTorusLift, ProductTorusLift
 
 __all__ = [
     "Word",
@@ -204,16 +189,10 @@ def normalize(word: Word, n: int) -> NormalForm:
 # actions
 
 
-def _identity_like(F):
-    if isinstance(F, CircleLift):
-        return RotationLift(0.0, label="id")
-    return LinearTorusLift(IntMatrix2.identity(), label="id")
-
-
 def power_lift(F, m: int):
     """Lift of the m-th power, collapsing exact families in closed form."""
     if m == 0:
-        return _identity_like(F)
+        return space_of(F).identity()
     if m < 0:
         return power_lift(F.inverse(), -m)
     if isinstance(F, RotationLift):
@@ -228,10 +207,10 @@ def power_lift(F, m: int):
             return GluedLift(F.m, a, b)
     if isinstance(F, ProductTorusLift):
         return ProductTorusLift(power_lift(F.base, m), power_lift(F.fiber, m))
-    comp = compose_circle if isinstance(F, CircleLift) else compose2
+    compose = space_of(F).compose
     out = F
     for _ in range(m - 1):
-        out = comp(out, F)
+        out = compose(out, F)
     return out
 
 
@@ -239,8 +218,10 @@ def power_lift(F, m: int):
 class BSAction:
     """A pair (f, h) intended to satisfy h f h^-1 = f^n.
 
-    space is "circle" or "torus"; f, h are the corresponding lifts.
-    The letter b of the presentation acts by f, the letter a by h.
+    space is `bsdl.space.CIRCLE` or `TORUS` (equal to the strings
+    "circle" and "torus", which it also accepts); f, h are the
+    corresponding lifts. The letter b of the presentation acts by f, the
+    letter a by h.
     """
 
     n: int
@@ -250,6 +231,9 @@ class BSAction:
     name: str = ""
     notes: str = ""
 
+    def __post_init__(self):
+        self.space = SPACES[self.space]
+
     def generator(self, letter: str):
         if letter == "b":
             return self.f
@@ -257,21 +241,15 @@ class BSAction:
             return self.h
         raise ValueError(f"unknown generator {letter!r}")
 
-    def dist(self, p, q):
-        if self.space == "circle":
-            return circle_dist(p, q)
-        return torus_dist(p, q)
-
 
 def word_lift(action: BSAction, word: Word):
     """Materialize the lift of a word, fusing parameters where possible."""
-    comp = compose_circle if action.space == "circle" else compose2
     L = None
     for gen, exp in word.syllables:
         g = power_lift(action.generator(gen), exp)
-        L = g if L is None else comp(L, g)
+        L = g if L is None else action.space.compose(L, g)
     if L is None:
-        return _identity_like(action.f)
+        return action.space.identity()
     return L
 
 
@@ -281,17 +259,9 @@ def evaluate(action: BSAction, word: Word, x):
     y = np.asarray(x, dtype=float)
     for gen, exp in reversed(word.syllables):
         y = action.generator(gen).iterate(y, exp)
-    if np.ndim(x) == 0 and action.space == "circle":
+    if np.ndim(x) == 0:
         return float(y)
     return y
-
-
-def _sample_points(space: str, count: int):
-    if space == "circle":
-        return np.arange(count) / count
-    side = max(2, int(round(count ** 0.5)))
-    g = np.arange(side) / side
-    return np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
 
 
 def relation_residual(
@@ -303,19 +273,14 @@ def relation_residual(
     """
     if grid < 1:
         raise ValueError(f"grid must be positive, got {grid}")
-    space = "circle" if isinstance(f, CircleLift) else "torus"
-    comp = compose_circle if space == "circle" else compose2
+    space = space_of(f)
     hp = power_lift(h, power)
-    lhs = comp(hp, comp(f, hp.inverse()))
+    lhs = space.compose(hp, space.compose(f, hp.inverse()))
     rhs = power_lift(f, n ** power)
     if _params_equal(lhs, rhs):
         return 0.0
-    xs = _sample_points(space, grid)
-    a = lhs.raw(xs)
-    b = rhs.raw(xs)
-    if space == "circle":
-        return float(np.max(circle_dist(a, b)))
-    return float(np.max(torus_dist(a, b)))
+    xs = space.lattice(grid)
+    return float(np.max(space.dist(lhs.raw(xs), rhs.raw(xs))))
 
 
 def _params_equal(u, v):
@@ -397,11 +362,8 @@ def make_action(
     The space is inferred from the lift types. With check=True (default)
     a primary relation residual above tol, or NaN, raises.
     """
-    if isinstance(f, CircleLift) and isinstance(h, CircleLift):
-        space = "circle"
-    elif isinstance(f, TorusLift) and isinstance(h, TorusLift):
-        space = "torus"
-    else:
+    space = space_of(f)
+    if space_of(h) != space:
         raise TypeError(
             f"mismatched lift types {type(f).__name__}, {type(h).__name__}"
         )
@@ -438,17 +400,12 @@ class FiniteOrbit:
     start: object = None
 
     def to_json(self):
-        pts = self.points
-        if pts.ndim == 1:
-            listed = [float(p) for p in pts]
-        else:
-            listed = [[float(a), float(b)] for a, b in pts]
         return {
             "size": self.size,
             "closed": self.closed,
             "merge_tol": self.merge_tol,
             "defect": self.defect,
-            "points": listed,
+            "points": self.points.tolist(),
         }
 
 
@@ -474,9 +431,16 @@ def finite_bs_orbit(
     frontier point whose images pushed it past. Closed orbits of
     moderate size get a verification pass recomputing every generator
     image against the final point set.
+
+    Raises ValueError unless merge_tol is positive and finite (with a
+    finite reciprocal) and x0 is one finite point of the action's space.
     """
-    torus = action.space == "torus"
-    dim = 2 if torus else 1
+    space = action.space
+    if not 0.0 < merge_tol < math.inf or not 1.0 / merge_tol < math.inf:
+        raise ValueError(f"merge_tol must be positive and finite, got {merge_tol}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != space.shape or not np.isfinite(x0).all():
+        raise ValueError(f"start must be one finite {space} point, got {x0.tolist()}")
     gens = [
         action.f,
         action.h,
@@ -528,8 +492,8 @@ def finite_bs_orbit(
         points.append(q)
         return q
 
-    merge = merge_torus if torus else merge_circle
-    start = merge(np.asarray(x0, dtype=float).tolist())
+    merge = {CIRCLE: merge_circle, TORUS: merge_torus}[space]
+    start = merge(x0.tolist())
     frontier = [start]
     overflow = False
     while frontier and not overflow:
@@ -550,16 +514,8 @@ def finite_bs_orbit(
     if closed and len(points) <= verify_cap:
         defect = 0.0
         for g in gens:
-            imgs = wrap(g.raw(pts))
-            for img in np.atleast_1d(imgs) if dim == 1 else imgs:
-                d = float(
-                    np.min(
-                        circle_dist(img, pts)
-                        if dim == 1
-                        else torus_dist(img[None, :], pts)
-                    )
-                )
-                defect = max(defect, d)
+            for img in wrap(g.raw(pts)):
+                defect = max(defect, float(np.min(space.dist(img, pts))))
     return FiniteOrbit(
         points=pts,
         size=len(points),

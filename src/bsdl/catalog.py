@@ -52,11 +52,10 @@ from .circle import (
     GOLDEN_MEAN,
     GluedLift,
     RotationLift,
-    circle_dist,
     compose,
     parse_k_spec,
 )
-from .torus import ProductTorusLift, torus_dist
+from .torus import ProductTorusLift
 
 __all__ = [
     "standard_line",
@@ -405,22 +404,13 @@ def faithfulness_evidence(
     """Scan all group elements represented by words up to max_word_len and
     measure how little each moves the space."""
     forms = _distinct_normal_forms(action.n, max_word_len)
-    if action.space == "circle":
-        pts = np.arange(grid) / grid
-    else:
-        side = max(2, int(round(grid ** 0.5)))
-        g = np.arange(side) / side
-        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    pts = action.space.lattice(grid)
     best = math.inf
     best_word = ""
     trivial = []
     for nf in forms:
         w = nf.to_word()
-        imgs = evaluate(action, w, pts)
-        if action.space == "circle":
-            resid = float(np.max(circle_dist(imgs, pts)))
-        else:
-            resid = float(np.max(torus_dist(imgs, pts)))
+        resid = float(np.max(action.space.dist(evaluate(action, w, pts), pts)))
         if resid < best:
             best = resid
             best_word = str(w)

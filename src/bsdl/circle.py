@@ -46,7 +46,6 @@ __all__ = [
     "orbit",
     "circle_dist",
     "parse_k_spec",
-    "load_lift_spec",
     "GOLDEN_MEAN",
 ]
 
@@ -758,32 +757,6 @@ def denjoy_lift(alpha: float, depth: int, gap_ratio: float) -> CircleLift:
     lift = DenjoyLift(bx, by, alpha, depth, gap_ratio, intervals, to_new)
     lift.validate()
     return lift
-
-
-# ---------------------------------------------------------------------------
-# lift specs
-
-
-def load_lift_spec(obj) -> CircleLift:
-    """Build a lift from a JSON-style dict.
-
-    Supported types: rotation {alpha}, denjoy {alpha, depth, gap_ratio},
-    piecewise {bx, by}, affine {a, b}.
-    """
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError(f"lift spec must be a dict with a 'type', got {obj!r}")
-    kind = obj["type"]
-    if kind == "rotation":
-        return RotationLift(float(obj["alpha"])).validate()
-    if kind == "affine":
-        return ChartAffineLift(float(obj["a"]), float(obj["b"])).validate()
-    if kind == "denjoy":
-        return denjoy_lift(
-            float(obj["alpha"]), int(obj["depth"]), float(obj["gap_ratio"])
-        )
-    if kind == "piecewise":
-        return PiecewiseLift(obj["bx"], obj["by"]).validate()
-    raise ValueError(f"unknown lift type {kind!r}")
 
 
 _NAMED_ANGLES = {

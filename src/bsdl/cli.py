@@ -90,17 +90,6 @@ def _parse_matrix(text):
     return IntMatrix2.from_rows((a, b), (c, d))
 
 
-def _parse_point(text, space):
-    parts = [float(p) for p in text.split(",")]
-    if space == "circle":
-        if len(parts) != 1:
-            raise ValueError("circle start point is a single number")
-        return parts[0]
-    if len(parts) != 2:
-        raise ValueError("torus start point is u,theta")
-    return np.array(parts)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -209,11 +198,8 @@ def _cmd_minimal_set(args):
 
 def _cmd_finite_orbit(args):
     act = _build(args)
-    x0 = (
-        _parse_point(args.start, act.space)
-        if args.start
-        else (0.0 if act.space == "circle" else np.zeros(2))
-    )
+    space = act.space
+    x0 = space.parse_point(args.start) if args.start else np.zeros(space.shape)
     orb = finite_bs_orbit(
         act, x0, merge_tol=_or(args.tol, 1e-6)
     )

@@ -15,30 +15,15 @@ import math
 import numpy as np
 
 from .bsgroup import BSAction, finite_bs_orbit
-from .circle import CircleLift, circle_dist, orbit, wrap
-from .torus import TorusLift, torus_dist
+from .circle import orbit, wrap
+from .space import CIRCLE, SPACES, TORUS, cell_index, space_of
 
 FIXED_POINT_TOL = 1e-8
 
-
-def _space_of(F):
-    if isinstance(F, TorusLift):
-        return "torus"
-    if isinstance(F, CircleLift):
-        return "circle"
-    raise TypeError(f"not a circle or torus lift: {type(F).__name__}")
-
-
-def _cells_of(points, resolution, space):
-    """Cell indices hit by an array of points (wrapped first), as a
-    frozenset of Python ints or int pairs."""
-    idx = np.minimum((wrap(points) * resolution).astype(int), resolution - 1)
-    if space == "circle":
-        return frozenset(np.unique(idx).tolist())
-    # one pass over the points: unique flat indices i * R + j
-    idx = idx.reshape(-1, 2)
-    i, j = np.divmod(np.unique(idx[:, 0] * resolution + idx[:, 1]), resolution)
-    return frozenset(zip(i.tolist(), j.tolist()))
+# Samples per cell axis in `bs_minimal_set`, per space: corner-first
+# samples for the K family, then a finer grid of the lead cell for the
+# start point.
+_CELL_SAMPLES = {CIRCLE: (5, 9), TORUS: (3, 5)}
 
 
 @dataclass
@@ -55,14 +40,12 @@ class CellSet:
     cells: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.space not in ("circle", "torus"):
+        if self.space not in SPACES:
             raise ValueError(f"unknown space {self.space!r}")
         if self.resolution < 1:
             raise ValueError("resolution must be positive")
-        self.cells = frozenset(
-            tuple(c) if isinstance(c, (tuple, list)) else int(c)
-            for c in self.cells
-        )
+        self.space = SPACES[self.space]
+        self.cells = self.space.cells(np.array(list(self.cells), dtype=int))
 
     def _with(self, cells: frozenset) -> "CellSet":
         """A set on this grid from Python ints or int pairs, taken as is."""
@@ -72,7 +55,8 @@ class CellSet:
 
     @classmethod
     def from_points(cls, points, resolution, space):
-        return cls(resolution, space)._with(_cells_of(points, resolution, space))
+        out = cls(resolution, space)
+        return out._with(out.space.cells_of(points, resolution))
 
     def __len__(self):
         return len(self.cells)
@@ -103,46 +87,28 @@ class CellSet:
 
     def centers(self):
         """Cell centers, sorted by index; (k,) or (k, 2) array."""
-        idx = sorted(self.cells)
-        if self.space == "circle":
-            return (np.array(idx, dtype=float) + 0.5) / self.resolution
-        if not idx:
-            return np.zeros((0, 2))
-        return (np.array(idx, dtype=float) + 0.5) / self.resolution
+        return (self.space.cell_array(sorted(self.cells)) + 0.5) / self.resolution
 
     def dilate(self, steps: int = 1):
-        """Grow by full neighborhoods (8 neighbors on the torus), wrapping."""
-        R = self.resolution
-        out = set(self.cells)
+        """Grow by full neighborhoods (2 neighbors on the circle, 8 on the
+        torus), wrapping."""
+        space = self.space
+        around = space.grid(3) - 1
+        cells = self.cells
         for _ in range(steps):
-            grown = set(out)
-            if self.space == "circle":
-                for i in out:
-                    grown.add((i - 1) % R)
-                    grown.add((i + 1) % R)
-            else:
-                for (i, j) in out:
-                    for di in (-1, 0, 1):
-                        for dj in (-1, 0, 1):
-                            grown.add(((i + di) % R, (j + dj) % R))
-            out = grown
-        return self._with(frozenset(out))
+            idx = space.cell_array(cells)
+            cells = space.cells((idx[:, None] + around) % self.resolution)
+        return self._with(cells)
 
     def measure(self):
         """Total cell area as a fraction of the whole space."""
-        denom = float(self.resolution)
-        if self.space == "torus":
-            denom = denom * denom
-        return len(self.cells) / denom
+        return len(self.cells) / float(self.resolution) ** self.space.dim
 
     def to_json(self):
-        listed = [
-            list(c) if isinstance(c, tuple) else c for c in sorted(self.cells)
-        ]
         return {
             "resolution": self.resolution,
             "space": self.space,
-            "cells": listed,
+            "cells": self.space.cell_array(sorted(self.cells)).tolist(),
         }
 
 
@@ -156,43 +122,20 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
     """
     if resolution < 2 or resolution % 2:
         raise ValueError("resolution must be an even integer >= 2")
-    space = _space_of(f)
+    space = space_of(f)
     coarse = resolution // 2
     if delta is None:
         delta = 4.0 / resolution
-    fine_delta = delta / 2.0
-    if space == "circle":
-        c = (np.arange(coarse) + 0.5) / coarse
-        flag = np.nonzero(circle_dist(f.raw(c), c) < delta)[0]
-        if flag.size == 0:
-            return CellSet(resolution, space, frozenset())
-        kids = np.concatenate([2 * flag, 2 * flag + 1])
-        xs = (kids + 0.5) / resolution
-        keep = circle_dist(f.raw(xs), xs) < fine_delta
-        return CellSet(resolution, space)._with(frozenset(kids[keep].tolist()))
-    g = (np.arange(coarse) + 0.5) / coarse
-    uu, tt = np.meshgrid(g, g, indexing="ij")
-    vs = np.stack([uu.ravel(), tt.ravel()], axis=-1)
-    disp = torus_dist(f.raw(vs), vs)
-    ii, jj = np.meshgrid(np.arange(coarse), np.arange(coarse), indexing="ij")
-    fi = ii.ravel()[disp < delta]
-    fj = jj.ravel()[disp < delta]
-    if fi.size == 0:
-        return CellSet(resolution, space, frozenset())
-    kid_i = []
-    kid_j = []
-    for di in (0, 1):
-        for dj in (0, 1):
-            kid_i.append(2 * fi + di)
-            kid_j.append(2 * fj + dj)
-    kid_i = np.concatenate(kid_i)
-    kid_j = np.concatenate(kid_j)
-    cand = np.stack(
-        [(kid_i + 0.5) / resolution, (kid_j + 0.5) / resolution], axis=-1
-    )
-    keep = torus_dist(f.raw(cand), cand) < fine_delta
-    cells = frozenset(zip(kid_i[keep].tolist(), kid_j[keep].tolist()))
-    return CellSet(resolution, space)._with(cells)
+    idx = space.grid(coarse)
+    c = (idx + 0.5) / coarse
+    flag = idx[space.dist(f.raw(c), c) < delta]
+    if len(flag) == 0:
+        return CellSet(resolution, space)
+    # the 2^dim children of each flagged cell
+    kids = np.concatenate([2 * flag + o for o in space.grid(2)])
+    xs = (kids + 0.5) / resolution
+    keep = space.dist(f.raw(xs), xs) < delta / 2.0
+    return CellSet(resolution, space)._with(space.cells(kids[keep]))
 
 
 @dataclass
@@ -232,24 +175,14 @@ def differential_at(f, x, step: float = 1e-3) -> DifferentialReport:
     sorted ascending, so an attracting-repelling saddle reads off as
     (contraction, expansion).
     """
-    space = _space_of(f)
-    if space == "circle":
-        x0 = float(x)
+    space = space_of(f)
+    dim = space.dim
+    x0 = np.asarray(x, dtype=float).reshape(space.shape)
+    basis = np.eye(dim).reshape((dim,) + space.shape)
 
-        def jac(s):
-            d = (float(f.raw(x0 + s)) - float(f.raw(x0 - s))) / (2.0 * s)
-            return np.array([[d]])
-
-    else:
-        x0 = np.asarray(x, dtype=float)
-        basis = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-        def jac(s):
-            cols = [
-                (f.raw(x0 + s * e) - f.raw(x0 - s * e)) / (2.0 * s)
-                for e in basis
-            ]
-            return np.stack(cols, axis=-1)
+    def jac(s):
+        cols = [(f.raw(x0 + s * e) - f.raw(x0 - s * e)) / (2.0 * s) for e in basis]
+        return np.stack(cols, axis=-1).reshape(dim, dim)
 
     J1 = jac(step)
     J2 = jac(step / 2.0)
@@ -327,18 +260,13 @@ class MinimalSetEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self):
-        pts = np.asarray(self.points)
-        if pts.ndim <= 1:
-            listed = [float(p) for p in pts.ravel()[:2000]]
-        else:
-            listed = [[float(a) for a in row] for row in pts[:2000]]
         return {
             "label": self.label,
             "cells": self.cells.to_json(),
             "fixed_count": len(self.fixed),
             "k_counts": [len(k) for k in self.k_family],
             "diagnostics": self.diagnostics,
-            "points": listed,
+            "points": np.asarray(self.points, dtype=float)[:2000].tolist(),
         }
 
 
@@ -371,48 +299,30 @@ def bs_minimal_set(
         # invariant-measure hypotheses; they are evidence, not certificates
         "evidence": "finite orbit and gap statistics",
     }
-    empty = CellSet(resolution, space, frozenset())
+    empty = CellSet(resolution, space)
     if len(P) == 0:
         diag["reason"] = "no cells with small f-displacement"
-        shape = (0,) if space == "circle" else (0, 2)
         return MinimalSetEstimate(
-            "Unknown", np.zeros(shape), empty, P, [P], diag
+            "Unknown", np.zeros((0,) + space.shape), empty, P, [P], diag
         )
 
     h = action.h
     hinv = h.inverse()
-    target = P.dilate()
-    if space == "circle":
-        mask = np.zeros(resolution, dtype=bool)
-        mask[list(target.cells)] = True
-    else:
-        mask = np.zeros((resolution, resolution), dtype=bool)
-        ti = np.array([c[0] for c in target.cells])
-        tj = np.array([c[1] for c in target.cells])
-        mask[ti, tj] = True
+    mask = np.zeros(resolution ** space.dim, dtype=bool)
+    mask[space.flat(space.cell_array(P.dilate().cells), resolution)] = True
 
     def hits(pts):
-        # (m, k[, 2]) samples -> (m,) flags: some sample lands in the
+        # (m, k) + shape samples -> (m,) flags: some sample lands in the
         # dilated fixed set
-        idx = np.minimum((wrap(pts) * resolution).astype(int), resolution - 1)
-        if space == "circle":
-            return mask[idx].any(axis=-1)
-        return mask[idx[..., 0], idx[..., 1]].any(axis=-1)
+        return mask[space.flat(cell_index(pts, resolution), resolution)].any(axis=-1)
 
     # Sample closed cells corner-first: corners sit on invariant circles
     # that centers always miss, and under an expanding h the preimage of
     # the fixed band is thinner than one cell after a few steps.
+    corners, picks = _CELL_SAMPLES[space]
     cells_now = sorted(P.cells)
-    if space == "circle":
-        offs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        fwd = (np.array(cells_now, dtype=float)[:, None] + offs) / resolution
-    else:
-        o = np.array([0.0, 0.5, 1.0])
-        ou, ot = np.meshgrid(o, o, indexing="ij")
-        offs = np.stack([ou.ravel(), ot.ravel()], axis=-1)
-        fwd = (
-            np.array(cells_now, dtype=float)[:, None, :] + offs[None, :, :]
-        ) / resolution
+    offs = space.grid(corners) / (corners - 1)
+    fwd = (space.cell_array(cells_now)[:, None] + offs) / resolution
     bwd = fwd.copy()
     K = P
     family = [P]
@@ -429,22 +339,12 @@ def bs_minimal_set(
 
     seed_region = K if len(K) else P
     diag["k_empty"] = len(K) == 0
-    lead = min(seed_region.cells)
-    if space == "circle":
-        grid = np.linspace(lead / resolution, (lead + 1) / resolution, 9)
-        disp = circle_dist(action.f.raw(grid), grid)
-        x0 = float(grid[int(np.argmin(disp))])
-    else:
-        i, j = lead
-        gu = np.linspace(i / resolution, (i + 1) / resolution, 5)
-        gt = np.linspace(j / resolution, (j + 1) / resolution, 5)
-        uu, tt = np.meshgrid(gu, gt, indexing="ij")
-        cand = np.stack([uu.ravel(), tt.ravel()], axis=-1)
-        disp = torus_dist(action.f.raw(cand), cand)
-        x0 = cand[int(np.argmin(disp))]
-    diag["start"] = (
-        float(x0) if space == "circle" else [float(v) for v in x0]
+    lead = np.reshape(min(seed_region.cells), space.dim)
+    cand = space.product(
+        [np.linspace(c / resolution, (c + 1) / resolution, picks) for c in lead]
     )
+    x0 = cand[int(np.argmin(space.dist(action.f.raw(cand), cand)))]
+    diag["start"] = x0.tolist()
 
     orb = finite_bs_orbit(action, x0, merge_tol=merge_tol, max_size=max_orbit)
     diag["orbit_closed"] = orb.closed
@@ -457,15 +357,14 @@ def bs_minimal_set(
         )
 
     pts = np.array([x for x, _ in orbit(h, x0, int(orbit_iterates), transient)])
-    if space == "circle":
-        coords = pts
-    else:
-        g0 = _largest_gap(pts[:, 0])
-        g1 = _largest_gap(pts[:, 1])
-        axis = 0 if g0 <= g1 else 1
-        coords = pts[:, axis]
-        diag["axis"] = axis
-        diag["axis_gaps"] = [g0, g1]
+    columns = list(pts.reshape(len(pts), space.dim).T)
+    if len(columns) > 1:
+        # classify the coordinate whose projection leaves the narrowest gap
+        gaps = [_largest_gap(c) for c in columns]
+        diag["axis"] = axis = gaps.index(min(gaps))
+        diag["axis_gaps"] = gaps
+        columns = [columns[axis]]
+    coords = columns[0]
 
     label, diag["gap_profile"], reason = gap_profile_label(coords, resolution)
     if reason is not None:

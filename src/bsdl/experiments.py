@@ -11,7 +11,6 @@ evidence is inconclusive the harness says Unknown instead of guessing.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -21,24 +20,13 @@ from .circle import (
     FunctionLift,
     RotationNumberEstimate,
     circle_dist,
-    compose as compose_circle,
     orbit,
     rotation_number,
     wrap,
 )
 from .estimators import CellSet, fixed_cells, gap_profile_label
-from .gl2z import IntMatrix2
-from .torus import (
-    FunctionTorusLift,
-    ProductTorusLift,
-    RotationConstraintReport,
-    RotationSetEstimate,
-    TorusLift,
-    bs_rotation_constraint,
-    compose2,
-    rotation_set,
-    torus_dist,
-)
+from .space import CIRCLE, TORUS
+from .torus import FunctionTorusLift, ProductTorusLift, TorusLift
 
 
 class GraphFoldError(RuntimeError):
@@ -345,6 +333,11 @@ def classify_perturbed(
     return TrichotomyReport(rho, label, evidence)
 
 
+# Per space: the largest h-displacement of a grid candidate, and the
+# distance in grid steps below which a candidate repeats a tried one.
+_FP_CANDIDATES = {CIRCLE: (0.1, 0.0), TORUS: (0.2, 2.0)}
+
+
 def persistent_fixed_point(
     action: BSAction, search_resolution: int = 64, tol: float = 1e-8
 ):
@@ -355,139 +348,39 @@ def persistent_fixed_point(
     best candidates on h(v) - v with central-difference Jacobians, and
     keeps a refined point only when both generator residuals pass tol.
     """
-    f, h = action.f, action.h
+    f, h, space = action.f, action.h, action.space
     S = int(search_resolution)
     if S < 1:
         raise ValueError(f"search_resolution must be positive, got {S}")
-    if action.space == "circle":
-        xs = np.arange(S) / S
-        disp = circle_dist(h.raw(xs), xs)
-        order = np.argsort(disp, kind="stable")
-        for idx in order[:12]:
-            if disp[idx] > 0.1:
-                break
-            x = float(xs[idx])
-            for _ in range(40):
-                gx = float(h.raw(x)) - x
-                if abs(gx) < 1e-14:
-                    break
-                s = 1e-6
-                dg = (float(h.raw(x + s)) - float(h.raw(x - s))) / (2 * s) - 1.0
-                if dg == 0.0:
-                    break
-                x = x - gx / dg
-            x = float(wrap(x))
-            if (
-                circle_dist(h.raw(x), x) < tol
-                and circle_dist(f.raw(x), x) < tol
-            ):
-                return x
-        return None
-
-    g = np.arange(S) / S
-    uu, tt = np.meshgrid(g, g, indexing="ij")
-    vs = np.stack([uu.ravel(), tt.ravel()], axis=-1)
-    disp = torus_dist(h.raw(vs), vs)
+    cutoff, repeat = _FP_CANDIDATES[space]
+    eye = np.eye(space.dim)
+    vs = space.grid(S) / S
+    disp = space.dist(h.raw(vs), vs)
     order = np.argsort(disp, kind="stable")
     tried = []
     for idx in order[:12]:
-        if disp[idx] > 0.2:
+        if disp[idx] > cutoff:
             break
-        v = vs[idx].copy()
-        if any(torus_dist(v, w) < 2.0 / S for w in tried):
+        v = vs[idx].reshape(space.dim)
+        if any(space.dist(v, w) < repeat / S for w in tried):
             continue
-        tried.append(v.copy())
+        tried.append(v)
         for _ in range(40):
             gv = h.raw(v) - v
             if float(np.max(np.abs(gv))) < 1e-14:
                 break
             s = 1e-6
-            cols = []
-            for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-                cols.append((h.raw(v + s * e) - h.raw(v - s * e)) / (2 * s))
-            J = np.stack(cols, axis=-1) - np.eye(2)
+            cols = [(h.raw(v + s * e) - h.raw(v - s * e)) / (2 * s) for e in eye]
+            J = np.stack(cols, axis=-1) - eye
             try:
                 step = np.linalg.solve(J, -gv)
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(J, -gv, rcond=None)[0]
             v = v + step
-        v = wrap(v)
-        if (
-            torus_dist(h.raw(v), v) < tol
-            and torus_dist(f.raw(v), v) < tol
-        ):
+        v = wrap(v.reshape(space.shape))
+        if space.dist(h.raw(v), v) < tol and space.dist(f.raw(v), v) < tol:
             return v
     return None
-
-
-@dataclass
-class RotationPersistenceReport:
-    """Lattice test for the rotation set of f in a BS pair.
-
-    The relation forces (n - 1) rho(f) into Z^2 when h acts trivially
-    on homology, so the estimated point must snap to the lattice with
-    spacing 1/(n-1); within half a spacing of the origin the snap must
-    give (0, 0) exactly. passed requires a point estimate snapping to
-    the origin.
-    """
-
-    n: int
-    estimate: RotationSetEstimate
-    constraint: RotationConstraintReport
-    snapped: tuple | None
-    snap_distance: float
-    window: float
-    passed: bool
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "estimate": self.estimate.to_json(),
-            "constraint": self.constraint.to_json(),
-            "snapped": None
-            if self.snapped is None
-            else [
-                [s.numerator, s.denominator] for s in self.snapped
-            ],
-            "snap_distance": self.snap_distance,
-            "window": self.window,
-            "passed": self.passed,
-        }
-
-
-def rotation_set_persistence(
-    f: TorusLift, n: int, grid: int = 16, iterates: int = 4000
-) -> RotationPersistenceReport:
-    """Estimate the rotation set of f and snap it to the (1/(n-1))-lattice."""
-    est = rotation_set(f, grid=grid, iterates=iterates)
-    window = 1.0 / (2.0 * (n - 1))
-    center = np.mean(est.vertices, axis=0)
-    constraint = bs_rotation_constraint(
-        tuple(center), IntMatrix2.identity(), n, tol=0.5
-    )
-    snapped = constraint.snapped
-    if snapped is None:
-        snap_distance = float("inf")
-        passed = False
-    else:
-        snap_distance = max(
-            abs(float(center[0]) - float(snapped[0])),
-            abs(float(center[1]) - float(snapped[1])),
-        )
-        passed = (
-            est.is_point
-            and snap_distance < window
-            and snapped == (Fraction(0), Fraction(0))
-        )
-    return RotationPersistenceReport(
-        n=n,
-        estimate=est,
-        constraint=constraint,
-        snapped=snapped,
-        snap_distance=snap_distance,
-        window=window,
-        passed=passed,
-    )
 
 
 def _bump_field(size: float, seed: int, modes: int):
@@ -631,10 +524,10 @@ def conjugated_action(action: BSAction, psi) -> BSAction:
     arbitrary small diffeomorphism. The relation is still re-verified
     numerically, catching a psi whose numerical inverse is too loose.
     """
-    comp = compose_circle if action.space == "circle" else compose2
+    compose = action.space.compose
     pinv = psi.inverse()
-    f2 = comp(psi, comp(action.f, pinv))
-    h2 = comp(psi, comp(action.h, pinv))
+    f2 = compose(psi, compose(action.f, pinv))
+    h2 = compose(psi, compose(action.h, pinv))
     return make_action(
         f2,
         h2,

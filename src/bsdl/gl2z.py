@@ -1,9 +1,10 @@
-"""Exact arithmetic for 2x2 integer matrices and rational affine planar maps.
+"""Exact arithmetic for 2x2 integer matrices.
 
 Everything here is integer or Fraction arithmetic. No floats enter: the
 isotopy-class bookkeeping of torus actions (finite order, GL(2,Z)
-conjugacy, the linear relation A_h A_f A_h^-1 = A_f^n, fixed points of
-the induced rational affine map) is decided exactly.
+conjugacy, the linear relation A_h A_f A_h^-1 = A_f^n) is decided
+exactly. The rotation-vector constraint (n I - A_h) rho(f) in Z^2 is
+solved exactly by `bsdl.torus.bs_rotation_constraint`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from fractions import Fraction
 
 __all__ = [
     "IntMatrix2",
-    "AffineMapQ2",
     "finite_order",
     "conjugate_in_gl2z",
     "bs_linear_compatible",
-    "affine_fixed_point",
     "rational_to_json",
     "rational_from_json",
 ]
@@ -251,75 +250,3 @@ def bs_linear_compatible(Af: IntMatrix2, Ah: IntMatrix2, n: int) -> bool:
     _require_unimodular(Af, "Af")
     _require_unimodular(Ah, "Ah")
     return Ah * Af * Ah.inverse() == Af ** n
-
-
-@dataclass(frozen=True)
-class AffineMapQ2:
-    """Affine map v -> L v + t of the plane with Fraction entries."""
-
-    linear: tuple  # ((l11, l12), (l21, l22)) Fractions
-    translation: tuple  # (t1, t2) Fractions
-
-    @staticmethod
-    def from_entries(l11, l12, l21, l22, t1, t2) -> "AffineMapQ2":
-        f = Fraction
-        return AffineMapQ2(
-            ((f(l11), f(l12)), (f(l21), f(l22))),
-            (f(t1), f(t2)),
-        )
-
-    @staticmethod
-    def relation_constraint(Ah: IntMatrix2, Q, n: int) -> "AffineMapQ2":
-        """The contraction v -> (Ah v + Q) / n induced by the group relation.
-
-        Q is an integer translation vector; the map has linear
-        determinant det(Ah) / n^2, so modulus 1/n^2 in the unimodular case.
-        """
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
-        q1, q2 = Q
-        f = Fraction
-        return AffineMapQ2(
-            (
-                (f(Ah.a, n), f(Ah.b, n)),
-                (f(Ah.c, n), f(Ah.d, n)),
-            ),
-            (f(int(q1), n), f(int(q2), n)),
-        )
-
-    def apply(self, v):
-        x, y = Fraction(v[0]), Fraction(v[1])
-        (l11, l12), (l21, l22) = self.linear
-        t1, t2 = self.translation
-        return (l11 * x + l12 * y + t1, l21 * x + l22 * y + t2)
-
-    def det_linear(self) -> Fraction:
-        (l11, l12), (l21, l22) = self.linear
-        return l11 * l22 - l12 * l21
-
-    def to_json(self):
-        (l11, l12), (l21, l22) = self.linear
-        t1, t2 = self.translation
-        return {
-            "linear": [
-                [rational_to_json(l11), rational_to_json(l12)],
-                [rational_to_json(l21), rational_to_json(l22)],
-            ],
-            "translation": [rational_to_json(t1), rational_to_json(t2)],
-        }
-
-
-def affine_fixed_point(B: AffineMapQ2):
-    """The unique fixed point of B as exact Fractions, or None if 1 is an
-    eigenvalue of the linear part (fixed point absent or non-unique)."""
-    (l11, l12), (l21, l22) = B.linear
-    t1, t2 = B.translation
-    # solve (I - L) v = t by Cramer's rule
-    a11, a12 = 1 - l11, -l12
-    a21, a22 = -l21, 1 - l22
-    det = a11 * a22 - a12 * a21
-    if det == 0:
-        return None
-    x = (t1 * a22 - a12 * t2) / det
-    y = (a11 * t2 - t1 * a21) / det
-    return (x, y)

@@ -267,6 +267,28 @@ class TestFiniteOrbits:
         assert orb.closed
         assert orb.size <= 3
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, 5e-324])
+    def test_rejects_merge_tol_not_positive_and_finite(self, tol):
+        # 5e-324 is positive, but its reciprocal, the hash size, overflows
+        with pytest.raises(ValueError, match="merge_tol"):
+            finite_bs_orbit(affine_action(2), 0.3, merge_tol=tol)
+
+    @pytest.mark.parametrize(
+        "torus, x0",
+        [
+            (False, math.nan),
+            (False, -math.inf),
+            (False, (0.3, 0.2)),
+            (True, (0.3, math.nan)),
+            (True, (math.inf, 0.2)),
+            (True, 0.3),
+        ],
+    )
+    def test_rejects_start_not_one_finite_point(self, torus, x0):
+        act = perturbed_torus(2, 0.0) if torus else affine_action(2)
+        with pytest.raises(ValueError, match="start"):
+            finite_bs_orbit(act, x0)
+
 
 # ---------------------------------------------------------------------------
 # frontier-batched closure against the point-at-a-time reference

@@ -19,7 +19,6 @@ from bsdl.circle import (
     circle_dist,
     compose,
     denjoy_lift,
-    load_lift_spec,
     parse_k_spec,
     rotation_number,
     wrap,
@@ -371,19 +370,3 @@ class TestSpecs:
             parse_k_spec("whirl:3")
         with pytest.raises(ValueError):
             parse_k_spec("nonsense")
-
-    def test_load_lift_spec(self):
-        assert isinstance(load_lift_spec({"type": "rotation", "alpha": 0.25}), RotationLift)
-        assert isinstance(load_lift_spec({"type": "affine", "a": 2.0, "b": 0.0}), ChartAffineLift)
-        assert isinstance(
-            load_lift_spec({"type": "denjoy", "alpha": GOLDEN_MEAN, "depth": 4, "gap_ratio": 0.6}),
-            DenjoyLift,
-        )
-        assert isinstance(
-            load_lift_spec({"type": "piecewise", "bx": [0.0, 0.5], "by": [0.1, 0.6]}),
-            PiecewiseLift,
-        )
-        with pytest.raises(ValueError):
-            load_lift_spec({"type": "spiral"})
-        with pytest.raises(ValueError):
-            load_lift_spec("rot:1/3")

@@ -201,6 +201,24 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("standard-line", "0.3", "--tol", "0"),
+            ("standard-line", "0.3", "--tol", "inf"),
+            ("standard-line", "0.3", "--tol", "-1"),
+            ("standard-line", "0.3", "--tol", "nan"),
+            ("standard-line", "nan"),
+            ("standard-torus", "0.3,inf"),
+        ],
+    )
+    def test_finite_orbit_rejects_bad_tol_and_start(self, capsys, argv):
+        code, out, err = run(capsys, "finite-orbit", *argv)
+        assert code == cli.ERROR
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "merge_tol" in err or "start" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("verify-relation", "standard-line", "--resolution", "0"),
             ("rotation-number", "standard-line", "--iterates", "0"),
             ("rotation-set", "standard-torus", "--resolution", "0"),

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +27,15 @@ from bsdl.experiments import (
     near_identity_diffeo,
     persistent_fixed_point,
     restricted_circle_map,
-    rotation_set_persistence,
 )
 from bsdl.gl2z import IntMatrix2
-from bsdl.torus import FunctionTorusLift, LinearTorusLift, compose2
+from bsdl.torus import (
+    FunctionTorusLift,
+    LinearTorusLift,
+    bs_rotation_constraint,
+    compose2,
+    rotation_set,
+)
 
 
 def vertical_bump(eps):
@@ -248,32 +255,38 @@ class TestPersistentFixedPoint:
             assert float(np.max(np.minimum(v, 1.0 - v))) < 0.1
 
 
+def snapped_rotation_set(f, n, grid=16, iterates=4000):
+    """The rotation set of f and its snap to the lattice (1/(n-1)) Z^2, the
+    check criterion 4 makes: with A_h = I the relation forces
+    (n - 1) rho(f) into Z^2."""
+    est = rotation_set(f, grid=grid, iterates=iterates)
+    return est, bs_rotation_constraint(est.center, IntMatrix2.identity(), n)
+
+
 class TestRotationSetPersistence:
     def test_standard_f_snaps_to_origin(self):
-        r = rotation_set_persistence(standard_torus(2).f, 2)
-        assert r.passed
-        assert r.snapped == (0, 0)
-        assert r.estimate.is_point
-        assert r.window == 0.5
+        est, rep = snapped_rotation_set(standard_torus(2).f, 2)
+        assert est.is_point
+        assert rep.satisfied and rep.snapped == (0, 0)
 
     def test_lattice_translation_fails(self):
+        # a half translation snaps to the lattice, but not to the origin
         f = LinearTorusLift(IntMatrix2.identity(), (0.5, 0.0))
-        r = rotation_set_persistence(f, 3)
-        assert not r.passed
-        assert r.snapped == (0.5, 0)
-        assert r.snap_distance < 1e-9
-        assert r.window == 0.25
+        est, rep = snapped_rotation_set(f, 3)
+        assert rep.residual < 1e-9
+        assert rep.snapped == (Fraction(1, 2), 0)
 
     def test_conjugated_f_still_snaps(self):
         act = conjugated_action(standard_torus(2), near_identity_diffeo(1e-2, seed=3))
-        r = rotation_set_persistence(act.f, 2, grid=8, iterates=4000)
-        assert r.passed and r.snapped == (0, 0)
+        est, rep = snapped_rotation_set(act.f, 2, grid=8, iterates=4000)
+        assert est.is_point
+        assert rep.satisfied and rep.snapped == (0, 0)
 
     def test_json(self):
-        r = rotation_set_persistence(standard_torus(2).f, 2, grid=8, iterates=2000)
-        j = r.to_json()
-        assert j["passed"] is True
-        assert j["snapped"] == [[0, 1], [0, 1]]
+        _, rep = snapped_rotation_set(standard_torus(2).f, 2, grid=8, iterates=2000)
+        j = rep.to_json()
+        assert j["satisfied"] is True
+        assert j["snapped"] == [{"num": 0, "den": 1}, {"num": 0, "den": 1}]
 
 
 class TestNearIdentityDiffeo:

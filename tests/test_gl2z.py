@@ -9,9 +9,7 @@ from fractions import Fraction
 import pytest
 
 from bsdl.gl2z import (
-    AffineMapQ2,
     IntMatrix2,
-    affine_fixed_point,
     bs_linear_compatible,
     conjugate_in_gl2z,
     finite_order,
@@ -186,32 +184,6 @@ class TestRelationCompatibility:
         anyh = as_lib(((1, 1), (0, 1)))
         assert bs_linear_compatible(as_lib(m), anyh, 3)
         assert not bs_linear_compatible(as_lib(m), anyh, 2)
-
-
-class TestAffine:
-    def test_relation_constraint_determinant(self):
-        for n in (2, 3, 5):
-            for Ah in (as_lib(ID), as_lib(((0, 1), (-1, 0)))):
-                B = AffineMapQ2.relation_constraint(Ah, (3, -2), n)
-                assert abs(B.det_linear()) == Fraction(1, n * n)
-
-    def test_halving_map_fixed_point(self):
-        # v -> (v + (1, 0)) / 2 fixes exactly (1, 0)
-        B = AffineMapQ2.relation_constraint(as_lib(ID), (1, 0), 2)
-        fp = affine_fixed_point(B)
-        assert fp == (Fraction(1), Fraction(0))
-        assert B.apply(fp) == fp
-
-    def test_order4_constraint_fixed_point_is_rational(self):
-        Ah = as_lib(((0, 1), (-1, 0)))
-        B = AffineMapQ2.relation_constraint(Ah, (1, 1), 3)
-        fp = affine_fixed_point(B)
-        assert fp is not None
-        assert B.apply(fp) == fp
-
-    def test_no_fixed_point_when_one_is_eigenvalue(self):
-        B = AffineMapQ2.from_entries(1, 0, 0, Fraction(1, 2), 1, 0)
-        assert affine_fixed_point(B) is None
 
 
 class TestSerialization:

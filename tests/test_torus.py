@@ -244,6 +244,39 @@ class TestRelationConstraint:
         assert rep.satisfied
         assert rep.snapped == (Fraction(0), Fraction(0))
 
+    def test_constraint_matrix_determinant(self):
+        # det(n I - A_h) = n^2 - tr(A_h) n + det(A_h) bounds the
+        # denominator of the snapped rotation vector
+        for n in (2, 3, 5):
+            for A in (I2, IntMatrix2.from_rows((0, 1), (-1, 0))):
+                rep = bs_rotation_constraint((0.0, 0.0), A, n)
+                assert rep.matrix.det() == n * n - A.trace() * n + A.det()
+
+    def test_identity_constraint_snaps_integer_vector(self):
+        # n = 2 and A_h = I: (2 I - I) rho = rho, so (1, 0) snaps to itself
+        rep = bs_rotation_constraint((1.0, 0.0), I2, 2)
+        assert rep.satisfied
+        assert rep.snapped == (Fraction(1), Fraction(0))
+
+    def test_order4_constraint_snaps_exact_rational(self):
+        # A_h of order 4 and n = 3: det(3 I - A_h) = 10, and
+        # (3 I - A_h) rho = (1, 1) has the exact solution (2/5, 1/5)
+        A = IntMatrix2.from_rows((0, 1), (-1, 0))
+        rep = bs_rotation_constraint((0.4, 0.2), A, 3)
+        assert rep.satisfied
+        assert rep.q_int == (1, 1)
+        assert rep.snapped == (Fraction(2, 5), Fraction(1, 5))
+        assert rep.matrix.apply(rep.snapped) == (1, 1)
+
+    def test_singular_constraint_has_no_snap(self):
+        # an eigenvalue n of A_h makes n I - A_h singular: the constraint
+        # holds, but no unique rotation vector solves it
+        A = IntMatrix2.from_rows((2, 0), (0, 1))
+        rep = bs_rotation_constraint((0.3, 0.0), A, 2)
+        assert rep.satisfied
+        assert rep.matrix.det() == 0
+        assert rep.snapped is None
+
     def test_json_round_trip_fields(self):
         A = IntMatrix2.from_rows((2, 1), (1, 1))
         rep = bs_rotation_constraint((0.6, 0.2), A, 4)
