@@ -40,7 +40,6 @@ from .torus import (
     FunctionTorusLift,
     RotationVectorEstimate,
     RotationSetEstimate,
-    compose2,
     rotation_vector,
     rotation_set,
     conjugate_rotation_set_check,
@@ -94,6 +93,8 @@ from .experiments import (
 )
 from .acceptance import run_all
 
+# the earlier name of `compose` for torus lifts
+compose2 = compose
 __version__ = "0.1.0"
 
 __all__ = [

@@ -43,7 +43,6 @@ from .space import CIRCLE, TORUS
 from .torus import (
     LinearTorusLift,
     bs_rotation_constraint,
-    compose2,
     conjugate_rotation_set_check,
     rotation_set,
     rotation_vector,
@@ -173,7 +172,7 @@ def _c4_rotation_sets(seed):
     t = rng.uniform(0.05, 0.95, size=2)
     F = LinearTorusLift(IntMatrix2.identity(), (float(t[0]), float(t[1])))
     r1 = rotation_vector(F, iterates=2000)
-    r3 = rotation_vector(compose2(F, compose2(F, F)), iterates=2000)
+    r3 = rotation_vector(compose(F, compose(F, F)), iterates=2000)
     mz_err = max(abs(r3.value[i] - 3.0 * r1.value[i]) for i in (0, 1))
     budget = 3.0 * r1.error_bound + r3.error_bound
     ok = ok and mz_err <= budget
@@ -201,10 +200,10 @@ def _c5_conjugation(seed):
         F = LinearTorusLift(IntMatrix2.identity(), (float(t[0]), float(t[1])))
         psi = near_identity_diffeo(1e-2, seed=s)
         if i == 4:
-            H, A = compose2(LinearTorusLift(shear), psi), shear
+            H, A = compose(LinearTorusLift(shear), psi), shear
         else:
             H, A = psi, IntMatrix2.identity()
-        G = compose2(H, compose2(F, H.inverse()))
+        G = compose(H, compose(F, H.inverse()))
         rep = conjugate_rotation_set_check(F, G, A, grid=8, iterates=2000)
         pairs.append(
             {
@@ -290,7 +289,7 @@ def _c8_periodic(seed):
     mu, mt = np.meshgrid(g, g, indexing="ij")
     mesh = np.stack([mu.ravel(), mt.ravel()], axis=-1)
     D1 = float(np.min(torus_dist(act2.f.raw(mesh), mesh)))
-    disp2t = torus_dist(compose2(act2.f, act2.f).raw(mesh), mesh)
+    disp2t = torus_dist(compose(act2.f, act2.f).raw(mesh), mesh)
     j = int(np.argmin(disp2t))
     R2 = float(disp2t[j])
     ok = ok and D1 > 1e-3 and R2 < 1e-8

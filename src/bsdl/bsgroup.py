@@ -16,9 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import ChartAffineLift, GluedLift, RotationLift, wrap
+from .circle import wrap
 from .space import CIRCLE, SPACES, TORUS, space_of
-from .torus import LinearTorusLift, ProductTorusLift
 
 __all__ = [
     "Word",
@@ -27,7 +26,6 @@ __all__ = [
     "word_to_affine",
     "BSAction",
     "make_action",
-    "power_lift",
     "word_lift",
     "evaluate",
     "relation_residual",
@@ -96,13 +94,8 @@ class Word:
         return Word([(g, -e) for g, e in reversed(self.syllables)])
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        base = self if k >= 0 else self.inverse()
+        return Word(base.syllables * abs(k))
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.syllables == other.syllables
@@ -189,31 +182,6 @@ def normalize(word: Word, n: int) -> NormalForm:
 # actions
 
 
-def power_lift(F, m: int):
-    """Lift of the m-th power, collapsing exact families in closed form."""
-    if m == 0:
-        return space_of(F).identity()
-    if m < 0:
-        return power_lift(F.inverse(), -m)
-    if isinstance(F, RotationLift):
-        return RotationLift(F.alpha * m)
-    if isinstance(F, ChartAffineLift):
-        a, b = F.params_power(m)
-        if np.isfinite(a) and a > 0.0 and np.isfinite(b):
-            return ChartAffineLift(a, b)
-    if isinstance(F, GluedLift):
-        a, b = F.base.params_power(m)
-        if np.isfinite(a) and a > 0.0 and np.isfinite(b):
-            return GluedLift(F.m, a, b)
-    if isinstance(F, ProductTorusLift):
-        return ProductTorusLift(power_lift(F.base, m), power_lift(F.fiber, m))
-    compose = space_of(F).compose
-    out = F
-    for _ in range(m - 1):
-        out = compose(out, F)
-    return out
-
-
 @dataclass
 class BSAction:
     """A pair (f, h) intended to satisfy h f h^-1 = f^n.
@@ -246,10 +214,10 @@ def word_lift(action: BSAction, word: Word):
     """Materialize the lift of a word, fusing parameters where possible."""
     L = None
     for gen, exp in word.syllables:
-        g = power_lift(action.generator(gen), exp)
-        L = g if L is None else action.space.compose(L, g)
+        g = action.generator(gen).power(exp)
+        L = g if L is None else L.compose(g)
     if L is None:
-        return action.space.identity()
+        return action.f.power(0)
     return L
 
 
@@ -259,9 +227,7 @@ def evaluate(action: BSAction, word: Word, x):
     y = np.asarray(x, dtype=float)
     for gen, exp in reversed(word.syllables):
         y = action.generator(gen).iterate(y, exp)
-    if np.ndim(x) == 0:
-        return float(y)
-    return y
+    return float(y) if np.ndim(x) == 0 else y
 
 
 def relation_residual(
@@ -274,27 +240,13 @@ def relation_residual(
     if grid < 1:
         raise ValueError(f"grid must be positive, got {grid}")
     space = space_of(f)
-    hp = power_lift(h, power)
-    lhs = space.compose(hp, space.compose(f, hp.inverse()))
-    rhs = power_lift(f, n ** power)
-    if _params_equal(lhs, rhs):
+    hp = h.power(power)
+    lhs = hp.compose(f.compose(hp.inverse()))
+    rhs = f.power(n ** power)
+    if lhs.same_params(rhs):
         return 0.0
     xs = space.lattice(grid)
     return float(np.max(space.dist(lhs.raw(xs), rhs.raw(xs))))
-
-
-def _params_equal(u, v):
-    if isinstance(u, RotationLift) and isinstance(v, RotationLift):
-        return u.alpha == v.alpha
-    if isinstance(u, ChartAffineLift) and isinstance(v, ChartAffineLift):
-        return (u.a, u.b) == (v.a, v.b)
-    if isinstance(u, GluedLift) and isinstance(v, GluedLift):
-        return (u.m, u.a, u.b) == (v.m, v.a, v.b)
-    if isinstance(u, ProductTorusLift) and isinstance(v, ProductTorusLift):
-        return _params_equal(u.base, v.base) and _params_equal(u.fiber, v.fiber)
-    if isinstance(u, LinearTorusLift) and isinstance(v, LinearTorusLift):
-        return u.linear_part == v.linear_part and u.b == v.b
-    return False
 
 
 @dataclass

@@ -13,9 +13,10 @@ Conventions used throughout the package:
 * lifts are strictly increasing and commute with x -> x + 1;
 * the displacement F(x) - x is periodic, so every lift carries cached
   displacement bounds for bracketing inversions;
-* `iterate(x, m)` is the m-th iterate at a point, with closed forms for
-  rotations, chart-affine maps and glued block maps (exponents produced
-  by group words get large and looping would be hopeless).
+* the exact families (rotations, chart-affine and glued block maps) fuse
+  `compose` and `power` into one lift of the family and compare through
+  `same_params`; other lifts compose into a `ComposedLift` and power by
+  stepping. `iterate(x, m)` is `power(m)` at x.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 # largest double below 1: x - floor(x) rounds up to 1.0 for x within
 # 2^-54 below an integer, and that point belongs at the top of [0, 1)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+# A power with no closed form costs m raw calls per evaluation: past 10^6 a grid
+# takes minutes, and f^(n^2) may ask for 10^400, so `power` raises ValueError
+MAX_STEPPED_POWER = 10**6
 
 
 def wrap(x):
@@ -127,6 +131,32 @@ def _wrap_float(x: float) -> float:
     if r == 1.0:
         return _BELOW_ONE
     raise ValueError(f"orbit left the real line at {x}")
+
+
+def stepped_power(F, m: int):
+    """Maps of F^m and its inverse, m >= 2, for circle and torus lifts: m
+    raw calls of F or F^-1, ending early once a step moves no point."""
+    if m > MAX_STEPPED_POWER:
+        raise ValueError(
+            f"this power of {type(F).__name__} has no closed form, and "
+            f"stepping it is limited to {MAX_STEPPED_POWER} steps"
+        )
+
+    def steps(g, x):
+        y = np.asarray(x, dtype=float)
+        for _ in range(m):
+            y2 = g.raw(y)
+            if np.array_equal(y2, y):
+                break
+            y = y2
+        return y
+
+    return (lambda x: steps(F, x)), (lambda x: steps(F.inverse(), x))
+
+
+def nearest_seam(*distances):
+    """The least seam distance of a lift's parts; None (smooth) is skipped."""
+    return min((d for d in distances if d is not None), default=None)
 
 
 def circle_dist(a, b):
@@ -220,20 +250,27 @@ class CircleLift:
     def inverse(self) -> "CircleLift":
         return BisectionInverse(self)
 
+    def compose(self, inner: "CircleLift") -> "CircleLift":
+        """Lift of self o inner."""
+        return ComposedLift(self, inner)
+
+    def power(self, m: int) -> "CircleLift":
+        """Lift of the m-th power; m < 0 powers the inverse."""
+        if m == 0:
+            return RotationLift(0.0, label="id")
+        if m < 0:
+            return self.inverse().power(-m)
+        if m == 1:
+            return self
+        return FunctionLift(*stepped_power(self, m), label=f"{self.label}^{m}")
+
+    def same_params(self, other) -> bool:
+        """Whether other is this exact lift, by its family and parameters."""
+        return False
+
     def iterate(self, x, m: int):
         """m-th iterate (m may be negative) applied to x."""
-        if m == 0:
-            return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        g = self if m > 0 else self.inverse()
-        y = np.asarray(x, dtype=float)
-        for _ in range(abs(m)):
-            y2 = g.raw(y)
-            if np.array_equal(y2, y):
-                break  # orbit froze at double precision, powers stop moving
-            y = y2
-        if np.ndim(x) == 0:
-            return float(y)
-        return y
+        return self.power(m)(x)
 
     def seam_distance(self, x):
         """Distance from x to the nearest non-smooth point, None if smooth."""
@@ -256,9 +293,23 @@ class RotationLift(CircleLift):
     def inverse(self):
         return RotationLift(-self.alpha, label=f"rot({-self.alpha:g})")
 
-    def iterate(self, x, m: int):
-        out = np.asarray(x, dtype=float) + m * self.alpha
-        return float(out) if np.ndim(x) == 0 else out
+    def compose(self, inner):
+        if isinstance(inner, RotationLift):
+            return RotationLift(self.alpha + inner.alpha)
+        return super().compose(inner)
+
+    def power(self, m: int):
+        # an m of 2^1023 or more is beyond the floats
+        alpha = self.alpha * m if 1 <= m < 2**1023 else math.inf
+        return RotationLift(alpha) if math.isfinite(alpha) else super().power(m)
+
+    def same_params(self, other):
+        return isinstance(other, RotationLift) and self.alpha == other.alpha
+
+
+def _affine_params(a, b) -> bool:
+    """Whether x -> a x + b is increasing with float parameters."""
+    return 0.0 < a < math.inf and math.isfinite(b)
 
 
 class ChartAffineLift(CircleLift):
@@ -271,8 +322,8 @@ class ChartAffineLift(CircleLift):
     """
 
     def __init__(self, a: float, b: float, label: str = ""):
-        if not (a > 0.0) or not np.isfinite(b):
-            raise ValueError(f"need a > 0 and finite b, got a={a}, b={b}")
+        if not _affine_params(a, b):
+            raise ValueError(f"need 0 < a < inf and finite b, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
         self.label = label or f"affine({self.a:g},{self.b:g})"
@@ -308,23 +359,29 @@ class ChartAffineLift(CircleLift):
     def inverse(self):
         return ChartAffineLift(1.0 / self.a, -self.b / self.a)
 
-    def params_power(self, m: int):
-        if self.a == 1.0:
-            return 1.0, self.b * m
-        try:
-            am = self.a ** m
-        except OverflowError:
-            # callers test isfinite and fall back to stepping
-            am = math.inf
-        return am, self.b * (am - 1.0) / (self.a - 1.0)
+    def compose(self, inner):
+        if isinstance(inner, ChartAffineLift):
+            a, b = self.a * inner.a, self.a * inner.b + self.b
+            if _affine_params(a, b):
+                return ChartAffineLift(a, b)
+        return super().compose(inner)
 
-    def iterate(self, x, m: int):
-        if m == 0:
-            return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        am, bm = self.params_power(m)
-        if not (np.isfinite(am) and np.isfinite(bm)) or am <= 0.0:
-            return super().iterate(x, m)
-        return ChartAffineLift(am, bm)(x)
+    def power(self, m: int):
+        # x -> a^m x + b (a^m - 1)/(a - 1), or x + m b; a^m may overflow
+        if m >= 1:
+            try:
+                am, bm = self.a**m, self.b * m
+                if self.a != 1.0:
+                    bm = self.b * (am - 1.0) / (self.a - 1.0)
+            except OverflowError:
+                am = bm = math.inf
+            if _affine_params(am, bm):
+                return ChartAffineLift(am, bm)
+        return super().power(m)
+
+    def same_params(self, other):
+        same = isinstance(other, ChartAffineLift)
+        return same and (self.a, self.b) == (other.a, other.b)
 
 
 class PiecewiseLift(CircleLift):
@@ -450,13 +507,22 @@ class GluedLift(CircleLift):
     def inverse(self):
         return GluedLift(self.m, 1.0 / self.a, -self.b / self.a)
 
-    def iterate(self, x, m: int):
-        if m == 0:
-            return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        am, bm = self.base.params_power(m)
-        if not (np.isfinite(am) and np.isfinite(bm)) or am <= 0.0:
-            return super().iterate(x, m)
-        return GluedLift(self.m, am, bm)(x)
+    def compose(self, inner):
+        if isinstance(inner, GluedLift) and inner.m == self.m:
+            a, b = self.a * inner.a, self.a * inner.b + self.b
+            if _affine_params(a, b):
+                return GluedLift(self.m, a, b)
+        return super().compose(inner)
+
+    def power(self, k: int):
+        p = self.base.power(k)
+        if isinstance(p, ChartAffineLift):
+            return GluedLift(self.m, p.a, p.b)
+        return super().power(k)
+
+    def same_params(self, other):
+        same = isinstance(other, GluedLift)
+        return same and (self.m, self.a, self.b) == (other.m, other.a, other.b)
 
     def seam_distance(self, x):
         r = wrap(x)
@@ -482,14 +548,9 @@ class ComposedLift(CircleLift):
         return ComposedLift(self.inner.inverse(), self.outer.inverse())
 
     def seam_distance(self, x):
-        cands = []
-        d = self.inner.seam_distance(x)
-        if d is not None:
-            cands.append(d)
-        d = self.outer.seam_distance(self.inner(x))
-        if d is not None:
-            cands.append(d)
-        return min(cands) if cands else None
+        return nearest_seam(
+            self.inner.seam_distance(x), self.outer.seam_distance(self.inner(x))
+        )
 
 
 class FunctionLift(CircleLift):
@@ -541,20 +602,10 @@ class BisectionInverse(CircleLift):
         return self.target
 
 
-def compose(outer: CircleLift, inner: CircleLift) -> CircleLift:
-    """Lift of the composition outer o inner, fusing parameters when the
-    two maps live in the same exact family."""
-    if isinstance(outer, RotationLift) and isinstance(inner, RotationLift):
-        return RotationLift(outer.alpha + inner.alpha)
-    if isinstance(outer, ChartAffineLift) and isinstance(inner, ChartAffineLift):
-        return ChartAffineLift(outer.a * inner.a, outer.a * inner.b + outer.b)
-    if (
-        isinstance(outer, GluedLift)
-        and isinstance(inner, GluedLift)
-        and outer.m == inner.m
-    ):
-        return GluedLift(outer.m, outer.a * inner.a, outer.a * inner.b + outer.b)
-    return ComposedLift(outer, inner)
+def compose(outer, inner):
+    """Lift of the composition outer o inner of two circle or two torus
+    lifts: `outer.compose(inner)`, which fuses exact families."""
+    return outer.compose(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -607,15 +658,15 @@ def rotation_number(
     """
     if iterates < 1:
         raise ValueError("iterates must be positive")
-    if type(F).iterate is not CircleLift.iterate:
-        # closed-form power available
-        end = F.iterate(x0, iterates)
-        value = float(wrap((end - x0) / iterates))
-    else:
-        total = 0.0
-        for y, fy in orbit(F, x0, iterates):
-            total += fy - y
-        value = float(wrap(total / iterates))
+    total = None
+    if type(F).power is not CircleLift.power:  # a closed-form power
+        try:
+            total = F.iterate(x0, iterates) - x0
+        except ValueError:  # it overflowed, and that many steps are refused
+            pass
+    if total is None:
+        total = sum(fy - y for y, fy in orbit(F, x0, iterates))
+    value = float(wrap(total / iterates))
     witness = None
     xs = np.arange(cert_grid) / cert_grid
     ys = xs.copy()

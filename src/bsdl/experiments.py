@@ -20,6 +20,7 @@ from .circle import (
     FunctionLift,
     RotationNumberEstimate,
     circle_dist,
+    compose,
     orbit,
     rotation_number,
     wrap,
@@ -524,7 +525,6 @@ def conjugated_action(action: BSAction, psi) -> BSAction:
     arbitrary small diffeomorphism. The relation is still re-verified
     numerically, catching a psi whose numerical inverse is too loose.
     """
-    compose = action.space.compose
     pinv = psi.inverse()
     f2 = compose(psi, compose(action.f, pinv))
     h2 = compose(psi, compose(action.h, pinv))

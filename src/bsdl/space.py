@@ -15,26 +15,23 @@ import math
 
 import numpy as np
 
-from .circle import CircleLift, RotationLift, circle_dist, compose, wrap
-from .gl2z import IntMatrix2
-from .torus import LinearTorusLift, TorusLift, compose2, torus_dist
+from .circle import CircleLift, circle_dist, wrap
+from .torus import TorusLift, torus_dist
 
 __all__ = ["Space", "CIRCLE", "TORUS", "SPACES", "space_of", "cell_index"]
 
 
 class Space(str):
-    """The circle or the torus: dimension, metric, lift composition,
-    identity lift, product lattices and grid cells."""
+    """The circle or the torus: dimension, metric, product lattices and
+    grid cells."""
 
-    def __new__(cls, name, shape, cell_keys, dist, compose, identity):
+    def __new__(cls, name, shape, cell_keys, dist):
         self = super().__new__(cls, name)
         self.shape = shape
         self.dim = math.prod(shape)
         # cells from `dim` lists of int coordinates
         self._cell_keys = cell_keys
         self.dist = dist
-        self.compose = compose
-        self.identity = identity
         return self
 
     def __reduce__(self):
@@ -91,18 +88,18 @@ class Space(str):
 
 
 def cell_index(points, resolution: int):
-    """Grid cell of each point, wrapped first, as int coordinates."""
+    """Grid cell of each point, wrapped first, as int coordinates.
+
+    Raises ValueError on a non-finite coordinate, which lies in no cell.
+    """
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("a point with a non-finite coordinate lies in no grid cell")
     return np.minimum((wrap(points) * resolution).astype(int), resolution - 1)
 
 
-CIRCLE = Space(
-    "circle", (), lambda i: i, circle_dist, compose,
-    lambda: RotationLift(0.0, label="id"),
-)
-TORUS = Space(
-    "torus", (2,), zip, torus_dist, compose2,
-    lambda: LinearTorusLift(IntMatrix2.identity(), label="id"),
-)
+CIRCLE = Space("circle", (), lambda i: i, circle_dist)
+TORUS = Space("torus", (2,), zip, torus_dist)
 SPACES = {CIRCLE: CIRCLE, TORUS: TORUS}
 
 

@@ -5,7 +5,7 @@ The first coordinate is the projectively glued circle used throughout
 (`bsdl.circle`), the second an ordinary R/Z factor, so product maps are
 built from two circle lifts and inherit their exact composition rules.
 Linear models A v + b cover the algebraic examples whose translation
-parts are forced by the group relation.
+parts are forced by the group relation. Both fuse `compose` and `power`.
 
 Rotation vectors and rotation sets are displacement averages of lifts
 with identity linear part; they live in R^2 (changing the lift shifts
@@ -21,7 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import CircleLift, circle_dist, compose as compose_circle, orbit
+from .circle import (
+    MAX_STEPPED_POWER,
+    CircleLift,
+    circle_dist,
+    nearest_seam,
+    orbit,
+    stepped_power,
+)
 from .gl2z import IntMatrix2, rational_to_json
 
 __all__ = [
@@ -30,7 +37,6 @@ __all__ = [
     "LinearTorusLift",
     "FunctionTorusLift",
     "ComposedTorusLift",
-    "compose2",
     "torus_dist",
     "rotation_vector",
     "RotationVectorEstimate",
@@ -74,8 +80,7 @@ class TorusLift:
         return tuple(self.raw(np.array(p, dtype=float)).tolist())
 
     def __call__(self, v):
-        out = self.raw(np.asarray(v, dtype=float))
-        return out
+        return self.raw(np.asarray(v, dtype=float))
 
     def validate(self, grid: int = 8, tol: float = PERIODICITY_TOL):
         """Check equivariance F(v + m) = F(v) + A m on a sample grid."""
@@ -97,14 +102,29 @@ class TorusLift:
     def inverse(self) -> "TorusLift":
         raise NotImplementedError(f"{type(self).__name__} has no inverse rule")
 
-    def iterate(self, v, m: int):
+    def compose(self, inner: "TorusLift") -> "TorusLift":
+        """Lift of self o inner."""
+        return ComposedTorusLift(self, inner)
+
+    def power(self, m: int) -> "TorusLift":
+        """Lift of the m-th power; m < 0 powers the inverse."""
         if m == 0:
-            return np.asarray(v, dtype=float)
-        g = self if m > 0 else self.inverse()
-        w = np.asarray(v, dtype=float)
-        for _ in range(abs(m)):
-            w = g.raw(w)
-        return w
+            return LinearTorusLift(IntMatrix2.identity(), label="id")
+        if m < 0:
+            return self.inverse().power(-m)
+        if m == 1:
+            return self
+        fn, inverse_fn = stepped_power(self, m)
+        A = self.linear_part**m
+        return FunctionTorusLift(fn, A, inverse_fn, label=f"{self.label}^{m}")
+
+    def same_params(self, other) -> bool:
+        """Whether other is this exact lift, by its family and parameters."""
+        return False
+
+    def iterate(self, v, m: int):
+        """m-th iterate (m may be negative) applied to v."""
+        return self.power(m)(v)
 
     def seam_distance(self, v):
         """Distance from v to the nearest non-smooth locus, None if smooth."""
@@ -132,23 +152,29 @@ class ProductTorusLift(TorusLift):
     def inverse(self):
         return ProductTorusLift(self.base.inverse(), self.fiber.inverse())
 
-    def iterate(self, v, m: int):
-        v = np.asarray(v, dtype=float)
-        return np.stack(
-            [self.base.iterate(v[..., 0], m), self.fiber.iterate(v[..., 1], m)],
-            axis=-1,
-        )
+    def compose(self, inner):
+        if isinstance(inner, ProductTorusLift):
+            return ProductTorusLift(
+                self.base.compose(inner.base), self.fiber.compose(inner.fiber)
+            )
+        return super().compose(inner)
+
+    def power(self, m: int):
+        if m >= 1:
+            return ProductTorusLift(self.base.power(m), self.fiber.power(m))
+        return super().power(m)
+
+    def same_params(self, other):
+        if not isinstance(other, ProductTorusLift):
+            return False
+        return self.base.same_params(other.base) and self.fiber.same_params(other.fiber)
 
     def seam_distance(self, v):
         v = np.asarray(v, dtype=float)
-        cands = []
-        d = self.base.seam_distance(float(v[..., 0]))
-        if d is not None:
-            cands.append(d)
-        d = self.fiber.seam_distance(float(v[..., 1]))
-        if d is not None:
-            cands.append(d)
-        return min(cands) if cands else None
+        return nearest_seam(
+            self.base.seam_distance(float(v[..., 0])),
+            self.fiber.seam_distance(float(v[..., 1])),
+        )
 
 
 class LinearTorusLift(TorusLift):
@@ -173,30 +199,28 @@ class LinearTorusLift(TorusLift):
 
     def inverse(self):
         Ainv = self.linear_part.inverse()
-        mb = Ainv.rows()
-        b2 = (
-            -(mb[0][0] * self.b[0] + mb[0][1] * self.b[1]),
-            -(mb[1][0] * self.b[0] + mb[1][1] * self.b[1]),
-        )
-        return LinearTorusLift(Ainv, b2)
+        return LinearTorusLift(Ainv, [-c for c in Ainv.apply(self.b)])
 
-    def iterate(self, v, m: int):
-        if m == 0:
-            return np.asarray(v, dtype=float)
-        g = self if m > 0 else self.inverse()
-        A = g.linear_part
-        if A == IntMatrix2.identity():
-            return np.asarray(v, dtype=float) + abs(m) * np.array(g.b)
-        # v -> P v + S with P = A^|m| and S = sum of A^i b, i < |m|
-        b0, b1 = g.b
-        P = IntMatrix2.identity()
-        s0 = s1 = 0.0
-        for _ in range(abs(m)):
-            (p00, p01), (p10, p11) = P.rows()
-            s0, s1 = p00 * b0 + p01 * b1 + s0, p10 * b0 + p11 * b1 + s1
-            P = A * P
-        rows = tuple(tuple(float(x) for x in r) for r in P.rows())
-        return _affine(v, rows, (s0, s1))
+    def compose(self, inner):
+        if isinstance(inner, LinearTorusLift):
+            nb = np.array(self._rows) @ np.array(inner.b) + np.array(self.b)
+            return LinearTorusLift(
+                self.linear_part * inner.linear_part, (nb[0], nb[1])
+            )
+        return super().compose(inner)
+
+    def power(self, m: int):
+        # m - 1 fused compositions: the offsets h f h^-1 fuses to, bit for bit
+        if not 2 <= m <= MAX_STEPPED_POWER:
+            return super().power(m)
+        out = self
+        for _ in range(m - 1):
+            out = out.compose(self)
+        return out
+
+    def same_params(self, other):
+        same = isinstance(other, LinearTorusLift)
+        return same and (self.linear_part, self.b) == (other.linear_part, other.b)
 
 
 def _affine(v, rows, b):
@@ -227,12 +251,8 @@ class FunctionTorusLift(TorusLift):
     def inverse(self):
         if self._inverse_fn is None:
             raise NotImplementedError("no inverse supplied for this lift")
-        return FunctionTorusLift(
-            self._inverse_fn,
-            self.linear_part.inverse(),
-            self._fn,
-            label=self.label + "^-1",
-        )
+        A = self.linear_part.inverse()
+        return FunctionTorusLift(self._inverse_fn, A, self._fn, self.label + "^-1")
 
 
 class ComposedTorusLift(TorusLift):
@@ -253,30 +273,9 @@ class ComposedTorusLift(TorusLift):
 
     def seam_distance(self, v):
         v = np.asarray(v, dtype=float)
-        cands = []
-        d = self.inner.seam_distance(v)
-        if d is not None:
-            cands.append(d)
-        d = self.outer.seam_distance(self.inner.raw(v))
-        if d is not None:
-            cands.append(d)
-        return min(cands) if cands else None
-
-
-def compose2(outer: TorusLift, inner: TorusLift) -> TorusLift:
-    """Torus lift of outer o inner, with exact parameter fusion for
-    product and linear pairs."""
-    if isinstance(outer, ProductTorusLift) and isinstance(inner, ProductTorusLift):
-        return ProductTorusLift(
-            compose_circle(outer.base, inner.base),
-            compose_circle(outer.fiber, inner.fiber),
+        return nearest_seam(
+            self.inner.seam_distance(v), self.outer.seam_distance(self.inner.raw(v))
         )
-    if isinstance(outer, LinearTorusLift) and isinstance(inner, LinearTorusLift):
-        A = outer.linear_part * inner.linear_part
-        ob = np.array(outer.b)
-        nb = np.array(outer._rows) @ np.array(inner.b) + ob
-        return LinearTorusLift(A, (nb[0], nb[1]))
-    return ComposedTorusLift(outer, inner)
 
 
 # ---------------------------------------------------------------------------

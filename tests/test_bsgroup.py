@@ -14,7 +14,6 @@ from bsdl.bsgroup import (
     finite_bs_orbit,
     make_action,
     normalize,
-    power_lift,
     relation_report,
     relation_residual,
     word_lift,
@@ -175,12 +174,12 @@ class TestEvaluation:
 
     def test_power_lift_closed_forms(self):
         F = ChartAffineLift(1.0, 1.0)
-        G = power_lift(F, 7)
+        G = F.power(7)
         assert isinstance(G, ChartAffineLift)
         assert (G.a, G.b) == (1.0, 7.0)
-        H = power_lift(F, -3)
+        H = F.power(-3)
         assert (H.a, H.b) == (1.0, -3.0)
-        assert isinstance(power_lift(RotationLift(0.2), 0), RotationLift)
+        assert isinstance(RotationLift(0.2).power(0), RotationLift)
 
 
 class TestRelationReports:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bsdl.bsgroup import finite_bs_orbit, power_lift, relation_report
+from bsdl.bsgroup import finite_bs_orbit, relation_report
 from bsdl.catalog import (
     CATALOG,
     build_action,
@@ -18,7 +18,14 @@ from bsdl.catalog import (
     standard_line,
     standard_torus,
 )
-from bsdl.circle import DenjoyLift, chart_from_real, circle_dist, rotation_number, wrap
+from bsdl.circle import (
+    MAX_STEPPED_POWER,
+    DenjoyLift,
+    chart_from_real,
+    circle_dist,
+    rotation_number,
+    wrap,
+)
 from bsdl.torus import rotation_vector, torus_dist
 
 
@@ -128,8 +135,16 @@ class TestPeriodicExamples:
         act = periodic_circle_example(3)
         xs = np.arange(0.0, 1.0, 1.0 / 4096.0)
         assert np.min(circle_dist(act.f.raw(xs), xs)) > 1e-3
-        f2 = power_lift(act.f, 2)
+        f2 = act.f.power(2)
         assert float(circle_dist(f2.raw(0.0), 0.0)) < 1e-12
+
+    def test_power_beyond_the_step_limit_raises_at_once(self):
+        act = periodic_circle_example(3)
+        with pytest.raises(ValueError, match="no closed form"):
+            act.f.power(10**400)
+        with pytest.raises(ValueError, match="no closed form"):
+            act.f.power(-(MAX_STEPPED_POWER + 1))
+        assert act.f.power(MAX_STEPPED_POWER).label.endswith("^1000000")
 
     def test_periodic_orbit_of_block_endpoints(self):
         act = periodic_circle_example(3)
@@ -141,7 +156,7 @@ class TestPeriodicExamples:
         g = np.arange(64) / 64.0
         vs = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
         assert np.min(torus_dist(act.f.raw(vs), vs)) > 1e-3
-        F2 = power_lift(act.f, 2)
+        F2 = act.f.power(2)
         v0 = np.array([0.0, 0.0])
         assert float(torus_dist(F2.raw(v0), v0)) < 1e-12
 

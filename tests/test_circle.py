@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bsdl.circle import (
+    MAX_STEPPED_POWER,
     BisectionInverse,
     ChartAffineLift,
     CircleLift,
@@ -107,10 +108,10 @@ class TestChartAffineLift:
         f = ChartAffineLift(1.0, 1.0)
         h = ChartAffineLift(float(n), 0.0)
         lhs = compose(compose(h, f), h.inverse())
-        rhs_a, rhs_b = f.params_power(n)
+        rhs = f.power(n)
         assert isinstance(lhs, ChartAffineLift)
-        assert lhs.a == rhs_a == 1.0
-        assert lhs.b == rhs_b == float(n)
+        assert lhs.a == rhs.a == 1.0
+        assert lhs.b == rhs.b == float(n)
 
     def test_inverse_fuses_to_identity(self):
         f = ChartAffineLift(1.0, 1.0)
@@ -146,10 +147,33 @@ class TestChartAffineLift:
     def test_validate_passes(self):
         ChartAffineLift(0.5, -2.0).validate()
 
+    @pytest.mark.parametrize("a", [math.inf, 0.0, -1.0, math.nan])
+    def test_rejects_slopes_outside_zero_to_inf(self, a):
+        with pytest.raises(ValueError, match="0 < a < inf"):
+            ChartAffineLift(a, 0.0)
+        with pytest.raises(ValueError, match="0 < a < inf"):
+            GluedLift(2, a, 0.0)
+
+    def test_power_with_an_infinite_slope_steps(self):
+        F = ChartAffineLift(1e200, 0.0)
+        F2 = F.power(2)
+        assert isinstance(F2, FunctionLift)
+        xs = np.linspace(-1.0, 2.0, 61)
+        assert np.array_equal(F2.raw(xs), F.raw(F.raw(xs)))
+        G = GluedLift(3, 1e200, 0.0)
+        assert isinstance(G.power(2), FunctionLift)
+        assert isinstance(F.compose(F), ComposedLift)
+
+    def test_rotation_number_past_the_step_limit(self):
+        # 2^(10^6 + 1) overflows and that many steps are refused, so the
+        # estimate falls back to the orbit average
+        F = ChartAffineLift(2.0, 0.0)
+        assert rotation_number(F, iterates=MAX_STEPPED_POWER + 1).value == 0.0
+
     def test_overflowing_power_falls_back_to_stepping(self):
         F = ChartAffineLift(2.0, 0.0)
-        am, _ = F.params_power(10**5)
-        assert am == math.inf
+        # 2^100000 overflows
+        assert isinstance(F.power(10**5), FunctionLift)
         G = GluedLift(3, 2.0, 0.0)
         # 0 is fixed, so stepping stops as soon as the orbit freezes
         assert F.iterate(0.0, 10**5) == 0.0

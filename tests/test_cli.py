@@ -50,6 +50,13 @@ class TestVerifyRelation:
         assert d["passed"] is True
         assert d["grid"] == 10000
 
+    def test_periodic_circle_steps_a_long_power(self, capsys):
+        # the second check needs f^1600 of a lift with no closed-form power
+        code, out, _ = run(capsys, "verify-relation", "periodic-circle", "--n", "40")
+        d = strict_json(out)
+        assert code == cli.OK
+        assert d["passed"] is True
+
     def test_unknown_action_errors(self, capsys):
         code, _, err = run(capsys, "verify-relation", "no-such-thing")
         assert code == cli.ERROR

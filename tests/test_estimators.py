@@ -43,6 +43,13 @@ class TestCellSet:
         cs = CellSet.from_points(pts, 4, "torus")
         assert cs.cells == {(0, 3)}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_points_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            CellSet.from_points(np.array([bad, 0.3]), 8, "circle")
+        with pytest.raises(ValueError, match="non-finite"):
+            CellSet.from_points(np.array([[0.3, 0.1], [0.2, bad]]), 8, "torus")
+
     @pytest.mark.parametrize("R", [256, 1024])
     def test_from_points_equals_per_point_cells(self, R):
         # the one-pass numpy build against converting every point's cell

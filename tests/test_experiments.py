@@ -15,7 +15,7 @@ from bsdl.catalog import (
     standard_line,
     standard_torus,
 )
-from bsdl.circle import circle_dist, wrap
+from bsdl.circle import circle_dist, compose, wrap
 from bsdl.estimators import CellSet, fixed_cells
 from bsdl.experiments import (
     GraphFoldError,
@@ -33,7 +33,6 @@ from bsdl.torus import (
     FunctionTorusLift,
     LinearTorusLift,
     bs_rotation_constraint,
-    compose2,
     rotation_set,
 )
 
@@ -82,7 +81,7 @@ class TestFindInvariantCircle:
         assert c.side == "Repelling"
 
     def test_perturbed_attracting_circle(self):
-        h = compose2(vertical_bump(1e-2), standard_torus(2).h)
+        h = compose(vertical_bump(1e-2), standard_torus(2).h)
         c = find_invariant_circle(h, 0.0)
         assert c.residual < 1e-8
         assert c.iterations > 0
@@ -91,13 +90,13 @@ class TestFindInvariantCircle:
         assert c.spread() > 1e-3
 
     def test_perturbed_repelling_circle_is_untouched_fiber(self):
-        h = compose2(vertical_bump(1e-2), standard_torus(2).h)
+        h = compose(vertical_bump(1e-2), standard_torus(2).h)
         c = find_invariant_circle(h, 0.5, direction="backward")
         assert c.residual < 1e-12
         assert c.spread() < 1e-12
 
     def test_residual_is_recomputed_not_assumed(self):
-        h = compose2(vertical_bump(1e-2), standard_torus(2).h)
+        h = compose(vertical_bump(1e-2), standard_torus(2).h)
         c = find_invariant_circle(h, 0.0)
         img = h.raw(np.stack([c.graph, c.thetas], axis=-1))
         target = c.at(img[..., 1])
@@ -116,7 +115,7 @@ class TestFindInvariantCircle:
             find_invariant_circle(FunctionTorusLift(fn), 0.0)
 
     def test_nonconvergence_reports_history(self):
-        h = compose2(vertical_bump(1e-2), standard_torus(2).h)
+        h = compose(vertical_bump(1e-2), standard_torus(2).h)
         with pytest.raises(NonConvergentError) as info:
             find_invariant_circle(h, 0.0, max_iter=3)
         assert len(info.value.residuals) == 4

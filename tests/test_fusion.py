@@ -1,0 +1,302 @@
+"""The fusion laws of the exact lift families: `compose`, `power` and
+`same_params` on the lift classes.
+
+Checked against reference copies of the module-level rules they
+replaced (below), on the exact families of tests/test_step.py:
+
+* `F.compose(G)` and `F.power(m)`, |m| <= 6, give the reference's type
+  and parameters bit for bit. A power of a lift with no closed form is
+  the one place the two differ by design: the reference nests m - 1
+  ComposedLift objects, `power` returns one lift that steps m times,
+  with the same values bit for bit.
+* `same_params` answers as the reference does, and when it says yes
+  both lifts give the same bits on a lattice.
+* `F.power(m)` agrees with m steps of F within the slope-derived
+  rounding budgets of tests/test_space.py.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import bsdl
+from bsdl.circle import (
+    ChartAffineLift,
+    ComposedLift,
+    FunctionLift,
+    GluedLift,
+    RotationLift,
+    compose,
+)
+from bsdl.gl2z import IntMatrix2
+from bsdl.space import CIRCLE, TORUS, space_of
+from bsdl.torus import (
+    ComposedTorusLift,
+    FunctionTorusLift,
+    LinearTorusLift,
+    ProductTorusLift,
+)
+
+from test_space import EPS, ROUNDINGS, exact_torus, moderate, size, slope
+from test_step import circle_points, exact_circle, torus_points
+
+# ---------------------------------------------------------------------------
+# reference: the isinstance tables the lift classes replaced
+
+
+def ref_compose(outer, inner):
+    if isinstance(outer, RotationLift) and isinstance(inner, RotationLift):
+        return RotationLift(outer.alpha + inner.alpha)
+    if isinstance(outer, ChartAffineLift) and isinstance(inner, ChartAffineLift):
+        return ChartAffineLift(outer.a * inner.a, outer.a * inner.b + outer.b)
+    if (
+        isinstance(outer, GluedLift)
+        and isinstance(inner, GluedLift)
+        and outer.m == inner.m
+    ):
+        return GluedLift(outer.m, outer.a * inner.a, outer.a * inner.b + outer.b)
+    return ComposedLift(outer, inner)
+
+
+def ref_compose2(outer, inner):
+    if isinstance(outer, ProductTorusLift) and isinstance(inner, ProductTorusLift):
+        return ProductTorusLift(
+            ref_compose(outer.base, inner.base),
+            ref_compose(outer.fiber, inner.fiber),
+        )
+    if isinstance(outer, LinearTorusLift) and isinstance(inner, LinearTorusLift):
+        A = outer.linear_part * inner.linear_part
+        ob = np.array(outer.b)
+        nb = np.array(outer._rows) @ np.array(inner.b) + ob
+        return LinearTorusLift(A, (nb[0], nb[1]))
+    return ComposedTorusLift(outer, inner)
+
+
+def ref_identity(space):
+    if space == CIRCLE:
+        return RotationLift(0.0, label="id")
+    return LinearTorusLift(IntMatrix2.identity(), label="id")
+
+
+def ref_params_power(F, m):
+    if F.a == 1.0:
+        return 1.0, F.b * m
+    try:
+        am = F.a ** m
+    except OverflowError:
+        am = math.inf
+    return am, F.b * (am - 1.0) / (F.a - 1.0)
+
+
+def ref_power_lift(F, m):
+    if m == 0:
+        return ref_identity(space_of(F))
+    if m < 0:
+        return ref_power_lift(F.inverse(), -m)
+    if isinstance(F, RotationLift):
+        return RotationLift(F.alpha * m)
+    if isinstance(F, ChartAffineLift):
+        a, b = ref_params_power(F, m)
+        if np.isfinite(a) and a > 0.0 and np.isfinite(b):
+            return ChartAffineLift(a, b)
+    if isinstance(F, GluedLift):
+        a, b = ref_params_power(F.base, m)
+        if np.isfinite(a) and a > 0.0 and np.isfinite(b):
+            return GluedLift(F.m, a, b)
+    if isinstance(F, ProductTorusLift):
+        return ProductTorusLift(ref_power_lift(F.base, m), ref_power_lift(F.fiber, m))
+    compose_ = ref_compose if space_of(F) == CIRCLE else ref_compose2
+    out = F
+    for _ in range(m - 1):
+        out = compose_(out, F)
+    return out
+
+
+def ref_params_equal(u, v):
+    if isinstance(u, RotationLift) and isinstance(v, RotationLift):
+        return u.alpha == v.alpha
+    if isinstance(u, ChartAffineLift) and isinstance(v, ChartAffineLift):
+        return (u.a, u.b) == (v.a, v.b)
+    if isinstance(u, GluedLift) and isinstance(v, GluedLift):
+        return (u.m, u.a, u.b) == (v.m, v.a, v.b)
+    if isinstance(u, ProductTorusLift) and isinstance(v, ProductTorusLift):
+        return ref_params_equal(u.base, v.base) and ref_params_equal(u.fiber, v.fiber)
+    if isinstance(u, LinearTorusLift) and isinstance(v, LinearTorusLift):
+        return u.linear_part == v.linear_part and u.b == v.b
+    return False
+
+
+# ---------------------------------------------------------------------------
+# comparing lifts
+
+
+def describe(L):
+    """Type and parameter bits of an exact lift, through compositions and
+    products; any other lift is "other"."""
+    h = float.hex
+    if isinstance(L, RotationLift):
+        return ("rotation", h(L.alpha))
+    if isinstance(L, ChartAffineLift):
+        return ("chart", h(L.a), h(L.b))
+    if isinstance(L, GluedLift):
+        return ("glued", L.m, h(L.a), h(L.b))
+    if isinstance(L, LinearTorusLift):
+        return ("linear", L.linear_part.rows(), h(L.b[0]), h(L.b[1]))
+    if isinstance(L, ProductTorusLift):
+        return ("product", describe(L.base), describe(L.fiber))
+    if isinstance(L, (ComposedLift, ComposedTorusLift)):
+        return (type(L).__name__, describe(L.outer), describe(L.inner))
+    return "other"
+
+
+def exact(d):
+    return d != "other" and (not isinstance(d, tuple) or all(exact(c) for c in d))
+
+
+LATTICE = {CIRCLE: CIRCLE.lattice(257) - 0.5, TORUS: TORUS.lattice(256) - 0.5}
+
+
+def bits(L):
+    with np.errstate(all="ignore"):
+        return L.raw(LATTICE[space_of(L)]).tobytes()
+
+
+def assert_like_reference(new, ref, stepped_ok=False):
+    """`new` has the reference's type and parameters, and its bits."""
+    assert bits(new) == bits(ref), (new.label, ref.label)
+    d_new, d_ref = describe(new), describe(ref)
+    if exact(d_ref):
+        assert d_new == d_ref
+    elif stepped_ok and isinstance(ref, (ComposedLift, ComposedTorusLift)):
+        # the reference's chain of m - 1 compositions, one stepped lift here
+        assert isinstance(new, (FunctionLift, FunctionTorusLift))
+    else:
+        assert type(new) is type(ref)
+        if isinstance(ref, ProductTorusLift):
+            assert_like_reference(new.base, ref.base, stepped_ok)
+            assert_like_reference(new.fiber, ref.fiber, stepped_ok)
+
+
+exponents = st.integers(-6, 6)
+
+
+# ---------------------------------------------------------------------------
+# compose, power and same_params against the reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_circle, exact_circle)
+def test_circle_compose_matches_reference(F, G):
+    assert_like_reference(F.compose(G), ref_compose(F, G))
+    assert_like_reference(compose(F, G), ref_compose(F, G))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_torus, exact_torus)
+def test_torus_compose_matches_reference(F, G):
+    assert_like_reference(F.compose(G), ref_compose2(F, G))
+    assert_like_reference(compose(F, G), ref_compose2(F, G))
+    assert_like_reference(bsdl.compose2(F, G), ref_compose2(F, G))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_circle, exponents)
+def test_circle_power_matches_reference(F, m):
+    assert_like_reference(F.power(m), ref_power_lift(F, m), stepped_ok=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_torus, exponents)
+def test_torus_power_matches_reference(F, m):
+    assert_like_reference(F.power(m), ref_power_lift(F, m), stepped_ok=True)
+
+
+def candidates(F, G):
+    """Lifts with equal and with unequal parameters: F^2 and F o F agree
+    for rotations and often for the affine families."""
+    return [
+        F, G, F.power(2), F.compose(F), F.compose(G), G.compose(F),
+        F.power(0), G.power(0), F.compose(F.inverse()), F.power(-1), F.inverse(),
+    ]
+
+
+def assert_same_params_law(F, G):
+    lifts = candidates(F, G)
+    for u in lifts:
+        for v in lifts:
+            same = u.same_params(v)
+            assert same == ref_params_equal(u, v), (u.label, v.label)
+            if same:
+                assert bits(u) == bits(v), (u.label, v.label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_circle, exact_circle)
+def test_circle_same_params(F, G):
+    assert_same_params_law(F, G)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_torus, exact_torus)
+def test_torus_same_params(F, G):
+    assert_same_params_law(F, G)
+
+
+def test_same_params_sees_equal_families():
+    assert RotationLift(0.5).same_params(RotationLift(0.25).power(2))
+    assert ChartAffineLift(1.0, 1.0).power(3).same_params(ChartAffineLift(1.0, 3.0))
+    assert not ChartAffineLift(2.0, 0.0).same_params(GluedLift(1, 2.0, 0.0))
+    assert not GluedLift(2, 2.0, 0.0).same_params(GluedLift(3, 2.0, 0.0))
+    A = IntMatrix2.from_rows((2, 1), (1, 1))
+    assert LinearTorusLift(A, (0.5, 0.0)).same_params(LinearTorusLift(A, (0.5, 0.0)))
+    assert not RotationLift(0.1).compose(ChartAffineLift(1.0, 0.0)).same_params(
+        RotationLift(0.1).compose(ChartAffineLift(1.0, 0.0))
+    )
+
+
+# ---------------------------------------------------------------------------
+# power against stepping
+
+
+def steps_and_budget(F, m, x):
+    """m steps of F from x (of F^-1 for m < 0), and their rounding budget
+    in units of eps: each step rounds its output, and the error so far
+    reaches the next point through the slope of the step there. None if
+    a point on the way leaves the moderate range."""
+    g = F if m > 0 else F.inverse()
+    y = x
+    budget = 1.0 + size(x)
+    for _ in range(abs(m)):
+        s = slope(g, y)
+        y = g.raw(y)
+        if not moderate(y):
+            return None
+        budget = (1.0 + size(y)) + s * budget
+    return y, budget
+
+
+def assert_power_is_steps(F, m, x):
+    if not moderate(x):
+        return
+    out = steps_and_budget(F, m, x)
+    if out is None:
+        return
+    y, budget = out
+    err = size(F.power(m).raw(x) - y)
+    assert err <= ROUNDINGS * EPS * budget, (F.label, m, x, err / (EPS * budget))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_circle, exponents.filter(bool), st.data())
+def test_circle_power_agrees_with_steps(F, m, data):
+    for x in data.draw(st.lists(circle_points(F), min_size=1, max_size=6)):
+        assert_power_is_steps(F, m, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_torus, exponents.filter(bool), st.data())
+def test_torus_power_agrees_with_steps(F, m, data):
+    for p in data.draw(st.lists(torus_points(F), min_size=1, max_size=4)):
+        assert_power_is_steps(F, m, np.array(p))
+

@@ -1,8 +1,10 @@
-"""The two spaces, and the laws of the one composition entry point
-`space.compose`: a fused composition of two exact lifts agrees with the
-unfused ComposedLift / ComposedTorusLift at every point, and an exact
-lift's inverse undoes it. Tolerances follow from the local slopes of the
-maps involved, computed from each family's parameters."""
+"""The two spaces, and the composition and inverse laws of the exact
+lifts: `compose(F, G)`, which fuses two lifts of one exact family on
+the lift class, agrees with the unfused ComposedLift / ComposedTorusLift
+at every point, and an exact lift's inverse undoes it. Tolerances follow
+from the local slopes of the maps involved, computed from each family's
+parameters. The fusion rules themselves are checked in
+tests/test_fusion.py."""
 
 import copy
 import json
@@ -19,6 +21,7 @@ from bsdl.circle import (
     GluedLift,
     PiecewiseLift,
     RotationLift,
+    compose,
 )
 from bsdl.gl2z import IntMatrix2
 from bsdl.space import CIRCLE, SPACES, TORUS, space_of
@@ -48,9 +51,10 @@ class TestSpaces:
             space_of(lambda x: x)
 
     def test_identity_lifts(self):
-        assert CIRCLE.identity().raw(0.3) == 0.3
+        assert RotationLift(0.2).power(0).raw(0.3) == 0.3
         v = np.array([0.3, -1.7])
-        assert np.array_equal(TORUS.identity().raw(v), v)
+        cat = LinearTorusLift(IntMatrix2.from_rows((2, 1), (1, 1)))
+        assert np.array_equal(cat.power(0).raw(v), v)
 
     def test_lattice(self):
         assert np.array_equal(CIRCLE.lattice(4), [0.0, 0.25, 0.5, 0.75])
@@ -155,7 +159,7 @@ def moderate(p):
 @settings(max_examples=200, deadline=None)
 @given(exact_circle, exact_circle, st.data())
 def test_circle_compose_agrees_with_unfused(F, G, data):
-    fused, unfused = CIRCLE.compose(F, G), ComposedLift(F, G)
+    fused, unfused = compose(F, G), ComposedLift(F, G)
     for x in data.draw(st.lists(circle_points(G), min_size=1, max_size=8)):
         if moderate(x) and moderate(G.step(x)):
             err = abs(fused.step(x) - unfused.step(x))
@@ -165,7 +169,7 @@ def test_circle_compose_agrees_with_unfused(F, G, data):
 @settings(max_examples=120, deadline=None)
 @given(exact_torus, exact_torus, st.data())
 def test_torus_compose_agrees_with_unfused(F, G, data):
-    fused, unfused = TORUS.compose(F, G), ComposedTorusLift(F, G)
+    fused, unfused = compose(F, G), ComposedTorusLift(F, G)
     for p in data.draw(st.lists(torus_points(G), min_size=1, max_size=4)):
         v = np.array(p)
         if moderate(v) and moderate(G.raw(v)):

@@ -29,7 +29,6 @@ from bsdl.torus import (
     FunctionTorusLift,
     LinearTorusLift,
     ProductTorusLift,
-    compose2,
 )
 
 # a batch long enough for numpy's vector loops, with the point appended
@@ -127,7 +126,7 @@ torus_lifts = st.one_of(
     exact_torus,
     exact_torus.map(lambda F: F.inverse()),
     st.builds(ComposedTorusLift, exact_torus, exact_torus),
-    st.builds(compose2, exact_torus, exact_torus),
+    st.builds(compose, exact_torus, exact_torus),
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from bsdl.circle import ChartAffineLift, RotationLift, wrap
+from bsdl.circle import ChartAffineLift, RotationLift, compose, wrap
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
     ComposedTorusLift,
@@ -12,7 +12,6 @@ from bsdl.torus import (
     LinearTorusLift,
     ProductTorusLift,
     bs_rotation_constraint,
-    compose2,
     conjugate_rotation_set_check,
     convex_hull,
     hausdorff_distance,
@@ -45,7 +44,7 @@ class TestLifts:
     def test_conjugation_relation_fuses_exactly(self):
         for n in (2, 3, 5):
             f, h = standard_pair(n)
-            lhs = compose2(compose2(h, f), h.inverse())
+            lhs = compose(compose(h, f), h.inverse())
             assert isinstance(lhs, ProductTorusLift)
             assert (lhs.base.a, lhs.base.b) == (1.0, float(n))
             assert lhs.fiber.alpha == 0.0
@@ -112,7 +111,7 @@ class TestLifts:
         A = IntMatrix2.from_rows((1, 1), (0, 1))
         H1 = LinearTorusLift(A, (0.25, 0.5))
         H2 = LinearTorusLift(A.inverse(), (0.0, 0.125))
-        g = compose2(H2, H1)
+        g = compose(H2, H1)
         assert isinstance(g, LinearTorusLift)
         assert g.linear_part == I2
 
@@ -219,7 +218,7 @@ class TestRelationConstraint:
         A = IntMatrix2.from_rows((2, 1), (1, 1))
         f = LinearTorusLift(I2, (3.0 / 5.0, 1.0 / 5.0))
         h = LinearTorusLift(A)
-        lhs = compose2(compose2(h, f), h.inverse())
+        lhs = compose(compose(h, f), h.inverse())
         v = np.array([0.37, 0.81])
         assert float(torus_dist(wrap(lhs.raw(v)), wrap(f.iterate(v, 4)))) < 1e-12
 
