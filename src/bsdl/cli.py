@@ -323,7 +323,10 @@ def _parser():
 
     p = sub.add_parser("finite-orbit", help="orbit closure under both generators")
     p.add_argument("action")
-    p.add_argument("start", nargs="?", default=None, help="x or u,theta")
+    p.add_argument(
+        "start", nargs="?", default=None,
+        help="x or u,theta; after -- when it begins with -",
+    )
     _add_common(p)
     p.set_defaults(fn=_cmd_finite_orbit)
 
@@ -351,7 +354,14 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means inconclusive;
+        # --help exits 0 as before
+        if exc.code == 0:
+            raise
+        return ERROR
     try:
         return args.fn(args)
     except (GraphFoldError, NonConvergentError) as exc:

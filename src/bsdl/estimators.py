@@ -355,6 +355,7 @@ def bs_minimal_set(
         return MinimalSetEstimate(
             "FiniteOrbit", orb.points, cells, P, family, diag
         )
+    diag["orbit_reason"] = orb.reason
 
     pts = np.array([x for x, _ in orbit(h, x0, int(orbit_iterates), transient)])
     columns = list(pts.reshape(len(pts), space.dim).T)

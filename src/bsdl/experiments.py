@@ -295,7 +295,7 @@ def classify_perturbed(
         if orb.closed:
             evidence["orbit_defect"] = orb.defect
             return TrichotomyReport(rho, "FiniteOrbits", evidence, orb)
-        evidence["reason"] = "rational witness but the orbit did not close"
+        evidence["reason"] = f"rational witness but the orbit is open: {orb.reason}"
         return TrichotomyReport(rho, "Unknown", evidence, orb)
 
     # irrational: one long restricted orbit, gap statistics at several

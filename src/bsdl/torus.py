@@ -185,7 +185,12 @@ class LinearTorusLift(TorusLift):
             raise ValueError(f"linear part must have determinant +-1, got {A.det()}")
         self.linear_part = A
         self.b = (float(b[0]), float(b[1]))
-        self._rows = tuple(tuple(float(x) for x in r) for r in A.rows())
+        try:
+            self._rows = tuple(tuple(float(x) for x in r) for r in A.rows())
+        except OverflowError:
+            raise ValueError(
+                "linear part has an entry beyond the float range"
+            ) from None
         self.label = label or f"linear{A.rows()}"
 
     def raw(self, v):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsdl.bsgroup import (
+    CLOSED_DEFECT_RATIO,
     BSAction,
     FiniteOrbit,
     Word,
@@ -38,6 +39,8 @@ from bsdl.circle import (
 )
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import LinearTorusLift, ProductTorusLift, torus_dist
+
+BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def affine_action(n):
@@ -266,6 +269,52 @@ class TestFiniteOrbits:
         assert orb.closed
         assert orb.size <= 3
 
+    def test_true_closure_is_verified(self):
+        orb = finite_bs_orbit(nonfaithful_circle(2, "rot:1/3"), 0.1)
+        assert orb.closed and orb.size == 3
+        assert orb.defect < CLOSED_DEFECT_RATIO * orb.merge_tol
+        assert orb.reason is None
+
+    def test_near_closure_is_open_with_its_defect(self):
+        # the infinite orbit of a Denjoy fiber "closes" at 2406 points
+        # once its images come within merge_tol of earlier points
+        orb = finite_bs_orbit(denjoy_action(2, GOLDEN_MEAN, 8), 0.0)
+        assert orb.size == 2406 and not orb.closed
+        assert CLOSED_DEFECT_RATIO * orb.merge_tol < orb.defect < orb.merge_tol
+        assert orb.reason == f"near-closure at defect {orb.defect:.3e}"
+        assert orb.to_json()["reason"] == orb.reason
+
+    def test_cut_orbit_has_no_defect(self):
+        orb = finite_bs_orbit(affine_action(2), 0.5, max_size=40)
+        assert not orb.closed and orb.defect is None
+        assert orb.reason == "cut at max_size 40"
+
+    @pytest.mark.parametrize("x0", [0.99999985, 0.5])
+    def test_merges_across_the_seam(self, x0):
+        # 1 / 3e-7 is not an integer; h moves every point by 2e-7, so each
+        # image merges back into the start, also when it wraps past 1
+        f, h = RotationLift(0.0), RotationLift(2e-7)
+        orb = finite_bs_orbit(make_action(f, h, 2), x0, merge_tol=3e-7)
+        assert orb.size == 1
+        assert orb.defect == pytest.approx(2e-7, rel=1e-6)
+
+    def test_wrap_stays_below_one(self):
+        # -1e-17 - floor(-1e-17) rounds to 1.0, which the float wrap
+        # replaces with the largest double below 1
+        orb = finite_bs_orbit(nonfaithful_circle(2, "rot:1/3"), -1e-17)
+        assert orb.size == 3 and orb.closed
+        assert orb.points[0] == BELOW_ONE
+        assert np.all(orb.points < 1.0)
+        orb = finite_bs_orbit(product_action(2, "rot:1/3"), (-1e-17, 0.0))
+        assert orb.size == 3
+        assert np.all((0.0 <= orb.points) & (orb.points < 1.0))
+
+    def test_non_finite_image_is_a_value_error(self):
+        f, h = RotationLift(0.0), RotationLift(math.nan)
+        act = BSAction(n=2, f=f, h=h, space="circle")
+        with pytest.raises(ValueError, match="left the real line"):
+            finite_bs_orbit(act, 0.3)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, 5e-324])
     def test_rejects_merge_tol_not_positive_and_finite(self, tol):
         # 5e-324 is positive, but its reciprocal, the hash size, overflows
@@ -293,17 +342,22 @@ class TestFiniteOrbits:
 # frontier-batched closure against the point-at-a-time reference
 
 
-def reference_finite_orbit(action, x0, merge_tol=1e-6, max_size=10000, verify_cap=3000):
+def reference_finite_orbit(action, x0, merge_tol=1e-6, max_size=10000):
     """The closure as it stepped before frontier batching: one raw call
-    per point and generator, merged through the same spatial hash."""
+    per point and generator, merged through a spatial hash, then checked
+    by stepping every point again against the whole point set. Wrapping
+    clamps 1.0 to the largest double below it, as the orbit kernel does."""
     dim = 1 if action.space == "circle" else 2
     gens = [action.f, action.h, action.f.inverse(), action.h.inverse()]
     K = int(np.ceil(1.0 / merge_tol))
 
+    def wrapped(p):
+        return np.minimum(wrap(p), BELOW_ONE)
+
     def norm_point(p):
         if dim == 1:
-            return float(wrap(p))
-        return tuple(np.asarray(wrap(p), dtype=float))
+            return float(wrapped(p))
+        return tuple(np.asarray(wrapped(p), dtype=float))
 
     def key_of(p):
         if dim == 1:
@@ -354,12 +408,11 @@ def reference_finite_orbit(action, x0, merge_tol=1e-6, max_size=10000, verify_ca
         frontier = nxt
 
     pts = np.asarray(points, dtype=float)
-    closed = not overflow
     defect = None
-    if closed and len(points) <= verify_cap:
+    if not overflow:
         defect = 0.0
         for g in gens:
-            imgs = wrap(g.raw(pts))
+            imgs = wrapped(g.raw(pts))
             for img in np.atleast_1d(imgs) if dim == 1 else imgs:
                 d = float(
                     np.min(
@@ -369,6 +422,7 @@ def reference_finite_orbit(action, x0, merge_tol=1e-6, max_size=10000, verify_ca
                     )
                 )
                 defect = max(defect, d)
+    closed = not overflow and defect < CLOSED_DEFECT_RATIO * merge_tol
     return pts, len(points), closed, defect
 
 

@@ -109,6 +109,19 @@ class TestMatrixAndOrbits:
         d = json.loads(out)
         assert code == cli.OK
         assert d["size"] == 3 and d["closed"]
+        assert d["reason"] is None
+
+    def test_denjoy_near_closure_is_open(self, capsys):
+        # an infinite Denjoy orbit squeezed below merge_tol used to
+        # report a closed orbit of 9428 points
+        code, out, _ = run(
+            capsys, "finite-orbit", "nonfaithful-circle", "--k", "denjoy:ln2,11,0.45"
+        )
+        d = strict_json(out)
+        assert code == cli.INCONCLUSIVE
+        assert d["closed"] is False
+        assert 1e-9 < d["defect"] < d["merge_tol"]
+        assert d["reason"].startswith("near-closure at defect ")
 
 
 class TestEstimatorCommands:
@@ -269,6 +282,33 @@ class TestNumericalGiveUp:
     def test_usage_errors_keep_exit_one(self, capsys):
         code, _, _ = run(capsys, "trichotomy", "standard-line")
         assert code == cli.ERROR
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("minimal-set", "standard-line", "--bogus"),
+            ("finite-orbit", "standard-torus", "-0.5,0.2"),
+            ("no-such-command",),
+            (),
+        ],
+    )
+    def test_parse_errors_exit_one(self, capsys, argv):
+        # argparse's own status for these is 2, which means inconclusive
+        code, out, err = run(capsys, *argv)
+        assert code == cli.ERROR
+        assert out == ""
+        assert "error:" in err
+
+    def test_start_after_double_dash_may_begin_with_minus(self, capsys):
+        code, out, _ = run(capsys, "finite-orbit", "product", "--", "-1,-0.5")
+        assert code == cli.OK
+        assert strict_json(out)["closed"] is True
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["finite-orbit", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestOutputFile:

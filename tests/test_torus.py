@@ -91,6 +91,16 @@ class TestLifts:
         if m == 1:
             assert H.iterate(vs, 1).tobytes() == H.raw(vs).tobytes()
 
+    @pytest.mark.parametrize("m", [738, -738])
+    def test_linear_power_beyond_the_floats_is_a_value_error(self, m):
+        # [[2, 1], [1, 1]]^738 has an entry above 1.8e308; m = 737 fits
+        H = LinearTorusLift(IntMatrix2.from_rows((2, 1), (1, 1)), (0.3, 0.1))
+        assert np.isfinite(H.iterate((0.2, 0.4), 737)).all()
+        with pytest.raises(ValueError, match="beyond the float range"):
+            H.power(m)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            H.iterate((0.2, 0.4), m)
+
     def test_linear_requires_unimodular(self):
         with pytest.raises(ValueError):
             LinearTorusLift(IntMatrix2.from_rows((2, 0), (0, 1)))
