@@ -16,7 +16,9 @@ Conventions used throughout the package:
 * the exact families (rotations, chart-affine and glued block maps) fuse
   `compose` and `power` into one lift of the family and compare through
   `same_params`; other lifts compose into a `ComposedLift` and power by
-  stepping. `iterate(x, m)` is `power(m)` at x.
+  stepping, except a shift by whole blocks composed with a glued map on
+  those blocks, whose power fuses blockwise. `iterate(x, m)` is
+  `power(m)` at x.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +42,8 @@ __all__ = [
     "BisectionInverse",
     "compose",
     "rotation_number",
+    "birkhoff_rotation",
+    "rational_witness",
     "RotationNumberEstimate",
     "denjoy_lift",
     "chart_from_real",
@@ -547,10 +552,30 @@ class ComposedLift(CircleLift):
     def inverse(self):
         return ComposedLift(self.inner.inverse(), self.outer.inverse())
 
+    def power(self, m: int):
+        # a shift by whole blocks commutes with a glued map on those
+        # blocks, so (shift o glued)^m = shift^m o glued^m, in either order
+        if m >= 2 and _shifts_blocks(self.outer, self.inner):
+            outer, inner = self.outer.power(m), self.inner.power(m)
+            if not isinstance(outer, FunctionLift) and not isinstance(inner, FunctionLift):
+                return ComposedLift(outer, inner)
+        return super().power(m)
+
     def seam_distance(self, x):
         return nearest_seam(
             self.inner.seam_distance(x), self.outer.seam_distance(self.inner(x))
         )
+
+
+def _shifts_blocks(F, G) -> bool:
+    """Whether one of F, G is a GluedLift with m blocks and the other a
+    rotation by j/m: the float j/m, so shift(1/m) passes for every m."""
+    if isinstance(F, GluedLift):
+        F, G = G, F
+    if not (isinstance(F, RotationLift) and isinstance(G, GluedLift)):
+        return False
+    j = F.alpha * G.m
+    return math.isfinite(j) and round(j) / G.m == F.alpha
 
 
 class FunctionLift(CircleLift):
@@ -628,6 +653,11 @@ class RotationNumberEstimate:
     rational_witness: tuple | None
     error_bound: float
 
+    @classmethod
+    def of(cls, value: float, iterates: int, witness):
+        """The estimate from N = iterates steps and the witness scan."""
+        return cls(value, int(iterates), witness, 1.0 / iterates + INVERSE_TOL)
+
     def to_json(self):
         w = None
         if self.rational_witness is not None:
@@ -651,23 +681,49 @@ def rotation_number(
 ) -> RotationNumberEstimate:
     """Rotation number of the circle map under F.
 
-    The estimate is (F^N(x0) - x0)/N mod 1. Certification scans periods
-    q <= q_max over a uniform grid (which contains 0, so fixed points
-    sitting at chart-rational positions certify exactly): a witness is a
-    grid point x with |F^q(x) - x - p| < tol.
+    The estimate is (F^N(x0) - x0)/N mod 1 (`birkhoff_rotation`), and
+    the certificate a grid point of period q <= q_max
+    (`rational_witness`).
     """
     if iterates < 1:
         raise ValueError("iterates must be positive")
-    total = None
-    if type(F).power is not CircleLift.power:  # a closed-form power
-        try:
-            total = F.iterate(x0, iterates) - x0
-        except ValueError:  # it overflowed, and that many steps are refused
-            pass
-    if total is None:
-        total = sum(fy - y for y, fy in orbit(F, x0, iterates))
-    value = float(wrap(total / iterates))
-    witness = None
+    return RotationNumberEstimate.of(
+        birkhoff_rotation(F, x0, iterates),
+        iterates,
+        rational_witness(F, q_max, tol, cert_grid),
+    )
+
+
+def birkhoff_rotation(F: CircleLift, x0: float, iterates: int, pairs=None) -> float:
+    """(F^N(x0) - x0)/N mod 1 for N = iterates.
+
+    A lift with a closed-form power gives F^N(x0) directly. Otherwise
+    the displacements F(x) - x of the first N pairs of `pairs`, an
+    `orbit(F, x0, ...)` the caller may go on reading, are summed in
+    orbit order; by default the orbit of x0 is stepped here.
+    """
+    try:
+        power = F.power(iterates)
+    except ValueError:  # no closed form, and that many steps are refused
+        power = None
+    if power is not None and not isinstance(power, FunctionLift):
+        total = power(x0) - x0
+    else:  # a power with no closed form steps
+        if pairs is None:
+            pairs = orbit(F, x0, iterates)
+        total = sum(fy - y for y, fy in islice(pairs, iterates))
+    return float(wrap(total / iterates))
+
+
+def rational_witness(
+    F: CircleLift, q_max: int = 64, tol: float = 1e-8, cert_grid: int = 256
+):
+    """(p, q, x, residual) with |F^q(x) - x - p| = residual < tol, or None.
+
+    Scans periods q <= q_max over a uniform grid of cert_grid points,
+    smallest q first. The grid contains 0, so fixed points sitting at
+    chart-rational positions certify exactly.
+    """
     xs = np.arange(cert_grid) / cert_grid
     ys = xs.copy()
     for q in range(1, q_max + 1):
@@ -677,14 +733,8 @@ def rotation_number(
         resid = np.abs(disp - p)
         i = int(np.argmin(resid))
         if resid[i] < tol and abs(p[i]) <= q:
-            witness = (int(p[i]), q, float(xs[i]), float(resid[i]))
-            break
-    return RotationNumberEstimate(
-        value=value,
-        iterates_used=int(iterates),
-        rational_witness=witness,
-        error_bound=1.0 / iterates + INVERSE_TOL,
-    )
+            return (int(p[i]), q, float(xs[i]), float(resid[i]))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -223,13 +223,15 @@ def gap_profile_label(coords, resolution: int):
     at most half the first size's gap. A Cantor set keeps its widest
     gap: MinimalCantor needs the last two sizes within 10% and g above
     ten cells at `resolution`, the coarsest grid the caller reads.
-    reason says why a label is Unknown, and is None otherwise.
+    reason says why a label is Unknown, naming each failed test with its
+    numbers, and is None otherwise.
     """
     sizes = sorted({min(s, len(coords)) for s in GAP_SIZES})
     gaps = [_largest_gap(coords[:s]) for s in sizes]
     profile = {str(s): g for s, g in zip(sizes, gaps)}
-    g = gaps[-1]
-    if g < 5.0 / math.sqrt(sizes[-1]) and g <= 0.5 * gaps[0]:
+    g, n = gaps[-1], sizes[-1]
+    bound = 5.0 / math.sqrt(n)
+    if g < bound and g <= 0.5 * gaps[0]:
         return "MinimalCircle", profile, None
     if len(gaps) >= 2 and abs(gaps[-2] - g) <= 0.1 * g:
         if g > 10.0 / resolution:
@@ -237,7 +239,26 @@ def gap_profile_label(coords, resolution: int):
         return "Unknown", profile, (
             f"gap profile stabilized below ten cells at resolution {resolution}"
         )
-    return "Unknown", profile, "gap profile neither vanishing nor stabilized"
+    if len(gaps) < 2:
+        return "Unknown", profile, (
+            f"gap profile has one sample size ({n} points), so it can "
+            "neither halve nor stabilize"
+        )
+    failed = []
+    if not g < bound:
+        failed.append(
+            f"largest gap {g:.3e} at {n} points is not below 5/sqrt(N) = {bound:.3e}"
+        )
+    if not g <= 0.5 * gaps[0]:
+        ratio = g / gaps[0] if gaps[0] > 0.0 else math.nan
+        failed.append(
+            f"largest gap {g:.3e} at {n} points is {ratio:.2f} of "
+            f"{gaps[0]:.3e} at {sizes[0]} points, above 1/2"
+        )
+    return "Unknown", profile, (
+        f"gap profile not vanishing: {'; '.join(failed)}; not stabilized: it "
+        f"moved from {gaps[-2]:.3e} at {sizes[-2]} points, more than 10%"
+    )
 
 
 @dataclass

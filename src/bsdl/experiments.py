@@ -11,18 +11,20 @@ evidence is inconclusive the harness says Unknown instead of guessing.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .bsgroup import BSAction, FiniteOrbit, finite_bs_orbit, make_action
 from .circle import (
-    FunctionLift,
+    CircleLift,
     RotationNumberEstimate,
+    birkhoff_rotation,
     circle_dist,
     compose,
     orbit,
-    rotation_number,
+    rational_witness,
     wrap,
 )
 from .estimators import CellSet, fixed_cells, gap_profile_label
@@ -219,24 +221,43 @@ class TrichotomyReport:
         }
 
 
+class GraphRestriction(CircleLift):
+    """Return map of a torus lift h on an invariant graph theta -> u, as
+    a circle lift in theta: t -> the angle coordinate of h(u(t), t).
+
+    `raw` evaluates the graph and h on arrays. `step` maps one angle
+    through `h.step` in Python floats, so the exact factors of h step
+    without numpy; it gives the bits of `raw` on that angle alone. Its
+    power steps.
+    """
+
+    label = "h on invariant circle"
+
+    def __init__(self, h: TorusLift, circle: InvariantCircleEstimate):
+        self.h = h
+        self.circle = circle
+
+    def raw(self, t):
+        t = np.asarray(t, dtype=float)
+        u = np.asarray(self.circle.at(t), dtype=float)
+        return self.h.raw(np.stack([u, np.broadcast_to(t, u.shape)], axis=-1))[..., 1]
+
+    def step(self, t):
+        return self.h.step((float(self.circle.at(t)), t))[1]
+
+
 def restricted_circle_map(h: TorusLift, circle: InvariantCircleEstimate):
-    """Return map of h on an invariant graph as a circle lift.
+    """Return map of h on an invariant circle as a circle lift, and its kind.
 
     When the graph is a horizontal fiber of a product action the fiber
-    factor is returned as-is, exactly; interpolating through the graph
-    would smear an exactly rational fiber angle by the interpolation
-    error and fake or destroy rational witnesses. Otherwise the angle
-    coordinate of h along the graph is wrapped into a function lift.
+    factor is returned as-is ("product-fiber"), exactly; interpolating
+    through the graph would smear an exactly rational fiber angle by the
+    interpolation error and fake or destroy rational witnesses.
+    Otherwise the map is a `GraphRestriction` ("graph").
     """
     if circle.spread() < 1e-12 and isinstance(h, ProductTorusLift):
         return h.fiber, "product-fiber"
-
-    def angle_map(t):
-        t = np.asarray(t, dtype=float)
-        u = np.asarray(circle.at(t), dtype=float)
-        return h.raw(np.stack([u, np.broadcast_to(t, u.shape)], axis=-1))[..., 1]
-
-    return FunctionLift(angle_map, label="h on invariant circle"), "graph"
+    return GraphRestriction(h, circle), "graph"
 
 
 def classify_perturbed(
@@ -251,15 +272,24 @@ def classify_perturbed(
 ) -> TrichotomyReport:
     """Decide the minimal-set trichotomy on an h-invariant circle.
 
-    A rational rotation number (certified by a witness) sends the
-    search to finite_bs_orbit from the witness point; FiniteOrbits is
-    reported only when that orbit actually closes. An irrational one is
-    classified through the largest-gap profile of the restricted orbit,
-    reusing one orbit across all resolutions. Anything inconclusive is
-    Unknown.
+    The restricted map is stepped along one orbit of 0 with N =
+    orbit_iterates. Its first N pairs give the Birkhoff sum of the
+    rotation number (a lift with a closed-form power gives h^N(0)
+    instead), and its points transient ... transient + N - 1 the gap
+    profile. A rational rotation number, certified by a witness, stops
+    the orbit after N pairs and sends the search to finite_bs_orbit from
+    the witness point; FiniteOrbits is reported only when that orbit
+    actually closes. An irrational one is classified through the
+    largest-gap profile of the orbit, reusing it across all resolutions.
+    Anything inconclusive is Unknown.
     """
     if action.space != "torus":
         raise ValueError("trichotomy classification expects a torus action")
+    N = int(orbit_iterates)
+    if N < 1 or transient < 0:
+        raise ValueError(
+            f"need orbit_iterates >= 1 and transient >= 0, got {N}, {transient}"
+        )
     if circle is None:
         circle = find_invariant_circle(action.h, 0.0)
 
@@ -277,7 +307,19 @@ def classify_perturbed(
 
     restriction, kind = restricted_circle_map(action.h, circle)
     evidence["restriction"] = kind
-    rho = rotation_number(restriction, iterates=orbit_iterates, q_max=q_max)
+    steps = orbit(restriction, 0.0, N + transient)
+    angles = []
+
+    def head():
+        for t, ft in islice(steps, N):
+            angles.append(t)
+            yield t, ft
+
+    rho = RotationNumberEstimate.of(
+        birkhoff_rotation(restriction, 0.0, N, head()),
+        N,
+        rational_witness(restriction, q_max),
+    )
 
     if not meets:
         evidence["reason"] = "f-fixed cells never meet the circle"
@@ -298,11 +340,11 @@ def classify_perturbed(
         evidence["reason"] = f"rational witness but the orbit is open: {orb.reason}"
         return TrichotomyReport(rho, "Unknown", evidence, orb)
 
-    # irrational: one long restricted orbit, gap statistics at several
-    # sample sizes, cell coverage at several resolutions
-    angles = np.array(
-        [t for t, _ in orbit(restriction, 0.0, int(orbit_iterates), transient)]
-    )
+    # irrational: the rest of the orbit (all of it when the Birkhoff sum
+    # came from a closed form), gap statistics at several sample sizes,
+    # cell coverage at several resolutions
+    angles += [t for t, _ in steps]
+    angles = np.array(angles)[transient:]
     label, evidence["gap_profile"], reason = gap_profile_label(
         angles, min(resolutions)
     )

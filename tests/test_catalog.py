@@ -20,9 +20,13 @@ from bsdl.catalog import (
 )
 from bsdl.circle import (
     MAX_STEPPED_POWER,
+    ComposedLift,
     DenjoyLift,
+    GluedLift,
+    RotationLift,
     chart_from_real,
     circle_dist,
+    compose,
     rotation_number,
     wrap,
 )
@@ -140,11 +144,28 @@ class TestPeriodicExamples:
 
     def test_power_beyond_the_step_limit_raises_at_once(self):
         act = periodic_circle_example(3)
+        # shift(10^400 / 2) is beyond the floats: no closed form
         with pytest.raises(ValueError, match="no closed form"):
             act.f.power(10**400)
+        # a shift off the block grid does not commute with the blocks
+        g = compose(RotationLift(0.3), GluedLift(2, 1.0, 1.0))
         with pytest.raises(ValueError, match="no closed form"):
-            act.f.power(-(MAX_STEPPED_POWER + 1))
-        assert act.f.power(MAX_STEPPED_POWER).label.endswith("^1000000")
+            g.power(-(MAX_STEPPED_POWER + 1))
+        assert g.power(MAX_STEPPED_POWER).label.endswith("^1000000")
+
+    @pytest.mark.parametrize("n", [3, 50, 104, 1001])
+    def test_power_fuses_shift_and_blocks(self, n):
+        # f = shift(1/m) o glued(m; 1, 1) and f^k = shift(k/m) o glued(m; 1, k);
+        # for m = 49 and 103, (1/m) * m is not 1.0 in floats
+        f = periodic_circle_example(n).f
+        m = n - 1
+        for k in (n * n, -(MAX_STEPPED_POWER + 1)):
+            p = f.power(k)
+            assert isinstance(p, ComposedLift)
+            shift, glued = (p.outer, p.inner) if k > 0 else (p.inner, p.outer)
+            assert shift.same_params(RotationLift(1.0 / m).power(k))
+            assert glued.same_params(GluedLift(m, 1.0, 1.0).power(k))
+        assert relation_report(periodic_circle_example(n)).passed
 
     def test_periodic_orbit_of_block_endpoints(self):
         act = periodic_circle_example(3)

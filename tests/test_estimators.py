@@ -205,7 +205,37 @@ class TestGapProfileLabel:
         label, profile, reason = gap_profile_label(self.golden[:500], 256)
         assert list(profile) == ["500"]
         assert label == "Unknown"
-        assert reason == "gap profile neither vanishing nor stabilized"
+        assert reason == (
+            "gap profile has one sample size (500 points), so it can "
+            "neither halve nor stabilize"
+        )
+
+    def test_unknown_reason_names_the_failed_tests(self):
+        # a hole [0.5, 0.51) in 1000 points is filled down to [0.5, 0.507)
+        # by 9000 more: the gap passes the 5/sqrt(N) test, does not halve
+        # and moves by 30%
+        first = 0.51 + 0.99 * np.arange(1000) / 999
+        coords = np.concatenate([first, 0.507 + 0.003 * np.arange(9000) / 9000])
+        label, profile, reason = gap_profile_label(coords, 256)
+        g0, g = profile["1000"], profile["10000"]
+        assert label == "Unknown"
+        assert (round(g0, 6), round(g, 6)) == (0.01, 0.007)
+        assert reason == (
+            f"gap profile not vanishing: largest gap {g:.3e} at 10000 points "
+            f"is 0.70 of {g0:.3e} at 1000 points, above 1/2; not stabilized: "
+            f"it moved from {g0:.3e} at 1000 points, more than 10%"
+        )
+        # 0.9 at 1000 points, then 0.5 at 2000: both tests fail
+        coords = np.concatenate([0.1 * self.golden[:1000], 0.5 * self.golden[:1000]])
+        _, profile, reason = gap_profile_label(coords, 256)
+        g0, g = profile["1000"], profile["2000"]
+        assert reason == (
+            f"gap profile not vanishing: largest gap {g:.3e} at 2000 points "
+            "is not below 5/sqrt(N) = 1.118e-01; largest gap "
+            f"{g:.3e} at 2000 points is {g / g0:.2f} of {g0:.3e} at 1000 "
+            f"points, above 1/2; not stabilized: it moved from {g0:.3e} at "
+            "1000 points, more than 10%"
+        )
 
 
 class TestDifferentialAt:

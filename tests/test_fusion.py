@@ -12,7 +12,9 @@ replaced (below), on the exact families of tests/test_step.py:
 * `same_params` answers as the reference does, and when it says yes
   both lifts give the same bits on a lattice.
 * `F.power(m)` agrees with m steps of F within the slope-derived
-  rounding budgets of tests/test_space.py.
+  rounding budgets of tests/test_space.py; so does the power of a shift
+  by whole blocks composed with a glued map, which fuses as
+  shift^m o glued^m.
 """
 
 import math
@@ -39,7 +41,7 @@ from bsdl.torus import (
 )
 
 from test_space import EPS, ROUNDINGS, exact_torus, moderate, size, slope
-from test_step import circle_points, exact_circle, torus_points
+from test_step import circle_points, exact_circle, offsets, torus_points
 
 # ---------------------------------------------------------------------------
 # reference: the isinstance tables the lift classes replaced
@@ -300,3 +302,51 @@ def test_torus_power_agrees_with_steps(F, m, data):
     for p in data.draw(st.lists(torus_points(F), min_size=1, max_size=4)):
         assert_power_is_steps(F, m, np.array(p))
 
+
+# A shift by j/m composed with a glued map on m blocks, in either order;
+# j = 1 gives shift(1/m), whose (1/m) * m is not 1.0 for m = 49, 98, 103.
+# The float j/m is not on the block grid, so a point the shift sends to
+# a block endpoint may land an ulp to either side of it, in stepping and
+# in the fused power alike. Where the endpoint is hyperbolic (a != 1),
+# an ulp grows like a^-k in the k-th power before the slope is of any
+# use, which the first-order budgets do not model: slopes stay within
+# [1/2, 2], and at a = 1 (the periodic examples' glued maps) the
+# endpoints are parabolic.
+block_shifts = st.builds(
+    lambda m, j, a, b, glued_first: (
+        ComposedLift(GluedLift(m, a, b), RotationLift(j / m))
+        if glued_first
+        else ComposedLift(RotationLift(j / m), GluedLift(m, a, b))
+    ),
+    st.integers(1, 110),
+    st.integers(-3, 3),
+    st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+    offsets,
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_shifts, exponents.filter(bool), st.data())
+def test_block_shift_power_agrees_with_steps(F, m, data):
+    glued = F.outer if isinstance(F.outer, GluedLift) else F.inner
+    # fused, unless the glued map's power overflows and steps
+    fused = isinstance(F.power(m), ComposedLift)
+    assert fused == (abs(m) == 1 or not isinstance(glued.power(m), FunctionLift))
+    for x in data.draw(st.lists(circle_points(F), min_size=1, max_size=6)):
+        assert_power_is_steps(F, m, x)
+
+
+def test_every_block_shift_fuses():
+    for m in range(1, 2000):
+        for j in (1, m - 1, 2 * m + 1):
+            F = compose(RotationLift(j / m), GluedLift(m, 1.0, 1.0))
+            P = F.power(m + 5)
+            assert isinstance(P, ComposedLift), m
+            assert P.outer.same_params(RotationLift(j / m).power(m + 5))
+            assert P.inner.same_params(GluedLift(m, 1.0, m + 5.0))
+    # off the block grid, the power steps
+    F = compose(RotationLift(0.3), GluedLift(2, 1.0, 1.0))
+    assert isinstance(F.power(3), FunctionLift)
+    F = compose(RotationLift(1.0 / 3.0), GluedLift(2, 1.0, 1.0))
+    assert isinstance(F.power(3), FunctionLift)

@@ -111,6 +111,8 @@ def slope(F, x):
         r = r + 1.0 if r < F.bx[0] else r
         j = min(int(np.searchsorted(xs, r, "right")) - 1, sl.size - 1)
         return float(max(sl[j], sl[j - 1]) if xs[j] == r else sl[j])
+    if isinstance(F, ComposedLift):
+        return slope(F.outer, F.inner.raw(x)) * slope(F.inner, x)
     if isinstance(F, ProductTorusLift):
         return max(slope(F.base, x[0]), slope(F.fiber, x[1]))
     if isinstance(F, LinearTorusLift):

@@ -2,7 +2,8 @@
 `raw` gives for that point, alone or inside a batch. Property-tested on
 the exact circle and torus families, their inverses and compositions,
 at generic points, glued points, points within 2^-54 below an integer,
-piecewise breakpoints, large |x| and non-finite input."""
+piecewise breakpoints, large |x| and non-finite input; and on the graph
+restriction of conjugated actions at finite points."""
 
 import functools
 import math
@@ -11,6 +12,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from bsdl.catalog import perturbed_torus
 from bsdl.circle import (
     GOLDEN_MEAN,
     BisectionInverse,
@@ -22,6 +24,13 @@ from bsdl.circle import (
     RotationLift,
     compose,
     denjoy_lift,
+)
+from bsdl.experiments import (
+    GraphRestriction,
+    conjugated_action,
+    find_invariant_circle,
+    near_identity_diffeo,
+    restricted_circle_map,
 )
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
@@ -184,6 +193,42 @@ def torus_points(F):
 def test_torus_step_is_raw(F, data):
     for p in data.draw(st.lists(torus_points(F), min_size=1, max_size=8)):
         assert_torus_step_is_raw(F, p)
+
+
+@functools.lru_cache(maxsize=None)
+def graph_restriction(n, angle, seed):
+    """h of perturbed_torus(n) with fiber angle `angle` (log n if None),
+    conjugated by a bump map and restricted to its invariant circle."""
+    eps = 0.0 if angle is None else angle - math.log(n)
+    act = conjugated_action(perturbed_torus(n, eps), near_identity_diffeo(1e-3, seed=seed))
+    F, kind = restricted_circle_map(act.h, find_invariant_circle(act.h, 0.0, samples=256))
+    assert kind == "graph" and isinstance(F, GraphRestriction)
+    return F
+
+
+graph_restrictions = st.builds(
+    graph_restriction,
+    st.sampled_from([2, 3]),
+    st.sampled_from([None, 2 / 5, 3 / 7]),
+    st.sampled_from([0, 5]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_restrictions, st.data())
+def test_graph_restriction_step_is_raw(F, data):
+    # step has the bits of raw on the point alone. In a batch, the bump
+    # inverse runs Newton until every row has converged, so a row may
+    # take one more step than the point alone and move by an ulp or two
+    # (TestBumpLaws holds batch rows to 1e-15). The bump inverse raises
+    # on a non-finite point, in step and raw alike, so points are finite.
+    points = circle_points(RotationLift(0.0)).filter(math.isfinite)
+    for t in data.draw(st.lists(points, min_size=1, max_size=8)):
+        y = F.step(t)
+        assert type(y) is float
+        alone, batch = raw_alone_and_in_batch(F, t, 1)
+        assert same(y, float(alone)), (t, y, float(alone))
+        assert abs(y - float(batch)) <= 1e-14 * (1.0 + abs(y)), (t, y, float(batch))
 
 
 def test_chart_affine_on_a_dense_grid():
