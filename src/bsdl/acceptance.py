@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .experiments import (
     restricted_circle_map,
 )
 from .gl2z import IntMatrix2, conjugate_in_gl2z, finite_order
+from .report import jsonable
 from .space import CIRCLE, TORUS
 from .torus import (
     LinearTorusLift,
@@ -50,20 +50,6 @@ from .torus import (
 )
 
 __all__ = ["CRITERIA", "run_all", "report_hash"]
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return [int(x.numerator), int(x.denominator)]
-    if isinstance(x, np.generic):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +440,7 @@ def _run_one(cid, name, fn, seed):
         "id": cid,
         "name": name,
         "passed": bool(passed),
-        "details": _jsonable(details),
+        "details": jsonable(details),
         "elapsed": time.perf_counter() - t0,
     }
 

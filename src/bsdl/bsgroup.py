@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import _wrap_float as wrap_float
+from .report import Report
 from .space import CIRCLE, SPACES, TORUS, space_of
 
 __all__ = [
@@ -141,7 +142,7 @@ def word_to_affine(word: Word, n: int):
 
 
 @dataclass
-class NormalForm:
+class NormalForm(Report):
     """a^-p b^m a^q with p, q >= 0; p is minimal for the element."""
 
     p: int
@@ -151,9 +152,6 @@ class NormalForm:
 
     def to_word(self) -> Word:
         return Word([("a", -self.p), ("b", self.m), ("a", self.q)])
-
-    def to_json(self):
-        return {"p": self.p, "m": self.m, "q": self.q, "n": self.n}
 
     def __str__(self):
         return str(self.to_word())
@@ -348,7 +346,7 @@ CLOSED_DEFECT_RATIO = 1e-2
 
 
 @dataclass
-class FiniteOrbit:
+class FiniteOrbit(Report):
     """Closure of a point under f, h and their inverses, up to merging.
 
     defect is the largest distance from a generator image of an orbit
@@ -364,16 +362,6 @@ class FiniteOrbit:
     merge_tol: float
     defect: float | None = None
     reason: str | None = None
-
-    def to_json(self):
-        return {
-            "size": self.size,
-            "closed": self.closed,
-            "merge_tol": self.merge_tol,
-            "defect": self.defect,
-            "reason": self.reason,
-            "points": self.points.tolist(),
-        }
 
 
 def finite_bs_orbit(

@@ -78,6 +78,13 @@ def _check_n(n: int) -> int:
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    try:
+        # the lifts scale by n in floats
+        float(n)
+    except OverflowError:
+        raise ValueError(
+            f"need n to fit in a float, got a {n.bit_length()}-bit n"
+        ) from None
     return n
 
 

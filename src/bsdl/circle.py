@@ -88,9 +88,14 @@ def orbit(F, x0, iterates: int, transient: int = 0):
     follows the lift, not the shape of the start: an array start of a
     circle lift, or an (m, 2) start of a torus lift, is a batch and
     steps as one array through `F.raw`, each start following the orbit
-    it would follow alone. `step` returns the bits of `raw`, and the
-    wrap x - floor(x) is the same on floats and arrays, so a start
-    yields the same numbers alone as inside a batch. A value that rounds
+    it would follow alone. `step` returns the bits of `raw` on the point
+    alone, and the wrap x - floor(x) is the same on floats and arrays,
+    so a start of an elementwise lift, one whose `raw` gives each point
+    the bits it gives that point alone (the exact families), yields the
+    same numbers alone as inside a batch. Other lifts need not: the bump
+    field of `near_identity_diffeo` runs a matrix product and vectorized
+    cos and sin whose bits depend on the batch, so a conjugated action's
+    batch rows may differ from single starts by an ulp. A value that rounds
     up to 1.0 (x within 2^-54 below an integer) becomes the largest
     double below 1. A non-finite image of a single point raises
     ValueError.

@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .acceptance import _jsonable, run_all
+from .acceptance import run_all
 from .bsgroup import finite_bs_orbit, relation_report
 from .catalog import CATALOG, build_action
 from .circle import rotation_number
@@ -31,6 +31,7 @@ from .experiments import (
     persistent_fixed_point,
 )
 from .gl2z import IntMatrix2, conjugate_in_gl2z, finite_order
+from .report import jsonable
 from .torus import bs_rotation_constraint, rotation_set
 
 OK = 0
@@ -54,12 +55,7 @@ def _atomic_write(path, text):
 
 
 def _dumps(payload):
-    return json.dumps(_jsonable(payload), indent=1, sort_keys=True, allow_nan=False)
-
-
-def _or(value, default):
-    """The flag's value when given (0 included), else the default."""
-    return default if value is None else value
+    return json.dumps(jsonable(payload), indent=1, sort_keys=True, allow_nan=False)
 
 
 def _emit(payload, args):
@@ -125,11 +121,7 @@ def _cmd_catalog(args):
 
 def _cmd_verify_relation(args):
     act = _build(args)
-    rep = relation_report(
-        act,
-        grid=_or(args.resolution, 10000),
-        primary_tol=_or(args.tol, 1e-8),
-    )
+    rep = relation_report(act, grid=args.resolution, primary_tol=args.tol)
     _emit({"action": act.name, **rep.to_json()}, args)
     return OK if rep.passed else INCONCLUSIVE
 
@@ -142,11 +134,7 @@ def _cmd_rotation_number(args):
             "rotation-set for torus actions"
         )
     lift = act.h if args.gen == "h" else act.f
-    est = rotation_number(
-        lift,
-        iterates=_or(args.iterates, 10**5),
-        tol=_or(args.tol, 1e-8),
-    )
+    est = rotation_number(lift, iterates=args.iterates, tol=args.tol)
     _emit({"action": act.name, "generator": args.gen, **est.to_json()}, args)
     return OK
 
@@ -155,9 +143,7 @@ def _cmd_rotation_set(args):
     act = _build(args)
     if act.space != "torus":
         raise ValueError("rotation-set needs a torus action")
-    est = rotation_set(
-        act.f, grid=_or(args.resolution, 32), iterates=_or(args.iterates, 10**4)
-    )
+    est = rotation_set(act.f, grid=args.resolution, iterates=args.iterates)
     constraint = bs_rotation_constraint(est.center, act.h.linear_part, act.n)
     _emit(
         {
@@ -172,7 +158,7 @@ def _cmd_rotation_set(args):
 
 def _cmd_fixed_set(args):
     act = _build(args)
-    cells = fixed_cells(act.f, resolution=_or(args.resolution, 256), delta=args.tol)
+    cells = fixed_cells(act.f, resolution=args.resolution, delta=args.tol)
     _emit(
         {
             "action": act.name,
@@ -188,9 +174,7 @@ def _cmd_fixed_set(args):
 def _cmd_minimal_set(args):
     act = _build(args)
     est = bs_minimal_set(
-        act,
-        resolution=_or(args.resolution, 256),
-        orbit_iterates=_or(args.iterates, 10**5),
+        act, resolution=args.resolution, orbit_iterates=args.iterates
     )
     _emit({"action": act.name, **est.to_json()}, args)
     return OK if est.label != "Unknown" else INCONCLUSIVE
@@ -200,9 +184,7 @@ def _cmd_finite_orbit(args):
     act = _build(args)
     space = act.space
     x0 = space.parse_point(args.start) if args.start else np.zeros(space.shape)
-    orb = finite_bs_orbit(
-        act, x0, merge_tol=_or(args.tol, 1e-6)
-    )
+    orb = finite_bs_orbit(act, x0, merge_tol=args.tol)
     _emit({"action": act.name, **orb.to_json()}, args)
     return OK if orb.closed else INCONCLUSIVE
 
@@ -228,11 +210,11 @@ def _cmd_classify_matrix(args):
 
 def _cmd_trichotomy(args):
     act = _build(args)
-    base = _or(args.resolution, 256)
+    base = args.resolution
     rep = classify_perturbed(
         act,
         resolutions=(base, 2 * base, 4 * base),
-        orbit_iterates=_or(args.iterates, 10**5),
+        orbit_iterates=args.iterates,
     )
     _emit({"action": act.name, **rep.to_json()}, args)
     return OK if rep.outcome != "Unknown" else INCONCLUSIVE
@@ -240,11 +222,7 @@ def _cmd_trichotomy(args):
 
 def _cmd_persistent_fp(args):
     act = _build(args)
-    v = persistent_fixed_point(
-        act,
-        search_resolution=_or(args.resolution, 64),
-        tol=_or(args.tol, 1e-8),
-    )
+    v = persistent_fixed_point(act, search_resolution=args.resolution, tol=args.tol)
     if v is None:
         _emit({"action": act.name, "found": False, "point": None}, args)
         return INCONCLUSIVE
@@ -261,9 +239,7 @@ def _cmd_reproduce_all(args):
     n_pass = sum(r["passed"] for r in rows)
     print(f"{n_pass}/{len(rows)} criteria passed (seed {args.seed})")
     if args.out:
-        _atomic_write(
-            args.out, _dumps(rows) + "\n"
-        )
+        _atomic_write(args.out, _dumps(rows) + "\n")
     return OK if n_pass == len(rows) else INCONCLUSIVE
 
 
@@ -271,15 +247,35 @@ def _cmd_reproduce_all(args):
 # wiring
 
 
-def _add_common(p):
-    p.add_argument("--n", type=int, default=None, help="group parameter n")
-    p.add_argument("--eps", type=float, default=None, help="fiber angle offset")
-    p.add_argument("--k", default=None, metavar="SPEC", help="fiber lift spec")
-    p.add_argument("--resolution", type=int, default=None, help="grid resolution")
-    p.add_argument("--iterates", type=int, default=None, help="orbit length")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--seed", type=int, default=7, help="random seed")
-    p.add_argument("--out", default=None, metavar="PATH", help="write JSON here")
+# type and help text of the flags that `_subcommand` adds with a default
+_FLAGS = {
+    "resolution": (int, "grid resolution"),
+    "iterates": (int, "orbit length"),
+    "tol": (float, "tolerance"),
+    "seed": (int, "random seed"),
+}
+_ENTRY_DEFAULT = "(default: the entry's)"
+
+
+def _subcommand(sub, name, fn, help, action=True, **defaults):
+    """The parser of one subcommand. With `action` it takes a catalog
+    action and --n, --eps, --k; then one flag per keyword, with that
+    default, and --out."""
+    p = sub.add_parser(name, help=help)
+    if action:
+        p.add_argument("action")
+        p.add_argument("--n", type=int, help=f"group parameter n {_ENTRY_DEFAULT}")
+        p.add_argument("--eps", type=float, help=f"fiber angle offset {_ENTRY_DEFAULT}")
+        p.add_argument("--k", metavar="SPEC", help=f"fiber lift spec {_ENTRY_DEFAULT}")
+    for flag, default in defaults.items():
+        kind, text = _FLAGS[flag]
+        p.add_argument(
+            f"--{flag}", type=kind, default=default,
+            help=f"{text} (default: %(default)s)",
+        )
+    p.add_argument("--out", metavar="PATH", help="write the JSON to PATH")
+    p.set_defaults(fn=fn)
+    return p
 
 
 def _parser():
@@ -290,65 +286,76 @@ def _parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", help="list actions or show one entry")
+    p = _subcommand(
+        sub, "catalog", _cmd_catalog, "list actions or show one entry", action=False
+    )
     p.add_argument("action", nargs="?", default=None)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_catalog)
+    p.add_argument(
+        "--n", type=int, help=f"group parameter n of the verdicts {_ENTRY_DEFAULT}"
+    )
 
-    p = sub.add_parser("verify-relation", help="check h f h^-1 = f^n on a grid")
-    p.add_argument("action")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify_relation)
+    _subcommand(
+        sub, "verify-relation", _cmd_verify_relation,
+        "check h f h^-1 = f^n on a grid", resolution=10000, tol=1e-8,
+    )
 
-    p = sub.add_parser("rotation-number", help="rotation number of a generator")
-    p.add_argument("action")
-    p.add_argument("--gen", choices=("f", "h"), default="h")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_rotation_number)
+    p = _subcommand(
+        sub, "rotation-number", _cmd_rotation_number,
+        "rotation number of a generator", iterates=10**5, tol=1e-8,
+    )
+    p.add_argument(
+        "--gen", choices=("f", "h"), default="h",
+        help="generator (default: %(default)s)",
+    )
 
-    p = sub.add_parser("rotation-set", help="rotation set of b with the relation constraint")
-    p.add_argument("action")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_rotation_set)
+    _subcommand(
+        sub, "rotation-set", _cmd_rotation_set,
+        "rotation set of b with the relation constraint", resolution=32, iterates=10**4,
+    )
 
-    p = sub.add_parser("fixed-set", help="cells with small b displacement")
-    p.add_argument("action")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_fixed_set)
+    p = _subcommand(
+        sub, "fixed-set", _cmd_fixed_set,
+        "cells with small b displacement", resolution=256,
+    )
+    p.add_argument(
+        "--tol", type=float, help="displacement bound (default: 4 / resolution)"
+    )
 
-    p = sub.add_parser("minimal-set", help="minimal set estimate and label")
-    p.add_argument("action")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_minimal_set)
+    _subcommand(
+        sub, "minimal-set", _cmd_minimal_set,
+        "minimal set estimate and label", resolution=256, iterates=10**5,
+    )
 
-    p = sub.add_parser("finite-orbit", help="orbit closure under both generators")
-    p.add_argument("action")
+    p = _subcommand(
+        sub, "finite-orbit", _cmd_finite_orbit,
+        "orbit closure under both generators", tol=1e-6,
+    )
     p.add_argument(
         "start", nargs="?", default=None,
-        help="x or u,theta; after -- when it begins with -",
+        help="x or u,theta; after -- when it begins with - (default: the origin)",
     )
-    _add_common(p)
-    p.set_defaults(fn=_cmd_finite_orbit)
 
-    p = sub.add_parser("classify-matrix", help="order and conjugacy of integer matrices")
+    p = _subcommand(
+        sub, "classify-matrix", _cmd_classify_matrix,
+        "order and conjugacy of integer matrices", action=False,
+    )
     p.add_argument("matrix", help="a,b,c,d")
     p.add_argument("other", nargs="?", default=None, help="a,b,c,d to test conjugacy (bound 50)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_classify_matrix)
 
-    p = sub.add_parser("trichotomy", help="classify the minimal set of a torus action")
-    p.add_argument("action")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_trichotomy)
+    _subcommand(
+        sub, "trichotomy", _cmd_trichotomy,
+        "classify the minimal set of a torus action", resolution=256, iterates=10**5,
+    )
 
-    p = sub.add_parser("persistent-fp", help="common fixed point of both generators")
-    p.add_argument("action")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_persistent_fp)
+    _subcommand(
+        sub, "persistent-fp", _cmd_persistent_fp,
+        "common fixed point of both generators", resolution=64, tol=1e-8,
+    )
 
-    p = sub.add_parser("reproduce-all", help="run the numbered acceptance checks")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_reproduce_all)
+    _subcommand(
+        sub, "reproduce-all", _cmd_reproduce_all, "run the numbered acceptance checks",
+        action=False, seed=7,
+    )
 
     return ap
 

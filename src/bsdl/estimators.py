@@ -16,6 +16,7 @@ import numpy as np
 
 from .bsgroup import BSAction, finite_bs_orbit
 from .circle import orbit, wrap
+from .report import Report
 from .space import CIRCLE, SPACES, TORUS, cell_index, space_of
 
 FIXED_POINT_TOL = 1e-8
@@ -27,7 +28,7 @@ _CELL_SAMPLES = {CIRCLE: (5, 9), TORUS: (3, 5)}
 
 
 @dataclass
-class CellSet:
+class CellSet(Report):
     """Subset of the uniform cell partition at a fixed resolution.
 
     Circle cells are column indices i, standing for [i/R, (i+1)/R);
@@ -104,13 +105,6 @@ class CellSet:
         """Total cell area as a fraction of the whole space."""
         return len(self.cells) / float(self.resolution) ** self.space.dim
 
-    def to_json(self):
-        return {
-            "resolution": self.resolution,
-            "space": self.space,
-            "cells": self.space.cell_array(sorted(self.cells)).tolist(),
-        }
-
 
 def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
     """Cells whose center moves less than delta under f, refined once.
@@ -139,7 +133,7 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
 
 
 @dataclass
-class DifferentialReport:
+class DifferentialReport(Report):
     """Central-difference Jacobian with a step-halving diagnostic.
 
     richardson is the ratio of successive difference norms under step
@@ -156,16 +150,6 @@ class DifferentialReport:
     richardson: float | None
     converged: bool
     seam_distance: float | None
-
-    def to_json(self):
-        return {
-            "jacobian": [[float(v) for v in row] for row in self.jacobian],
-            "moduli": [float(m) for m in self.moduli],
-            "step": self.step,
-            "richardson": self.richardson,
-            "converged": self.converged,
-            "seam_distance": self.seam_distance,
-        }
 
 
 def differential_at(f, x, step: float = 1e-3) -> DifferentialReport:

@@ -204,18 +204,14 @@ class TrichotomyReport:
     orbit: FiniteOrbit | None = None
 
     def to_json(self):
-        rho = self.rotation_number
-        w = rho.rational_witness
+        rho = self.rotation_number.to_json()
+        w = rho["rational_witness"]
+        if w is not None:
+            # the witness point is an angle on the invariant circle
+            w["angle"] = w.pop("x")
         return {
             "outcome": self.outcome,
-            "rotation_number": {
-                "value": rho.value,
-                "iterates_used": rho.iterates_used,
-                "error_bound": rho.error_bound,
-                "rational_witness": None
-                if w is None
-                else {"p": w[0], "q": w[1], "angle": w[2], "residual": w[3]},
-            },
+            "rotation_number": rho,
             "evidence": self.evidence,
             "orbit": None if self.orbit is None else self.orbit.to_json(),
         }

@@ -19,7 +19,6 @@ __all__ = [
     "conjugate_in_gl2z",
     "bs_linear_compatible",
     "rational_to_json",
-    "rational_from_json",
 ]
 
 # Enumeration in conjugate_in_gl2z walks coefficient shells; this caps the
@@ -98,33 +97,10 @@ class IntMatrix2:
     def to_json(self):
         return [[self.a, self.b], [self.c, self.d]]
 
-    @staticmethod
-    def from_json(obj) -> "IntMatrix2":
-        if (
-            not isinstance(obj, (list, tuple))
-            or len(obj) != 2
-            or any(len(r) != 2 for r in obj)
-        ):
-            raise ValueError(f"matrix JSON must be [[a,b],[c,d]], got {obj!r}")
-        vals = [obj[0][0], obj[0][1], obj[1][0], obj[1][1]]
-        for v in vals:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"matrix entries must be integers, got {v!r}")
-        return IntMatrix2(*vals)
-
 
 def rational_to_json(q: Fraction) -> dict:
     q = Fraction(q)
     return {"num": q.numerator, "den": q.denominator}
-
-
-def rational_from_json(obj) -> Fraction:
-    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
-        raise ValueError(f"rational JSON must be {{'num': p, 'den': q}}, got {obj!r}")
-    num, den = obj["num"], obj["den"]
-    if not isinstance(num, int) or not isinstance(den, int) or den <= 0:
-        raise ValueError(f"rational JSON needs integer num and positive den, got {obj!r}")
-    return Fraction(num, den)
 
 
 def _require_unimodular(m: IntMatrix2, name: str) -> None:

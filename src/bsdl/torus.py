@@ -30,6 +30,7 @@ from .circle import (
     stepped_power,
 )
 from .gl2z import IntMatrix2, rational_to_json
+from .report import Report
 
 __all__ = [
     "TorusLift",
@@ -288,17 +289,10 @@ class ComposedTorusLift(TorusLift):
 
 
 @dataclass
-class RotationVectorEstimate:
+class RotationVectorEstimate(Report):
     value: tuple
     iterates_used: int
     error_bound: float
-
-    def to_json(self):
-        return {
-            "value": [float(self.value[0]), float(self.value[1])],
-            "iterates_used": self.iterates_used,
-            "error_bound": self.error_bound,
-        }
 
 
 def _require_identity_linear_part(F, what):
@@ -411,7 +405,7 @@ def hausdorff_distance(hull_a, hull_b) -> float:
 
 
 @dataclass
-class RotationSetEstimate:
+class RotationSetEstimate(Report):
     """Convex hull of orbitwise mean displacements.
 
     vertices are counterclockwise hull vertices in R^2; is_point flags a
@@ -430,16 +424,6 @@ class RotationSetEstimate:
     def center(self):
         v = np.atleast_2d(self.vertices)
         return (float(np.mean(v[:, 0])), float(np.mean(v[:, 1])))
-
-    def to_json(self):
-        return {
-            "vertices": [[float(x), float(y)] for x, y in np.atleast_2d(self.vertices)],
-            "diameter": self.diameter,
-            "is_point": self.is_point,
-            "error_bound": self.error_bound,
-            "grid": self.grid,
-            "iterates_used": self.iterates_used,
-        }
 
 
 def rotation_set(
@@ -487,25 +471,12 @@ def rotation_set(
 
 
 @dataclass
-class ConjugacyRotationReport:
+class ConjugacyRotationReport(Report):
     hausdorff: float
     tolerance: float
     consistent: bool
     mapped_vertices: np.ndarray
     target_vertices: np.ndarray
-
-    def to_json(self):
-        return {
-            "hausdorff": self.hausdorff,
-            "tolerance": self.tolerance,
-            "consistent": self.consistent,
-            "mapped_vertices": [
-                [float(x), float(y)] for x, y in np.atleast_2d(self.mapped_vertices)
-            ],
-            "target_vertices": [
-                [float(x), float(y)] for x, y in np.atleast_2d(self.target_vertices)
-            ],
-        }
 
 
 def conjugate_rotation_set_check(

@@ -256,6 +256,63 @@ class TestBadInput:
         assert out == ""
         assert "positive" in err or ">= 2" in err or ">= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-relation", "standard-line"),
+            ("finite-orbit", "standard-torus"),
+        ],
+    )
+    def test_n_beyond_the_floats_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--n", str(2**1100))
+        assert code == cli.ERROR
+        assert out == ""
+        assert err.startswith("error: ") and "fit in a float" in err
+        assert "Traceback" not in err
+
+
+# the value flags each subcommand reads, besides its positional arguments
+FLAGS_READ = {
+    "catalog": {"--n", "--out"},
+    "verify-relation": {"--n", "--eps", "--k", "--resolution", "--tol", "--out"},
+    "rotation-number": {"--n", "--eps", "--k", "--iterates", "--tol", "--out"},
+    "rotation-set": {"--n", "--eps", "--k", "--resolution", "--iterates", "--out"},
+    "fixed-set": {"--n", "--eps", "--k", "--resolution", "--tol", "--out"},
+    "minimal-set": {"--n", "--eps", "--k", "--resolution", "--iterates", "--out"},
+    "finite-orbit": {"--n", "--eps", "--k", "--tol", "--out"},
+    "classify-matrix": {"--out"},
+    "trichotomy": {"--n", "--eps", "--k", "--resolution", "--iterates", "--out"},
+    "persistent-fp": {"--n", "--eps", "--k", "--resolution", "--tol", "--out"},
+    "reproduce-all": {"--seed", "--out"},
+}
+# the flags every subcommand accepted before each took only its own
+FORMER_FLAGS = (
+    "--n", "--eps", "--k", "--resolution", "--iterates", "--tol", "--seed", "--out"
+)
+POSITIONAL = {"classify-matrix": ("0,1,-1,0",), "reproduce-all": ()}
+
+
+class TestFlags:
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        (sub,) = [a for a in cli._parser()._actions if a.dest == "command"]
+        taken = {
+            name: {o for a in p._actions for o in a.option_strings} & set(FORMER_FLAGS)
+            for name, p in sub.choices.items()
+        }
+        assert taken == FLAGS_READ
+        assert sum(map(len, taken.values())) == 52
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for c in FLAGS_READ for f in FORMER_FLAGS if f not in FLAGS_READ[c]],
+    )
+    def test_an_ignored_flag_is_a_usage_error(self, capsys, command, flag):
+        argv = (command, *POSITIONAL.get(command, ("standard-torus",)), flag, "3")
+        code, out, err = run(capsys, *argv)
+        assert code == cli.ERROR
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 3" in err
+
 
 class TestNumericalGiveUp:
     """A numerical method that gives up on valid input is inconclusive (2),

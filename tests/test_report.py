@@ -1,0 +1,237 @@
+"""The one JSON writer: `bsdl.report.jsonable` and `Report.to_json`.
+
+The results whose JSON is exactly their fields inherit `Report.to_json`.
+Reference copies of the methods it replaced (below) must give the same
+`json.dumps(..., sort_keys=True)` text, so every key, type and float
+bit, on the results of every catalog entry. `TrichotomyReport` writes
+its rotation number through `RotationNumberEstimate.to_json`, with the
+witness point renamed to `angle`; a reference copy of its former
+method checks that too.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from bsdl.bsgroup import FiniteOrbit, NormalForm, Word, finite_bs_orbit, normalize
+from bsdl.catalog import CATALOG, build_action
+from bsdl.circle import RotationNumberEstimate
+from bsdl.estimators import CellSet, DifferentialReport, differential_at, fixed_cells
+from bsdl.experiments import TrichotomyReport
+from bsdl.gl2z import IntMatrix2
+from bsdl.report import Report, jsonable
+from bsdl.torus import (
+    ConjugacyRotationReport,
+    RotationSetEstimate,
+    RotationVectorEstimate,
+    conjugate_rotation_set_check,
+    rotation_set,
+    rotation_vector,
+)
+
+# ---------------------------------------------------------------------------
+# reference: the hand-written to_json methods that Report replaced
+
+
+def ref_normal_form(self):
+    return {"p": self.p, "m": self.m, "q": self.q, "n": self.n}
+
+
+def ref_finite_orbit(self):
+    return {
+        "size": self.size,
+        "closed": self.closed,
+        "merge_tol": self.merge_tol,
+        "defect": self.defect,
+        "reason": self.reason,
+        "points": self.points.tolist(),
+    }
+
+
+def ref_cell_set(self):
+    return {
+        "resolution": self.resolution,
+        "space": self.space,
+        "cells": self.space.cell_array(sorted(self.cells)).tolist(),
+    }
+
+
+def ref_differential(self):
+    return {
+        "jacobian": [[float(v) for v in row] for row in self.jacobian],
+        "moduli": [float(m) for m in self.moduli],
+        "step": self.step,
+        "richardson": self.richardson,
+        "converged": self.converged,
+        "seam_distance": self.seam_distance,
+    }
+
+
+def ref_rotation_vector(self):
+    return {
+        "value": [float(self.value[0]), float(self.value[1])],
+        "iterates_used": self.iterates_used,
+        "error_bound": self.error_bound,
+    }
+
+
+def ref_rotation_set(self):
+    return {
+        "vertices": [[float(x), float(y)] for x, y in np.atleast_2d(self.vertices)],
+        "diameter": self.diameter,
+        "is_point": self.is_point,
+        "error_bound": self.error_bound,
+        "grid": self.grid,
+        "iterates_used": self.iterates_used,
+    }
+
+
+def ref_conjugacy(self):
+    return {
+        "hausdorff": self.hausdorff,
+        "tolerance": self.tolerance,
+        "consistent": self.consistent,
+        "mapped_vertices": [
+            [float(x), float(y)] for x, y in np.atleast_2d(self.mapped_vertices)
+        ],
+        "target_vertices": [
+            [float(x), float(y)] for x, y in np.atleast_2d(self.target_vertices)
+        ],
+    }
+
+
+def ref_trichotomy(self):
+    rho = self.rotation_number
+    w = rho.rational_witness
+    return {
+        "outcome": self.outcome,
+        "rotation_number": {
+            "value": rho.value,
+            "iterates_used": rho.iterates_used,
+            "error_bound": rho.error_bound,
+            "rational_witness": None
+            if w is None
+            else {"p": w[0], "q": w[1], "angle": w[2], "residual": w[3]},
+        },
+        "evidence": self.evidence,
+        "orbit": None if self.orbit is None else ref_finite_orbit(self.orbit),
+    }
+
+
+REFERENCE = {
+    NormalForm: ref_normal_form,
+    FiniteOrbit: ref_finite_orbit,
+    CellSet: ref_cell_set,
+    DifferentialReport: ref_differential,
+    RotationVectorEstimate: ref_rotation_vector,
+    RotationSetEstimate: ref_rotation_set,
+    ConjugacyRotationReport: ref_conjugacy,
+    TrichotomyReport: ref_trichotomy,
+}
+
+# ---------------------------------------------------------------------------
+
+
+def text(payload):
+    # the CLI's rule: sorted keys, every bit of each float
+    return json.dumps(jsonable(payload), sort_keys=True)
+
+
+def assert_plain(v):
+    """v holds only the types json writes natively, no numpy scalars."""
+    if isinstance(v, dict):
+        assert all(type(k) is str for k in v), v
+        for x in v.values():
+            assert_plain(x)
+    elif isinstance(v, list):
+        for x in v:
+            assert_plain(x)
+    else:
+        # a Space is a str
+        assert isinstance(v, str) or type(v) in (int, float, bool, type(None)), v
+
+
+def assert_same_as_reference(result):
+    new = result.to_json()
+    assert_plain(new)
+    assert json.dumps(new, sort_keys=True) == text(REFERENCE[type(result)](result))
+
+
+def results_of(name):
+    """One of each fields-only result from the catalog entry `name`."""
+    act = build_action(name)
+    space = act.space
+    origin = np.zeros(space.shape)
+    out = [
+        finite_bs_orbit(act, origin),
+        fixed_cells(act.f, resolution=32),
+        CellSet(32, space),
+        differential_at(act.f, origin),
+        differential_at(act.h, origin),
+        normalize(Word.parse("aBBA") * Word.parse("b"), act.n),
+    ]
+    if space == "torus":
+        out.append(rotation_vector(act.f, iterates=500))
+        out.append(rotation_set(act.f, grid=4, iterates=200))
+        out.append(
+            conjugate_rotation_set_check(
+                act.f, act.f, IntMatrix2.identity(), grid=3, iterates=200
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_fields_match_the_former_methods(name):
+    results = results_of(name)
+    assert all(isinstance(r, Report) for r in results)
+    for r in results:
+        assert_same_as_reference(r)
+
+
+def test_cover_every_former_method():
+    kinds = {type(r) for name in CATALOG for r in results_of(name)}
+    assert kinds == set(REFERENCE) - {TrichotomyReport}
+
+
+@pytest.mark.parametrize("witness", [None, (1, 3, 0.25, 1e-12)])
+def test_trichotomy_renames_only_the_witness_point(witness):
+    rho = RotationNumberEstimate.of(1 / 3, 1000, witness)
+    orbit = finite_bs_orbit(build_action("product", k="rot:1/3"), np.zeros(2))
+    for rep in (
+        TrichotomyReport(rho, "FiniteOrbits", {"cells": [3, 3]}, orbit),
+        TrichotomyReport(rho, "Unknown"),
+    ):
+        assert_same_as_reference(rep)
+        w = rep.to_json()["rotation_number"]["rational_witness"]
+        assert w is None or set(w) == {"p", "q", "angle", "residual"}
+
+
+class TestJsonable:
+    def test_fraction_is_a_pair(self):
+        assert jsonable(Fraction(4, -6)) == [-2, 3]
+        assert jsonable({"q": (Fraction(1, 2), 3)}) == {"q": [[1, 2], 3]}
+
+    def test_numpy_scalars_become_python_values(self):
+        out = jsonable([np.float64(0.1), np.int64(-3), np.bool_(True), np.float32(0.5)])
+        assert out == [0.1, -3, True, 0.5]
+        assert [type(v) for v in out] == [float, int, bool, float]
+
+    def test_ndarray_goes_through_tolist(self):
+        a = np.array([[0.1, -0.0], [np.pi, 2.5]])
+        assert jsonable(a) == a.tolist()
+        assert json.dumps(jsonable(a)) == "[[0.1, -0.0], [3.141592653589793, 2.5]]"
+        assert jsonable(np.zeros((0, 2))) == []
+        assert jsonable(np.array(7)) == 7
+
+    def test_frozenset_is_sorted(self):
+        assert jsonable(frozenset({3, 1, 2})) == [1, 2, 3]
+        assert jsonable(frozenset({(1, 0), (0, 5)})) == [[0, 5], [1, 0]]
+        assert jsonable(frozenset()) == []
+
+    def test_dataclass_becomes_its_fields_and_keys_become_strings(self):
+        assert jsonable(NormalForm(1, 2, 0, 3)) == {"p": 1, "m": 2, "q": 0, "n": 3}
+        assert jsonable({1: None, "a": "b"}) == {"1": None, "a": "b"}
+        assert jsonable(NormalForm) is NormalForm
