@@ -232,7 +232,7 @@ class CatalogEntry:
         return action
 
     def expected_for(self, n: int | None = None) -> dict:
-        n = self.defaults["n"] if n is None else int(n)
+        n = _check_n(self.defaults["n"] if n is None else n)
         return {
             key: (val(n) if callable(val) else val)
             for key, val in self.expected.items()

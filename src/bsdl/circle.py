@@ -92,9 +92,11 @@ def orbit(F, x0, iterates: int, transient: int = 0):
     alone, and the wrap x - floor(x) is the same on floats and arrays,
     so a start of an elementwise lift, one whose `raw` gives each point
     the bits it gives that point alone (the exact families), yields the
-    same numbers alone as inside a batch. Other lifts need not: the bump
-    field of `near_identity_diffeo` runs a matrix product and vectorized
-    cos and sin whose bits depend on the batch, so a conjugated action's
+    same numbers alone as inside a batch. Other lifts need not. A
+    conjugated action steps a single start through the float `step` of
+    its bump maps (`experiments.BumpTorusLift`), with the bits of their
+    `raw` on that point alone; but the bump field runs a matrix product
+    and vectorized cos and sin whose bits depend on the batch, so its
     batch rows may differ from single starts by an ulp. A value that rounds
     up to 1.0 (x within 2^-54 below an integer) becomes the largest
     double below 1. A non-finite image of a single point raises

@@ -257,6 +257,17 @@ _FLAGS = {
 _ENTRY_DEFAULT = "(default: the entry's)"
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser reports leftover arguments itself, so the
+    usage line shows the flags this subcommand takes."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def _subcommand(sub, name, fn, help, action=True, **defaults):
     """The parser of one subcommand. With `action` it takes a catalog
     action and --n, --eps, --k; then one flag per keyword, with that
@@ -284,7 +295,9 @@ def _parser():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     p = _subcommand(
         sub, "catalog", _cmd_catalog, "list actions or show one entry", action=False

@@ -10,6 +10,8 @@ are reported together with the diagnostics that justify them; when the
 evidence is inconclusive the harness says Unknown instead of guessing.
 """
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -29,7 +31,7 @@ from .circle import (
 )
 from .estimators import CellSet, fixed_cells, gap_profile_label
 from .space import CIRCLE, TORUS
-from .torus import FunctionTorusLift, ProductTorusLift, TorusLift
+from .torus import ProductTorusLift, TorusLift
 
 
 class GraphFoldError(RuntimeError):
@@ -66,11 +68,17 @@ class InvariantCircleEstimate:
     tol: float
 
     def __post_init__(self):
-        self._interp = _periodic_interp(self.thetas, self.graph)
+        sp, lo = _periodic_spline(self.thetas, self.graph)
+        self._interp = _spline_on_arrays(sp, lo)
+        self._at_float = _spline_on_floats(sp, lo)
 
     def at(self, theta):
         th = np.mod(np.asarray(theta, dtype=float), 1.0)
         return self._interp(th)
+
+    def at_float(self, theta: float) -> float:
+        """`at` on one angle, in Python floats, with the bits of `at`."""
+        return self._at_float(theta % 1.0)
 
     def spread(self):
         return float(np.max(self.graph) - np.min(self.graph))
@@ -88,8 +96,9 @@ class InvariantCircleEstimate:
         }
 
 
-def _periodic_interp(thetas, values):
-    """Period-one C^2 cubic spline through (thetas, values).
+def _periodic_spline(thetas, values):
+    """Period-one C^2 cubic spline through (thetas, values), and the
+    left end lo of its period [lo, lo + 1].
 
     A clamped monotone interpolant would be safer against overshoot,
     but its derivative limiting at interior extrema floors the
@@ -99,12 +108,60 @@ def _periodic_interp(thetas, values):
     """
     t = np.concatenate([thetas, [thetas[0] + 1.0]])
     v = np.concatenate([values, [values[0]]])
-    sp = CubicSpline(t, v, bc_type="periodic")
-    lo = float(thetas[0])
+    return CubicSpline(t, v, bc_type="periodic"), float(thetas[0])
+
+
+def _spline_on_arrays(sp, lo):
+    """The spline at every point of an array, any real x mapped into
+    its period first."""
 
     def ev(x):
         x = np.asarray(x, dtype=float)
         return sp(lo + np.mod(x - lo, 1.0))
+
+    return ev
+
+
+def _periodic_interp(thetas, values):
+    """`_spline_on_arrays` of the spline through (thetas, values)."""
+    return _spline_on_arrays(*_periodic_spline(thetas, values))
+
+
+def _spline_on_floats(sp, lo):
+    """`_spline_on_arrays(sp, lo)` at one float, with its bits.
+
+    It repeats scipy's arithmetic on the spline's own breakpoints and
+    coefficients: the remap into [lo, lo + 1), PPoly's periodic remap
+    x0 + (x - x0) % period, the interval x[i] <= x < x[i + 1] (the last
+    one closed, NaN outside), and PPoly's power sum c3 + c2 s + c1 s^2
+    + c0 s^3 in that order, with s^k formed by repeated products; this
+    is not Horner's rule, which rounds otherwise. Python's float % is
+    np.mod bit for bit, and PPoly's factor 1.0 on each term is exact.
+    """
+    xs = sp.x.tolist()
+    c0, c1, c2, c3 = sp.c.tolist()
+    x0 = xs[0]
+    period = xs[-1] - x0
+    last = len(xs) - 2
+
+    def ev(x):
+        x = lo + (x - lo) % 1.0
+        x = x0 + (x - x0) % period
+        i = bisect_right(xs, x) - 1
+        if i > last:
+            if x != xs[-1]:
+                return math.nan
+            i = last
+        elif i < 0:
+            return math.nan
+        s = x - xs[i]
+        res = 0.0 + c3[i]
+        z = s
+        res = res + c2[i] * z
+        z *= s
+        res = res + c1[i] * z
+        z *= s
+        return res + c0[i] * z
 
     return ev
 
@@ -221,10 +278,12 @@ class GraphRestriction(CircleLift):
     """Return map of a torus lift h on an invariant graph theta -> u, as
     a circle lift in theta: t -> the angle coordinate of h(u(t), t).
 
-    `raw` evaluates the graph and h on arrays. `step` maps one angle
-    through `h.step` in Python floats, so the exact factors of h step
-    without numpy; it gives the bits of `raw` on that angle alone. Its
-    power steps.
+    `raw` evaluates the graph and h on arrays. `step` evaluates the
+    graph by `InvariantCircleEstimate.at_float` and maps the point
+    through `h.step`, all in Python floats, so the exact factors of h
+    and the bump maps of a conjugation step without numpy arrays beyond
+    the bump field's own; it gives the bits of `raw` on that angle
+    alone. Its power steps.
     """
 
     label = "h on invariant circle"
@@ -239,7 +298,7 @@ class GraphRestriction(CircleLift):
         return self.h.raw(np.stack([u, np.broadcast_to(t, u.shape)], axis=-1))[..., 1]
 
     def step(self, t):
-        return self.h.step((float(self.circle.at(t)), t))[1]
+        return self.h.step((self.circle.at_float(t), t))[1]
 
 
 def restricted_circle_map(h: TorusLift, circle: InvariantCircleEstimate):
@@ -386,6 +445,8 @@ def persistent_fixed_point(
     corner, so a fixed glued point is hit exactly), Newton-refines the
     best candidates on h(v) - v with central-difference Jacobians, and
     keeps a refined point only when both generator residuals pass tol.
+    Each single point is mapped through `step`, which gives the bits of
+    `raw` on it.
     """
     f, h, space = action.f, action.h, action.space
     S = int(search_resolution)
@@ -405,11 +466,11 @@ def persistent_fixed_point(
             continue
         tried.append(v)
         for _ in range(40):
-            gv = h.raw(v) - v
+            gv = _at_point(h, v) - v
             if float(np.max(np.abs(gv))) < 1e-14:
                 break
             s = 1e-6
-            cols = [(h.raw(v + s * e) - h.raw(v - s * e)) / (2 * s) for e in eye]
+            cols = [(_at_point(h, v + s * e) - _at_point(h, v - s * e)) / (2 * s) for e in eye]
             J = np.stack(cols, axis=-1) - eye
             try:
                 step = np.linalg.solve(J, -gv)
@@ -417,9 +478,16 @@ def persistent_fixed_point(
                 step = np.linalg.lstsq(J, -gv, rcond=None)[0]
             v = v + step
         v = wrap(v.reshape(space.shape))
-        if space.dist(h.raw(v), v) < tol and space.dist(f.raw(v), v) < tol:
+        if space.dist(_at_point(h, v), v) < tol and space.dist(_at_point(f, v), v) < tol:
             return v
     return None
+
+
+def _at_point(F, v):
+    """F at one point, an array holding one angle or one (u, t) pair,
+    through `F.step`, as an array of v's shape."""
+    p = v.ravel().tolist()
+    return np.reshape(F.step(p[0] if len(p) == 1 else tuple(p)), v.shape)
 
 
 def _bump_field(size: float, seed: int, modes: int):
@@ -490,9 +558,93 @@ def _bump_field(size: float, seed: int, modes: int):
     return field
 
 
+class BumpTorusLift(TorusLift):
+    """v -> v + D(v) for a bump field D of `_bump_field`, or its inverse.
+
+    `raw` maps arrays: the forward map in one field pass, the inverse by
+    Newton's method on the whole batch, from the starting guess y = w,
+    stopping once every step of the batch falls below 1e-15. `step` maps
+    one point (u, t) in Python floats, reading the field's six outputs
+    through `.tolist()`, and runs the same Newton arithmetic and stop;
+    it gives the bits of `raw` on that point alone. A non-finite point
+    raises NonConvergentError in the inverse, in `raw` and `step` alike.
+    """
+
+    def __init__(self, field, label: str, inverted: bool = False):
+        self._field = field
+        self._label = label
+        self._inverted = inverted
+        self.label = label + "^-1" if inverted else label
+
+    def inverse(self):
+        return BumpTorusLift(self._field, self._label, not self._inverted)
+
+    def raw(self, v):
+        v = np.asarray(v, dtype=float)
+        # a single point stays 1-D, so its Newton arithmetic is on scalars
+        p = v.reshape(-1, 2).T if v.ndim > 1 else v
+        if not self._inverted:
+            return v + self._field(p)[:2].T.reshape(v.shape)
+        # Newton on the displacement z = y - w, with D evaluated at
+        # frac(w) + z (D is periodic): the residual z + D stays at the
+        # size of z and its argument keeps the bits of z, so steps fall
+        # below 1e-15 even where w itself is large.
+        p = p - np.floor(p)
+        z = np.zeros_like(p)
+        steps = []
+        for _ in range(60):
+            d0, d1, j00, j01, j10, j11 = self._field(p + z)
+            r0 = z[0] + d0
+            r1 = z[1] + d1
+            j00 += 1.0
+            j11 += 1.0
+            det = j00 * j11 - j01 * j10
+            step = np.stack([(j11 * r0 - j01 * r1) / det, (j00 * r1 - j10 * r0) / det])
+            z -= step
+            steps.append(float(np.max(np.abs(step))))
+            if steps[-1] < 1e-15:
+                return v + z.T.reshape(v.shape)
+        raise _stalled(steps)
+
+    def step(self, p):
+        u, t = p
+        if not self._inverted:
+            d0, d1 = self._field(np.array(p))[:2].tolist()
+            return u + d0, t + d1
+        # `raw`'s Newton iteration on floats; x // 1.0 is np.floor(x)
+        p0 = u - u // 1.0
+        p1 = t - t // 1.0
+        z0 = z1 = 0.0
+        steps = []
+        for _ in range(60):
+            d0, d1, j00, j01, j10, j11 = self._field(np.array((p0 + z0, p1 + z1))).tolist()
+            r0 = z0 + d0
+            r1 = z1 + d1
+            j00 += 1.0
+            j11 += 1.0
+            det = j00 * j11 - j01 * j10
+            s0 = (j11 * r0 - j01 * r1) / det
+            s1 = (j00 * r1 - j10 * r0) / det
+            z0 -= s0
+            z1 -= s1
+            steps.append((s0, s1))
+            # np.max's stop: false when a step is NaN, as both tests are
+            if abs(s0) < 1e-15 and abs(s1) < 1e-15:
+                return u + z0, t + z1
+        raise _stalled(np.max(np.abs(steps), axis=1).tolist())
+
+
+def _stalled(steps):
+    return NonConvergentError(
+        f"bump inverse steps stalled at {steps[-1]:.3e} after "
+        f"{len(steps)} Newton iterations (tol 1e-15)",
+        steps,
+    )
+
+
 def near_identity_diffeo(
     size: float = 1e-3, seed: int = 0, modes: int = 2
-) -> FunctionTorusLift:
+) -> BumpTorusLift:
     """Random torus diffeomorphism v -> v + size * B(v), sup|B| = 1.
 
     B is a seeded random trigonometric displacement field with integer
@@ -511,47 +663,8 @@ def near_identity_diffeo(
     diffeomorphism. Over 2000 seeds Lip is at most 26.3, so sizes up to
     about 0.019 pass for every seed.
     """
-    field = _bump_field(size, seed, modes)
-
-    def columns(v):
-        # a single point stays 1-D, so its Newton arithmetic is on scalars
-        return v.reshape(-1, 2).T if v.ndim > 1 else v
-
-    def fn(v):
-        v = np.asarray(v, dtype=float)
-        d = field(columns(v))
-        return v + d[:2].T.reshape(v.shape)
-
-    def inv(w):
-        # Newton on the displacement z = y - w, with D evaluated at
-        # frac(w) + z (D is periodic): the residual z + D stays at the
-        # size of z and its argument keeps the bits of z, so steps fall
-        # below 1e-15 even where w itself is large.
-        w = np.asarray(w, dtype=float)
-        p = columns(w)
-        p = p - np.floor(p)
-        z = np.zeros_like(p)
-        steps = []
-        for _ in range(60):
-            d0, d1, j00, j01, j10, j11 = field(p + z)
-            r0 = z[0] + d0
-            r1 = z[1] + d1
-            j00 += 1.0
-            j11 += 1.0
-            det = j00 * j11 - j01 * j10
-            step = np.stack([(j11 * r0 - j01 * r1) / det, (j00 * r1 - j10 * r0) / det])
-            z -= step
-            steps.append(float(np.max(np.abs(step))))
-            if steps[-1] < 1e-15:
-                return w + z.T.reshape(w.shape)
-        raise NonConvergentError(
-            f"bump inverse steps stalled at {steps[-1]:.3e} after "
-            f"{len(steps)} Newton iterations (tol 1e-15)",
-            steps,
-        )
-
-    return FunctionTorusLift(
-        fn, None, inv, label=f"bump(size={size:g},seed={seed})"
+    return BumpTorusLift(
+        _bump_field(size, seed, modes), f"bump(size={size:g},seed={seed})"
     )
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bsdl import cli, experiments
+from bsdl.catalog import CATALOG
 from bsdl.experiments import GraphFoldError, NonConvergentError
 
 
@@ -270,6 +271,14 @@ class TestBadInput:
         assert err.startswith("error: ") and "fit in a float" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["catalog", "verify-relation"])
+    @pytest.mark.parametrize("entry", sorted(CATALOG))
+    def test_n_one_is_an_error_for_every_entry(self, capsys, command, entry):
+        code, out, err = run(capsys, command, entry, "--n", "1")
+        assert code == cli.ERROR
+        assert out == ""
+        assert err == "error: need n >= 2, got 1\n"
+
 
 # the value flags each subcommand reads, besides its positional arguments
 FLAGS_READ = {
@@ -312,6 +321,9 @@ class TestFlags:
         assert code == cli.ERROR
         assert out == ""
         assert f"unrecognized arguments: {flag} 3" in err
+        # the subcommand's own usage, which lists the flags it does take
+        assert err.startswith(f"usage: bsdl {command} [-h]")
+        assert f"bsdl {command}: error:" in err
 
 
 class TestNumericalGiveUp:

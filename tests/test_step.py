@@ -2,8 +2,13 @@
 `raw` gives for that point, alone or inside a batch. Property-tested on
 the exact circle and torus families, their inverses and compositions,
 at generic points, glued points, points within 2^-54 below an integer,
-piecewise breakpoints, large |x| and non-finite input; and on the graph
-restriction of conjugated actions at finite points."""
+piecewise breakpoints, large |x| and non-finite input. The bump lift's
+float `step` (`BumpTorusLift`, forward and inverse) and the float graph
+evaluation `InvariantCircleEstimate.at_float` are held to the bits of
+their array paths on the point alone, non-finite points included; so is
+the graph restriction of conjugated actions, at finite points. In a
+batch the bump field may round a row otherwise, so there the graph
+restriction is held to 1e-14."""
 
 import functools
 import math
@@ -26,7 +31,9 @@ from bsdl.circle import (
     denjoy_lift,
 )
 from bsdl.experiments import (
+    BumpTorusLift,
     GraphRestriction,
+    NonConvergentError,
     conjugated_action,
     find_invariant_circle,
     near_identity_diffeo,
@@ -229,6 +236,99 @@ def test_graph_restriction_step_is_raw(F, data):
         alone, batch = raw_alone_and_in_batch(F, t, 1)
         assert same(y, float(alone)), (t, y, float(alone))
         assert abs(y - float(batch)) <= 1e-14 * (1.0 + abs(y)), (t, y, float(batch))
+
+
+def bump(seed, size, inverted):
+    psi = near_identity_diffeo(size, seed)
+    return psi.inverse() if inverted else psi
+
+
+bump_lifts = st.builds(bump, st.integers(0, 2**32 - 1), st.floats(1e-4, 1e-2), st.booleans())
+
+
+def bump_raws(F, p):
+    """raw on the point as a (2,) array and as a one-row batch, as lists,
+    or the NonConvergentError each raised."""
+    out = []
+    for v in (np.array(p, dtype=float), np.array([p], dtype=float)):
+        try:
+            out.append(F.raw(v).reshape(2).tolist())
+        except NonConvergentError as exc:
+            out.append(exc)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(bump_lifts, st.data())
+def test_bump_step_is_raw_on_the_point_alone(F, data):
+    assert isinstance(F, BumpTorusLift)
+    assert F.label.startswith("bump(")
+    for p in data.draw(st.lists(torus_points(F), min_size=1, max_size=8)):
+        with np.errstate(all="ignore"):
+            raws = bump_raws(F, p)
+            try:
+                q = F.step(p)
+            except NonConvergentError as exc:
+                # only the inverse raises, and only off the real plane,
+                # after the same 60 NaN steps as raw
+                assert F.label.endswith("^-1")
+                assert not all(math.isfinite(c) for c in p)
+                for r in raws:
+                    assert isinstance(r, NonConvergentError)
+                    assert len(r.residuals) == len(exc.residuals) == 60
+                    assert all(a != a for a in r.residuals + exc.residuals)
+                continue
+        assert type(q) is tuple and all(type(c) is float for c in q)
+        for r in raws:
+            assert not isinstance(r, NonConvergentError), (F.label, p)
+            assert all(same(c, a) for c, a in zip(q, r)), (F.label, p, q, r)
+
+
+def test_bump_inverse_of_inverse_is_the_forward_map():
+    psi = near_identity_diffeo(1e-3, seed=4)
+    back = psi.inverse().inverse()
+    assert back.label == psi.label == "bump(size=0.001,seed=4)"
+    assert psi.inverse().label == "bump(size=0.001,seed=4)^-1"
+    assert back.step((0.3, 0.6)) == psi.step((0.3, 0.6))
+
+
+def graph_angles(circle):
+    nodes = circle.thetas.tolist()
+    return st.one_of(
+        st.floats(-4.0, 4.0),
+        st.builds(
+            lambda x, k, d: (math.nextafter(x, d) if d else x) + k,
+            st.sampled_from(nodes), st.sampled_from([0, 0, -1, 3, -7]),
+            st.sampled_from([0, 0, -1.0, 2.0]),
+        ),
+        st.builds(lambda k, d: k + d, st.integers(-3, 3), st.sampled_from(BELOW)),
+        st.floats(1e6, 1e300).flatmap(lambda a: st.sampled_from([a, -a])),
+        st.sampled_from([1.0 - 2.0**-54, 2.0**52 + 0.5, -0.0, math.inf, -math.inf, math.nan]),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_restrictions, st.data())
+def test_float_graph_evaluation_is_at(F, data):
+    circle = F.circle
+    for t in data.draw(st.lists(graph_angles(circle), min_size=1, max_size=16)):
+        y = circle.at_float(t)
+        assert type(y) is float
+        with np.errstate(all="ignore"):
+            assert same(y, float(circle.at(t))), (t, y)
+
+
+def test_float_graph_evaluation_on_a_dense_grid():
+    # every node, its neighbours, and enough points for a 1-ulp
+    # difference in the interval, the remaps or the power sum to show
+    circle = graph_restriction(2, None, 5).circle
+    ts = np.concatenate([
+        np.random.default_rng(3).uniform(-3.0, 3.0, 20000),
+        circle.thetas, -circle.thetas, np.nextafter(circle.thetas, -1.0),
+        np.nextafter(circle.thetas, 2.0), circle.thetas + 5.0,
+    ])
+    ys = circle.at(ts).tolist()
+    assert all(same(circle.at_float(t), y) for t, y in zip(ts.tolist(), ys))
 
 
 def test_chart_affine_on_a_dense_grid():
