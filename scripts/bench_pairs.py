@@ -4,7 +4,8 @@ BENCH_<n>.json file.
     python3 scripts/bench_pairs.py run --parent P --change C \\
         --workload conjugation --seeds 11-20 --log runs.jsonl
     python3 scripts/bench_pairs.py write --log runs.jsonl --out BENCH_11.json \\
-        --title "..." --claim conjugation wall_s "at least 20% lower"
+        --title "..." --claim conjugation wall_s "at least 20% lower" \\
+        --trace-note "..."
 
 `run` runs `perfbench/run.py --workload W --seed S --seconds 40 --trace 0`
 once in each checkout per seed, the parent first on odd seeds and the
@@ -14,9 +15,12 @@ log as one JSON line, so an interrupted series keeps what it measured.
 log by workload into pairs and writes, per end-to-end metric, each
 side's runs with their quartiles (statistics.quantiles, inclusive), the
 pairs in which the change is lower or higher, the median change ratio
-and the parent's interquartile range; with `--claim`, a verdict that
-holds when the change is lower in nine pairs of ten and its median by
-more than the parent's interquartile range. Standard library only.
+and the parent's interquartile range, as one series named "final"; with
+`--claim`, a verdict that holds when the change is lower in nine pairs of
+ten, its median by more than the parent's interquartile range, and its
+runs of the claimed workload fail no more queries in all than the
+parent's. `--trace-note` is written into each traced block, to say what
+its per-layer counters cover. Standard library only.
 """
 
 from __future__ import annotations
@@ -119,19 +123,24 @@ def cmd_write(args):
     doc = {"title": args.title}
     if args.claim:
         workload, metric, expected = args.claim
-        m = summarize(workloads[workload])["metrics"][metric]
+        summary = summarize(workloads[workload])
+        m = summary["metrics"][metric]
         diff = m["parent"]["median"] - m["change"]["median"]
         lower, pairs = m["change_lower_in_pairs"], len(m["parent"]["runs"])
+        failed = {side: sum(summary["failed"][side]) for side in SIDES}
         doc["claim"] = {"workload": workload, "metric": metric, "better": "lower",
                         "expected": expected}
         doc["verdict"] = {
-            # lower in nine pairs of ten, by more than the parent's spread
-            "claim_met": lower >= 0.9 * pairs and diff > m["parent_iqr"],
+            # lower in nine pairs of ten, by more than the parent's spread,
+            # with no more failed queries
+            "claim_met": (lower >= 0.9 * pairs and diff > m["parent_iqr"]
+                          and failed["change"] <= failed["parent"]),
             "summary": (
                 f"{workload} {metric} median {m['parent']['median']:.4g} -> "
                 f"{m['change']['median']:.4g} ({m['median_change_ratio']:+.1%}), lower "
                 f"in {lower}/{pairs} pairs; median difference {diff:.4g} against a "
-                f"parent IQR of {m['parent_iqr']:.4g}"
+                f"parent IQR of {m['parent_iqr']:.4g}; failed queries "
+                f"{failed['parent']} -> {failed['change']}"
             ),
         }
         print(doc["verdict"]["summary"])
@@ -144,16 +153,19 @@ def cmd_write(args):
         "which side runs first (odd seeds: parent first); quartiles by "
         "statistics.quantiles(method='inclusive'); written by scripts/bench_pairs.py"
     )
-    doc["series"] = {args.series: {
+    doc["series"] = {"final": {
         "note": args.note,
         "workloads": {w: summarize(rs) for w, rs in sorted(workloads.items())},
     }}
     for r in records:
         if r["trace"]:
             key = f"trace_seed_{r['seed']}_{r['workload']}"
-            doc.setdefault(key, {"command": (
+            block = doc.setdefault(key, {"command": (
                 f"python3 perfbench/run.py --workload {r['workload']} --seed {r['seed']} "
-                "--seconds 40 --trace 1")})[r["side"]] = r["metrics"]
+                "--seconds 40 --trace 1")})
+            if args.trace_note:
+                block["note"] = args.trace_note
+            block[r["side"]] = r["metrics"]
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -172,8 +184,8 @@ def main(argv=None):
     w.add_argument("--log", required=True)
     w.add_argument("--out", required=True)
     w.add_argument("--title", required=True)
-    w.add_argument("--series", default="final")
-    w.add_argument("--note", default="")
+    w.add_argument("--note", default="", help="note on the series")
+    w.add_argument("--trace-note", default="", help="note on each traced block")
     w.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "EXPECTED"))
     w.set_defaults(fn=cmd_write)
     args = ap.parse_args(argv)
