@@ -10,13 +10,12 @@ are reported together with the diagnostics that justify them; when the
 evidence is inconclusive the harness says Unknown instead of guessing.
 """
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bsgroup import BSAction, FiniteOrbit, finite_bs_orbit, make_action
 from .circle import (
@@ -58,6 +57,8 @@ class InvariantCircleEstimate:
     it is recomputed from scratch after the transform, so a small value
     certifies invariance independently of how the graph was found.
     side is Attracting for forward iteration, Repelling for backward.
+    spline is the `PeriodicSpline` through (thetas, graph) that `at`
+    evaluates; it is built from them when not given.
     """
 
     thetas: np.ndarray
@@ -66,19 +67,18 @@ class InvariantCircleEstimate:
     side: str
     iterations: int
     tol: float
+    spline: "PeriodicSpline" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        sp, lo = _periodic_spline(self.thetas, self.graph)
-        self._interp = _spline_on_arrays(sp, lo)
-        self._at_float = _spline_on_floats(sp, lo)
+        if self.spline is None:
+            self.spline = PeriodicSpline(self.thetas, self.graph)
 
     def at(self, theta):
-        th = np.mod(np.asarray(theta, dtype=float), 1.0)
-        return self._interp(th)
+        return self.spline.at(theta)
 
     def at_float(self, theta: float) -> float:
         """`at` on one angle, in Python floats, with the bits of `at`."""
-        return self._at_float(theta % 1.0)
+        return self.spline.at_float(theta)
 
     def spread(self):
         return float(np.max(self.graph) - np.min(self.graph))
@@ -96,9 +96,21 @@ class InvariantCircleEstimate:
         }
 
 
-def _periodic_spline(thetas, values):
-    """Period-one C^2 cubic spline through (thetas, values), and the
-    left end lo of its period [lo, lo + 1].
+class PeriodicSpline:
+    """Period-one C^2 cubic spline through (knots, values).
+
+    The knots are finite and strictly increasing within one period
+    [lo, lo + 1), lo = knots[0]; the knot lo + 1 closes the last
+    interval. The second derivatives M solve the cyclic tridiagonal
+    system h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] =
+    6 (d[i] - d[i-1]), h the knot spacings and d the chord slopes, by
+    Thomas's algorithm with a Sherman-Morrison correction for the two
+    corner entries. Any real x is mapped into the period by x - floor(x
+    - lo), so a knot maps to itself and the value there is exact. On the
+    interval from knot i, at s = x - knots[i], the spline is c3 + s (c2
+    + s (c1 + s c0)): `at` evaluates this on arrays and `at_float` on
+    one Python float, with the same operations in the same order, so
+    the two agree bit for bit. Non-finite x gives NaN.
 
     A clamped monotone interpolant would be safer against overshoot,
     but its derivative limiting at interior extrema floors the
@@ -106,64 +118,95 @@ def _periodic_spline(thetas, values):
     spline interpolates smooth graphs to round-off. Fold safety is
     handled before interpolation, on the angle sequence itself.
     """
-    t = np.concatenate([thetas, [thetas[0] + 1.0]])
-    v = np.concatenate([values, [values[0]]])
-    return CubicSpline(t, v, bc_type="periodic"), float(thetas[0])
 
+    def __init__(self, knots, values):
+        x = np.asarray(knots, dtype=float)
+        y = np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or len(x) == 0:
+            raise ValueError("need knots and values of one equal, nonzero length")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("spline knots and values must be finite")
+        xs = np.append(x, x[0] + 1.0)
+        h = np.diff(xs)
+        if not (h > 0.0).all():
+            raise ValueError("spline knots must increase strictly within one period")
+        d = np.diff(np.append(y, y[0])) / h
+        M = _cyclic_solve(h, 6.0 * (d - np.concatenate((d[-1:], d[:-1]))))
+        M1 = np.concatenate((M[1:], M[:1]))
+        # rows: the left knot of each interval, then its cubic, square,
+        # linear and constant coefficients c0, c1, c2, c3
+        self.table = np.stack([x, (M1 - M) / (6.0 * h), 0.5 * M, d - h * (2.0 * M + M1) / 6.0, y])
+        self.knots = xs
+        self.lo = float(x[0])
+        # x lies in interval i when i of the knots after the first are
+        # <= x; x at lo + 1, and NaN, fall in the last one
+        self._inner = x[1:]
 
-def _spline_on_arrays(sp, lo):
-    """The spline at every point of an array, any real x mapped into
-    its period first."""
+    @cached_property
+    def _float_table(self):
+        # built on the first `at_float`: the graph transform's splines
+        # are evaluated only on arrays
+        return self._inner.tolist(), self.table.T.tolist()
 
-    def ev(x):
+    def at(self, x):
         x = np.asarray(x, dtype=float)
-        return sp(lo + np.mod(x - lo, 1.0))
+        x = x - np.floor(x - self.lo)
+        k, c0, c1, c2, c3 = self.table[:, np.searchsorted(self._inner, x, side="right")]
+        s = x - k
+        y = s * c0
+        y += c1
+        y *= s
+        y += c2
+        y *= s
+        y += c3
+        return y
 
-    return ev
+    def at_float(self, x: float) -> float:
+        # x // 1.0 is np.floor(x), and bisect_right is searchsorted's
+        # right side, NaN included
+        x = x - (x - self.lo) // 1.0
+        inner, rows = self._float_table
+        k, c0, c1, c2, c3 = rows[bisect_right(inner, x)]
+        s = x - k
+        return c3 + s * (c2 + s * (c1 + s * c0))
 
 
-def _periodic_interp(thetas, values):
-    """`_spline_on_arrays` of the spline through (thetas, values)."""
-    return _spline_on_arrays(*_periodic_spline(thetas, values))
+def _cyclic_solve(h, r):
+    """Solve `PeriodicSpline`'s cyclic system with spacings h for the
+    right-hand side r.
 
-
-def _spline_on_floats(sp, lo):
-    """`_spline_on_arrays(sp, lo)` at one float, with its bits.
-
-    It repeats scipy's arithmetic on the spline's own breakpoints and
-    coefficients: the remap into [lo, lo + 1), PPoly's periodic remap
-    x0 + (x - x0) % period, the interval x[i] <= x < x[i + 1] (the last
-    one closed, NaN outside), and PPoly's power sum c3 + c2 s + c1 s^2
-    + c0 s^3 in that order, with s^k formed by repeated products; this
-    is not Horner's rule, which rounds otherwise. Python's float % is
-    np.mod bit for bit, and PPoly's factor 1.0 on each term is exact.
+    With g = -diag[0], the matrix is T + u v^T for u = (g, 0, ..., 0,
+    h[-1]) and v = (1, 0, ..., 0, h[-1] / g), T tridiagonal; Thomas's
+    sweeps solve T x = r and T z = u together, and Sherman-Morrison
+    gives x - z (v.x) / (1 + v.z). The system is diagonally dominant,
+    so no pivoting is needed.
     """
-    xs = sp.x.tolist()
-    c0, c1, c2, c3 = sp.c.tolist()
-    x0 = xs[0]
-    period = xs[-1] - x0
-    last = len(xs) - 2
-
-    def ev(x):
-        x = lo + (x - lo) % 1.0
-        x = x0 + (x - x0) % period
-        i = bisect_right(xs, x) - 1
-        if i > last:
-            if x != xs[-1]:
-                return math.nan
-            i = last
-        elif i < 0:
-            return math.nan
-        s = x - xs[i]
-        res = 0.0 + c3[i]
-        z = s
-        res = res + c2[i] * z
-        z *= s
-        res = res + c1[i] * z
-        z *= s
-        return res + c0[i] * z
-
-    return ev
+    hs = h.tolist()
+    sub = [hs[-1]] + hs[:-1]
+    diag = [2.0 * (a + b) for a, b in zip(sub, hs)]
+    corner = hs[-1]
+    g = -diag[0]
+    diag[0] -= g
+    diag[-1] -= corner * corner / g
+    u = [0.0] * len(hs)
+    u[-1] = corner
+    u[0] = g
+    # sub[0] only ever multiplies the zero carried into the first row
+    cs, xs, zs = [], [], []
+    c = x = z = 0.0
+    for a, b, up, ri, ui in zip(sub, diag, hs, r.tolist(), u):
+        m = b - a * c
+        c = up / m
+        x = (ri - a * x) / m
+        z = (ui - a * z) / m
+        cs.append(c)
+        xs.append(x)
+        zs.append(z)
+    for i in range(len(hs) - 2, -1, -1):
+        x = xs[i] = xs[i] - cs[i] * x
+        z = zs[i] = zs[i] - cs[i] * z
+    k = (xs[0] + corner * xs[-1] / g) / (1.0 + zs[0] + corner * zs[-1] / g)
+    return np.array(xs) - k * np.array(zs)
 
 
 def find_invariant_circle(
@@ -178,12 +221,15 @@ def find_invariant_circle(
 
     The candidate graph is pushed by h (forward, for an attracting
     circle) or h^-1 (backward, repelling), the image points are
-    reprojected to a graph over the uniform fiber grid by monotone
-    cubic interpolation, and the loop runs until the recomputed
-    residual drops below tol. seed may be a constant u value, an array
-    of u over the grid, a callable theta -> u, or a previous estimate.
-    The residual is checked before the first push, so an exactly
-    invariant seed converges in zero iterations.
+    reprojected to a graph over the uniform fiber grid through the
+    periodic cubic spline (`PeriodicSpline`) through them, and the loop
+    runs until the recomputed residual drops to tol. seed may be a
+    constant u value, an array of u over the grid, a callable theta ->
+    u, or a previous estimate. The residual is checked before the first
+    push, so an exactly invariant seed converges in zero iterations; a
+    NaN residual (an image holding NaN) stops the loop and, like a
+    residual still above tol after max_iter pushes, raises
+    NonConvergentError.
     """
     direction = direction.lower()
     if direction not in ("forward", "backward"):
@@ -220,29 +266,31 @@ def find_invariant_circle(
                 f"over {samples} samples)"
             )
         order = np.argsort(tp, kind="stable")
-        return _periodic_interp(tp[order], up[order])(thetas)
+        return PeriodicSpline(tp[order], up[order]).at(thetas)
 
     def residual_of(g):
-        interp = _periodic_interp(thetas, g)
+        # the spline through g, kept for the estimate once g converges
+        graph = PeriodicSpline(thetas, g)
         img = h.raw(np.stack([g, thetas], axis=-1))
-        target = interp(np.mod(img[..., 1], 1.0))
-        return float(np.max(circle_dist(img[..., 0], target)))
+        target = graph.at(img[..., 1])
+        return float(np.max(circle_dist(img[..., 0], target))), graph
 
-    res = residual_of(g)
+    res, graph = residual_of(g)
     history = [res]
     iters = 0
+    # pushing an image that holds NaN cannot help, so NaN stops the loop
     while res > tol and iters < max_iter:
         g = push(g)
         iters += 1
-        res = residual_of(g)
+        res, graph = residual_of(g)
         history.append(res)
-    if res > tol:
+    if not res <= tol:
         raise NonConvergentError(
             f"graph transform stalled at residual {res:.3e} after "
             f"{iters} iterations (tol {tol:.1e})",
             history,
         )
-    return InvariantCircleEstimate(thetas, g, res, side, iters, tol)
+    return InvariantCircleEstimate(thetas, g, res, side, iters, tol, graph)
 
 
 @dataclass

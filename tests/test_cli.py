@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -429,3 +433,15 @@ class TestReproduceAll:
         assert code == cli.OK
         assert seen["seed"] == 11
         assert "seed 11" in out
+
+
+def test_import_loads_no_scipy():
+    # every command pays the package import; scipy serves only as a
+    # test reference
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bsdl.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

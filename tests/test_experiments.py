@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,11 @@ from bsdl.catalog import (
 )
 from bsdl.circle import circle_dist, compose, wrap
 from bsdl.estimators import CellSet, fixed_cells
+from bsdl import experiments
 from bsdl.experiments import (
     GraphFoldError,
     NonConvergentError,
+    PeriodicSpline,
     _bump_field,
     classify_perturbed,
     conjugated_action,
@@ -149,6 +152,155 @@ class TestFindInvariantCircle:
         pts = np.stack([wrap(c2.at(tg)), tg], axis=-1)
         img = act.f.raw(pts)
         assert float(np.min(circle_dist(img[..., 0], 0.5))) > 0.2
+
+
+    def test_nan_image_is_not_converged(self):
+        # a NaN residual fails both `res > tol` and `res <= tol`; it must
+        # not pass for a converged circle
+        def fn(v):
+            out = np.array(v, dtype=float)
+            out[..., 0] *= 0.5
+            out[..., 1][out[..., 1] == 0.25] = np.nan
+            return out
+
+        with pytest.raises(NonConvergentError) as info:
+            find_invariant_circle(FunctionTorusLift(fn), 0.0, samples=16)
+        assert np.isnan(info.value.residuals).tolist() == [True]
+
+    def test_estimate_keeps_the_last_residual_spline(self, monkeypatch):
+        # one spline per push and one per residual, none rebuilt for the
+        # estimate, which evaluates the one its residual was measured on
+        built = []
+
+        class Counted(PeriodicSpline):
+            def __init__(self, knots, values):
+                super().__init__(knots, values)
+                built.append(self)
+
+        monkeypatch.setattr(experiments, "PeriodicSpline", Counted)
+        h = compose(vertical_bump(1e-2), standard_torus(2).h)
+        c = find_invariant_circle(h, 0.0)
+        assert c.iterations > 0
+        assert len(built) == 2 * c.iterations + 1
+        assert c.spline is built[-1]
+
+
+def spline_knots(uniform):
+    """(knots, values) of a periodic spline: a uniform grid from 0, or
+    sorted knots from a random start whose spacings differ at most
+    twentyfold."""
+    if uniform:
+        return st.integers(1, 64).flatmap(lambda n: st.tuples(
+            st.just(np.arange(n) / n),
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array),
+        ))
+
+    def build(lo, gaps, values):
+        gaps = np.array(gaps)
+        cuts = np.concatenate([[0.0], np.cumsum(gaps[:-1])]) / np.sum(gaps)
+        return lo + cuts, np.array(values)
+
+    return st.integers(1, 40).flatmap(lambda n: st.builds(
+        build,
+        st.floats(-2.0, 2.0),
+        st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n),
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+    ))
+
+
+splines = st.one_of(spline_knots(True), spline_knots(False))
+
+
+def one_sided(sp):
+    """Value, first and second derivative of each interval's cubic at its
+    left knot and at its right one, as (2, 3, n) arrays, with the size of
+    the largest term of each."""
+    k, c0, c1, c2, c3 = sp.table
+    h = np.diff(sp.knots)
+    left = np.array([c3, c2, 2.0 * c1])
+    right = np.array([
+        c3 + h * (c2 + h * (c1 + h * c0)),
+        c2 + h * (2.0 * c1 + 3.0 * h * c0),
+        2.0 * c1 + 6.0 * h * c0,
+    ])
+    terms = [
+        np.abs([c3, h * c2, h * h * c1, h ** 3 * c0]),
+        np.abs([c2, 2.0 * h * c1, 3.0 * h * h * c0]),
+        np.abs([2.0 * c1, 6.0 * h * c0]),
+    ]
+    return left, right, [float(np.max(t)) for t in terms]
+
+
+class TestPeriodicSpline:
+    @settings(max_examples=150, deadline=None)
+    @given(splines)
+    def test_exact_at_the_nodes(self, kv):
+        knots, values = kv
+        sp = PeriodicSpline(knots, values)
+        assert np.array_equal(sp.at(knots), values)
+        assert [sp.at_float(x) for x in knots.tolist()] == values.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(splines)
+    def test_c2_at_every_knot_and_the_seam(self, kv):
+        sp = PeriodicSpline(*kv)
+        left, right, scale = one_sided(sp)
+        # the end of interval i against the start of interval i + 1, the
+        # end of the last one against the start of the first
+        for order in range(3):
+            gap = np.abs(right[order] - np.roll(left[order], -1))
+            assert np.max(gap) <= 1e-13 * scale[order], order
+
+    @settings(max_examples=150, deadline=None)
+    @given(splines, st.floats(-2.0, 2.0), st.integers(-8, 8))
+    def test_period_one(self, kv, x, k):
+        sp = PeriodicSpline(*kv)
+        # x + k is exact, so only the remap into the period may round
+        x = (x + k) - k
+        slope = one_sided(sp)[2][1] / np.min(np.diff(sp.knots))
+        bound = 1e-15 * (1.0 + slope)
+        assert abs(sp.at(x + k) - sp.at(x)) <= bound
+        assert abs(sp.at_float(x + k) - sp.at_float(x)) <= bound
+
+    @settings(max_examples=150, deadline=None)
+    @given(splines, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=32))
+    def test_matches_scipy_cubic_spline(self, kv, xs):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        knots, values = kv
+        sp = PeriodicSpline(knots, values)
+        ref = interpolate.CubicSpline(
+            np.append(knots, knots[0] + 1.0), np.append(values, values[0]),
+            bc_type="periodic",
+        )
+        x = np.array(xs)
+        x = x - np.floor(x - knots[0])
+        assert np.max(np.abs(sp.at(x) - ref(x))) <= 1e-14 * max(1.0, np.max(np.abs(ref(x))))
+
+    def test_at_float_is_at_off_the_period(self):
+        sp = PeriodicSpline(np.sort(np.random.default_rng(1).uniform(0.0, 1.0, 50)),
+                            np.random.default_rng(2).uniform(-1.0, 1.0, 50))
+        xs = np.concatenate([np.random.default_rng(3).uniform(-5.0, 5.0, 2000),
+                             sp.knots, np.nextafter(sp.knots, -9.0), sp.knots - 3.0])
+        ys = sp.at(xs).tolist()
+        assert all(sp.at_float(x) == y for x, y in zip(xs.tolist(), ys))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sp.at(np.array([np.nan, np.inf, -np.inf]))).all()
+        assert all(math.isnan(sp.at_float(x)) for x in (math.nan, math.inf, -math.inf))
+
+    @pytest.mark.parametrize("knots, values", [
+        ([0.0, 0.5], [0.0, np.nan]),
+        ([0.0, 0.5], [np.inf, 0.0]),
+        ([0.0, np.nan], [0.0, 1.0]),
+        ([-np.inf, 0.5], [0.0, 1.0]),
+        ([0.0, 0.5, 0.5], [0.0, 1.0, 2.0]),
+        ([0.5, 0.25], [0.0, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 1.0, 2.0]),
+        ([0.0, 0.5], [0.0]),
+        ([], []),
+    ])
+    def test_rejects_bad_knots_and_values(self, knots, values):
+        with pytest.raises(ValueError):
+            PeriodicSpline(knots, values)
 
 
 class TestRestrictedCircleMap:

@@ -3,12 +3,14 @@
 the exact circle and torus families, their inverses and compositions,
 at generic points, glued points, points within 2^-54 below an integer,
 piecewise breakpoints, large |x| and non-finite input. The bump lift's
-float `step` (`BumpTorusLift`, forward and inverse) and the float graph
-evaluation `InvariantCircleEstimate.at_float` are held to the bits of
-their array paths on the point alone, non-finite points included; so is
-the graph restriction of conjugated actions, at finite points. In a
-batch the bump field may round a row otherwise, so there the graph
-restriction is held to 1e-14."""
+float `step` (`BumpTorusLift`, forward and inverse) is held to the bits
+of its array path on the point alone, non-finite points included. So is
+the float graph evaluation `InvariantCircleEstimate.at_float`, which
+runs the remap, the interval search and the Horner sum of the periodic
+spline's `at` on one float; and so is the graph restriction of
+conjugated actions, at finite points. In a batch the bump field may
+round a row otherwise, so there the graph restriction is held to
+1e-14."""
 
 import functools
 import math
@@ -320,7 +322,7 @@ def test_float_graph_evaluation_is_at(F, data):
 
 def test_float_graph_evaluation_on_a_dense_grid():
     # every node, its neighbours, and enough points for a 1-ulp
-    # difference in the interval, the remaps or the power sum to show
+    # difference in the interval, the remap or the Horner sum to show
     circle = graph_restriction(2, None, 5).circle
     ts = np.concatenate([
         np.random.default_rng(3).uniform(-3.0, 3.0, 20000),
