@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bsdl import experiments
 from bsdl.bsgroup import relation_report
 from bsdl.catalog import (
     morse_smale_example,
@@ -18,7 +19,6 @@ from bsdl.catalog import (
 )
 from bsdl.circle import circle_dist, compose, wrap
 from bsdl.estimators import CellSet, fixed_cells
-from bsdl import experiments
 from bsdl.experiments import (
     GraphFoldError,
     NonConvergentError,
@@ -153,7 +153,6 @@ class TestFindInvariantCircle:
         img = act.f.raw(pts)
         assert float(np.min(circle_dist(img[..., 0], 0.5))) > 0.2
 
-
     def test_nan_image_is_not_converged(self):
         # a NaN residual fails both `res > tol` and `res <= tol`; it must
         # not pass for a converged circle
@@ -213,9 +212,9 @@ splines = st.one_of(spline_knots(True), spline_knots(False))
 
 def one_sided(sp):
     """Value, first and second derivative of each interval's cubic at its
-    left knot and at its right one, as (2, 3, n) arrays, with the size of
-    the largest term of each."""
-    k, c0, c1, c2, c3 = sp.table
+    left knot and at its right one, as two (3, n) arrays, and for each
+    order the size of the largest term that enters it."""
+    _, c0, c1, c2, c3 = sp.table
     h = np.diff(sp.knots)
     left = np.array([c3, c2, 2.0 * c1])
     right = np.array([
