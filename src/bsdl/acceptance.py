@@ -2,10 +2,10 @@
 
 Each criterion function recomputes its evidence from scratch and returns
 (passed, details) with details a plain-JSON dict of the numbers behind
-the verdict. run_all executes the requested criteria in order and
-appends a final determinism check that reruns the whole battery and
-compares canonical report hashes, so a full run computes everything
-twice. All randomness is drawn from the single seed argument.
+the verdict. run_all executes the criteria in order and appends a final
+determinism check that reruns the whole battery and compares canonical
+report hashes, so a run computes everything twice. All randomness is
+drawn from the single seed argument.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .catalog import (
     perturbed_torus,
     standard_torus,
 )
-from .circle import circle_dist, compose, parse_k_spec, rotation_number
+from .circle import WITNESS_PERIODS, circle_dist, compose, parse_k_spec, rotation_number
 from .estimators import bs_minimal_set, differential_at
 from .experiments import (
     classify_perturbed,
@@ -350,7 +350,7 @@ def _c10_perturbed(seed):
     second = {
         "outcome": rep2.outcome,
         "rational_witness": rep2.rotation_number.rational_witness,
-        "q_max": 64,
+        "q_max": WITNESS_PERIODS,
     }
     return ok, {"tuned": first, "detuned": second}
 
@@ -445,44 +445,27 @@ def _run_one(cid, name, fn, seed):
     }
 
 
-def run_all(seed: int = 7, ids=None):
-    """Run the numbered acceptance checks; returns one row per criterion.
+def run_all(seed: int = 7):
+    """Run the twelve acceptance checks; returns one row per criterion.
 
-    Criterion 12 reruns every other requested criterion and passes when
-    both passes hash identically, which is what makes a full run twice
-    the cost of the first eleven checks.
+    Criterion 12 reruns the other eleven and passes when both passes
+    hash identically, which is what makes a run twice the cost of the
+    first eleven checks.
     """
-    wanted = sorted({int(i) for i in (ids if ids is not None else range(1, 13))})
-    for c in wanted:
-        if not 1 <= c <= 12:
-            raise ValueError(f"unknown criterion {c}")
-    todo = [row for row in CRITERIA if row[0] in wanted]
-    report_first = bool(todo)
-    if 12 in wanted and not todo:
-        # determinism alone still needs a battery to rerun
-        todo = list(CRITERIA)
-    rows = []
-    first = []
-    for cid, name, fn in todo:
-        row = _run_one(cid, name, fn, seed)
-        first.append(row)
-        if report_first:
-            rows.append(row)
-    if 12 in wanted:
-        t0 = time.perf_counter()
-        second = [_run_one(cid, name, fn, seed) for cid, name, fn in todo]
-        h1, h2 = report_hash(first), report_hash(second)
-        rows.append(
-            {
-                "id": 12,
-                "name": "determinism",
-                "passed": h1 == h2,
-                "details": {
-                    "first_hash": h1,
-                    "second_hash": h2,
-                    "criteria_rerun": [cid for cid, _, _ in todo],
-                },
-                "elapsed": time.perf_counter() - t0,
-            }
-        )
-    return rows
+    first = [_run_one(cid, name, fn, seed) for cid, name, fn in CRITERIA]
+    t0 = time.perf_counter()
+    second = [_run_one(cid, name, fn, seed) for cid, name, fn in CRITERIA]
+    h1, h2 = report_hash(first), report_hash(second)
+    return first + [
+        {
+            "id": 12,
+            "name": "determinism",
+            "passed": h1 == h2,
+            "details": {
+                "first_hash": h1,
+                "second_hash": h2,
+                "criteria_rerun": [cid for cid, _, _ in CRITERIA],
+            },
+            "elapsed": time.perf_counter() - t0,
+        }
+    ]

@@ -286,32 +286,32 @@ class RelationReport:
 
 
 def relation_report(
-    action: BSAction,
-    grid: int = 10000,
-    primary_tol: float = 1e-8,
-    secondary_tol: float = 1e-6,
+    action: BSAction, grid: int = 10000, primary_tol: float = 1e-8
 ) -> RelationReport:
-    """Check h f h^-1 = f^n on a grid, and the derived identity
-    h^2 f h^-2 = f^(n^2) as a stress test of iterated powers."""
+    """Check h f h^-1 = f^n on a grid to primary_tol, and the derived
+    identity h^2 f h^-2 = f^(n^2) to 1e-6, as a stress test of iterated
+    powers. Raises ValueError unless primary_tol is finite and >= 0; the
+    test is residual <= tol, so 0 asks for an exact relation.
+    """
+    if not 0.0 <= primary_tol < math.inf:
+        raise ValueError(f"primary_tol must be finite and >= 0, got {primary_tol}")
     r1 = relation_residual(action.f, action.h, action.n, power=1, grid=grid)
     r2 = relation_residual(action.f, action.h, action.n, power=2, grid=grid)
     return RelationReport(
         primary_residual=r1,
         primary_tol=primary_tol,
         secondary_residual=r2,
-        secondary_tol=secondary_tol,
+        secondary_tol=1e-6,
         grid=grid,
         space=action.space,
     )
 
 
-def make_action(
-    f, h, n: int, name: str = "", check: bool = True, tol: float = 1e-8
-) -> BSAction:
+def make_action(f, h, n: int, name: str = "") -> BSAction:
     """Bundle a pair into a BSAction, verifying the relation numerically.
 
-    The space is inferred from the lift types. With check=True (default)
-    a primary relation residual above tol, or NaN, raises.
+    The space is inferred from the lift types. A primary relation
+    residual above 1e-8 on a 2048-point grid, or NaN, raises.
     """
     space = space_of(f)
     if space_of(h) != space:
@@ -320,14 +320,12 @@ def make_action(
         )
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    action = BSAction(n=n, f=f, h=h, space=space, name=name)
-    if check:
-        resid = relation_residual(f, h, n, power=1, grid=2048)
-        if not resid <= tol:  # a NaN residual fails too
-            raise ValueError(
-                f"pair does not satisfy h f h^-1 = f^{n}: residual {resid:.3e}"
-            )
-    return action
+    resid = relation_residual(f, h, n, power=1, grid=2048)
+    if not resid <= 1e-8:  # a NaN residual fails too
+        raise ValueError(
+            f"pair does not satisfy h f h^-1 = f^{n}: residual {resid:.3e}"
+        )
+    return BSAction(n=n, f=f, h=h, space=space, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,14 @@ __all__ = [
 ]
 
 DEGREE_CHECK_TOL = 1e-12
-PROPERTY_CHECK_TOL = 1e-10
 INVERSE_TOL = 1e-12
 BISECTION_STEPS = 80
+# Grid of `displacement_bounds`, which bracket a bisection inverse
+DISPLACEMENT_GRID = 512
+# The rational witness scans periods q <= WITNESS_PERIODS on a uniform grid
+# of WITNESS_GRID points, which contains 0
+WITNESS_PERIODS = 64
+WITNESS_GRID = 256
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 # largest double below 1: x - floor(x) rounds up to 1.0 for x within
 # 2^-54 below an integer, and that point belongs at the top of [0, 1)
@@ -235,25 +240,26 @@ class CircleLift:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, grid: int = 256, tol: float = DEGREE_CHECK_TOL):
-        """Spot-check degree one and strict monotonicity on a grid."""
-        xs = np.arange(grid) / grid
+    def validate(self):
+        """Spot-check degree one and strict monotonicity on a 256-point grid."""
+        xs = np.arange(256) / 256
         lo = self.raw(xs)
         hi = self.raw(xs + 1.0)
         err = np.max(np.abs(hi - lo - 1.0))
-        if err > tol:
+        if err > DEGREE_CHECK_TOL:
             raise ValueError(
                 f"{type(self).__name__}{' ' + self.label if self.label else ''}: "
-                f"degree-one defect {err:.3e} exceeds {tol:.1e}"
+                f"degree-one defect {err:.3e} exceeds {DEGREE_CHECK_TOL:.1e}"
             )
-        fine = np.sort(np.concatenate([xs, xs + 0.5 / grid]))
+        fine = np.sort(np.concatenate([xs, xs + 0.5 / 256]))
         vals = self.raw(fine)
         if np.any(np.diff(vals) <= 0.0):
             raise ValueError(f"{type(self).__name__}: lift is not strictly increasing")
         return self
 
-    def displacement_bounds(self, grid: int = 512):
-        xs = np.arange(grid) / grid
+    def displacement_bounds(self):
+        """Least and largest F(x) - x on the DISPLACEMENT_GRID grid."""
+        xs = np.arange(DISPLACEMENT_GRID) / DISPLACEMENT_GRID
         d = self.raw(xs) - xs
         return float(np.min(d)), float(np.max(d))
 
@@ -479,12 +485,12 @@ class GluedLift(CircleLift):
     powers act blockwise on (a, b), hence stay exact.
     """
 
-    def __init__(self, m: int, a: float, b: float, label: str = ""):
+    def __init__(self, m: int, a: float, b: float):
         if m < 1:
             raise ValueError(f"need at least one block, got m={m}")
         self.m = int(m)
         self.base = ChartAffineLift(a, b)
-        self.label = label or f"glued({m};{a:g},{b:g})"
+        self.label = f"glued({m};{a:g},{b:g})"
 
     @property
     def a(self):
@@ -545,10 +551,10 @@ class GluedLift(CircleLift):
 class ComposedLift(CircleLift):
     """Lift of outer o inner."""
 
-    def __init__(self, outer: CircleLift, inner: CircleLift, label: str = ""):
+    def __init__(self, outer: CircleLift, inner: CircleLift):
         self.outer = outer
         self.inner = inner
-        self.label = label or f"({outer.label} o {inner.label})"
+        self.label = f"({outer.label} o {inner.label})"
 
     def raw(self, x):
         return self.outer.raw(self.inner.raw(np.asarray(x, dtype=float)))
@@ -610,11 +616,11 @@ class BisectionInverse(CircleLift):
     preimage well below the 1e-12 tolerance contract.
     """
 
-    def __init__(self, target: CircleLift, grid: int = 512):
+    def __init__(self, target: CircleLift):
         self.target = target
-        dmin, dmax = target.displacement_bounds(grid)
+        dmin, dmax = target.displacement_bounds()
         # a monotone lift can overshoot grid extrema by at most one cell
-        pad = 1.0 / grid + 1e-9
+        pad = 1.0 / DISPLACEMENT_GRID + 1e-9
         self._lo_off = dmax + pad
         self._hi_off = dmin - pad
         self.label = target.label + "^-1"
@@ -679,25 +685,18 @@ class RotationNumberEstimate:
 
 
 def rotation_number(
-    F: CircleLift,
-    iterates: int = 10**5,
-    q_max: int = 64,
-    tol: float = 1e-8,
-    x0: float = 0.0,
-    cert_grid: int = 256,
+    F: CircleLift, iterates: int = 10**5, tol: float = 1e-8
 ) -> RotationNumberEstimate:
     """Rotation number of the circle map under F.
 
-    The estimate is (F^N(x0) - x0)/N mod 1 (`birkhoff_rotation`), and
-    the certificate a grid point of period q <= q_max
+    The estimate is F^N(0)/N mod 1 (`birkhoff_rotation` from 0), and
+    the certificate a grid point of period q <= WITNESS_PERIODS
     (`rational_witness`).
     """
     if iterates < 1:
         raise ValueError("iterates must be positive")
     return RotationNumberEstimate.of(
-        birkhoff_rotation(F, x0, iterates),
-        iterates,
-        rational_witness(F, q_max, tol, cert_grid),
+        birkhoff_rotation(F, 0.0, iterates), iterates, rational_witness(F, tol)
     )
 
 
@@ -722,18 +721,20 @@ def birkhoff_rotation(F: CircleLift, x0: float, iterates: int, pairs=None) -> fl
     return float(wrap(total / iterates))
 
 
-def rational_witness(
-    F: CircleLift, q_max: int = 64, tol: float = 1e-8, cert_grid: int = 256
-):
+def rational_witness(F: CircleLift, tol: float = 1e-8):
     """(p, q, x, residual) with |F^q(x) - x - p| = residual < tol, or None.
 
-    Scans periods q <= q_max over a uniform grid of cert_grid points,
-    smallest q first. The grid contains 0, so fixed points sitting at
-    chart-rational positions certify exactly.
+    Scans periods q <= WITNESS_PERIODS over a uniform grid of WITNESS_GRID
+    points, smallest q first. The grid contains 0, so fixed points
+    sitting at chart-rational positions certify exactly. Raises
+    ValueError unless tol is positive and finite: the test is strict,
+    so no residual passes tol 0.
     """
-    xs = np.arange(cert_grid) / cert_grid
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    xs = np.arange(WITNESS_GRID) / WITNESS_GRID
     ys = xs.copy()
-    for q in range(1, q_max + 1):
+    for q in range(1, WITNESS_PERIODS + 1):
         ys = F.raw(ys)
         disp = ys - xs
         p = np.round(disp)
@@ -752,8 +753,8 @@ class DenjoyLift(PiecewiseLift):
     """Piecewise-affine lift from blowing up a finite orbit segment of an
     irrational rotation; see `denjoy_lift`."""
 
-    def __init__(self, bx, by, alpha, depth, gap_ratio, intervals, to_new, label=""):
-        super().__init__(bx, by, label=label or f"denjoy({alpha:g},{depth})")
+    def __init__(self, bx, by, alpha, depth, gap_ratio, intervals, to_new):
+        super().__init__(bx, by, label=f"denjoy({alpha:g},{depth})")
         self.alpha = float(alpha)
         self.depth = int(depth)
         self.gap_ratio = float(gap_ratio)

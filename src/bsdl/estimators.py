@@ -82,24 +82,15 @@ class CellSet(Report):
         self._compatible(other)
         return self._with(self.cells & other.cells)
 
-    def union(self, other):
-        self._compatible(other)
-        return self._with(self.cells | other.cells)
-
     def centers(self):
         """Cell centers, sorted by index; (k,) or (k, 2) array."""
         return (self.space.cell_array(sorted(self.cells)) + 0.5) / self.resolution
 
-    def dilate(self, steps: int = 1):
-        """Grow by full neighborhoods (2 neighbors on the circle, 8 on the
-        torus), wrapping."""
-        space = self.space
-        around = space.grid(3) - 1
-        cells = self.cells
-        for _ in range(steps):
-            idx = space.cell_array(cells)
-            cells = space.cells((idx[:, None] + around) % self.resolution)
-        return self._with(cells)
+    def dilate(self):
+        """Grow by the full neighborhood (2 neighbors on the circle, 8 on
+        the torus), wrapping."""
+        idx = self.space.cell_array(self.cells)[:, None] + (self.space.grid(3) - 1)
+        return self._with(self.space.cells(idx % self.resolution))
 
     def measure(self):
         """Total cell area as a fraction of the whole space."""
@@ -112,7 +103,8 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
     The test runs at half resolution first; flagged cells are subdivided
     and their children re-tested at delta / 2, so the returned set lives
     at the requested resolution. Default delta is twice the coarse cell
-    diameter, 4 / resolution.
+    diameter, 4 / resolution. Raises ValueError unless delta is positive
+    and finite: the test is strict, so no cell passes delta 0.
     """
     if resolution < 2 or resolution % 2:
         raise ValueError("resolution must be an even integer >= 2")
@@ -120,6 +112,8 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
     coarse = resolution // 2
     if delta is None:
         delta = 4.0 / resolution
+    elif not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     idx = space.grid(coarse)
     c = (idx + 0.5) / coarse
     flag = idx[space.dist(f.raw(c), c) < delta]
@@ -152,8 +146,8 @@ class DifferentialReport(Report):
     seam_distance: float | None
 
 
-def differential_at(f, x, step: float = 1e-3) -> DifferentialReport:
-    """Jacobian of f at x by central differences at step, step/2, step/4.
+def differential_at(f, x) -> DifferentialReport:
+    """Jacobian of f at x by central differences at steps 1e-3, 5e-4, 2.5e-4.
 
     The reported matrix uses the smallest step. Eigenvalue moduli are
     sorted ascending, so an attracting-repelling saddle reads off as
@@ -168,6 +162,7 @@ def differential_at(f, x, step: float = 1e-3) -> DifferentialReport:
         cols = [(f.raw(x0 + s * e) - f.raw(x0 - s * e)) / (2.0 * s) for e in basis]
         return np.stack(cols, axis=-1).reshape(dim, dim)
 
+    step = 1e-3
     J1 = jac(step)
     J2 = jac(step / 2.0)
     J3 = jac(step / 4.0)
@@ -196,6 +191,8 @@ def _largest_gap(vals):
 
 
 GAP_SIZES = (1000, 10000, 100000)
+# Orbit steps discarded before the points of a gap profile
+GAP_TRANSIENT = 200
 
 
 def gap_profile_label(coords, resolution: int):
@@ -276,25 +273,24 @@ class MinimalSetEstimate:
 
 
 def bs_minimal_set(
-    action: BSAction,
-    resolution: int = 256,
-    depth: int = 8,
-    orbit_iterates: int = 100000,
-    transient: int = 200,
-    merge_tol: float = 1e-6,
-    max_orbit: int = 2000,
+    action: BSAction, resolution: int = 256, orbit_iterates: int = 100000
 ) -> MinimalSetEstimate:
     """Locate the minimal set of the action inside the fixed set of f.
 
     The candidate region is fix(f) estimated by cell displacement; the
-    family K_l intersects it with dilated forward and backward h-images
-    of its own centers, shrinking toward the h-invariant part. A start
-    point is picked in the surviving region by minimizing f-displacement
-    over a subgrid that includes exact cell corners, then classified:
-    a closing generator orbit gives FiniteOrbit, otherwise the long
-    h-orbit is classified by its largest-gap profile. Empty candidate
-    regions (f has no fixed points at this tolerance) report Unknown.
+    family K_l, l = 0 ... 8, intersects it with dilated forward and
+    backward h-images of its own centers, shrinking toward the
+    h-invariant part. A start point is picked in the surviving region by
+    minimizing f-displacement over a subgrid that includes exact cell
+    corners, then classified: a generator orbit (`finite_bs_orbit` at
+    its default merge_tol, cut past 2000 points) that closes gives
+    FiniteOrbit, otherwise the h-orbit of orbit_iterates points after
+    GAP_TRANSIENT steps is classified by its largest-gap profile. Empty
+    candidate regions (f has no fixed points at this tolerance) report
+    Unknown. Raises ValueError unless orbit_iterates >= 1.
     """
+    if orbit_iterates < 1:
+        raise ValueError(f"need orbit_iterates >= 1, got {orbit_iterates}")
     space = action.space
     P = fixed_cells(action.f, resolution)
     diag = {
@@ -331,7 +327,7 @@ def bs_minimal_set(
     bwd = fwd.copy()
     K = P
     family = [P]
-    for _ in range(depth):
+    for _ in range(8):
         fwd = wrap(h.raw(fwd))
         bwd = wrap(hinv.raw(bwd))
         keep = hits(fwd) & hits(bwd)
@@ -351,7 +347,7 @@ def bs_minimal_set(
     x0 = cand[int(np.argmin(space.dist(action.f.raw(cand), cand)))]
     diag["start"] = x0.tolist()
 
-    orb = finite_bs_orbit(action, x0, merge_tol=merge_tol, max_size=max_orbit)
+    orb = finite_bs_orbit(action, x0, max_size=2000)
     diag["orbit_closed"] = orb.closed
     diag["orbit_size"] = orb.size
     if orb.closed:
@@ -362,7 +358,7 @@ def bs_minimal_set(
         )
     diag["orbit_reason"] = orb.reason
 
-    pts = np.array([x for x, _ in orbit(h, x0, int(orbit_iterates), transient)])
+    pts = np.array([x for x, _ in orbit(h, x0, int(orbit_iterates), GAP_TRANSIENT)])
     columns = list(pts.reshape(len(pts), space.dim).T)
     if len(columns) > 1:
         # classify the coordinate whose projection leaves the narrowest gap

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+import math
 
 import numpy as np
 
@@ -28,9 +29,12 @@ from .circle import (
     rational_witness,
     wrap,
 )
-from .estimators import CellSet, fixed_cells, gap_profile_label
+from .estimators import GAP_TRANSIENT, CellSet, fixed_cells, gap_profile_label
 from .space import CIRCLE, TORUS
 from .torus import ProductTorusLift, TorusLift
+
+# Sup residual at which the graph transform's circle counts as invariant
+CIRCLE_TOL = 1e-10
 
 
 class GraphFoldError(RuntimeError):
@@ -215,7 +219,6 @@ def find_invariant_circle(
     direction: str = "forward",
     samples: int = 512,
     max_iter: int = 200,
-    tol: float = 1e-10,
 ) -> InvariantCircleEstimate:
     """Graph transform for a normally hyperbolic h-invariant circle.
 
@@ -223,12 +226,12 @@ def find_invariant_circle(
     circle) or h^-1 (backward, repelling), the image points are
     reprojected to a graph over the uniform fiber grid through the
     periodic cubic spline (`PeriodicSpline`) through them, and the loop
-    runs until the recomputed residual drops to tol. seed may be a
+    runs until the recomputed residual drops to CIRCLE_TOL. seed may be a
     constant u value, an array of u over the grid, a callable theta ->
     u, or a previous estimate. The residual is checked before the first
     push, so an exactly invariant seed converges in zero iterations; a
     NaN residual (an image holding NaN) stops the loop and, like a
-    residual still above tol after max_iter pushes, raises
+    residual still above CIRCLE_TOL after max_iter pushes, raises
     NonConvergentError.
     """
     direction = direction.lower()
@@ -279,18 +282,18 @@ def find_invariant_circle(
     history = [res]
     iters = 0
     # pushing an image that holds NaN cannot help, so NaN stops the loop
-    while res > tol and iters < max_iter:
+    while res > CIRCLE_TOL and iters < max_iter:
         g = push(g)
         iters += 1
         res, graph = residual_of(g)
         history.append(res)
-    if not res <= tol:
+    if not res <= CIRCLE_TOL:
         raise NonConvergentError(
             f"graph transform stalled at residual {res:.3e} after "
-            f"{iters} iterations (tol {tol:.1e})",
+            f"{iters} iterations (tol {CIRCLE_TOL:.1e})",
             history,
         )
-    return InvariantCircleEstimate(thetas, g, res, side, iters, tol, graph)
+    return InvariantCircleEstimate(thetas, g, res, side, iters, CIRCLE_TOL, graph)
 
 
 @dataclass
@@ -368,31 +371,26 @@ def classify_perturbed(
     circle: InvariantCircleEstimate = None,
     resolutions=(256, 512, 1024),
     orbit_iterates: int = 100000,
-    transient: int = 200,
-    q_max: int = 64,
-    merge_tol: float = 1e-6,
-    max_orbit: int = 5000,
 ) -> TrichotomyReport:
     """Decide the minimal-set trichotomy on an h-invariant circle.
 
     The restricted map is stepped along one orbit of 0 with N =
     orbit_iterates. Its first N pairs give the Birkhoff sum of the
     rotation number (a lift with a closed-form power gives h^N(0)
-    instead), and its points transient ... transient + N - 1 the gap
-    profile. A rational rotation number, certified by a witness, stops
-    the orbit after N pairs and sends the search to finite_bs_orbit from
-    the witness point; FiniteOrbits is reported only when that orbit
-    actually closes. An irrational one is classified through the
-    largest-gap profile of the orbit, reusing it across all resolutions.
-    Anything inconclusive is Unknown.
+    instead), and its points T ... T + N - 1, T = GAP_TRANSIENT, the gap
+    profile. A rational rotation number, certified by a witness of
+    period at most `circle.WITNESS_PERIODS`, stops the orbit after N
+    pairs and sends the search to finite_bs_orbit from the witness point
+    (at its default merge_tol, cut past 5000 points); FiniteOrbits is
+    reported only when that orbit actually closes. An irrational one is
+    classified through the largest-gap profile of the orbit, reusing it
+    across all resolutions. Anything inconclusive is Unknown.
     """
     if action.space != "torus":
         raise ValueError("trichotomy classification expects a torus action")
     N = int(orbit_iterates)
-    if N < 1 or transient < 0:
-        raise ValueError(
-            f"need orbit_iterates >= 1 and transient >= 0, got {N}, {transient}"
-        )
+    if N < 1:
+        raise ValueError(f"need orbit_iterates >= 1, got {N}")
     if circle is None:
         circle = find_invariant_circle(action.h, 0.0)
 
@@ -410,7 +408,7 @@ def classify_perturbed(
 
     restriction, kind = restricted_circle_map(action.h, circle)
     evidence["restriction"] = kind
-    steps = orbit(restriction, 0.0, N + transient)
+    steps = orbit(restriction, 0.0, N + GAP_TRANSIENT)
     angles = []
 
     def head():
@@ -421,7 +419,7 @@ def classify_perturbed(
     rho = RotationNumberEstimate.of(
         birkhoff_rotation(restriction, 0.0, N, head()),
         N,
-        rational_witness(restriction, q_max),
+        rational_witness(restriction),
     )
 
     if not meets:
@@ -432,9 +430,7 @@ def classify_perturbed(
         p, q, angle, wres = rho.rational_witness
         evidence["witness"] = {"p": p, "q": q, "angle": angle, "residual": wres}
         x0 = np.array([wrap(float(circle.at(angle))), wrap(angle)])
-        orb = finite_bs_orbit(
-            action, x0, merge_tol=merge_tol, max_size=max_orbit
-        )
+        orb = finite_bs_orbit(action, x0, max_size=5000)
         evidence["orbit_size"] = orb.size
         evidence["orbit_closed"] = orb.closed
         if orb.closed:
@@ -447,7 +443,7 @@ def classify_perturbed(
     # came from a closed form), gap statistics at several sample sizes,
     # cell coverage at several resolutions
     angles += [t for t, _ in steps]
-    angles = np.array(angles)[transient:]
+    angles = np.array(angles)[GAP_TRANSIENT:]
     label, evidence["gap_profile"], reason = gap_profile_label(
         angles, min(resolutions)
     )
@@ -494,12 +490,15 @@ def persistent_fixed_point(
     best candidates on h(v) - v with central-difference Jacobians, and
     keeps a refined point only when both generator residuals pass tol.
     Each single point is mapped through `step`, which gives the bits of
-    `raw` on it.
+    `raw` on it. Raises ValueError unless tol is positive and finite:
+    the test is strict, so no point passes tol 0.
     """
     f, h, space = action.f, action.h, action.space
     S = int(search_resolution)
     if S < 1:
         raise ValueError(f"search_resolution must be positive, got {S}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     cutoff, repeat = _FP_CANDIDATES[space]
     eye = np.eye(space.dim)
     vs = space.grid(S) / S

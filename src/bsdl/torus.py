@@ -83,9 +83,9 @@ class TorusLift:
     def __call__(self, v):
         return self.raw(np.asarray(v, dtype=float))
 
-    def validate(self, grid: int = 8, tol: float = PERIODICITY_TOL):
-        """Check equivariance F(v + m) = F(v) + A m on a sample grid."""
-        g = np.arange(grid) / grid
+    def validate(self):
+        """Check equivariance F(v + m) = F(v) + A m on an 8 x 8 grid."""
+        g = np.arange(8) / 8
         vs = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
         base = self.raw(vs)
         A = self.linear_part
@@ -93,10 +93,10 @@ class TorusLift:
             shifted = self.raw(vs + np.array(m, dtype=float))
             expected = base + np.array(A.apply(m), dtype=float)
             err = np.max(np.abs(shifted - expected))
-            if err > tol:
+            if err > PERIODICITY_TOL:
                 raise ValueError(
                     f"{type(self).__name__}: deck translation {m} defect "
-                    f"{err:.3e} exceeds {tol:.1e}"
+                    f"{err:.3e} exceeds {PERIODICITY_TOL:.1e}"
                 )
         return self
 
@@ -135,10 +135,10 @@ class TorusLift:
 class ProductTorusLift(TorusLift):
     """(u, t) -> (F(u), K(t)) for two circle lifts."""
 
-    def __init__(self, base: CircleLift, fiber: CircleLift, label: str = ""):
+    def __init__(self, base: CircleLift, fiber: CircleLift):
         self.base = base
         self.fiber = fiber
-        self.label = label or f"({base.label} x {fiber.label})"
+        self.label = f"({base.label} x {fiber.label})"
 
     def raw(self, v):
         v = np.asarray(v, dtype=float)
@@ -262,11 +262,11 @@ class FunctionTorusLift(TorusLift):
 
 
 class ComposedTorusLift(TorusLift):
-    def __init__(self, outer: TorusLift, inner: TorusLift, label: str = ""):
+    def __init__(self, outer: TorusLift, inner: TorusLift):
         self.outer = outer
         self.inner = inner
         self.linear_part = outer.linear_part * inner.linear_part
-        self.label = label or f"({outer.label} o {inner.label})"
+        self.label = f"({outer.label} o {inner.label})"
 
     def raw(self, v):
         return self.outer.raw(self.inner.raw(np.asarray(v, dtype=float)))
@@ -431,7 +431,6 @@ def rotation_set(
     grid: int = 32,
     iterates: int = 10**4,
     transient: int = 100,
-    point_tol: float = 1e-3,
 ) -> RotationSetEstimate:
     """Outer numerical estimate of the rotation set of the lift F.
 
@@ -463,7 +462,7 @@ def rotation_set(
     return RotationSetEstimate(
         vertices=pts,
         diameter=diam,
-        is_point=diam < point_tol,
+        is_point=diam < 1e-3,
         error_bound=err,
         grid=grid,
         iterates_used=iterates,
@@ -485,14 +484,14 @@ def conjugate_rotation_set_check(
     A: IntMatrix2,
     grid: int = 16,
     iterates: int = 4000,
-    tol: float = 1e-2,
 ) -> ConjugacyRotationReport:
     """Test the rotation-set covariance rho(H F H^-1) = A rho(F) mod Z^2
     for a claimed conjugacy with linear part A carrying F to G.
 
     Both rotation sets are estimated numerically, the hull of F is pushed
     through A, and the two hulls are compared in Hausdorff distance after
-    translating by the best integer vector.
+    translating by the best integer vector. The tolerance is the larger
+    of 1e-2 and the two hulls' error bounds, the first pushed through A.
     """
     RF = rotation_set(F, grid=grid, iterates=iterates)
     RG = rotation_set(G, grid=grid, iterates=iterates)
@@ -506,7 +505,7 @@ def conjugate_rotation_set_check(
     mapped_hull = np.atleast_2d(mapped_hull) + shift
     hd = hausdorff_distance(mapped_hull, RG.vertices)
     opnorm = float(np.max(np.sum(np.abs(M), axis=1)))
-    tolerance = max(tol, opnorm * RF.error_bound + RG.error_bound)
+    tolerance = max(1e-2, opnorm * RF.error_bound + RG.error_bound)
     return ConjugacyRotationReport(
         hausdorff=hd,
         tolerance=tolerance,
@@ -548,13 +547,12 @@ class RotationConstraintReport:
         }
 
 
-def bs_rotation_constraint(
-    rho, A_h: IntMatrix2, n: int, tol: float = 1e-2
-) -> RotationConstraintReport:
+def bs_rotation_constraint(rho, A_h: IntMatrix2, n: int) -> RotationConstraintReport:
     """Check a rotation vector against the constraint the group relation
     imposes: conjugating by h multiplies rho(f) by A_h on homology while
     f^n multiplies it by n, so (n I - A_h) rho(f) must be an integer
-    vector. Accepts rho as a pair or a RotationVectorEstimate.
+    vector, up to a rounding residual of 1e-2. Accepts rho as a pair or
+    a RotationVectorEstimate.
     """
     if isinstance(rho, RotationVectorEstimate):
         rho = rho.value
@@ -568,7 +566,7 @@ def bs_rotation_constraint(
     q1 = m[1][0] * r0 + m[1][1] * r1
     qi0, qi1 = int(round(q0)), int(round(q1))
     residual = max(abs(q0 - qi0), abs(q1 - qi1))
-    satisfied = residual <= tol
+    satisfied = residual <= 1e-2
     snapped = None
     if satisfied and M.det() != 0:
         d = Fraction(M.det())

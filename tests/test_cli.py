@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bsdl import cli, experiments
+from bsdl.bsgroup import RelationReport
 from bsdl.catalog import CATALOG
 from bsdl.experiments import GraphFoldError, NonConvergentError
 
@@ -212,11 +214,38 @@ class TestBadInput:
         assert out == ""
         assert "residual nan" in err
 
-    def test_non_finite_report_is_an_error(self, capsys):
-        code, out, err = run(capsys, "verify-relation", "standard-torus", "--tol", "nan")
+    def test_non_finite_report_is_an_error(self, capsys, monkeypatch):
+        # a report that holds NaN stops at the JSON writer
+        report = RelationReport(math.nan, 1e-8, 0.0, 1e-6, 10000, "torus")
+        monkeypatch.setattr(cli, "relation_report", lambda *a, **kw: report)
+        code, out, err = run(capsys, "verify-relation", "standard-torus")
         assert code == cli.ERROR
         assert out == ""
         assert "JSON" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixed-set", "standard-torus", "--tol", "-1"),
+            ("fixed-set", "standard-torus", "--tol", "nan"),
+            ("rotation-number", "nonfaithful-circle", "--k", "rot:1/3", "--tol", "nan"),
+            ("verify-relation", "standard-torus", "--tol", "-1"),
+            ("persistent-fp", "morse-smale", "--tol", "nan"),
+            ("minimal-set", "product", "--iterates", "0"),
+            ("minimal-set", "product", "--iterates", "-5"),
+        ],
+    )
+    def test_out_of_range_tol_and_iterates_are_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.ERROR
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_zero_relation_tol_asks_for_an_exact_relation(self, capsys):
+        code, out, _ = run(capsys, "verify-relation", "standard-torus", "--tol", "0")
+        assert code == cli.OK
+        assert json.loads(out)["primary_residual"] == 0.0
 
     def test_zero_denominator_angle_is_an_error(self, capsys):
         code, _, err = run(capsys, "finite-orbit", "product", "--k", "rot:1/0")
