@@ -24,14 +24,13 @@ from .circle import (
     RotationNumberEstimate,
     birkhoff_rotation,
     circle_dist,
-    compose,
     orbit,
     rational_witness,
     wrap,
 )
 from .estimators import GAP_TRANSIENT, CellSet, fixed_cells, gap_profile_label
 from .space import CIRCLE, TORUS
-from .torus import ProductTorusLift, TorusLift
+from .torus import ConjugatedTorusLift, ProductTorusLift, TorusLift
 
 # Sup residual at which the graph transform's circle counts as invariant
 CIRCLE_TOL = 1e-10
@@ -716,19 +715,34 @@ def near_identity_diffeo(
 
 
 def conjugated_action(action: BSAction, psi) -> BSAction:
-    """Conjugate both generators by psi; the relation survives exactly.
+    """Conjugate both generators of a torus action by psi.
 
     psi f psi^-1 and psi h psi^-1 satisfy the same group relation as
     (f, h), so this is the safe way to perturb an action by an
-    arbitrary small diffeomorphism. The relation is still re-verified
-    numerically, catching a psi whose numerical inverse is too loose.
+    arbitrary small diffeomorphism. Both are `ConjugatedTorusLift`s of
+    the one psi, so the relation check of `make_action` fuses to
+    psi (h f h^-1) psi^-1 against psi f^n psi^-1, and a relation that
+    fuses exactly for (f, h) keeps a residual of exactly 0. What the
+    fusion takes on trust, psi^-1 inverting psi, is checked directly:
+    a round trip psi(psi^-1(x)) more than 1e-8 from x on a 2048-point
+    lattice raises ValueError, as does a circle action or a psi that is
+    not a torus lift.
     """
-    pinv = psi.inverse()
-    f2 = compose(psi, compose(action.f, pinv))
-    h2 = compose(psi, compose(action.h, pinv))
+    if action.space != TORUS or not isinstance(psi, TorusLift):
+        raise ValueError(
+            "conjugated_action needs a torus action and a torus lift psi, "
+            f"got a {action.space} action and {type(psi).__name__}"
+        )
+    xs = TORUS.lattice(2048)
+    err = float(np.max(TORUS.dist(psi.raw(psi.inverse().raw(xs)), xs)))
+    if not err <= 1e-8:  # a NaN round trip fails too
+        raise ValueError(
+            f"{psi.label}: round trip psi(psi^-1(x)) is {err:.3e} from x, "
+            "above 1e-8"
+        )
     return make_action(
-        f2,
-        h2,
+        ConjugatedTorusLift(psi, action.f),
+        ConjugatedTorusLift(psi, action.h),
         action.n,
         name=f"{action.name or 'action'} conjugated by {psi.label}",
     )

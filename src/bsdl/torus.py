@@ -38,6 +38,7 @@ __all__ = [
     "LinearTorusLift",
     "FunctionTorusLift",
     "ComposedTorusLift",
+    "ConjugatedTorusLift",
     "torus_dist",
     "rotation_vector",
     "RotationVectorEstimate",
@@ -282,6 +283,38 @@ class ComposedTorusLift(TorusLift):
         return nearest_seam(
             self.inner.seam_distance(v), self.outer.seam_distance(self.inner.raw(v))
         )
+
+
+class ConjugatedTorusLift(ComposedTorusLift):
+    """psi o g o psi^-1, evaluated as the chain psi o (g o psi^-1).
+
+    Conjugates by the same psi object fuse on g: `compose`, `power` and
+    `inverse` conjugate g's own fused result, so a relation that fuses
+    exactly for g fuses exactly for its conjugates.
+    """
+
+    def __init__(self, psi: TorusLift, g: TorusLift):
+        super().__init__(psi, ComposedTorusLift(g, psi.inverse()))
+        self.psi = psi
+        self.g = g
+
+    def inverse(self):
+        return ConjugatedTorusLift(self.psi, self.g.inverse())
+
+    def compose(self, inner):
+        if isinstance(inner, ConjugatedTorusLift) and inner.psi is self.psi:
+            return ConjugatedTorusLift(self.psi, self.g.compose(inner.g))
+        return super().compose(inner)
+
+    def power(self, m: int):
+        if m == 0:
+            return super().power(0)
+        return ConjugatedTorusLift(self.psi, self.g.power(m))
+
+    def same_params(self, other):
+        if not isinstance(other, ConjugatedTorusLift) or other.psi is not self.psi:
+            return False
+        return self.g.same_params(other.g)
 
 
 # ---------------------------------------------------------------------------
