@@ -357,17 +357,21 @@ def _c10_perturbed(seed):
 
 # Per space, the offset and period of each coordinate of the sample points
 _SEAM_SAMPLES = {CIRCLE: ((0.391, 17.0),), TORUS: ((0.37, 17.0), (0.61, 13.0))}
+# c11 differentiates each catalog map at this many sample points farther
+# than _SEAM_MARGIN from its seams
+_SEAM_FREE_COUNT = 3
+_SEAM_MARGIN = 0.05
 
 
-def _seam_free_points(m, space, count=3, margin=0.05):
+def _seam_free_points(m, space):
     out = []
     for k in range(40):
         coords = [(k + o) / q % 1.0 for o, q in _SEAM_SAMPLES[space]]
         p = np.reshape(coords, space.shape)
         d = m.seam_distance(p)
-        if d is None or d > margin:
+        if d is None or d > _SEAM_MARGIN:
             out.append(p)
-        if len(out) == count:
+        if len(out) == _SEAM_FREE_COUNT:
             break
     return out
 

@@ -249,7 +249,7 @@ def relation_residual(
 
 
 @dataclass
-class RelationReport:
+class RelationReport(Report):
     """Numerical verification of the defining relation for an action."""
 
     primary_residual: float
@@ -258,31 +258,14 @@ class RelationReport:
     secondary_tol: float
     grid: int
     space: str
+    primary_passed: bool = field(init=False)
+    secondary_passed: bool = field(init=False)
+    passed: bool = field(init=False)
 
-    @property
-    def primary_passed(self):
-        return self.primary_residual <= self.primary_tol
-
-    @property
-    def secondary_passed(self):
-        return self.secondary_residual <= self.secondary_tol
-
-    @property
-    def passed(self):
-        return self.primary_passed and self.secondary_passed
-
-    def to_json(self):
-        return {
-            "primary_residual": self.primary_residual,
-            "primary_tol": self.primary_tol,
-            "primary_passed": self.primary_passed,
-            "secondary_residual": self.secondary_residual,
-            "secondary_tol": self.secondary_tol,
-            "secondary_passed": self.secondary_passed,
-            "passed": self.passed,
-            "grid": self.grid,
-            "space": self.space,
-        }
+    def __post_init__(self):
+        self.primary_passed = self.primary_residual <= self.primary_tol
+        self.secondary_passed = self.secondary_residual <= self.secondary_tol
+        self.passed = self.primary_passed and self.secondary_passed
 
 
 def relation_report(

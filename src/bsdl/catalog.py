@@ -55,6 +55,7 @@ from .circle import (
     compose,
     parse_k_spec,
 )
+from .report import Report
 from .torus import ProductTorusLift
 
 __all__ = [
@@ -354,9 +355,14 @@ def build_action(name: str, n: int | None = None, **params) -> BSAction:
 # ---------------------------------------------------------------------------
 # faithfulness evidence
 
+# Words up to this length are sampled, and an element that moves no grid
+# point by more than FAITHFUL_TOL counts as trivial
+FAITHFUL_WORD_LEN = 4
+FAITHFUL_TOL = 1e-9
+
 
 @dataclass
-class FaithfulnessReport:
+class FaithfulnessReport(Report):
     """Sampled lower bound on how far nontrivial group elements move points.
 
     Words up to the sampled length are reduced to normal form; every
@@ -370,20 +376,10 @@ class FaithfulnessReport:
     trivial_words: list
     words_tested: int
     tol: float
+    faithful_evidence: bool = field(init=False)
 
-    @property
-    def faithful_evidence(self):
-        return self.min_residual > self.tol
-
-    def to_json(self):
-        return {
-            "min_residual": self.min_residual,
-            "min_word": self.min_word,
-            "trivial_words": list(self.trivial_words),
-            "words_tested": self.words_tested,
-            "tol": self.tol,
-            "faithful_evidence": self.faithful_evidence,
-        }
+    def __post_init__(self):
+        self.faithful_evidence = self.min_residual > self.tol
 
 
 def _distinct_normal_forms(n: int, max_len: int):
@@ -405,12 +401,10 @@ def _distinct_normal_forms(n: int, max_len: int):
     return list(seen.values())
 
 
-def faithfulness_evidence(
-    action: BSAction, max_word_len: int = 4, grid: int = 128, tol: float = 1e-9
-) -> FaithfulnessReport:
-    """Scan all group elements represented by words up to max_word_len and
-    measure how little each moves the space."""
-    forms = _distinct_normal_forms(action.n, max_word_len)
+def faithfulness_evidence(action: BSAction, grid: int = 128) -> FaithfulnessReport:
+    """Scan all group elements represented by words up to FAITHFUL_WORD_LEN
+    and measure how little each moves the space."""
+    forms = _distinct_normal_forms(action.n, FAITHFUL_WORD_LEN)
     pts = action.space.lattice(grid)
     best = math.inf
     best_word = ""
@@ -421,12 +415,12 @@ def faithfulness_evidence(
         if resid < best:
             best = resid
             best_word = str(w)
-        if resid <= tol:
+        if resid <= FAITHFUL_TOL:
             trivial.append(str(w))
     return FaithfulnessReport(
         min_residual=best,
         min_word=best_word,
         trivial_words=trivial,
         words_tested=len(forms),
-        tol=tol,
+        tol=FAITHFUL_TOL,
     )

@@ -27,8 +27,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
+
+from .report import Report
 
 __all__ = [
     "CircleLift",
@@ -45,6 +48,7 @@ __all__ = [
     "birkhoff_rotation",
     "rational_witness",
     "RotationNumberEstimate",
+    "Witness",
     "denjoy_lift",
     "chart_from_real",
     "chart_to_real",
@@ -650,38 +654,40 @@ def compose(outer, inner):
 # rotation numbers
 
 
+class Witness(NamedTuple):
+    """An approximate periodic point x of rotation p/q:
+    |F^q(x) - x - p| = residual."""
+
+    p: int
+    q: int
+    x: float
+    residual: float
+
+
 @dataclass
-class RotationNumberEstimate:
+class RotationNumberEstimate(Report):
     """Birkhoff estimate of a rotation number with an optional certificate.
 
     value            estimate in [0, 1)
     iterates_used    orbit length N behind (F^N(x) - x)/N
-    rational_witness (p, q, x, residual) certifying an approximate
-                     periodic point of rotation p/q, or None
+    rational_witness `Witness` (p, q, x, residual) certifying an
+                     approximate periodic point of rotation p/q, or None
     error_bound      1/N plus the evaluation tolerance
     """
 
     value: float
     iterates_used: int
-    rational_witness: tuple | None
+    rational_witness: Witness | None
     error_bound: float
+
+    def __post_init__(self):
+        if self.rational_witness is not None:
+            self.rational_witness = Witness(*self.rational_witness)
 
     @classmethod
     def of(cls, value: float, iterates: int, witness):
         """The estimate from N = iterates steps and the witness scan."""
         return cls(value, int(iterates), witness, 1.0 / iterates + INVERSE_TOL)
-
-    def to_json(self):
-        w = None
-        if self.rational_witness is not None:
-            p, q, x, res = self.rational_witness
-            w = {"p": int(p), "q": int(q), "x": float(x), "residual": float(res)}
-        return {
-            "value": self.value,
-            "iterates_used": self.iterates_used,
-            "rational_witness": w,
-            "error_bound": self.error_bound,
-        }
 
 
 def rotation_number(
@@ -722,7 +728,7 @@ def birkhoff_rotation(F: CircleLift, x0: float, iterates: int, pairs=None) -> fl
 
 
 def rational_witness(F: CircleLift, tol: float = 1e-8):
-    """(p, q, x, residual) with |F^q(x) - x - p| = residual < tol, or None.
+    """A `Witness` (p, q, x, residual) with residual < tol, or None.
 
     Scans periods q <= WITNESS_PERIODS over a uniform grid of WITNESS_GRID
     points, smallest q first. The grid contains 0, so fixed points
@@ -741,7 +747,7 @@ def rational_witness(F: CircleLift, tol: float = 1e-8):
         resid = np.abs(disp - p)
         i = int(np.argmin(resid))
         if resid[i] < tol and abs(p[i]) <= q:
-            return (int(p[i]), q, float(xs[i]), float(resid[i]))
+            return Witness(int(p[i]), q, float(xs[i]), float(resid[i]))
     return None
 
 

@@ -38,7 +38,7 @@ OK = 0
 ERROR = 1
 INCONCLUSIVE = 2
 
-_CLI_ERRORS = (ValueError, TypeError, KeyError, RuntimeError, OSError)
+_CLI_ERRORS = (ValueError, TypeError, KeyError, RuntimeError, OSError, MemoryError)
 
 
 def _atomic_write(path, text):

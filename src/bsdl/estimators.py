@@ -16,7 +16,7 @@ import numpy as np
 
 from .bsgroup import BSAction, finite_bs_orbit
 from .circle import orbit, wrap
-from .report import Report
+from .report import Report, jsonable
 from .space import CIRCLE, SPACES, TORUS, cell_index, space_of
 
 FIXED_POINT_TOL = 1e-8
@@ -203,13 +203,21 @@ def gap_profile_label(coords, resolution: int):
     g ~ log(N)/N: MinimalCircle needs g < 5/sqrt(N) at the last size and
     at most half the first size's gap. A Cantor set keeps its widest
     gap: MinimalCantor needs the last two sizes within 10% and g above
-    ten cells at `resolution`, the coarsest grid the caller reads.
-    reason says why a label is Unknown, naming each failed test with its
-    numbers, and is None otherwise.
+    ten cells at `resolution`, the coarsest grid the caller reads. An
+    orbit with fewer distinct points than the first size repeats, so it
+    is finite and neither test applies: it is Unknown. reason says why a
+    label is Unknown, naming each failed test with its numbers, and is
+    None otherwise.
     """
     sizes = sorted({min(s, len(coords)) for s in GAP_SIZES})
     gaps = [_largest_gap(coords[:s]) for s in sizes]
     profile = {str(s): g for s, g in zip(sizes, gaps)}
+    distinct = np.unique(wrap(coords)).size
+    if distinct < sizes[0]:
+        return "Unknown", profile, (
+            f"orbit repeats: distinct count {distinct} of {len(coords)} points "
+            f"is below the first gap sample size {sizes[0]}"
+        )
     g, n = gaps[-1], sizes[-1]
     bound = 5.0 / math.sqrt(n)
     if g < bound and g <= 0.5 * gaps[0]:
@@ -243,7 +251,7 @@ def gap_profile_label(coords, resolution: int):
 
 
 @dataclass
-class MinimalSetEstimate:
+class MinimalSetEstimate(Report):
     """Outcome of the minimal-set search for one action.
 
     label is FiniteOrbit, MinimalCircle, MinimalCantor, or Unknown.
@@ -267,7 +275,7 @@ class MinimalSetEstimate:
             "cells": self.cells.to_json(),
             "fixed_count": len(self.fixed),
             "k_counts": [len(k) for k in self.k_family],
-            "diagnostics": self.diagnostics,
+            "diagnostics": jsonable(self.diagnostics),
             "points": np.asarray(self.points, dtype=float)[:2000].tolist(),
         }
 

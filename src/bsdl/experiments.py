@@ -29,6 +29,7 @@ from .circle import (
     wrap,
 )
 from .estimators import GAP_TRANSIENT, CellSet, fixed_cells, gap_profile_label
+from .report import Report
 from .space import CIRCLE, TORUS
 from .torus import ConjugatedTorusLift, ProductTorusLift, TorusLift
 
@@ -85,18 +86,6 @@ class InvariantCircleEstimate:
 
     def spread(self):
         return float(np.max(self.graph) - np.min(self.graph))
-
-    def to_json(self):
-        return {
-            "samples": int(len(self.thetas)),
-            "residual": self.residual,
-            "side": self.side,
-            "iterations": self.iterations,
-            "tol": self.tol,
-            "u_mean": float(np.mean(self.graph)),
-            "u_min": float(np.min(self.graph)),
-            "u_max": float(np.max(self.graph)),
-        }
 
 
 class PeriodicSpline:
@@ -296,7 +285,7 @@ def find_invariant_circle(
 
 
 @dataclass
-class TrichotomyReport:
+class TrichotomyReport(Report):
     """Classification of the minimal set living on an invariant circle.
 
     rotation_number is the estimate for h restricted to the circle;
@@ -311,17 +300,12 @@ class TrichotomyReport:
     orbit: FiniteOrbit | None = None
 
     def to_json(self):
-        rho = self.rotation_number.to_json()
-        w = rho["rational_witness"]
+        out = super().to_json()
+        w = out["rotation_number"]["rational_witness"]
         if w is not None:
             # the witness point is an angle on the invariant circle
             w["angle"] = w.pop("x")
-        return {
-            "outcome": self.outcome,
-            "rotation_number": rho,
-            "evidence": self.evidence,
-            "orbit": None if self.orbit is None else self.orbit.to_json(),
-        }
+        return out
 
 
 class GraphRestriction(CircleLift):

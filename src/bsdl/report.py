@@ -1,11 +1,13 @@
 """The one rule that turns a result into plain JSON.
 
 `jsonable` walks a value: a Fraction becomes [num, den], a numpy scalar
-its Python value, an ndarray its `tolist()`, a dataclass the dict of its
-fields, a dict a dict with string keys, a list or tuple a list, and a
-frozenset a sorted list. A result whose JSON is exactly its fields
-inherits `Report.to_json`; one whose JSON differs (derived flags,
-renamed or truncated fields, exact rationals) writes its own.
+its Python value, an ndarray its `tolist()`, a `Report` its `to_json()`,
+another dataclass or a named tuple the dict of its fields, a dict a dict
+with string keys, a list or tuple a list, and a frozenset a sorted list.
+A result's JSON is `Report.to_json`, its fields; a result that renames
+or truncates fields overrides `to_json`, and `jsonable` honours the
+override wherever the result sits, so it writes the same JSON nested or
+not.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ def jsonable(x):
     """x as plain JSON values: dicts, lists, str, int, float, bool, None."""
     if type(x) in _PLAIN:
         return x
+    if isinstance(x, Report):
+        return x.to_json()
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        return {k: jsonable(v) for k, v in zip(x._fields, x)}
     if isinstance(x, (list, tuple)):
         # the bulk of a report is lists of floats (its points), which
         # skip the call
@@ -38,14 +44,20 @@ def jsonable(x):
     if isinstance(x, Fraction):
         return [int(x.numerator), int(x.denominator)]
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        return _fields(x)
     if isinstance(x, frozenset):
         return [jsonable(v) for v in sorted(x)]
     return x
 
 
+def _fields(x):
+    return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+
+
 class Report:
-    """A dataclass result whose JSON is its fields, through `jsonable`."""
+    """A dataclass result. Its JSON is its fields, through `jsonable`;
+    a subclass whose JSON differs overrides `to_json`, and returns plain
+    JSON values from it."""
 
     def to_json(self):
-        return jsonable(self)
+        return _fields(self)

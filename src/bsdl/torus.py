@@ -549,7 +549,7 @@ def conjugate_rotation_set_check(
 
 
 @dataclass
-class RotationConstraintReport:
+class RotationConstraintReport(Report):
     """Outcome of the relation constraint (n I - A_h) rho(f) in Z^2.
 
     q_float is the left side at the numerical rotation vector, q_int its
@@ -567,17 +567,14 @@ class RotationConstraintReport:
     snapped: tuple | None
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "constraint_matrix": self.matrix.to_json(),
-            "q_float": [float(self.q_float[0]), float(self.q_float[1])],
-            "q_int": [int(self.q_int[0]), int(self.q_int[1])],
-            "residual": self.residual,
-            "satisfied": self.satisfied,
-            "snapped": None
-            if self.snapped is None
-            else [rational_to_json(self.snapped[0]), rational_to_json(self.snapped[1])],
-        }
+        # the matrix as rows under the key constraint_matrix, and the
+        # exact rationals as {num, den}
+        out = super().to_json()
+        del out["matrix"]
+        out["constraint_matrix"] = self.matrix.to_json()
+        if self.snapped is not None:
+            out["snapped"] = [rational_to_json(q) for q in self.snapped]
+        return out
 
 
 def bs_rotation_constraint(rho, A_h: IntMatrix2, n: int) -> RotationConstraintReport:

@@ -147,6 +147,18 @@ class TestEstimatorCommands:
         assert code == cli.OK
         assert d["label"] == "FiniteOrbit"
 
+    def test_cut_finite_orbit_is_not_a_cantor_set(self, capsys):
+        # the group orbit of n - 1 points is cut at 2000, and h fixes the
+        # start, so the gap profile sees one point repeated
+        code, out, _ = run(
+            capsys, "minimal-set", "periodic-circle", "--n", "2500", "--iterates", "20000"
+        )
+        d = json.loads(out)
+        assert code == cli.INCONCLUSIVE
+        assert d["label"] == "Unknown"
+        assert d["diagnostics"]["orbit_closed"] is False
+        assert d["diagnostics"]["reason"].startswith("orbit repeats: distinct count 1 ")
+
     def test_rotation_set_with_constraint(self, capsys):
         code, out, _ = run(
             capsys,
@@ -222,6 +234,17 @@ class TestBadInput:
         assert code == cli.ERROR
         assert out == ""
         assert "JSON" in err
+
+    def test_memory_error_is_an_error(self, capsys, monkeypatch):
+        # a grid numpy cannot allocate, without asking for one
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, "fixed_cells", refuse)
+        code, out, err = run(capsys, "fixed-set", "standard-torus", "--resolution", "100000")
+        assert code == cli.ERROR
+        assert out == ""
+        assert err == "error: Unable to allocate 74.5 GiB for an array\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -209,6 +209,21 @@ class TestGapProfileLabel:
             "neither halve nor stabilize"
         )
 
+    @pytest.mark.parametrize(
+        "coords", [np.full(20000, 0.25), np.tile(np.arange(999) / 999, 21)]
+    )
+    def test_repeating_orbit_is_unknown(self, coords):
+        # a finite orbit keeps its widest gap, which alone reads as a
+        # Cantor set above ten cells
+        distinct = np.unique(coords).size
+        label, profile, reason = gap_profile_label(coords, 256)
+        assert label == "Unknown"
+        assert list(profile) == ["1000", "10000", str(coords.size)]
+        assert reason == (
+            f"orbit repeats: distinct count {distinct} of {coords.size} points "
+            "is below the first gap sample size 1000"
+        )
+
     def test_unknown_reason_names_the_failed_tests(self):
         # a hole [0.5, 0.51) in 1000 points is filled down to [0.5, 0.507)
         # by 9000 more: the gap passes the 5/sqrt(N) test, does not halve

@@ -1,0 +1,96 @@
+"""Property laws of the lifts, the group's normal form and the hull:
+
+* every exact circle family is a degree-one lift: F(x + 1) = F(x) + 1
+  to 1e-12, at points where x + 1 is exact;
+* every exact circle family, Denjoy lifts included, and its inverse is
+  strictly increasing at points 2^-16 apart, for parameters whose
+  slopes stay above 1e-8, so those points stay far more than one
+  rounding apart;
+* the normal form of a word of up to 6 letters evaluates like the word
+  on every catalog action, to 1e-9;
+* every input point of `convex_hull` lies within 1e-12 of its hull.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from bsdl.bsgroup import Word, evaluate, normalize
+from bsdl.catalog import CATALOG, build_action
+from bsdl.circle import GOLDEN_MEAN, ChartAffineLift, GluedLift, RotationLift, denjoy_lift
+from bsdl.torus import _point_to_hull, convex_hull
+
+from test_step import exact_circle, random_piecewise
+
+# dyadic points with 37 significant bits or fewer, so x + 1 is exact
+dyadic = st.one_of(
+    st.integers(-64 * 2**30, 64 * 2**30).map(lambda k: k / 2**30),
+    st.integers(-64, 64).map(float),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_circle, st.lists(dyadic, min_size=1, max_size=16))
+def test_degree_one(F, xs):
+    x = np.array(xs)
+    err = np.abs(F.raw(x + 1.0) - F.raw(x) - 1.0)
+    assert np.max(err) <= 1e-12, (F.label, xs)
+
+
+# slopes above 1e-8: the least slope of a chart-affine map x -> a x + b
+# is a / (a^2 + b^2 + 1), at least 4.9e-4 here; a Denjoy lift's is about
+# 4e-8, on its funnel arc; a random piecewise lift's at least 7e-7
+slopes = st.floats(0.05, 20.0)
+offsets = st.floats(-10.0, 10.0)
+moderate_circle = st.one_of(
+    st.builds(RotationLift, st.floats(-4.0, 4.0)),
+    st.builds(ChartAffineLift, slopes, offsets),
+    st.builds(GluedLift, st.integers(1, 6), slopes, offsets),
+    st.builds(random_piecewise, st.integers(0, 2**32 - 1), st.integers(1, 8)),
+    st.builds(
+        denjoy_lift,
+        st.sampled_from([GOLDEN_MEAN, math.log(2.0), math.sqrt(2.0) - 1.0]),
+        st.integers(1, 12),
+        st.floats(0.1, 0.9),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    moderate_circle,
+    st.booleans(),
+    st.lists(st.integers(-3 * 2**16, 3 * 2**16), min_size=2, max_size=32, unique=True),
+)
+def test_strictly_increasing(F, invert, ks):
+    if invert:
+        F = F.inverse()
+    x = np.sort(np.array(ks)) / 2**16
+    assert np.all(np.diff(F.raw(x)) > 0.0), (F.label, x.tolist())
+
+
+# each letter a can scale a rounding error by up to n: over all words
+# of up to 6 letters the worst case on the 16-point lattice is 2.5e-10
+# (a^5 b^-1 on periodic-circle), and a^7 b^-1 reaches 6e-8 there
+words = st.lists(st.sampled_from("aAbB"), max_size=6).map(lambda cs: Word.parse(" ".join(cs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(CATALOG)), words)
+def test_normal_form_evaluates_like_the_word(name, w):
+    act = build_action(name)
+    pts = act.space.lattice(16)
+    nf = normalize(w, act.n).to_word()
+    d = act.space.dist(evaluate(act, w, pts), evaluate(act, nf, pts))
+    assert np.max(d) < 1e-9, (name, str(w), str(nf))
+
+
+coordinates = st.one_of(st.floats(-100.0, 100.0), st.integers(-3, 3).map(float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=40))
+def test_hull_contains_its_points(points):
+    hull = convex_hull(np.array(points))
+    assert max(_point_to_hull(p, hull) for p in points) <= 1e-12, hull.tolist()

@@ -3,10 +3,16 @@
 The results whose JSON is exactly their fields inherit `Report.to_json`.
 Reference copies of the methods it replaced (below) must give the same
 `json.dumps(..., sort_keys=True)` text, so every key, type and float
-bit, on the results of every catalog entry. `TrichotomyReport` writes
-its rotation number through `RotationNumberEstimate.to_json`, with the
-witness point renamed to `angle`; a reference copy of its former
-method checks that too.
+bit, on the results of every catalog entry. `RelationReport` and
+`FaithfulnessReport` hold their derived flags as fields, and
+`RotationNumberEstimate` its witness as a named tuple. The three
+results that override `to_json` are checked against their former
+methods too: `TrichotomyReport`, which renames the witness point to
+`angle`, `MinimalSetEstimate`, which truncates its points, and
+`RotationConstraintReport`, which writes exact rationals.
+
+`jsonable` writes a result nested in another value as it writes it
+alone, for every result type.
 """
 
 import json
@@ -15,17 +21,34 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bsdl.bsgroup import FiniteOrbit, NormalForm, Word, finite_bs_orbit, normalize
-from bsdl.catalog import CATALOG, build_action
-from bsdl.circle import RotationNumberEstimate
-from bsdl.estimators import CellSet, DifferentialReport, differential_at, fixed_cells
+from bsdl.bsgroup import (
+    FiniteOrbit,
+    NormalForm,
+    RelationReport,
+    Word,
+    finite_bs_orbit,
+    normalize,
+    relation_report,
+)
+from bsdl.catalog import CATALOG, FaithfulnessReport, build_action, faithfulness_evidence
+from bsdl.circle import RotationNumberEstimate, parse_k_spec, rotation_number
+from bsdl.estimators import (
+    CellSet,
+    DifferentialReport,
+    MinimalSetEstimate,
+    bs_minimal_set,
+    differential_at,
+    fixed_cells,
+)
 from bsdl.experiments import TrichotomyReport
 from bsdl.gl2z import IntMatrix2
 from bsdl.report import Report, jsonable
 from bsdl.torus import (
     ConjugacyRotationReport,
+    RotationConstraintReport,
     RotationSetEstimate,
     RotationVectorEstimate,
+    bs_rotation_constraint,
     conjugate_rotation_set_check,
     rotation_set,
     rotation_vector,
@@ -120,6 +143,70 @@ def ref_trichotomy(self):
     }
 
 
+def ref_relation(self):
+    return {
+        "primary_residual": self.primary_residual,
+        "primary_tol": self.primary_tol,
+        "primary_passed": self.primary_passed,
+        "secondary_residual": self.secondary_residual,
+        "secondary_tol": self.secondary_tol,
+        "secondary_passed": self.secondary_passed,
+        "passed": self.passed,
+        "grid": self.grid,
+        "space": self.space,
+    }
+
+
+def ref_faithfulness(self):
+    return {
+        "min_residual": self.min_residual,
+        "min_word": self.min_word,
+        "trivial_words": list(self.trivial_words),
+        "words_tested": self.words_tested,
+        "tol": self.tol,
+        "faithful_evidence": self.faithful_evidence,
+    }
+
+
+def ref_rotation_number(self):
+    w = None
+    if self.rational_witness is not None:
+        p, q, x, res = self.rational_witness
+        w = {"p": int(p), "q": int(q), "x": float(x), "residual": float(res)}
+    return {
+        "value": self.value,
+        "iterates_used": self.iterates_used,
+        "rational_witness": w,
+        "error_bound": self.error_bound,
+    }
+
+
+def ref_minimal_set(self):
+    return {
+        "label": self.label,
+        "cells": ref_cell_set(self.cells),
+        "fixed_count": len(self.fixed),
+        "k_counts": [len(k) for k in self.k_family],
+        "diagnostics": self.diagnostics,
+        "points": np.asarray(self.points, dtype=float)[:2000].tolist(),
+    }
+
+
+def ref_rotation_constraint(self):
+    m = self.matrix
+    return {
+        "n": self.n,
+        "constraint_matrix": [[m.a, m.b], [m.c, m.d]],
+        "q_float": [float(self.q_float[0]), float(self.q_float[1])],
+        "q_int": [int(self.q_int[0]), int(self.q_int[1])],
+        "residual": self.residual,
+        "satisfied": self.satisfied,
+        "snapped": None
+        if self.snapped is None
+        else [{"num": q.numerator, "den": q.denominator} for q in self.snapped],
+    }
+
+
 REFERENCE = {
     NormalForm: ref_normal_form,
     FiniteOrbit: ref_finite_orbit,
@@ -129,6 +216,11 @@ REFERENCE = {
     RotationSetEstimate: ref_rotation_set,
     ConjugacyRotationReport: ref_conjugacy,
     TrichotomyReport: ref_trichotomy,
+    RelationReport: ref_relation,
+    FaithfulnessReport: ref_faithfulness,
+    RotationNumberEstimate: ref_rotation_number,
+    MinimalSetEstimate: ref_minimal_set,
+    RotationConstraintReport: ref_rotation_constraint,
 }
 
 # ---------------------------------------------------------------------------
@@ -171,7 +263,12 @@ def results_of(name):
         differential_at(act.f, origin),
         differential_at(act.h, origin),
         normalize(Word.parse("aBBA") * Word.parse("b"), act.n),
+        relation_report(act, grid=64),
+        faithfulness_evidence(act, grid=8),
     ]
+    if space == "circle":
+        out.append(rotation_number(act.f, iterates=500))
+        out.append(rotation_number(act.h, iterates=500))
     if space == "torus":
         out.append(rotation_vector(act.f, iterates=500))
         out.append(rotation_set(act.f, grid=4, iterates=200))
@@ -193,7 +290,8 @@ def test_fields_match_the_former_methods(name):
 
 def test_cover_every_former_method():
     kinds = {type(r) for name in CATALOG for r in results_of(name)}
-    assert kinds == set(REFERENCE) - {TrichotomyReport}
+    overrides = {TrichotomyReport, MinimalSetEstimate, RotationConstraintReport}
+    assert kinds == set(REFERENCE) - overrides
 
 
 @pytest.mark.parametrize("witness", [None, (1, 3, 0.25, 1e-12)])
@@ -235,3 +333,71 @@ class TestJsonable:
         assert jsonable(NormalForm(1, 2, 0, 3)) == {"p": 1, "m": 2, "q": 0, "n": 3}
         assert jsonable({1: None, "a": "b"}) == {"1": None, "a": "b"}
         assert jsonable(NormalForm) is NormalForm
+
+
+# ---------------------------------------------------------------------------
+# nested and top-level JSON
+
+
+def _trichotomy():
+    rho = rotation_number(parse_k_spec("rot:1/3"), iterates=1000)
+    orbit = finite_bs_orbit(build_action("product", k="rot:1/3"), np.zeros(2))
+    return TrichotomyReport(rho, "FiniteOrbits", {"q": np.int64(3)}, orbit)
+
+
+# one result of each type; those that derive, rename or truncate fields
+# with their witnesses, flags and numpy diagnostics in place
+BUILDERS = {
+    NormalForm: lambda: normalize(Word.parse("aBBA"), 2),
+    FiniteOrbit: lambda: finite_bs_orbit(build_action("product"), np.zeros(2)),
+    RelationReport: lambda: relation_report(build_action("standard-torus"), grid=64),
+    FaithfulnessReport: lambda: faithfulness_evidence(
+        build_action("nonfaithful-circle", k="rot:1/3"), grid=8
+    ),
+    RotationNumberEstimate: lambda: rotation_number(parse_k_spec("rot:1/3"), iterates=1000),
+    CellSet: lambda: fixed_cells(build_action("standard-torus").f, resolution=8),
+    DifferentialReport: lambda: differential_at(build_action("standard-torus").h, np.zeros(2)),
+    MinimalSetEstimate: lambda: bs_minimal_set(
+        build_action("nonfaithful-circle"), resolution=32, orbit_iterates=2000
+    ),
+    TrichotomyReport: _trichotomy,
+    RotationVectorEstimate: lambda: rotation_vector(
+        build_action("standard-torus").f, iterates=200
+    ),
+    RotationSetEstimate: lambda: rotation_set(
+        build_action("standard-torus").f, grid=3, iterates=100
+    ),
+    ConjugacyRotationReport: lambda: conjugate_rotation_set_check(
+        build_action("product").f,
+        build_action("product").f,
+        IntMatrix2.identity(),
+        grid=3,
+        iterates=100,
+    ),
+    RotationConstraintReport: lambda: bs_rotation_constraint(
+        (0.25, 0.5), IntMatrix2.from_rows((1, 1), (0, 1)), 3
+    ),
+}
+
+
+def report_types(cls=Report):
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | report_types(sub)
+    return out
+
+
+def test_every_result_type_has_a_builder():
+    assert set(BUILDERS) == report_types()
+
+
+@pytest.mark.parametrize("kind", list(BUILDERS), ids=lambda k: k.__name__)
+def test_nested_json_is_top_level_json(kind):
+    r = BUILDERS[kind]()
+    assert type(r) is kind
+    top = r.to_json()
+    assert_plain(top)
+    assert jsonable({"r": r}) == {"r": top}
+    assert jsonable([r]) == [top]
+    assert text({"r": r}) == json.dumps({"r": top}, sort_keys=True)
+    assert_same_as_reference(r)
