@@ -11,8 +11,10 @@ full relative precision instead of drowning in cancellation.
 Conventions used throughout the package:
 
 * lifts are strictly increasing and commute with x -> x + 1;
-* the displacement F(x) - x is periodic, so every lift carries cached
-  displacement bounds for bracketing inversions;
+* `Lift` holds the algebra circle and torus lifts share, and
+  `Composition` their one unfused composition;
+* every inverse is exact or supplied; a lift without one raises
+  NotImplementedError from `inverse`;
 * the exact families (rotations, chart-affine and glued block maps) fuse
   `compose` and `power` into one lift of the family and compare through
   `same_params`; other lifts compose into a `ComposedLift` and power by
@@ -34,6 +36,8 @@ import numpy as np
 from .report import Report
 
 __all__ = [
+    "Lift",
+    "Composition",
     "CircleLift",
     "RotationLift",
     "ChartAffineLift",
@@ -42,7 +46,6 @@ __all__ = [
     "DenjoyLift",
     "ComposedLift",
     "FunctionLift",
-    "BisectionInverse",
     "compose",
     "rotation_number",
     "birkhoff_rotation",
@@ -61,9 +64,6 @@ __all__ = [
 
 DEGREE_CHECK_TOL = 1e-12
 INVERSE_TOL = 1e-12
-BISECTION_STEPS = 80
-# Grid of `displacement_bounds`, which bracket a bisection inverse
-DISPLACEMENT_GRID = 512
 # The rational witness scans periods q <= WITNESS_PERIODS on a uniform grid
 # of WITNESS_GRID points, which contains 0
 WITNESS_PERIODS = 64
@@ -154,27 +154,6 @@ def _wrap_float(x: float) -> float:
     raise ValueError(f"orbit left the real line at {x}")
 
 
-def stepped_power(F, m: int):
-    """Maps of F^m and its inverse, m >= 2, for circle and torus lifts: m
-    raw calls of F or F^-1, ending early once a step moves no point."""
-    if m > MAX_STEPPED_POWER:
-        raise ValueError(
-            f"this power of {type(F).__name__} has no closed form, and "
-            f"stepping it is limited to {MAX_STEPPED_POWER} steps"
-        )
-
-    def steps(g, x):
-        y = np.asarray(x, dtype=float)
-        for _ in range(m):
-            y2 = g.raw(y)
-            if np.array_equal(y2, y):
-                break
-            y = y2
-        return y
-
-    return (lambda x: steps(F, x)), (lambda x: steps(F.inverse(), x))
-
-
 def nearest_seam(*distances):
     """The least seam distance of a lift's parts; None (smooth) is skipped."""
     return min((d for d in distances if d is not None), default=None)
@@ -220,13 +199,105 @@ def _atan_frac(y):
     return np.where(np.isnan(y), np.nan, out)
 
 
-class CircleLift:
-    """Base class for monotone degree-one lifts."""
+class Lift:
+    """The lift algebra shared by circle and torus lifts.
+
+    Each space's base class (`CircleLift`, `torus.TorusLift`) supplies
+    three hooks: `_composed(inner)`, the unfused composition;
+    `_identity()`; and `_stepped(fn, inverse_fn, m)`, the function lift
+    of a stepped power. A lift with no inverse rule raises
+    NotImplementedError from `inverse`: every inverse is exact or
+    supplied.
+    """
 
     label = ""
 
     def raw(self, x):
         raise NotImplementedError
+
+    def __call__(self, x):
+        out = self.raw(np.asarray(x, dtype=float))
+        if np.ndim(x) == 0:
+            return float(out)
+        return out
+
+    def inverse(self):
+        raise NotImplementedError(f"{type(self).__name__} has no inverse rule")
+
+    def compose(self, inner):
+        """Lift of self o inner."""
+        return self._composed(inner)
+
+    def power(self, m: int):
+        """Lift of the m-th power; m < 0 powers the inverse.
+
+        A power with no closed form steps: m raw calls of the lift or its
+        inverse, ending early once a step moves no point.
+        """
+        if m == 0:
+            return self._identity()
+        if m < 0:
+            return self.inverse().power(-m)
+        if m == 1:
+            return self
+        if m > MAX_STEPPED_POWER:
+            raise ValueError(
+                f"this power of {type(self).__name__} has no closed form, and "
+                f"stepping it is limited to {MAX_STEPPED_POWER} steps"
+            )
+
+        def steps(g, x):
+            y = np.asarray(x, dtype=float)
+            for _ in range(m):
+                y2 = g.raw(y)
+                if np.array_equal(y2, y):
+                    break
+                y = y2
+            return y
+
+        return self._stepped(
+            lambda x: steps(self, x), lambda x: steps(self.inverse(), x), m
+        )
+
+    def same_params(self, other) -> bool:
+        """Whether other is this exact lift, by its family and parameters."""
+        return False
+
+    def iterate(self, x, m: int):
+        """m-th iterate (m may be negative) applied to x."""
+        return self.power(m)(x)
+
+    def seam_distance(self, x):
+        """Distance from x to the nearest non-smooth locus, None if smooth."""
+        return None
+
+
+class Composition(Lift):
+    """Lift of outer o inner, on either space."""
+
+    def __init__(self, outer, inner):
+        self.outer = outer
+        self.inner = inner
+        self.label = f"({outer.label} o {inner.label})"
+
+    def raw(self, x):
+        return self.outer.raw(self.inner.raw(np.asarray(x, dtype=float)))
+
+    def step(self, x):
+        return self.outer.step(self.inner.step(x))
+
+    def inverse(self):
+        return type(self)(self.inner.inverse(), self.outer.inverse())
+
+    def seam_distance(self, x):
+        x = np.asarray(x, dtype=float)
+        return nearest_seam(
+            self.inner.seam_distance(x), self.outer.seam_distance(self.inner.raw(x))
+        )
+
+
+class CircleLift(Lift):
+    """Base class for monotone degree-one lifts."""
 
     def step(self, x: float) -> float:
         """The lift at one point, as a Python float, with the bits of `raw`.
@@ -235,14 +306,6 @@ class CircleLift:
         calls `raw` on the point.
         """
         return float(self.raw(x))
-
-    def __call__(self, x):
-        out = self.raw(np.asarray(x, dtype=float))
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
-
-    # -- validation ------------------------------------------------------
 
     def validate(self):
         """Spot-check degree one and strict monotonicity on a 256-point grid."""
@@ -261,42 +324,14 @@ class CircleLift:
             raise ValueError(f"{type(self).__name__}: lift is not strictly increasing")
         return self
 
-    def displacement_bounds(self):
-        """Least and largest F(x) - x on the DISPLACEMENT_GRID grid."""
-        xs = np.arange(DISPLACEMENT_GRID) / DISPLACEMENT_GRID
-        d = self.raw(xs) - xs
-        return float(np.min(d)), float(np.max(d))
-
-    # -- algebra ---------------------------------------------------------
-
-    def inverse(self) -> "CircleLift":
-        return BisectionInverse(self)
-
-    def compose(self, inner: "CircleLift") -> "CircleLift":
-        """Lift of self o inner."""
+    def _composed(self, inner):
         return ComposedLift(self, inner)
 
-    def power(self, m: int) -> "CircleLift":
-        """Lift of the m-th power; m < 0 powers the inverse."""
-        if m == 0:
-            return RotationLift(0.0, label="id")
-        if m < 0:
-            return self.inverse().power(-m)
-        if m == 1:
-            return self
-        return FunctionLift(*stepped_power(self, m), label=f"{self.label}^{m}")
+    def _identity(self):
+        return RotationLift(0.0, label="id")
 
-    def same_params(self, other) -> bool:
-        """Whether other is this exact lift, by its family and parameters."""
-        return False
-
-    def iterate(self, x, m: int):
-        """m-th iterate (m may be negative) applied to x."""
-        return self.power(m)(x)
-
-    def seam_distance(self, x):
-        """Distance from x to the nearest non-smooth point, None if smooth."""
-        return None
+    def _stepped(self, fn, inverse_fn, m):
+        return FunctionLift(fn, inverse_fn, label=f"{self.label}^{m}")
 
 
 class RotationLift(CircleLift):
@@ -552,22 +587,8 @@ class GluedLift(CircleLift):
         return float(np.min(circle_dist(r, seams)))
 
 
-class ComposedLift(CircleLift):
-    """Lift of outer o inner."""
-
-    def __init__(self, outer: CircleLift, inner: CircleLift):
-        self.outer = outer
-        self.inner = inner
-        self.label = f"({outer.label} o {inner.label})"
-
-    def raw(self, x):
-        return self.outer.raw(self.inner.raw(np.asarray(x, dtype=float)))
-
-    def step(self, x):
-        return self.outer.step(self.inner.step(x))
-
-    def inverse(self):
-        return ComposedLift(self.inner.inverse(), self.outer.inverse())
+class ComposedLift(Composition, CircleLift):
+    """Lift of outer o inner on the circle."""
 
     def power(self, m: int):
         # a shift by whole blocks commutes with a glued map on those
@@ -577,11 +598,6 @@ class ComposedLift(CircleLift):
             if not isinstance(outer, FunctionLift) and not isinstance(inner, FunctionLift):
                 return ComposedLift(outer, inner)
         return super().power(m)
-
-    def seam_distance(self, x):
-        return nearest_seam(
-            self.inner.seam_distance(x), self.outer.seam_distance(self.inner(x))
-        )
 
 
 def _shifts_blocks(F, G) -> bool:
@@ -607,41 +623,9 @@ class FunctionLift(CircleLift):
         return np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
 
     def inverse(self):
-        if self._inverse_fn is not None:
-            return FunctionLift(self._inverse_fn, self._fn, label=self.label + "^-1")
-        return BisectionInverse(self)
-
-
-class BisectionInverse(CircleLift):
-    """Numerical inverse of a lift by bracketed bisection.
-
-    The bracket comes from the displacement bounds of the forward map;
-    a fixed iteration count keeps evaluation deterministic and lands the
-    preimage well below the 1e-12 tolerance contract.
-    """
-
-    def __init__(self, target: CircleLift):
-        self.target = target
-        dmin, dmax = target.displacement_bounds()
-        # a monotone lift can overshoot grid extrema by at most one cell
-        pad = 1.0 / DISPLACEMENT_GRID + 1e-9
-        self._lo_off = dmax + pad
-        self._hi_off = dmin - pad
-        self.label = target.label + "^-1"
-
-    def raw(self, x):
-        x = np.asarray(x, dtype=float)
-        lo = x - self._lo_off
-        hi = x - self._hi_off
-        for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            below = self.target.raw(mid) < x
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
-
-    def inverse(self):
-        return self.target
+        if self._inverse_fn is None:
+            return super().inverse()
+        return FunctionLift(self._inverse_fn, self._fn, label=self.label + "^-1")
 
 
 def compose(outer, inner):
@@ -864,9 +848,16 @@ def denjoy_lift(alpha: float, depth: int, gap_ratio: float) -> CircleLift:
     by[0] = iw[0]
     for t in range(1, iw.size):
         by[t] = by[t - 1] + wrap(iw[t] - iw[t - 1])
-    if np.any(np.diff(bx) <= 0.0) or not (by[-1] < by[0] + 1.0):
-        raise ValueError("seam arcs collided with interval endpoints; "
-                         "try a different depth or alpha")
+    # a thin blow-up has inserted intervals below the float spacing, whose
+    # endpoints, or the seam arcs beside them, round together
+    if (np.any(np.diff(bx) <= 0.0) or np.any(np.diff(by) <= 0.0)
+            or not by[-1] < by[0] + 1.0):
+        raise ValueError(
+            f"denjoy({alpha:g}, depth {depth}, gap_ratio {gap_ratio:g}): "
+            "breakpoints collide, the smallest inserted interval being "
+            f"{float(np.min(sort_len)) * scale:.1e} long; lower the depth or "
+            "raise gap_ratio"
+        )
 
     intervals = [(float(left[t]), float(right[t])) for t in range(ks.size)]
     lift = DenjoyLift(bx, by, alpha, depth, gap_ratio, intervals, to_new)

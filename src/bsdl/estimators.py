@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .bsgroup import BSAction, finite_bs_orbit
-from .circle import orbit, wrap
+from .circle import circle_dist, orbit, wrap
 from .report import Report, jsonable
 from .space import CIRCLE, SPACES, TORUS, cell_index, space_of
 
@@ -191,6 +191,10 @@ def _largest_gap(vals):
 
 
 GAP_SIZES = (1000, 10000, 100000)
+# A gap-profile orbit that comes back this close to its first point is
+# periodic. A filling orbit of N points comes back to about 1/(2N): the
+# battery's 10^5-point orbits to 2.5e-6 at the closest
+RETURN_TOL = 1e-9
 # Orbit steps discarded before the points of a gap profile
 GAP_TRANSIENT = 200
 
@@ -204,19 +208,22 @@ def gap_profile_label(coords, resolution: int):
     at most half the first size's gap. A Cantor set keeps its widest
     gap: MinimalCantor needs the last two sizes within 10% and g above
     ten cells at `resolution`, the coarsest grid the caller reads. An
-    orbit with fewer distinct points than the first size repeats, so it
-    is finite and neither test applies: it is Unknown. reason says why a
-    label is Unknown, naming each failed test with its numbers, and is
-    None otherwise.
+    orbit with a later point within RETURN_TOL of its first is periodic
+    (a circle homeomorphism has no preperiodic points), and a finite
+    orbit can pass for a circle or a Cantor set: it is Unknown. reason
+    says why a label is Unknown, naming each failed test with its
+    numbers, and is None otherwise.
     """
     sizes = sorted({min(s, len(coords)) for s in GAP_SIZES})
     gaps = [_largest_gap(coords[:s]) for s in sizes]
     profile = {str(s): g for s, g in zip(sizes, gaps)}
-    distinct = np.unique(wrap(coords)).size
-    if distinct < sizes[0]:
+    returns = circle_dist(coords[1:], coords[0])
+    back = np.flatnonzero(returns <= RETURN_TOL)
+    if back.size:
+        k = int(back[0])
         return "Unknown", profile, (
-            f"orbit repeats: distinct count {distinct} of {len(coords)} points "
-            f"is below the first gap sample size {sizes[0]}"
+            f"orbit is periodic: step {k + 1} returns to {returns[k]:.1e} of "
+            f"the first point, within {RETURN_TOL:.0e}"
         )
     g, n = gaps[-1], sizes[-1]
     bound = 5.0 / math.sqrt(n)

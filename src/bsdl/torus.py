@@ -5,7 +5,8 @@ The first coordinate is the projectively glued circle used throughout
 (`bsdl.circle`), the second an ordinary R/Z factor, so product maps are
 built from two circle lifts and inherit their exact composition rules.
 Linear models A v + b cover the algebraic examples whose translation
-parts are forced by the group relation. Both fuse `compose` and `power`.
+parts are forced by the group relation. Both fuse `compose` and `power`;
+the rest of the lift algebra is `circle.Lift`'s, shared with circle lifts.
 
 Rotation vectors and rotation sets are displacement averages of lifts
 with identity linear part; they live in R^2 (changing the lift shifts
@@ -24,10 +25,11 @@ import numpy as np
 from .circle import (
     MAX_STEPPED_POWER,
     CircleLift,
+    Composition,
+    Lift,
     circle_dist,
     nearest_seam,
     orbit,
-    stepped_power,
 )
 from .gl2z import IntMatrix2, rational_to_json
 from .report import Report
@@ -62,15 +64,11 @@ def torus_dist(p, q):
     return np.max(circle_dist(p, q), axis=-1)
 
 
-class TorusLift:
+class TorusLift(Lift):
     """Base class for torus lifts; `linear_part` is the induced map on
     H_1 = Z^2 and governs how the lift commutes with deck translations."""
 
-    label = ""
     linear_part = IntMatrix2.identity()
-
-    def raw(self, v):
-        raise NotImplementedError
 
     def step(self, p):
         """The lift at one point (u, t), as a pair of Python floats, with
@@ -80,9 +78,6 @@ class TorusLift:
         calls `raw` on the point as a (2,) array.
         """
         return tuple(self.raw(np.array(p, dtype=float)).tolist())
-
-    def __call__(self, v):
-        return self.raw(np.asarray(v, dtype=float))
 
     def validate(self):
         """Check equivariance F(v + m) = F(v) + A m on an 8 x 8 grid."""
@@ -101,36 +96,15 @@ class TorusLift:
                 )
         return self
 
-    def inverse(self) -> "TorusLift":
-        raise NotImplementedError(f"{type(self).__name__} has no inverse rule")
-
-    def compose(self, inner: "TorusLift") -> "TorusLift":
-        """Lift of self o inner."""
+    def _composed(self, inner):
         return ComposedTorusLift(self, inner)
 
-    def power(self, m: int) -> "TorusLift":
-        """Lift of the m-th power; m < 0 powers the inverse."""
-        if m == 0:
-            return LinearTorusLift(IntMatrix2.identity(), label="id")
-        if m < 0:
-            return self.inverse().power(-m)
-        if m == 1:
-            return self
-        fn, inverse_fn = stepped_power(self, m)
+    def _identity(self):
+        return LinearTorusLift(IntMatrix2.identity(), label="id")
+
+    def _stepped(self, fn, inverse_fn, m):
         A = self.linear_part**m
         return FunctionTorusLift(fn, A, inverse_fn, label=f"{self.label}^{m}")
-
-    def same_params(self, other) -> bool:
-        """Whether other is this exact lift, by its family and parameters."""
-        return False
-
-    def iterate(self, v, m: int):
-        """m-th iterate (m may be negative) applied to v."""
-        return self.power(m)(v)
-
-    def seam_distance(self, v):
-        """Distance from v to the nearest non-smooth locus, None if smooth."""
-        return None
 
 
 class ProductTorusLift(TorusLift):
@@ -257,32 +231,17 @@ class FunctionTorusLift(TorusLift):
 
     def inverse(self):
         if self._inverse_fn is None:
-            raise NotImplementedError("no inverse supplied for this lift")
+            return super().inverse()
         A = self.linear_part.inverse()
         return FunctionTorusLift(self._inverse_fn, A, self._fn, self.label + "^-1")
 
 
-class ComposedTorusLift(TorusLift):
+class ComposedTorusLift(Composition, TorusLift):
+    """Lift of outer o inner on the torus."""
+
     def __init__(self, outer: TorusLift, inner: TorusLift):
-        self.outer = outer
-        self.inner = inner
+        super().__init__(outer, inner)
         self.linear_part = outer.linear_part * inner.linear_part
-        self.label = f"({outer.label} o {inner.label})"
-
-    def raw(self, v):
-        return self.outer.raw(self.inner.raw(np.asarray(v, dtype=float)))
-
-    def step(self, p):
-        return self.outer.step(self.inner.step(p))
-
-    def inverse(self):
-        return ComposedTorusLift(self.inner.inverse(), self.outer.inverse())
-
-    def seam_distance(self, v):
-        v = np.asarray(v, dtype=float)
-        return nearest_seam(
-            self.inner.seam_distance(v), self.outer.seam_distance(self.inner.raw(v))
-        )
 
 
 class ConjugatedTorusLift(ComposedTorusLift):

@@ -5,7 +5,6 @@ import pytest
 
 from bsdl.circle import (
     MAX_STEPPED_POWER,
-    BisectionInverse,
     ChartAffineLift,
     CircleLift,
     ComposedLift,
@@ -264,20 +263,6 @@ class TestGluedLift:
         assert np.max(np.abs(G.raw(F.raw(xs)) - xs)) < 1e-10
 
 
-class TestBisectionInverse:
-    def test_inverts_a_generic_lift(self):
-        F = FunctionLift(lambda x: x + 0.1 + 0.05 * np.sin(2.0 * np.pi * x)).validate()
-        G = BisectionInverse(F)
-        xs = np.arange(0.0, 1.0, 1.0 / 101.0)
-        assert np.max(np.abs(F.raw(G.raw(xs)) - xs)) < 1e-11
-        assert np.max(np.abs(G.raw(F.raw(xs)) - xs)) < 1e-11
-
-    def test_inverse_of_inverse_returns_target(self):
-        F = FunctionLift(lambda x: x + 0.3)
-        G = BisectionInverse(F)
-        assert G.inverse() is F
-
-
 class TestRotationNumberGeneric:
     def test_matches_naive_estimate_on_perturbed_rotation(self):
         F = FunctionLift(
@@ -359,6 +344,20 @@ class TestDenjoy:
             denjoy_lift(GOLDEN_MEAN, 4, 1.5)
         with pytest.raises(ValueError):
             denjoy_lift(GOLDEN_MEAN, -1, 0.5)
+
+    @pytest.mark.parametrize(
+        "depth, gap_ratio, length", [(12, 0.05, "1.2e-16"), (30, 0.3, "7.2e-17")]
+    )
+    def test_thin_blow_up_names_its_parameters(self, depth, gap_ratio, length):
+        # inserted intervals below the float spacing collide in the
+        # breakpoint tables, which denjoy_lift reports in its own terms
+        with pytest.raises(ValueError) as err:
+            denjoy_lift(GOLDEN_MEAN, depth, gap_ratio)
+        assert str(err.value) == (
+            f"denjoy(0.618034, depth {depth}, gap_ratio {gap_ratio:g}): "
+            f"breakpoints collide, the smallest inserted interval being "
+            f"{length} long; lower the depth or raise gap_ratio"
+        )
 
 
 class TestValidate:

@@ -157,7 +157,29 @@ class TestEstimatorCommands:
         assert code == cli.INCONCLUSIVE
         assert d["label"] == "Unknown"
         assert d["diagnostics"]["orbit_closed"] is False
-        assert d["diagnostics"]["reason"].startswith("orbit repeats: distinct count 1 ")
+        assert d["diagnostics"]["reason"].startswith(
+            "orbit is periodic: step 1 returns to 0.0e+00 "
+        )
+
+    @pytest.mark.parametrize(
+        "command, action, label, evidence",
+        [
+            ("minimal-set", "nonfaithful-circle", "label", "diagnostics"),
+            ("trichotomy", "product", "outcome", "evidence"),
+        ],
+    )
+    def test_periodic_orbit_past_the_closure_cap_is_unknown(
+        self, capsys, command, action, label, evidence
+    ):
+        # h rotates by 1/2500: the group orbit is cut at 2000 points, and
+        # the float h-orbit comes back near its start at step 2500
+        code, out, _ = run(
+            capsys, command, action, "--k", "rot:1/2500", "--iterates", "20000"
+        )
+        d = json.loads(out)
+        assert code == cli.INCONCLUSIVE
+        assert d[label] == "Unknown"
+        assert d[evidence]["reason"].startswith("orbit is periodic: step 2500 ")
 
     def test_rotation_set_with_constraint(self, capsys):
         code, out, _ = run(

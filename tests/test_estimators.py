@@ -215,14 +215,23 @@ class TestGapProfileLabel:
     def test_repeating_orbit_is_unknown(self, coords):
         # a finite orbit keeps its widest gap, which alone reads as a
         # Cantor set above ten cells
-        distinct = np.unique(coords).size
+        period = np.unique(coords).size
         label, profile, reason = gap_profile_label(coords, 256)
         assert label == "Unknown"
         assert list(profile) == ["1000", "10000", str(coords.size)]
         assert reason == (
-            f"orbit repeats: distinct count {distinct} of {coords.size} points "
-            "is below the first gap sample size 1000"
+            f"orbit is periodic: step {period} returns to 0.0e+00 of the "
+            "first point, within 1e-09"
         )
+
+    def test_periodic_orbit_longer_than_the_first_size_is_unknown(self):
+        # the float orbit of the rotation by 1/2500 never repeats exactly,
+        # and its largest gap falls from 0.6 at 10^3 points to 1/2500 at
+        # 10^4 and holds, which alone reads as a circle
+        coords = np.array([x for x, _ in orbit(RotationLift(1 / 2500), 0.0, 20000)])
+        label, profile, reason = gap_profile_label(coords, 256)
+        assert label == "Unknown"
+        assert reason.startswith("orbit is periodic: step 2500 returns to ")
 
     def test_unknown_reason_names_the_failed_tests(self):
         # a hole [0.5, 0.51) in 1000 points is filled down to [0.5, 0.507)
@@ -240,7 +249,7 @@ class TestGapProfileLabel:
             f"it moved from {g0:.3e} at 1000 points, more than 10%"
         )
         # 0.9 at 1000 points, then 0.5 at 2000: both tests fail
-        coords = np.concatenate([0.1 * self.golden[:1000], 0.5 * self.golden[:1000]])
+        coords = np.concatenate([0.1 * self.golden[:1000], 0.5 * self.golden[1:1001]])
         _, profile, reason = gap_profile_label(coords, 256)
         g0, g = profile["1000"], profile["2000"]
         assert reason == (

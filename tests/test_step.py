@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from bsdl.catalog import perturbed_torus
 from bsdl.circle import (
     GOLDEN_MEAN,
-    BisectionInverse,
     ChartAffineLift,
     ComposedLift,
     FunctionLift,
@@ -350,7 +349,5 @@ def test_fallbacks_call_raw():
     F = FunctionLift(lambda x: x + 0.25 * np.sin(2 * np.pi * x) / (2 * np.pi))
     for x in (0.0, 0.3, -1.7):
         assert same(F.step(x), float(F.raw(np.array([x]))[0]))
-    B = BisectionInverse(ChartAffineLift(2.0, 0.5))
-    assert same(B.step(0.4), float(B.raw(np.array([0.4]))[0]))
     G = FunctionTorusLift(lambda v: v + 0.1 * np.sin(2 * np.pi * v[..., ::-1]))
     assert_torus_step_is_raw(G, (0.1, 0.7))
