@@ -258,33 +258,20 @@ def _c7_constructive(seed):
 def _c8_periodic(seed):
     """The block-cyclic examples have fixed-point-free b while b^2 returns
     a point to itself at roundoff scale, on the circle and on the torus."""
-    act = periodic_circle_example(3)
-    xs = np.arange(4096) / 4096
-    d1 = float(np.min(circle_dist(act.f.raw(xs), xs)))
-    disp2 = circle_dist(compose(act.f, act.f).raw(xs), xs)
-    i = int(np.argmin(disp2))
-    r2 = float(disp2[i])
-    ok = d1 > 1e-3 and r2 < 1e-8
-    circle = {
-        "min_f_displacement": d1,
-        "f2_fixed_point": float(xs[i]),
-        "f2_residual": r2,
-    }
-    act2 = periodic_torus_example(3)
-    g = np.arange(64) / 64
-    mu, mt = np.meshgrid(g, g, indexing="ij")
-    mesh = np.stack([mu.ravel(), mt.ravel()], axis=-1)
-    D1 = float(np.min(torus_dist(act2.f.raw(mesh), mesh)))
-    disp2t = torus_dist(compose(act2.f, act2.f).raw(mesh), mesh)
-    j = int(np.argmin(disp2t))
-    R2 = float(disp2t[j])
-    ok = ok and D1 > 1e-3 and R2 < 1e-8
-    torus = {
-        "min_f_displacement": D1,
-        "f2_fixed_point": [float(v) for v in mesh[j]],
-        "f2_residual": R2,
-    }
-    return ok, {"circle": circle, "torus": torus}
+    ok, details = True, {}
+    for act in (periodic_circle_example(3), periodic_torus_example(3)):
+        xs = act.space.lattice(4096)
+        d1 = float(np.min(act.space.dist(act.f.raw(xs), xs)))
+        disp2 = act.space.dist(compose(act.f, act.f).raw(xs), xs)
+        i = int(np.argmin(disp2))
+        r2 = float(disp2[i])
+        ok = ok and d1 > 1e-3 and r2 < 1e-8
+        details[act.space] = {
+            "min_f_displacement": d1,
+            "f2_fixed_point": xs[i].tolist(),
+            "f2_residual": r2,
+        }
+    return ok, details
 
 
 def _c9_persistence(seed):

@@ -171,8 +171,11 @@ def perturbed_torus(n: int = 2, eps: float = 0.0) -> BSAction:
     The fiber factors of both generators are rotations, which commute, so
     the relation survives any eps; the angle is reduced mod 1."""
     n = _check_n(n)
+    eps = float(eps)
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     fb, hb = _line_pair(n)
-    alpha = (math.log(n) + float(eps)) % 1.0
+    alpha = (math.log(n) + eps) % 1.0
     f = ProductTorusLift(fb, RotationLift(0.0, label="id"))
     h = ProductTorusLift(hb, RotationLift(alpha, label=f"rot({alpha:.6g})"))
     return make_action(f, h, n)

@@ -48,7 +48,6 @@ __all__ = [
     "FunctionLift",
     "compose",
     "rotation_number",
-    "birkhoff_rotation",
     "rational_witness",
     "RotationNumberEstimate",
     "Witness",
@@ -668,47 +667,35 @@ class RotationNumberEstimate(Report):
         if self.rational_witness is not None:
             self.rational_witness = Witness(*self.rational_witness)
 
-    @classmethod
-    def of(cls, value: float, iterates: int, witness):
-        """The estimate from N = iterates steps and the witness scan."""
-        return cls(value, int(iterates), witness, 1.0 / iterates + INVERSE_TOL)
-
 
 def rotation_number(
-    F: CircleLift, iterates: int = 10**5, tol: float = 1e-8
+    F: CircleLift, iterates: int = 10**5, tol: float = 1e-8, pairs=None
 ) -> RotationNumberEstimate:
     """Rotation number of the circle map under F.
 
-    The estimate is F^N(0)/N mod 1 (`birkhoff_rotation` from 0), and
-    the certificate a grid point of period q <= WITNESS_PERIODS
-    (`rational_witness`).
+    The estimate is F^N(0)/N mod 1 for N = iterates. A lift with a
+    closed-form power gives F^N(0) directly. Otherwise the displacements
+    F(x) - x of the first N pairs of `pairs`, an `orbit(F, 0.0, ...)`
+    the caller may go on reading, are summed in orbit order; by default
+    the orbit of 0 is stepped here. The certificate is a grid point of
+    period q <= WITNESS_PERIODS (`rational_witness`).
     """
     if iterates < 1:
         raise ValueError("iterates must be positive")
-    return RotationNumberEstimate.of(
-        birkhoff_rotation(F, 0.0, iterates), iterates, rational_witness(F, tol)
-    )
-
-
-def birkhoff_rotation(F: CircleLift, x0: float, iterates: int, pairs=None) -> float:
-    """(F^N(x0) - x0)/N mod 1 for N = iterates.
-
-    A lift with a closed-form power gives F^N(x0) directly. Otherwise
-    the displacements F(x) - x of the first N pairs of `pairs`, an
-    `orbit(F, x0, ...)` the caller may go on reading, are summed in
-    orbit order; by default the orbit of x0 is stepped here.
-    """
     try:
         power = F.power(iterates)
     except ValueError:  # no closed form, and that many steps are refused
         power = None
     if power is not None and not isinstance(power, FunctionLift):
-        total = power(x0) - x0
+        total = power(0.0)
     else:  # a power with no closed form steps
         if pairs is None:
-            pairs = orbit(F, x0, iterates)
+            pairs = orbit(F, 0.0, iterates)
         total = sum(fy - y for y, fy in islice(pairs, iterates))
-    return float(wrap(total / iterates))
+    value = float(wrap(total / iterates))
+    return RotationNumberEstimate(
+        value, int(iterates), rational_witness(F, tol), 1.0 / iterates + INVERSE_TOL
+    )
 
 
 def rational_witness(F: CircleLift, tol: float = 1e-8):
@@ -772,6 +759,8 @@ def denjoy_lift(alpha: float, depth: int, gap_ratio: float) -> CircleLift:
     carried on the result so downstream reports can flag it.
     """
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if not (0.0 < gap_ratio < 1.0):
@@ -809,32 +798,29 @@ def denjoy_lift(alpha: float, depth: int, gap_ratio: float) -> CircleLift:
         dom.extend([left[i], right[i]])
         img.extend([left[j], right[j]])
 
+    def room(points, x):
+        """Distance from x to the nearest of `points` around the circle."""
+        pts = np.sort(np.asarray(points, dtype=float))
+        j = np.searchsorted(pts, x)
+        return min(
+            x - (pts[j - 1] if j > 0 else pts[-1] - 1.0),
+            (pts[j] if j < pts.size else pts[0] + 1.0) - x,
+        )
+
     # forward seam: I_depth exits through a short arc around z
     i = idx_of_k[depth]
     z = float(to_new(wrap((depth + 1) * alpha)))
     ib = idx_of_k[-depth]  # I_{-depth} will enter the image set via seam B
-    img_sorted = np.sort(np.asarray(img + [left[ib], right[ib]], dtype=float))
-    j = np.searchsorted(img_sorted, z)
-    room = min(
-        z - (img_sorted[j - 1] if j > 0 else img_sorted[-1] - 1.0),
-        (img_sorted[j] if j < img_sorted.size else img_sorted[0] + 1.0) - z,
-    )
-    delta = 0.25 * min(room, sort_len[i] * scale)
+    delta = 0.25 * min(room(img + [left[ib], right[ib]], z), sort_len[i] * scale)
     dom.extend([left[i], right[i]])
     img.extend([z - delta, z + delta])
 
     # backward seam: a narrow funnel arc around ystar feeds I_{-depth}
     i = idx_of_k[-depth]
     ystar = float(to_new(wrap(-(depth + 1) * alpha)))
-    dom_sorted = np.sort(np.asarray(dom, dtype=float))
-    j = np.searchsorted(dom_sorted, ystar)
-    room = min(
-        ystar - (dom_sorted[j - 1] if j > 0 else dom_sorted[-1] - 1.0),
-        (dom_sorted[j] if j < dom_sorted.size else dom_sorted[0] + 1.0) - ystar,
-    )
     # width 1e-6 * room keeps forward re-entry into the truncated interval
     # chain off the scale of 1e5-iterate orbit budgets
-    delta2 = 1e-6 * room
+    delta2 = 1e-6 * room(dom, ystar)
     dom.extend([ystar - delta2, ystar + delta2])
     img.extend([left[i], right[i]])
 
@@ -875,13 +861,20 @@ def _parse_angle(tok: str) -> float:
     if tok in _NAMED_ANGLES:
         return _NAMED_ANGLES[tok]
     if tok.startswith("ln"):
-        return math.log(float(tok[2:].lstrip(":"))) % 1.0
-    if "/" in tok:
+        x = float(tok[2:].lstrip(":"))
+        if not x > 0.0:
+            raise ValueError(f"angle {tok!r} takes ln of a number that is not positive")
+        angle = math.log(x) % 1.0
+    elif "/" in tok:
         p, q = (int(t) for t in tok.split("/"))
         if q == 0:
             raise ValueError(f"angle {tok!r} has a zero denominator")
-        return float(p) / float(q)
-    return float(tok)
+        angle = float(p) / float(q)
+    else:
+        angle = float(tok)
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {tok!r} is not finite")
+    return angle
 
 
 def parse_k_spec(spec: str) -> CircleLift:

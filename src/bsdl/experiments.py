@@ -22,10 +22,9 @@ from .bsgroup import BSAction, FiniteOrbit, finite_bs_orbit, make_action
 from .circle import (
     CircleLift,
     RotationNumberEstimate,
-    birkhoff_rotation,
     circle_dist,
     orbit,
-    rational_witness,
+    rotation_number,
     wrap,
 )
 from .estimators import GAP_TRANSIENT, CellSet, fixed_cells, gap_profile_label
@@ -358,16 +357,16 @@ def classify_perturbed(
     """Decide the minimal-set trichotomy on an h-invariant circle.
 
     The restricted map is stepped along one orbit of 0 with N =
-    orbit_iterates. Its first N pairs give the Birkhoff sum of the
-    rotation number (a lift with a closed-form power gives h^N(0)
-    instead), and its points T ... T + N - 1, T = GAP_TRANSIENT, the gap
-    profile. A rational rotation number, certified by a witness of
-    period at most `circle.WITNESS_PERIODS`, stops the orbit after N
-    pairs and sends the search to finite_bs_orbit from the witness point
-    (at its default merge_tol, cut past 5000 points); FiniteOrbits is
-    reported only when that orbit actually closes. An irrational one is
-    classified through the largest-gap profile of the orbit, reusing it
-    across all resolutions. Anything inconclusive is Unknown.
+    orbit_iterates. `circle.rotation_number` sums its first N pairs (a
+    lift with a closed-form power gives h^N(0) instead), and its points
+    T ... T + N - 1, T = GAP_TRANSIENT, give the gap profile. A rational
+    rotation number, certified by a witness of period at most
+    `circle.WITNESS_PERIODS`, stops the orbit after N pairs and sends
+    the search to finite_bs_orbit from the witness point (at its default
+    merge_tol, cut past 5000 points); FiniteOrbits is reported only when
+    that orbit actually closes. An irrational one is classified through
+    the largest-gap profile of the orbit, reusing it across all
+    resolutions. Anything inconclusive is Unknown.
     """
     if action.space != "torus":
         raise ValueError("trichotomy classification expects a torus action")
@@ -399,11 +398,7 @@ def classify_perturbed(
             angles.append(t)
             yield t, ft
 
-    rho = RotationNumberEstimate.of(
-        birkhoff_rotation(restriction, 0.0, N, head()),
-        N,
-        rational_witness(restriction),
-    )
+    rho = rotation_number(restriction, N, pairs=head())
 
     if not meets:
         evidence["reason"] = "f-fixed cells never meet the circle"

@@ -19,6 +19,7 @@ from bsdl.circle import (
     circle_dist,
     compose,
     denjoy_lift,
+    orbit,
     parse_k_spec,
     rotation_number,
     wrap,
@@ -280,6 +281,22 @@ class TestRotationNumberGeneric:
         est = rotation_number(conj, iterates=50000)
         assert circle_dist(est.value, alpha) < 1e-4
 
+    def test_stepped_sum_reads_the_first_n_pairs_of_a_given_orbit(self):
+        F, N = denjoy_lift(GOLDEN_MEAN, 6, 0.5), 1000
+        assert isinstance(F.power(N), FunctionLift)  # no closed form: it steps
+        pairs = orbit(F, 0.0, N + 5)
+        est, ref = rotation_number(F, N, pairs=pairs), rotation_number(F, N)
+        assert est == ref and est.value.hex() == ref.value.hex()
+        # the caller goes on reading at pair N
+        assert next(pairs) == list(orbit(F, 0.0, N + 1))[N]
+
+    def test_closed_form_power_reads_no_pair(self):
+        F = RotationLift(GOLDEN_MEAN)
+        pairs = orbit(F, 0.0, 10)
+        est, ref = rotation_number(F, 1000, pairs=pairs), rotation_number(F, 1000)
+        assert est == ref and est.value.hex() == ref.value.hex()
+        assert next(pairs) == next(orbit(F, 0.0, 1))
+
     def test_error_bound_honest_for_rotation(self):
         for alpha in (0.1234, math.log(2.0), GOLDEN_MEAN):
             est = rotation_number(RotationLift(alpha), iterates=5000)
@@ -290,6 +307,11 @@ class TestDenjoy:
     def test_depth_zero_is_rotation(self):
         F = denjoy_lift(GOLDEN_MEAN, 0, 0.6)
         assert isinstance(F, RotationLift)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            denjoy_lift(alpha, 3, 0.5)
 
     def test_piecewise_affine_and_valid(self):
         F = denjoy_lift(GOLDEN_MEAN, 8, 0.6)

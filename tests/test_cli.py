@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -246,7 +247,7 @@ class TestBadInput:
         code, out, err = run(capsys, "verify-relation", "perturbed-torus", "--eps", "nan")
         assert code == cli.ERROR
         assert out == ""
-        assert "residual nan" in err
+        assert "eps must be finite, got nan" in err
 
     def test_non_finite_report_is_an_error(self, capsys, monkeypatch):
         # a report that holds NaN stops at the JSON writer
@@ -286,6 +287,28 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (("rotation-number", "nonfaithful-circle", "--k", "rot:inf"), "'inf'"),
+            (("rotation-number", "nonfaithful-circle", "--k", "rot:nan"), "'nan'"),
+            (("trichotomy", "perturbed-torus", "--eps", "nan"), "eps must be finite, got nan"),
+            (("trichotomy", "perturbed-torus", "--eps", "inf"), "eps must be finite, got inf"),
+            (("rotation-number", "nonfaithful-circle", "--k", "denjoy:inf,3,0.5"), "'inf'"),
+            (("rotation-number", "nonfaithful-circle", "--k", "rot:ln0"), "'ln0'"),
+            (("rotation-number", "nonfaithful-circle", "--k", "rot:ln-1"), "'ln-1'"),
+        ],
+    )
+    def test_non_finite_or_undefined_angle_or_eps_is_named(self, capsys, argv, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == cli.ERROR
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_zero_relation_tol_asks_for_an_exact_relation(self, capsys):
         code, out, _ = run(capsys, "verify-relation", "standard-torus", "--tol", "0")

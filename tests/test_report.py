@@ -296,7 +296,7 @@ def test_cover_every_former_method():
 
 @pytest.mark.parametrize("witness", [None, (1, 3, 0.25, 1e-12)])
 def test_trichotomy_renames_only_the_witness_point(witness):
-    rho = RotationNumberEstimate.of(1 / 3, 1000, witness)
+    rho = RotationNumberEstimate(1 / 3, 1000, witness, 1e-3)
     orbit = finite_bs_orbit(build_action("product", k="rot:1/3"), np.zeros(2))
     for rep in (
         TrichotomyReport(rho, "FiniteOrbits", {"cells": [3, 3]}, orbit),
