@@ -358,20 +358,27 @@ def finite_bs_orbit(
     (u, t) pair on the torus), and each image is wrapped to [0, 1)^d by
     the orbit kernel's float wrap. `step` returns the bits of `raw`, so
     the closure is the one a raw call per point and generator gives, and
-    no point is stepped twice.
+    no point is stepped twice. A generator that `same_params` matches
+    with its own `power(0)`, the exact identity, or with a generator
+    before it in that order is not stepped: each of its images is a
+    point already in the orbit and would merge at distance 0, so
+    skipping it leaves the points, their order, the cut and the defect
+    as they were.
 
     An image within merge_tol of an orbit point (circle or torus metric)
-    merges with it, through a spatial hash; otherwise it joins the orbit
-    and the frontier. A merge at a positive distance keeps its image and
-    that distance. Once the search saturates, the merged images are
-    measured again against the final orbit, without stepping, and the
-    defect is the largest distance from a generator image of an
-    orbit point to the orbit, bit for bit what re-stepping every point
-    and scanning all points would give. A saturated search is closed when
-    its defect is below CLOSED_DEFECT_RATIO * merge_tol, and open as a
-    near-closure otherwise. If the search exceeds max_size the orbit is
-    open and its defect None, cut after the frontier point whose images
-    pushed it past.
+    merges with it, through a spatial hash whose buckets are scanned the
+    image's own first; otherwise it joins the orbit and the frontier. A
+    merge at a positive distance keeps its image and that distance. Once
+    the search saturates, the merged images are measured again against
+    the final orbit, without stepping, and the defect is the largest
+    distance from a generator image of an orbit point to the orbit, bit
+    for bit what re-stepping every point and scanning all points would
+    give; which orbit point an image first merged with does not change
+    it. A saturated search is closed when its defect is below
+    CLOSED_DEFECT_RATIO * merge_tol, and open as a near-closure
+    otherwise. If the search exceeds max_size the orbit is open and its
+    defect None, cut after the frontier point whose images pushed it
+    past.
 
     Raises ValueError unless merge_tol is positive and finite (with a
     finite reciprocal) and x0 is one finite point of the action's space,
@@ -383,13 +390,11 @@ def finite_bs_orbit(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != space.shape or not np.isfinite(x0).all():
         raise ValueError(f"start must be one finite {space} point, got {x0.tolist()}")
-    gens = [
-        action.f,
-        action.h,
-        action.f.inverse(),
-        action.h.inverse(),
-    ]
-    steps = [g.step for g in gens]
+    kept = []
+    for g in (action.f, action.h, action.f.inverse(), action.h.inverse()):
+        if not g.same_params(g.power(0)) and not any(g.same_params(k) for k in kept):
+            kept.append(g)
+    steps = [g.step for g in kept]
     # buckets of width 1/K >= 2 merge_tol: two points within merge_tol
     # share a bucket or sit in adjacent ones, across the seam too and
     # whatever the rounding of q * K
@@ -417,7 +422,7 @@ def finite_bs_orbit(
         r = q - q // 1.0
         q = r if r < 1.0 else wrap_float(q)
         k = int(q * K) % K
-        for kk in ((k - 1) % K, k, (k + 1) % K):
+        for kk in (k, (k - 1) % K, (k + 1) % K):
             for idx in buckets.get(kk, ()):
                 d = q - points[idx]
                 d -= floor(d)
@@ -437,8 +442,8 @@ def finite_bs_orbit(
         r = t - t // 1.0
         t = r if r < 1.0 else wrap_float(t)
         ku, kt = int(u * K) % K, int(t * K) % K
-        for i in ((ku - 1) % K, ku, (ku + 1) % K):
-            for j in ((kt - 1) % K, kt, (kt + 1) % K):
+        for i in (ku, (ku - 1) % K, (ku + 1) % K):
+            for j in (kt, (kt - 1) % K, (kt + 1) % K):
                 for idx in buckets.get((i, j), ()):
                     pu, pt = points[idx]
                     d = u - pu

@@ -869,7 +869,12 @@ def _parse_angle(tok: str) -> float:
         p, q = (int(t) for t in tok.split("/"))
         if q == 0:
             raise ValueError(f"angle {tok!r} has a zero denominator")
-        angle = float(p) / float(q)
+        try:
+            angle = float(p) / float(q)
+        except OverflowError:
+            raise ValueError(
+                f"angle {tok!r} has a numerator or denominator beyond the floats"
+            ) from None
     else:
         angle = float(tok)
     if not math.isfinite(angle):

@@ -12,7 +12,9 @@ value is an error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -55,7 +57,41 @@ def _atomic_write(path, text):
 
 
 def _dumps(payload):
-    return json.dumps(jsonable(payload), indent=1, sort_keys=True, allow_nan=False)
+    return _indented(jsonable(payload), "\n")
+
+
+def _indented(x, pad):
+    """json.dumps(x, indent=1, sort_keys=True, allow_nan=False), byte for
+    byte, for plain JSON values with string keys; pad is the newline and
+    indent of the line x starts on.
+
+    With an indent the standard library encodes value by value in
+    Python. Here a float is its repr, an int its repr, and every other
+    scalar and each key goes through json.dumps, which the C encoder
+    writes.
+    """
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            json.dumps(x, indent=1, allow_nan=False)  # json's own ValueError
+        return float.__repr__(x)
+    inner = pad + " "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [json.dumps(k) + ": " + _indented(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        # the bulk of a report is finite floats and ints, which skip the call
+        items = [
+            float.__repr__(v) if type(v) is float and v - v == 0.0
+            else int.__repr__(v) if type(v) is int
+            else _indented(v, inner)
+            for v in x
+        ]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(x)
 
 
 def _emit(payload, args):
@@ -71,10 +107,13 @@ def _build(args):
         known = ", ".join(sorted(CATALOG))
         raise KeyError(f"unknown action {args.action!r}; known: {known}")
     params = {}
-    if args.eps is not None:
-        params["eps"] = args.eps
-    if args.k is not None:
-        params["k"] = args.k
+    for key in ("eps", "k"):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key not in CATALOG[args.action].defaults:
+            raise ValueError(f"{args.action} takes no --{key}")
+        params[key] = value
     return build_action(args.action, n=args.n, **params)
 
 
@@ -289,6 +328,7 @@ def _subcommand(sub, name, fn, help, action=True, **defaults):
     return p
 
 
+@functools.cache
 def _parser():
     ap = argparse.ArgumentParser(
         prog="bsdl",

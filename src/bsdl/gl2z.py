@@ -176,10 +176,15 @@ def _integer_kernel_basis(rows):
 
 
 def _shell_tuples(dim: int, shell: int):
-    rng = range(-shell, shell + 1)
-    for tup in itertools.product(rng, repeat=dim):
-        if max(abs(t) for t in tup) == shell:
-            yield tup
+    """The integer tuples of length dim and sup norm exactly shell, in
+    lexicographic order."""
+    box = range(-shell, shell + 1)
+    # a first coordinate inside the shell leaves the rest on its own shell
+    inner = list(_shell_tuples(dim - 1, shell)) if dim > 1 else []
+    for t in box:
+        rests = itertools.product(box, repeat=dim - 1) if abs(t) == shell else inner
+        for rest in rests:
+            yield (t,) + rest
 
 
 def conjugate_in_gl2z(A: IntMatrix2, B: IntMatrix2, bound: int = 50) -> IntMatrix2 | None:
@@ -190,6 +195,10 @@ def conjugate_in_gl2z(A: IntMatrix2, B: IntMatrix2, bound: int = 50) -> IntMatri
     sup-norm shells up to `bound`, returning the first combination with
     det +-1. None means no conjugator exists with coefficients within
     the bound (for a trivial solution lattice, none exists at all).
+
+    The shells are walked outward from sup norm 1, and the coefficient
+    vectors of one shell in lexicographic order, so the conjugator
+    returned is the first of that order.
     """
     _require_unimodular(A, "A")
     _require_unimodular(B, "B")
@@ -211,9 +220,9 @@ def conjugate_in_gl2z(A: IntMatrix2, B: IntMatrix2, bound: int = 50) -> IntMatri
                 if c:
                     for i in range(4):
                         e[i] += c * vec[i]
-            X = IntMatrix2(e[0], e[1], e[2], e[3])
-            if abs(X.det()) != 1:
+            if abs(e[0] * e[3] - e[1] * e[2]) != 1:
                 continue
+            X = IntMatrix2(e[0], e[1], e[2], e[3])
             if X * B == A * X:
                 return X
     return None

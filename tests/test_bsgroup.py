@@ -462,6 +462,23 @@ circle_actions = st.one_of(
         st.sampled_from([GOLDEN_MEAN, math.log(2.0), math.log(3.0) % 1.0]),
         st.sampled_from([4, 11]),
     ),
+    # f is the identity rotation, which the closure does not step
+    st.builds(
+        lambda n, k: nonfaithful_circle(n, k=k), ns,
+        st.one_of(
+            st.sampled_from(["id", "rot:0", "rot:golden", "rot:ln2", "rot:ln5"]),
+            st.integers(1, 12).flatmap(
+                lambda q: st.integers(-q, 2 * q).map(lambda p: f"rot:{p}/{q}")
+            ),
+        ),
+    ),
+    # h repeats f or f^-1, and h^-1 the other
+    st.builds(
+        lambda n, j, sign: make_action(
+            RotationLift(j / (n - 1)), RotationLift(sign * j / (n - 1)), n
+        ),
+        ns, st.integers(1, 4), st.sampled_from([1, -1]),
+    ),
 )
 torus_actions = st.one_of(
     st.builds(perturbed_torus, ns, st.sampled_from([0.0, 1e-3, 0.25 - math.log(2.0), 0.02])),
@@ -472,6 +489,13 @@ torus_actions = st.one_of(
         linear_shear_action,
         st.sampled_from([2, 3]), st.sampled_from([1, 2, 3, 5]), st.integers(0, 3),
         st.tuples(angles, angles),
+    ),
+    # h is f itself, a translation by a multiple of 1/(n-1)
+    st.builds(
+        lambda n, j: (lambda f: make_action(f, f, n))(
+            LinearTorusLift(IntMatrix2.identity(), (j / (n - 1), 0.0))
+        ),
+        ns, st.integers(1, 4),
     ),
 )
 cases = st.one_of(

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bsdl import cli, experiments
 from bsdl.bsgroup import RelationReport
@@ -310,6 +312,41 @@ class TestBadInput:
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (("rotation-number", "nonfaithful-circle", "--k", f"rot:{10**400}/3"),
+             "beyond the floats"),
+            (("rotation-number", "nonfaithful-circle", "--k", f"rot:1/{10**400}"),
+             "beyond the floats"),
+            (("trichotomy", "product", "--eps", "nan"), "product takes no --eps"),
+            (("minimal-set", "nonfaithful-circle", "--eps", "inf"),
+             "nonfaithful-circle takes no --eps"),
+            (("finite-orbit", "standard-torus", "--k", "rot:1/3"),
+             "standard-torus takes no --k"),
+        ],
+    )
+    def test_angle_beyond_the_floats_or_foreign_parameter_is_named(
+        self, capsys, argv, named
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.ERROR
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", sorted(CATALOG))
+    @pytest.mark.parametrize("flag,value", [("eps", "0.01"), ("k", "rot:1/3")])
+    def test_eps_and_k_are_taken_by_the_entries_whose_builders_read_them(
+        self, capsys, entry, flag, value
+    ):
+        takes = flag in inspect.signature(CATALOG[entry].builder).parameters
+        code, _, err = run(
+            capsys, "verify-relation", entry, f"--{flag}", value, "--resolution", "64"
+        )
+        assert (code == cli.OK) == takes
+        assert (f"{entry} takes no --{flag}" in err) == (not takes)
+
     def test_zero_relation_tol_asks_for_an_exact_relation(self, capsys):
         code, out, _ = run(capsys, "verify-relation", "standard-torus", "--tol", "0")
         assert code == cli.OK
@@ -479,6 +516,83 @@ class TestNumericalGiveUp:
             cli.main(["finite-orbit", "--help"])
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestParser:
+    """The parser is built once per process; each call parses into its own
+    namespace."""
+
+    def test_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_successive_parses_share_no_values(self, tmp_path):
+        calls = [
+            ["finite-orbit", "product", "0.5,0.5", "--n", "3", "--k", "rot:1/5",
+             "--tol", "1e-4", "--out", str(tmp_path / "o.json")],
+            ["trichotomy", "perturbed-torus", "--eps", "0.01", "--iterates", "10"],
+            ["finite-orbit", "standard-torus"],
+            ["rotation-number", "nonfaithful-circle", "--gen", "f"],
+            ["rotation-number", "nonfaithful-circle"],
+            ["classify-matrix", "0,1,-1,0"],
+        ]
+        for argv in calls + calls[::-1]:
+            fresh = cli._parser.__wrapped__().parse_args(argv)
+            assert vars(cli._parser().parse_args(argv)) == vars(fresh)
+
+    def test_a_call_after_another_reads_its_own_flags(self, capsys):
+        code, out, _ = run(
+            capsys, "finite-orbit", "nonfaithful-circle", "--k", "rot:1/5", "--tol", "1e-3"
+        )
+        assert code == cli.OK
+        assert strict_json(out)["merge_tol"] == 1e-3
+        code, out, _ = run(capsys, "finite-orbit", "product")
+        d = strict_json(out)
+        assert code == cli.OK
+        assert (d["action"], d["merge_tol"]) == ("product(n=2, k=rot:1/3)", 1e-6)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["minimal-set", "--help"]])
+    def test_help_exits_zero_and_leaves_the_parser_working(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: bsdl" in capsys.readouterr().out
+        code, out, _ = run(capsys, "classify-matrix", "0,1,-1,0")
+        assert code == cli.OK
+        assert strict_json(out)["order"] == 4
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(-0.0) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def written(fn, x):
+    try:
+        return fn(x)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@given(json_values)
+def test_writer_is_the_indented_json_layout(x):
+    # NaN and infinities raise json's own ValueError, the first one met
+    expected = written(
+        lambda v: json.dumps(v, indent=1, sort_keys=True, allow_nan=False), x
+    )
+    assert written(cli._dumps, x) == expected
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[], {}, {"a": [], "b": {}}, [[[]]], -0.0, [-0.0, 0.0, 1e-320, 1e308],
+     {"ключ": ["π", "\u2028", "\x00"], "": None}, [True, False, None, 2**70]],
+)
+def test_writer_keeps_empty_containers_and_edge_scalars(x):
+    assert cli._dumps(x) == json.dumps(x, indent=1, sort_keys=True, allow_nan=False)
 
 
 class TestOutputFile:

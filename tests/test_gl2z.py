@@ -4,12 +4,17 @@ Oracle helpers here are written independently of the library (plain tuple
 arithmetic) so the checks do not share code paths with what they verify.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from bsdl.gl2z import (
     IntMatrix2,
+    _integer_kernel_basis,
+    _shell_tuples,
+    _sylvester_rows,
     bs_linear_compatible,
     conjugate_in_gl2z,
     finite_order,
@@ -164,6 +169,59 @@ class TestConjugacy:
             assert X is not None
             xt = X.rows()
             assert omul(xt, base) == omul(A, xt)
+
+
+def reference_shell(dim, shell):
+    """The shell as it was enumerated: the whole box, filtered."""
+    box = range(-shell, shell + 1)
+    return [t for t in itertools.product(box, repeat=dim) if max(map(abs, t)) == shell]
+
+
+def reference_conjugator(A, B, bound):
+    """The first det +-1 combination of the library's kernel basis, shell
+    by shell, each shell in itertools.product order."""
+    if A == B:
+        return IntMatrix2.identity()
+    basis = _integer_kernel_basis(_sylvester_rows(A, B))
+    for shell in range(1, bound + 1):
+        for coeffs in reference_shell(len(basis), shell):
+            e = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4)]
+            X = IntMatrix2(*e)
+            if abs(X.det()) == 1 and X * B == A * X:
+                return X
+    return None
+
+
+# finite-order matrices and the generators that conjugate them, as in the
+# GL(2,Z) queries of the benchmark
+FINITE_ORDER = (((0, 1), (-1, 1)), ((0, 1), (-1, 0)), ((0, -1), (1, 1)), ((-1, -1), (1, 0)))
+GL2Z_GENERATORS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((1, 0), (0, -1)))
+
+
+class TestShellEnumeration:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shell", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_filtered_box_in_order(self, dim, shell):
+        assert list(_shell_tuples(dim, shell)) == reference_shell(dim, shell)
+
+    def test_conjugators_of_seeded_pairs_are_the_first_in_order(self):
+        rng = random.Random(20)
+        for _ in range(40):
+            B = rng.choice(FINITE_ORDER)
+            X = ID
+            for _ in range(rng.randrange(1, 5)):
+                g = rng.choice(GL2Z_GENERATORS)
+                X = omul(X, g if rng.random() < 0.5 else oinv_unimodular(g))
+            A = as_lib(omul(omul(X, B), oinv_unimodular(X)))
+            found = conjugate_in_gl2z(A, as_lib(B), bound=50)
+            assert found is not None
+            assert found == reference_conjugator(A, as_lib(B), bound=50)
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (-2, 4), (5, -4)])
+    def test_shears_of_different_size_are_not_conjugate(self, a, b):
+        A = as_lib(((1, a), (0, 1)))
+        B = as_lib(((1, b), (0, 1)))
+        assert conjugate_in_gl2z(A, B, bound=50) is None
 
 
 class TestRelationCompatibility:
