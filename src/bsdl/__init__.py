@@ -18,7 +18,6 @@ from .circle import (
     CircleLift,
     RotationLift,
     ChartAffineLift,
-    FunctionLift,
     PiecewiseLift,
     GluedLift,
     DenjoyLift,
@@ -37,7 +36,6 @@ from .torus import (
     TorusLift,
     ProductTorusLift,
     LinearTorusLift,
-    FunctionTorusLift,
     RotationVectorEstimate,
     RotationSetEstimate,
     rotation_vector,
@@ -100,12 +98,12 @@ __version__ = "0.1.0"
 __all__ = [
     "IntMatrix2", "finite_order", "conjugate_in_gl2z",
     "bs_linear_compatible",
-    "CircleLift", "RotationLift", "ChartAffineLift", "FunctionLift",
-    "PiecewiseLift", "GluedLift", "DenjoyLift",
+    "CircleLift", "RotationLift", "ChartAffineLift", "PiecewiseLift",
+    "GluedLift", "DenjoyLift",
     "RotationNumberEstimate", "compose", "rotation_number", "denjoy_lift",
     "chart_from_real", "chart_to_real", "circle_dist", "wrap", "orbit",
     "parse_k_spec",
-    "TorusLift", "ProductTorusLift", "LinearTorusLift", "FunctionTorusLift",
+    "TorusLift", "ProductTorusLift", "LinearTorusLift",
     "RotationVectorEstimate", "RotationSetEstimate", "compose2",
     "rotation_vector", "rotation_set", "conjugate_rotation_set_check",
     "bs_rotation_constraint", "torus_dist",

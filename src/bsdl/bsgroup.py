@@ -235,11 +235,17 @@ def relation_residual(
     """Sup distance between h^p f h^-p and f^(n^p) over a sample grid.
 
     Exactly zero when both sides collapse to the same fused parameters.
+    A power of h with no closed form is the composition h o ... o h.
     """
     if grid < 1:
         raise ValueError(f"grid must be positive, got {grid}")
     space = space_of(f)
-    hp = h.power(power)
+    try:
+        hp = h.power(power)
+    except ValueError:
+        hp = h
+        for _ in range(power - 1):
+            hp = hp.compose(h)
     lhs = hp.compose(f.compose(hp.inverse()))
     rhs = f.power(n ** power)
     if lhs.same_params(rhs):

@@ -13,14 +13,15 @@ Conventions used throughout the package:
 * lifts are strictly increasing and commute with x -> x + 1;
 * `Lift` holds the algebra circle and torus lifts share, and
   `Composition` their one unfused composition;
+* every lift defines `raw` on arrays and `step` on one point;
 * every inverse is exact or supplied; a lift without one raises
   NotImplementedError from `inverse`;
-* the exact families (rotations, chart-affine and glued block maps) fuse
-  `compose` and `power` into one lift of the family and compare through
-  `same_params`; other lifts compose into a `ComposedLift` and power by
-  stepping, except a shift by whole blocks composed with a glued map on
-  those blocks, whose power fuses blockwise. `iterate(x, m)` is
-  `power(m)` at x.
+* a power is a closed form or a ValueError: the exact families
+  (rotations, chart-affine and glued block maps) fuse `compose` and
+  `power` into one lift of the family and compare through `same_params`,
+  and a shift by whole blocks composed with a glued map on those blocks
+  powers blockwise; other lifts compose into a `ComposedLift`, and their
+  powers beyond the first raise. `iterate(x, m)` is `power(m)` at x.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "GluedLift",
     "DenjoyLift",
     "ComposedLift",
-    "FunctionLift",
     "compose",
     "rotation_number",
     "rational_witness",
@@ -71,9 +71,6 @@ GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 # largest double below 1: x - floor(x) rounds up to 1.0 for x within
 # 2^-54 below an integer, and that point belongs at the top of [0, 1)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-# A power with no closed form costs m raw calls per evaluation: past 10^6 a grid
-# takes minutes, and f^(n^2) may ask for 10^400, so `power` raises ValueError
-MAX_STEPPED_POWER = 10**6
 
 
 def wrap(x):
@@ -202,9 +199,9 @@ class Lift:
     """The lift algebra shared by circle and torus lifts.
 
     Each space's base class (`CircleLift`, `torus.TorusLift`) supplies
-    three hooks: `_composed(inner)`, the unfused composition;
-    `_identity()`; and `_stepped(fn, inverse_fn, m)`, the function lift
-    of a stepped power. A lift with no inverse rule raises
+    two hooks: `_composed(inner)`, the unfused composition, and
+    `_identity()`. Every lift defines `raw` and `step`. A power is a
+    closed form or a ValueError. A lift with no inverse rule raises
     NotImplementedError from `inverse`: every inverse is exact or
     supplied.
     """
@@ -228,35 +225,15 @@ class Lift:
         return self._composed(inner)
 
     def power(self, m: int):
-        """Lift of the m-th power; m < 0 powers the inverse.
-
-        A power with no closed form steps: m raw calls of the lift or its
-        inverse, ending early once a step moves no point.
-        """
+        """Lift of the m-th power; m < 0 powers the inverse. A lift whose
+        power has no closed form raises ValueError."""
         if m == 0:
             return self._identity()
         if m < 0:
             return self.inverse().power(-m)
         if m == 1:
             return self
-        if m > MAX_STEPPED_POWER:
-            raise ValueError(
-                f"this power of {type(self).__name__} has no closed form, and "
-                f"stepping it is limited to {MAX_STEPPED_POWER} steps"
-            )
-
-        def steps(g, x):
-            y = np.asarray(x, dtype=float)
-            for _ in range(m):
-                y2 = g.raw(y)
-                if np.array_equal(y2, y):
-                    break
-                y = y2
-            return y
-
-        return self._stepped(
-            lambda x: steps(self, x), lambda x: steps(self.inverse(), x), m
-        )
+        raise ValueError(f"this power of {type(self).__name__} has no closed form")
 
     def same_params(self, other) -> bool:
         """Whether other is this exact lift, by its family and parameters."""
@@ -296,15 +273,8 @@ class Composition(Lift):
 
 
 class CircleLift(Lift):
-    """Base class for monotone degree-one lifts."""
-
-    def step(self, x: float) -> float:
-        """The lift at one point, as a Python float, with the bits of `raw`.
-
-        Exact families override this with float arithmetic; the fallback
-        calls `raw` on the point.
-        """
-        return float(self.raw(x))
+    """Base class for monotone degree-one lifts. `step(x)` is the lift at
+    one point, as a Python float, with the bits of `raw`."""
 
     def validate(self):
         """Spot-check degree one and strict monotonicity on a 256-point grid."""
@@ -329,9 +299,6 @@ class CircleLift(Lift):
     def _identity(self):
         return RotationLift(0.0, label="id")
 
-    def _stepped(self, fn, inverse_fn, m):
-        return FunctionLift(fn, inverse_fn, label=f"{self.label}^{m}")
-
 
 class RotationLift(CircleLift):
     """x -> x + alpha."""
@@ -355,9 +322,9 @@ class RotationLift(CircleLift):
         return super().compose(inner)
 
     def power(self, m: int):
-        # an m of 2^1023 or more is beyond the floats
+        # an m of 2^1023 or more is beyond the floats; a NaN angle stays NaN
         alpha = self.alpha * m if 1 <= m < 2**1023 else math.inf
-        return RotationLift(alpha) if math.isfinite(alpha) else super().power(m)
+        return super().power(m) if math.isinf(alpha) else RotationLift(alpha)
 
     def same_params(self, other):
         return isinstance(other, RotationLift) and self.alpha == other.alpha
@@ -571,10 +538,8 @@ class GluedLift(CircleLift):
         return super().compose(inner)
 
     def power(self, k: int):
-        p = self.base.power(k)
-        if isinstance(p, ChartAffineLift):
-            return GluedLift(self.m, p.a, p.b)
-        return super().power(k)
+        p = self.base.power(k)  # the identity at k = 0
+        return GluedLift(self.m, p.a, p.b) if k else p
 
     def same_params(self, other):
         same = isinstance(other, GluedLift)
@@ -593,9 +558,7 @@ class ComposedLift(Composition, CircleLift):
         # a shift by whole blocks commutes with a glued map on those
         # blocks, so (shift o glued)^m = shift^m o glued^m, in either order
         if m >= 2 and _shifts_blocks(self.outer, self.inner):
-            outer, inner = self.outer.power(m), self.inner.power(m)
-            if not isinstance(outer, FunctionLift) and not isinstance(inner, FunctionLift):
-                return ComposedLift(outer, inner)
+            return ComposedLift(self.outer.power(m), self.inner.power(m))
         return super().power(m)
 
 
@@ -608,23 +571,6 @@ def _shifts_blocks(F, G) -> bool:
         return False
     j = F.alpha * G.m
     return math.isfinite(j) and round(j) / G.m == F.alpha
-
-
-class FunctionLift(CircleLift):
-    """Lift given by an arbitrary vectorized callable."""
-
-    def __init__(self, fn, inverse_fn=None, label: str = "fn"):
-        self._fn = fn
-        self._inverse_fn = inverse_fn
-        self.label = label
-
-    def raw(self, x):
-        return np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def inverse(self):
-        if self._inverse_fn is None:
-            return super().inverse()
-        return FunctionLift(self._inverse_fn, self._fn, label=self.label + "^-1")
 
 
 def compose(outer, inner):
@@ -674,21 +620,18 @@ def rotation_number(
     """Rotation number of the circle map under F.
 
     The estimate is F^N(0)/N mod 1 for N = iterates. A lift with a
-    closed-form power gives F^N(0) directly. Otherwise the displacements
-    F(x) - x of the first N pairs of `pairs`, an `orbit(F, 0.0, ...)`
-    the caller may go on reading, are summed in orbit order; by default
-    the orbit of 0 is stepped here. The certificate is a grid point of
-    period q <= WITNESS_PERIODS (`rational_witness`).
+    closed-form power gives F^N(0) directly. Otherwise `power` raises
+    ValueError, and the displacements F(x) - x of the first N pairs of
+    `pairs`, an `orbit(F, 0.0, ...)` the caller may go on reading, are
+    summed in orbit order; by default the orbit of 0 is stepped here.
+    The certificate is a grid point of period q <= WITNESS_PERIODS
+    (`rational_witness`).
     """
     if iterates < 1:
         raise ValueError("iterates must be positive")
     try:
-        power = F.power(iterates)
-    except ValueError:  # no closed form, and that many steps are refused
-        power = None
-    if power is not None and not isinstance(power, FunctionLift):
-        total = power(0.0)
-    else:  # a power with no closed form steps
+        total = F.power(iterates)(0.0)
+    except ValueError:  # no closed form
         if pairs is None:
             pairs = orbit(F, 0.0, iterates)
         total = sum(fy - y for y, fy in islice(pairs, iterates))

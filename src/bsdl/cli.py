@@ -57,18 +57,19 @@ def _atomic_write(path, text):
 
 
 def _dumps(payload):
-    return _indented(jsonable(payload), "\n")
+    return _indented(payload, "\n")
 
 
 def _indented(x, pad):
-    """json.dumps(x, indent=1, sort_keys=True, allow_nan=False), byte for
-    byte, for plain JSON values with string keys; pad is the newline and
-    indent of the line x starts on.
+    """json.dumps(jsonable(x), indent=1, sort_keys=True, allow_nan=False),
+    byte for byte, in one walk; pad is the newline and indent of the line
+    x starts on.
 
     With an indent the standard library encodes value by value in
     Python. Here a float is its repr, an int its repr, and every other
     scalar and each key goes through json.dumps, which the C encoder
-    writes.
+    writes. Plain JSON values are written as they are; any other value,
+    such as a `Report` or an array, is first made plain by `jsonable`.
     """
     if isinstance(x, float):
         if not math.isfinite(x):
@@ -78,9 +79,11 @@ def _indented(x, pad):
     if isinstance(x, dict):
         if not x:
             return "{}"
+        if not all(type(k) is str for k in x):
+            x = jsonable(x)  # its keys as strings
         items = [json.dumps(k) + ": " + _indented(v, inner) for k, v in sorted(x.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(x, (list, tuple)):
+    if type(x) is list or type(x) is tuple:
         if not x:
             return "[]"
         # the bulk of a report is finite floats and ints, which skip the call
@@ -91,7 +94,10 @@ def _indented(x, pad):
             for v in x
         ]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(x)
+    if type(x) in (str, int, bool, type(None)):
+        return json.dumps(x)
+    plain = jsonable(x)
+    return json.dumps(x) if plain is x else _indented(plain, pad)
 
 
 def _emit(payload, args):
@@ -297,14 +303,29 @@ _ENTRY_DEFAULT = "(default: the entry's)"
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser reports leftover arguments itself, so the
-    usage line shows the flags this subcommand takes."""
+    """A subcommand's parser takes its positionals before, between or
+    after the flags, and reports leftover arguments itself, so the usage
+    line shows the flags this subcommand takes."""
+
+    _intermixed = False
 
     def parse_known_args(self, args=None, namespace=None):
-        args, extra = super().parse_known_args(args, namespace)
+        parsed, extra = super().parse_known_args(args, namespace)
+        if self._intermixed:  # a pass of parse_known_intermixed_args
+            return parsed, extra
+        if extra:
+            # the plain parse fills the positionals at the first one, so a
+            # start after a flag is left over. The intermixed parse takes
+            # it, but drops a "--" in front of every positional, where the
+            # plain parse is right.
+            self._intermixed = True
+            try:
+                parsed, extra = self.parse_known_intermixed_args(args, namespace)
+            finally:
+                self._intermixed = False
         if extra:
             self.error(f"unrecognized arguments: {' '.join(extra)}")
-        return args, extra
+        return parsed, extra
 
 
 def _subcommand(sub, name, fn, help, action=True, **defaults):

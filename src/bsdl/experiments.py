@@ -316,7 +316,7 @@ class GraphRestriction(CircleLift):
     through `h.step`, all in Python floats, so the exact factors of h
     and the bump maps of a conjugation step without numpy arrays beyond
     the bump field's own; it gives the bits of `raw` on that angle
-    alone. Its power steps.
+    alone. Its powers beyond the first have no closed form and raise.
     """
 
     label = "h on invariant circle"

@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import (
-    MAX_STEPPED_POWER,
     CircleLift,
     Composition,
     Lift,
@@ -38,7 +37,6 @@ __all__ = [
     "TorusLift",
     "ProductTorusLift",
     "LinearTorusLift",
-    "FunctionTorusLift",
     "ComposedTorusLift",
     "ConjugatedTorusLift",
     "torus_dist",
@@ -55,6 +53,9 @@ __all__ = [
 ]
 
 PERIODICITY_TOL = 1e-10
+# `LinearTorusLift.power` fuses m - 1 compositions in a loop, so it caps m:
+# f^(n^2) may ask for 10^400
+MAX_STEPPED_POWER = 10**6
 
 
 def torus_dist(p, q):
@@ -66,18 +67,11 @@ def torus_dist(p, q):
 
 class TorusLift(Lift):
     """Base class for torus lifts; `linear_part` is the induced map on
-    H_1 = Z^2 and governs how the lift commutes with deck translations."""
+    H_1 = Z^2 and governs how the lift commutes with deck translations.
+    `step(p)` is the lift at one point (u, t), as a pair of Python
+    floats, with the bits of `raw`."""
 
     linear_part = IntMatrix2.identity()
-
-    def step(self, p):
-        """The lift at one point (u, t), as a pair of Python floats, with
-        the bits of `raw`.
-
-        Exact families override this with float arithmetic; the fallback
-        calls `raw` on the point as a (2,) array.
-        """
-        return tuple(self.raw(np.array(p, dtype=float)).tolist())
 
     def validate(self):
         """Check equivariance F(v + m) = F(v) + A m on an 8 x 8 grid."""
@@ -101,10 +95,6 @@ class TorusLift(Lift):
 
     def _identity(self):
         return LinearTorusLift(IntMatrix2.identity(), label="id")
-
-    def _stepped(self, fn, inverse_fn, m):
-        A = self.linear_part**m
-        return FunctionTorusLift(fn, A, inverse_fn, label=f"{self.label}^{m}")
 
 
 class ProductTorusLift(TorusLift):
@@ -215,25 +205,6 @@ def _affine(v, rows, b):
     v0, v1 = v[..., 0], v[..., 1]
     (m00, m01), (m10, m11) = rows
     return np.stack([v0 * m00 + v1 * m01 + b[0], v0 * m10 + v1 * m11 + b[1]], axis=-1)
-
-
-class FunctionTorusLift(TorusLift):
-    """Lift given by an arbitrary callable on (..., 2) arrays."""
-
-    def __init__(self, fn, linear_part=None, inverse_fn=None, label: str = "fn2"):
-        self._fn = fn
-        self._inverse_fn = inverse_fn
-        self.linear_part = linear_part or IntMatrix2.identity()
-        self.label = label
-
-    def raw(self, v):
-        return np.asarray(self._fn(np.asarray(v, dtype=float)), dtype=float)
-
-    def inverse(self):
-        if self._inverse_fn is None:
-            return super().inverse()
-        A = self.linear_part.inverse()
-        return FunctionTorusLift(self._inverse_fn, A, self._fn, self.label + "^-1")
 
 
 class ComposedTorusLift(Composition, TorusLift):

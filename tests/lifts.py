@@ -1,0 +1,44 @@
+"""A lift given by a vectorized callable, for tests that need an arbitrary
+map: `callable_lift(fn)` on the circle, `callable_lift(fn, torus=True)`
+on the torus, with identity linear part.
+
+`raw` is fn on float arrays, `step` is `raw` on one point, and the
+inverse swaps fn and inverse_fn; with no inverse_fn, `inverse` raises
+NotImplementedError as a library lift with no inverse rule does. Every
+power beyond the first raises ValueError: a callable has no closed form.
+"""
+
+import numpy as np
+
+from bsdl.circle import CircleLift
+from bsdl.torus import TorusLift
+
+
+class _Callable:
+    def __init__(self, fn, inverse_fn=None, label="fn"):
+        self._fn = fn
+        self._inverse_fn = inverse_fn
+        self.label = label
+
+    def raw(self, x):
+        return np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
+
+    def inverse(self):
+        if self._inverse_fn is None:
+            return super().inverse()
+        return type(self)(self._inverse_fn, self._fn, self.label + "^-1")
+
+
+class CallableCircleLift(_Callable, CircleLift):
+    def step(self, x):
+        return float(self.raw(x))
+
+
+class CallableTorusLift(_Callable, TorusLift):
+    def step(self, p):
+        return tuple(self.raw(np.array(p, dtype=float)).tolist())
+
+
+def callable_lift(fn, inverse_fn=None, label="fn", torus=False):
+    cls = CallableTorusLift if torus else CallableCircleLift
+    return cls(fn, inverse_fn, label)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from bsdl.circle import (
-    MAX_STEPPED_POWER,
     ChartAffineLift,
     CircleLift,
     ComposedLift,
     DenjoyLift,
-    FunctionLift,
     GOLDEN_MEAN,
     GluedLift,
     PiecewiseLift,
@@ -24,6 +22,8 @@ from bsdl.circle import (
     rotation_number,
     wrap,
 )
+
+from lifts import callable_lift
 
 
 def naive_rotation_number(F, n=20000, x0=0.17):
@@ -154,30 +154,29 @@ class TestChartAffineLift:
         with pytest.raises(ValueError, match="0 < a < inf"):
             GluedLift(2, a, 0.0)
 
-    def test_power_with_an_infinite_slope_steps(self):
+    def test_power_with_an_infinite_slope_raises(self):
         F = ChartAffineLift(1e200, 0.0)
-        F2 = F.power(2)
-        assert isinstance(F2, FunctionLift)
+        for L in (F, GluedLift(3, 1e200, 0.0)):
+            with pytest.raises(ValueError, match="^this power of ChartAffineLift has no closed form$"):
+                L.power(2)
+        # the composition stays unfused, with the bits of two steps
+        F2 = F.compose(F)
+        assert isinstance(F2, ComposedLift)
         xs = np.linspace(-1.0, 2.0, 61)
         assert np.array_equal(F2.raw(xs), F.raw(F.raw(xs)))
-        G = GluedLift(3, 1e200, 0.0)
-        assert isinstance(G.power(2), FunctionLift)
-        assert isinstance(F.compose(F), ComposedLift)
 
-    def test_rotation_number_past_the_step_limit(self):
-        # 2^(10^6 + 1) overflows and that many steps are refused, so the
-        # estimate falls back to the orbit average
+    def test_rotation_number_of_an_overflowing_power(self):
+        # 2^10000 overflows, so the estimate falls back to the orbit average
         F = ChartAffineLift(2.0, 0.0)
-        assert rotation_number(F, iterates=MAX_STEPPED_POWER + 1).value == 0.0
+        assert rotation_number(F, iterates=10**4).value == 0.0
 
-    def test_overflowing_power_falls_back_to_stepping(self):
-        F = ChartAffineLift(2.0, 0.0)
-        # 2^100000 overflows
-        assert isinstance(F.power(10**5), FunctionLift)
-        G = GluedLift(3, 2.0, 0.0)
-        # 0 is fixed, so stepping stops as soon as the orbit freezes
-        assert F.iterate(0.0, 10**5) == 0.0
-        assert G.iterate(0.0, -(10**5)) == 0.0
+    def test_overflowing_power_raises(self):
+        # 2^100000 overflows, forward and backward
+        for L, m in ((ChartAffineLift(2.0, 0.0), 10**5), (GluedLift(3, 2.0, 0.0), -(10**5))):
+            with pytest.raises(ValueError, match="has no closed form"):
+                L.power(m)
+            with pytest.raises(ValueError, match="has no closed form"):
+                L.iterate(0.0, m)
 
 
 class TestPiecewiseLift:
@@ -266,7 +265,7 @@ class TestGluedLift:
 
 class TestRotationNumberGeneric:
     def test_matches_naive_estimate_on_perturbed_rotation(self):
-        F = FunctionLift(
+        F = callable_lift(
             lambda x: x + 0.29 + 0.04 * np.sin(2.0 * np.pi * x)
         ).validate()
         est = rotation_number(F, iterates=20000)
@@ -283,7 +282,8 @@ class TestRotationNumberGeneric:
 
     def test_stepped_sum_reads_the_first_n_pairs_of_a_given_orbit(self):
         F, N = denjoy_lift(GOLDEN_MEAN, 6, 0.5), 1000
-        assert isinstance(F.power(N), FunctionLift)  # no closed form: it steps
+        with pytest.raises(ValueError, match="no closed form"):
+            F.power(N)
         pairs = orbit(F, 0.0, N + 5)
         est, ref = rotation_number(F, N, pairs=pairs), rotation_number(F, N)
         assert est == ref and est.value.hex() == ref.value.hex()
@@ -385,11 +385,11 @@ class TestDenjoy:
 class TestValidate:
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):
-            FunctionLift(lambda x: x + 0.3 * np.sin(2.0 * np.pi * x)).validate()
+            callable_lift(lambda x: x + 0.3 * np.sin(2.0 * np.pi * x)).validate()
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
-            FunctionLift(lambda x: 1.5 * x).validate()
+            callable_lift(lambda x: 1.5 * x).validate()
 
 
 class TestSpecs:

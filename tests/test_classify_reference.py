@@ -2,7 +2,7 @@
 
 Checked against a reference copy of the version it replaced (below),
 which stepped that orbit twice: once in `rotation_number` for the
-Birkhoff sum, through a `FunctionLift` closure on the graph, and once
+Birkhoff sum, through a callable lift on the graph, and once
 more from 0 for the gap profile. Both give the same report, bit for
 bit, on conjugated actions (graph restrictions) at a rational and an
 irrational fiber angle, and on product actions (the exact fiber, with
@@ -20,7 +20,6 @@ from bsdl.catalog import perturbed_torus, product_action
 from bsdl.circle import (
     INVERSE_TOL,
     CircleLift,
-    FunctionLift,
     RotationNumberEstimate,
     orbit,
     wrap,
@@ -37,6 +36,8 @@ from bsdl.experiments import (
 )
 from bsdl.torus import ProductTorusLift
 
+from lifts import callable_lift
+
 # ---------------------------------------------------------------------------
 # reference: the two-orbit classify_perturbed, its closure restriction and
 # the rotation_number it called
@@ -51,7 +52,7 @@ def ref_restricted_circle_map(h, circle):
         u = np.asarray(circle.at(t), dtype=float)
         return h.raw(np.stack([u, np.broadcast_to(t, u.shape)], axis=-1))[..., 1]
 
-    return FunctionLift(angle_map, label="h on invariant circle"), "graph"
+    return callable_lift(angle_map, label="h on invariant circle"), "graph"
 
 
 def ref_rotation_number(F, iterates, q_max, tol=1e-8, x0=0.0, cert_grid=256):

@@ -439,6 +439,22 @@ FORMER_FLAGS = (
 POSITIONAL = {"classify-matrix": ("0,1,-1,0",), "reproduce-all": ()}
 
 
+@pytest.mark.parametrize(
+    "action,primary,secondary",
+    [
+        ("nonfaithful-circle", 2.122857445385762e-12, 1.1758150009200108e-11),
+        ("product", 3.3306690738754696e-16, 1.7208456881689926e-15),
+    ],
+)
+def test_verify_relation_on_a_denjoy_fiber(capsys, action, primary, secondary):
+    # h^2 has no closed form, so the secondary relation composes h o h,
+    # with the bits of two steps of h
+    code, out, err = run(capsys, "verify-relation", action, "--k", "denjoy:golden,5,0.3")
+    d = strict_json(out)
+    assert (code, err) == (cli.OK, "")
+    assert (d["primary_residual"], d["secondary_residual"]) == (primary, secondary)
+
+
 class TestFlags:
     def test_each_subcommand_takes_the_flags_it_reads(self):
         (sub,) = [a for a in cli._parser()._actions if a.dest == "command"]
@@ -510,6 +526,29 @@ class TestNumericalGiveUp:
         code, out, _ = run(capsys, "finite-orbit", "product", "--", "-1,-0.5")
         assert code == cli.OK
         assert strict_json(out)["closed"] is True
+
+    @pytest.mark.parametrize(
+        "argv,start",
+        [
+            (("product", "0.5,0.5", "--k", "rot:1/5"), [0.5, 0.5]),
+            (("product", "--k", "rot:1/5", "0.5,0.5"), [0.5, 0.5]),
+            (("--k", "rot:1/5", "product", "0.5,0.5"), [0.5, 0.5]),
+            (("product", "--k", "rot:1/5", "--", "-0.25,0.5"), [0.75, 0.5]),
+            (("--k", "rot:1/5", "product", "--", "-0.25,0.5"), [0.75, 0.5]),
+            (("--k", "rot:1/5", "--", "product", "-0.25,0.5"), [0.75, 0.5]),
+        ],
+    )
+    def test_start_before_or_after_the_flags(self, capsys, argv, start):
+        code, out, err = run(capsys, "finite-orbit", *argv)
+        d = strict_json(out)
+        # the line action's orbit of u = 0.5 is open: inconclusive
+        assert (code, err) == (cli.INCONCLUSIVE, "")
+        assert (d["action"], d["points"][0]) == ("product(n=2, k=rot:1/5)", start)
+
+    def test_matrix_after_double_dash(self, capsys):
+        code, out, err = run(capsys, "classify-matrix", "--", "-1,-1,1,0")
+        assert (code, err) == (cli.OK, "")
+        assert strict_json(out)["order"] == 3
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -32,10 +32,10 @@ from bsdl.space import TORUS
 from bsdl.torus import (
     ComposedTorusLift,
     ConjugatedTorusLift,
-    FunctionTorusLift,
     LinearTorusLift,
 )
 
+from lifts import callable_lift
 from test_step import matrices, same
 
 GUARD_LATTICE = TORUS.lattice(2048)
@@ -222,11 +222,11 @@ def test_relation_is_still_checked(monkeypatch):
 def test_loose_inverse_is_refused():
     psi = near_identity_diffeo(1e-2, seed=3)
     # w - D(w) inverts v + D(v) only to first order: off by about 1e-4
-    loose = FunctionTorusLift(psi.raw, inverse_fn=lambda w: 2.0 * w - psi.raw(w))
+    loose = callable_lift(psi.raw, lambda w: 2.0 * w - psi.raw(w), torus=True)
     with pytest.raises(ValueError, match="round trip"):
         conjugated_action(catalog_action("morse-smale", 3), loose)
     # the same lift with its Newton inverse passes
-    tight = FunctionTorusLift(psi.raw, inverse_fn=psi.inverse().raw)
+    tight = callable_lift(psi.raw, psi.inverse().raw, torus=True)
     conjugated_action(catalog_action("morse-smale", 3), tight)
 
 

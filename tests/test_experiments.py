@@ -33,11 +33,12 @@ from bsdl.experiments import (
 )
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
-    FunctionTorusLift,
     LinearTorusLift,
     bs_rotation_constraint,
     rotation_set,
 )
+
+from lifts import callable_lift
 
 
 def vertical_bump(eps):
@@ -66,7 +67,7 @@ def vertical_bump(eps):
                 break
         return y
 
-    return FunctionTorusLift(fn, None, inv, label=f"vbump({eps:g})")
+    return callable_lift(fn, inv, label=f"vbump({eps:g})", torus=True)
 
 
 class TestFindInvariantCircle:
@@ -115,7 +116,7 @@ class TestFindInvariantCircle:
             )
 
         with pytest.raises(GraphFoldError):
-            find_invariant_circle(FunctionTorusLift(fn), 0.0)
+            find_invariant_circle(callable_lift(fn, torus=True), 0.0)
 
     def test_nonconvergence_reports_history(self):
         h = compose(vertical_bump(1e-2), standard_torus(2).h)
@@ -163,7 +164,7 @@ class TestFindInvariantCircle:
             return out
 
         with pytest.raises(NonConvergentError) as info:
-            find_invariant_circle(FunctionTorusLift(fn), 0.0, samples=16)
+            find_invariant_circle(callable_lift(fn, torus=True), 0.0, samples=16)
         assert np.isnan(info.value.residuals).tolist() == [True]
 
     def test_estimate_keeps_the_last_residual_spline(self, monkeypatch):

@@ -5,28 +5,27 @@ Checked against reference copies of the module-level rules they
 replaced (below), on the exact families of tests/test_step.py:
 
 * `F.compose(G)` and `F.power(m)`, |m| <= 6, give the reference's type
-  and parameters bit for bit. A power of a lift with no closed form is
-  the one place the two differ by design: the reference nests m - 1
-  ComposedLift objects, `power` returns one lift that steps m times,
-  with the same values bit for bit.
+  and parameters bit for bit. A power is a closed form or a ValueError:
+  where the reference nests m - 1 ComposedLift objects, a power with no
+  closed form, `power` raises ValueError.
 * `same_params` answers as the reference does, and when it says yes
   both lifts give the same bits on a lattice.
-* `F.power(m)` agrees with m steps of F within the slope-derived
-  rounding budgets of tests/test_space.py; so does the power of a shift
-  by whole blocks composed with a glued map, which fuses as
-  shift^m o glued^m.
+* `F.power(m)`, where it has a closed form, agrees with m steps of F
+  within the slope-derived rounding budgets of tests/test_space.py; so
+  does the power of a shift by whole blocks composed with a glued map,
+  which fuses as shift^m o glued^m.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import bsdl
 from bsdl.circle import (
     ChartAffineLift,
     ComposedLift,
-    FunctionLift,
     GluedLift,
     RotationLift,
     compose,
@@ -35,7 +34,6 @@ from bsdl.gl2z import IntMatrix2
 from bsdl.space import CIRCLE, TORUS, space_of
 from bsdl.torus import (
     ComposedTorusLift,
-    FunctionTorusLift,
     LinearTorusLift,
     ProductTorusLift,
 )
@@ -164,20 +162,35 @@ def bits(L):
         return L.raw(LATTICE[space_of(L)]).tobytes()
 
 
-def assert_like_reference(new, ref, stepped_ok=False):
+def assert_like_reference(new, ref):
     """`new` has the reference's type and parameters, and its bits."""
     assert bits(new) == bits(ref), (new.label, ref.label)
     d_new, d_ref = describe(new), describe(ref)
     if exact(d_ref):
         assert d_new == d_ref
-    elif stepped_ok and isinstance(ref, (ComposedLift, ComposedTorusLift)):
-        # the reference's chain of m - 1 compositions, one stepped lift here
-        assert isinstance(new, (FunctionLift, FunctionTorusLift))
     else:
         assert type(new) is type(ref)
         if isinstance(ref, ProductTorusLift):
-            assert_like_reference(new.base, ref.base, stepped_ok)
-            assert_like_reference(new.fiber, ref.fiber, stepped_ok)
+            assert_like_reference(new.base, ref.base)
+            assert_like_reference(new.fiber, ref.fiber)
+
+
+def chained(ref):
+    """Whether the reference power holds a chain of compositions."""
+    if isinstance(ref, ProductTorusLift):
+        return chained(ref.base) or chained(ref.fiber)
+    return isinstance(ref, (ComposedLift, ComposedTorusLift))
+
+
+def assert_power_like_reference(F, m):
+    """F^m is the reference's power where that has a closed form, and a
+    ValueError where the reference is a chain."""
+    ref = ref_power_lift(F, m)
+    if chained(ref):
+        with pytest.raises(ValueError, match="has no closed form$"):
+            F.power(m)
+    else:
+        assert_like_reference(F.power(m), ref)
 
 
 exponents = st.integers(-6, 6)
@@ -205,22 +218,28 @@ def test_torus_compose_matches_reference(F, G):
 @settings(max_examples=300, deadline=None)
 @given(exact_circle, exponents)
 def test_circle_power_matches_reference(F, m):
-    assert_like_reference(F.power(m), ref_power_lift(F, m), stepped_ok=True)
+    assert_power_like_reference(F, m)
 
 
 @settings(max_examples=150, deadline=None)
 @given(exact_torus, exponents)
 def test_torus_power_matches_reference(F, m):
-    assert_like_reference(F.power(m), ref_power_lift(F, m), stepped_ok=True)
+    assert_power_like_reference(F, m)
 
 
 def candidates(F, G):
-    """Lifts with equal and with unequal parameters: F^2 and F o F agree
-    for rotations and often for the affine families."""
-    return [
-        F, G, F.power(2), F.compose(F), F.compose(G), G.compose(F),
+    """Lifts with equal and with unequal parameters: F^2, where it has a
+    closed form, and F o F agree for rotations and often for the affine
+    families."""
+    lifts = [
+        F, G, F.compose(F), F.compose(G), G.compose(F),
         F.power(0), G.power(0), F.compose(F.inverse()), F.power(-1), F.inverse(),
     ]
+    try:
+        lifts.append(F.power(2))
+    except ValueError:
+        pass
+    return lifts
 
 
 def assert_same_params_law(F, G):
@@ -278,16 +297,6 @@ def steps_and_budget(F, m, x):
     return y, budget
 
 
-def closed_form_slope(P, x):
-    """slope(P, x), where a power or factor that steps counts 0: it gives
-    the bits of stepping."""
-    if isinstance(P, (FunctionLift, FunctionTorusLift)):
-        return 0.0
-    if isinstance(P, ProductTorusLift):
-        return max(closed_form_slope(P.base, x[0]), closed_form_slope(P.fiber, x[1]))
-    return slope(P, x)
-
-
 def power_budget(F, m, x):
     """m steps of F from x and the rounding budget of F^m at x against
     them, in units of eps, or None as for `steps_and_budget`.
@@ -304,12 +313,18 @@ def power_budget(F, m, x):
     if out is None:
         return None
     y, chain = out
-    direct = closed_form_slope(F.power(m), x) * (1.0 + size(x)) + (1.0 + size(y))
+    direct = slope(F.power(m), x) * (1.0 + size(x)) + (1.0 + size(y))
     return y, max(chain, direct)
 
 
 def assert_power_is_steps(F, m, x):
+    """F^m agrees with m steps of F at x, where F^m has a closed form: the
+    reference laws above hold the ValueError of the others."""
     if not moderate(x):
+        return
+    try:
+        F.power(m)
+    except ValueError:
         return
     out = power_budget(F, m, x)
     if out is None:
@@ -377,9 +392,14 @@ block_shifts = st.builds(
 @given(block_shifts, exponents.filter(bool), st.data())
 def test_block_shift_power_agrees_with_steps(F, m, data):
     glued = F.outer if isinstance(F.outer, GluedLift) else F.inner
-    # fused, unless the glued map's power overflows and steps
-    fused = isinstance(F.power(m), ComposedLift)
-    assert fused == (abs(m) == 1 or not isinstance(glued.power(m), FunctionLift))
+    # fused, unless the glued map's power overflows
+    try:
+        glued.power(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="has no closed form$"):
+            F.power(m)
+        return
+    assert isinstance(F.power(m), ComposedLift)
     for x in data.draw(st.lists(circle_points(F), min_size=1, max_size=6)):
         assert_power_is_steps(F, m, x)
 
@@ -392,8 +412,8 @@ def test_every_block_shift_fuses():
             assert isinstance(P, ComposedLift), m
             assert P.outer.same_params(RotationLift(j / m).power(m + 5))
             assert P.inner.same_params(GluedLift(m, 1.0, m + 5.0))
-    # off the block grid, the power steps
-    F = compose(RotationLift(0.3), GluedLift(2, 1.0, 1.0))
-    assert isinstance(F.power(3), FunctionLift)
-    F = compose(RotationLift(1.0 / 3.0), GluedLift(2, 1.0, 1.0))
-    assert isinstance(F.power(3), FunctionLift)
+    # off the block grid, the power has no closed form
+    for alpha in (0.3, 1.0 / 3.0):
+        F = compose(RotationLift(alpha), GluedLift(2, 1.0, 1.0))
+        with pytest.raises(ValueError, match="^this power of ComposedLift has no closed form$"):
+            F.power(3)

@@ -11,7 +11,7 @@
 * every input point of `convex_hull` lies within 1e-12 of its hull;
 * F^-1 undoes F: F^-1(F(x)) lies within 1e-12 of x as lift values, for
   every lift family with an inverse rule, on both spaces, at points in
-  [-3, 3]; a function lift with no inverse supplied raises
+  [-3, 3]; a callable lift with no inverse supplied raises
   NotImplementedError instead.
 """
 
@@ -27,7 +27,6 @@ from bsdl.catalog import CATALOG, build_action, periodic_circle_example
 from bsdl.circle import (
     GOLDEN_MEAN,
     ChartAffineLift,
-    FunctionLift,
     GluedLift,
     RotationLift,
     compose,
@@ -37,13 +36,13 @@ from bsdl.experiments import near_identity_diffeo
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
     ConjugatedTorusLift,
-    FunctionTorusLift,
     LinearTorusLift,
     ProductTorusLift,
     _point_to_hull,
     convex_hull,
 )
 
+from lifts import callable_lift
 from test_step import cached_denjoy, exact_circle, random_piecewise
 
 # dyadic points with 37 significant bits or fewer, so x + 1 is exact
@@ -142,8 +141,8 @@ invertible_circle = st.one_of(
     st.builds(random_piecewise, st.integers(0, 2**32 - 1), st.integers(1, 8)),
     denjoys,
     st.integers(3, 8).map(lambda n: periodic_circle_example(n).f),
-    # a piecewise lift has no closed-form power: its cube steps
-    denjoys.map(lambda F: F.power(3)),
+    # a piecewise lift has no closed-form power: its cube is a chain
+    denjoys.map(lambda F: compose(F, compose(F, F))),
 )
 products = st.builds(ProductTorusLift, invertible_circle, invertible_circle)
 
@@ -158,10 +157,10 @@ shear_lifts = st.builds(LinearTorusLift, shears, st.tuples(small_offsets, small_
 invertible_torus = st.one_of(
     products,
     shear_lifts,
-    # a product composed with a shear fuses no parameters: its square steps
+    # a product composed with a shear fuses no parameters: its square is a chain
     st.builds(
         compose, st.builds(ProductTorusLift, smooth_circle, smooth_circle), shear_lifts
-    ).map(lambda F: F.power(2)),
+    ).map(lambda F: compose(F, F)),
     st.builds(ConjugatedTorusLift, st.integers(0, 3).map(bump), products | shear_lifts),
 )
 lift_coords = st.floats(-3.0, 3.0)
@@ -185,7 +184,7 @@ def test_inverse_undoes_the_lift(case):
 
 
 @pytest.mark.parametrize(
-    "F", [FunctionLift(lambda x: x + 0.25), FunctionTorusLift(lambda v: v + 0.25)]
+    "F", [callable_lift(lambda x: x + 0.25), callable_lift(lambda v: v + 0.25, torus=True)]
 )
 def test_function_lift_without_inverse_raises(F):
     with pytest.raises(NotImplementedError, match=f"^{type(F).__name__} has no inverse rule$"):

@@ -24,7 +24,6 @@ from bsdl.circle import (
     GOLDEN_MEAN,
     ChartAffineLift,
     ComposedLift,
-    FunctionLift,
     GluedLift,
     PiecewiseLift,
     RotationLift,
@@ -43,7 +42,6 @@ from bsdl.experiments import (
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
     ComposedTorusLift,
-    FunctionTorusLift,
     LinearTorusLift,
     ProductTorusLift,
 )
@@ -343,11 +341,3 @@ def test_chart_affine_on_a_dense_grid():
               GluedLift(3, 2.0, 0.0), GluedLift(4, 0.5, -1.0)):
         batch = F.raw(xs).tolist()
         assert all(same(F.step(x), y) for x, y in zip(xs.tolist(), batch))
-
-
-def test_fallbacks_call_raw():
-    F = FunctionLift(lambda x: x + 0.25 * np.sin(2 * np.pi * x) / (2 * np.pi))
-    for x in (0.0, 0.3, -1.7):
-        assert same(F.step(x), float(F.raw(np.array([x]))[0]))
-    G = FunctionTorusLift(lambda v: v + 0.1 * np.sin(2 * np.pi * v[..., ::-1]))
-    assert_torus_step_is_raw(G, (0.1, 0.7))

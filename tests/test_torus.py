@@ -8,7 +8,6 @@ from bsdl.circle import ChartAffineLift, RotationLift, compose, wrap
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
     ComposedTorusLift,
-    FunctionTorusLift,
     LinearTorusLift,
     ProductTorusLift,
     bs_rotation_constraint,
@@ -19,6 +18,8 @@ from bsdl.torus import (
     rotation_vector,
     torus_dist,
 )
+
+from lifts import callable_lift
 
 I2 = IntMatrix2.identity()
 
@@ -106,7 +107,7 @@ class TestLifts:
             LinearTorusLift(IntMatrix2.from_rows((2, 0), (0, 1)))
 
     def test_validate_rejects_broken_equivariance(self):
-        bad = FunctionTorusLift(lambda v: 1.5 * v)
+        bad = callable_lift(lambda v: 1.5 * v, torus=True)
         with pytest.raises(ValueError):
             bad.validate()
 
@@ -197,7 +198,7 @@ class TestRotationSet:
                 [v[..., 0] + 0.2 * b, v[..., 1] + 0.1 * b], axis=-1
             )
 
-        F = FunctionTorusLift(fn).validate()
+        F = callable_lift(fn, torus=True).validate()
         est = rotation_set(F, grid=8, iterates=800, transient=20)
         assert not est.is_point
         assert est.diameter > 1e-3
