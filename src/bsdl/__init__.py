@@ -89,11 +89,20 @@ from .experiments import (
     near_identity_diffeo,
     conjugated_action,
 )
-from .acceptance import run_all
 
 # the earlier name of `compose` for torus lifts
 compose2 = compose
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the acceptance battery, and the hashlib it loads, is imported on
+    # first use, so a CLI start does not pay for it
+    if name == "run_all":
+        from .acceptance import run_all
+
+        return run_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "IntMatrix2", "finite_order", "conjugate_in_gl2z",

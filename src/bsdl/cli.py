@@ -21,7 +21,6 @@ import tempfile
 
 import numpy as np
 
-from .acceptance import run_all
 from .bsgroup import finite_bs_orbit, relation_report
 from .catalog import CATALOG, build_action
 from .circle import rotation_number
@@ -277,6 +276,8 @@ def _cmd_persistent_fp(args):
 
 
 def _cmd_reproduce_all(args):
+    from .acceptance import run_all
+
     rows = run_all(seed=args.seed)
     for r in rows:
         mark = "PASS" if r["passed"] else "FAIL"

@@ -12,7 +12,7 @@ evidence is inconclusive the harness says Unknown instead of guessing.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 import math
 
@@ -515,6 +515,47 @@ def _at_point(F, v):
     return np.reshape(F.step(p[0] if len(p) == 1 else tuple(p)), v.shape)
 
 
+def _waves(K, p):
+    """The rows cos(K p) and then sin(K p) for wave vectors K, a (J, 2)
+    array, at points p, a (2, N) array or one (2,) point."""
+    # one mode per row: numpy's cos and sin measured about twice as fast
+    # on rows of like angles as on interleaved modes; the angles are
+    # formed in the sine rows, so no other buffer is made
+    J = len(K)
+    out = np.empty((2 * J,) + p.shape[1:])
+    a = np.matmul(K, p, out=out[J:])
+    np.cos(a, out=out[:J])
+    np.sin(a, out=a)
+    return out
+
+
+@lru_cache(maxsize=4, typed=True)
+def _bump_modes(modes: int):
+    """What `_bump_field` needs of `modes` alone, for every seed.
+
+    Returns the wave vectors K = 2 pi k, one integer frequency k per row,
+    their lengths |K|, and the waves of K on the 64 x 64 normalization
+    mesh, a (2J, 4096) table. The arrays are read-only, because every
+    map of these modes shares them.
+    """
+    ks = np.array(
+        [
+            (p, q)
+            for p in range(-modes, modes + 1)
+            for q in range(0, modes + 1)
+            if q > 0 or p > 0
+        ],
+        dtype=float,
+    )
+    K = 2.0 * np.pi * ks
+    g = np.arange(64) / 64
+    mesh = np.stack([np.repeat(g, 64), np.tile(g, 64)])
+    shared = (K, np.hypot(K[:, 0], K[:, 1]), _waves(K, mesh))
+    for a in shared:
+        a.flags.writeable = False
+    return shared
+
+
 def _bump_field(size: float, seed: int, modes: int):
     """Displacement field of `near_identity_diffeo` and its Jacobian.
 
@@ -527,23 +568,14 @@ def _bump_field(size: float, seed: int, modes: int):
         raise ValueError(f"need a finite size >= 0, got {size}")
     if modes < 1:
         raise ValueError(f"need modes >= 1, got {modes}")
+    K, norms, mesh_waves = _bump_modes(modes)
     rng = np.random.default_rng(seed)
-    ks = np.array(
-        [
-            (p, q)
-            for p in range(-modes, modes + 1)
-            for q in range(0, modes + 1)
-            if q > 0 or p > 0
-        ],
-        dtype=float,
-    )
-    amp = rng.normal(size=(2, len(ks)))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(2, len(ks)))
+    amp = rng.normal(size=(2, len(K)))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(2, len(K)))
 
     # amp cos(a + phase) = cos a (amp cos phase) - sin a (amp sin phase),
     # and its gradient is -amp sin(a + phase) k: each row of M weighs the
     # stacked [cos a, sin a] into one output row.
-    K = 2.0 * np.pi * ks
     ca = amp * np.cos(phase)
     sa = amp * np.sin(phase)
     M = np.array(
@@ -554,22 +586,8 @@ def _bump_field(size: float, seed: int, modes: int):
             for d in range(2)
         ]
     )
-    J = len(ks)
-
-    def waves(p):
-        # one mode per row: numpy's cos and sin measured about twice as
-        # fast on rows of like angles as on interleaved modes; the angles
-        # are formed in the sine rows, so no other buffer is made
-        out = np.empty((2 * J,) + p.shape[1:])
-        a = np.matmul(K, p, out=out[J:])
-        np.cos(a, out=out[:J])
-        np.sin(a, out=a)
-        return out
-
-    g = np.arange(64) / 64
-    mesh = np.stack([np.repeat(g, 64), np.tile(g, 64)])
-    scale = 1.0 / float(np.max(np.abs(M[:2] @ waves(mesh))))
-    lip = scale * float(np.max(np.abs(amp) @ np.hypot(K[:, 0], K[:, 1])))
+    scale = 1.0 / float(np.max(np.abs(M[:2] @ mesh_waves)))
+    lip = scale * float(np.max(np.abs(amp) @ norms))
     if not size * lip < 0.5:
         raise ValueError(
             f"size {size:g} times the Lipschitz bound {lip:.3g} of the "
@@ -578,7 +596,7 @@ def _bump_field(size: float, seed: int, modes: int):
     M = size * scale * M
 
     def field(p):
-        return M @ waves(p)
+        return M @ _waves(K, p)
 
     return field
 
@@ -674,11 +692,14 @@ def near_identity_diffeo(
 
     B is a seeded random trigonometric displacement field with integer
     frequencies up to `modes`, normalized to unit sup norm on a 64 x 64
-    sample grid, so `size` is the C0 distance to the identity. One
-    vectorized pass gives B and its analytic Jacobian; the inverse is
-    computed by Newton's method from the starting guess y = w, and
-    raises NonConvergentError if its steps do not fall below 1e-15
-    within 60 iterations.
+    sample grid, so `size` is the C0 distance to the identity. The
+    normalization waves on that grid depend on `modes` alone: they are
+    computed once per `modes` and shared read-only by every later map,
+    which draws only its amplitudes and phases. One vectorized pass
+    gives B and its analytic Jacobian; the inverse is computed by
+    Newton's method from the starting guess y = w, and raises
+    NonConvergentError if its steps do not fall below 1e-15 within 60
+    iterations.
 
     Raises ValueError unless size is finite and nonnegative, modes >= 1
     and size * Lip < 1/2. Lip = scale * max_i sum_k |amp_ik| 2 pi |k|,

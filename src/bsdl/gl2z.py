@@ -10,6 +10,7 @@ solved exactly by `bsdl.torus.bs_rotation_constraint`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,6 +188,13 @@ def _shell_tuples(dim: int, shell: int):
             yield (t,) + rest
 
 
+def _conjugacy_invariants(A: IntMatrix2):
+    """Trace, det and gcd(b, c, a - d) of A, equal for any two matrices
+    conjugate in GL(2,Z): the gcd is the largest k with A = m I mod k
+    for some m, a property conjugation keeps."""
+    return A.trace(), A.det(), math.gcd(A.b, A.c, A.a - A.d)
+
+
 def conjugate_in_gl2z(A: IntMatrix2, B: IntMatrix2, bound: int = 50) -> IntMatrix2 | None:
     """Search X in GL(2,Z) with X B X^-1 = A.
 
@@ -194,7 +202,9 @@ def conjugate_in_gl2z(A: IntMatrix2, B: IntMatrix2, bound: int = 50) -> IntMatri
     basis of the solution lattice and enumerates coefficient vectors in
     sup-norm shells up to `bound`, returning the first combination with
     det +-1. None means no conjugator exists with coefficients within
-    the bound (for a trivial solution lattice, none exists at all).
+    the bound (for a trivial solution lattice, or for A and B that
+    differ in trace, det or gcd(b, c, a - d), none exists at all, and
+    no candidate is walked).
 
     The shells are walked outward from sup norm 1, and the coefficient
     vectors of one shell in lexicographic order, so the conjugator
@@ -213,6 +223,8 @@ def conjugate_in_gl2z(A: IntMatrix2, B: IntMatrix2, bound: int = 50) -> IntMatri
             f"enumeration of {(2 * bound + 1) ** dim} candidates exceeds cap; "
             "reduce bound"
         )
+    if _conjugacy_invariants(A) != _conjugacy_invariants(B):
+        return None
     for shell in range(1, bound + 1):
         for coeffs in _shell_tuples(dim, shell):
             e = [0, 0, 0, 0]

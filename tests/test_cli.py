@@ -659,7 +659,7 @@ class TestReproduceAll:
             {"id": 12, "name": "determinism", "passed": False,
              "details": {}, "elapsed": 0.02},
         ]
-        monkeypatch.setattr(cli, "run_all", lambda seed: rows)
+        monkeypatch.setattr("bsdl.acceptance.run_all", lambda seed: rows)
         target = tmp_path / "rows.json"
         code, out, _ = run(capsys, "reproduce-all", "--out", str(target))
         lines = out.strip().splitlines()
@@ -678,7 +678,7 @@ class TestReproduceAll:
             return [{"id": 1, "name": "relation-suite", "passed": True,
                      "details": {}, "elapsed": 0.0}]
 
-        monkeypatch.setattr(cli, "run_all", fake)
+        monkeypatch.setattr("bsdl.acceptance.run_all", fake)
         code, out, _ = run(capsys, "reproduce-all", "--seed", "11")
         assert code == cli.OK
         assert seen["seed"] == 11
@@ -695,3 +695,19 @@ def test_import_loads_no_scipy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_defers_the_acceptance_battery():
+    # `reproduce-all` imports the battery, and the hashlib it loads, on
+    # its own; `bsdl.run_all` still reaches it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, bsdl.cli; "
+        "print([m for m in ('bsdl.acceptance', '_hashlib') if m in sys.modules]); "
+        "import bsdl; print(bsdl.run_all.__module__)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["[]", "bsdl.acceptance"]

@@ -24,6 +24,7 @@ from bsdl.experiments import (
     NonConvergentError,
     PeriodicSpline,
     _bump_field,
+    _bump_modes,
     classify_perturbed,
     conjugated_action,
     find_invariant_circle,
@@ -492,6 +493,27 @@ class TestNearIdentityDiffeo:
     def test_inverse_raises_when_newton_stalls(self):
         with pytest.raises(NonConvergentError):
             near_identity_diffeo(1e-3).inverse().raw(np.array([np.nan, 0.5]))
+
+    def test_shared_waves_keep_every_bit(self, monkeypatch):
+        pts = np.random.default_rng(4).uniform(-1.0, 2.0, size=(257, 2))
+
+        def bits(psi):
+            return psi.raw(pts).tobytes(), psi.inverse().raw(pts).tobytes()
+
+        _bump_modes.cache_clear()
+        cold = bits(near_identity_diffeo(1e-2, seed=9))
+        for seed in range(5):
+            near_identity_diffeo(1e-3, seed)
+        warm = bits(near_identity_diffeo(1e-2, seed=9))
+        # every map's waves computed afresh, as before they were shared
+        monkeypatch.setattr(experiments, "_bump_modes", _bump_modes.__wrapped__)
+        fresh = bits(near_identity_diffeo(1e-2, seed=9))
+        assert cold == warm == fresh
+
+    def test_shared_waves_are_read_only(self):
+        for a in _bump_modes(2):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 def reference_bump(size, seed, modes=2):

@@ -12,6 +12,7 @@ import pytest
 
 from bsdl.gl2z import (
     IntMatrix2,
+    _conjugacy_invariants,
     _integer_kernel_basis,
     _shell_tuples,
     _sylvester_rows,
@@ -222,6 +223,42 @@ class TestShellEnumeration:
         A = as_lib(((1, a), (0, 1)))
         B = as_lib(((1, b), (0, 1)))
         assert conjugate_in_gl2z(A, B, bound=50) is None
+
+
+def random_word(rng, length):
+    X = ID
+    for _ in range(length):
+        g = rng.choice(GL2Z_GENERATORS)
+        X = omul(X, g if rng.random() < 0.5 else oinv_unimodular(g))
+    return X
+
+
+class TestConjugacyInvariants:
+    def test_conjugation_keeps_trace_det_and_gcd(self):
+        rng = random.Random(22)
+        for _ in range(500):
+            A = random_word(rng, rng.randrange(1, 7))
+            X = random_word(rng, rng.randrange(1, 7))
+            B = omul(omul(X, A), oinv_unimodular(X))
+            assert _conjugacy_invariants(as_lib(A)) == _conjugacy_invariants(as_lib(B))
+
+    def test_search_agrees_with_the_full_walk(self):
+        # shears S^a against conjugates of S^b, and conjugates of random
+        # words: the pairs whose invariants differ return None unwalked,
+        # the others walk as before
+        rng = random.Random(23)
+        skipped = 0
+        for _ in range(60):
+            if rng.random() < 0.5:
+                A = ((1, rng.randint(-4, 4)), (0, 1))
+                B = ((1, rng.randint(-4, 4)), (0, 1))
+            else:
+                A = B = random_word(rng, rng.randrange(1, 5))
+            X = random_word(rng, rng.randrange(0, 3))
+            A, B = as_lib(A), as_lib(omul(omul(X, B), oinv_unimodular(X)))
+            skipped += _conjugacy_invariants(A) != _conjugacy_invariants(B)
+            assert conjugate_in_gl2z(A, B, bound=12) == reference_conjugator(A, B, bound=12)
+        assert skipped > 10
 
 
 class TestRelationCompatibility:
