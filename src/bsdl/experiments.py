@@ -529,6 +529,7 @@ def _waves(K, p):
     return out
 
 
+# typed, so a float `modes` fails in range() whatever is cached
 @lru_cache(maxsize=4, typed=True)
 def _bump_modes(modes: int):
     """What `_bump_field` needs of `modes` alone, for every seed.
