@@ -74,8 +74,12 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def wrap(x):
-    """Reduce to [0, 1), componentwise for torus points."""
-    return np.asarray(x, dtype=float) - np.floor(x)
+    """Reduce to [0, 1), componentwise for torus points: x - floor(x),
+    except that a value that rounds up to 1.0 (x within 2^-54 below an
+    integer) becomes the largest double below 1. A finite float wraps to
+    the bits of `_wrap_float`; a non-finite one to NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.minimum(x - np.floor(x), _BELOW_ONE)
 
 
 def orbit(F, x0, iterates: int, transient: int = 0):
@@ -132,15 +136,14 @@ def orbit(F, x0, iterates: int, transient: int = 0):
     raw = F.raw
     fv = np.asarray(x0, dtype=float)
     for k in range(-transient, iterates):
-        v = fv - np.floor(fv)
-        np.minimum(v, _BELOW_ONE, out=v)
+        v = wrap(fv)
         fv = raw(v)
         if k >= 0:
             yield v, fv
 
 
 def _wrap_float(x: float) -> float:
-    """x - floor(x) in [0, 1) with the bits of the array wrap in `orbit`."""
+    """x - floor(x) in [0, 1) with the bits of `wrap`."""
     # x // 1.0 is np.floor(x) as a float, signed zeros included
     r = x - x // 1.0
     if r < 1.0:

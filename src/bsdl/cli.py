@@ -107,16 +107,21 @@ def _emit(payload, args):
         print(text)
 
 
+def _entry(name):
+    """The catalog entry `name`; a KeyError naming the known ids if none."""
+    if name not in CATALOG:
+        raise KeyError(f"unknown action {name!r}; known: {', '.join(sorted(CATALOG))}")
+    return CATALOG[name]
+
+
 def _build(args):
-    if args.action not in CATALOG:
-        known = ", ".join(sorted(CATALOG))
-        raise KeyError(f"unknown action {args.action!r}; known: {known}")
+    entry = _entry(args.action)
     params = {}
     for key in ("eps", "k"):
         value = getattr(args, key)
         if value is None:
             continue
-        if key not in CATALOG[args.action].defaults:
+        if key not in entry.defaults:
             raise ValueError(f"{args.action} takes no --{key}")
         params[key] = value
     return build_action(args.action, n=args.n, **params)
@@ -136,9 +141,7 @@ def _parse_matrix(text):
 
 def _cmd_catalog(args):
     if args.action:
-        if args.action not in CATALOG:
-            raise KeyError(f"unknown action {args.action!r}")
-        e = CATALOG[args.action]
+        e = _entry(args.action)
         _emit(
             {
                 "id": e.id,
@@ -451,7 +454,9 @@ def main(argv=None):
         print(f"inconclusive: {exc}", file=sys.stderr)
         return INCONCLUSIVE
     except _CLI_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {text}", file=sys.stderr)
         return ERROR
 
 

@@ -12,7 +12,7 @@ evidence is inconclusive the harness says Unknown instead of guessing.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import islice
 import math
 
@@ -32,8 +32,10 @@ from .report import Report
 from .space import CIRCLE, TORUS
 from .torus import ConjugatedTorusLift, ProductTorusLift, TorusLift
 
-# Sup residual at which the graph transform's circle counts as invariant
+# Sup residual at which the graph transform's circle counts as invariant,
+# and the pushes after which the transform gives up
 CIRCLE_TOL = 1e-10
+MAX_PUSHES = 200
 
 
 class GraphFoldError(RuntimeError):
@@ -51,7 +53,7 @@ class NonConvergentError(RuntimeError):
 
 @dataclass
 class InvariantCircleEstimate:
-    """Sampled graph theta -> u of an h-invariant circle.
+    """Sampled graph theta -> u of an attracting h-invariant circle.
 
     Graph values are stored as real numbers in a window of width one
     centered at the seed, so a circle hugging the glued point does not
@@ -59,22 +61,16 @@ class InvariantCircleEstimate:
     the vertical circle distance between h(graph point) and the graph;
     it is recomputed from scratch after the transform, so a small value
     certifies invariance independently of how the graph was found.
-    side is Attracting for forward iteration, Repelling for backward.
     spline is the `PeriodicSpline` through (thetas, graph) that `at`
-    evaluates; it is built from them when not given.
+    evaluates.
     """
 
     thetas: np.ndarray
     graph: np.ndarray
     residual: float
-    side: str
     iterations: int
     tol: float
-    spline: "PeriodicSpline" = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.spline is None:
-            self.spline = PeriodicSpline(self.thetas, self.graph)
+    spline: "PeriodicSpline" = field(repr=False, compare=False)
 
     def at(self, theta):
         return self.spline.at(theta)
@@ -200,52 +196,29 @@ def _cyclic_solve(h, r):
     return np.array(xs) - k * np.array(zs)
 
 
-def find_invariant_circle(
-    h: TorusLift,
-    seed,
-    direction: str = "forward",
-    samples: int = 512,
-    max_iter: int = 200,
-) -> InvariantCircleEstimate:
-    """Graph transform for a normally hyperbolic h-invariant circle.
+def find_invariant_circle(h: TorusLift, seed, samples: int = 512) -> InvariantCircleEstimate:
+    """Graph transform for an attracting normally hyperbolic h-invariant
+    circle.
 
-    The candidate graph is pushed by h (forward, for an attracting
-    circle) or h^-1 (backward, repelling), the image points are
-    reprojected to a graph over the uniform fiber grid through the
-    periodic cubic spline (`PeriodicSpline`) through them, and the loop
-    runs until the recomputed residual drops to CIRCLE_TOL. seed may be a
-    constant u value, an array of u over the grid, a callable theta ->
-    u, or a previous estimate. The residual is checked before the first
-    push, so an exactly invariant seed converges in zero iterations; a
-    NaN residual (an image holding NaN) stops the loop and, like a
-    residual still above CIRCLE_TOL after max_iter pushes, raises
-    NonConvergentError.
+    Starting from the constant graph u = seed, the graph is pushed by h:
+    its image points are reprojected to a graph over the uniform fiber
+    grid through the periodic cubic spline (`PeriodicSpline`) through
+    them, and the loop runs until the recomputed residual drops to
+    CIRCLE_TOL. The image h(g(theta), theta) of each graph is computed
+    once and serves both its residual and its push, so k pushes evaluate
+    h k + 1 times. A repelling circle of h is an attracting circle of
+    h^-1: find it as `find_invariant_circle(h.inverse(), seed)`. The
+    residual is checked before the first push, so an exactly invariant
+    seed converges in zero iterations; a NaN residual (an image holding
+    NaN) stops the loop and, like a residual still above CIRCLE_TOL
+    after MAX_PUSHES pushes, raises NonConvergentError.
     """
-    direction = direction.lower()
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward: {direction!r}")
     thetas = np.arange(samples) / samples
-    if isinstance(seed, InvariantCircleEstimate):
-        g = np.asarray(seed.at(thetas), dtype=float)
-    elif callable(seed):
-        g = np.asarray(seed(thetas), dtype=float)
-    elif np.ndim(seed) == 0:
-        g = np.full(samples, float(seed))
-    else:
-        g = np.asarray(seed, dtype=float)
-        if g.shape != (samples,):
-            raise ValueError(f"seed array must have shape ({samples},)")
-        g = g.copy()
-    center = float(g[0])
-    F = h if direction == "forward" else h.inverse()
-    side = "Attracting" if direction == "forward" else "Repelling"
+    center = float(seed)
+    g = np.full(samples, center)
 
-    def recenter(u):
-        return center + (np.mod(u - center + 0.5, 1.0) - 0.5)
-
-    def push(g):
-        img = F.raw(np.stack([g, thetas], axis=-1))
-        up = recenter(img[..., 0])
+    def reproject(img):
+        up = center + (np.mod(img[..., 0] - center + 0.5, 1.0) - 0.5)
         tp = np.mod(img[..., 1], 1.0)
         # a degree-one monotone image has exactly one cyclic descent;
         # anything else means the pushed curve folded over the fiber
@@ -258,21 +231,22 @@ def find_invariant_circle(
         order = np.argsort(tp, kind="stable")
         return PeriodicSpline(tp[order], up[order]).at(thetas)
 
-    def residual_of(g):
-        # the spline through g, kept for the estimate once g converges
+    def measure(g):
+        # the spline through g is kept for the estimate once g converges;
+        # the image of g under h serves both its residual and its push
         graph = PeriodicSpline(thetas, g)
         img = h.raw(np.stack([g, thetas], axis=-1))
         target = graph.at(img[..., 1])
-        return float(np.max(circle_dist(img[..., 0], target))), graph
+        return img, float(np.max(circle_dist(img[..., 0], target))), graph
 
-    res, graph = residual_of(g)
+    img, res, graph = measure(g)
     history = [res]
     iters = 0
     # pushing an image that holds NaN cannot help, so NaN stops the loop
-    while res > CIRCLE_TOL and iters < max_iter:
-        g = push(g)
+    while res > CIRCLE_TOL and iters < MAX_PUSHES:
+        g = reproject(img)
         iters += 1
-        res, graph = residual_of(g)
+        img, res, graph = measure(g)
         history.append(res)
     if not res <= CIRCLE_TOL:
         raise NonConvergentError(
@@ -280,7 +254,7 @@ def find_invariant_circle(
             f"{iters} iterations (tol {CIRCLE_TOL:.1e})",
             history,
         )
-    return InvariantCircleEstimate(thetas, g, res, side, iters, CIRCLE_TOL, graph)
+    return InvariantCircleEstimate(thetas, g, res, iters, CIRCLE_TOL, graph)
 
 
 @dataclass
@@ -381,9 +355,7 @@ def classify_perturbed(
         "circle_spread": circle.spread(),
     }
     P = fixed_cells(action.f, resolutions[0])
-    dense_t = np.arange(4 * resolutions[0]) / (4 * resolutions[0])
-    circle_pts = np.stack([wrap(circle.at(dense_t)), dense_t], axis=-1)
-    circ_cells0 = CellSet.from_points(circle_pts, resolutions[0], "torus")
+    circ_cells0 = _circle_cells(circle, resolutions[0])
     meets = len(P.intersect(circ_cells0)) > 0
     evidence["fixed_cells"] = len(P)
     evidence["fixed_meets_circle"] = meets
@@ -430,9 +402,7 @@ def classify_perturbed(
     per_res = []
     all_strict = True
     for R in resolutions:
-        tg = np.arange(4 * R) / (4 * R)
-        cpts = np.stack([wrap(circle.at(tg)), tg], axis=-1)
-        ccells = CellSet.from_points(cpts, R, "torus")
+        ccells = circ_cells0 if R == resolutions[0] else _circle_cells(circle, R)
         ocells = CellSet.from_points(orbit_pts, R, "torus")
         strict = ocells.issubset(ccells.dilate()) and len(ocells) < len(ccells)
         per_res.append(
@@ -451,6 +421,13 @@ def classify_perturbed(
     if reason is not None:
         evidence["reason"] = reason
     return TrichotomyReport(rho, label, evidence)
+
+
+def _circle_cells(circle: InvariantCircleEstimate, R: int) -> CellSet:
+    """The torus cells at resolution R that the circle's points at 4 R
+    evenly spaced angles fall in."""
+    t = np.arange(4 * R) / (4 * R)
+    return CellSet.from_points(np.stack([wrap(circle.at(t)), t], axis=-1), R, "torus")
 
 
 # Per space: the largest h-displacement of a grid candidate, and the
@@ -529,21 +506,24 @@ def _waves(K, p):
     return out
 
 
-# typed, so a float `modes` fails in range() whatever is cached
-@lru_cache(maxsize=4, typed=True)
-def _bump_modes(modes: int):
-    """What `_bump_field` needs of `modes` alone, for every seed.
+# The integer frequencies of a bump field run up to BUMP_MODES
+BUMP_MODES = 2
+
+
+@cache
+def _bump_modes():
+    """What `_bump_field` needs of BUMP_MODES alone, for every seed.
 
     Returns the wave vectors K = 2 pi k, one integer frequency k per row,
     their lengths |K|, and the waves of K on the 64 x 64 normalization
     mesh, a (2J, 4096) table. The arrays are read-only, because every
-    map of these modes shares them.
+    map shares them.
     """
     ks = np.array(
         [
             (p, q)
-            for p in range(-modes, modes + 1)
-            for q in range(0, modes + 1)
+            for p in range(-BUMP_MODES, BUMP_MODES + 1)
+            for q in range(0, BUMP_MODES + 1)
             if q > 0 or p > 0
         ],
         dtype=float,
@@ -557,7 +537,7 @@ def _bump_modes(modes: int):
     return shared
 
 
-def _bump_field(size: float, seed: int, modes: int):
+def _bump_field(size: float, seed: int):
     """Displacement field of `near_identity_diffeo` and its Jacobian.
 
     Returns field(p), which takes points as the columns of a (2, N)
@@ -567,9 +547,7 @@ def _bump_field(size: float, seed: int, modes: int):
     """
     if not (np.isfinite(size) and size >= 0.0):
         raise ValueError(f"need a finite size >= 0, got {size}")
-    if modes < 1:
-        raise ValueError(f"need modes >= 1, got {modes}")
-    K, norms, mesh_waves = _bump_modes(modes)
+    K, norms, mesh_waves = _bump_modes()
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=(2, len(K)))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(2, len(K)))
@@ -686,33 +664,28 @@ def _stalled(steps):
     )
 
 
-def near_identity_diffeo(
-    size: float = 1e-3, seed: int = 0, modes: int = 2
-) -> BumpTorusLift:
+def near_identity_diffeo(size: float = 1e-3, seed: int = 0) -> BumpTorusLift:
     """Random torus diffeomorphism v -> v + size * B(v), sup|B| = 1.
 
     B is a seeded random trigonometric displacement field with integer
-    frequencies up to `modes`, normalized to unit sup norm on a 64 x 64
-    sample grid, so `size` is the C0 distance to the identity. The
-    normalization waves on that grid depend on `modes` alone: they are
-    computed once per `modes` and shared read-only by every later map,
-    which draws only its amplitudes and phases. One vectorized pass
-    gives B and its analytic Jacobian; the inverse is computed by
-    Newton's method from the starting guess y = w, and raises
-    NonConvergentError if its steps do not fall below 1e-15 within 60
-    iterations.
+    frequencies up to BUMP_MODES, normalized to unit sup norm on a 64 x
+    64 sample grid, so `size` is the C0 distance to the identity. The
+    normalization waves on that grid are the same for every seed: they
+    are computed once and shared read-only by every later map, which
+    draws only its amplitudes and phases. One vectorized pass gives B
+    and its analytic Jacobian; the inverse is computed by Newton's
+    method from the starting guess y = w, and raises NonConvergentError
+    if its steps do not fall below 1e-15 within 60 iterations.
 
-    Raises ValueError unless size is finite and nonnegative, modes >= 1
-    and size * Lip < 1/2. Lip = scale * max_i sum_k |amp_ik| 2 pi |k|,
-    with scale the sup-norm normalization, bounds the gradient of each
-    component of B, so each gradient row of size * B is below 1/2, the
-    derivative of the map is invertible everywhere and the map is a
+    Raises ValueError unless size is finite and nonnegative and size *
+    Lip < 1/2. Lip = scale * max_i sum_k |amp_ik| 2 pi |k|, with scale
+    the sup-norm normalization, bounds the gradient of each component
+    of B, so each gradient row of size * B is below 1/2, the derivative
+    of the map is invertible everywhere and the map is a
     diffeomorphism. Over 2000 seeds Lip is at most 26.3, so sizes up to
     about 0.019 pass for every seed.
     """
-    return BumpTorusLift(
-        _bump_field(size, seed, modes), f"bump(size={size:g},seed={seed})"
-    )
+    return BumpTorusLift(_bump_field(size, seed), f"bump(size={size:g},seed={seed})")
 
 
 def conjugated_action(action: BSAction, psi) -> BSAction:

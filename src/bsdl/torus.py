@@ -389,16 +389,16 @@ class RotationSetEstimate(Report):
         return (float(np.mean(v[:, 0])), float(np.mean(v[:, 1])))
 
 
-def rotation_set(
-    F: TorusLift,
-    grid: int = 32,
-    iterates: int = 10**4,
-    transient: int = 100,
-) -> RotationSetEstimate:
+# Steps `rotation_set` discards from each start before it averages
+ROTATION_SET_TRANSIENT = 100
+
+
+def rotation_set(F: TorusLift, grid: int = 32, iterates: int = 10**4) -> RotationSetEstimate:
     """Outer numerical estimate of the rotation set of the lift F.
 
-    Runs mean displacements from a grid x grid array of starts (after a
-    short transient) and returns the convex hull of the resulting cloud.
+    Runs mean displacements over `iterates` steps from a grid x grid
+    array of starts, after ROTATION_SET_TRANSIENT steps from each, and
+    returns the convex hull of the resulting cloud.
     """
     _require_identity_linear_part(F, "rotation_set")
     if grid < 1:
@@ -408,7 +408,7 @@ def rotation_set(
     total = np.zeros_like(starts)
     lo = np.full(2, np.inf)
     hi = np.full(2, -np.inf)
-    for v, fv in orbit(F, starts, iterates, transient):
+    for v, fv in orbit(F, starts, iterates, ROTATION_SET_TRANSIENT):
         d = fv - v
         total += d
         lo = np.minimum(lo, d.min(axis=0))

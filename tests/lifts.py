@@ -1,6 +1,7 @@
 """A lift given by a vectorized callable, for tests that need an arbitrary
 map: `callable_lift(fn)` on the circle, `callable_lift(fn, torus=True)`
-on the torus, with identity linear part.
+on the torus, with identity linear part. `CountingTorusLift(lift)` maps
+as `lift` does and counts its `raw` calls.
 
 `raw` is fn on float arrays, `step` is `raw` on one point, and the
 inverse swaps fn and inverse_fn; with no inverse_fn, `inverse` raises
@@ -42,3 +43,17 @@ class CallableTorusLift(_Callable, TorusLift):
 def callable_lift(fn, inverse_fn=None, label="fn", torus=False):
     cls = CallableTorusLift if torus else CallableCircleLift
     return cls(fn, inverse_fn, label)
+
+
+class CountingTorusLift(TorusLift):
+    def __init__(self, lift):
+        self.lift = lift
+        self.label = lift.label
+        self.raw_calls = 0
+
+    def raw(self, v):
+        self.raw_calls += 1
+        return self.lift.raw(v)
+
+    def step(self, p):
+        return self.lift.step(p)

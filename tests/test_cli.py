@@ -31,6 +31,12 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def unknown_action_error(name):
+    """The whole stderr of a subcommand given an action not in the catalog:
+    the message unquoted, with the known ids."""
+    return f"error: unknown action {name!r}; known: {', '.join(sorted(CATALOG))}\n"
+
+
 class TestCatalog:
     def test_lists_all_entries(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -49,7 +55,7 @@ class TestCatalog:
     def test_unknown_entry_errors(self, capsys):
         code, _, err = run(capsys, "catalog", "nope")
         assert code == cli.ERROR
-        assert "unknown action" in err
+        assert err == unknown_action_error("nope")
 
 
 class TestVerifyRelation:
@@ -70,7 +76,7 @@ class TestVerifyRelation:
     def test_unknown_action_errors(self, capsys):
         code, _, err = run(capsys, "verify-relation", "no-such-thing")
         assert code == cli.ERROR
-        assert "known:" in err
+        assert err == unknown_action_error("no-such-thing")
 
 
 class TestRotationNumber:

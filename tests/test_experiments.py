@@ -39,7 +39,7 @@ from bsdl.torus import (
     rotation_set,
 )
 
-from lifts import callable_lift
+from lifts import CountingTorusLift, callable_lift
 
 
 def vertical_bump(eps):
@@ -76,14 +76,12 @@ class TestFindInvariantCircle:
         c = find_invariant_circle(standard_torus(2).h, 0.0)
         assert c.iterations == 0
         assert c.residual < 1e-12
-        assert c.side == "Attracting"
         assert np.max(np.abs(c.at([0.1, 0.7]))) < 1e-12
 
-    def test_backward_side_label(self):
-        c = find_invariant_circle(standard_torus(2).h, 0.5, direction="backward")
+    def test_repelling_circle_is_attracting_for_the_inverse(self):
+        c = find_invariant_circle(standard_torus(2).h.inverse(), 0.5)
         assert c.iterations == 0
         assert c.residual < 1e-12
-        assert c.side == "Repelling"
 
     def test_perturbed_attracting_circle(self):
         h = compose(vertical_bump(1e-2), standard_torus(2).h)
@@ -96,7 +94,7 @@ class TestFindInvariantCircle:
 
     def test_perturbed_repelling_circle_is_untouched_fiber(self):
         h = compose(vertical_bump(1e-2), standard_torus(2).h)
-        c = find_invariant_circle(h, 0.5, direction="backward")
+        c = find_invariant_circle(h.inverse(), 0.5)
         assert c.residual < 1e-12
         assert c.spread() < 1e-12
 
@@ -119,27 +117,26 @@ class TestFindInvariantCircle:
         with pytest.raises(GraphFoldError):
             find_invariant_circle(callable_lift(fn, torus=True), 0.0)
 
-    def test_nonconvergence_reports_history(self):
+    def test_nonconvergence_reports_history(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_PUSHES", 3)
         h = compose(vertical_bump(1e-2), standard_torus(2).h)
         with pytest.raises(NonConvergentError) as info:
-            find_invariant_circle(h, 0.0, max_iter=3)
+            find_invariant_circle(h, 0.0)
         assert len(info.value.residuals) == 4
 
-    def test_seed_forms(self):
-        h = standard_torus(2).h
-        thetas = np.arange(512) / 512
-        for seed in (np.zeros(512), lambda t: 0.0 * t):
-            c = find_invariant_circle(h, seed)
-            assert c.residual < 1e-12
-        with pytest.raises(ValueError):
-            find_invariant_circle(h, np.zeros(100))
-        with pytest.raises(ValueError):
-            find_invariant_circle(h, 0.0, direction="sideways")
+    def test_each_graph_maps_through_h_once(self):
+        # the image of a graph serves both its residual and its push, so
+        # k pushes evaluate h k + 1 times
+        for h in (standard_torus(2).h, compose(vertical_bump(1e-2), standard_torus(2).h)):
+            counted = CountingTorusLift(h)
+            c = find_invariant_circle(counted, 0.0)
+            assert counted.raw_calls == c.iterations + 1
+        assert c.iterations > 0
 
     def test_fixed_cells_meet_attracting_avoid_repelling(self):
         act = standard_torus(2)
         c1 = find_invariant_circle(act.h, 0.0)
-        c2 = find_invariant_circle(act.h, 0.5, direction="backward")
+        c2 = find_invariant_circle(act.h.inverse(), 0.5)
         P = fixed_cells(act.f, 256)
         tg = np.arange(1024) / 1024
         cells1 = CellSet.from_points(
@@ -476,8 +473,6 @@ class TestNearIdentityDiffeo:
         for bad in (float("nan"), float("inf"), -1e-3):
             with pytest.raises(ValueError):
                 near_identity_diffeo(bad)
-        with pytest.raises(ValueError):
-            near_identity_diffeo(1e-3, modes=0)
         # seed 0's unit field has Lipschitz bound 16.6: size 0.05 may fold
         with pytest.raises(ValueError, match="Lipschitz"):
             near_identity_diffeo(0.05, seed=0)
@@ -511,7 +506,7 @@ class TestNearIdentityDiffeo:
         assert cold == warm == fresh
 
     def test_shared_waves_are_read_only(self):
-        for a in _bump_modes(2):
+        for a in _bump_modes():
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -605,7 +600,7 @@ class TestBumpLaws:
     @settings(max_examples=50, deadline=None)
     @given(seeds, sizes, points)
     def test_jacobian_matches_central_differences(self, seed, size, v):
-        field = _bump_field(size, seed, 2)
+        field = _bump_field(size, seed)
         h = 1e-6
         p = v.T
         jac = field(p)[2:].reshape(2, 2, -1)

@@ -5,9 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bsdl.circle import ChartAffineLift, GluedLift, RotationLift, orbit
+from bsdl.circle import (
+    ChartAffineLift,
+    GluedLift,
+    RotationLift,
+    _wrap_float,
+    orbit,
+    rotation_number,
+    wrap,
+)
 from bsdl.torus import LinearTorusLift, ProductTorusLift
 from bsdl.gl2z import IntMatrix2
 
@@ -131,6 +139,22 @@ def test_just_below_an_integer_wraps_below_one():
     xs = [x for x, _ in orbit(F, 0.0, 3)]
     assert xs[0] == 0.0 and all(0.0 <= x < 1.0 for x in xs)
     assert xs[1] == math.nextafter(1.0, 0.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-1e-17)
+@example(-0.0)
+@example(3.0 - 2.0**-52)
+def test_wrap_lies_below_one_with_the_bits_of_the_float_wrap(x):
+    w = wrap(x)
+    assert 0.0 <= w < 1.0
+    assert np.float64(w).tobytes() == np.float64(_wrap_float(x)).tobytes()
+
+
+def test_rotation_number_just_below_zero_lies_below_one():
+    est = rotation_number(RotationLift(-1e-17), iterates=1000)
+    assert 0.0 <= est.value < 1.0
 
 
 @pytest.mark.parametrize("iterates,transient", [(0, 0), (-1, 0), (5, -1)])

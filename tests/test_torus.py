@@ -184,7 +184,7 @@ class TestHull:
 class TestRotationSet:
     def test_product_rotation_is_point(self):
         F = ProductTorusLift(RotationLift(0.25), RotationLift(0.5))
-        est = rotation_set(F, grid=8, iterates=400, transient=10)
+        est = rotation_set(F, grid=8, iterates=400)
         assert est.is_point
         assert abs(est.center[0] - 0.25) < 1e-6
         assert abs(est.center[1] - 0.5) < 1e-6
@@ -199,7 +199,7 @@ class TestRotationSet:
             )
 
         F = callable_lift(fn, torus=True).validate()
-        est = rotation_set(F, grid=8, iterates=800, transient=20)
+        est = rotation_set(F, grid=8, iterates=800)
         assert not est.is_point
         assert est.diameter > 1e-3
         # the fixed point at the origin keeps (0,0) in the set
