@@ -101,19 +101,19 @@ def _line_pair(n: int):
     return f, h
 
 
-def standard_line(n: int = 2) -> BSAction:
+def standard_line(n: int) -> BSAction:
     """The affine pair x -> x + 1, x -> n x on the compactified line."""
     n = _check_n(n)
     f, h = _line_pair(n)
     return make_action(f, h, n)
 
 
-def standard_torus(n: int = 2) -> BSAction:
+def standard_torus(n: int) -> BSAction:
     """Line action times the fiber rotation by log n (reduced mod 1)."""
     return perturbed_torus(n, 0.0)
 
 
-def product_action(n: int = 2, k="rot:1/3") -> BSAction:
+def product_action(n: int, k) -> BSAction:
     """Line action on the first factor, fiber lift k for the a generator.
 
     b leaves the fiber alone, so conjugating it by any k is the identity
@@ -126,7 +126,7 @@ def product_action(n: int = 2, k="rot:1/3") -> BSAction:
     return make_action(f, h, n)
 
 
-def periodic_circle_example(n: int = 3) -> BSAction:
+def periodic_circle_example(n: int) -> BSAction:
     """Block-cyclic circle action whose b has periodic but no fixed points.
 
     The circle splits into m = n - 1 blocks [i/m, (i+1)/m], each carrying
@@ -151,7 +151,7 @@ def periodic_circle_example(n: int = 3) -> BSAction:
     return make_action(f, h, n)
 
 
-def periodic_torus_example(n: int = 3) -> BSAction:
+def periodic_torus_example(n: int) -> BSAction:
     """Torus pair whose b has periodic but no fixed points.
 
     First factor: the line action. Second factor: the periodic circle
@@ -165,7 +165,7 @@ def periodic_torus_example(n: int = 3) -> BSAction:
     return make_action(F, H, n)
 
 
-def perturbed_torus(n: int = 2, eps: float = 0.0) -> BSAction:
+def perturbed_torus(n: int, eps: float) -> BSAction:
     """Standard torus action with fiber rotation angle log n + eps.
 
     The fiber factors of both generators are rotations, which commute, so
@@ -181,7 +181,7 @@ def perturbed_torus(n: int = 2, eps: float = 0.0) -> BSAction:
     return make_action(f, h, n)
 
 
-def morse_smale_example(n: int = 2) -> BSAction:
+def morse_smale_example(n: int) -> BSAction:
     """Both generators act coordinatewise as the line action.
 
     (infinity, infinity) is fixed by both maps; a contracts toward it at
@@ -195,7 +195,7 @@ def morse_smale_example(n: int = 2) -> BSAction:
     return make_action(f, h, n)
 
 
-def nonfaithful_circle(n: int = 2, k="rot:golden") -> BSAction:
+def nonfaithful_circle(n: int, k) -> BSAction:
     """b acts trivially and a acts by k; the orbit of x is the k-orbit.
 
     The relation residual is zero for any k since both sides are the
@@ -244,106 +244,109 @@ class CatalogEntry:
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    "standard-line": CatalogEntry(
-        id="standard-line",
-        space="circle",
-        summary="translation and scaling of the line glued at its end",
-        builder=standard_line,
-        defaults={"n": 2},
-        expected={
-            "faithful": True,
-            "rho_f": Fraction(0),
-            "witness": (0, 1),
-            "minimal": "FiniteOrbit",
-            "minimal_size": 1,
-        },
-    ),
-    "standard-torus": CatalogEntry(
-        id="standard-torus",
-        space="torus",
-        summary="line action times the fiber rotation by log n",
-        builder=standard_torus,
-        defaults={"n": 2},
-        expected={
-            "faithful": True,
-            "rho_f2": (0.0, 0.0),
-            "fiber_rho": lambda n: math.log(n) % 1.0,
-            "minimal": "MinimalCircle",
-        },
-    ),
-    "product": CatalogEntry(
-        id="product",
-        space="torus",
-        summary="line action times an arbitrary fiber lift for a",
-        builder=product_action,
-        defaults={"n": 2, "k": "rot:1/3"},
-        expected={
-            "faithful": True,
-            "minimal": "FiniteOrbit",
-            "minimal_size": 3,
-        },
-    ),
-    "periodic-circle": CatalogEntry(
-        id="periodic-circle",
-        space="circle",
-        summary="cyclic blocks of renormalized lines; b periodic, fixed-point free",
-        builder=periodic_circle_example,
-        defaults={"n": 3},
-        expected={
-            "faithful": True,
-            "rho_f": lambda n: Fraction(1, n - 1),
-            "witness": lambda n: (1, n - 1),
-            "minimal": "FiniteOrbit",
-            "minimal_size": lambda n: n - 1,
-        },
-    ),
-    "periodic-torus": CatalogEntry(
-        id="periodic-torus",
-        space="torus",
-        summary="line action times the periodic circle pair",
-        builder=periodic_torus_example,
-        defaults={"n": 3},
-        expected={
-            "faithful": True,
-            "minimal": "FiniteOrbit",
-            "minimal_size": lambda n: n - 1,
-        },
-    ),
-    "perturbed-torus": CatalogEntry(
-        id="perturbed-torus",
-        space="torus",
-        summary="standard torus action with fiber angle log n + eps",
-        builder=perturbed_torus,
-        defaults={"n": 2, "eps": 1e-3},
-        expected={
-            "faithful": True,
-            "minimal": "MinimalCircle",
-        },
-    ),
-    "morse-smale": CatalogEntry(
-        id="morse-smale",
-        space="torus",
-        summary="line action in both coordinates; global fixed point at infinity",
-        builder=morse_smale_example,
-        defaults={"n": 2},
-        expected={
-            "faithful": True,
-            "rho_f2": (0.0, 0.0),
-            "minimal": "FiniteOrbit",
-            "minimal_size": 1,
-        },
-    ),
-    "nonfaithful-circle": CatalogEntry(
-        id="nonfaithful-circle",
-        space="circle",
-        summary="b trivial, a acts by k; the dynamics of k alone",
-        builder=nonfaithful_circle,
-        defaults={"n": 2, "k": "rot:golden"},
-        expected={
-            "faithful": False,
-            "minimal": "MinimalCircle",
-        },
-    ),
+    entry.id: entry
+    for entry in (
+        CatalogEntry(
+            id="standard-line",
+            space="circle",
+            summary="translation and scaling of the line glued at its end",
+            builder=standard_line,
+            defaults={"n": 2},
+            expected={
+                "faithful": True,
+                "rho_f": Fraction(0),
+                "witness": (0, 1),
+                "minimal": "FiniteOrbit",
+                "minimal_size": 1,
+            },
+        ),
+        CatalogEntry(
+            id="standard-torus",
+            space="torus",
+            summary="line action times the fiber rotation by log n",
+            builder=standard_torus,
+            defaults={"n": 2},
+            expected={
+                "faithful": True,
+                "rho_f2": (0.0, 0.0),
+                "fiber_rho": lambda n: math.log(n) % 1.0,
+                "minimal": "MinimalCircle",
+            },
+        ),
+        CatalogEntry(
+            id="product",
+            space="torus",
+            summary="line action times an arbitrary fiber lift for a",
+            builder=product_action,
+            defaults={"n": 2, "k": "rot:1/3"},
+            expected={
+                "faithful": True,
+                "minimal": "FiniteOrbit",
+                "minimal_size": 3,
+            },
+        ),
+        CatalogEntry(
+            id="periodic-circle",
+            space="circle",
+            summary="cyclic blocks of renormalized lines; b periodic, fixed-point free",
+            builder=periodic_circle_example,
+            defaults={"n": 3},
+            expected={
+                "faithful": True,
+                "rho_f": lambda n: Fraction(1, n - 1),
+                "witness": lambda n: (1, n - 1),
+                "minimal": "FiniteOrbit",
+                "minimal_size": lambda n: n - 1,
+            },
+        ),
+        CatalogEntry(
+            id="periodic-torus",
+            space="torus",
+            summary="line action times the periodic circle pair",
+            builder=periodic_torus_example,
+            defaults={"n": 3},
+            expected={
+                "faithful": True,
+                "minimal": "FiniteOrbit",
+                "minimal_size": lambda n: n - 1,
+            },
+        ),
+        CatalogEntry(
+            id="perturbed-torus",
+            space="torus",
+            summary="standard torus action with fiber angle log n + eps",
+            builder=perturbed_torus,
+            defaults={"n": 2, "eps": 1e-3},
+            expected={
+                "faithful": True,
+                "minimal": "MinimalCircle",
+            },
+        ),
+        CatalogEntry(
+            id="morse-smale",
+            space="torus",
+            summary="line action in both coordinates; global fixed point at infinity",
+            builder=morse_smale_example,
+            defaults={"n": 2},
+            expected={
+                "faithful": True,
+                "rho_f2": (0.0, 0.0),
+                "minimal": "FiniteOrbit",
+                "minimal_size": 1,
+            },
+        ),
+        CatalogEntry(
+            id="nonfaithful-circle",
+            space="circle",
+            summary="b trivial, a acts by k; the dynamics of k alone",
+            builder=nonfaithful_circle,
+            defaults={"n": 2, "k": "rot:golden"},
+            expected={
+                "faithful": False,
+                "minimal": "MinimalCircle",
+            },
+        ),
+    )
 }
 
 

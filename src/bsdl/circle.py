@@ -313,8 +313,7 @@ class RotationLift(CircleLift):
     def raw(self, x):
         return x + self.alpha
 
-    def step(self, x):
-        return x + self.alpha
+    step = raw
 
     def inverse(self):
         return RotationLift(-self.alpha, label=f"rot({-self.alpha:g})")
@@ -605,6 +604,10 @@ class RotationNumberEstimate(Report):
     rational_witness `Witness` (p, q, x, residual) certifying an
                      approximate periodic point of rotation p/q, or None
     error_bound      1/N plus the evaluation tolerance
+
+    `value` and a witness's p/q agree mod 1, not as reals: a mean just
+    below 0 wraps to just below 1, so `rotation_number(RotationLift(
+    -1e-17), 1000)` has value 1 - 2^-53 beside the witness 0/1.
     """
 
     value: float

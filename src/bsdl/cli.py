@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .bsgroup import finite_bs_orbit, relation_report
-from .catalog import CATALOG, build_action
+from .catalog import CATALOG
 from .circle import rotation_number
 from .estimators import bs_minimal_set, fixed_cells
 from .experiments import (
@@ -124,7 +124,7 @@ def _build(args):
         if key not in entry.defaults:
             raise ValueError(f"{args.action} takes no --{key}")
         params[key] = value
-    return build_action(args.action, n=args.n, **params)
+    return entry.build(args.n, **params)
 
 
 def _parse_matrix(text):

@@ -19,8 +19,6 @@ from .circle import circle_dist, orbit, wrap
 from .report import Report, jsonable
 from .space import CIRCLE, SPACES, TORUS, cell_index, space_of
 
-FIXED_POINT_TOL = 1e-8
-
 # Samples per cell axis in `bs_minimal_set`, per space: corner-first
 # samples for the K family, then a finer grid of the lead cell for the
 # start point.

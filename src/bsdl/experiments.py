@@ -583,13 +583,15 @@ def _bump_field(size: float, seed: int):
 class BumpTorusLift(TorusLift):
     """v -> v + D(v) for a bump field D of `_bump_field`, or its inverse.
 
-    `raw` maps arrays: the forward map in one field pass, the inverse by
-    Newton's method on the whole batch, from the starting guess y = w,
-    stopping once every step of the batch falls below 1e-15. `step` maps
-    one point (u, t) in Python floats, reading the field's six outputs
-    through `.tolist()`, and runs the same Newton arithmetic and stop;
-    it gives the bits of `raw` on that point alone. A non-finite point
-    raises NonConvergentError in the inverse, in `raw` and `step` alike.
+    The map is written once, in `step`, which takes a point (u, t) of two
+    Python floats, reading the field's six outputs through `.tolist()`,
+    or the two coordinate arrays of a batch; `raw` is `step` on the
+    coordinates of its array, so a float `step` gives the bits of `raw`
+    on that point alone. The forward map is one field pass, the inverse
+    Newton's method from the starting guess y = w, stopping once every
+    step, of the whole batch on arrays, falls below 1e-15. A non-finite
+    point makes the inverse raise NonConvergentError, whose residuals
+    are each iteration's largest |step|.
     """
 
     def __init__(self, field, label: str, inverted: bool = False):
@@ -603,43 +605,30 @@ class BumpTorusLift(TorusLift):
 
     def raw(self, v):
         v = np.asarray(v, dtype=float)
-        # a single point stays 1-D, so its Newton arithmetic is on scalars
-        p = v.reshape(-1, 2).T if v.ndim > 1 else v
-        if not self._inverted:
-            return v + self._field(p)[:2].T.reshape(v.shape)
-        # Newton on the displacement z = y - w, with D evaluated at
-        # frac(w) + z (D is periodic): the residual z + D stays at the
-        # size of z and its argument keeps the bits of z, so steps fall
-        # below 1e-15 even where w itself is large.
-        p = p - np.floor(p)
-        z = np.zeros_like(p)
-        steps = []
-        for _ in range(60):
-            d0, d1, j00, j01, j10, j11 = self._field(p + z)
-            r0 = z[0] + d0
-            r1 = z[1] + d1
-            j00 += 1.0
-            j11 += 1.0
-            det = j00 * j11 - j01 * j10
-            step = np.stack([(j11 * r0 - j01 * r1) / det, (j00 * r1 - j10 * r0) / det])
-            z -= step
-            steps.append(float(np.max(np.abs(step))))
-            if steps[-1] < 1e-15:
-                return v + z.T.reshape(v.shape)
-        raise _stalled(steps)
+        w = v.reshape(-1, 2) if v.ndim > 1 else v
+        return np.stack(self.step((w[..., 0], w[..., 1])), axis=-1).reshape(v.shape)
 
     def step(self, p):
         u, t = p
+        floats = isinstance(u, float)
         if not self._inverted:
-            d0, d1 = self._field(np.array(p))[:2].tolist()
+            d = self._field(np.array((u, t)))[:2]
+            d0, d1 = d.tolist() if floats else d
             return u + d0, t + d1
-        # `raw`'s Newton iteration on floats; x // 1.0 is np.floor(x)
-        p0 = u - u // 1.0
-        p1 = t - t // 1.0
+        # Newton on the displacement z = y - w, with D evaluated at
+        # frac(w) + z (D is periodic): the residual z + D stays at the
+        # size of z and its argument keeps the bits of z, so steps fall
+        # below 1e-15 even where w itself is large. On floats, x // 1.0
+        # is np.floor(x).
+        if floats:
+            p0, p1 = u - u // 1.0, t - t // 1.0
+        else:
+            p0, p1 = u - np.floor(u), t - np.floor(t)
         z0 = z1 = 0.0
         steps = []
         for _ in range(60):
-            d0, d1, j00, j01, j10, j11 = self._field(np.array((p0 + z0, p1 + z1))).tolist()
+            d = self._field(np.array((p0 + z0, p1 + z1)))
+            d0, d1, j00, j01, j10, j11 = d.tolist() if floats else d
             r0 = z0 + d0
             r1 = z1 + d1
             j00 += 1.0
@@ -650,18 +639,19 @@ class BumpTorusLift(TorusLift):
             z0 -= s0
             z1 -= s1
             steps.append((s0, s1))
-            # np.max's stop: false when a step is NaN, as both tests are
-            if abs(s0) < 1e-15 and abs(s1) < 1e-15:
+            # false when a step is NaN, on floats and arrays alike
+            if floats:
+                done = abs(s0) < 1e-15 and abs(s1) < 1e-15
+            else:
+                done = np.max(np.abs(steps[-1])) < 1e-15
+            if done:
                 return u + z0, t + z1
-        raise _stalled(np.max(np.abs(steps), axis=1).tolist())
-
-
-def _stalled(steps):
-    return NonConvergentError(
-        f"bump inverse steps stalled at {steps[-1]:.3e} after "
-        f"{len(steps)} Newton iterations (tol 1e-15)",
-        steps,
-    )
+        largest = [float(np.max(np.abs(s))) for s in steps]
+        raise NonConvergentError(
+            f"bump inverse steps stalled at {largest[-1]:.3e} after "
+            f"{len(largest)} Newton iterations (tol 1e-15)",
+            largest,
+        )
 
 
 def near_identity_diffeo(size: float = 1e-3, seed: int = 0) -> BumpTorusLift:

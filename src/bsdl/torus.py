@@ -160,9 +160,13 @@ class LinearTorusLift(TorusLift):
         self.label = label or f"linear{A.rows()}"
 
     def raw(self, v):
-        return _affine(v, self._rows, self.b)
+        v = np.asarray(v, dtype=float)
+        return np.stack(self.step((v[..., 0], v[..., 1])), axis=-1)
 
     def step(self, p):
+        # elementwise on arrays, not v @ M.T: BLAS sums the rows of a
+        # large batch in another order than a lone point, and a batch row
+        # must equal that point mapped alone
         u, t = p
         (m00, m01), (m10, m11) = self._rows
         b0, b1 = self.b
@@ -192,19 +196,6 @@ class LinearTorusLift(TorusLift):
     def same_params(self, other):
         same = isinstance(other, LinearTorusLift)
         return same and (self.linear_part, self.b) == (other.linear_part, other.b)
-
-
-def _affine(v, rows, b):
-    """v -> M v + b on (..., 2) arrays, M given by float rows.
-
-    Elementwise, not v @ M.T: BLAS sums the rows of a large batch in
-    another order than a lone point, and a batch row must equal that
-    point mapped alone.
-    """
-    v = np.asarray(v, dtype=float)
-    v0, v1 = v[..., 0], v[..., 1]
-    (m00, m01), (m10, m11) = rows
-    return np.stack([v0 * m00 + v1 * m01 + b[0], v0 * m10 + v1 * m11 + b[1]], axis=-1)
 
 
 class ComposedTorusLift(Composition, TorusLift):

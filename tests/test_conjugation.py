@@ -233,7 +233,7 @@ def test_loose_inverse_is_refused():
 def test_needs_a_torus_action_and_a_torus_lift():
     psi = near_identity_diffeo(1e-3, seed=0)
     with pytest.raises(ValueError, match="torus action"):
-        conjugated_action(nonfaithful_circle(3), psi)
+        conjugated_action(nonfaithful_circle(3, "rot:golden"), psi)
     act = catalog_action("standard-torus", 3)
     for bad in (RotationLift(0.1), lambda v: v, None):
         with pytest.raises(ValueError, match="torus lift"):

@@ -1,9 +1,10 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsdl import experiments
 from bsdl.bsgroup import relation_report
@@ -208,6 +209,23 @@ def spline_knots(uniform):
 
 splines = st.one_of(spline_knots(True), spline_knots(False))
 
+# A 23-knot spline of `spline_knots(False)`: at x = -1.71875 PeriodicSpline
+# is 5.3e-15 above the exact spline and scipy's periodic CubicSpline 5.1e-15
+# below it, so the two floats differ by more than the 1e-14 bound
+PINNED_SPLINE = (
+    np.array([
+        0.0, 0.03669724770642202, 0.05504587155963303, 0.07339449541284404,
+        0.09174311926605505, 0.11009174311926606, 0.11926605504587157,
+        0.12844036697247707, 0.13761467889908258, 0.28440366972477066,
+        0.43119266055045874, 0.5412844036697247, 0.6330275229357798,
+        0.7064220183486238, 0.8165137614678899, 0.8532110091743119,
+        0.8899082568807339, 0.908256880733945, 0.944954128440367,
+        0.9541284403669725, 0.963302752293578, 0.9724770642201835,
+        0.9908256880733946,
+    ]),
+    np.array([0.0] * 7 + [1.0, -1.0] + [0.0] * 14),
+)
+
 
 def one_sided(sp):
     """Value, first and second derivative of each interval's cubic at its
@@ -227,6 +245,70 @@ def one_sided(sp):
         np.abs([2.0 * c1, 6.0 * h * c0]),
     ]
     return left, right, [float(np.max(t)) for t in terms]
+
+
+def exact_spline(knots, values):
+    """The periodic cubic spline through float (knots, values), closed by
+    the knot knots[0] + 1.0, in exact rational arithmetic.
+
+    Its second derivatives M solve the cyclic system A M = r with row i
+    h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (d[i] -
+    d[i-1]), indices mod n. With g = -A[0][0], A = T + u v^T for T
+    tridiagonal, u = (g, 0, ..., 0, h[n-1]) and v = (1, 0, ..., 0, h[n-1]
+    / g); Thomas's sweeps solve T x = r and T z = u, and Sherman-Morrison
+    gives M = x - z (v.x) / (1 + v.z). The corner terms are added into u,
+    v and T's diagonal, so with one or two knots, where they meet the
+    band, the sum is still A. Every row of A M = r is checked exactly.
+    Returns the spline as a function of one Fraction.
+    """
+    xs = [Fraction(k) for k in knots] + [Fraction(knots[0] + 1.0)]
+    ys = [Fraction(y) for y in values]
+    n = len(ys)
+    h = [b - a for a, b in zip(xs, xs[1:])]
+    d = [(ys[(i + 1) % n] - ys[i]) / h[i] for i in range(n)]
+    sub = [h[i - 1] for i in range(n)]
+    diag = [2 * (a + b) for a, b in zip(sub, h)]
+    r = [6 * (d[i] - d[i - 1]) for i in range(n)]
+    g = -diag[0]
+    T = diag[:]
+    T[0] -= g
+    T[-1] -= h[-1] * h[-1] / g
+    u, v = [Fraction(0)] * n, [Fraction(0)] * n
+    u[0] += g
+    u[-1] += h[-1]
+    v[0] += 1
+    v[-1] += h[-1] / g
+    # the forward sweep; sub[0] multiplies the zero carried into row 0
+    cs, x, z = [], [], []
+    c = xi = zi = Fraction(0)
+    for i in range(n):
+        m = T[i] - sub[i] * c
+        c = h[i] / m
+        xi = (r[i] - sub[i] * xi) / m
+        zi = (u[i] - sub[i] * zi) / m
+        cs.append(c)
+        x.append(xi)
+        z.append(zi)
+    for i in range(n - 2, -1, -1):
+        x[i] -= cs[i] * x[i + 1]
+        z[i] -= cs[i] * z[i + 1]
+    k = sum(a * b for a, b in zip(v, x)) / (1 + sum(a * b for a, b in zip(v, z)))
+    M = [a - k * b for a, b in zip(x, z)]
+    for i in range(n):
+        row = sub[i] * M[i - 1] + diag[i] * M[i] + h[i] * M[(i + 1) % n]
+        assert row == r[i], i
+    M.append(M[0])
+
+    def at(t):
+        # the interval from knot i holds [xs[i], xs[i + 1]); a t outside
+        # [xs[0], xs[n]) extends the first or the last cubic
+        i = bisect_right(xs, t, 1, n) - 1
+        s = t - xs[i]
+        c0 = (M[i + 1] - M[i]) / (6 * h[i])
+        c2 = d[i] - h[i] * (2 * M[i] + M[i + 1]) / 6
+        return ys[i] + s * (c2 + s * (M[i] / 2 + s * c0))
+
+    return at
 
 
 class TestPeriodicSpline:
@@ -262,17 +344,16 @@ class TestPeriodicSpline:
 
     @settings(max_examples=150, deadline=None)
     @given(splines, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=32))
-    def test_matches_scipy_cubic_spline(self, kv, xs):
-        interpolate = pytest.importorskip("scipy.interpolate")
+    @example(kv=PINNED_SPLINE, xs=[-1.71875])
+    def test_matches_the_exact_rational_spline(self, kv, xs):
         knots, values = kv
-        sp = PeriodicSpline(knots, values)
-        ref = interpolate.CubicSpline(
-            np.append(knots, knots[0] + 1.0), np.append(values, values[0]),
-            bc_type="periodic",
-        )
         x = np.array(xs)
         x = x - np.floor(x - knots[0])
-        assert np.max(np.abs(sp.at(x) - ref(x))) <= 1e-14 * max(1.0, np.max(np.abs(ref(x))))
+        exact = exact_spline(knots.tolist(), values.tolist())
+        want = [exact(Fraction(t)) for t in x.tolist()]
+        got = PeriodicSpline(knots, values).at(x).tolist()
+        err = max(abs(Fraction(y) - w) for y, w in zip(got, want))
+        assert err <= Fraction(1e-14) * max(1, max(abs(w) for w in want))
 
     def test_at_float_is_at_off_the_period(self):
         sp = PeriodicSpline(np.sort(np.random.default_rng(1).uniform(0.0, 1.0, 50)),
@@ -362,7 +443,7 @@ class TestClassifyPerturbed:
 
     def test_circle_action_rejected(self):
         with pytest.raises(ValueError):
-            classify_perturbed(nonfaithful_circle(2))
+            classify_perturbed(nonfaithful_circle(2, "rot:golden"))
 
     def test_report_json(self):
         rep = classify_perturbed(perturbed_torus(2, 0.7 - np.log(2.0)))
@@ -488,6 +569,26 @@ class TestNearIdentityDiffeo:
     def test_inverse_raises_when_newton_stalls(self):
         with pytest.raises(NonConvergentError):
             near_identity_diffeo(1e-3).inverse().raw(np.array([np.nan, 0.5]))
+
+    def test_a_non_finite_row_stalls_the_whole_batch(self):
+        # the batch stops on its largest step, which is NaN in every
+        # iteration when one row is not finite
+        pts = np.random.default_rng(6).uniform(-1.0, 2.0, size=(33, 2))
+        pts[17, 1] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonConvergentError) as info:
+            near_identity_diffeo(1e-3).inverse().raw(pts)
+        assert len(info.value.residuals) == 60
+        assert np.isnan(info.value.residuals).all()
+
+    def test_raw_on_a_grid_is_raw_on_its_rows(self):
+        # an (m, k, 2) grid, the shape of bs_minimal_set's K-family samples
+        grid = np.random.default_rng(7).uniform(-2.0, 3.0, size=(9, 25, 2))
+        psi = near_identity_diffeo(1e-2, seed=5)
+        shear = LinearTorusLift(IntMatrix2(1, 1, 0, 1), (0.25, -0.5))
+        for F in (psi, psi.inverse(), shear):
+            out = F.raw(grid)
+            assert out.shape == grid.shape
+            assert out.tobytes() == F.raw(grid.reshape(-1, 2)).tobytes(), F.label
 
     def test_shared_waves_keep_every_bit(self, monkeypatch):
         pts = np.random.default_rng(4).uniform(-1.0, 2.0, size=(257, 2))

@@ -203,8 +203,9 @@ def test_torus_step_is_raw(F, data):
 
 @functools.lru_cache(maxsize=None)
 def graph_restriction(n, angle, seed):
-    """h of perturbed_torus(n) with fiber angle `angle` (log n if None),
-    conjugated by a bump map and restricted to its invariant circle."""
+    """h of perturbed_torus(n, eps) with fiber angle `angle` = log n + eps
+    (log n if None), conjugated by a bump map and restricted to its
+    invariant circle."""
     eps = 0.0 if angle is None else angle - math.log(n)
     act = conjugated_action(perturbed_torus(n, eps), near_identity_diffeo(1e-3, seed=seed))
     F, kind = restricted_circle_map(act.h, find_invariant_circle(act.h, 0.0, samples=256))
