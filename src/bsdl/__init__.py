@@ -19,7 +19,6 @@ from .circle import (
     RotationLift,
     ChartAffineLift,
     PiecewiseLift,
-    GluedLift,
     DenjoyLift,
     RotationNumberEstimate,
     compose,
@@ -108,7 +107,7 @@ __all__ = [
     "IntMatrix2", "finite_order", "conjugate_in_gl2z",
     "bs_linear_compatible",
     "CircleLift", "RotationLift", "ChartAffineLift", "PiecewiseLift",
-    "GluedLift", "DenjoyLift",
+    "DenjoyLift",
     "RotationNumberEstimate", "compose", "rotation_number", "denjoy_lift",
     "chart_from_real", "chart_to_real", "circle_dist", "wrap", "orbit",
     "parse_k_spec",

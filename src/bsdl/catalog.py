@@ -50,9 +50,7 @@ from .circle import (
     ChartAffineLift,
     CircleLift,
     GOLDEN_MEAN,
-    GluedLift,
     RotationLift,
-    compose,
     parse_k_spec,
 )
 from .report import Report
@@ -130,12 +128,13 @@ def periodic_circle_example(n: int) -> BSAction:
     """Block-cyclic circle action whose b has periodic but no fixed points.
 
     The circle splits into m = n - 1 blocks [i/m, (i+1)/m], each carrying
-    a renormalized copy of the line. b composes the in-block translation
-    with the rotation by 1/m, so block endpoints form a single periodic
-    orbit of period m; a rescales inside every block and fixes all
-    endpoints. The relation needs R^n = R modulo full turns, which is why
-    the block count is n - 1 and why n = 2 is rejected: one block makes
-    the rotation a full turn and b recovers its fixed points.
+    a renormalized copy of the line. b is the in-block translation
+    followed by a shift of one block, so block endpoints form a single
+    periodic orbit of period m; a rescales inside every block and fixes
+    all endpoints. The relation needs n shifts to be one shift modulo
+    full turns, which is why the block count is n - 1 and why n = 2 is
+    rejected: one block makes the shift a full turn and b recovers its
+    fixed points.
     """
     n = _check_n(n)
     if n == 2:
@@ -145,9 +144,8 @@ def periodic_circle_example(n: int) -> BSAction:
             "fixed points"
         )
     m = n - 1
-    fhat = GluedLift(m, 1.0, 1.0)
-    f = compose(RotationLift(1.0 / m, label=f"shift(1/{m})"), fhat)
-    h = GluedLift(m, float(n), 0.0)
+    f = ChartAffineLift(1.0, 1.0, m=m, shift=1)
+    h = ChartAffineLift(float(n), 0.0, m=m)
     return make_action(f, h, n)
 
 

@@ -17,16 +17,17 @@ Conventions used throughout the package:
 * every inverse is exact or supplied; a lift without one raises
   NotImplementedError from `inverse`;
 * a power is a closed form or a ValueError: the exact families
-  (rotations, chart-affine and glued block maps) fuse `compose` and
-  `power` into one lift of the family and compare through `same_params`,
-  and a shift by whole blocks composed with a glued map on those blocks
-  powers blockwise; other lifts compose into a `ComposedLift`, and their
-  powers beyond the first raise. `iterate(x, m)` is `power(m)` at x.
+  (rotations, and chart-affine maps on m blocks with a whole-block shift)
+  fuse `compose` and `power` into one lift of the family and compare
+  through `same_params`; other lifts compose into a `ComposedLift`, and
+  their powers beyond the first raise. `iterate(x, m)` is `power(m)` at
+  x, or |m| steps where the power has no closed form.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -43,7 +44,6 @@ __all__ = [
     "RotationLift",
     "ChartAffineLift",
     "PiecewiseLift",
-    "GluedLift",
     "DenjoyLift",
     "ComposedLift",
     "compose",
@@ -71,6 +71,9 @@ GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 # largest double below 1: x - floor(x) rounds up to 1.0 for x within
 # 2^-54 below an integer, and that point belongs at the top of [0, 1)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+# the chart's constants and ufuncs, bound once for the float `step`
+_PI = math.pi
+_tan, _arctan = np.tan, np.arctan
 
 
 def wrap(x):
@@ -243,8 +246,16 @@ class Lift:
         return False
 
     def iterate(self, x, m: int):
-        """m-th iterate (m may be negative) applied to x."""
-        return self.power(m)(x)
+        """m-th iterate (m may be negative) applied to x: the closed-form
+        power, or |m| steps of the lift or its inverse where the power
+        has none."""
+        try:
+            P = self.power(m)
+        except ValueError:  # no closed form
+            P = self if m > 0 else self.inverse()
+            for _ in range(abs(m) - 1):
+                x = P(x)
+        return P(x)
 
     def seam_distance(self, x):
         """Distance from x to the nearest non-smooth locus, None if smooth."""
@@ -338,75 +349,112 @@ def _affine_params(a, b) -> bool:
 
 
 class ChartAffineLift(CircleLift):
-    """Circle lift of x -> a x + b (a > 0) through the projective chart.
+    """Circle lift of x -> a x + b (a > 0) through the projective chart,
+    copied onto m blocks and followed by a shift of `shift` whole blocks.
 
-    Fixes the glued point, so the lift is pinned by F(0) = 0. Parameter
-    composition, inversion and integer powers are exact, which is what
-    makes group relations evaluate to literally zero residual for the
-    affine model actions.
+    Block i, [i/m, (i+1)/m), carries a renormalized copy of the chart
+    map, with the block endpoints playing the role of the glued point;
+    the lift is k + (i + chart(v)) / m + shift / m at x = k + (i + v) / m.
+    With m = 1 and shift = 0 it fixes the glued point, pinned by
+    F(0) = 0. A whole-block shift commutes with the block maps, so
+    composition on the same blocks, inversion and integer powers act on
+    (a, b) and add, negate or multiply the integer shift: they are exact,
+    which is what makes group relations evaluate to literally zero
+    residual for the affine and block-cyclic model actions.
     """
 
-    def __init__(self, a: float, b: float, label: str = ""):
+    def __init__(self, a: float, b: float, label: str = "", m: int = 1, shift: int = 0):
         if not _affine_params(a, b):
             raise ValueError(f"need 0 < a < inf and finite b, got a={a}, b={b}")
+        m, shift = operator.index(m), operator.index(shift)
+        if m < 1:
+            raise ValueError(f"need at least one block, got m={m}")
         self.a = float(a)
         self.b = float(b)
-        self.label = label or f"affine({self.a:g},{self.b:g})"
+        self.m = m
+        self.shift = shift
+        # m as a float for `step`'s arithmetic, and the shift in turns
+        self._mf, self._offset = float(m), shift / m
+        blocks = f";{m} blocks,shift {shift}" if (m, shift) != (1, 0) else ""
+        self.label = label or f"affine({self.a:g},{self.b:g}{blocks})"
 
     def raw(self, x):
         x = np.asarray(x, dtype=float)
         k = np.floor(x)
-        r = x - k
+        t = (x - k) * self.m
+        # block i and v in [0, 1) exactly; where x - k rounds up to 1.0 or
+        # (x - k) * m rounds up to m, t = m is the endpoint k + 1
+        i = np.floor(t)
+        v = t - i
         with np.errstate(divide="ignore", over="ignore"):
-            # xr is -inf at r = 0 and may overflow to inf for r within a
+            # xr is -inf at v = 0 and may overflow to inf for v within a
             # few ulp of the glued point: the glued branch below and the
             # arctan re-chart make both harmless
-            xr = -1.0 / np.tan(np.pi * r)
+            xr = -1.0 / np.tan(np.pi * v)
             y = self.a * xr + self.b
-        # r rounds up to 1.0 for x within 2^-54 below an integer: that is
-        # the glued point of k + 1, so both glued cases return k + r
-        return k + np.where(np.rint(r) == r, r, _atan_frac(y))
+        # the chart map fixes the glued point v = 0
+        c = np.where(v == 0.0, 0.0, _atan_frac(y))
+        return k + (i + c) / self.m + self._offset
 
     def step(self, x):
         # raw's arithmetic on floats; tan and arctan stay numpy's, since
         # math.tan and math.atan round otherwise on some inputs
+        m = self._mf
         k = x // 1.0
         r = x - k
-        if r == 0.0 or r == 1.0:
-            return k + r
-        y = self.a * (-1.0 / float(np.tan(math.pi * r))) + self.b
+        if r == 0.0:
+            # an integer is a block endpoint, which the block map fixes:
+            # the common case, since the line actions' orbits sit at u = 0
+            return k + self._offset
+        t = r * m
+        i = t // 1.0
+        v = t - i
+        if v == 0.0:
+            return k + i / m + self._offset
+        y = self.a * (-1.0 / float(_tan(_PI * v))) + self.b
         if y > 1.0:
-            return k + (1.0 - float(np.arctan(1.0 / y)) / math.pi)
-        if y < -1.0:
-            return k + float(np.arctan(-1.0 / y)) / math.pi
-        return k + (0.5 + float(np.arctan(y)) / math.pi)
+            c = 1.0 - float(_arctan(1.0 / y)) / _PI
+        elif y < -1.0:
+            c = float(_arctan(-1.0 / y)) / _PI
+        else:
+            c = 0.5 + float(_arctan(y)) / _PI
+        return k + (i + c) / m + self._offset
 
     def inverse(self):
-        return ChartAffineLift(1.0 / self.a, -self.b / self.a)
+        return ChartAffineLift(1.0 / self.a, -self.b / self.a, m=self.m, shift=-self.shift)
 
     def compose(self, inner):
-        if isinstance(inner, ChartAffineLift):
+        if isinstance(inner, ChartAffineLift) and inner.m == self.m:
             a, b = self.a * inner.a, self.a * inner.b + self.b
             if _affine_params(a, b):
-                return ChartAffineLift(a, b)
+                return ChartAffineLift(a, b, m=self.m, shift=self.shift + inner.shift)
         return super().compose(inner)
 
-    def power(self, m: int):
-        # x -> a^m x + b (a^m - 1)/(a - 1), or x + m b; a^m may overflow
-        if m >= 1:
+    def power(self, k: int):
+        # x -> a^k x + b (a^k - 1)/(a - 1), or x + k b, shifted k times;
+        # a^k and the shift may overflow
+        if k >= 1:
             try:
-                am, bm = self.a**m, self.b * m
+                ak, bk = self.a**k, self.b * k
                 if self.a != 1.0:
-                    bm = self.b * (am - 1.0) / (self.a - 1.0)
+                    bk = self.b * (ak - 1.0) / (self.a - 1.0)
+                if _affine_params(ak, bk):
+                    return ChartAffineLift(ak, bk, m=self.m, shift=self.shift * k)
             except OverflowError:
-                am = bm = math.inf
-            if _affine_params(am, bm):
-                return ChartAffineLift(am, bm)
-        return super().power(m)
+                pass
+        return super().power(k)
 
     def same_params(self, other):
         same = isinstance(other, ChartAffineLift)
-        return same and (self.a, self.b) == (other.a, other.b)
+        return same and (self.m, self.shift, self.a, self.b) == (
+            other.m, other.shift, other.a, other.b
+        )
+
+    def seam_distance(self, x):
+        if self.m == 1:
+            return None
+        seams = np.arange(self.m) / self.m
+        return float(np.min(circle_dist(wrap(x), seams)))
 
 
 class PiecewiseLift(CircleLift):
@@ -484,95 +532,8 @@ class PiecewiseLift(CircleLift):
         return float(np.min(circle_dist(r, self.bx)))
 
 
-class GluedLift(CircleLift):
-    """m renormalized copies of a chart-affine map, one per block [i/m, (i+1)/m).
-
-    Each block carries the same conjugated copy of x -> a x + b, with the
-    block endpoints playing the role of the glued point. Composition and
-    powers act blockwise on (a, b), hence stay exact.
-    """
-
-    def __init__(self, m: int, a: float, b: float):
-        if m < 1:
-            raise ValueError(f"need at least one block, got m={m}")
-        self.m = int(m)
-        self.base = ChartAffineLift(a, b)
-        self.label = f"glued({m};{a:g},{b:g})"
-
-    @property
-    def a(self):
-        return self.base.a
-
-    @property
-    def b(self):
-        return self.base.b
-
-    def raw(self, x):
-        x = np.asarray(x, dtype=float)
-        k = np.floor(x)
-        r = x - k
-        i = np.minimum(np.floor(r * self.m), self.m - 1)
-        v = np.clip(r * self.m - i, 0.0, 1.0)
-        return k + (i + self.base.raw(v)) / self.m
-
-    def step(self, x):
-        m = self.m
-        k = x // 1.0
-        r = x - k
-        i = (r * m) // 1.0
-        if i > m - 1:
-            i = m - 1.0
-        v = r * m - i
-        if v < 0.0:
-            v = 0.0
-        elif v > 1.0:
-            v = 1.0
-        return k + (i + self.base.step(v)) / m
-
-    def inverse(self):
-        return GluedLift(self.m, 1.0 / self.a, -self.b / self.a)
-
-    def compose(self, inner):
-        if isinstance(inner, GluedLift) and inner.m == self.m:
-            a, b = self.a * inner.a, self.a * inner.b + self.b
-            if _affine_params(a, b):
-                return GluedLift(self.m, a, b)
-        return super().compose(inner)
-
-    def power(self, k: int):
-        p = self.base.power(k)  # the identity at k = 0
-        return GluedLift(self.m, p.a, p.b) if k else p
-
-    def same_params(self, other):
-        same = isinstance(other, GluedLift)
-        return same and (self.m, self.a, self.b) == (other.m, other.a, other.b)
-
-    def seam_distance(self, x):
-        r = wrap(x)
-        seams = np.arange(self.m) / self.m
-        return float(np.min(circle_dist(r, seams)))
-
-
 class ComposedLift(Composition, CircleLift):
     """Lift of outer o inner on the circle."""
-
-    def power(self, m: int):
-        # a shift by whole blocks commutes with a glued map on those
-        # blocks, so (shift o glued)^m = shift^m o glued^m, in either order
-        if m >= 2 and _shifts_blocks(self.outer, self.inner):
-            return ComposedLift(self.outer.power(m), self.inner.power(m))
-        return super().power(m)
-
-
-def _shifts_blocks(F, G) -> bool:
-    """Whether one of F, G is a GluedLift with m blocks and the other a
-    rotation by j/m: the float j/m, so shift(1/m) passes for every m."""
-    if isinstance(F, GluedLift):
-        F, G = G, F
-    if not (isinstance(F, RotationLift) and isinstance(G, GluedLift)):
-        return False
-    j = F.alpha * G.m
-    return math.isfinite(j) and round(j) / G.m == F.alpha
 
 
 def compose(outer, inner):

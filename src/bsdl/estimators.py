@@ -20,8 +20,8 @@ from .report import Report, jsonable
 from .space import CIRCLE, SPACES, TORUS, cell_index, space_of
 
 # Samples per cell axis in `bs_minimal_set`, per space: corner-first
-# samples for the K family, then a finer grid of the lead cell for the
-# start point.
+# samples for the K family, then a finer grid of each surviving cell for
+# the start point.
 _CELL_SAMPLES = {CIRCLE: (5, 9), TORUS: (3, 5)}
 
 
@@ -294,13 +294,14 @@ def bs_minimal_set(
     family K_l, l = 0 ... 8, intersects it with dilated forward and
     backward h-images of its own centers, shrinking toward the
     h-invariant part. A start point is picked in the surviving region by
-    minimizing f-displacement over a subgrid that includes exact cell
-    corners, then classified: a generator orbit (`finite_bs_orbit` at
-    its default merge_tol, cut past 2000 points) that closes gives
-    FiniteOrbit, otherwise the h-orbit of orbit_iterates points after
-    GAP_TRANSIENT steps is classified by its largest-gap profile. Empty
-    candidate regions (f has no fixed points at this tolerance) report
-    Unknown. Raises ValueError unless orbit_iterates >= 1.
+    minimizing f-displacement over a subgrid of each cell that includes
+    its exact corners, the lowest cell winning ties, then classified: a
+    generator orbit (`finite_bs_orbit` at its default merge_tol, cut
+    past 2000 points) that closes gives FiniteOrbit, otherwise the
+    h-orbit of orbit_iterates points after GAP_TRANSIENT steps is
+    classified by its largest-gap profile. Empty candidate regions (f
+    has no fixed points at this tolerance) report Unknown. Raises
+    ValueError unless orbit_iterates >= 1.
     """
     if orbit_iterates < 1:
         raise ValueError(f"need orbit_iterates >= 1, got {orbit_iterates}")
@@ -353,10 +354,13 @@ def bs_minimal_set(
 
     seed_region = K if len(K) else P
     diag["k_empty"] = len(K) == 0
-    lead = np.reshape(min(seed_region.cells), space.dim)
-    cand = space.product(
-        [np.linspace(c / resolution, (c + 1) / resolution, picks) for c in lead]
-    )
+    # the subgrids of every surviving cell, in cell order so that the
+    # lowest cell wins ties: near a parabolic fixed point f flags the
+    # cells beside it too, and the lowest need not hold the point
+    cells = space.cell_array(sorted(seed_region.cells)).reshape(-1, space.dim)
+    ticks = np.linspace(cells / resolution, (cells + 1) / resolution, picks, axis=-1)
+    sub = space.grid(picks).reshape(-1, space.dim)
+    cand = ticks[:, np.arange(space.dim), sub].reshape((-1,) + space.shape)
     x0 = cand[int(np.argmin(space.dist(action.f.raw(cand), cand)))]
     diag["start"] = x0.tolist()
 

@@ -30,10 +30,8 @@ from bsdl.catalog import (
 from bsdl.circle import (
     GOLDEN_MEAN,
     ChartAffineLift,
-    GluedLift,
     RotationLift,
     circle_dist,
-    compose,
     denjoy_lift,
     wrap,
 )
@@ -53,9 +51,8 @@ def glued_action(n):
     # n-1 fundamental blocks, each a renormalized line; the block shift
     # makes f fixed-point free while h still scales blockwise
     m = n - 1
-    fhat = GluedLift(m, 1.0, 1.0)
-    f = compose(RotationLift(1.0 / m), fhat)
-    h = GluedLift(m, float(n), 0.0)
+    f = ChartAffineLift(1.0, 1.0, m=m, shift=1)
+    h = ChartAffineLift(float(n), 0.0, m=m)
     return make_action(f, h, n)
 
 
@@ -167,6 +164,17 @@ class TestEvaluation:
             a = evaluate(act, w, xs)
             b = evaluate(act, nf, xs)
             assert np.max(np.array(circle_dist(a, b))) < 1e-9
+
+    def test_syllable_with_no_closed_form_is_stepped(self):
+        # a Denjoy lift's powers have no closed form: a^3 is three steps
+        # of h and a^-2 two of its inverse, with the bits of those steps
+        act = denjoy_action(2, GOLDEN_MEAN, 5)
+        h, hinv = act.h, act.h.inverse()
+        xs = np.arange(0.0, 1.0, 1.0 / 31.0)
+        got = evaluate(act, Word.parse("a^3"), xs)
+        assert got.tobytes() == h.raw(h.raw(h.raw(xs))).tobytes()
+        got = evaluate(act, Word.parse("a^-2"), 0.3)
+        assert got == float(hinv.raw(hinv.raw(np.float64(0.3))))
 
     def test_word_lift_matches_evaluate(self):
         act = affine_action(2)

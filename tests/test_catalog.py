@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bsdl.bsgroup import finite_bs_orbit, relation_report
+from bsdl.bsgroup import finite_bs_orbit, make_action, relation_report
 from bsdl.catalog import (
     CATALOG,
     build_action,
@@ -19,9 +19,8 @@ from bsdl.catalog import (
     standard_torus,
 )
 from bsdl.circle import (
-    ComposedLift,
+    ChartAffineLift,
     DenjoyLift,
-    GluedLift,
     RotationLift,
     chart_from_real,
     circle_dist,
@@ -143,28 +142,35 @@ class TestPeriodicExamples:
 
     def test_power_with_no_closed_form_raises(self):
         act = periodic_circle_example(3)
-        # shift(10^400 / 2) is beyond the floats: no closed form
+        # f^(10^400) moves each block by 10^400, beyond the floats: no closed form
         with pytest.raises(ValueError, match="no closed form"):
             act.f.power(10**400)
         # a shift off the block grid does not commute with the blocks
-        g = compose(RotationLift(0.3), GluedLift(2, 1.0, 1.0))
+        g = compose(RotationLift(0.3), ChartAffineLift(1.0, 1.0, m=2))
         for m in (2, MAX_STEPPED_POWER, -(MAX_STEPPED_POWER + 1)):
             with pytest.raises(ValueError, match="^this power of ComposedLift has no closed form$"):
                 g.power(m)
 
     @pytest.mark.parametrize("n", [3, 50, 104, 1001])
     def test_power_fuses_shift_and_blocks(self, n):
-        # f = shift(1/m) o glued(m; 1, 1) and f^k = shift(k/m) o glued(m; 1, k);
-        # for m = 49 and 103, (1/m) * m is not 1.0 in floats
+        # f is x -> x + 1 on each of m blocks, then a shift by one block,
+        # so f^k is x -> x + k on the blocks, then a shift by k blocks
         f = periodic_circle_example(n).f
         m = n - 1
         for k in (n * n, -(MAX_STEPPED_POWER + 1)):
-            p = f.power(k)
-            assert isinstance(p, ComposedLift)
-            shift, glued = (p.outer, p.inner) if k > 0 else (p.inner, p.outer)
-            assert shift.same_params(RotationLift(1.0 / m).power(k))
-            assert glued.same_params(GluedLift(m, 1.0, 1.0).power(k))
+            assert f.power(k).same_params(ChartAffineLift(1.0, float(k), m=m, shift=k))
         assert relation_report(periodic_circle_example(n)).passed
+
+    def test_every_power_of_f_is_an_action_with_h(self):
+        # (f^N, h) is again a BS(1,n) action: (f^N)^n has a closed form,
+        # and make_action accepts the pair, at every n <= 61 and N < n
+        for n in range(3, 62):
+            act = periodic_circle_example(n)
+            for N in range(1, n):
+                fN = act.f.power(N)
+                fNn = ChartAffineLift(1.0, float(N * n), m=n - 1, shift=N * n)
+                assert fN.power(n).same_params(fNn)
+                make_action(fN, act.h, n)
 
     def test_periodic_orbit_of_block_endpoints(self):
         act = periodic_circle_example(3)
@@ -271,6 +277,16 @@ class TestFaithfulness:
 
     def test_nonfaithful_kernel_found(self):
         rep = faithfulness_evidence(nonfaithful_circle(2, k="rot:golden"))
+        assert not rep.faithful_evidence
+        assert rep.min_residual == 0.0
+        assert "b" in rep.trivial_words
+
+    def test_denjoy_fiber_evidence_steps_its_powers(self):
+        # powers of a Denjoy lift have no closed form; each syllable is
+        # applied as |exp| steps of the lift or its inverse
+        act = build_action("nonfaithful-circle", k="denjoy:golden,5,0.3")
+        rep = faithfulness_evidence(act)
+        assert rep.words_tested == 92
         assert not rep.faithful_evidence
         assert rep.min_residual == 0.0
         assert "b" in rep.trivial_words

@@ -9,7 +9,6 @@ from bsdl.circle import (
     ComposedLift,
     DenjoyLift,
     GOLDEN_MEAN,
-    GluedLift,
     PiecewiseLift,
     RotationLift,
     chart_from_real,
@@ -152,11 +151,18 @@ class TestChartAffineLift:
         with pytest.raises(ValueError, match="0 < a < inf"):
             ChartAffineLift(a, 0.0)
         with pytest.raises(ValueError, match="0 < a < inf"):
-            GluedLift(2, a, 0.0)
+            ChartAffineLift(a, 0.0, m=2)
+
+    def test_rejects_fewer_than_one_block(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            ChartAffineLift(1.0, 0.0, m=0)
+        # block counts and shifts are integers
+        with pytest.raises(TypeError):
+            ChartAffineLift(1.0, 0.0, m=2, shift=0.5)
 
     def test_power_with_an_infinite_slope_raises(self):
         F = ChartAffineLift(1e200, 0.0)
-        for L in (F, GluedLift(3, 1e200, 0.0)):
+        for L in (F, ChartAffineLift(1e200, 0.0, m=3, shift=1)):
             with pytest.raises(ValueError, match="^this power of ChartAffineLift has no closed form$"):
                 L.power(2)
         # the composition stays unfused, with the bits of two steps
@@ -172,11 +178,18 @@ class TestChartAffineLift:
 
     def test_overflowing_power_raises(self):
         # 2^100000 overflows, forward and backward
-        for L, m in ((ChartAffineLift(2.0, 0.0), 10**5), (GluedLift(3, 2.0, 0.0), -(10**5))):
+        for L, m in ((ChartAffineLift(2.0, 0.0), 10**5), (ChartAffineLift(2.0, 0.0, m=3), -(10**5))):
             with pytest.raises(ValueError, match="has no closed form"):
                 L.power(m)
-            with pytest.raises(ValueError, match="has no closed form"):
-                L.iterate(0.0, m)
+
+    def test_iterate_steps_a_power_with_no_closed_form(self):
+        # (1e200)^2 overflows: the iterate is two steps of F or of F^-1
+        F = ChartAffineLift(1e200, 0.0, m=3, shift=1)
+        G = F.inverse()
+        assert F.iterate(0.1, 2) == F(F(0.1))
+        assert F.iterate(0.1, -2) == G(G(0.1))
+        xs = np.linspace(-1.0, 2.0, 61)
+        assert np.array_equal(F.iterate(xs, 2), F.raw(F.raw(xs)))
 
 
 class TestPiecewiseLift:
@@ -226,22 +239,22 @@ class TestPiecewiseLift:
             PiecewiseLift([0.0, 0.5], [0.0, 1.1])
 
 
-class TestGluedLift:
+class TestBlocks:
     def test_block_endpoints_are_fixed(self):
-        F = GluedLift(2, 2.0, 0.0)
+        F = ChartAffineLift(2.0, 0.0, m=2)
         assert F(0.0) == 0.0
         assert F(0.5) == 0.5
         assert F(1.0) == 1.0
 
     def test_fixed_points_certify_rotation_zero(self):
-        est = rotation_number(GluedLift(2, 1.0, 1.0), iterates=2000)
+        est = rotation_number(ChartAffineLift(1.0, 1.0, m=2), iterates=2000)
         assert est.rational_witness is not None
         p, q, x, res = est.rational_witness
         assert (p, q) == (0, 1)
         assert res == 0.0
 
     def test_power_matches_repeated_application(self):
-        F = GluedLift(3, 2.0, 0.3)
+        F = ChartAffineLift(2.0, 0.3, m=3, shift=2)
         x = 0.41
         y = x
         for _ in range(5):
@@ -249,15 +262,24 @@ class TestGluedLift:
         assert F.iterate(x, 5) == pytest.approx(y, abs=1e-10)
 
     def test_compose_fuses_blockwise(self):
-        f = GluedLift(2, 1.0, 1.0)
-        h = GluedLift(2, 3.0, 0.0)
+        f = ChartAffineLift(1.0, 1.0, m=2, shift=1)
+        h = ChartAffineLift(3.0, 0.0, m=2)
         lhs = compose(compose(h, f), h.inverse())
-        assert isinstance(lhs, GluedLift)
-        assert lhs.m == 2
-        assert (lhs.a, lhs.b) == (1.0, 3.0)
+        assert isinstance(lhs, ChartAffineLift)
+        assert (lhs.m, lhs.shift, lhs.a, lhs.b) == (2, 1, 1.0, 3.0)
+        # on other blocks the composition stays unfused
+        assert isinstance(compose(h, ChartAffineLift(3.0, 0.0, m=3)), ComposedLift)
+
+    def test_shift_moves_whole_blocks(self):
+        # a shift by j blocks of the identity chart map is the rotation by j/m
+        F = ChartAffineLift(1.0, 0.0, m=4, shift=3)
+        xs = np.arange(-8, 9) / 4.0
+        assert np.array_equal(F.raw(xs), xs + 0.75)
+        assert F.seam_distance(0.3) == pytest.approx(0.05)
+        assert ChartAffineLift(2.0, 1.0).seam_distance(0.3) is None
 
     def test_inverse_round_trip(self):
-        F = GluedLift(3, 2.0, -0.7)
+        F = ChartAffineLift(2.0, -0.7, m=3, shift=-2)
         G = F.inverse()
         xs = np.arange(0.0, 1.0, 1.0 / 211.0)
         assert np.max(np.abs(G.raw(F.raw(xs)) - xs)) < 1e-10

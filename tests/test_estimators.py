@@ -11,7 +11,15 @@ from bsdl.catalog import (
     standard_line,
     standard_torus,
 )
-from bsdl.circle import GOLDEN_MEAN, GluedLift, RotationLift, circle_dist, orbit, wrap
+from bsdl.bsgroup import finite_bs_orbit, make_action
+from bsdl.circle import (
+    GOLDEN_MEAN,
+    ChartAffineLift,
+    RotationLift,
+    circle_dist,
+    orbit,
+    wrap,
+)
 from bsdl.estimators import (
     CellSet,
     bs_minimal_set,
@@ -275,8 +283,8 @@ class TestDifferentialAt:
         assert r.richardson is not None and abs(r.richardson - 4.0) < 0.5
         assert r.converged
 
-    def test_glued_lift_reports_seam_distance(self):
-        r = differential_at(GluedLift(2, 3.0, 0.0), 0.1)
+    def test_block_lift_reports_seam_distance(self):
+        r = differential_at(ChartAffineLift(3.0, 0.0, m=2), 0.1)
         assert r.seam_distance == pytest.approx(0.1)
         assert r.converged
 
@@ -350,6 +358,26 @@ class TestMinimalSet:
         assert est.label == "Unknown"
         assert len(est.fixed) == 0
         assert "reason" in est.diagnostics
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 13])
+    def test_block_shift_family_finds_its_orbits_in_fix_of_f_q(self, n):
+        # f is x -> x + 1 on each of m blocks, then a shift by j blocks;
+        # h scales each block by n. For m | j(n - 1) this is a BS(1,n)
+        # action whose block endpoints form orbits of q = m / gcd(j, m)
+        # points, fixed by f^q. f^q is parabolic at an endpoint and flags
+        # the cells beside it too, so the lowest flagged cell need not
+        # hold it (n = 5, m = 32, j = 8 started 3/4 along block 0)
+        for m in range(1, 65):
+            for j in range(m):
+                if j * (n - 1) % m:
+                    continue
+                q = m // math.gcd(j, m)
+                f = ChartAffineLift(1.0, 1.0, m=m, shift=j)
+                h = ChartAffineLift(float(n), 0.0, m=m)
+                est = bs_minimal_set(make_action(f.power(q), h, n), orbit_iterates=1000)
+                assert est.label == "FiniteOrbit", (m, j, est.diagnostics)
+                orb = finite_bs_orbit(make_action(f, h, n), est.points[0])
+                assert orb.closed and orb.size == q, (m, j)
 
     def test_global_fixed_point(self):
         est = bs_minimal_set(morse_smale_example(2), resolution=128)

@@ -12,8 +12,8 @@ replaced (below), on the exact families of tests/test_step.py:
   both lifts give the same bits on a lattice.
 * `F.power(m)`, where it has a closed form, agrees with m steps of F
   within the slope-derived rounding budgets of tests/test_space.py; so
-  does the power of a shift by whole blocks composed with a glued map,
-  which fuses as shift^m o glued^m.
+  does the power of a chart-affine map on m blocks shifted by whole
+  blocks, which multiplies the shift.
 """
 
 import math
@@ -26,7 +26,6 @@ import bsdl
 from bsdl.circle import (
     ChartAffineLift,
     ComposedLift,
-    GluedLift,
     RotationLift,
     compose,
 )
@@ -48,14 +47,15 @@ from test_step import circle_points, exact_circle, offsets, torus_points
 def ref_compose(outer, inner):
     if isinstance(outer, RotationLift) and isinstance(inner, RotationLift):
         return RotationLift(outer.alpha + inner.alpha)
-    if isinstance(outer, ChartAffineLift) and isinstance(inner, ChartAffineLift):
-        return ChartAffineLift(outer.a * inner.a, outer.a * inner.b + outer.b)
     if (
-        isinstance(outer, GluedLift)
-        and isinstance(inner, GluedLift)
+        isinstance(outer, ChartAffineLift)
+        and isinstance(inner, ChartAffineLift)
         and outer.m == inner.m
     ):
-        return GluedLift(outer.m, outer.a * inner.a, outer.a * inner.b + outer.b)
+        return ChartAffineLift(
+            outer.a * inner.a, outer.a * inner.b + outer.b,
+            m=outer.m, shift=outer.shift + inner.shift,
+        )
     return ComposedLift(outer, inner)
 
 
@@ -99,11 +99,7 @@ def ref_power_lift(F, m):
     if isinstance(F, ChartAffineLift):
         a, b = ref_params_power(F, m)
         if np.isfinite(a) and a > 0.0 and np.isfinite(b):
-            return ChartAffineLift(a, b)
-    if isinstance(F, GluedLift):
-        a, b = ref_params_power(F.base, m)
-        if np.isfinite(a) and a > 0.0 and np.isfinite(b):
-            return GluedLift(F.m, a, b)
+            return ChartAffineLift(a, b, m=F.m, shift=F.shift * m)
     if isinstance(F, ProductTorusLift):
         return ProductTorusLift(ref_power_lift(F.base, m), ref_power_lift(F.fiber, m))
     compose_ = ref_compose if space_of(F) == CIRCLE else ref_compose2
@@ -117,9 +113,7 @@ def ref_params_equal(u, v):
     if isinstance(u, RotationLift) and isinstance(v, RotationLift):
         return u.alpha == v.alpha
     if isinstance(u, ChartAffineLift) and isinstance(v, ChartAffineLift):
-        return (u.a, u.b) == (v.a, v.b)
-    if isinstance(u, GluedLift) and isinstance(v, GluedLift):
-        return (u.m, u.a, u.b) == (v.m, v.a, v.b)
+        return (u.m, u.shift, u.a, u.b) == (v.m, v.shift, v.a, v.b)
     if isinstance(u, ProductTorusLift) and isinstance(v, ProductTorusLift):
         return ref_params_equal(u.base, v.base) and ref_params_equal(u.fiber, v.fiber)
     if isinstance(u, LinearTorusLift) and isinstance(v, LinearTorusLift):
@@ -138,9 +132,7 @@ def describe(L):
     if isinstance(L, RotationLift):
         return ("rotation", h(L.alpha))
     if isinstance(L, ChartAffineLift):
-        return ("chart", h(L.a), h(L.b))
-    if isinstance(L, GluedLift):
-        return ("glued", L.m, h(L.a), h(L.b))
+        return ("chart", L.m, L.shift, h(L.a), h(L.b))
     if isinstance(L, LinearTorusLift):
         return ("linear", L.linear_part.rows(), h(L.b[0]), h(L.b[1]))
     if isinstance(L, ProductTorusLift):
@@ -267,8 +259,10 @@ def test_torus_same_params(F, G):
 def test_same_params_sees_equal_families():
     assert RotationLift(0.5).same_params(RotationLift(0.25).power(2))
     assert ChartAffineLift(1.0, 1.0).power(3).same_params(ChartAffineLift(1.0, 3.0))
-    assert not ChartAffineLift(2.0, 0.0).same_params(GluedLift(1, 2.0, 0.0))
-    assert not GluedLift(2, 2.0, 0.0).same_params(GluedLift(3, 2.0, 0.0))
+    assert not ChartAffineLift(2.0, 0.0, m=2).same_params(ChartAffineLift(2.0, 0.0, m=3))
+    assert not ChartAffineLift(2.0, 0.0, m=2).same_params(
+        ChartAffineLift(2.0, 0.0, m=2, shift=2)
+    )
     A = IntMatrix2.from_rows((2, 1), (1, 1))
     assert LinearTorusLift(A, (0.5, 0.0)).same_params(LinearTorusLift(A, (0.5, 0.0)))
     assert not RotationLift(0.1).compose(ChartAffineLift(1.0, 0.0)).same_params(
@@ -335,18 +329,18 @@ def assert_power_is_steps(F, m, x):
 
 
 def test_power_at_a_repelling_block_endpoint():
-    # x * 6 rounds to the endpoint 10.0, and glued(6; 1e-32, 0) has slope
-    # 1e32 there; the four steps of the inverse meet the endpoint an ulp
-    # off, after their first rounding
-    assert_power_is_steps(GluedLift(6, 1e8, 0.0), -4, 1.6666666666666667)
+    # x * 6 rounds to the endpoint 10.0, and the map (1e-32, 0) on six
+    # blocks has slope 1e32 there; the four steps of the inverse meet the
+    # endpoint an ulp off, after their first rounding
+    assert_power_is_steps(ChartAffineLift(1e8, 0.0, m=6), -4, 1.6666666666666667)
 
 
 def test_well_conditioned_budget_is_the_chain():
     for F, m, x in [
-        (GluedLift(6, 2.0, 0.3), 3, 0.3),
-        (GluedLift(6, 1e8, 0.0), -4, 1.61),
+        (ChartAffineLift(2.0, 0.3, m=6), 3, 0.3),
+        (ChartAffineLift(1e8, 0.0, m=6), -4, 1.61),
         (ChartAffineLift(0.5, -2.0), -5, 0.7),
-        (ProductTorusLift(GluedLift(2, 3.0, 0.0), RotationLift(0.25)), 2, np.array([0.2, 0.9])),
+        (ProductTorusLift(ChartAffineLift(3.0, 0.0, m=2), RotationLift(0.25)), 2, np.array([0.2, 0.9])),
     ]:
         assert power_budget(F, m, x)[1] == steps_and_budget(F, m, x)[1]
 
@@ -365,41 +359,28 @@ def test_torus_power_agrees_with_steps(F, m, data):
         assert_power_is_steps(F, m, np.array(p))
 
 
-# A shift by j/m composed with a glued map on m blocks, in either order;
-# j = 1 gives shift(1/m), whose (1/m) * m is not 1.0 for m = 49, 98, 103.
-# The float j/m is not on the block grid, so a point the shift sends to
-# a block endpoint may land an ulp to either side of it, in stepping and
-# in the fused power alike. Where the endpoint is hyperbolic (a != 1),
-# an ulp grows like a^-k in the k-th power before the slope is of any
-# use, which the first-order budgets do not model: slopes stay within
-# [1/2, 2], and at a = 1 (the periodic examples' glued maps) the
-# endpoints are parabolic.
+# A chart-affine map on m blocks followed by a shift of j blocks. The
+# float j/m is not on the block grid, so a step that the shift sends to
+# a block endpoint may land an ulp to either side of it, where the closed
+# form evaluates the map before its one shift. Where the endpoint is
+# hyperbolic (a != 1), an ulp grows like a^-k over k steps before the
+# slope is of any use, which the first-order budgets do not model:
+# slopes stay within [1/2, 2], and at a = 1 (the periodic examples'
+# maps) the endpoints are parabolic.
 block_shifts = st.builds(
-    lambda m, j, a, b, glued_first: (
-        ComposedLift(GluedLift(m, a, b), RotationLift(j / m))
-        if glued_first
-        else ComposedLift(RotationLift(j / m), GluedLift(m, a, b))
-    ),
+    lambda m, j, a, b: ChartAffineLift(a, b, m=m, shift=j),
     st.integers(1, 110),
     st.integers(-3, 3),
     st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
     offsets,
-    st.booleans(),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(block_shifts, exponents.filter(bool), st.data())
 def test_block_shift_power_agrees_with_steps(F, m, data):
-    glued = F.outer if isinstance(F.outer, GluedLift) else F.inner
-    # fused, unless the glued map's power overflows
-    try:
-        glued.power(m)
-    except ValueError:
-        with pytest.raises(ValueError, match="has no closed form$"):
-            F.power(m)
-        return
-    assert isinstance(F.power(m), ComposedLift)
+    P = F.power(m)
+    assert isinstance(P, ChartAffineLift) and (P.m, P.shift) == (F.m, F.shift * m)
     for x in data.draw(st.lists(circle_points(F), min_size=1, max_size=6)):
         assert_power_is_steps(F, m, x)
 
@@ -407,13 +388,10 @@ def test_block_shift_power_agrees_with_steps(F, m, data):
 def test_every_block_shift_fuses():
     for m in range(1, 2000):
         for j in (1, m - 1, 2 * m + 1):
-            F = compose(RotationLift(j / m), GluedLift(m, 1.0, 1.0))
-            P = F.power(m + 5)
-            assert isinstance(P, ComposedLift), m
-            assert P.outer.same_params(RotationLift(j / m).power(m + 5))
-            assert P.inner.same_params(GluedLift(m, 1.0, m + 5.0))
-    # off the block grid, the power has no closed form
+            P = ChartAffineLift(1.0, 1.0, m=m, shift=j).power(m + 5)
+            assert P.same_params(ChartAffineLift(1.0, m + 5.0, m=m, shift=j * (m + 5))), m
+    # a rotation off the block grid does not commute with the blocks
     for alpha in (0.3, 1.0 / 3.0):
-        F = compose(RotationLift(alpha), GluedLift(2, 1.0, 1.0))
+        F = compose(RotationLift(alpha), ChartAffineLift(1.0, 1.0, m=2))
         with pytest.raises(ValueError, match="^this power of ComposedLift has no closed form$"):
             F.power(3)

@@ -27,7 +27,6 @@ from bsdl.catalog import CATALOG, build_action, periodic_circle_example
 from bsdl.circle import (
     GOLDEN_MEAN,
     ChartAffineLift,
-    GluedLift,
     RotationLift,
     compose,
     denjoy_lift,
@@ -68,7 +67,7 @@ offsets = st.floats(-10.0, 10.0)
 moderate_circle = st.one_of(
     st.builds(RotationLift, st.floats(-4.0, 4.0)),
     st.builds(ChartAffineLift, slopes, offsets),
-    st.builds(GluedLift, st.integers(1, 6), slopes, offsets),
+    st.builds(ChartAffineLift, slopes, offsets, m=st.integers(1, 6), shift=st.integers(-3, 3)),
     st.builds(random_piecewise, st.integers(0, 2**32 - 1), st.integers(1, 8)),
     st.builds(
         denjoy_lift,
@@ -129,7 +128,10 @@ small_offsets = st.floats(-1.0, 1.0)
 smooth_circle = st.one_of(
     st.builds(RotationLift, st.floats(-4.0, 4.0)),
     st.builds(ChartAffineLift, small_slopes, small_offsets),
-    st.builds(GluedLift, st.integers(1, 6), small_slopes, small_offsets),
+    st.builds(
+        ChartAffineLift, small_slopes, small_offsets,
+        m=st.integers(1, 6), shift=st.integers(-3, 3),
+    ),
 )
 denjoys = st.builds(
     cached_denjoy,

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bsdl.circle import (
     ChartAffineLift,
-    GluedLift,
     RotationLift,
     _wrap_float,
     orbit,
@@ -27,7 +26,7 @@ offsets = st.floats(-10.0, 10.0)
 lifts = st.one_of(
     st.builds(RotationLift, st.floats(-4.0, 4.0)),
     st.builds(ChartAffineLift, slopes, offsets),
-    st.builds(GluedLift, st.integers(1, 5), slopes, offsets),
+    st.builds(ChartAffineLift, slopes, offsets, m=st.integers(1, 5), shift=st.integers(-3, 3)),
 )
 
 

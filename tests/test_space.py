@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from bsdl.circle import (
     ChartAffineLift,
     ComposedLift,
-    GluedLift,
     PiecewiseLift,
     RotationLift,
     compose,
@@ -99,8 +98,6 @@ def slope(F, x):
     if isinstance(F, RotationLift):
         return 1.0
     if isinstance(F, ChartAffineLift):
-        return chart_slope(F.a, F.b, x - math.floor(x))
-    if isinstance(F, GluedLift):
         r = (x - math.floor(x)) * F.m
         v = min(max(r - min(math.floor(r), F.m - 1), 0.0), 1.0)
         return chart_slope(F.a, F.b, v)

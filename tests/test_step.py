@@ -24,7 +24,6 @@ from bsdl.circle import (
     GOLDEN_MEAN,
     ChartAffineLift,
     ComposedLift,
-    GluedLift,
     PiecewiseLift,
     RotationLift,
     compose,
@@ -111,7 +110,7 @@ offsets = st.floats(-1e3, 1e3)
 exact_circle = st.one_of(
     st.builds(RotationLift, st.floats(-4.0, 4.0)),
     st.builds(ChartAffineLift, slopes, offsets),
-    st.builds(GluedLift, st.integers(1, 6), slopes, offsets),
+    st.builds(ChartAffineLift, slopes, offsets, m=st.integers(1, 6), shift=st.integers(-3, 3)),
     st.builds(random_piecewise, st.integers(0, 2**32 - 1), st.integers(1, 8)),
     st.builds(
         cached_denjoy,
@@ -153,7 +152,7 @@ def seams_of(F):
     """Breakpoints and glued points of F and its parts, on [0, 1)."""
     if isinstance(F, PiecewiseLift):
         return F.bx.tolist()
-    if isinstance(F, GluedLift):
+    if isinstance(F, ChartAffineLift):
         return [i / F.m for i in range(F.m)]
     if isinstance(F, ComposedLift):
         return seams_of(F.inner) + seams_of(F.outer)
@@ -339,6 +338,6 @@ def test_chart_affine_on_a_dense_grid():
         np.arange(-2.0, 3.0), -np.ldexp(1.0, -np.arange(53, 70)),
     ])
     for F in (ChartAffineLift(2.0, 0.0), ChartAffineLift(0.3, 5.0),
-              GluedLift(3, 2.0, 0.0), GluedLift(4, 0.5, -1.0)):
+              ChartAffineLift(2.0, 0.0, m=3), ChartAffineLift(0.5, -1.0, m=4, shift=-5)):
         batch = F.raw(xs).tolist()
         assert all(same(F.step(x), y) for x, y in zip(xs.tolist(), batch))

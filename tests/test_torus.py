@@ -99,8 +99,11 @@ class TestLifts:
         assert np.isfinite(H.iterate((0.2, 0.4), 737)).all()
         with pytest.raises(ValueError, match="beyond the float range"):
             H.power(m)
-        with pytest.raises(ValueError, match="beyond the float range"):
-            H.iterate((0.2, 0.4), m)
+        # the iterate takes |m| steps of H or of its inverse instead
+        G, v = (H if m > 0 else H.inverse()), np.array((0.2, 0.4))
+        for _ in range(abs(m)):
+            v = G.raw(v)
+        assert H.iterate((0.2, 0.4), m).tobytes() == v.tobytes()
 
     def test_linear_requires_unimodular(self):
         with pytest.raises(ValueError):
