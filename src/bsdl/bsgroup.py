@@ -234,7 +234,8 @@ def relation_residual(
 ) -> float:
     """Sup distance between h^p f h^-p and f^(n^p) over a sample grid.
 
-    Exactly zero when both sides collapse to the same fused parameters.
+    Exactly zero when both sides fuse to lifts of the same map
+    (`same_map`): the same parameters, or parameters a whole turn apart.
     A power of h with no closed form is the composition h o ... o h.
     """
     if grid < 1:
@@ -248,7 +249,7 @@ def relation_residual(
             hp = hp.compose(h)
     lhs = hp.compose(f.compose(hp.inverse()))
     rhs = f.power(n ** power)
-    if lhs.same_params(rhs):
+    if lhs.same_map(rhs):
         return 0.0
     xs = space.lattice(grid)
     return float(np.max(space.dist(lhs.raw(xs), rhs.raw(xs))))
@@ -300,7 +301,8 @@ def make_action(f, h, n: int, name: str = "") -> BSAction:
     """Bundle a pair into a BSAction, verifying the relation numerically.
 
     The space is inferred from the lift types. A primary relation
-    residual above 1e-8 on a 2048-point grid, or NaN, raises.
+    residual above 1e-8 on `space.lattice(2048)` (2048 points on the
+    circle, 45 x 45 on the torus), or NaN, raises.
     """
     space = space_of(f)
     if space_of(h) != space:

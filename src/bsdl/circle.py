@@ -19,7 +19,8 @@ Conventions used throughout the package:
 * a power is a closed form or a ValueError: the exact families
   (rotations, and chart-affine maps on m blocks with a whole-block shift)
   fuse `compose` and `power` into one lift of the family and compare
-  through `same_params`; other lifts compose into a `ComposedLift`, and
+  through `same_params`, or, for the same map up to whole turns,
+  `same_map`; other lifts compose into a `ComposedLift`, and
   their powers beyond the first raise. `iterate(x, m)` is `power(m)` at
   x, or |m| steps where the power has no closed form.
 """
@@ -107,12 +108,11 @@ def orbit(F, x0, iterates: int, transient: int = 0):
     same numbers alone as inside a batch. Other lifts need not. A
     conjugated action steps a single start through the float `step` of
     its bump maps (`experiments.BumpTorusLift`), with the bits of their
-    `raw` on that point alone; but the bump field runs a matrix product
-    and vectorized cos and sin whose bits depend on the batch, so its
-    batch rows may differ from single starts by an ulp. A value that rounds
-    up to 1.0 (x within 2^-54 below an integer) becomes the largest
-    double below 1. A non-finite image of a single point raises
-    ValueError.
+    `raw` on that point alone; but the bump field ends in one matrix
+    product, whose bits depend on the batch, so its batch rows may
+    differ from single starts by an ulp. A value that rounds up to 1.0
+    (x within 2^-54 below an integer) becomes the largest double below
+    1. A non-finite image of a single point raises ValueError.
     """
     if iterates < 1 or transient < 0:
         raise ValueError(
@@ -245,6 +245,11 @@ class Lift:
         """Whether other is this exact lift, by its family and parameters."""
         return False
 
+    def same_map(self, other) -> bool:
+        """Whether other lifts the same map of the space: `same_params`,
+        or, in a family that can tell, this lift moved by whole turns."""
+        return self.same_params(other)
+
     def iterate(self, x, m: int):
         """m-th iterate (m may be negative) applied to x: the closed-form
         power, or |m| steps of the lift or its inverse where the power
@@ -360,7 +365,9 @@ class ChartAffineLift(CircleLift):
     composition on the same blocks, inversion and integer powers act on
     (a, b) and add, negate or multiply the integer shift: they are exact,
     which is what makes group relations evaluate to literally zero
-    residual for the affine and block-cyclic model actions.
+    residual for the affine and block-cyclic model actions. Shifts that
+    differ by a multiple of m differ by whole turns, so `same_map`
+    matches them.
     """
 
     def __init__(self, a: float, b: float, label: str = "", m: int = 1, shift: int = 0):
@@ -448,6 +455,14 @@ class ChartAffineLift(CircleLift):
         same = isinstance(other, ChartAffineLift)
         return same and (self.m, self.shift, self.a, self.b) == (
             other.m, other.shift, other.a, other.b
+        )
+
+    def same_map(self, other):
+        # shifts a multiple of m blocks apart differ by whole turns
+        return (
+            isinstance(other, ChartAffineLift)
+            and (self.m, self.a, self.b) == (other.m, other.a, other.b)
+            and (self.shift - other.shift) % self.m == 0
         )
 
     def seam_distance(self, x):

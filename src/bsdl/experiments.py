@@ -492,46 +492,85 @@ def _at_point(F, v):
     return np.reshape(F.step(p[0] if len(p) == 1 else tuple(p)), v.shape)
 
 
-def _waves(K, p):
-    """The rows cos(K p) and then sin(K p) for wave vectors K, a (J, 2)
-    array, at points p, a (2, N) array or one (2,) point."""
-    # one mode per row: numpy's cos and sin measured about twice as fast
-    # on rows of like angles as on interleaved modes; the angles are
-    # formed in the sine rows, so no other buffer is made
-    J = len(K)
-    out = np.empty((2 * J,) + p.shape[1:])
-    a = np.matmul(K, p, out=out[J:])
-    np.cos(a, out=out[:J])
-    np.sin(a, out=a)
-    return out
-
-
 # The integer frequencies of a bump field run up to BUMP_MODES
 BUMP_MODES = 2
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _harmonics(x, cos, sin):
+    """cos a, sin a, cos 2a and sin 2a at a = 2 pi x, from one cos and
+    one sin: on a Python float with math's cos and sin, or elementwise on
+    an array with numpy's."""
+    a = _TWO_PI * x
+    c, s = cos(a), sin(a)
+    return c, s, c * c - s * s, 2.0 * s * c
+
+
+def _products(u, t):
+    """The 25 products U_i T_j, i and j in 0..4, of U = (1, cos A, sin A,
+    cos 2A, sin 2A) at A = 2 pi u and T, the same terms at B = 2 pi t,
+    with index 5 i + j. On two Python floats they are a list; on two
+    coordinate arrays of one shape, a (25,) + shape array from one
+    broadcast product. Every product is elementwise, so a point gets the
+    same bits as floats, alone or in a batch, where numpy's float64 cos
+    and sin are math's: numpy calls the C library for them (numpy 2.4,
+    AVX-512 included), and `test_products_are_elementwise` checks it.
+    """
+    if isinstance(u, float):
+        # math's cos and sin and a list: numpy's cost per call would
+        # double a float bump step, and orbits of single starts make
+        # these steps by the thousand
+        U = (1.0, *_harmonics(u, math.cos, math.sin))
+        T = (1.0, *_harmonics(t, math.cos, math.sin))
+        return [a * b for a in U for b in T]
+    # u and t pass through one set of calls, as the rows of one array
+    c, s, c2, s2 = _harmonics(np.array((u, t)), np.cos, np.sin)
+    one = np.ones(np.shape(u))
+    U = np.array((one, c[0], s[0], c2[0], s2[0]))
+    T = np.array((one, c[1], s[1], c2[1], s2[1]))
+    return (U[:, None] * T).reshape((25,) + one.shape)
+
+
+def _wave_terms(k):
+    """The coefficients of cos kx and of sin kx, |k| <= 2, over (1,
+    cos x, sin x, cos 2x, sin 2x), as two length-5 vectors."""
+    c, s = np.zeros(5), np.zeros(5)
+    if k == 0:
+        c[0] = 1.0
+    else:
+        i = 2 * abs(k) - 1
+        c[i], s[i + 1] = 1.0, math.copysign(1.0, k)
+    return c, s
 
 
 @cache
 def _bump_modes():
     """What `_bump_field` needs of BUMP_MODES alone, for every seed.
 
-    Returns the wave vectors K = 2 pi k, one integer frequency k per row,
-    their lengths |K|, and the waves of K on the 64 x 64 normalization
-    mesh, a (2J, 4096) table. The arrays are read-only, because every
-    map shares them.
+    Returns the wave vectors K = 2 pi k, one integer frequency k = (p, q)
+    per row, their lengths |K|, the 0/+-1 table P that maps the 25
+    `_products` at v to the waves cos(K . v) and then sin(K . v), by
+    cos(pA + qB) = cos pA cos qB - sin pA sin qB and sin(pA + qB) =
+    sin pA cos qB + cos pA sin qB, and the products on the 64 x 64
+    normalization mesh, a (25, 4096) table. The arrays are read-only,
+    because every map shares them.
     """
-    ks = np.array(
-        [
-            (p, q)
-            for p in range(-BUMP_MODES, BUMP_MODES + 1)
-            for q in range(0, BUMP_MODES + 1)
-            if q > 0 or p > 0
-        ],
-        dtype=float,
-    )
-    K = 2.0 * np.pi * ks
+    ks = [
+        (p, q)
+        for p in range(-BUMP_MODES, BUMP_MODES + 1)
+        for q in range(0, BUMP_MODES + 1)
+        if q > 0 or p > 0
+    ]
+    J = len(ks)
+    P = np.empty((2 * J, 25))
+    for row, (p, q) in enumerate(ks):
+        (cp, sp), (cq, sq) = _wave_terms(p), _wave_terms(q)
+        P[row] = np.outer(cp, cq).ravel() - np.outer(sp, sq).ravel()
+        P[J + row] = np.outer(sp, cq).ravel() + np.outer(cp, sq).ravel()
+    K = _TWO_PI * np.array(ks, dtype=float)
     g = np.arange(64) / 64
-    mesh = np.stack([np.repeat(g, 64), np.tile(g, 64)])
-    shared = (K, np.hypot(K[:, 0], K[:, 1]), _waves(K, mesh))
+    shared = (K, np.hypot(K[:, 0], K[:, 1]), P, _products(np.repeat(g, 64), np.tile(g, 64)))
     for a in shared:
         a.flags.writeable = False
     return shared
@@ -540,14 +579,18 @@ def _bump_modes():
 def _bump_field(size: float, seed: int):
     """Displacement field of `near_identity_diffeo` and its Jacobian.
 
-    Returns field(p), which takes points as the columns of a (2, N)
-    array, or one point as a (2,) array, and returns the rows D_0, D_1,
-    dD_0/du, dD_0/dt, dD_1/du, dD_1/dt, with D = size * B. Validates the
-    arguments as `near_identity_diffeo` documents.
+    Returns field(u, t), which takes one point as two Python floats, and
+    returns a list, or points as two coordinate arrays, and returns an
+    array of their rows: D_0, D_1, dD_0/du, dD_0/dt, dD_1/du, dD_1/dt,
+    with D = size * B. Each is linear in the waves cos(K . v) and
+    sin(K . v), so in the 25 `_products` at v: the field is one matrix
+    product G @ products, G = M @ P with M the weights of the waves and
+    P the table of `_bump_modes`. Validates the arguments as
+    `near_identity_diffeo` documents.
     """
     if not (np.isfinite(size) and size >= 0.0):
         raise ValueError(f"need a finite size >= 0, got {size}")
-    K, norms, mesh_waves = _bump_modes()
+    K, norms, P, mesh_products = _bump_modes()
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=(2, len(K)))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(2, len(K)))
@@ -565,17 +608,19 @@ def _bump_field(size: float, seed: int):
             for d in range(2)
         ]
     )
-    scale = 1.0 / float(np.max(np.abs(M[:2] @ mesh_waves)))
+    G = M @ P
+    scale = 1.0 / float(np.max(np.abs(G[:2] @ mesh_products)))
     lip = scale * float(np.max(np.abs(amp) @ norms))
     if not size * lip < 0.5:
         raise ValueError(
             f"size {size:g} times the Lipschitz bound {lip:.3g} of the "
             "unit field is not below 1/2, so the map may fold"
         )
-    M = size * scale * M
+    G = size * scale * G
 
-    def field(p):
-        return M @ _waves(K, p)
+    def field(u, t):
+        d = G.dot(_products(u, t))
+        return d.tolist() if isinstance(u, float) else d
 
     return field
 
@@ -584,14 +629,14 @@ class BumpTorusLift(TorusLift):
     """v -> v + D(v) for a bump field D of `_bump_field`, or its inverse.
 
     The map is written once, in `step`, which takes a point (u, t) of two
-    Python floats, reading the field's six outputs through `.tolist()`,
-    or the two coordinate arrays of a batch; `raw` is `step` on the
-    coordinates of its array, so a float `step` gives the bits of `raw`
-    on that point alone. The forward map is one field pass, the inverse
-    Newton's method from the starting guess y = w, stopping once every
-    step, of the whole batch on arrays, falls below 1e-15. A non-finite
-    point makes the inverse raise NonConvergentError, whose residuals
-    are each iteration's largest |step|.
+    Python floats or the two coordinate arrays of a batch, and passes the
+    field frac(v) in the same form; `raw` is `step` on the coordinates
+    of its array, so a float `step` gives the bits of `raw` on that point
+    alone. The forward map is one field pass, the inverse Newton's
+    method from the starting guess y = w, stopping once every step, of
+    the whole batch on arrays, falls below 1e-15. A non-finite point
+    makes the inverse raise NonConvergentError, whose residuals are each
+    iteration's largest |step|.
     """
 
     def __init__(self, field, label: str, inverted: bool = False):
@@ -611,24 +656,24 @@ class BumpTorusLift(TorusLift):
     def step(self, p):
         u, t = p
         floats = isinstance(u, float)
-        if not self._inverted:
-            d = self._field(np.array((u, t)))[:2]
-            d0, d1 = d.tolist() if floats else d
-            return u + d0, t + d1
-        # Newton on the displacement z = y - w, with D evaluated at
-        # frac(w) + z (D is periodic): the residual z + D stays at the
-        # size of z and its argument keeps the bits of z, so steps fall
-        # below 1e-15 even where w itself is large. On floats, x // 1.0
-        # is np.floor(x).
+        # D is periodic, so it is evaluated at frac(v): its angles keep
+        # their bits where v itself is large. On floats, x // 1.0 is
+        # np.floor(x).
         if floats:
             p0, p1 = u - u // 1.0, t - t // 1.0
         else:
             p0, p1 = u - np.floor(u), t - np.floor(t)
+        if not self._inverted:
+            d0, d1 = self._field(p0, p1)[:2]
+            return u + d0, t + d1
+        # Newton on the displacement z = y - w, with D evaluated at
+        # frac(w) + z: the residual z + D stays at the size of z and its
+        # argument keeps the bits of z, so steps fall below 1e-15 even
+        # where w itself is large
         z0 = z1 = 0.0
         steps = []
         for _ in range(60):
-            d = self._field(np.array((p0 + z0, p1 + z1)))
-            d0, d1, j00, j01, j10, j11 = d.tolist() if floats else d
+            d0, d1, j00, j01, j10, j11 = self._field(p0 + z0, p1 + z1)
             r0 = z0 + d0
             r1 = z1 + d1
             j00 += 1.0
@@ -659,13 +704,17 @@ def near_identity_diffeo(size: float = 1e-3, seed: int = 0) -> BumpTorusLift:
 
     B is a seeded random trigonometric displacement field with integer
     frequencies up to BUMP_MODES, normalized to unit sup norm on a 64 x
-    64 sample grid, so `size` is the C0 distance to the identity. The
-    normalization waves on that grid are the same for every seed: they
-    are computed once and shared read-only by every later map, which
-    draws only its amplitudes and phases. One vectorized pass gives B
-    and its analytic Jacobian; the inverse is computed by Newton's
-    method from the starting guess y = w, and raises NonConvergentError
-    if its steps do not fall below 1e-15 within 60 iterations.
+    64 sample grid, so `size` is the C0 distance to the identity. B and
+    its analytic Jacobian are linear in the 25 products of (1, cos x,
+    sin x, cos 2x, sin 2x) at x = 2 pi u and the same five terms at x =
+    2 pi t: a pass over a point takes four cos and sin values, the
+    products and one matrix product by the map's 6 x 25 weights
+    (`_bump_field`). The products on the normalization grid are the
+    same for every seed: they are computed once and shared read-only by
+    every later map, which draws only its amplitudes and phases. The
+    inverse is computed by Newton's method from the starting guess
+    y = w, and raises NonConvergentError if its steps do not fall below
+    1e-15 within 60 iterations.
 
     Raises ValueError unless size is finite and nonnegative and size *
     Lip < 1/2. Lip = scale * max_i sum_k |amp_ik| 2 pi |k|, with scale
@@ -688,9 +737,9 @@ def conjugated_action(action: BSAction, psi) -> BSAction:
     psi (h f h^-1) psi^-1 against psi f^n psi^-1, and a relation that
     fuses exactly for (f, h) keeps a residual of exactly 0. What the
     fusion takes on trust, psi^-1 inverting psi, is checked directly:
-    a round trip psi(psi^-1(x)) more than 1e-8 from x on a 2048-point
-    lattice raises ValueError, as does a circle action or a psi that is
-    not a torus lift.
+    a round trip psi(psi^-1(x)) more than 1e-8 from x on the 45 x 45
+    points of `TORUS.lattice(2048)` raises ValueError, as does a circle
+    action or a psi that is not a torus lift.
     """
     if action.space != TORUS or not isinstance(psi, TorusLift):
         raise ValueError(

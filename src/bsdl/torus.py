@@ -135,6 +135,11 @@ class ProductTorusLift(TorusLift):
             return False
         return self.base.same_params(other.base) and self.fiber.same_params(other.fiber)
 
+    def same_map(self, other):
+        if not isinstance(other, ProductTorusLift):
+            return False
+        return self.base.same_map(other.base) and self.fiber.same_map(other.fiber)
+
     def seam_distance(self, v):
         v = np.asarray(v, dtype=float)
         return nearest_seam(
@@ -236,6 +241,11 @@ class ConjugatedTorusLift(ComposedTorusLift):
         if not isinstance(other, ConjugatedTorusLift) or other.psi is not self.psi:
             return False
         return self.g.same_params(other.g)
+
+    def same_map(self, other):
+        if not isinstance(other, ConjugatedTorusLift) or other.psi is not self.psi:
+            return False
+        return self.g.same_map(other.g)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,18 @@ class TestPeriodicExamples:
             with pytest.raises(ValueError, match="^this power of ComposedLift has no closed form$"):
                 g.power(m)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 50])
+    @pytest.mark.parametrize("build", [periodic_circle_example, periodic_torus_example])
+    def test_relation_residuals_are_exactly_zero(self, n, build):
+        # h f h^-1 and f^n fuse to block shifts 1 and n, a whole turn of
+        # m = n - 1 blocks apart, and h^2 f h^-2 and f^(n^2) to 1 and n^2
+        act = build(n)
+        lhs = act.h.compose(act.f.compose(act.h.inverse()))
+        rhs = act.f.power(n)
+        assert not lhs.same_params(rhs) and lhs.same_map(rhs)
+        rep = relation_report(act)
+        assert rep.primary_residual == 0.0 and rep.secondary_residual == 0.0
+
     @pytest.mark.parametrize("n", [3, 50, 104, 1001])
     def test_power_fuses_shift_and_blocks(self, n):
         # f is x -> x + 1 on each of m blocks, then a shift by one block,

@@ -26,6 +26,7 @@ from bsdl.experiments import (
     PeriodicSpline,
     _bump_field,
     _bump_modes,
+    _products,
     classify_perturbed,
     conjugated_action,
     find_invariant_circle,
@@ -698,15 +699,39 @@ class TestBumpLaws:
         assert np.max(np.abs(psi.raw(v) - fn(v))) <= 1e-15
         assert np.max(np.abs(psi.inverse().raw(v) - inv(v))) <= 1e-15
 
+    @settings(max_examples=100, deadline=None)
+    @given(points)
+    def test_products_are_elementwise(self, v):
+        # the float path (math's cos and sin, a list) has the bits of the
+        # array path on the point alone and on its row of a batch. This
+        # assumes numpy's float64 cos and sin are the C library's, as in
+        # numpy 2.4 on x86-64 with AVX-512 (no SIMD loop for them); a
+        # numpy that vectorizes them may round otherwise, and fails here
+        batch = _products(v[:, 0], v[:, 1])
+        assert batch.shape == (25, len(v))
+        for i, (u, t) in enumerate(v.tolist()):
+            alone = _products(u, t)
+            assert type(alone) is list and all(type(x) is float for x in alone)
+            assert np.array(alone).tobytes() == _products(np.array(u), np.array(t)).tobytes()
+            assert np.array(alone).tobytes() == batch[:, i].tobytes()
+
+    def test_product_table_gives_the_waves(self):
+        K, _, P, _ = _bump_modes()
+        v = np.random.default_rng(8).uniform(-1.0, 2.0, size=(2, 4096))
+        v[:, :4] = [[-1.0, 2.0, 0.5, 0.0], [2.0, -1.0, 0.25, 0.0]]
+        a = K @ v
+        waves = P @ _products(v[0], v[1])
+        assert np.max(np.abs(waves - np.concatenate([np.cos(a), np.sin(a)]))) <= 1e-14
+
     @settings(max_examples=50, deadline=None)
     @given(seeds, sizes, points)
     def test_jacobian_matches_central_differences(self, seed, size, v):
         field = _bump_field(size, seed)
         h = 1e-6
         p = v.T
-        jac = field(p)[2:].reshape(2, 2, -1)
+        jac = field(*p)[2:].reshape(2, 2, -1)
         for d in range(2):
             e = np.zeros((2, 1))
             e[d] = h
-            fd = (field(p + e)[:2] - field(p - e)[:2]) / (2.0 * h)
+            fd = (field(*(p + e))[:2] - field(*(p - e))[:2]) / (2.0 * h)
             assert np.max(np.abs(jac[:, d] - fd)) < 1e-7

@@ -263,6 +263,11 @@ def test_same_params_sees_equal_families():
     assert not ChartAffineLift(2.0, 0.0, m=2).same_params(
         ChartAffineLift(2.0, 0.0, m=2, shift=2)
     )
+    # a shift of m blocks is a whole turn: the same map, not the same lift
+    F = ChartAffineLift(2.0, 0.5, m=3, shift=1)
+    assert F.same_map(F.power(1)) and F.same_map(ChartAffineLift(2.0, 0.5, m=3, shift=-5))
+    assert not F.same_map(ChartAffineLift(2.0, 0.5, m=3, shift=2))
+    assert not F.same_map(ChartAffineLift(2.0, 0.5, m=6, shift=4))
     A = IntMatrix2.from_rows((2, 1), (1, 1))
     assert LinearTorusLift(A, (0.5, 0.0)).same_params(LinearTorusLift(A, (0.5, 0.0)))
     assert not RotationLift(0.1).compose(ChartAffineLift(1.0, 0.0)).same_params(

@@ -224,8 +224,8 @@ graph_restrictions = st.builds(
 @given(graph_restrictions, st.data())
 def test_graph_restriction_step_is_raw(F, data):
     # step has the bits of raw on the point alone. In a batch, the bump
-    # field's matrix product and vectorized cos and sin give other bits
-    # than on the point alone, so a row may move by an ulp or two
+    # field's matrix product gives other bits than on the point alone,
+    # so a row may move by an ulp or two
     # (TestBumpLaws holds batch rows to 1e-15). The bump inverse raises
     # on a non-finite point, in step and raw alike, so points are finite.
     points = circle_points(RotationLift(0.0)).filter(math.isfinite)
