@@ -12,7 +12,6 @@ from .gl2z import (
     IntMatrix2,
     finite_order,
     conjugate_in_gl2z,
-    bs_linear_compatible,
 )
 from .circle import (
     CircleLift,
@@ -105,7 +104,6 @@ def __getattr__(name):
 
 __all__ = [
     "IntMatrix2", "finite_order", "conjugate_in_gl2z",
-    "bs_linear_compatible",
     "CircleLift", "RotationLift", "ChartAffineLift", "PiecewiseLift",
     "DenjoyLift",
     "RotationNumberEstimate", "compose", "rotation_number", "denjoy_lift",

@@ -247,10 +247,10 @@ def _cmd_classify_matrix(args):
     }
     if args.other:
         B = _parse_matrix(args.other)
-        X = conjugate_in_gl2z(A, B, bound=50)
+        X = conjugate_in_gl2z(A, B)
         payload["other"] = [list(r) for r in B.rows()]
         payload["conjugator"] = None if X is None else [list(r) for r in X.rows()]
-        payload["conjugate_within_bound"] = X is not None
+        payload["conjugate"] = X is not None
     _emit(payload, args)
     return OK
 
@@ -418,7 +418,7 @@ def _parser():
         "order and conjugacy of integer matrices", action=False,
     )
     p.add_argument("matrix", help="a,b,c,d")
-    p.add_argument("other", nargs="?", default=None, help="a,b,c,d to test conjugacy (bound 50)")
+    p.add_argument("other", nargs="?", default=None, help="a,b,c,d to test conjugacy")
 
     _subcommand(
         sub, "trichotomy", _cmd_trichotomy,

@@ -2,14 +2,13 @@
 
 Everything here is integer or Fraction arithmetic. No floats enter: the
 isotopy-class bookkeeping of torus actions (finite order, GL(2,Z)
-conjugacy, the linear relation A_h A_f A_h^-1 = A_f^n) is decided
-exactly. The rotation-vector constraint (n I - A_h) rho(f) in Z^2 is
-solved exactly by `bsdl.torus.bs_rotation_constraint`.
+conjugacy) is decided exactly. The rotation-vector constraint
+(n I - A_h) rho(f) in Z^2 is solved exactly by
+`bsdl.torus.bs_rotation_constraint`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,13 +17,8 @@ __all__ = [
     "IntMatrix2",
     "finite_order",
     "conjugate_in_gl2z",
-    "bs_linear_compatible",
     "rational_to_json",
 ]
-
-# Enumeration in conjugate_in_gl2z walks coefficient shells; this caps the
-# total number of candidates so a degenerate call cannot hang.
-MAX_CONJUGACY_CANDIDATES = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -64,9 +58,6 @@ class IntMatrix2:
             self.c * other.b + self.d * other.d,
         )
 
-    def __neg__(self) -> "IntMatrix2":
-        return IntMatrix2(-self.a, -self.b, -self.c, -self.d)
-
     def inverse(self) -> "IntMatrix2":
         """Exact inverse; only defined for det = +-1."""
         det = self.det()
@@ -74,18 +65,6 @@ class IntMatrix2:
             raise ValueError(f"inverse requires det +-1, got det={det}")
         # adjugate divided by det; det is +-1 so entries stay integral
         return IntMatrix2(self.d * det, -self.b * det, -self.c * det, self.a * det)
-
-    def __pow__(self, k: int) -> "IntMatrix2":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = IntMatrix2.identity()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def apply(self, v):
         """Apply to a length-2 vector of ints or Fractions."""
@@ -125,69 +104,6 @@ def finite_order(A: IntMatrix2) -> int | None:
     return None
 
 
-def _sylvester_rows(A: IntMatrix2, B: IntMatrix2):
-    """4x4 integer matrix of X -> A X - X B on vec(X) = (x11, x12, x21, x22)."""
-    a = A.rows()
-    b = B.rows()
-    rows = []
-    for i in range(2):
-        for j in range(2):
-            row = [0, 0, 0, 0]
-            for k in range(2):
-                row[2 * k + j] += a[i][k]      # (A X)_{ij} hits X_{kj}
-                row[2 * i + k] -= b[k][j]      # (X B)_{ij} hits X_{ik}
-            rows.append(row)
-    return rows
-
-
-def _integer_kernel_basis(rows):
-    """Basis of the integer kernel {v in Z^m : M v = 0} via column reduction.
-
-    Column operations are accumulated in a unimodular U, so the returned
-    vectors generate the full (saturated) kernel lattice, not a finite
-    index sublattice.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0])
-    acols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    ucols = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    lead = 0
-    for r in range(nrows):
-        while True:
-            live = [j for j in range(lead, ncols) if acols[j][r] != 0]
-            if len(live) <= 1:
-                break
-            piv = min(live, key=lambda j: abs(acols[j][r]))
-            for j in live:
-                if j == piv:
-                    continue
-                q = acols[j][r] // acols[piv][r]
-                if q:
-                    for i in range(nrows):
-                        acols[j][i] -= q * acols[piv][i]
-                    for i in range(ncols):
-                        ucols[j][i] -= q * ucols[piv][i]
-        live = [j for j in range(lead, ncols) if acols[j][r] != 0]
-        if live:
-            j = live[0]
-            acols[lead], acols[j] = acols[j], acols[lead]
-            ucols[lead], ucols[j] = ucols[j], ucols[lead]
-            lead += 1
-    return [ucols[j] for j in range(ncols) if all(v == 0 for v in acols[j])]
-
-
-def _shell_tuples(dim: int, shell: int):
-    """The integer tuples of length dim and sup norm exactly shell, in
-    lexicographic order."""
-    box = range(-shell, shell + 1)
-    # a first coordinate inside the shell leaves the rest on its own shell
-    inner = list(_shell_tuples(dim - 1, shell)) if dim > 1 else []
-    for t in box:
-        rests = itertools.product(box, repeat=dim - 1) if abs(t) == shell else inner
-        for rest in rests:
-            yield (t,) + rest
-
-
 def _conjugacy_invariants(A: IntMatrix2):
     """Trace, det and gcd(b, c, a - d) of A, equal for any two matrices
     conjugate in GL(2,Z): the gcd is the largest k with A = m I mod k
@@ -195,55 +111,99 @@ def _conjugacy_invariants(A: IntMatrix2):
     return A.trace(), A.det(), math.gcd(A.b, A.c, A.a - A.d)
 
 
-def conjugate_in_gl2z(A: IntMatrix2, B: IntMatrix2, bound: int = 50) -> IntMatrix2 | None:
-    """Search X in GL(2,Z) with X B X^-1 = A.
+def _definite_basis(A: IntMatrix2) -> IntMatrix2:
+    """M = [v | A v] for a v with Q_A(v) = +-1, Q_A = c x^2 + (d - a) x y - b y^2.
 
-    Solves X B = A X as a 4x4 integer linear system, takes an integer
-    basis of the solution lattice and enumerates coefficient vectors in
-    sup-norm shells up to `bound`, returning the first combination with
-    det +-1. None means no conjugator exists with coefficients within
-    the bound (for a trivial solution lattice, or for A and B that
-    differ in trace, det or gcd(b, c, a - d), none exists at all, and
-    no candidate is walked).
+    det [v | A v] = Q_A(v), and M^-1 A M is the companion matrix
+    [[0, -det], [1, tr]]. Q_A is definite of discriminant -3 or -4, whose
+    reduced form is x^2 + x y + y^2 or x^2 + y^2 up to sign, so Gauss
+    reduction of the basis (u, w) ends with Q_A(u) = +-1.
+    """
+    # p = |Q(u)|, r = |Q(w)|, q = 2 B(u, w) in the sign that makes Q positive
+    sign = 1 if A.c > 0 else -1
+    p, q, r = sign * A.c, sign * (A.d - A.a), -sign * A.b
+    u, w = (1, 0), (0, 1)
+    while True:
+        m = (q + p) // (2 * p)  # nearest integer to B(u, w) / Q(u)
+        q, r = q - 2 * m * p, r - m * q + m * m * p
+        w = (w[0] - m * u[0], w[1] - m * u[1])
+        if r >= p:
+            Au = A.apply(u)
+            return IntMatrix2(u[0], Au[0], u[1], Au[1])
+        p, r, u, w = r, p, w, u
 
-    The shells are walked outward from sup norm 1, and the coefficient
-    vectors of one shell in lexicographic order, so the conjugator
-    returned is the first of that order.
+
+def _eigen_basis(A: IntMatrix2, lam: int) -> IntMatrix2:
+    """M with M^-1 A M = [[lam, k], [0, mu]] and k normalised: |k| when
+    mu = lam (parabolic), k mod 2 when mu = -lam (trace 0, det -1)."""
+    # the primitive integer kernel vector (x, y) of the nonzero A - lam I
+    x, y = (A.b, lam - A.a) if (A.a - lam, A.b) != (0, 0) else (lam - A.d, A.c)
+    g = math.gcd(x, y)
+    x, y = x // g, y // g
+    # complete it by s x = 1 mod y to M = [[x, t], [y, s]], det M = s x - t y = 1
+    s = pow(x, -1, y) if y else x
+    M = IntMatrix2(x, (s * x - 1) // (y or 1), y, s)
+    R = M.inverse() * A * M
+    if R.d == lam:
+        return M * IntMatrix2(1, 0, 0, -1) if R.b < 0 else M
+    # [[1, j], [0, 1]] takes k to k + 2 j
+    return M * IntMatrix2(1, -(R.b // 2), 0, 1)
+
+
+def _cycle_basis(A: IntMatrix2, D: int) -> IntMatrix2:
+    """M with M^-1 A M fixing the least reduced state of the continued
+    fraction of A's lam+ eigenvector slope (P + sqrt D) / Q.
+
+    Two hyperbolic matrices of equal trace and det are conjugate exactly
+    when their eigenvector slopes are GL(2,Z)-equivalent, that is when
+    their continued fractions end in the same cycle of complete
+    quotients (Serret). A state (P, Q) fixes the quotient, and with the
+    trace and det it fixes M^-1 A M, whose c is Q / 2 and a - d is P.
+    """
+    root = math.isqrt(D)
+    P, Q = A.a - A.d, 2 * A.c
+    M = IntMatrix2.identity()
+    convergents = {}  # state -> the M with slope = M . (P + sqrt D) / Q
+    while (P, Q) not in convergents:
+        convergents[P, Q] = M
+        # floor((P + sqrt D) / Q); sqrt D lies strictly between root and root + 1
+        q = (P + root + (Q < 0)) // Q
+        M = M * IntMatrix2(q, 1, 1, 0)
+        P = q * Q - P
+        Q = (D - P * P) // Q
+    states = list(convergents)
+    return convergents[min(states[states.index((P, Q)):])]
+
+
+def _canonical_basis(A: IntMatrix2) -> IntMatrix2:
+    """M in GL(2,Z) taking the non-scalar A to its canonical form M^-1 A M,
+    one matrix per conjugacy class, by the discriminant D = tr^2 - 4 det."""
+    D = A.trace() ** 2 - 4 * A.det()
+    if D < 0:
+        return _definite_basis(A)
+    root = math.isqrt(D)
+    if root * root == D:  # D is 0 or 4: the eigenvalues are integers
+        return _eigen_basis(A, (A.trace() + root) // 2)
+    return _cycle_basis(A, D)
+
+
+def conjugate_in_gl2z(A: IntMatrix2, B: IntMatrix2) -> IntMatrix2 | None:
+    """An X in GL(2,Z) with X B X^-1 = A, or None when A and B are not
+    conjugate in GL(2,Z).
+
+    The decision is exact. Matrices differing in trace, det or
+    gcd(b, c, a - d) are not conjugate. Otherwise each matrix is carried
+    by some M to its canonical form M^-1 A M (see `_canonical_basis`),
+    and A and B are conjugate exactly when their forms are equal; then
+    X = M_A M_B^-1.
     """
     _require_unimodular(A, "A")
     _require_unimodular(B, "B")
-    if A == B:
-        return IntMatrix2.identity()
-    basis = _integer_kernel_basis(_sylvester_rows(A, B))
-    if not basis:
-        return None
-    dim = len(basis)
-    if (2 * bound + 1) ** dim > MAX_CONJUGACY_CANDIDATES:
-        raise ValueError(
-            f"enumeration of {(2 * bound + 1) ** dim} candidates exceeds cap; "
-            "reduce bound"
-        )
     if _conjugacy_invariants(A) != _conjugacy_invariants(B):
         return None
-    for shell in range(1, bound + 1):
-        for coeffs in _shell_tuples(dim, shell):
-            e = [0, 0, 0, 0]
-            for c, vec in zip(coeffs, basis):
-                if c:
-                    for i in range(4):
-                        e[i] += c * vec[i]
-            if abs(e[0] * e[3] - e[1] * e[2]) != 1:
-                continue
-            X = IntMatrix2(e[0], e[1], e[2], e[3])
-            if X * B == A * X:
-                return X
-    return None
-
-
-def bs_linear_compatible(Af: IntMatrix2, Ah: IntMatrix2, n: int) -> bool:
-    """Whether Ah Af Ah^-1 = Af^n holds exactly."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    _require_unimodular(Af, "Af")
-    _require_unimodular(Ah, "Ah")
-    return Ah * Af * Ah.inverse() == Af ** n
+    if A == B:  # this includes the scalars, alone in their classes
+        return IntMatrix2.identity()
+    MA, MB = _canonical_basis(A), _canonical_basis(B)
+    if MA.inverse() * A * MA != MB.inverse() * B * MB:
+        return None
+    return MA * MB.inverse()

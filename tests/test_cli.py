@@ -113,7 +113,27 @@ class TestMatrixAndOrbits:
         d = json.loads(out)
         assert code == cli.OK
         assert d["order"] is None
-        assert d["conjugator"] is None and not d["conjugate_within_bound"]
+        assert d["conjugator"] is None and d["conjugate"] is False
+
+    def test_equal_invariants_not_conjugate(self, capsys):
+        # same trace, det and gcd(b, c, a - d), inequivalent forms
+        code, out, _ = run(capsys, "classify-matrix", "--", "-5,-11,6,13", "-4,-7,7,12")
+        d = json.loads(out)
+        assert code == cli.OK
+        assert d["conjugator"] is None and d["conjugate"] is False
+
+    def test_conjugator_beyond_small_entries_is_found(self, capsys):
+        code, out, _ = run(capsys, "classify-matrix", "--", "-2001,3575,-1120,2001", "0,-1,-1,0")
+        d = json.loads(out)
+        assert code == cli.OK
+        assert d["conjugate"] is True
+        (a, b), (c, e) = d["conjugator"]
+        assert abs(a * e - b * c) == 1
+        # X B = A X with B = [[0, -1], [-1, 0]], A = [[-2001, 3575], [-1120, 2001]]
+        assert [[-b, -a], [-e, -c]] == [
+            [-2001 * a + 3575 * c, -2001 * b + 3575 * e],
+            [-1120 * a + 2001 * c, -1120 * b + 2001 * e],
+        ]
 
     def test_bad_matrix_errors(self, capsys):
         code, _, err = run(capsys, "classify-matrix", "1,2,3")

@@ -1,4 +1,4 @@
-"""Exact matrix layer: finite order, conjugacy search, relation compatibility.
+"""Exact matrix layer: finite order and the GL(2,Z) conjugacy decision.
 
 Oracle helpers here are written independently of the library (plain tuple
 arithmetic) so the checks do not share code paths with what they verify.
@@ -13,10 +13,6 @@ import pytest
 from bsdl.gl2z import (
     IntMatrix2,
     _conjugacy_invariants,
-    _integer_kernel_basis,
-    _shell_tuples,
-    _sylvester_rows,
-    bs_linear_compatible,
     conjugate_in_gl2z,
     finite_order,
     rational_to_json,
@@ -128,7 +124,7 @@ class TestConjugacy:
                         if omul(X, B) == omul(A, X):
                             found.append(X)
         assert found, "oracle found no conjugator, the pair is not conjugate"
-        X = conjugate_in_gl2z(as_lib(A), as_lib(B), bound=10)
+        X = conjugate_in_gl2z(as_lib(A), as_lib(B))
         assert X is not None
         xt = X.rows()
         assert abs(odet(xt)) == 1
@@ -136,7 +132,11 @@ class TestConjugacy:
 
     def test_identity_pair_returns_identity(self):
         A = as_lib(((0, -1), (1, 1)))
-        assert conjugate_in_gl2z(A, A, bound=3) == IntMatrix2.identity()
+        assert conjugate_in_gl2z(A, A) == IntMatrix2.identity()
+
+    def test_rejects_non_unimodular(self):
+        with pytest.raises(ValueError):
+            conjugate_in_gl2z(IntMatrix2(2, 0, 0, 1), as_lib(ID))
 
     def test_shear_not_conjugate_to_its_square(self):
         A = as_lib(((1, 1), (0, 1)))
@@ -150,7 +150,7 @@ class TestConjugacy:
                         if abs(odet(X)) != 1:
                             continue
                         assert omul(X, B.rows()) != omul(A.rows(), X)
-        assert conjugate_in_gl2z(A, B, bound=50) is None
+        assert conjugate_in_gl2z(A, B) is None
 
     def test_result_verifies_on_seeded_conjugate_pairs(self):
         import random
@@ -166,63 +166,16 @@ class TestConjugacy:
                     g = oinv_unimodular(g)
                 P = omul(P, g)
             A = omul(omul(P, base), oinv_unimodular(P))
-            X = conjugate_in_gl2z(as_lib(A), as_lib(base), bound=50)
+            X = conjugate_in_gl2z(as_lib(A), as_lib(base))
             assert X is not None
             xt = X.rows()
             assert omul(xt, base) == omul(A, xt)
-
-
-def reference_shell(dim, shell):
-    """The shell as it was enumerated: the whole box, filtered."""
-    box = range(-shell, shell + 1)
-    return [t for t in itertools.product(box, repeat=dim) if max(map(abs, t)) == shell]
-
-
-def reference_conjugator(A, B, bound):
-    """The first det +-1 combination of the library's kernel basis, shell
-    by shell, each shell in itertools.product order."""
-    if A == B:
-        return IntMatrix2.identity()
-    basis = _integer_kernel_basis(_sylvester_rows(A, B))
-    for shell in range(1, bound + 1):
-        for coeffs in reference_shell(len(basis), shell):
-            e = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4)]
-            X = IntMatrix2(*e)
-            if abs(X.det()) == 1 and X * B == A * X:
-                return X
-    return None
 
 
 # finite-order matrices and the generators that conjugate them, as in the
 # GL(2,Z) queries of the benchmark
 FINITE_ORDER = (((0, 1), (-1, 1)), ((0, 1), (-1, 0)), ((0, -1), (1, 1)), ((-1, -1), (1, 0)))
 GL2Z_GENERATORS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((1, 0), (0, -1)))
-
-
-class TestShellEnumeration:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    @pytest.mark.parametrize("shell", [1, 2, 3, 4, 5, 6])
-    def test_equals_the_filtered_box_in_order(self, dim, shell):
-        assert list(_shell_tuples(dim, shell)) == reference_shell(dim, shell)
-
-    def test_conjugators_of_seeded_pairs_are_the_first_in_order(self):
-        rng = random.Random(20)
-        for _ in range(40):
-            B = rng.choice(FINITE_ORDER)
-            X = ID
-            for _ in range(rng.randrange(1, 5)):
-                g = rng.choice(GL2Z_GENERATORS)
-                X = omul(X, g if rng.random() < 0.5 else oinv_unimodular(g))
-            A = as_lib(omul(omul(X, B), oinv_unimodular(X)))
-            found = conjugate_in_gl2z(A, as_lib(B), bound=50)
-            assert found is not None
-            assert found == reference_conjugator(A, as_lib(B), bound=50)
-
-    @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (-2, 4), (5, -4)])
-    def test_shears_of_different_size_are_not_conjugate(self, a, b):
-        A = as_lib(((1, a), (0, 1)))
-        B = as_lib(((1, b), (0, 1)))
-        assert conjugate_in_gl2z(A, B, bound=50) is None
 
 
 def random_word(rng, length):
@@ -242,57 +195,87 @@ class TestConjugacyInvariants:
             B = omul(omul(X, A), oinv_unimodular(X))
             assert _conjugacy_invariants(as_lib(A)) == _conjugacy_invariants(as_lib(B))
 
-    def test_search_agrees_with_the_full_walk(self):
-        # shears S^a against conjugates of S^b, and conjugates of random
-        # words: the pairs whose invariants differ return None unwalked,
-        # the others walk as before
-        rng = random.Random(23)
-        skipped = 0
-        for _ in range(60):
-            if rng.random() < 0.5:
-                A = ((1, rng.randint(-4, 4)), (0, 1))
-                B = ((1, rng.randint(-4, 4)), (0, 1))
-            else:
-                A = B = random_word(rng, rng.randrange(1, 5))
-            X = random_word(rng, rng.randrange(0, 3))
-            A, B = as_lib(A), as_lib(omul(omul(X, B), oinv_unimodular(X)))
-            skipped += _conjugacy_invariants(A) != _conjugacy_invariants(B)
-            assert conjugate_in_gl2z(A, B, bound=12) == reference_conjugator(A, B, bound=12)
-        assert skipped > 10
+
+def unimodular_box(radius):
+    box = range(-radius, radius + 1)
+    return [
+        ((a, b), (c, d))
+        for a, b, c, d in itertools.product(box, repeat=4)
+        if abs(a * d - b * c) == 1
+    ]
 
 
-class TestRelationCompatibility:
-    def test_identity_af_is_compatible(self):
-        assert bs_linear_compatible(as_lib(ID), as_lib(((2, 1), (1, 1))), 2)
+def assert_conjugator(X, A, B):
+    xt = X.rows()
+    assert abs(odet(xt)) == 1
+    assert omul(xt, B) == omul(A, xt)
 
-    def test_shear_af_fails_for_generic_ah(self):
-        Af = ((1, 1), (0, 1))
-        Ah = ((2, 1), (1, 1))
-        # oracle check of the failure
-        lhs = omul(omul(Ah, Af), oinv_unimodular(Ah))
-        assert lhs != opow(Af, 2)
-        assert not bs_linear_compatible(as_lib(Af), as_lib(Ah), 2)
 
-    def test_minus_identity_compatible_iff_n_odd(self):
-        m = ((-1, 0), (0, -1))
-        anyh = as_lib(((1, 1), (0, 1)))
-        assert bs_linear_compatible(as_lib(m), anyh, 3)
-        assert not bs_linear_compatible(as_lib(m), anyh, 2)
+# pairs sharing trace, det and gcd(b, c, a - d) whose forms
+# c x^2 + (d - a) x y - b y^2 are not equivalent up to sign: among values
+# prime to 5 the first two pairs' forms take only +-1 and only +-2 mod 5,
+# and of the third pair only the second form represents 1
+DISCRIMINANT_60 = [
+    (((-5, -11), (6, 13)), ((-4, -7), (7, 12))),
+    (((-1, -7), (2, 13)), ((0, -1), (1, 12))),
+    (((-3, -8), (5, 13)), ((-1, -12), (1, 11))),
+]
+
+
+BOX = unimodular_box(3)
+# the box's matrices by (trace, det), the invariants a conjugator keeps
+BOX_CLASSES = {}
+for _m in BOX:
+    BOX_CLASSES.setdefault((_m[0][0] + _m[1][1], odet(_m)), []).append(_m)
+
+
+class TestConjugacyDecision:
+    def test_box_holds_3942_same_invariant_pairs(self):
+        assert len(BOX) == 232 and len(BOX_CLASSES) == 18
+        assert sum(len(ms) ** 2 for ms in BOX_CLASSES.values()) == 3942
+
+    @pytest.mark.parametrize(
+        "key", sorted(BOX_CLASSES), ids=lambda k: f"trace{k[0]}_det{k[1]}"
+    )
+    def test_agrees_with_brute_force_on_a_box(self, key):
+        mats = BOX_CLASSES[key]
+        # the conjugates X B X^-1 of each B over every X of the box
+        conjugates = {B: {omul(omul(X, B), oinv_unimodular(X)) for X in BOX} for B in mats}
+        for A in mats:
+            for B in mats:
+                X = conjugate_in_gl2z(as_lib(A), as_lib(B))
+                if X is None:
+                    assert A not in conjugates[B], (A, B)
+                else:
+                    assert_conjugator(X, A, B)
+
+    @pytest.mark.parametrize("A,B", DISCRIMINANT_60)
+    def test_discriminant_60_pairs_are_not_conjugate(self, A, B):
+        assert _conjugacy_invariants(as_lib(A)) == _conjugacy_invariants(as_lib(B))
+        assert conjugate_in_gl2z(as_lib(A), as_lib(B)) is None
+        assert conjugate_in_gl2z(as_lib(B), as_lib(A)) is None
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (-2, 4), (5, -4)])
+    def test_shears_of_different_size_are_not_conjugate(self, a, b):
+        A = as_lib(((1, a), (0, 1)))
+        B = as_lib(((1, b), (0, 1)))
+        assert conjugate_in_gl2z(A, B) is None
+
+    @pytest.mark.parametrize(
+        "B",
+        FINITE_ORDER
+        + (((1, 3), (0, 1)), ((-1, 2), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (0, -1)))
+        + (((2, 1), (1, 1)), ((1, 1), (1, 0)), ((-5, -11), (6, 13)), ((0, -1), (1, 12))),
+    )
+    def test_conjugates_by_long_words_are_found(self, B):
+        # finite order, parabolic, trace 0 with det -1, and hyperbolic
+        rng = random.Random(28)
+        X = random_word(rng, 4000)
+        A = omul(omul(X, B), oinv_unimodular(X))
+        assert max(abs(v) for row in A for v in row) > 10**100
+        assert_conjugator(conjugate_in_gl2z(as_lib(A), as_lib(B)), A, B)
 
 
 class TestSerialization:
     def test_rational_normalized(self):
         assert rational_to_json(Fraction(4, -6)) == {"num": -2, "den": 3}
-
-
-class TestPowers:
-    def test_integer_power_matches_oracle(self):
-        m = ((2, 1), (1, 1))
-        lib = as_lib(m)
-        for k in range(0, 7):
-            assert (lib ** k).rows() == opow(m, k)
-
-    def test_negative_power_of_unimodular(self):
-        m = as_lib(((2, 1), (1, 1)))
-        assert (m ** -1) * m == IntMatrix2.identity()
-        assert (m ** -3) * (m ** 3) == IntMatrix2.identity()
