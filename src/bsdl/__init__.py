@@ -44,11 +44,10 @@ from .torus import (
 )
 from .space import Space, CIRCLE, TORUS, space_of
 from .bsgroup import (
-    Word,
     BSAction,
     FiniteOrbit,
     make_action,
-    normalize,
+    normal_form,
     evaluate,
     relation_report,
     relation_residual,
@@ -114,7 +113,7 @@ __all__ = [
     "rotation_vector", "rotation_set", "conjugate_rotation_set_check",
     "bs_rotation_constraint", "torus_dist",
     "Space", "CIRCLE", "TORUS", "space_of",
-    "Word", "BSAction", "FiniteOrbit", "make_action", "normalize",
+    "BSAction", "FiniteOrbit", "make_action", "normal_form",
     "evaluate", "relation_report", "relation_residual", "finite_bs_orbit",
     "CATALOG", "build_action", "faithfulness_evidence",
     "standard_line", "standard_torus", "product_action",

@@ -1,11 +1,12 @@
-"""Words in the two-generator presentation < a, b | a b a^-1 = b^n > and
-their actions through a chosen pair of homeomorphisms (f for b, h for a).
+"""Elements of < a, b | a b a^-1 = b^n > and their actions through a
+chosen pair of homeomorphisms (f for b, h for a).
 
-A word is read as a composition: the rightmost letter acts first, so
-"a b A" applied to x is h(f(h^-1(x))) and the defining relation says
-that equals f^n. Every element has the solvable-group normal form
-a^-p b^m a^q; it is computed through the faithful affine model
-x -> n^k x + w with w in Z[1/n], using exact rational arithmetic.
+The affine model a: x -> n x, b: x -> x + 1 is faithful, so an element
+is one pair (k, w), the map x -> n^k x + w with w in Z[1/n], and
+products are exact rational arithmetic. Every element has the
+solvable-group normal form a^-p b^m a^q (`normal_form`). It acts as a
+composition, the rightmost syllable first: a b a^-1 applied to x is
+h(f(h^-1(x))), and the defining relation says that equals f^n.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ from .report import Report
 from .space import CIRCLE, SPACES, TORUS, space_of
 
 __all__ = [
-    "Word",
     "NormalForm",
-    "normalize",
-    "word_to_affine",
+    "normal_form",
     "BSAction",
     "make_action",
-    "word_lift",
     "evaluate",
     "relation_residual",
     "RelationReport",
@@ -36,109 +34,6 @@ __all__ = [
     "FiniteOrbit",
     "finite_bs_orbit",
 ]
-
-
-class Word:
-    """Reduced word in generators a, b stored as (letter, exponent) runs."""
-
-    __slots__ = ("syllables",)
-
-    def __init__(self, syllables=()):
-        merged = []
-        for gen, exp in syllables:
-            if gen not in ("a", "b"):
-                raise ValueError(f"unknown generator {gen!r}")
-            exp = int(exp)
-            if exp == 0:
-                continue
-            if merged and merged[-1][0] == gen:
-                total = merged[-1][1] + exp
-                merged.pop()
-                if total != 0:
-                    merged.append((gen, total))
-            else:
-                merged.append((gen, exp))
-        self.syllables = tuple(merged)
-
-    @staticmethod
-    def parse(text: str) -> "Word":
-        """Parse "a b^-2 A" style strings; uppercase letters invert."""
-        syl = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace() or c == "*":
-                i += 1
-                continue
-            if c not in "abAB":
-                raise ValueError(f"cannot parse {text!r} at position {i}")
-            gen = c.lower()
-            sign = -1 if c.isupper() else 1
-            i += 1
-            exp = 1
-            if i < len(text) and text[i] == "^":
-                i += 1
-                j = i
-                if i < len(text) and text[i] in "+-":
-                    i += 1
-                while i < len(text) and text[i].isdigit():
-                    i += 1
-                if i == j or not text[j:i].lstrip("+-"):
-                    raise ValueError(f"missing exponent in {text!r}")
-                exp = int(text[j:i])
-            syl.append((gen, sign * exp))
-        return Word(syl)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.syllables + other.syllables)
-
-    def inverse(self) -> "Word":
-        return Word([(g, -e) for g, e in reversed(self.syllables)])
-
-    def __pow__(self, k: int) -> "Word":
-        base = self if k >= 0 else self.inverse()
-        return Word(base.syllables * abs(k))
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.syllables == other.syllables
-
-    def __hash__(self):
-        return hash(self.syllables)
-
-    def __len__(self):
-        return sum(abs(e) for _, e in self.syllables)
-
-    def __str__(self):
-        if not self.syllables:
-            return "1"
-        parts = []
-        for g, e in self.syllables:
-            parts.append(g if e == 1 else f"{g}^{e}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"Word({str(self)!r})"
-
-
-def word_to_affine(word: Word, n: int):
-    """Image of the word in the affine model x -> n^k x + w, exactly.
-
-    Returns (k, w) with k an int and w a Fraction in Z[1/n]. The model
-    is faithful, so two words are equal in the group iff these agree.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    k = 0
-    w = Fraction(0)
-    for gen, exp in word.syllables:
-        if gen == "a":
-            k2, w2 = exp, Fraction(0)
-        else:
-            k2, w2 = 0, Fraction(exp)
-        # acc := acc o syllable
-        w = w + Fraction(n) ** k * w2
-        k = k + k2
-    return k, w
 
 
 @dataclass
@@ -150,22 +45,31 @@ class NormalForm(Report):
     q: int
     n: int
 
-    def to_word(self) -> Word:
-        return Word([("a", -self.p), ("b", self.m), ("a", self.q)])
+    def syllables(self) -> tuple:
+        """The reduced runs (letter, exponent) of a^-p b^m a^q, leftmost
+        first: zero exponents dropped, and a^-p a^q merged into the one
+        run a^(q-p) when m = 0. The identity has none."""
+        runs = [("a", self.q - self.p)] if self.m == 0 else [
+            ("a", -self.p), ("b", self.m), ("a", self.q)
+        ]
+        return tuple((g, e) for g, e in runs if e != 0)
 
     def __str__(self):
-        return str(self.to_word())
+        return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables()) or "1"
 
 
-def normalize(word: Word, n: int) -> NormalForm:
-    """Normal form of a word in < a, b | a b a^-1 = b^n >.
+def normal_form(k: int, w, n: int) -> NormalForm:
+    """Normal form of the element x -> n^k x + w, w in Z[1/n], of
+    < a, b | a b a^-1 = b^n >.
 
-    p is the smallest power of n clearing the denominator of the
-    translation part, raised further only if needed to keep q >= 0.
+    p is the smallest power of n clearing the denominator of w, raised
+    further only if needed to keep q >= 0. Raises ValueError unless
+    n >= 2.
     """
-    k, w = word_to_affine(word, n)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     p = 0
-    scaled = w
+    scaled = Fraction(w)
     while scaled.denominator != 1:
         scaled *= n
         p += 1
@@ -201,31 +105,14 @@ class BSAction:
     def __post_init__(self):
         self.space = SPACES[self.space]
 
-    def generator(self, letter: str):
-        if letter == "b":
-            return self.f
-        if letter == "a":
-            return self.h
-        raise ValueError(f"unknown generator {letter!r}")
 
-
-def word_lift(action: BSAction, word: Word):
-    """Materialize the lift of a word, fusing parameters where possible."""
-    L = None
-    for gen, exp in word.syllables:
-        g = action.generator(gen).power(exp)
-        L = g if L is None else L.compose(g)
-    if L is None:
-        return action.f.power(0)
-    return L
-
-
-def evaluate(action: BSAction, word: Word, x):
-    """Apply the word to a point (or array of points), rightmost letter
-    first."""
+def evaluate(action: BSAction, nf: NormalForm, x):
+    """Apply the element to a point (or array of points), its rightmost
+    syllable first; a letter a acts by h, b by f, each syllable through
+    `Lift.iterate`."""
     y = np.asarray(x, dtype=float)
-    for gen, exp in reversed(word.syllables):
-        y = action.generator(gen).iterate(y, exp)
+    for gen, exp in reversed(nf.syllables()):
+        y = (action.h if gen == "a" else action.f).iterate(y, exp)
     return float(y) if np.ndim(x) == 0 else y
 
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bsgroup import BSAction, Word, evaluate, make_action, normalize
+from .bsgroup import BSAction, evaluate, make_action, normal_form
 from .circle import (
     ChartAffineLift,
     CircleLift,
@@ -387,20 +387,21 @@ class FaithfulnessReport(Report):
 
 
 def _distinct_normal_forms(n: int, max_len: int):
-    letters = ("a", "A", "b", "B")
+    # each element (k, w) is right-multiplied by a, a^-1, b and b^-1:
+    # x -> n^k x + w composed with n x, x / n, x + 1 and x - 1
     seen = {}
-    stack = [Word()]
+    stack = [(0, Fraction(0))]
     for _ in range(max_len):
         nxt = []
-        for w in stack:
-            for c in letters:
-                w2 = w * Word.parse(c)
-                nf = normalize(w2, n)
+        for k, w in stack:
+            step = Fraction(n) ** k
+            for el in ((k + 1, w), (k - 1, w), (k, w + step), (k, w - step)):
+                nf = normal_form(*el, n)
                 key = (nf.p, nf.m, nf.q)
                 if key == (0, 0, 0) or key in seen:
                     continue
                 seen[key] = nf
-                nxt.append(w2)
+                nxt.append(el)
         stack = nxt
     return list(seen.values())
 
@@ -414,13 +415,12 @@ def faithfulness_evidence(action: BSAction, grid: int = 128) -> FaithfulnessRepo
     best_word = ""
     trivial = []
     for nf in forms:
-        w = nf.to_word()
-        resid = float(np.max(action.space.dist(evaluate(action, w, pts), pts)))
+        resid = float(np.max(action.space.dist(evaluate(action, nf, pts), pts)))
         if resid < best:
             best = resid
-            best_word = str(w)
+            best_word = str(nf)
         if resid <= FAITHFUL_TOL:
-            trivial.append(str(w))
+            trivial.append(str(nf))
     return FaithfulnessReport(
         min_residual=best,
         min_word=best_word,

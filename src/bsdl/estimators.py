@@ -60,14 +60,6 @@ class CellSet(Report):
     def __len__(self):
         return len(self.cells)
 
-    def __contains__(self, cell):
-        if isinstance(cell, (tuple, list)):
-            cell = tuple(int(c) for c in cell)
-        return cell in self.cells
-
-    def __iter__(self):
-        return iter(sorted(self.cells))
-
     def _compatible(self, other):
         if self.resolution != other.resolution or self.space != other.space:
             raise ValueError("cell sets live on different grids")
@@ -79,10 +71,6 @@ class CellSet(Report):
     def intersect(self, other):
         self._compatible(other)
         return self._with(self.cells & other.cells)
-
-    def centers(self):
-        """Cell centers, sorted by index; (k,) or (k, 2) array."""
-        return (self.space.cell_array(sorted(self.cells)) + 0.5) / self.resolution
 
     def dilate(self):
         """Grow by the full neighborhood (2 neighbors on the circle, 8 on

@@ -10,15 +10,13 @@ from bsdl.bsgroup import (
     CLOSED_DEFECT_RATIO,
     BSAction,
     FiniteOrbit,
-    Word,
+    NormalForm,
     evaluate,
     finite_bs_orbit,
     make_action,
-    normalize,
+    normal_form,
     relation_report,
     relation_residual,
-    word_lift,
-    word_to_affine,
 )
 from bsdl.catalog import (
     morse_smale_example,
@@ -38,6 +36,8 @@ from bsdl.circle import (
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import LinearTorusLift, ProductTorusLift, torus_dist
 
+from letters import apply_letters, element, spell
+
 BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
@@ -56,102 +56,76 @@ def glued_action(n):
     return make_action(f, h, n)
 
 
-def random_word(rng, length):
-    syl = []
-    for _ in range(length):
-        gen = "a" if rng.integers(2) else "b"
-        exp = int(rng.integers(1, 4)) * (1 if rng.integers(2) else -1)
-        syl.append((gen, exp))
-    return Word(syl)
+def random_letters(rng, length):
+    return "".join(rng.choice(list("aAbB"), size=length))
 
 
-class TestWord:
-    def test_parse_and_str(self):
-        w = Word.parse("a b^-2 A")
-        assert w.syllables == (("a", 1), ("b", -2), ("a", -1))
-        assert str(w) == "a b^-2 a^-1"
-        assert Word.parse("ab^2A").syllables == (("a", 1), ("b", 2), ("a", -1))
-        assert Word.parse("A^3").syllables == (("a", -3),)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            Word.parse("a c")
-        with pytest.raises(ValueError):
-            Word.parse("a^")
-
-    def test_reduction(self):
-        w = Word([("a", 2), ("a", -2), ("b", 1), ("b", 2)])
-        assert w.syllables == (("b", 3),)
-        assert len(Word.parse("aA")) == 0
-        assert str(Word()) == "1"
-
-    def test_inverse_and_mul(self):
-        w = Word.parse("a b^2 A")
-        assert (w * w.inverse()).syllables == ()
-        assert w.inverse().syllables == (("a", 1), ("b", -2), ("a", -1))
-
-    def test_pow(self):
-        w = Word.parse("b")
-        assert (w ** 3).syllables == (("b", 3),)
-        assert (w ** -2).syllables == (("b", -2),)
-        assert (w ** 0).syllables == ()
+def nf_of(letters, n):
+    return normal_form(*element(letters, n), n)
 
 
 class TestAffineModel:
     def test_defining_relation_holds_in_model(self):
         for n in (2, 3, 6):
-            lhs = word_to_affine(Word.parse("a b A"), n)
-            rhs = word_to_affine(Word.parse("b") ** n, n)
-            assert lhs == rhs == (0, Fraction(n))
+            assert element("abA", n) == element("b" * n, n) == (0, Fraction(n))
 
     def test_conjugated_generator_shrinks(self):
         # a^-1 b a acts as x -> x + 1/n
-        k, w = word_to_affine(Word.parse("A b a"), 3)
-        assert (k, w) == (0, Fraction(1, 3))
+        assert element("Aba", 3) == (0, Fraction(1, 3))
 
     def test_normal_forms(self):
-        nf = normalize(Word.parse("A b a"), 3)
+        nf = nf_of("Aba", 3)
         assert (nf.p, nf.m, nf.q) == (1, 1, 1)
-        nf = normalize(Word.parse("a B a"), 2)
+        assert nf.syllables() == (("a", -1), ("b", 1), ("a", 1))
+        assert str(nf) == "a^-1 b a"
+        nf = nf_of("aBa", 2)
         assert (nf.p, nf.m, nf.q) == (0, -2, 2)
-        nf = normalize(Word(), 2)
+        assert str(nf) == "b^-2 a^2"
+        nf = normal_form(0, 0, 2)
         assert (nf.p, nf.m, nf.q) == (0, 0, 0)
+        assert nf.syllables() == ()
+        assert str(nf) == "1"
 
-    def test_normalize_raises_p_for_negative_q(self):
+    def test_normal_form_raises_p_for_negative_q(self):
         # pure a^-1 has k = -1, so p must rise to keep q >= 0
-        nf = normalize(Word.parse("A"), 2)
+        nf = nf_of("A", 2)
         assert nf.q == 0
         assert nf.p == 1
         assert nf.m == 0
-        assert word_to_affine(nf.to_word(), 2) == word_to_affine(Word.parse("A"), 2)
+        assert nf.syllables() == (("a", -1),)
+        assert element(spell(nf), 2) == element("A", 2)
 
-    def test_seeded_words_normalize_faithfully(self):
-        rng = np.random.default_rng(11)
-        for n in (2, 3, 5):
-            for _ in range(40):
-                w = random_word(rng, int(rng.integers(1, 8)))
-                nf = normalize(w, n)
-                assert nf.p >= 0 and nf.q >= 0
-                assert word_to_affine(nf.to_word(), n) == word_to_affine(w, n)
-                if nf.p > 0 and nf.m != 0:
-                    assert nf.m % n != 0 or nf.q == 0
+    def test_rejects_n_below_two(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            normal_form(0, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from("aAbB"), max_size=12).map("".join),
+           st.sampled_from([2, 3, 5, 6]))
+    def test_syllables_spell_the_element(self, letters, n):
+        nf = nf_of(letters, n)
+        assert nf.p >= 0 and nf.q >= 0
+        assert element(spell(nf), n) == element(letters, n)
+        runs = nf.syllables()
+        assert all(e != 0 for _, e in runs)
+        assert all(g != h for (g, _), (h, _) in zip(runs, runs[1:]))
+        if nf.p > 0 and nf.m != 0:
+            assert nf.m % n != 0 or nf.q == 0
 
 
 class TestEvaluation:
     def test_relation_pointwise(self):
         act = affine_action(3)
         xs = np.arange(0.0, 1.0, 1.0 / 53.0)
-        lhs = evaluate(act, Word.parse("a b A"), xs)
-        rhs = evaluate(act, Word.parse("b^3"), xs)
+        lhs = apply_letters(act, "abA", xs)
+        rhs = evaluate(act, NormalForm(0, 3, 0, 3), xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_word_multiplication_is_composition(self):
+    def test_product_is_composition(self):
         act = affine_action(2)
-        w1 = Word.parse("a b")
-        w2 = Word.parse("B a")
         x = 0.37
-        assert evaluate(act, w1 * w2, x) == pytest.approx(
-            evaluate(act, w1, evaluate(act, w2, x)), abs=1e-12
+        assert evaluate(act, nf_of("ab" + "Ba", 2), x) == pytest.approx(
+            evaluate(act, nf_of("ab", 2), evaluate(act, nf_of("Ba", 2), x)), abs=1e-12
         )
 
     def test_normal_form_evaluates_identically(self):
@@ -159,10 +133,9 @@ class TestEvaluation:
         rng = np.random.default_rng(5)
         xs = rng.uniform(0.0, 1.0, size=16)
         for _ in range(20):
-            w = random_word(rng, int(rng.integers(1, 7)))
-            nf = normalize(w, 2).to_word()
-            a = evaluate(act, w, xs)
-            b = evaluate(act, nf, xs)
+            letters = random_letters(rng, int(rng.integers(1, 7)))
+            a = apply_letters(act, letters, xs)
+            b = evaluate(act, nf_of(letters, 2), xs)
             assert np.max(np.array(circle_dist(a, b))) < 1e-9
 
     def test_syllable_with_no_closed_form_is_stepped(self):
@@ -171,17 +144,10 @@ class TestEvaluation:
         act = denjoy_action(2, GOLDEN_MEAN, 5)
         h, hinv = act.h, act.h.inverse()
         xs = np.arange(0.0, 1.0, 1.0 / 31.0)
-        got = evaluate(act, Word.parse("a^3"), xs)
+        got = evaluate(act, NormalForm(0, 0, 3, 2), xs)
         assert got.tobytes() == h.raw(h.raw(h.raw(xs))).tobytes()
-        got = evaluate(act, Word.parse("a^-2"), 0.3)
+        got = evaluate(act, NormalForm(2, 0, 0, 2), 0.3)
         assert got == float(hinv.raw(hinv.raw(np.float64(0.3))))
-
-    def test_word_lift_matches_evaluate(self):
-        act = affine_action(2)
-        w = Word.parse("a b^2 A b^-1")
-        L = word_lift(act, w)
-        xs = np.arange(0.0, 1.0, 1.0 / 31.0)
-        assert np.max(np.abs(L.raw(xs) - evaluate(act, w, xs))) < 1e-10
 
     def test_power_lift_closed_forms(self):
         F = ChartAffineLift(1.0, 1.0)

@@ -57,10 +57,10 @@ def bump(seed, size):
 
 
 catalog_generators = st.builds(
-    lambda name, n, letter, inverted: (
+    lambda name, n, gen, inverted: (
         lambda g: g.inverse() if inverted else g
-    )(catalog_action(name, n).generator(letter)),
-    st.sampled_from(TORUS_ENTRIES), st.integers(3, 5), st.sampled_from("ab"),
+    )(getattr(catalog_action(name, n), gen)),
+    st.sampled_from(TORUS_ENTRIES), st.integers(3, 5), st.sampled_from("fh"),
     st.booleans(),
 )
 linear_maps = st.builds(

@@ -34,9 +34,9 @@ from bsdl.torus import LinearTorusLift, rotation_vector, torus_dist
 class TestCellSet:
     def test_normalizes_cells(self):
         cs = CellSet(8, "torus", [[0, 1], (2, 3)])
-        assert (0, 1) in cs and [0, 1] in cs
+        assert cs.cells == {(0, 1), (2, 3)}
         cs = CellSet(8, "circle", [3, 5, 3])
-        assert len(cs) == 2 and 3 in cs
+        assert len(cs) == 2 and 3 in cs.cells
 
     def test_rejects_bad_space(self):
         with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ class TestCellSet:
     def test_dilate_torus_eight_neighborhood(self):
         cs = CellSet(4, "torus", {(0, 0)}).dilate()
         assert len(cs) == 9
-        assert (3, 3) in cs and (1, 1) in cs
+        assert (3, 3) in cs.cells and (1, 1) in cs.cells
 
     def test_set_algebra(self):
         a = CellSet(8, "circle", {1, 2, 3})
@@ -92,14 +92,6 @@ class TestCellSet:
     def test_measure(self):
         assert CellSet(8, "circle", {0, 1}).measure() == 0.25
         assert CellSet(4, "torus", {(0, 0), (1, 1)}).measure() == 2 / 16
-
-    def test_centers(self):
-        c = CellSet(4, "circle", {3, 0}).centers()
-        assert np.allclose(c, [0.125, 0.875])
-        t = CellSet(4, "torus", set()).centers()
-        assert t.shape == (0, 2)
-        t = CellSet(4, "torus", {(1, 2)}).centers()
-        assert np.allclose(t, [[0.375, 0.625]])
 
     def test_to_json(self):
         j = CellSet(4, "torus", {(1, 2)}).to_json()
@@ -123,8 +115,8 @@ class TestFixedCells:
     def test_translation_chart_band_at_glued_point(self):
         f = standard_line(2).f
         cs = fixed_cells(f, 64)
-        assert 0 in cs and 63 in cs
-        assert 32 not in cs
+        assert 0 in cs.cells and 63 in cs.cells
+        assert 32 not in cs.cells
 
     def test_band_narrows_with_resolution(self):
         f = standard_torus(2).f

@@ -6,8 +6,8 @@
   strictly increasing at points 2^-16 apart, for parameters whose
   slopes stay above 1e-8, so those points stay far more than one
   rounding apart;
-* the normal form of a word of up to 6 letters evaluates like the word
-  on every catalog action, to 1e-9;
+* the normal form of a word of up to 6 letters evaluates like the word,
+  applied letter by letter, on every catalog action, to 1e-9;
 * every input point of `convex_hull` lies within 1e-12 of its hull;
 * F^-1 undoes F: F^-1(F(x)) lies within 1e-12 of x as lift values, for
   every lift family with an inverse rule, on both spaces, at points in
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsdl.bsgroup import Word, evaluate, normalize
+from bsdl.bsgroup import evaluate, normal_form
 from bsdl.catalog import CATALOG, build_action, periodic_circle_example
 from bsdl.circle import (
     GOLDEN_MEAN,
@@ -41,6 +41,7 @@ from bsdl.torus import (
     convex_hull,
 )
 
+from letters import apply_letters, element
 from lifts import callable_lift
 from test_step import cached_denjoy, exact_circle, random_piecewise
 
@@ -92,9 +93,10 @@ def test_strictly_increasing(F, invert, ks):
 
 
 # each letter a can scale a rounding error by up to n: over all words
-# of up to 6 letters the worst case on the 16-point lattice is 2.5e-10
-# (a^5 b^-1 on periodic-circle), and a^7 b^-1 reaches 6e-8 there
-words = st.lists(st.sampled_from("aAbB"), max_size=6).map(lambda cs: Word.parse(" ".join(cs)))
+# of up to 6 letters, applied one raw call per letter, the worst case on
+# the 16-point lattice is 2.9e-12 (a^5 b^-1 on periodic-circle), and
+# a^7 b^-1 reaches 7.5e-11 there
+words = st.lists(st.sampled_from("aAbB"), max_size=6).map("".join)
 
 
 @settings(max_examples=80, deadline=None)
@@ -102,9 +104,9 @@ words = st.lists(st.sampled_from("aAbB"), max_size=6).map(lambda cs: Word.parse(
 def test_normal_form_evaluates_like_the_word(name, w):
     act = build_action(name)
     pts = act.space.lattice(16)
-    nf = normalize(w, act.n).to_word()
-    d = act.space.dist(evaluate(act, w, pts), evaluate(act, nf, pts))
-    assert np.max(d) < 1e-9, (name, str(w), str(nf))
+    nf = normal_form(*element(w, act.n), act.n)
+    d = act.space.dist(apply_letters(act, w, pts), evaluate(act, nf, pts))
+    assert np.max(d) < 1e-9, (name, w, str(nf))
 
 
 coordinates = st.one_of(st.floats(-100.0, 100.0), st.integers(-3, 3).map(float))

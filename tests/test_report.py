@@ -25,9 +25,8 @@ from bsdl.bsgroup import (
     FiniteOrbit,
     NormalForm,
     RelationReport,
-    Word,
     finite_bs_orbit,
-    normalize,
+    normal_form,
     relation_report,
 )
 from bsdl.catalog import CATALOG, FaithfulnessReport, build_action, faithfulness_evidence
@@ -262,7 +261,7 @@ def results_of(name):
         CellSet(32, space),
         differential_at(act.f, origin),
         differential_at(act.h, origin),
-        normalize(Word.parse("aBBA") * Word.parse("b"), act.n),
+        normal_form(0, 1 - 2 * act.n, act.n),  # a b^-2 a^-1 b
         relation_report(act, grid=64),
         faithfulness_evidence(act, grid=8),
     ]
@@ -348,7 +347,7 @@ def _trichotomy():
 # one result of each type; those that derive, rename or truncate fields
 # with their witnesses, flags and numpy diagnostics in place
 BUILDERS = {
-    NormalForm: lambda: normalize(Word.parse("aBBA"), 2),
+    NormalForm: lambda: normal_form(0, -4, 2),  # a b^-2 a^-1
     FiniteOrbit: lambda: finite_bs_orbit(build_action("product"), np.zeros(2)),
     RelationReport: lambda: relation_report(build_action("standard-torus"), grid=64),
     FaithfulnessReport: lambda: faithfulness_evidence(
