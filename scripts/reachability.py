@@ -2,7 +2,8 @@
 
 Under a `sys.setprofile` hook, in one process, this runs:
 
-* the acceptance battery, `bsdl reproduce-all --seed 7`;
+* the acceptance battery, `bsdl reproduce-all --seed 7`, writing its
+  report into a temporary directory with `--out` as CI does;
 * every subcommand on every catalog entry at its default settings, and
   again on each fiber of `FIBERS` for the entries that take `--k`;
 * the console commands of CI (`CI_COMMANDS`, copied from
@@ -28,6 +29,7 @@ import inspect
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +68,8 @@ CI_COMMANDS = (
     "rotation-number nonfaithful-circle --k rot:inf",
     "trichotomy perturbed-torus --eps nan",
     "classify-matrix 1,2,0,1 1,3,0,1",
+    "classify-matrix 2,1,1,1 1,1,1,2",
+    "classify-matrix -- -5,-11,6,13 -4,-7,7,12",
     f"rotation-number nonfaithful-circle --k rot:{10**400}/3",
     "trichotomy product --eps nan",
     "minimal-set nonfaithful-circle --eps inf",
@@ -94,12 +98,12 @@ def defined_functions():
     return out
 
 
-def cli_calls():
-    """The argv lists of the battery, the subcommands on every entry and
-    fiber, and the CI console commands."""
+def cli_calls(out_dir):
+    """The argv lists of the battery, writing into `out_dir`, the
+    subcommands on every entry and fiber, and the CI console commands."""
     from bsdl.catalog import CATALOG
 
-    calls = [["reproduce-all", "--seed", "7"]]
+    calls = [["reproduce-all", "--seed", "7", "--out", str(Path(out_dir) / "report.json")]]
     for name, entry in CATALOG.items():
         calls.append(["catalog", name])
         fibers = [[]] + [["--k", k] for k in FIBERS if "k" in entry.defaults]
@@ -134,14 +138,15 @@ def main():
         from bsdl import cli
 
         sink = io.StringIO()
-        for argv in cli_calls():
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                try:
-                    cli.main(argv)
-                except SystemExit:  # argparse rejected the command line
-                    pass
-            sink.seek(0)
-            sink.truncate()
+        with tempfile.TemporaryDirectory() as out_dir:
+            for argv in cli_calls(out_dir):
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    try:
+                        cli.main(argv)
+                    except SystemExit:  # argparse rejected the command line
+                        pass
+                sink.seek(0)
+                sink.truncate()
         run_workloads()
     finally:
         sys.setprofile(None)

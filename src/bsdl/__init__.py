@@ -23,8 +23,6 @@ from .circle import (
     compose,
     rotation_number,
     denjoy_lift,
-    chart_from_real,
-    chart_to_real,
     circle_dist,
     wrap,
     orbit,
@@ -106,7 +104,7 @@ __all__ = [
     "CircleLift", "RotationLift", "ChartAffineLift", "PiecewiseLift",
     "DenjoyLift",
     "RotationNumberEstimate", "compose", "rotation_number", "denjoy_lift",
-    "chart_from_real", "chart_to_real", "circle_dist", "wrap", "orbit",
+    "circle_dist", "wrap", "orbit",
     "parse_k_spec",
     "TorusLift", "ProductTorusLift", "LinearTorusLift",
     "RotationVectorEstimate", "RotationSetEstimate", "compose2",

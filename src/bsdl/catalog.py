@@ -93,6 +93,17 @@ def _fiber(k) -> CircleLift:
     return parse_k_spec(str(k))
 
 
+def _blocks(n: int) -> int:
+    """The block count n - 1 of the periodic examples, which need n >= 3."""
+    if n == 2:
+        raise ValueError(
+            "periodic_circle_example needs n >= 3: with n = 2 there is a "
+            "single block, the rotation part is a full turn, and b keeps "
+            "fixed points"
+        )
+    return n - 1
+
+
 def _line_pair(n: int):
     f = ChartAffineLift(1.0, 1.0, label="translate")
     h = ChartAffineLift(float(n), 0.0, label=f"scale({n})")
@@ -136,14 +147,7 @@ def periodic_circle_example(n: int) -> BSAction:
     rejected: one block makes the shift a full turn and b recovers its
     fixed points.
     """
-    n = _check_n(n)
-    if n == 2:
-        raise ValueError(
-            "periodic_circle_example needs n >= 3: with n = 2 there is a "
-            "single block, the rotation part is a full turn, and b keeps "
-            "fixed points"
-        )
-    m = n - 1
+    m = _blocks(_check_n(n))
     f = ChartAffineLift(1.0, 1.0, m=m, shift=1)
     h = ChartAffineLift(float(n), 0.0, m=m)
     return make_action(f, h, n)
@@ -241,8 +245,15 @@ class CatalogEntry:
         }
 
 
-CATALOG: dict[str, CatalogEntry] = {
-    entry.id: entry
+class _Registry(dict):
+    """The entries by id; a missing id is a KeyError naming the known ids."""
+
+    def __missing__(self, name):
+        raise KeyError(f"unknown action {name!r}; known: {', '.join(sorted(self))}")
+
+
+CATALOG: dict[str, CatalogEntry] = _Registry(
+    (entry.id, entry)
     for entry in (
         CatalogEntry(
             id="standard-line",
@@ -291,10 +302,10 @@ CATALOG: dict[str, CatalogEntry] = {
             defaults={"n": 3},
             expected={
                 "faithful": True,
-                "rho_f": lambda n: Fraction(1, n - 1),
-                "witness": lambda n: (1, n - 1),
+                "rho_f": lambda n: Fraction(1, _blocks(n)),
+                "witness": lambda n: (1, _blocks(n)),
                 "minimal": "FiniteOrbit",
-                "minimal_size": lambda n: n - 1,
+                "minimal_size": _blocks,
             },
         ),
         CatalogEntry(
@@ -306,7 +317,7 @@ CATALOG: dict[str, CatalogEntry] = {
             expected={
                 "faithful": True,
                 "minimal": "FiniteOrbit",
-                "minimal_size": lambda n: n - 1,
+                "minimal_size": _blocks,
             },
         ),
         CatalogEntry(
@@ -345,15 +356,17 @@ CATALOG: dict[str, CatalogEntry] = {
             },
         ),
     )
-}
+)
 
 
 def build_action(name: str, n: int | None = None, **params) -> BSAction:
-    """Build a registered action by id; parameters default per entry."""
-    if name not in CATALOG:
-        known = ", ".join(sorted(CATALOG))
-        raise KeyError(f"unknown action {name!r}; catalog has: {known}")
-    return CATALOG[name].build(n, **params)
+    """Build the registered action `name`, n and `params` overriding the
+    entry's defaults; a parameter the entry does not take is a ValueError."""
+    entry = CATALOG[name]
+    for key in params:
+        if key not in entry.defaults:
+            raise ValueError(f"{name} takes no --{key}")
+    return entry.build(n, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,6 @@ __all__ = [
     "RotationNumberEstimate",
     "Witness",
     "denjoy_lift",
-    "chart_from_real",
-    "chart_to_real",
     "wrap",
     "orbit",
     "circle_dist",
@@ -168,32 +166,10 @@ def circle_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def chart_from_real(x):
-    """Chart coordinate of a real point (or +-inf) on the projective line."""
-    x = np.asarray(x, dtype=float)
-    u = 0.5 + np.arctan(x) / np.pi
-    u = np.where(np.isinf(x), 0.0, u)
-    if u.ndim == 0:
-        return float(u)
-    return u
-
-
-def chart_to_real(u):
-    """Real coordinate of a chart point; u = 0 maps to +inf (the glued point)."""
-    u = np.asarray(u, dtype=float)
-    r = u - np.floor(u)
-    with np.errstate(divide="ignore"):
-        x = -1.0 / np.tan(np.pi * r)
-    x = np.where(r == 0.0, np.inf, x)
-    if x.ndim == 0:
-        return float(x)
-    return x
-
-
 def _atan_frac(y):
     """0.5 + arctan(y)/pi computed so both tails keep relative precision."""
     y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hi = 1.0 - np.arctan(1.0 / y) / np.pi
         lo = np.arctan(-1.0 / y) / np.pi
     mid = 0.5 + np.arctan(y) / np.pi
@@ -655,17 +631,12 @@ class DenjoyLift(PiecewiseLift):
     """Piecewise-affine lift from blowing up a finite orbit segment of an
     irrational rotation; see `denjoy_lift`."""
 
-    def __init__(self, bx, by, alpha, depth, gap_ratio, intervals, to_new):
+    def __init__(self, bx, by, alpha, depth, gap_ratio, intervals):
         super().__init__(bx, by, label=f"denjoy({alpha:g},{depth})")
         self.alpha = float(alpha)
         self.depth = int(depth)
         self.gap_ratio = float(gap_ratio)
         self.inserted_intervals = intervals
-        self._to_new = to_new
-
-    def embed_old_point(self, u_old: float) -> float:
-        """New-circle position of a point of the base rotation circle."""
-        return float(self._to_new(u_old))
 
 
 def denjoy_lift(alpha: float, depth: int, gap_ratio: float) -> CircleLift:
@@ -771,7 +742,7 @@ def denjoy_lift(alpha: float, depth: int, gap_ratio: float) -> CircleLift:
         )
 
     intervals = [(float(left[t]), float(right[t])) for t in range(ks.size)]
-    lift = DenjoyLift(bx, by, alpha, depth, gap_ratio, intervals, to_new)
+    lift = DenjoyLift(bx, by, alpha, depth, gap_ratio, intervals)
     lift.validate()
     return lift
 

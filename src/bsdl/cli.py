@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .bsgroup import finite_bs_orbit, relation_report
-from .catalog import CATALOG
+from .catalog import CATALOG, build_action
 from .circle import rotation_number
 from .estimators import bs_minimal_set, fixed_cells
 from .experiments import (
@@ -107,24 +107,10 @@ def _emit(payload, args):
         print(text)
 
 
-def _entry(name):
-    """The catalog entry `name`; a KeyError naming the known ids if none."""
-    if name not in CATALOG:
-        raise KeyError(f"unknown action {name!r}; known: {', '.join(sorted(CATALOG))}")
-    return CATALOG[name]
-
-
 def _build(args):
-    entry = _entry(args.action)
-    params = {}
-    for key in ("eps", "k"):
-        value = getattr(args, key)
-        if value is None:
-            continue
-        if key not in entry.defaults:
-            raise ValueError(f"{args.action} takes no --{key}")
-        params[key] = value
-    return entry.build(args.n, **params)
+    flags = {key: getattr(args, key) for key in ("eps", "k")}
+    params = {key: value for key, value in flags.items() if value is not None}
+    return build_action(args.action, args.n, **params)
 
 
 def _parse_matrix(text):
@@ -141,7 +127,7 @@ def _parse_matrix(text):
 
 def _cmd_catalog(args):
     if args.action:
-        e = _entry(args.action)
+        e = CATALOG[args.action]
         _emit(
             {
                 "id": e.id,

@@ -35,10 +35,8 @@ class IntMatrix2:
         return IntMatrix2(1, 0, 0, 1)
 
     @staticmethod
-    def from_rows(rows, second=None) -> "IntMatrix2":
-        if second is not None:
-            rows = (rows, second)
-        (a, b), (c, d) = rows
+    def from_rows(first, second) -> "IntMatrix2":
+        (a, b), (c, d) = first, second
         return IntMatrix2(int(a), int(b), int(c), int(d))
 
     def det(self) -> int:

@@ -52,7 +52,6 @@ __all__ = [
     "RotationConstraintReport",
 ]
 
-PERIODICITY_TOL = 1e-10
 # `LinearTorusLift.power` fuses m - 1 compositions in a loop, so it caps m:
 # f^(n^2) may ask for 10^400
 MAX_STEPPED_POWER = 10**6
@@ -66,29 +65,12 @@ def torus_dist(p, q):
 
 
 class TorusLift(Lift):
-    """Base class for torus lifts; `linear_part` is the induced map on
-    H_1 = Z^2 and governs how the lift commutes with deck translations.
+    """Base class for torus lifts; `linear_part` A is the induced map on
+    H_1 = Z^2, so F(v + m) = F(v) + A m for every deck translation m.
     `step(p)` is the lift at one point (u, t), as a pair of Python
     floats, with the bits of `raw`."""
 
     linear_part = IntMatrix2.identity()
-
-    def validate(self):
-        """Check equivariance F(v + m) = F(v) + A m on an 8 x 8 grid."""
-        g = np.arange(8) / 8
-        vs = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        base = self.raw(vs)
-        A = self.linear_part
-        for m in ((1, 0), (0, 1), (1, 1), (-1, 2)):
-            shifted = self.raw(vs + np.array(m, dtype=float))
-            expected = base + np.array(A.apply(m), dtype=float)
-            err = np.max(np.abs(shifted - expected))
-            if err > PERIODICITY_TOL:
-                raise ValueError(
-                    f"{type(self).__name__}: deck translation {m} defect "
-                    f"{err:.3e} exceeds {PERIODICITY_TOL:.1e}"
-                )
-        return self
 
     def _composed(self, inner):
         return ComposedTorusLift(self, inner)
@@ -512,11 +494,8 @@ def bs_rotation_constraint(rho, A_h: IntMatrix2, n: int) -> RotationConstraintRe
     """Check a rotation vector against the constraint the group relation
     imposes: conjugating by h multiplies rho(f) by A_h on homology while
     f^n multiplies it by n, so (n I - A_h) rho(f) must be an integer
-    vector, up to a rounding residual of 1e-2. Accepts rho as a pair or
-    a RotationVectorEstimate.
+    vector, up to a rounding residual of 1e-2. rho is a pair.
     """
-    if isinstance(rho, RotationVectorEstimate):
-        rho = rho.value
     r0, r1 = float(rho[0]), float(rho[1])
     rows = A_h.rows()
     M = IntMatrix2.from_rows(

@@ -1,7 +1,8 @@
 """A lift given by a vectorized callable, for tests that need an arbitrary
 map: `callable_lift(fn)` on the circle, `callable_lift(fn, torus=True)`
 on the torus, with identity linear part. `CountingTorusLift(lift)` maps
-as `lift` does and counts its `raw` calls.
+as `lift` does and counts its `raw` calls. `deck_defect(F, v, m)` is how
+far a torus lift F is from the deck law F(v + m) = F(v) + A m.
 
 `raw` is fn on float arrays, `step` is `raw` on one point, and the
 inverse swaps fn and inverse_fn; with no inverse_fn, `inverse` raises
@@ -57,3 +58,13 @@ class CountingTorusLift(TorusLift):
 
     def step(self, p):
         return self.lift.step(p)
+
+
+def deck_defect(F, v, m):
+    """The largest |F(v + m) - F(v) - A m| over the rows of the points v,
+    relative to 1 + |F(v) + A m|, for the deck translation m in Z^2 and
+    the linear part A of the torus lift F."""
+    v = np.asarray(v, dtype=float)
+    expected = F.raw(v) + np.array(F.linear_part.apply(m), dtype=float)
+    err = np.abs(F.raw(v + np.array(m, dtype=float)) - expected)
+    return float(np.max(err / (1.0 + np.abs(expected))))

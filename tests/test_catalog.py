@@ -22,13 +22,14 @@ from bsdl.circle import (
     ChartAffineLift,
     DenjoyLift,
     RotationLift,
-    chart_from_real,
     circle_dist,
     compose,
     rotation_number,
     wrap,
 )
 from bsdl.torus import MAX_STEPPED_POWER, rotation_vector, torus_dist
+
+from test_circle import chart
 
 
 class TestRegistry:
@@ -46,9 +47,10 @@ class TestRegistry:
         circle = {k for k, e in CATALOG.items() if e.space == "circle"}
         assert circle == {"standard-line", "periodic-circle", "nonfaithful-circle"}
 
-    def test_unknown_id_raises(self):
-        with pytest.raises(KeyError):
-            build_action("spiral")
+    def test_unknown_id_raises_naming_the_known_ids(self):
+        for lookup in (lambda: build_action("spiral"), lambda: CATALOG["spiral"]):
+            with pytest.raises(KeyError, match="unknown action 'spiral'; known: morse-smale, "):
+                lookup()
 
     def test_all_entries_build_and_satisfy_relation(self):
         for name, entry in CATALOG.items():
@@ -84,8 +86,7 @@ class TestStandardLine:
     def test_h_maps_chart_one_to_chart_n(self):
         for n in (2, 3, 5):
             act = standard_line(n)
-            u1 = chart_from_real(1.0)
-            un = chart_from_real(float(n))
+            u1, un = chart(1.0), chart(float(n))
             assert abs(float(act.h.raw(u1)) - un) < 1e-12
 
     def test_rotation_number_and_witness(self):

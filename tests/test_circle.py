@@ -11,8 +11,7 @@ from bsdl.circle import (
     GOLDEN_MEAN,
     PiecewiseLift,
     RotationLift,
-    chart_from_real,
-    chart_to_real,
+    _atan_frac,
     circle_dist,
     compose,
     denjoy_lift,
@@ -33,22 +32,44 @@ def naive_rotation_number(F, n=20000, x0=0.17):
     return ((y - x0) / n) % 1.0
 
 
+def chart(x):
+    """Chart position 0.5 + arctan(x)/pi of a real x, the glued point 0 at
+    +-inf: a plain reference for the library's chart."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isinf(x), 0.0, 0.5 + np.arctan(x) / np.pi)
+
+
+def real(u):
+    """The real point -1/tan(pi u) at chart position u, +inf at u = 0."""
+    r = np.asarray(u, dtype=float) % 1.0
+    with np.errstate(divide="ignore"):
+        return np.where(r == 0.0, np.inf, -1.0 / np.tan(np.pi * r))
+
+
 class TestChart:
+    # `_atan_frac` is the chart of `ChartAffineLift.raw`
     def test_round_trip_real_points(self):
         xs = np.array([-1e6, -37.5, -1.0, -1e-8, 0.0, 1e-8, 0.5, 3.0, 1e6])
-        us = chart_from_real(xs)
-        back = chart_to_real(us)
+        back = real(_atan_frac(xs))
         assert np.all(np.abs(back - xs) <= 1e-8 * (1.0 + np.abs(xs)))
 
     def test_infinity_is_the_glued_point(self):
-        assert chart_from_real(np.inf) == 0.0
-        assert chart_to_real(0.0) == np.inf
+        assert _atan_frac(np.inf) % 1.0 == 0.0
+        assert _atan_frac(-np.inf) % 1.0 == 0.0
+        assert real(0.0) == np.inf
 
     def test_chart_is_increasing_in_x(self):
         xs = np.linspace(-50.0, 50.0, 1001)
-        us = chart_from_real(xs)
+        us = _atan_frac(xs)
         assert np.all(np.diff(us) > 0.0)
         assert np.all((us > 0.0) & (us < 1.0))
+        assert np.max(np.abs(us - chart(xs))) <= 1e-15
+
+    def test_lower_tail_keeps_relative_precision(self):
+        # the plain formula rounds these chart positions to 0
+        for x in (1e20, 1e300):
+            assert chart(-x) == 0.0
+            assert _atan_frac(-x) == pytest.approx(1.0 / (np.pi * x), rel=1e-14)
 
     def test_circle_dist(self):
         assert circle_dist(0.1, 0.9) == pytest.approx(0.2)
@@ -98,8 +119,7 @@ class TestChartAffineLift:
     def test_matches_real_line_action(self):
         F = ChartAffineLift(2.0, 1.0)
         xs = np.array([-5.0, -0.3, 0.0, 0.7, 4.0, 1e5])
-        u = chart_from_real(xs)
-        out = chart_to_real(np.array([F(v) for v in u]))
+        out = real(np.array([F(v) for v in chart(xs)]))
         assert np.all(np.abs(out - (2.0 * xs + 1.0)) <= 1e-6 * (1.0 + np.abs(xs)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -325,6 +345,16 @@ class TestRotationNumberGeneric:
             assert circle_dist(est.value, alpha) <= est.error_bound
 
 
+def embed(F, u):
+    """The point of Denjoy lift F's circle at the point u of the rotation
+    circle: u scaled into the room the inserted intervals leave, plus the
+    intervals of the orbit points before u."""
+    widths = np.diff(np.array(F.inserted_intervals), axis=1)[:, 0]
+    orbit_points = np.sort(wrap(np.arange(-F.depth, F.depth + 1) * F.alpha))
+    u = wrap(u)
+    return u * (1.0 - widths.sum()) + widths[orbit_points < u].sum()
+
+
 class TestDenjoy:
     def test_depth_zero_is_rotation(self):
         F = denjoy_lift(GOLDEN_MEAN, 0, 0.6)
@@ -364,7 +394,7 @@ class TestDenjoy:
 
     def test_gap_orbit_rarely_enters_intervals(self):
         F = denjoy_lift(GOLDEN_MEAN, 8, 0.6)
-        x = F.embed_old_point(0.1234567)
+        x = embed(F, 0.1234567)
         lo = np.array([a for a, _ in F.inserted_intervals])
         hi = np.array([b for _, b in F.inserted_intervals])
         inside = 0
@@ -377,8 +407,8 @@ class TestDenjoy:
     def test_embedding_conjugates_rotation_off_the_seams(self):
         F = denjoy_lift(GOLDEN_MEAN, 8, 0.6)
         u = 0.245
-        x = F.embed_old_point(u)
-        y = F.embed_old_point(wrap(u + GOLDEN_MEAN))
+        x = embed(F, u)
+        y = embed(F, wrap(u + GOLDEN_MEAN))
         assert circle_dist(wrap(F(x)), y) < 1e-9
 
     def test_rejects_bad_parameters(self):

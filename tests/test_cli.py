@@ -52,6 +52,15 @@ class TestCatalog:
         assert d["defaults"]["n"] == 3
         assert d["expected"]["minimal_size"] == 2
 
+    @pytest.mark.parametrize("name", ["periodic-circle", "periodic-torus"])
+    def test_periodic_entry_at_n_two_is_the_builders_error(self, capsys, name):
+        with pytest.raises(ValueError) as built:
+            CATALOG[name].build(2)
+        code, out, err = run(capsys, "catalog", name, "--n", "2")
+        assert code == cli.ERROR
+        assert out == ""
+        assert err == f"error: {built.value}\n"
+
     def test_unknown_entry_errors(self, capsys):
         code, _, err = run(capsys, "catalog", "nope")
         assert code == cli.ERROR
@@ -326,6 +335,9 @@ class TestBadInput:
             (("rotation-number", "nonfaithful-circle", "--k", "denjoy:inf,3,0.5"), "'inf'"),
             (("rotation-number", "nonfaithful-circle", "--k", "rot:ln0"), "'ln0'"),
             (("rotation-number", "nonfaithful-circle", "--k", "rot:ln-1"), "'ln-1'"),
+            # 1 / 1e-300 overflows in the chart's unused branches
+            (("minimal-set", "nonfaithful-circle", "--k", "affine:1e-300,0"),
+             "not strictly increasing"),
         ],
     )
     def test_non_finite_or_undefined_angle_or_eps_is_named(self, capsys, argv, named):

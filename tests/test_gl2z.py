@@ -55,7 +55,7 @@ def oinv_unimodular(m):
 
 
 def as_lib(m):
-    return IntMatrix2.from_rows(m)
+    return IntMatrix2.from_rows(*m)
 
 
 ORDER_EXEMPLARS = [

@@ -19,7 +19,7 @@ from bsdl.torus import (
     torus_dist,
 )
 
-from lifts import callable_lift
+from lifts import callable_lift, deck_defect
 
 I2 = IntMatrix2.identity()
 
@@ -31,10 +31,11 @@ def standard_pair(n):
 
 
 class TestLifts:
-    def test_product_validates(self):
-        f, h = standard_pair(2)
-        f.validate()
-        h.validate()
+    def test_product_obeys_the_deck_law(self):
+        vs = np.random.default_rng(5).uniform(0.0, 1.0, size=(64, 2))
+        for F in standard_pair(2):
+            for m in ((1, 0), (0, 1), (1, 1), (-1, 2)):
+                assert deck_defect(F, vs, m) <= 1e-13
 
     def test_product_inverse_round_trip(self):
         _, h = standard_pair(3)
@@ -52,7 +53,7 @@ class TestLifts:
 
     def test_linear_lift_matches_matrix_action(self):
         A = IntMatrix2.from_rows((2, 1), (1, 1))
-        H = LinearTorusLift(A, (0.25, 0.0)).validate()
+        H = LinearTorusLift(A, (0.25, 0.0))
         v = np.array([0.3, 0.4])
         out = H(v)
         assert out[0] == pytest.approx(2 * 0.3 + 0.4 + 0.25, abs=1e-14)
@@ -108,11 +109,6 @@ class TestLifts:
     def test_linear_requires_unimodular(self):
         with pytest.raises(ValueError):
             LinearTorusLift(IntMatrix2.from_rows((2, 0), (0, 1)))
-
-    def test_validate_rejects_broken_equivariance(self):
-        bad = callable_lift(lambda v: 1.5 * v, torus=True)
-        with pytest.raises(ValueError):
-            bad.validate()
 
     def test_composed_linear_part_multiplies(self):
         A = IntMatrix2.from_rows((2, 1), (1, 1))
@@ -201,7 +197,8 @@ class TestRotationSet:
                 [v[..., 0] + 0.2 * b, v[..., 1] + 0.1 * b], axis=-1
             )
 
-        F = callable_lift(fn, torus=True).validate()
+        F = callable_lift(fn, torus=True)
+        assert deck_defect(F, np.random.default_rng(5).uniform(size=(64, 2)), (1, -1)) <= 1e-13
         est = rotation_set(F, grid=8, iterates=800)
         assert not est.is_point
         assert est.diameter > 1e-3
@@ -237,7 +234,7 @@ class TestRelationConstraint:
         assert float(torus_dist(wrap(lhs.raw(v)), wrap(f.iterate(v, 4)))) < 1e-12
 
         est = rotation_vector(f, iterates=500)
-        rep = bs_rotation_constraint(est, A, 4)
+        rep = bs_rotation_constraint(est.value, A, 4)
         assert rep.satisfied
         assert rep.residual < 1e-9
         assert rep.q_int == (1, 0)
@@ -252,7 +249,7 @@ class TestRelationConstraint:
     def test_standard_action_constraint_trivial(self):
         f, _ = standard_pair(2)
         est = rotation_vector(f, v0=(0.3, 0.3), iterates=800)
-        rep = bs_rotation_constraint(est, I2, 2)
+        rep = bs_rotation_constraint(est.value, I2, 2)
         # rho(f) must then be integral; the glued translation has rho = 0
         assert rep.satisfied
         assert rep.snapped == (Fraction(0), Fraction(0))
