@@ -335,7 +335,8 @@ class TestBadInput:
             (("rotation-number", "nonfaithful-circle", "--k", "denjoy:inf,3,0.5"), "'inf'"),
             (("rotation-number", "nonfaithful-circle", "--k", "rot:ln0"), "'ln0'"),
             (("rotation-number", "nonfaithful-circle", "--k", "rot:ln-1"), "'ln-1'"),
-            # 1 / 1e-300 overflows in the chart's unused branches
+            # a = 1e-300 takes points near the origin below 5.6e-309,
+            # where 1 / y overflows in the chart's unused branches
             (("minimal-set", "nonfaithful-circle", "--k", "affine:1e-300,0"),
              "not strictly increasing"),
         ],
