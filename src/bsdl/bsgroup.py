@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import _wrap_float as wrap_float
+from .circle import INVERSE_TOL, _wrap_float as wrap_float, wrap
 from .report import Report
 from .space import CIRCLE, SPACES, TORUS, space_of
 
@@ -248,17 +248,23 @@ def finite_bs_orbit(
 ) -> FiniteOrbit:
     """Breadth-first closure of x0 under both generators and inverses.
 
-    Each frontier point in turn is mapped by f, h, f^-1 and h^-1 through
-    their `step` methods, in Python floats (a float on the circle, a
+    Each frontier point in turn is mapped through the `step` methods of
+    f, h, f^-1 and h^-1, in Python floats (a float on the circle, a
     (u, t) pair on the torus), and each image is wrapped to [0, 1)^d by
-    the orbit kernel's float wrap. `step` returns the bits of `raw`, so
-    the closure is the one a raw call per point and generator gives, and
-    no point is stepped twice. A generator that `same_params` matches
-    with its own `power(0)`, the exact identity, or with a generator
-    before it in that order is not stepped: each of its images is a
-    point already in the orbit and would merge at distance 0, so
-    skipping it leaves the points, their order, the cut and the defect
-    as they were.
+    the orbit kernel's float wrap. `step` returns the bits of `raw`. A
+    generator that `same_params` matches with its own `power(0)`, the
+    exact identity, or with a generator before it in that order is not
+    stepped: its images would merge at distance 0. Nor is a point's
+    back-step, the inverse of the generator that reached it from its
+    parent; after the search each back-step is checked to merge with the
+    parent. A cut search calls `raw` once per generator and steps again
+    the rows not within merge_tol / 2, or all of them when merge_tol is
+    below `INVERSE_TOL` (a batch row of a bump map may differ from `step`
+    in its last bits). A saturated search steps every back-step and
+    keeps those at a positive distance as merges. If one would not
+    merge, the search runs again stepping every generator. So the
+    points, their order, the cut and the defect are those of stepping
+    all four.
 
     An image within merge_tol of an orbit point (circle or torus metric)
     merges with it, through a spatial hash whose buckets are scanned the
@@ -276,109 +282,161 @@ def finite_bs_orbit(
     past.
 
     Raises ValueError unless merge_tol is positive and finite (with a
-    finite reciprocal) and x0 is one finite point of the action's space,
-    and when an image is not finite.
+    finite reciprocal), max_size is at least 1 and x0 is one finite
+    point of the action's space, and when an image is not finite.
     """
     space = action.space
     if not 0.0 < merge_tol < math.inf or not 1.0 / merge_tol < math.inf:
         raise ValueError(f"merge_tol must be positive and finite, got {merge_tol}")
+    if not max_size >= 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != space.shape or not np.isfinite(x0).all():
         raise ValueError(f"start must be one finite {space} point, got {x0.tolist()}")
-    kept = []
-    for g in (action.f, action.h, action.f.inverse(), action.h.inverse()):
-        if not g.same_params(g.power(0)) and not any(g.same_params(k) for k in kept):
+    gens = (action.f, action.h, action.f.inverse(), action.h.inverse())
+    kept, slot = [], []  # slot: the kept index of each of gens, -1 for the identity
+    for g in gens:
+        same = [i for i, k in enumerate(kept) if g.same_params(k)] or [len(kept)]
+        slot.append(-1 if g.same_params(g.power(0)) else same[0])
+        if slot[-1] == len(kept):
             kept.append(g)
     steps = [g.step for g in kept]
+    # 1 + the kept index of each kept generator's inverse, 0 for none
+    backs = [slot[(slot.index(i) + 2) % 4] + 1 for i in range(len(kept))]
     # buckets of width 1/K >= 2 merge_tol: two points within merge_tol
     # share a bucket or sit in adjacent ones, across the seam too and
     # whatever the rounding of q * K
     K = max(3, int(0.5 / merge_tol))
-    floor = math.floor
-    buckets: dict = {}
-    points: list = []
-    near_merges: list = []
+    torus, inf = space is TORUS, math.inf
 
-    def around_circle(k):
-        return ((k - 1) % K, k, (k + 1) % K)
-
-    def around_torus(k):
-        return [(i, j) for i in around_circle(k[0]) for j in around_circle(k[1])]
-
-    # Both merges wrap their image with the orbit kernel's float wrap (its
-    # common case inline) and scan the buckets around it for an orbit
-    # point within merge_tol. They return the image if none is there and
-    # it joins the orbit; otherwise it merges, and a merge at a positive
-    # distance is kept for the final measure. Their tests compute
-    # circle_dist(q, p) < merge_tol in the same float arithmetic; on the
-    # torus, the sup metric is below merge_tol exactly when both
-    # coordinates are.
-    def merge_circle(q):
-        r = q - q // 1.0
-        q = r if r < 1.0 else wrap_float(q)
+    def place(q):
+        """q wrapped, and the buckets to scan around it, its own first; a
+        torus bucket (ku, kt) is ku K + kt. The walk has it inline."""
+        if torus:
+            u, t = map(wrap_float, q)
+            ku, kt = int(u * K) % K, int(t * K) % K
+            lt, rt = (kt - 1) % K, (kt + 1) % K
+            k, a, b = ku * K, (ku - 1) % K * K, (ku + 1) % K * K
+            return (u, t), (k + kt, k + lt, k + rt, a + kt, a + lt, a + rt,
+                            b + kt, b + lt, b + rt)
+        q = wrap_float(q)
         k = int(q * K) % K
-        for kk in (k, (k - 1) % K, (k + 1) % K):
-            for idx in buckets.get(kk, ()):
-                d = q - points[idx]
-                d -= floor(d)
-                d = min(d, 1.0 - d)
-                if d < merge_tol:
-                    if d > 0.0:
-                        near_merges.append((d, q, k))
-                    return None
-        buckets.setdefault(k, []).append(len(points))
+        return q, (k, (k - 1) % K, (k + 1) % K)
+
+    # The walk wraps each image (the float wrap's common case inline) and
+    # scans the buckets around it for an orbit point within merge_tol, in
+    # circle_dist's arithmetic (d > 0.5 exactly when 1 - d < d; the sup
+    # metric on the torus). An image none is near joins the orbit with its
+    # link, 8 times its parent's index plus 1 + the kept index of its
+    # back-step (0: none); a merge at a positive distance is kept. It
+    # returns the point it was cut after, or None.
+    def walk(plans):
+        q, keys = place(x0.tolist())
         points.append(q)
-        return q
+        buckets[keys[0]] = [0]
+        get = buckets.get
+        lo, hi, n = 0, 1, 1  # n = len(points)
+        while lo < hi:
+            for j in range(lo, hi):
+                p = points[j]
+                for step, code in plans[links[j] & 7]:
+                    q = step(p)
+                    if torus:  # place(q), inline
+                        u, t = q
+                        r = u - u // 1.0
+                        u = r if r < 1.0 else wrap_float(u)
+                        r = t - t // 1.0
+                        t = r if r < 1.0 else wrap_float(t)
+                        q = (u, t)
+                        ku, kt = int(u * K) % K, int(t * K) % K
+                        lt, rt = (kt - 1) % K, (kt + 1) % K
+                        k, a, b = ku * K, (ku - 1) % K * K, (ku + 1) % K * K
+                        keys = (k + kt, k + lt, k + rt, a + kt, a + lt, a + rt,
+                                b + kt, b + lt, b + rt)
+                    else:
+                        r = q - q // 1.0
+                        q = r if r < 1.0 else wrap_float(q)
+                        k = int(q * K) % K
+                        keys = (k, (k - 1) % K, (k + 1) % K)
+                    d = inf
+                    for kk in keys:
+                        for idx in get(kk, ()):
+                            if torus:
+                                pu, pt = points[idx]
+                                d, e = u - pu, t - pt
+                                e -= e // 1.0
+                                if e > 0.5:
+                                    e = 1.0 - e
+                            else:
+                                d, e = q - points[idx], 0.0
+                            d -= d // 1.0
+                            if d > 0.5:
+                                d = 1.0 - d
+                            if e > d:
+                                d = e
+                            if d < merge_tol:
+                                break
+                        if d < merge_tol:
+                            break
+                    if d >= merge_tol:
+                        buckets.setdefault(keys[0], []).append(n)
+                        n += 1
+                        points.append(q)
+                        links.append(j * 8 + code)
+                    elif d > 0.0:
+                        near_merges.append((d, q, keys))
+                if n > max_size:
+                    return j
+            lo, hi = hi, n
 
-    def merge_torus(q):
-        u, t = q
-        r = u - u // 1.0
-        u = r if r < 1.0 else wrap_float(u)
-        r = t - t // 1.0
-        t = r if r < 1.0 else wrap_float(t)
-        ku, kt = int(u * K) % K, int(t * K) % K
-        for i in (ku, (ku - 1) % K, (ku + 1) % K):
-            for j in (kt, (kt - 1) % K, (kt + 1) % K):
-                for idx in buckets.get((i, j), ()):
-                    pu, pt = points[idx]
-                    d = u - pu
-                    d -= floor(d)
-                    d = min(d, 1.0 - d)
-                    if d < merge_tol:
-                        e = t - pt
-                        e -= floor(e)
-                        e = min(e, 1.0 - e)
-                        if e < merge_tol:
-                            d = max(d, e)
-                            if d > 0.0:
-                                near_merges.append((d, (u, t), (ku, kt)))
-                            return None
-        q = (u, t)
-        buckets.setdefault((ku, kt), []).append(len(points))
-        points.append(q)
-        return q
+    def back_step(j):
+        # point j's back-step stepped again: its distance to the parent as
+        # the walk measures it, inf where the walk's scan misses the parent
+        # (as buckets narrower than an ulp can), its image and buckets
+        q, keys = place(steps[(links[j] & 7) - 1](points[j]))
+        p = points[links[j] >> 3]
+        d, k = 0.0, 0  # k: the parent's bucket
+        for x, y in zip(q, p) if torus else ((q, p),):
+            e = x - y
+            e -= e // 1.0
+            if e > 0.5:
+                e = 1.0 - e
+            if e > d:
+                d = e
+            k = k * K + int(y * K) % K
+        return d if k in keys else inf, q, keys
 
-    merge, around = {
-        CIRCLE: (merge_circle, around_circle),
-        TORUS: (merge_torus, around_torus),
-    }[space]
+    for skip in (True, False):
+        # plans[c] lists the (step, code) pairs a point whose link ends in
+        # c takes: all but the back-step c - 1 when skipping
+        plans = [[(s, backs[i]) for i, s in enumerate(steps) if not skip or i != c - 1]
+                 for c in range(len(kept) + 1)]
+        buckets, points, near_merges = {}, [], []
+        links = [0]
+        cut = walk(plans)
+        pts = np.asarray(points, dtype=float)
+        if not skip:
+            break
+        # every stepped point's back-step but the start's; a cut search
+        # needs only to know that each one merges
+        link = np.array(links[: (len(points) if cut is None else cut + 1)])
+        batch = cut is not None and merge_tol >= INVERSE_TOL
+        redo = []
+        for i, g in enumerate(kept):
+            mine = np.flatnonzero((link & 7) == i + 1)
+            if batch and mine.size:
+                near = space.dist(wrap(g.raw(pts[mine])), pts[link[mine] >> 3])
+                mine = mine[~(near < merge_tol / 2)]
+            redo += mine.tolist()
+        try:
+            measured = [back_step(j) for j in redo]
+        except ValueError:
+            continue  # a non-finite back-step: the full walk raises in its order
+        if all(d < merge_tol for d, _, _ in measured):
+            near_merges += [m for m in measured if m[0] > 0.0 and cut is None]
+            break
 
-    frontier = [merge(x0.tolist())]
-    overflow = False
-    while frontier and not overflow:
-        nxt = []
-        for p in frontier:
-            for step in steps:
-                q = merge(step(p))
-                if q is not None:
-                    nxt.append(q)
-            if len(points) > max_size:
-                overflow = True
-                break
-        frontier = nxt
-
-    pts = np.asarray(points, dtype=float)
-    if overflow:
+    if cut is not None:
         reason = f"cut at max_size {max_size}"
         return FiniteOrbit(pts, len(points), False, merge_tol, None, reason)
     # The nearest orbit point to a merged image may be another than its
@@ -386,10 +444,10 @@ def finite_bs_orbit(
     # against the final orbit in the buckets around them, the farthest
     # merges first, until no merge distance left can raise the defect.
     defect = 0.0
-    for d, q, k in sorted(near_merges, reverse=True):
+    for d, q, keys in sorted(near_merges, reverse=True):
         if d <= defect:
             break
-        near = [idx for kk in around(k) for idx in buckets.get(kk, ())]
+        near = [idx for kk in keys for idx in buckets.get(kk, ())]
         defect = max(defect, float(np.min(space.dist(q, pts[near]))))
     closed = defect < CLOSED_DEFECT_RATIO * merge_tol
     reason = None if closed else f"near-closure at defect {defect:.3e}"

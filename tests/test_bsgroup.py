@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsdl.bsgroup import (
     CLOSED_DEFECT_RATIO,
@@ -33,6 +33,7 @@ from bsdl.circle import (
     denjoy_lift,
     wrap,
 )
+from bsdl.experiments import conjugated_action, near_identity_diffeo
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import LinearTorusLift, ProductTorusLift, torus_dist
 
@@ -295,6 +296,11 @@ class TestFiniteOrbits:
         with pytest.raises(ValueError, match="merge_tol"):
             finite_bs_orbit(affine_action(2), 0.3, merge_tol=tol)
 
+    @pytest.mark.parametrize("max_size", [0, -5, 0.5])
+    def test_rejects_max_size_below_one(self, max_size):
+        with pytest.raises(ValueError, match="max_size"):
+            finite_bs_orbit(affine_action(2), 0.3, max_size=max_size)
+
     @pytest.mark.parametrize(
         "torus, x0",
         [
@@ -320,10 +326,15 @@ def reference_finite_orbit(action, x0, merge_tol=1e-6, max_size=10000):
     """The closure as it stepped before frontier batching: one raw call
     per point and generator, merged through a spatial hash, then checked
     by stepping every point again against the whole point set. Wrapping
-    clamps 1.0 to the largest double below it, as the orbit kernel does."""
+    clamps 1.0 to the largest double below it, as the orbit kernel does.
+    The hash has the closure's K = max(3, int(0.5 / merge_tol)) buckets
+    per turn: where a bucket is narrower than an ulp (merge_tol 1e-17),
+    the rounded circle distance of two points an ulp apart can be 0 or
+    not, so which of them an image merges with depends on the buckets
+    scanned."""
     dim = 1 if action.space == "circle" else 2
     gens = [action.f, action.h, action.f.inverse(), action.h.inverse()]
-    K = int(np.ceil(1.0 / merge_tol))
+    K = max(3, int(0.5 / merge_tol))
 
     def wrapped(p):
         return np.minimum(wrap(p), BELOW_ONE)
@@ -335,8 +346,8 @@ def reference_finite_orbit(action, x0, merge_tol=1e-6, max_size=10000):
 
     def key_of(p):
         if dim == 1:
-            return (int(p / merge_tol) % K,)
-        return (int(p[0] / merge_tol) % K, int(p[1] / merge_tol) % K)
+            return (int(p * K) % K,)
+        return (int(p[0] * K) % K, int(p[1] * K) % K)
 
     def close(p, q):
         if dim == 1:
@@ -414,6 +425,18 @@ def denjoy_action(n, alpha, depth):
     return nonfaithful_circle(n, k=denjoy_lift(alpha, depth, 0.45))
 
 
+def translation_action(n, j):
+    f = LinearTorusLift(IntMatrix2.identity(), (j / (n - 1), 0.0))
+    return make_action(f, f, n)
+
+
+@functools.lru_cache(maxsize=None)
+def bump_conjugated_torus(n, eps, seed):
+    # a batch row of a bump map may differ from its `step` in the last
+    # bits, which the closure's check of skipped back-steps allows for
+    return conjugated_action(perturbed_torus(n, eps), near_identity_diffeo(1e-3, seed))
+
+
 ns = st.sampled_from([2, 3, 5])
 rationals = st.integers(1, 12).flatmap(
     lambda q: st.integers(-q, 2 * q - 1).map(lambda p: p / q)
@@ -460,17 +483,16 @@ torus_actions = st.one_of(
     st.builds(periodic_torus_example, st.sampled_from([3, 4])),
     st.builds(morse_smale_example, ns),
     st.builds(
+        bump_conjugated_torus,
+        ns, st.sampled_from([0.0, 0.25 - math.log(2.0), 0.02]), st.integers(0, 2),
+    ),
+    st.builds(
         linear_shear_action,
         st.sampled_from([2, 3]), st.sampled_from([1, 2, 3, 5]), st.integers(0, 3),
         st.tuples(angles, angles),
     ),
     # h is f itself, a translation by a multiple of 1/(n-1)
-    st.builds(
-        lambda n, j: (lambda f: make_action(f, f, n))(
-            LinearTorusLift(IntMatrix2.identity(), (j / (n - 1), 0.0))
-        ),
-        ns, st.integers(1, 4),
-    ),
+    st.builds(translation_action, ns, st.integers(1, 4)),
 )
 cases = st.one_of(
     st.tuples(circle_actions, circle_starts),
@@ -479,18 +501,27 @@ cases = st.one_of(
 
 
 class TestFrontierClosure:
-    """The closure, stepping each point through the generators' `step`,
-    equals the reference that calls `raw` once per point and generator,
-    bit for bit, with the overflow cut landing at every frontier
-    position."""
+    """The closure, stepping each point through the generators' `step`
+    but for its back-step, equals the reference that calls `raw` once
+    per point and generator, bit for bit, with the overflow cut landing
+    at every frontier position. At merge_tol 1e-17 a rotation's
+    back-step can miss its parent by an ulp, and the closure runs its
+    search again stepping every generator."""
 
     @settings(max_examples=150, deadline=None)
-    @given(cases, st.integers(1, 400))
-    def test_equals_point_at_a_time_reference(self, case, max_size):
+    @given(cases, st.integers(1, 400), st.sampled_from([1e-6, 1e-17]))
+    # a back-step's merge sets the defect
+    @example((translation_action(5, 1), (1 / 6, 0.0)), 4, 1e-6)
+    # a back-step lands an ulp from its parent, outside the buckets scanned
+    @example((perturbed_torus(2, 0.0), (0.5, 0.0)), 5, 1e-17)
+    # a rotation by 2^50 + 0.3 keeps two bits of its fraction, so a
+    # back-step lands far from its parent and joins the orbit
+    @example((BSAction(2, RotationLift(0.0), RotationLift(2.0**50 + 0.3), "circle"), 0.1), 3, 1e-6)
+    def test_equals_point_at_a_time_reference(self, case, max_size, merge_tol):
         action, x0 = case
-        orb = finite_bs_orbit(action, x0, max_size=max_size)
+        orb = finite_bs_orbit(action, x0, merge_tol=merge_tol, max_size=max_size)
         pts, size, closed, defect = reference_finite_orbit(
-            action, x0, max_size=max_size
+            action, x0, merge_tol=merge_tol, max_size=max_size
         )
         assert np.array_equal(orb.points, pts)
         assert orb.points.shape == pts.shape
@@ -504,3 +535,21 @@ class TestFrontierClosure:
             orb = finite_bs_orbit(act, 0.3, max_size=max_size)
             assert not orb.closed
             assert orb.size == reference_finite_orbit(act, 0.3, max_size=max_size)[1]
+
+    def test_back_steps_are_not_stepped(self, monkeypatch):
+        # h and h^-1 step the irrational chain: each point but the start
+        # takes the one step away from its parent, and the batch check of
+        # the cut search steps none again
+        act = nonfaithful_circle(3, k="rot:golden")
+        calls = 0
+        step = RotationLift.step
+
+        def counted(self, x):
+            nonlocal calls
+            calls += 1
+            return step(self, x)
+
+        monkeypatch.setattr(RotationLift, "step", counted)
+        orb = finite_bs_orbit(act, 0.3, max_size=1000)
+        assert orb.reason == "cut at max_size 1000"
+        assert calls <= 1000 + 2
