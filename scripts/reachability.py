@@ -46,6 +46,7 @@ CI_COMMANDS = (
     "verify-relation standard-torus",
     "verify-relation periodic-circle --n 40",
     "verify-relation periodic-circle --n 50",
+    "verify-relation nonfaithful-circle",
     "verify-relation periodic-circle --n 1001",
     "verify-relation nonfaithful-circle --k denjoy:golden,5,0.3",
     "verify-relation product --k denjoy:golden,5,0.3",

@@ -45,16 +45,15 @@ from .bsgroup import (
     BSAction,
     FiniteOrbit,
     make_action,
-    normal_form,
-    evaluate,
     relation_report,
     relation_residual,
+    torsion_period,
+    faithfulness,
     finite_bs_orbit,
 )
 from .catalog import (
     CATALOG,
     build_action,
-    faithfulness_evidence,
     standard_line,
     standard_torus,
     product_action,
@@ -111,9 +110,9 @@ __all__ = [
     "rotation_vector", "rotation_set", "conjugate_rotation_set_check",
     "bs_rotation_constraint", "torus_dist",
     "Space", "CIRCLE", "TORUS", "space_of",
-    "BSAction", "FiniteOrbit", "make_action", "normal_form",
-    "evaluate", "relation_report", "relation_residual", "finite_bs_orbit",
-    "CATALOG", "build_action", "faithfulness_evidence",
+    "BSAction", "FiniteOrbit", "make_action", "relation_report",
+    "relation_residual", "torsion_period", "faithfulness", "finite_bs_orbit",
+    "CATALOG", "build_action",
     "standard_line", "standard_torus", "product_action",
     "periodic_circle_example", "periodic_torus_example", "perturbed_torus",
     "morse_smale_example", "nonfaithful_circle",

@@ -1,84 +1,38 @@
-"""Elements of < a, b | a b a^-1 = b^n > and their actions through a
-chosen pair of homeomorphisms (f for b, h for a).
+"""Actions of < a, b | a b a^-1 = b^n > through a pair of homeomorphisms,
+f for b and h for a: the relation check, faithfulness and finite orbits.
 
-The affine model a: x -> n x, b: x -> x + 1 is faithful, so an element
-is one pair (k, w), the map x -> n^k x + w with w in Z[1/n], and
-products are exact rational arithmetic. Every element has the
-solvable-group normal form a^-p b^m a^q (`normal_form`). It acts as a
-composition, the rightmost syllable first: a b a^-1 applied to x is
-h(f(h^-1(x))), and the defining relation says that equals f^n.
+A word acts rightmost letter first: a b a^-1 is h o f o h^-1, which the
+relation says is f^n. BS(1,n) = Z[1/n] x| Z, whose every nontrivial
+normal subgroup holds some b^c, c != 0, so an action is faithful exactly
+when f has infinite order: `faithfulness` decides it from one f^N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .circle import INVERSE_TOL, _wrap_float as wrap_float, wrap
+from .gl2z import IntMatrix2, finite_order
 from .report import Report
-from .space import CIRCLE, SPACES, TORUS, space_of
+from .space import SPACES, TORUS, space_of
 
 __all__ = [
-    "NormalForm",
-    "normal_form",
     "BSAction",
     "make_action",
-    "evaluate",
     "relation_residual",
     "RelationReport",
     "relation_report",
+    "FAITHFUL_TOL",
+    "torsion_period",
+    "FaithfulnessDecision",
+    "faithfulness",
     "CLOSED_DEFECT_RATIO",
     "FiniteOrbit",
     "finite_bs_orbit",
 ]
-
-
-@dataclass
-class NormalForm(Report):
-    """a^-p b^m a^q with p, q >= 0; p is minimal for the element."""
-
-    p: int
-    m: int
-    q: int
-    n: int
-
-    def syllables(self) -> tuple:
-        """The reduced runs (letter, exponent) of a^-p b^m a^q, leftmost
-        first: zero exponents dropped, and a^-p a^q merged into the one
-        run a^(q-p) when m = 0. The identity has none."""
-        runs = [("a", self.q - self.p)] if self.m == 0 else [
-            ("a", -self.p), ("b", self.m), ("a", self.q)
-        ]
-        return tuple((g, e) for g, e in runs if e != 0)
-
-    def __str__(self):
-        return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables()) or "1"
-
-
-def normal_form(k: int, w, n: int) -> NormalForm:
-    """Normal form of the element x -> n^k x + w, w in Z[1/n], of
-    < a, b | a b a^-1 = b^n >.
-
-    p is the smallest power of n clearing the denominator of w, raised
-    further only if needed to keep q >= 0. Raises ValueError unless
-    n >= 2.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    p = 0
-    scaled = Fraction(w)
-    while scaled.denominator != 1:
-        scaled *= n
-        p += 1
-    if k + p < 0:
-        extra = -(k + p)
-        scaled *= Fraction(n) ** extra
-        p += extra
-    assert scaled.denominator == 1
-    return NormalForm(p=p, m=int(scaled), q=k + p, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +58,6 @@ class BSAction:
 
     def __post_init__(self):
         self.space = SPACES[self.space]
-
-
-def evaluate(action: BSAction, nf: NormalForm, x):
-    """Apply the element to a point (or array of points), its rightmost
-    syllable first; a letter a acts by h, b by f, each syllable through
-    `Lift.iterate`."""
-    y = np.asarray(x, dtype=float)
-    for gen, exp in reversed(nf.syllables()):
-        y = (action.h if gen == "a" else action.f).iterate(y, exp)
-    return float(y) if np.ndim(x) == 0 else y
 
 
 def relation_residual(
@@ -204,6 +148,78 @@ def make_action(f, h, n: int, name: str = "") -> BSAction:
             f"pair does not satisfy h f h^-1 = f^{n}: residual {resid:.3e}"
         )
     return BSAction(n=n, f=f, h=h, space=space, name=name)
+
+
+# ---------------------------------------------------------------------------
+# faithfulness
+
+# f^N counts as moving the space when it moves a lattice point farther
+FAITHFUL_TOL = 1e-9
+
+
+def torsion_period(n: int, A_f: IntMatrix2, A_h: IntMatrix2) -> int | None:
+    """An N with f^N = id whenever f has finite order, for an action whose
+    b and a have linear parts A_f and A_h; None when A_f, so f, has
+    infinite order. A circle action passes identities.
+
+    N = d e2, d the order of A_f and e2 = |det M| / gcd(entries of M)
+    the larger invariant factor of M = n I - A_h: a periodic f^d is
+    conjugate to a translation by some t with M t in Z^2. With A_h = I,
+    N = n - 1. Raises ValueError unless n >= 2 and A_f, A_h lie in GL(2,Z).
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not A_h.is_unimodular():
+        raise ValueError(f"A_h must lie in GL(2,Z): det={A_h.det()}")
+    d = finite_order(A_f)
+    if d is None:
+        return None
+    # n is no eigenvalue of a matrix of GL(2,Z), so det M != 0
+    a, b, c, e = n - A_h.a, -A_h.b, -A_h.c, n - A_h.d
+    return d * abs(a * e - b * c) // math.gcd(a, b, c, e)
+
+
+@dataclass
+class FaithfulnessDecision(Report):
+    """Whether an action is faithful (True, False, or None with a reason),
+    from f^N, N = `torsion_period`. exact marks a proof: N is None, or
+    f^N fuses to the identity. Otherwise f^N moves the witness point by
+    displacement, more than FAITHFUL_TOL, as evidence of faithfulness."""
+
+    N: int | None
+    faithful: bool | None
+    exact: bool
+    witness: object = None
+    displacement: float | None = None
+    reason: str | None = None
+
+
+def faithfulness(action: BSAction) -> FaithfulnessDecision:
+    """Decide the action faithful or not by the one element f^N.
+
+    f^N is `f.power(N)`, a ValueError where it has no closed form. f^N
+    that `same_map`s the identity is a kernel element. f^N moving a point
+    of `space.lattice(128)` by more than FAITHFUL_TOL is evidence of
+    faithfulness; otherwise the decision is None.
+    """
+    space, f = action.space, action.f
+    ident = IntMatrix2.identity()
+    A_f, A_h = (f.linear_part, action.h.linear_part) if space is TORUS else (ident, ident)
+    N = torsion_period(action.n, A_f, A_h)
+    if N is None:
+        return FaithfulnessDecision(N, True, True, reason="A_f has infinite order")
+    fN = f.power(N)
+    if fN.same_map(f.power(0)):
+        return FaithfulnessDecision(N, False, True, reason=f"f^{N} is the identity")
+    pts = space.lattice(128)
+    moved = space.dist(fN.raw(pts), pts)
+    i = int(np.argmax(moved))
+    x, d = pts[i].tolist(), float(moved[i])
+    if d > FAITHFUL_TOL:
+        return FaithfulnessDecision(N, True, False, x, d)
+    reason = (f"f^{N} moves no lattice point by more than {FAITHFUL_TOL:g}, "
+              "nor fuses to the identity")
+    return FaithfulnessDecision(N, None, False, x, d, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .bsgroup import BSAction, evaluate, make_action, normal_form
+from .bsgroup import BSAction, make_action
 from .circle import (
     ChartAffineLift,
     CircleLift,
@@ -53,7 +51,6 @@ from .circle import (
     RotationLift,
     parse_k_spec,
 )
-from .report import Report
 from .torus import ProductTorusLift
 
 __all__ = [
@@ -68,8 +65,6 @@ __all__ = [
     "CatalogEntry",
     "CATALOG",
     "build_action",
-    "FaithfulnessReport",
-    "faithfulness_evidence",
 ]
 
 
@@ -367,77 +362,3 @@ def build_action(name: str, n: int | None = None, **params) -> BSAction:
         if key not in entry.defaults:
             raise ValueError(f"{name} takes no --{key}")
     return entry.build(n, **params)
-
-
-# ---------------------------------------------------------------------------
-# faithfulness evidence
-
-# Words up to this length are sampled, and an element that moves no grid
-# point by more than FAITHFUL_TOL counts as trivial
-FAITHFUL_WORD_LEN = 4
-FAITHFUL_TOL = 1e-9
-
-
-@dataclass
-class FaithfulnessReport(Report):
-    """Sampled lower bound on how far nontrivial group elements move points.
-
-    Words up to the sampled length are reduced to normal form; every
-    distinct nontrivial element is applied to a grid and its sup
-    displacement recorded. A residual at zero exhibits a kernel element;
-    a healthy minimum is evidence (not proof) of faithfulness.
-    """
-
-    min_residual: float
-    min_word: str
-    trivial_words: list
-    words_tested: int
-    tol: float
-    faithful_evidence: bool = field(init=False)
-
-    def __post_init__(self):
-        self.faithful_evidence = self.min_residual > self.tol
-
-
-def _distinct_normal_forms(n: int, max_len: int):
-    # each element (k, w) is right-multiplied by a, a^-1, b and b^-1:
-    # x -> n^k x + w composed with n x, x / n, x + 1 and x - 1
-    seen = {}
-    stack = [(0, Fraction(0))]
-    for _ in range(max_len):
-        nxt = []
-        for k, w in stack:
-            step = Fraction(n) ** k
-            for el in ((k + 1, w), (k - 1, w), (k, w + step), (k, w - step)):
-                nf = normal_form(*el, n)
-                key = (nf.p, nf.m, nf.q)
-                if key == (0, 0, 0) or key in seen:
-                    continue
-                seen[key] = nf
-                nxt.append(el)
-        stack = nxt
-    return list(seen.values())
-
-
-def faithfulness_evidence(action: BSAction, grid: int = 128) -> FaithfulnessReport:
-    """Scan all group elements represented by words up to FAITHFUL_WORD_LEN
-    and measure how little each moves the space."""
-    forms = _distinct_normal_forms(action.n, FAITHFUL_WORD_LEN)
-    pts = action.space.lattice(grid)
-    best = math.inf
-    best_word = ""
-    trivial = []
-    for nf in forms:
-        resid = float(np.max(action.space.dist(evaluate(action, nf, pts), pts)))
-        if resid < best:
-            best = resid
-            best_word = str(nf)
-        if resid <= FAITHFUL_TOL:
-            trivial.append(str(nf))
-    return FaithfulnessReport(
-        min_residual=best,
-        min_word=best_word,
-        trivial_words=trivial,
-        words_tested=len(forms),
-        tol=FAITHFUL_TOL,
-    )

@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from .bsgroup import finite_bs_orbit, relation_report
+from .bsgroup import faithfulness, finite_bs_orbit, relation_report
 from .catalog import CATALOG, build_action
 from .circle import rotation_number
 from .estimators import bs_minimal_set, fixed_cells
@@ -155,7 +155,8 @@ def _cmd_catalog(args):
 def _cmd_verify_relation(args):
     act = _build(args)
     rep = relation_report(act, grid=args.resolution, primary_tol=args.tol)
-    _emit({"action": act.name, **rep.to_json()}, args)
+    # the exit status is the relation's; the decision rides along
+    _emit({"action": act.name, **rep.to_json(), "faithfulness": faithfulness(act)}, args)
     return OK if rep.passed else INCONCLUSIVE
 
 
@@ -360,7 +361,8 @@ def _parser():
 
     _subcommand(
         sub, "verify-relation", _cmd_verify_relation,
-        "check h f h^-1 = f^n on a grid", resolution=10000, tol=1e-8,
+        "check h f h^-1 = f^n on a grid, and decide faithfulness",
+        resolution=10000, tol=1e-8,
     )
 
     p = _subcommand(

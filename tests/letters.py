@@ -1,8 +1,7 @@
 """Letter sequences over a, b and their inverses A, B, for the group
 tests: `element(letters, n)` is their product in the affine model
-x -> n^k x + w, as the pair (k, w), `spell(nf)` the letters of a normal
-form's syllables, and `apply_letters(action, letters, x)` applies the
-letters one `raw` call each, the rightmost first.
+x -> n^k x + w, as the pair (k, w), and `apply_letters(action, letters,
+x)` applies the letters one `raw` call each, the rightmost first.
 """
 
 from fractions import Fraction
@@ -21,11 +20,6 @@ def element(letters, n):
         w += dw * Fraction(n) ** k
         k += dk
     return k, w
-
-
-def spell(nf):
-    """The letters of `nf.syllables()`, leftmost first."""
-    return "".join((g if e > 0 else g.upper()) * abs(e) for g, e in nf.syllables())
 
 
 def apply_letters(action, letters, x):

@@ -8,15 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from bsdl.bsgroup import (
     CLOSED_DEFECT_RATIO,
+    FAITHFUL_TOL,
     BSAction,
     FiniteOrbit,
-    NormalForm,
-    evaluate,
+    faithfulness,
     finite_bs_orbit,
     make_action,
-    normal_form,
     relation_report,
     relation_residual,
+    torsion_period,
 )
 from bsdl.catalog import (
     morse_smale_example,
@@ -37,7 +37,7 @@ from bsdl.experiments import conjugated_action, near_identity_diffeo
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import LinearTorusLift, ProductTorusLift, torus_dist
 
-from letters import apply_letters, element, spell
+from letters import apply_letters, element
 
 BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -57,14 +57,6 @@ def glued_action(n):
     return make_action(f, h, n)
 
 
-def random_letters(rng, length):
-    return "".join(rng.choice(list("aAbB"), size=length))
-
-
-def nf_of(letters, n):
-    return normal_form(*element(letters, n), n)
-
-
 class TestAffineModel:
     def test_defining_relation_holds_in_model(self):
         for n in (2, 3, 6):
@@ -74,81 +66,14 @@ class TestAffineModel:
         # a^-1 b a acts as x -> x + 1/n
         assert element("Aba", 3) == (0, Fraction(1, 3))
 
-    def test_normal_forms(self):
-        nf = nf_of("Aba", 3)
-        assert (nf.p, nf.m, nf.q) == (1, 1, 1)
-        assert nf.syllables() == (("a", -1), ("b", 1), ("a", 1))
-        assert str(nf) == "a^-1 b a"
-        nf = nf_of("aBa", 2)
-        assert (nf.p, nf.m, nf.q) == (0, -2, 2)
-        assert str(nf) == "b^-2 a^2"
-        nf = normal_form(0, 0, 2)
-        assert (nf.p, nf.m, nf.q) == (0, 0, 0)
-        assert nf.syllables() == ()
-        assert str(nf) == "1"
-
-    def test_normal_form_raises_p_for_negative_q(self):
-        # pure a^-1 has k = -1, so p must rise to keep q >= 0
-        nf = nf_of("A", 2)
-        assert nf.q == 0
-        assert nf.p == 1
-        assert nf.m == 0
-        assert nf.syllables() == (("a", -1),)
-        assert element(spell(nf), 2) == element("A", 2)
-
-    def test_rejects_n_below_two(self):
-        with pytest.raises(ValueError, match="need n >= 2"):
-            normal_form(0, 0, 1)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from("aAbB"), max_size=12).map("".join),
-           st.sampled_from([2, 3, 5, 6]))
-    def test_syllables_spell_the_element(self, letters, n):
-        nf = nf_of(letters, n)
-        assert nf.p >= 0 and nf.q >= 0
-        assert element(spell(nf), n) == element(letters, n)
-        runs = nf.syllables()
-        assert all(e != 0 for _, e in runs)
-        assert all(g != h for (g, _), (h, _) in zip(runs, runs[1:]))
-        if nf.p > 0 and nf.m != 0:
-            assert nf.m % n != 0 or nf.q == 0
-
 
 class TestEvaluation:
     def test_relation_pointwise(self):
         act = affine_action(3)
         xs = np.arange(0.0, 1.0, 1.0 / 53.0)
         lhs = apply_letters(act, "abA", xs)
-        rhs = evaluate(act, NormalForm(0, 3, 0, 3), xs)
+        rhs = apply_letters(act, "bbb", xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_product_is_composition(self):
-        act = affine_action(2)
-        x = 0.37
-        assert evaluate(act, nf_of("ab" + "Ba", 2), x) == pytest.approx(
-            evaluate(act, nf_of("ab", 2), evaluate(act, nf_of("Ba", 2), x)), abs=1e-12
-        )
-
-    def test_normal_form_evaluates_identically(self):
-        act = affine_action(2)
-        rng = np.random.default_rng(5)
-        xs = rng.uniform(0.0, 1.0, size=16)
-        for _ in range(20):
-            letters = random_letters(rng, int(rng.integers(1, 7)))
-            a = apply_letters(act, letters, xs)
-            b = evaluate(act, nf_of(letters, 2), xs)
-            assert np.max(np.array(circle_dist(a, b))) < 1e-9
-
-    def test_syllable_with_no_closed_form_is_stepped(self):
-        # a Denjoy lift's powers have no closed form: a^3 is three steps
-        # of h and a^-2 two of its inverse, with the bits of those steps
-        act = denjoy_action(2, GOLDEN_MEAN, 5)
-        h, hinv = act.h, act.h.inverse()
-        xs = np.arange(0.0, 1.0, 1.0 / 31.0)
-        got = evaluate(act, NormalForm(0, 0, 3, 2), xs)
-        assert got.tobytes() == h.raw(h.raw(h.raw(xs))).tobytes()
-        got = evaluate(act, NormalForm(2, 0, 0, 2), 0.3)
-        assert got == float(hinv.raw(hinv.raw(np.float64(0.3))))
 
     def test_power_lift_closed_forms(self):
         F = ChartAffineLift(1.0, 1.0)
@@ -202,6 +127,72 @@ class TestRelationReports:
         js = relation_report(affine_action(2)).to_json()
         assert js["passed"] is True
         assert js["space"] == "circle"
+
+
+@st.composite
+def block_shift_actions(draw):
+    """f = x + 1 on m blocks, shifted j blocks, and h = n x on the same
+    blocks, with m | j (n - 1): h commutes with the shift and conjugates
+    f to f^n. periodic-circle is m = n - 1, j = 1."""
+    n = draw(st.integers(2, 61))
+    m = draw(st.integers(1, 64))
+    j = m // math.gcd(m, n - 1) * draw(st.integers(-3, 3))
+    f = ChartAffineLift(1.0, 1.0, m=m, shift=j)
+    return make_action(f, ChartAffineLift(float(n), 0.0, m=m), n)
+
+
+class TestFaithfulness:
+    def test_torsion_period(self):
+        ident, cat = IntMatrix2.identity(), IntMatrix2.from_rows((2, 1), (1, 1))
+        for n in (2, 3, 7, 10**21):
+            assert torsion_period(n, ident, ident) == n - 1
+        # n I - A_h has det 5 at n = 4 and 11 at n = 5, and entries of gcd 1
+        assert torsion_period(4, ident, cat) == 5
+        assert torsion_period(5, ident, cat) == 11
+        # the order of A_f multiplies e2
+        assert torsion_period(5, IntMatrix2.from_rows((0, 1), (-1, 0)), cat) == 44
+        # a shear A_h: n I - A_h = [[n - 1, -k], [0, n - 1]]
+        shear = IntMatrix2.from_rows((1, 4), (0, 1))
+        assert torsion_period(7, ident, shear) == 36 // 2
+        for A_f in (cat, IntMatrix2.from_rows((1, 1), (0, 1))):
+            assert torsion_period(3, A_f, ident) is None
+
+    def test_torsion_period_rejects_bad_input(self):
+        ident, twice = IntMatrix2.identity(), IntMatrix2.from_rows((2, 0), (0, 1))
+        with pytest.raises(ValueError, match="need n >= 2"):
+            torsion_period(1, ident, ident)
+        for A_f, A_h in ((twice, ident), (ident, twice)):
+            with pytest.raises(ValueError, match=r"GL\(2,Z\)"):
+                torsion_period(3, A_f, A_h)
+
+    def test_infinite_order_linear_part_is_exactly_faithful(self):
+        # no action has such an A_f, which h would conjugate to A_f^n; the
+        # pair is built unchecked to reach the branch
+        cat = IntMatrix2.from_rows((2, 1), (1, 1))
+        f = LinearTorusLift(cat)
+        act = BSAction(2, f, LinearTorusLift(IntMatrix2.identity()), "torus")
+        dec = faithfulness(act)
+        assert (dec.N, dec.faithful, dec.exact) == (None, True, True)
+
+    @pytest.mark.parametrize("build", [
+        # f^N is a whole turn, or a translation by whole turns, in floats
+        # that its family's `same_map` does not match with the identity
+        lambda: make_action(RotationLift(1 / 3), RotationLift(0.3), 4),
+        lambda: linear_shear_action(3, 1, 1, (0.0, 0.0)),
+        lambda: translation_action(5, 2),
+    ])
+    def test_unseen_finite_order_is_undecided(self, build):
+        dec = faithfulness(build())
+        assert dec.faithful is None and not dec.exact
+        assert dec.displacement <= FAITHFUL_TOL
+        assert "nor fuses to the identity" in dec.reason
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_shift_actions())
+    def test_block_shift_family_is_faithful(self, act):
+        dec = faithfulness(act)
+        assert (dec.N, dec.faithful, dec.exact) == (act.n - 1, True, False)
+        assert dec.displacement > FAITHFUL_TOL
 
 
 class TestFiniteOrbits:

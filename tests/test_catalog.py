@@ -4,11 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bsdl.bsgroup import finite_bs_orbit, make_action, relation_report
+from bsdl.bsgroup import faithfulness, finite_bs_orbit, make_action, relation_report
 from bsdl.catalog import (
     CATALOG,
     build_action,
-    faithfulness_evidence,
     morse_smale_example,
     nonfaithful_circle,
     periodic_circle_example,
@@ -27,6 +26,7 @@ from bsdl.circle import (
     rotation_number,
     wrap,
 )
+from bsdl.experiments import conjugated_action, near_identity_diffeo
 from bsdl.torus import MAX_STEPPED_POWER, rotation_vector, torus_dist
 
 from test_circle import chart
@@ -275,34 +275,36 @@ class TestMorseSmale:
         assert est.value == (0.0, 0.0)
 
 
+# the fibers `scripts/reachability.py` runs every subcommand on
+FIBERS = ("rot:1/3", "rot:golden", "denjoy:golden,5,0.3", "affine:2,0.1", "id")
+
+
 class TestFaithfulness:
-    @pytest.mark.parametrize(
-        "name", ["standard-line", "periodic-circle", "morse-smale"]
-    )
-    def test_faithful_entries(self, name):
-        rep = faithfulness_evidence(build_action(name))
-        assert rep.faithful_evidence
-        assert rep.trivial_words == []
+    @pytest.mark.parametrize("name,n", [
+        (name, n) for name in sorted(CATALOG) for n in (2, 3, 5, 7, 1001)
+        if n >= 3 or not name.startswith("periodic")
+    ])
+    def test_decision_matches_the_catalog(self, name, n):
+        dec = faithfulness(build_action(name, n))
+        assert dec.faithful == CATALOG[name].expected_for(n)["faithful"]
+        # N = n - 1 for every entry, whose linear parts are the identity
+        assert dec.N == n - 1
+        # a kernel element is proved; faithfulness is evidence
+        assert dec.exact is not dec.faithful
 
-    def test_standard_torus_evidence(self):
-        rep = faithfulness_evidence(standard_torus(2), grid=64)
-        assert rep.faithful_evidence
+    @pytest.mark.parametrize("name", ["product", "nonfaithful-circle"])
+    @pytest.mark.parametrize("k", FIBERS)
+    def test_decision_ignores_the_fiber(self, name, k):
+        dec = faithfulness(build_action(name, k=k))
+        assert dec.faithful == CATALOG[name].expected["faithful"]
 
-    def test_nonfaithful_kernel_found(self):
-        rep = faithfulness_evidence(nonfaithful_circle(2, k="rot:golden"))
-        assert not rep.faithful_evidence
-        assert rep.min_residual == 0.0
-        assert "b" in rep.trivial_words
-
-    def test_denjoy_fiber_evidence_steps_its_powers(self):
-        # powers of a Denjoy lift have no closed form; each syllable is
-        # applied as |exp| steps of the lift or its inverse
-        act = build_action("nonfaithful-circle", k="denjoy:golden,5,0.3")
-        rep = faithfulness_evidence(act)
-        assert rep.words_tested == 92
-        assert not rep.faithful_evidence
-        assert rep.min_residual == 0.0
-        assert "b" in rep.trivial_words
+    @pytest.mark.parametrize("name", ["standard-torus", "periodic-torus", "morse-smale"])
+    def test_bump_conjugates_stay_faithful(self, name):
+        # c9's size-10^-3 bump map at seed 7
+        act = conjugated_action(build_action(name), near_identity_diffeo(1e-3, seed=7))
+        dec = faithfulness(act)
+        assert (dec.N, dec.faithful, dec.exact) == (act.n - 1, True, False)
+        assert dec.displacement > 0.1
 
     def test_nonfaithful_orbit_is_k_orbit(self):
         act = nonfaithful_circle(2, k="rot:1/3")

@@ -82,6 +82,35 @@ class TestVerifyRelation:
         assert code == cli.OK
         assert d["passed"] is True
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_faithfulness_rides_along(self, capsys, name):
+        code, out, _ = run(capsys, "verify-relation", name, "--resolution", "64")
+        d = strict_json(out)
+        assert code == cli.OK
+        assert d["faithfulness"]["faithful"] == CATALOG[name].expected["faithful"]
+
+    def test_exit_status_stays_the_relations(self, capsys):
+        # the Denjoy fiber's relation is not exact, so --tol 0 fails it;
+        # the decision, a kernel element, is still written
+        argv = ("nonfaithful-circle", "--k", "denjoy:golden,5,0.3", "--tol", "0")
+        code, out, _ = run(capsys, "verify-relation", *argv)
+        d = strict_json(out)
+        assert (code, d["passed"]) == (cli.INCONCLUSIVE, False)
+        assert d["faithfulness"]["faithful"] is False
+        assert d["faithfulness"]["exact"] is True
+
+    def test_blocks_narrower_than_an_ulp_are_undecided(self, capsys):
+        # at n = 10^21 the relation fuses exactly, but f^(n-1) moves no
+        # lattice point, whose blocks of width 1/(n - 1) floats cannot
+        # tell apart, and does not fuse to the identity either
+        code, out, _ = run(capsys, "verify-relation", "periodic-circle", "--n", str(10**21))
+        d = strict_json(out)
+        assert (code, d["passed"]) == (cli.OK, True)
+        dec = d["faithfulness"]
+        assert dec["N"] == 10**21 - 1
+        assert (dec["faithful"], dec["exact"]) == (None, False)
+        assert "nor fuses to the identity" in dec["reason"]
+
     def test_unknown_action_errors(self, capsys):
         code, _, err = run(capsys, "verify-relation", "no-such-thing")
         assert code == cli.ERROR

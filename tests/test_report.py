@@ -3,9 +3,10 @@
 The results whose JSON is exactly their fields inherit `Report.to_json`.
 Reference copies of the methods it replaced (below) must give the same
 `json.dumps(..., sort_keys=True)` text, so every key, type and float
-bit, on the results of every catalog entry. `RelationReport` and
-`FaithfulnessReport` hold their derived flags as fields, and
-`RotationNumberEstimate` its witness as a named tuple. The three
+bit, on the results of every catalog entry. `RelationReport` holds its
+derived flags as fields, and `RotationNumberEstimate` its witness as a
+named tuple. `FaithfulnessDecision` came after the methods; its
+reference writes the fields it is documented to have. The three
 results that override `to_json` are checked against their former
 methods too: `TrichotomyReport`, which renames the witness point to
 `angle`, `MinimalSetEstimate`, which truncates its points, and
@@ -15,6 +16,7 @@ methods too: `TrichotomyReport`, which renames the witness point to
 alone, for every result type.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -22,14 +24,14 @@ import numpy as np
 import pytest
 
 from bsdl.bsgroup import (
+    FaithfulnessDecision,
     FiniteOrbit,
-    NormalForm,
     RelationReport,
+    faithfulness,
     finite_bs_orbit,
-    normal_form,
     relation_report,
 )
-from bsdl.catalog import CATALOG, FaithfulnessReport, build_action, faithfulness_evidence
+from bsdl.catalog import CATALOG, build_action
 from bsdl.circle import RotationNumberEstimate, parse_k_spec, rotation_number
 from bsdl.estimators import (
     CellSet,
@@ -55,10 +57,6 @@ from bsdl.torus import (
 
 # ---------------------------------------------------------------------------
 # reference: the hand-written to_json methods that Report replaced
-
-
-def ref_normal_form(self):
-    return {"p": self.p, "m": self.m, "q": self.q, "n": self.n}
 
 
 def ref_finite_orbit(self):
@@ -158,12 +156,12 @@ def ref_relation(self):
 
 def ref_faithfulness(self):
     return {
-        "min_residual": self.min_residual,
-        "min_word": self.min_word,
-        "trivial_words": list(self.trivial_words),
-        "words_tested": self.words_tested,
-        "tol": self.tol,
-        "faithful_evidence": self.faithful_evidence,
+        "N": self.N,
+        "faithful": self.faithful,
+        "exact": self.exact,
+        "witness": self.witness,
+        "displacement": self.displacement,
+        "reason": self.reason,
     }
 
 
@@ -207,7 +205,6 @@ def ref_rotation_constraint(self):
 
 
 REFERENCE = {
-    NormalForm: ref_normal_form,
     FiniteOrbit: ref_finite_orbit,
     CellSet: ref_cell_set,
     DifferentialReport: ref_differential,
@@ -216,7 +213,7 @@ REFERENCE = {
     ConjugacyRotationReport: ref_conjugacy,
     TrichotomyReport: ref_trichotomy,
     RelationReport: ref_relation,
-    FaithfulnessReport: ref_faithfulness,
+    FaithfulnessDecision: ref_faithfulness,
     RotationNumberEstimate: ref_rotation_number,
     MinimalSetEstimate: ref_minimal_set,
     RotationConstraintReport: ref_rotation_constraint,
@@ -261,9 +258,8 @@ def results_of(name):
         CellSet(32, space),
         differential_at(act.f, origin),
         differential_at(act.h, origin),
-        normal_form(0, 1 - 2 * act.n, act.n),  # a b^-2 a^-1 b
         relation_report(act, grid=64),
-        faithfulness_evidence(act, grid=8),
+        faithfulness(act),
     ]
     if space == "circle":
         out.append(rotation_number(act.f, iterates=500))
@@ -329,9 +325,14 @@ class TestJsonable:
         assert jsonable(frozenset()) == []
 
     def test_dataclass_becomes_its_fields_and_keys_become_strings(self):
-        assert jsonable(NormalForm(1, 2, 0, 3)) == {"p": 1, "m": 2, "q": 0, "n": 3}
+        @dataclasses.dataclass
+        class Pair:
+            p: int
+            q: Fraction
+
+        assert jsonable(Pair(1, Fraction(2, 3))) == {"p": 1, "q": [2, 3]}
         assert jsonable({1: None, "a": "b"}) == {"1": None, "a": "b"}
-        assert jsonable(NormalForm) is NormalForm
+        assert jsonable(Pair) is Pair
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +348,9 @@ def _trichotomy():
 # one result of each type; those that derive, rename or truncate fields
 # with their witnesses, flags and numpy diagnostics in place
 BUILDERS = {
-    NormalForm: lambda: normal_form(0, -4, 2),  # a b^-2 a^-1
     FiniteOrbit: lambda: finite_bs_orbit(build_action("product"), np.zeros(2)),
     RelationReport: lambda: relation_report(build_action("standard-torus"), grid=64),
-    FaithfulnessReport: lambda: faithfulness_evidence(
-        build_action("nonfaithful-circle", k="rot:1/3"), grid=8
-    ),
+    FaithfulnessDecision: lambda: faithfulness(build_action("periodic-torus")),
     RotationNumberEstimate: lambda: rotation_number(parse_k_spec("rot:1/3"), iterates=1000),
     CellSet: lambda: fixed_cells(build_action("standard-torus").f, resolution=8),
     DifferentialReport: lambda: differential_at(build_action("standard-torus").h, np.zeros(2)),
