@@ -323,6 +323,10 @@ class RotationLift(CircleLift):
     def same_params(self, other):
         return isinstance(other, RotationLift) and self.alpha == other.alpha
 
+    def same_map(self, other):
+        # angles a whole number of turns apart
+        return isinstance(other, RotationLift) and (self.alpha - other.alpha) % 1.0 == 0.0
+
 
 def _affine_params(a, b) -> bool:
     """Whether x -> a x + b is increasing with float parameters."""
@@ -440,12 +444,6 @@ class ChartAffineLift(CircleLift):
             and (self.m, self.a, self.b) == (other.m, other.a, other.b)
             and (self.shift - other.shift) % self.m == 0
         )
-
-    def seam_distance(self, x):
-        if self.m == 1:
-            return None
-        seams = np.arange(self.m) / self.m
-        return float(np.min(circle_dist(wrap(x), seams)))
 
 
 class PiecewiseLift(CircleLift):

@@ -17,7 +17,7 @@ import numpy as np
 from .bsgroup import BSAction, finite_bs_orbit
 from .circle import circle_dist, orbit, wrap
 from .report import Report, jsonable
-from .space import CIRCLE, SPACES, TORUS, cell_index, space_of
+from .space import CIRCLE, SPACES, TORUS, space_of
 
 # Samples per cell axis in `bs_minimal_set`, per space: corner-first
 # samples for the K family, then a finer grid of each surviving cell for
@@ -25,58 +25,88 @@ from .space import CIRCLE, SPACES, TORUS, cell_index, space_of
 _CELL_SAMPLES = {CIRCLE: (5, 9), TORUS: (3, 5)}
 
 
+def cell_index(points, resolution: int):
+    """Grid cell of each point, wrapped first, as int coordinates.
+
+    Raises ValueError on a non-finite coordinate, which lies in no cell.
+    """
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("a point with a non-finite coordinate lies in no grid cell")
+    return np.minimum((wrap(points) * resolution).astype(int), resolution - 1)
+
+
 @dataclass
 class CellSet(Report):
-    """Subset of the uniform cell partition at a fixed resolution.
+    """Subset of the uniform cell partition at a fixed resolution R.
 
     Circle cells are column indices i, standing for [i/R, (i+1)/R);
     torus cells are index pairs (i, j) for the product of two such
-    intervals.
+    intervals. cells is an int array of shape (k,) + space.shape,
+    ascending (first axis slowest) and without repeats; the constructor
+    takes any int array-like of cells, their indices mod R.
     """
 
     resolution: int
     space: str
-    cells: frozenset = frozenset()
+    cells: np.ndarray = ()
 
     def __post_init__(self):
         if self.space not in SPACES:
             raise ValueError(f"unknown space {self.space!r}")
         if self.resolution < 1:
             raise ValueError("resolution must be positive")
-        self.space = SPACES[self.space]
-        self.cells = self.space.cells(np.array(list(self.cells), dtype=int))
+        self.space = space = SPACES[self.space]
+        idx = np.asarray(self.cells, dtype=int).reshape((-1,) + space.shape)
+        flat = np.unique(self._flat(idx % self.resolution))
+        self.cells = (flat[:, None] // self._place() % self.resolution).reshape(
+            (-1,) + space.shape
+        )
 
-    def _with(self, cells: frozenset) -> "CellSet":
-        """A set on this grid from Python ints or int pairs, taken as is."""
-        out = object.__new__(CellSet)
-        out.resolution, out.space, out.cells = self.resolution, self.space, cells
-        return out
+    def _place(self):
+        # the weight of each axis in a flat grid position
+        return self.resolution ** np.arange(self.space.dim - 1, -1, -1)
+
+    def _flat(self, idx):
+        """Position of each cell of an int array of shape (...) + shape in
+        the flattened grid, first axis slowest."""
+        lead = idx.shape[: idx.ndim - len(self.space.shape)]
+        return idx.reshape(lead + (self.space.dim,)) @ self._place()
 
     @classmethod
     def from_points(cls, points, resolution, space):
-        out = cls(resolution, space)
-        return out._with(out.space.cells_of(points, resolution))
+        """The cells hit by an array of points (wrapped first)."""
+        return cls(resolution, space, cell_index(points, resolution))
 
     def __len__(self):
         return len(self.cells)
 
-    def _compatible(self, other):
-        if self.resolution != other.resolution or self.space != other.space:
-            raise ValueError("cell sets live on different grids")
+    def __eq__(self, other):
+        # the dataclass rule would compare the cell arrays elementwise
+        return isinstance(other, CellSet) and self.to_json() == other.to_json()
+
+    def contains(self, points):
+        """Whether each point (wrapped first) lies in a cell of the set,
+        as flags of the points' leading shape."""
+        return np.isin(
+            self._flat(cell_index(points, self.resolution)), self._flat(self.cells)
+        )
 
     def issubset(self, other):
-        self._compatible(other)
-        return self.cells <= other.cells
+        return len(self.intersect(other)) == len(self)
 
     def intersect(self, other):
-        self._compatible(other)
-        return self._with(self.cells & other.cells)
+        if self.resolution != other.resolution or self.space != other.space:
+            raise ValueError("cell sets live on different grids")
+        keep = np.isin(self._flat(self.cells), other._flat(other.cells))
+        return CellSet(self.resolution, self.space, self.cells[keep])
 
     def dilate(self):
         """Grow by the full neighborhood (2 neighbors on the circle, 8 on
         the torus), wrapping."""
-        idx = self.space.cell_array(self.cells)[:, None] + (self.space.grid(3) - 1)
-        return self._with(self.space.cells(idx % self.resolution))
+        return CellSet(
+            self.resolution, self.space, self.cells[:, None] + (self.space.grid(3) - 1)
+        )
 
     def measure(self):
         """Total cell area as a fraction of the whole space."""
@@ -109,7 +139,7 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
     kids = np.concatenate([2 * flag + o for o in space.grid(2)])
     xs = (kids + 0.5) / resolution
     keep = space.dist(f.raw(xs), xs) < delta / 2.0
-    return CellSet(resolution, space)._with(space.cells(kids[keep]))
+    return CellSet(resolution, space, kids[keep])
 
 
 @dataclass
@@ -302,42 +332,35 @@ def bs_minimal_set(
         # invariant-measure hypotheses; they are evidence, not certificates
         "evidence": "finite orbit and gap statistics",
     }
-    empty = CellSet(resolution, space)
     if len(P) == 0:
         diag["reason"] = "no cells with small f-displacement"
         return MinimalSetEstimate(
-            "Unknown", np.zeros((0,) + space.shape), empty, P, [P], diag
+            "Unknown", np.zeros((0,) + space.shape), P, P, [P], diag
         )
 
     h = action.h
     hinv = h.inverse()
-    mask = np.zeros(resolution ** space.dim, dtype=bool)
-    mask[space.flat(space.cell_array(P.dilate().cells), resolution)] = True
-
-    def hits(pts):
-        # (m, k) + shape samples -> (m,) flags: some sample lands in the
-        # dilated fixed set
-        return mask[space.flat(cell_index(pts, resolution), resolution)].any(axis=-1)
-
+    near = P.dilate()
     # Sample closed cells corner-first: corners sit on invariant circles
     # that centers always miss, and under an expanding h the preimage of
-    # the fixed band is thinner than one cell after a few steps.
+    # the fixed band is thinner than one cell after a few steps. A cell
+    # stays while some forward and some backward sample lands in the
+    # dilated fixed set.
     corners, picks = _CELL_SAMPLES[space]
-    cells_now = sorted(P.cells)
+    cells_now = P.cells
     offs = space.grid(corners) / (corners - 1)
-    fwd = (space.cell_array(cells_now)[:, None] + offs) / resolution
+    fwd = (cells_now[:, None] + offs) / resolution
     bwd = fwd.copy()
-    K = P
     family = [P]
     for _ in range(8):
         fwd = wrap(h.raw(fwd))
         bwd = wrap(hinv.raw(bwd))
-        keep = hits(fwd) & hits(bwd)
-        cells_now = [c for c, ok in zip(cells_now, keep) if ok]
+        keep = near.contains(fwd).any(axis=-1) & near.contains(bwd).any(axis=-1)
+        cells_now = cells_now[keep]
         fwd = fwd[keep]
         bwd = bwd[keep]
-        K = P._with(frozenset(cells_now))
-        family.append(K)
+        family.append(CellSet(resolution, space, cells_now))
+    K = family[-1]
     diag["k_counts"] = [len(k) for k in family]
 
     seed_region = K if len(K) else P
@@ -345,7 +368,7 @@ def bs_minimal_set(
     # the subgrids of every surviving cell, in cell order so that the
     # lowest cell wins ties: near a parabolic fixed point f flags the
     # cells beside it too, and the lowest need not hold the point
-    cells = space.cell_array(sorted(seed_region.cells)).reshape(-1, space.dim)
+    cells = seed_region.cells.reshape(-1, space.dim)
     ticks = np.linspace(cells / resolution, (cells + 1) / resolution, picks, axis=-1)
     sub = space.grid(picks).reshape(-1, space.dim)
     cand = ticks[:, np.arange(space.dim), sub].reshape((-1,) + space.shape)

@@ -3,11 +3,10 @@
 `jsonable` walks a value: a Fraction becomes [num, den], a numpy scalar
 its Python value, an ndarray its `tolist()`, a `Report` its `to_json()`,
 another dataclass or a named tuple the dict of its fields, a dict a dict
-with string keys, a list or tuple a list, and a frozenset a sorted list.
-A result's JSON is `Report.to_json`, its fields; a result that renames
-or truncates fields overrides `to_json`, and `jsonable` honours the
-override wherever the result sits, so it writes the same JSON nested or
-not.
+with string keys, and a list or tuple a list. A result's JSON is
+`Report.to_json`, its fields; a result that renames or truncates fields
+overrides `to_json`, and `jsonable` honours the override wherever the
+result sits, so it writes the same JSON nested or not.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ def jsonable(x):
         return [int(x.numerator), int(x.denominator)]
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return _fields(x)
-    if isinstance(x, frozenset):
-        return [jsonable(v) for v in sorted(x)]
     return x
 
 

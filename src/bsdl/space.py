@@ -4,9 +4,8 @@
 A Space is the string "circle" or "torus", so it compares, hashes and
 serializes as that name, and it carries what the estimators need to
 treat both spaces alike. Points are float arrays of trailing shape
-`shape`: () on the circle, (2,) on the torus. Grid cells of a uniform
-partition with `resolution` cells per axis are Python ints on the
-circle and int pairs on the torus.
+`shape`: () on the circle, (2,) on the torus. Grid cells are not a
+Space's: they live in `estimators.CellSet`.
 """
 
 from __future__ import annotations
@@ -15,22 +14,19 @@ import math
 
 import numpy as np
 
-from .circle import CircleLift, circle_dist, wrap
+from .circle import CircleLift, circle_dist
 from .torus import TorusLift, torus_dist
 
-__all__ = ["Space", "CIRCLE", "TORUS", "SPACES", "space_of", "cell_index"]
+__all__ = ["Space", "CIRCLE", "TORUS", "SPACES", "space_of"]
 
 
 class Space(str):
-    """The circle or the torus: dimension, metric, product lattices and
-    grid cells."""
+    """The circle or the torus: dimension, metric and product lattices."""
 
-    def __new__(cls, name, shape, cell_keys, dist):
+    def __new__(cls, name, shape, dist):
         self = super().__new__(cls, name)
         self.shape = shape
         self.dim = math.prod(shape)
-        # cells from `dim` lists of int coordinates
-        self._cell_keys = cell_keys
         self.dist = dist
         return self
 
@@ -63,43 +59,9 @@ class Space(str):
             )
         return np.reshape(parts, self.shape)
 
-    def cells(self, idx):
-        """The cells of an int array of shape (k,) + shape, as a frozenset."""
-        return frozenset(self._cell_keys(*idx.reshape(-1, self.dim).T.tolist()))
 
-    def cell_array(self, cells):
-        """Cells, in iteration order, as an int array of shape (k,) + shape."""
-        return np.array(list(cells), dtype=int).reshape((-1,) + self.shape)
-
-    def flat(self, idx, resolution: int):
-        """Position of each cell of an int array of shape (...) + shape in
-        the flattened grid, first axis slowest."""
-        lead = idx.shape[: idx.ndim - len(self.shape)]
-        return idx.reshape(lead + (self.dim,)) @ self._place(resolution)
-
-    def cells_of(self, points, resolution: int):
-        """Cells hit by an array of points (wrapped first)."""
-        flat = np.unique(self.flat(cell_index(points, resolution), resolution))
-        return self.cells(flat[:, None] // self._place(resolution) % resolution)
-
-    def _place(self, resolution):
-        # the weight of each axis in a flat grid position
-        return resolution ** np.arange(self.dim - 1, -1, -1)
-
-
-def cell_index(points, resolution: int):
-    """Grid cell of each point, wrapped first, as int coordinates.
-
-    Raises ValueError on a non-finite coordinate, which lies in no cell.
-    """
-    points = np.asarray(points, dtype=float)
-    if not np.isfinite(points).all():
-        raise ValueError("a point with a non-finite coordinate lies in no grid cell")
-    return np.minimum((wrap(points) * resolution).astype(int), resolution - 1)
-
-
-CIRCLE = Space("circle", (), lambda i: i, circle_dist)
-TORUS = Space("torus", (2,), zip, torus_dist)
+CIRCLE = Space("circle", (), circle_dist)
+TORUS = Space("torus", (2,), torus_dist)
 SPACES = {CIRCLE: CIRCLE, TORUS: TORUS}
 
 

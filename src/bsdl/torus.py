@@ -108,7 +108,7 @@ class ProductTorusLift(TorusLift):
         return super().compose(inner)
 
     def power(self, m: int):
-        if m >= 1:
+        if m >= 0:
             return ProductTorusLift(self.base.power(m), self.fiber.power(m))
         return super().power(m)
 

@@ -57,6 +57,10 @@ def glued_action(n):
     return make_action(f, h, n)
 
 
+def rotations(alpha, beta):
+    return ProductTorusLift(RotationLift(alpha), RotationLift(beta))
+
+
 class TestAffineModel:
     def test_defining_relation_holds_in_model(self):
         for n in (2, 3, 6):
@@ -175,9 +179,19 @@ class TestFaithfulness:
         assert (dec.N, dec.faithful, dec.exact) == (None, True, True)
 
     @pytest.mark.parametrize("build", [
-        # f^N is a whole turn, or a translation by whole turns, in floats
-        # that its family's `same_map` does not match with the identity
-        lambda: make_action(RotationLift(1 / 3), RotationLift(0.3), 4),
+        # f^N is the identity up to whole turns of a rotation factor
+        lambda: make_action(RotationLift(1 / 3), RotationLift(0.25), 4),
+        lambda: make_action(rotations(0.0, 0.0), rotations(0.3, 0.1), 2),
+        lambda: make_action(rotations(1 / 3, 0.0), rotations(0.0, 0.2), 4),
+    ])
+    def test_whole_turns_are_exactly_not_faithful(self, build):
+        dec = faithfulness(build())
+        assert (dec.faithful, dec.exact) == (False, True)
+        assert dec.reason == f"f^{dec.N} is the identity"
+
+    @pytest.mark.parametrize("build", [
+        # f^N is a translation by whole turns, in floats that
+        # LinearTorusLift's `same_map` does not match with the identity
         lambda: linear_shear_action(3, 1, 1, (0.0, 0.0)),
         lambda: translation_action(5, 2),
     ])
@@ -526,6 +540,22 @@ class TestFrontierClosure:
             orb = finite_bs_orbit(act, 0.3, max_size=max_size)
             assert not orb.closed
             assert orb.size == reference_finite_orbit(act, 0.3, max_size=max_size)[1]
+
+    def test_product_identity_is_not_stepped(self, monkeypatch):
+        # f = (rot 0, rot 0) matches its power(0), the product of its
+        # factors' identities, so the closure steps h and h^-1 alone
+        act = make_action(rotations(0.0, 0.0), rotations(0.3, 0.1), 2)
+        stepped = []
+        step = ProductTorusLift.step
+
+        def counted(self, p):
+            stepped.append(self.base.alpha)
+            return step(self, p)
+
+        monkeypatch.setattr(ProductTorusLift, "step", counted)
+        orb = finite_bs_orbit(act, np.zeros(2))
+        assert orb.closed and orb.size == 10
+        assert 0.0 not in stepped and len(stepped) == 20
 
     def test_back_steps_are_not_stepped(self, monkeypatch):
         # h and h^-1 step the irrational chain: each point but the start

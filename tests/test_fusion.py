@@ -90,6 +90,9 @@ def ref_params_power(F, m):
 
 
 def ref_power_lift(F, m):
+    if isinstance(F, ProductTorusLift) and m >= 0:
+        # the factors' powers, their identities at m = 0
+        return ProductTorusLift(ref_power_lift(F.base, m), ref_power_lift(F.fiber, m))
     if m == 0:
         return ref_identity(space_of(F))
     if m < 0:
@@ -100,8 +103,6 @@ def ref_power_lift(F, m):
         a, b = ref_params_power(F, m)
         if np.isfinite(a) and a > 0.0 and np.isfinite(b):
             return ChartAffineLift(a, b, m=F.m, shift=F.shift * m)
-    if isinstance(F, ProductTorusLift):
-        return ProductTorusLift(ref_power_lift(F.base, m), ref_power_lift(F.fiber, m))
     compose_ = ref_compose if space_of(F) == CIRCLE else ref_compose2
     out = F
     for _ in range(m - 1):
@@ -268,6 +269,10 @@ def test_same_params_sees_equal_families():
     assert F.same_map(F.power(1)) and F.same_map(ChartAffineLift(2.0, 0.5, m=3, shift=-5))
     assert not F.same_map(ChartAffineLift(2.0, 0.5, m=3, shift=2))
     assert not F.same_map(ChartAffineLift(2.0, 0.5, m=6, shift=4))
+    # so is a rotation by a whole number of turns
+    R = RotationLift(1 / 3).power(3)
+    assert R.same_map(RotationLift(0.0)) and R.same_map(RotationLift(-2.0))
+    assert not R.same_params(RotationLift(0.0)) and not R.same_map(RotationLift(0.5))
     A = IntMatrix2.from_rows((2, 1), (1, 1))
     assert LinearTorusLift(A, (0.5, 0.0)).same_params(LinearTorusLift(A, (0.5, 0.0)))
     assert not RotationLift(0.1).compose(ChartAffineLift(1.0, 0.0)).same_params(

@@ -68,14 +68,6 @@ class TestSpaces:
             with pytest.raises(ValueError, match="comma-separated"):
                 space.parse_point(text)
 
-    def test_cells_round_trip(self):
-        for space in (CIRCLE, TORUS):
-            idx = space.grid(5)
-            cells = space.cells(idx)
-            assert len(cells) == 5 ** space.dim
-            assert np.array_equal(space.cell_array(sorted(cells)), idx)
-            assert np.array_equal(np.sort(space.flat(idx, 5)), np.arange(5 ** space.dim))
-
 
 # ---------------------------------------------------------------------------
 # composition and inverse laws
