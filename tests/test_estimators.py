@@ -20,6 +20,7 @@ from bsdl.circle import (
     RotationLift,
     circle_dist,
     orbit,
+    wrap,
 )
 from bsdl.estimators import (
     CellSet,
@@ -40,6 +41,12 @@ def as_tuples(cs):
 
 
 class TestCellSet:
+    def test_normalizes_cells(self):
+        cs = CellSet(8, "torus", [[0, 1], (2, 3), (10, 1)])
+        assert cs.cells.tolist() == [[0, 1], [2, 1], [2, 3]]
+        cs = CellSet(8, "circle", [3, 5, 3])
+        assert len(cs) == 2 and cs.cells.tolist() == [3, 5]
+
     def test_rejects_bad_space(self):
         with pytest.raises(ValueError):
             CellSet(8, "plane")
@@ -60,6 +67,28 @@ class TestCellSet:
         with pytest.raises(ValueError, match="non-finite"):
             CellSet.from_points(np.array([[0.3, 0.1], [0.2, bad]]), 8, "torus")
 
+    @pytest.mark.parametrize("R", [256, 1024])
+    def test_from_points_equals_per_point_cells(self, R):
+        # the one-pass numpy build against converting every point's cell
+        pts = np.random.default_rng(R).uniform(-1.0, 2.0, (20000, 2))
+        pts[:4] = [(0.0, 0.0), (-1e-20, 1.0), (1.0 - 1e-16, 0.5), (2.0, -0.0)]
+        idx = np.minimum((wrap(pts) * R).astype(int), R - 1)
+        ref = sorted({(int(a), int(b)) for a, b in idx})
+        cs = CellSet.from_points(pts, R, "torus")
+        assert as_tuples(cs) == ref and cs == CellSet(R, "torus", ref)
+        assert cs.cells.dtype.kind == "i"
+        circ = CellSet.from_points(pts[:, 0], R, "circle")
+        assert circ.cells.tolist() == sorted({int(i) for i in idx[:, 0]})
+
+    def test_dilate_circle_wraps(self):
+        cs = CellSet(8, "circle", [0]).dilate()
+        assert cs.cells.tolist() == [0, 1, 7]
+
+    def test_dilate_torus_eight_neighborhood(self):
+        cs = CellSet(4, "torus", [(0, 0)]).dilate()
+        assert len(cs) == 9
+        assert (3, 3) in as_tuples(cs) and (1, 1) in as_tuples(cs)
+
     def test_set_algebra(self):
         a = CellSet(8, "circle", [1, 2, 3])
         b = CellSet(8, "circle", [2, 3, 4])
@@ -67,6 +96,14 @@ class TestCellSet:
         assert CellSet(8, "circle", [2]).issubset(a)
         with pytest.raises(ValueError):
             a.intersect(CellSet(16, "circle", [1]))
+
+    def test_measure(self):
+        assert CellSet(8, "circle", [0, 1]).measure() == 0.25
+        assert CellSet(4, "torus", [(0, 0), (1, 1)]).measure() == 2 / 16
+
+    def test_to_json(self):
+        j = CellSet(4, "torus", [(1, 2)]).to_json()
+        assert j == {"resolution": 4, "space": "torus", "cells": [[1, 2]]}
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([CIRCLE, TORUS]), st.integers(1, 16), st.data())

@@ -22,6 +22,7 @@ from bsdl.circle import (
     RotationLift,
     compose,
 )
+from bsdl.estimators import CellSet
 from bsdl.gl2z import IntMatrix2
 from bsdl.space import CIRCLE, SPACES, TORUS, space_of
 from bsdl.torus import ComposedTorusLift, LinearTorusLift, ProductTorusLift
@@ -67,6 +68,14 @@ class TestSpaces:
         for space, text in ((CIRCLE, "0.1,0.2"), (TORUS, "0.1")):
             with pytest.raises(ValueError, match="comma-separated"):
                 space.parse_point(text)
+
+    def test_cells_round_trip(self):
+        # the integer grid, as a cell set, is every cell once, in order
+        for space in (CIRCLE, TORUS):
+            idx = space.grid(5)
+            cells = CellSet(5, space, idx[::-1])
+            assert len(cells) == 5 ** space.dim
+            assert np.array_equal(cells.cells, idx)
 
 
 # ---------------------------------------------------------------------------
