@@ -31,7 +31,6 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +54,7 @@ __all__ = [
     "denjoy_lift",
     "wrap",
     "orbit",
+    "orbit_arrays",
     "circle_dist",
     "parse_k_spec",
     "GOLDEN_MEAN",
@@ -93,16 +93,17 @@ def orbit(F, x0, iterates: int, transient: int = 0):
     precision to a growing integer part. The first `transient` steps
     are not yielded; `iterates` pairs follow.
 
-    A single point steps through `F.step` in Python floats: a scalar
-    start of a circle lift as one float, a (2,) start of a torus lift as
-    a (u, t) pair, yielded as fresh (2,) arrays. The kind of point
-    follows the lift, not the shape of the start: an array start of a
-    circle lift, or an (m, 2) start of a torus lift, is a batch and
-    steps as one array through `F.raw`, each start following the orbit
-    it would follow alone. `step` returns the bits of `raw` on the point
-    alone, and the wrap x - floor(x) is the same on floats and arrays,
-    so a start of an elementwise lift, one whose `raw` gives each point
-    the bits it gives that point alone (the exact families), yields the
+    A single start, a scalar start of a circle lift or a (2,) start of a
+    torus lift, is stepped by `orbit_arrays`, the one loop for single
+    starts, and its pairs are yielded from its arrays: Python floats on
+    the circle, (2,) arrays on the torus. The kind of point follows the
+    lift, not the shape of the start: an array start of a circle lift,
+    or an (m, 2) start of a torus lift, is a batch and steps as one
+    array through `F.raw`, each start following the orbit it would
+    follow alone. `step` returns the bits of `raw` on the point alone,
+    and the wrap x - floor(x) is the same on floats and arrays, so a
+    start of an elementwise lift, one whose `raw` gives each point the
+    bits it gives that point alone (the exact families), yields the
     same numbers alone as inside a batch. Other lifts need not. A
     conjugated action steps a single start through the float `step` of
     its bump maps (`experiments.BumpTorusLift`), with the bits of their
@@ -116,23 +117,11 @@ def orbit(F, x0, iterates: int, transient: int = 0):
         raise ValueError(
             f"need iterates >= 1 and transient >= 0, got {iterates}, {transient}"
         )
-    if isinstance(F, CircleLift) and np.ndim(x0) == 0:
-        step = F.step
-        fx = float(x0)
-        for k in range(-transient, iterates):
-            x = _wrap_float(fx)
-            fx = step(x)
-            if k >= 0:
-                yield x, fx
-        return
-    if not isinstance(F, CircleLift) and np.ndim(x0) == 1:
-        step = F.step
-        fu, ft = (float(c) for c in x0)
-        for k in range(-transient, iterates):
-            p = (_wrap_float(fu), _wrap_float(ft))
-            fu, ft = step(p)
-            if k >= 0:
-                yield np.array(p), np.array((fu, ft))
+    if np.ndim(x0) == (0 if isinstance(F, CircleLift) else 1):
+        points, images = orbit_arrays(F, x0, iterates, transient)
+        if points.ndim == 1:
+            points, images = points.tolist(), images.tolist()
+        yield from zip(points, images)
         return
     raw = F.raw
     fv = np.asarray(x0, dtype=float)
@@ -141,6 +130,39 @@ def orbit(F, x0, iterates: int, transient: int = 0):
         fv = raw(v)
         if k >= 0:
             yield v, fv
+
+
+def orbit_arrays(F, x0, iterates: int, transient: int = 0):
+    """(points, images) of the orbit of one start x0 under a circle or
+    torus lift, as float arrays of shape (iterates,) + the point shape.
+
+    The start is a float for a circle lift and a (u, t) pair for a torus
+    lift. It steps in Python floats through `F.step`, each point wrapped
+    by `_wrap_float` before its step, and the first `transient` steps
+    are dropped: points[k] is x_(transient + k) in [0, 1)^d and
+    images[k] is F(points[k]), unwrapped, so sums of images - points are
+    Birkhoff sums of the displacement. Only the images are kept as the
+    loop runs: each point is the wrap of the image before it (of x0
+    first), with the bits of `_wrap_float`. A value that rounds up to
+    1.0 becomes the largest double below 1, and a non-finite image
+    that is stepped again raises ValueError.
+    """
+    if iterates < 1 or transient < 0:
+        raise ValueError(
+            f"need iterates >= 1 and transient >= 0, got {iterates}, {transient}"
+        )
+    step = F.step
+    if isinstance(F, CircleLift):
+        fx, wrap_point = float(x0), _wrap_float
+    else:
+        fx, wrap_point = tuple(float(c) for c in x0), _wrap_pair
+    chain = [fx]
+    add = chain.append
+    for _ in range(transient + iterates):
+        fx = step(wrap_point(fx))
+        add(fx)
+    chain = np.array(chain)
+    return wrap(chain[transient:-1]), chain[transient + 1 :]
 
 
 def _wrap_float(x: float) -> float:
@@ -152,6 +174,12 @@ def _wrap_float(x: float) -> float:
     if r == 1.0:
         return _BELOW_ONE
     raise ValueError(f"orbit left the real line at {x}")
+
+
+def _wrap_pair(p):
+    """A torus point (u, t) wrapped coordinatewise by `_wrap_float`."""
+    u, t = p
+    return _wrap_float(u), _wrap_float(t)
 
 
 def nearest_seam(*distances):
@@ -578,19 +606,20 @@ def rotation_number(
     The estimate is F^N(0)/N mod 1 for N = iterates. A lift with a
     closed-form power gives F^N(0) directly. Otherwise `power` raises
     ValueError, and the displacements F(x) - x of the first N pairs of
-    `pairs`, an `orbit(F, 0.0, ...)` the caller may go on reading, are
-    summed in orbit order; by default the orbit of 0 is stepped here.
-    The certificate is a grid point of period q <= WITNESS_PERIODS
-    (`rational_witness`).
+    the orbit of 0 are summed in orbit order. `pairs` is a function of
+    no arguments that returns that orbit as `orbit_arrays(F, 0.0, m)`
+    does, m >= N, and is called only when there is no closed form; by
+    default the orbit of 0 is stepped here. The certificate is a grid
+    point of period q <= WITNESS_PERIODS (`rational_witness`).
     """
     if iterates < 1:
         raise ValueError("iterates must be positive")
     try:
         total = F.power(iterates)(0.0)
     except ValueError:  # no closed form
-        if pairs is None:
-            pairs = orbit(F, 0.0, iterates)
-        total = sum(fy - y for y, fy in islice(pairs, iterates))
+        xs, fxs = orbit_arrays(F, 0.0, iterates) if pairs is None else pairs()
+        # Python's float sum, in orbit order
+        total = sum((fxs[:iterates] - xs[:iterates]).tolist())
     value = float(wrap(total / iterates))
     return RotationNumberEstimate(
         value, int(iterates), rational_witness(F, tol), 1.0 / iterates + INVERSE_TOL

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .bsgroup import BSAction, finite_bs_orbit
-from .circle import circle_dist, orbit, wrap
+from .circle import circle_dist, orbit_arrays, wrap
 from .report import Report, jsonable
 from .space import CIRCLE, SPACES, TORUS, space_of
 
@@ -44,7 +44,10 @@ class CellSet(Report):
     torus cells are index pairs (i, j) for the product of two such
     intervals. cells is an int array of shape (k,) + space.shape,
     ascending (first axis slowest) and without repeats; the constructor
-    takes any int array-like of cells, their indices mod R.
+    takes any int array-like of cells, their indices mod R, and
+    normalizes it by sorting their flat grid positions and dropping
+    each that repeats its neighbour. Membership is a lookup in a
+    boolean mask over the R^dim grid.
     """
 
     resolution: int
@@ -58,20 +61,30 @@ class CellSet(Report):
             raise ValueError("resolution must be positive")
         self.space = space = SPACES[self.space]
         idx = np.asarray(self.cells, dtype=int).reshape((-1,) + space.shape)
-        flat = np.unique(self._flat(idx % self.resolution))
-        self.cells = (flat[:, None] // self._place() % self.resolution).reshape(
-            (-1,) + space.shape
-        )
-
-    def _place(self):
-        # the weight of each axis in a flat grid position
-        return self.resolution ** np.arange(self.space.dim - 1, -1, -1)
+        flat = np.sort(self._flat(idx % self.resolution))
+        first = np.ones(len(flat), dtype=bool)
+        first[1:] = flat[1:] != flat[:-1]
+        # back to columns, the first axis slowest
+        cols = [flat[first]]
+        for _ in range(space.dim - 1):
+            cols[:1] = np.divmod(cols[0], self.resolution)
+        self.cells = np.stack(cols, axis=-1).reshape((-1,) + space.shape)
 
     def _flat(self, idx):
         """Position of each cell of an int array of shape (...) + shape in
         the flattened grid, first axis slowest."""
         lead = idx.shape[: idx.ndim - len(self.space.shape)]
-        return idx.reshape(lead + (self.space.dim,)) @ self._place()
+        cols = np.moveaxis(idx.reshape(lead + (self.space.dim,)), -1, 0)
+        flat = cols[0]
+        for col in cols[1:]:
+            flat = flat * self.resolution + col
+        return flat
+
+    def _mask(self):
+        """Flags over the flattened grid, set on the cells of the set."""
+        mask = np.zeros(self.resolution**self.space.dim, dtype=bool)
+        mask[self._flat(self.cells)] = True
+        return mask
 
     @classmethod
     def from_points(cls, points, resolution, space):
@@ -88,18 +101,19 @@ class CellSet(Report):
     def contains(self, points):
         """Whether each point (wrapped first) lies in a cell of the set,
         as flags of the points' leading shape."""
-        return np.isin(
-            self._flat(cell_index(points, self.resolution)), self._flat(self.cells)
-        )
+        return self._mask()[self._flat(cell_index(points, self.resolution))]
 
     def issubset(self, other):
-        return len(self.intersect(other)) == len(self)
+        return bool(other._lookup(self).all())
 
     def intersect(self, other):
+        return CellSet(self.resolution, self.space, self.cells[other._lookup(self)])
+
+    def _lookup(self, other):
+        """Whether each cell of `other` is a cell of this set."""
         if self.resolution != other.resolution or self.space != other.space:
             raise ValueError("cell sets live on different grids")
-        keep = np.isin(self._flat(self.cells), other._flat(other.cells))
-        return CellSet(self.resolution, self.space, self.cells[keep])
+        return self._mask()[self._flat(other.cells)]
 
     def dilate(self):
         """Grow by the full neighborhood (2 neighbors on the circle, 8 on
@@ -111,6 +125,16 @@ class CellSet(Report):
     def measure(self):
         """Total cell area as a fraction of the whole space."""
         return len(self.cells) / float(self.resolution) ** self.space.dim
+
+
+def _any_sample(flags):
+    """Whether some sample of each cell is flagged, for flags of shape
+    (cells, samples): the columns ORed, as `any` over a short trailing
+    axis is a slow path."""
+    hit = flags[:, 0].copy()
+    for col in flags.T[1:]:
+        hit |= col
+    return hit
 
 
 def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
@@ -355,7 +379,7 @@ def bs_minimal_set(
     for _ in range(8):
         fwd = wrap(h.raw(fwd))
         bwd = wrap(hinv.raw(bwd))
-        keep = near.contains(fwd).any(axis=-1) & near.contains(bwd).any(axis=-1)
+        keep = _any_sample(near.contains(fwd)) & _any_sample(near.contains(bwd))
         cells_now = cells_now[keep]
         fwd = fwd[keep]
         bwd = bwd[keep]
@@ -386,7 +410,7 @@ def bs_minimal_set(
         )
     diag["orbit_reason"] = orb.reason
 
-    pts = np.array([x for x, _ in orbit(h, x0, int(orbit_iterates), GAP_TRANSIENT)])
+    pts = orbit_arrays(h, x0, int(orbit_iterates), GAP_TRANSIENT)[0]
     columns = list(pts.reshape(len(pts), space.dim).T)
     if len(columns) > 1:
         # classify the coordinate whose projection leaves the narrowest gap

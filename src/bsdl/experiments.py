@@ -13,7 +13,6 @@ evidence is inconclusive the harness says Unknown instead of guessing.
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import islice
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ from .circle import (
     CircleLift,
     RotationNumberEstimate,
     circle_dist,
-    orbit,
+    orbit_arrays,
     rotation_number,
     wrap,
 )
@@ -331,10 +330,11 @@ def classify_perturbed(
     """Decide the minimal-set trichotomy on an h-invariant circle.
 
     The restricted map is stepped along one orbit of 0 with N =
-    orbit_iterates. `circle.rotation_number` sums its first N pairs (a
-    lift with a closed-form power gives h^N(0) instead), and its points
-    T ... T + N - 1, T = GAP_TRANSIENT, give the gap profile. A rational
-    rotation number, certified by a witness of period at most
+    orbit_iterates, by `circle.orbit_arrays`. `circle.rotation_number`
+    sums its first N pairs (a lift with a closed-form power gives h^N(0)
+    instead, and nothing is stepped for it), and its points T ... T + N
+    - 1, T = GAP_TRANSIENT, give the gap profile. A rational rotation
+    number, certified by a witness of period at most
     `circle.WITNESS_PERIODS`, stops the orbit after N pairs and sends
     the search to finite_bs_orbit from the witness point (at its default
     merge_tol, cut past 5000 points); FiniteOrbits is reported only when
@@ -362,15 +362,14 @@ def classify_perturbed(
 
     restriction, kind = restricted_circle_map(action.h, circle)
     evidence["restriction"] = kind
-    steps = orbit(restriction, 0.0, N + GAP_TRANSIENT)
-    angles = []
+    head = []
 
-    def head():
-        for t, ft in islice(steps, N):
-            angles.append(t)
-            yield t, ft
+    def first_pairs():
+        # the N pairs of the Birkhoff sum, stepped only without a closed form
+        head.append(orbit_arrays(restriction, 0.0, N))
+        return head[0]
 
-    rho = rotation_number(restriction, N, pairs=head())
+    rho = rotation_number(restriction, N, pairs=first_pairs)
 
     if not meets:
         evidence["reason"] = "f-fixed cells never meet the circle"
@@ -392,8 +391,12 @@ def classify_perturbed(
     # irrational: the rest of the orbit (all of it when the Birkhoff sum
     # came from a closed form), gap statistics at several sample sizes,
     # cell coverage at several resolutions
-    angles += [t for t, _ in steps]
-    angles = np.array(angles)[GAP_TRANSIENT:]
+    if head:
+        [(angles, images)] = head
+        rest = orbit_arrays(restriction, images[-1], GAP_TRANSIENT)[0]
+        angles = np.concatenate([angles, rest])[GAP_TRANSIENT:]
+    else:
+        angles = orbit_arrays(restriction, 0.0, N, GAP_TRANSIENT)[0]
     label, evidence["gap_profile"], reason = gap_profile_label(
         angles, min(resolutions)
     )

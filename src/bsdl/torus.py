@@ -29,6 +29,7 @@ from .circle import (
     circle_dist,
     nearest_seam,
     orbit,
+    orbit_arrays,
 )
 from .gl2z import IntMatrix2, rational_to_json
 from .report import Report
@@ -59,9 +60,9 @@ MAX_STEPPED_POWER = 10**6
 
 def torus_dist(p, q):
     """Sup metric on the torus: the larger of the two circle distances."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return np.max(circle_dist(p, q), axis=-1)
+    d = circle_dist(p, q)
+    # two columns: np.max over a trailing axis of length 2 is a slow path
+    return np.maximum(d[..., 0], d[..., 1])
 
 
 class TorusLift(Lift):
@@ -198,7 +199,9 @@ class ConjugatedTorusLift(ComposedTorusLift):
 
     Conjugates by the same psi object fuse on g: `compose`, `power` and
     `inverse` conjugate g's own fused result, so a relation that fuses
-    exactly for g fuses exactly for its conjugates.
+    exactly for g fuses exactly for its conjugates. `power(0)` is psi o
+    g^0 o psi^-1 too, so a conjugated identity `same_params` its own
+    `power(0)`, as the exact identity g does.
     """
 
     def __init__(self, psi: TorusLift, g: TorusLift):
@@ -215,8 +218,6 @@ class ConjugatedTorusLift(ComposedTorusLift):
         return super().compose(inner)
 
     def power(self, m: int):
-        if m == 0:
-            return super().power(0)
         return ConjugatedTorusLift(self.psi, self.g.power(m))
 
     def same_params(self, other):
@@ -260,21 +261,15 @@ def rotation_vector(
     """
     _require_identity_linear_part(F, "rotation_vector")
     half = iterates // 2
-    total = np.zeros(2)
-    first = np.zeros(2)
-    lo = np.full(2, np.inf)
-    hi = np.full(2, -np.inf)
-    for k, (v, fv) in enumerate(orbit(F, v0, iterates)):
-        d = fv - v
-        total += d
-        if k < half:
-            first += d
-        lo = np.minimum(lo, d)
-        hi = np.maximum(hi, d)
+    v, fv = orbit_arrays(F, v0, iterates)
+    d = fv - v
+    # running sums in orbit order from 0, the bits of a stepwise total
+    sums = np.cumsum(np.concatenate([np.zeros((1, 2)), d]), axis=0)
+    total, first = sums[-1], sums[half]
     mean = total / iterates
     mean_first = first / max(half, 1)
     mean_second = (total - first) / max(iterates - half, 1)
-    spread = float(np.linalg.norm(hi - lo))
+    spread = float(np.linalg.norm(d.max(axis=0) - d.min(axis=0)))
     err = max(
         float(np.max(np.abs(mean_first - mean_second))), spread / iterates, 1e-12
     )

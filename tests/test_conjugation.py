@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsdl import bsgroup
-from bsdl.bsgroup import BSAction, relation_report
+from bsdl.bsgroup import BSAction, faithfulness, make_action, relation_report
 from bsdl.catalog import CATALOG, nonfaithful_circle
 from bsdl.circle import RotationLift
 from bsdl.experiments import BumpTorusLift, conjugated_action, near_identity_diffeo
@@ -34,6 +34,7 @@ from bsdl.torus import (
     ComposedTorusLift,
     ConjugatedTorusLift,
     LinearTorusLift,
+    ProductTorusLift,
 )
 
 from lifts import callable_lift, deck_defect
@@ -159,11 +160,7 @@ def test_fused_inverse_is_the_chain(seed, size, g):
 def test_fused_power_is_the_chain(seed, size, g, m):
     psi = bump(seed, size)
     P = ConjugatedTorusLift(psi, g).power(m)
-    if m == 0:
-        # the exact identity, not psi o psi^-1
-        assert isinstance(P, LinearTorusLift)
-        assert P.raw(LATTICE).tobytes() == LATTICE.tobytes()
-        return
+    # m = 0 too: psi o g^0 o psi^-1, the identity up to the round trip
     assert isinstance(P, ConjugatedTorusLift) and P.psi is psi
     step = chain(psi, g) if m > 0 else chain(psi, g).inverse()
     stepped = LATTICE
@@ -171,6 +168,18 @@ def test_fused_power_is_the_chain(seed, size, g, m):
         stepped = step.raw(stepped)
     y = P.raw(LATTICE)
     assert np.all(np.abs(y - stepped) <= 1e-12 * (1.0 + np.abs(stepped))), (g.label, m)
+
+
+def test_conjugated_identity_fuses_to_the_identity():
+    # f^0 is psi o g^0 o psi^-1, so an identity f is known as one: f^N
+    # same_maps f^0, and the faithfulness decision is exact
+    psi = near_identity_diffeo(0.01, seed=1)
+    rot = ProductTorusLift(RotationLift(0.0), RotationLift(0.0))
+    base = make_action(rot, ProductTorusLift(RotationLift(0.3), RotationLift(0.1)), 2)
+    act = conjugated_action(base, psi)
+    assert act.f.same_params(act.f.power(0))
+    dec = faithfulness(act)
+    assert (dec.faithful, dec.exact) == (faithfulness(base).faithful, True) == (False, True)
 
 
 def test_fusion_needs_the_same_psi():

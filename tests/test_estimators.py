@@ -137,6 +137,15 @@ class TestCellSet:
         own = [tuple(np.atleast_1d(cell_index(p, R)).tolist()) for p in pts]
         assert as_tuples(CellSet.from_points(pts, R, space)) == sorted(set(own))
         assert a.contains(pts).tolist() == [c in A for c in own]
+        # samples in a (k, s) + shape array, as the K family holds them,
+        # and the empty set, which contains no sample
+        s = data.draw(st.integers(1, 4))
+        k = len(pts) // s
+        samples = pts[: k * s].reshape((k, s) + space.shape)
+        for cs, has in ((a, A), (CellSet(R, space), set())):
+            flags = cs.contains(samples)
+            assert flags.shape == (k, s) and flags.dtype == bool
+            assert flags.ravel().tolist() == [c in has for c in own[: k * s]]
 
 
 class TestFixedCells:

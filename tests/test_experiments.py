@@ -19,7 +19,7 @@ from bsdl.catalog import (
     standard_line,
     standard_torus,
 )
-from bsdl.circle import circle_dist, compose, wrap
+from bsdl.circle import RotationLift, circle_dist, compose, wrap
 from bsdl.estimators import CellSet, fixed_cells
 from bsdl.experiments import (
     GraphFoldError,
@@ -465,6 +465,20 @@ class TestClassifyPerturbed:
         assert rep.orbit is not None and rep.orbit.size == 10
         assert rep.orbit.defect is not None and rep.orbit.defect < 1e-6
         assert np.max(np.abs(rep.orbit.points[:, 0])) < 1e-12
+
+    def test_closed_form_rational_fiber_steps_no_fiber_point(self, monkeypatch):
+        # rot:1/4 has a closed-form power and a witness, so the fiber is
+        # stepped only by the orbit closure that follows
+        steps, at_closure = [], []
+        step, closure = RotationLift.step, experiments.finite_bs_orbit
+        monkeypatch.setattr(RotationLift, "step", lambda F, x: steps.append(x) or step(F, x))
+        monkeypatch.setattr(
+            experiments,
+            "finite_bs_orbit",
+            lambda *a, **k: at_closure.append(len(steps)) or closure(*a, **k),
+        )
+        rep = classify_perturbed(product_action(2, "rot:1/4"))
+        assert rep.outcome == "FiniteOrbits" and at_closure == [0]
 
     def test_small_irrational_shift_keeps_minimal_circle(self):
         rep = classify_perturbed(perturbed_torus(2, 1e-3))

@@ -1,6 +1,8 @@
-"""Laws of the orbit kernel `bsdl.circle.orbit`, property-tested on the
-exact lift families with drawn parameters, starts and orbit lengths."""
+"""Laws of the orbit kernels `bsdl.circle.orbit` and `orbit_arrays`,
+property-tested on lift families with drawn parameters, starts and orbit
+lengths."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,14 +10,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bsdl.circle import (
+    GOLDEN_MEAN,
     ChartAffineLift,
+    CircleLift,
     RotationLift,
     _wrap_float,
+    denjoy_lift,
     orbit,
+    orbit_arrays,
     rotation_number,
     wrap,
 )
-from bsdl.torus import LinearTorusLift, ProductTorusLift
+from bsdl.experiments import near_identity_diffeo
+from bsdl.torus import ConjugatedTorusLift, LinearTorusLift, ProductTorusLift
 from bsdl.gl2z import IntMatrix2
 
 starts = st.floats(-3.0, 3.0)
@@ -86,6 +93,66 @@ torus_lifts = st.one_of(
         st.tuples(offsets, offsets),
     ),
 )
+
+
+circle_families = st.one_of(
+    lifts,
+    st.builds(
+        denjoy_lift,
+        st.sampled_from([GOLDEN_MEAN, math.log(2.0), math.sqrt(2.0) - 1.0]),
+        st.integers(1, 6),
+        st.floats(0.2, 0.7),
+    ),
+)
+bump = functools.cache(lambda seed: near_identity_diffeo(1e-3, seed=seed))
+torus_families = st.one_of(
+    torus_lifts,
+    st.builds(lambda seed, g: ConjugatedTorusLift(bump(seed), g), st.integers(0, 2), torus_lifts),
+)
+# starts within 2^-54 below an integer wrap to the largest double below 1
+edge_starts = st.one_of(starts, st.sampled_from([-(2.0**-60), -1e-17, math.nextafter(3.0, 0.0)]))
+transients = st.sampled_from([0, 200])
+
+
+def reference_arrays(F, x0, n, transient):
+    """`orbit_arrays` by hand: wrap each point by `_wrap_float`, step it
+    through `F.step`, keep the pairs past the transient."""
+    if isinstance(F, CircleLift):
+        fx, wrap_point = float(x0), _wrap_float
+    else:
+        fx, wrap_point = tuple(x0), lambda p: (_wrap_float(p[0]), _wrap_float(p[1]))
+    points, images = [], []
+    for k in range(transient + n):
+        x = wrap_point(fx)
+        fx = F.step(x)
+        if k >= transient:
+            points.append(x)
+            images.append(fx)
+    return np.array(points), np.array(images)
+
+
+def assert_same_arrays(got, expected):
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(circle_families, edge_starts, lengths, transients)
+def test_arrays_are_the_float_loop_on_the_circle(F, x0, n, transient):
+    assert_same_arrays(orbit_arrays(F, x0, n, transient), reference_arrays(F, x0, n, transient))
+
+
+@settings(max_examples=100, deadline=None)
+@given(torus_families, st.tuples(edge_starts, edge_starts), lengths, transients)
+def test_arrays_are_the_float_loop_on_the_torus(F, p0, n, transient):
+    got = orbit_arrays(F, np.array(p0), n, transient)
+    assert got[0].shape == (n, 2)
+    assert_same_arrays(got, reference_arrays(F, p0, n, transient))
+    # orbit yields the same pairs
+    pairs = list(orbit(F, p0, n, transient))
+    assert np.array([v for v, _ in pairs]).tobytes() == got[0].tobytes()
+    assert np.array([fv for _, fv in pairs]).tobytes() == got[1].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,6 +229,12 @@ def test_rejects_empty_orbits(iterates, transient):
         next(orbit(RotationLift(0.1), 0.0, iterates, transient))
 
 
+@pytest.mark.parametrize("iterates,transient", [(0, 0), (-1, 0), (5, -1)])
+def test_arrays_reject_empty_orbits(iterates, transient):
+    with pytest.raises(ValueError):
+        orbit_arrays(RotationLift(0.1), 0.0, iterates, transient)
+
+
 def test_non_finite_image_is_an_error():
     F = RotationLift(math.inf)
     with pytest.raises(ValueError, match="left the real line"):
@@ -169,3 +242,7 @@ def test_non_finite_image_is_an_error():
     G = ProductTorusLift(RotationLift(0.5), RotationLift(math.nan))
     with pytest.raises(ValueError, match="left the real line"):
         list(orbit(G, (0.0, 0.0), 2))
+    with pytest.raises(ValueError, match="left the real line"):
+        orbit_arrays(G, (0.0, 0.0), 2)
+    # the last image is not stepped again
+    assert math.isnan(orbit_arrays(G, (0.0, 0.0), 1)[1][0, 1])

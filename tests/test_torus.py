@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from bsdl.circle import ChartAffineLift, RotationLift, compose, wrap
+from bsdl.circle import ChartAffineLift, RotationLift, circle_dist, compose, wrap
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
     ComposedTorusLift,
@@ -294,3 +296,18 @@ class TestRelationConstraint:
         assert js["satisfied"] is True
         assert js["q_int"] == [1, 0]
         assert js["snapped"][0] == {"num": 3, "den": 5}
+
+
+coords = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2,), (5, 2), (4, 3, 2)]), st.data())
+def test_torus_dist_is_the_larger_circle_distance(shape, data):
+    p = data.draw(arrays(float, shape, elements=coords))
+    q = data.draw(arrays(float, data.draw(st.sampled_from([(2,), shape])), elements=coords))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN on both sides
+        expected = np.max(circle_dist(p, q), axis=-1)
+        got = torus_dist(p, q)
+    assert np.shape(got) == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
