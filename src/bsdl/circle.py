@@ -152,23 +152,28 @@ def orbit_arrays(F, x0, iterates: int, transient: int = 0):
             f"need iterates >= 1 and transient >= 0, got {iterates}, {transient}"
         )
     step = F.step
+    # the chain x0, F(x_0), F(x_1), ... as one flat list of floats
     if isinstance(F, CircleLift):
-        fx, wrap_point = float(x0), _wrap_float
+        fx, wrap_point, shape = float(x0), _wrap_float, ()
+        chain = [fx]
+        add = chain.append
     else:
-        fx, wrap_point = tuple(float(c) for c in x0), _wrap_pair
-    chain = [fx]
-    add = chain.append
+        fx, wrap_point, shape = tuple(float(c) for c in x0), _wrap_pair, (2,)
+        chain = list(fx)
+        add = chain.extend
     for _ in range(transient + iterates):
         fx = step(wrap_point(fx))
         add(fx)
-    chain = np.array(chain)
+    chain = np.fromiter(chain, float, len(chain)).reshape((-1,) + shape)
     return wrap(chain[transient:-1]), chain[transient + 1 :]
 
 
 def _wrap_float(x: float) -> float:
     """x - floor(x) in [0, 1) with the bits of `wrap`."""
-    # x // 1.0 is np.floor(x) as a float, signed zeros included
-    r = x - x // 1.0
+    # Python's x % 1.0 is fmod(x, 1.0), exact, plus 1.0 when negative:
+    # x - floor(x) rounded once, as np.floor's wrap rounds it; an integer
+    # x gives +0.0 either way, and a non-finite x NaN
+    r = x % 1.0
     if r < 1.0:
         return r
     if r == 1.0:

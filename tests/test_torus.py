@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bsdl.circle import ChartAffineLift, RotationLift, circle_dist, compose, wrap
+from bsdl.circle import ChartAffineLift, RotationLift, circle_dist, compose, orbit, wrap
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
     ComposedTorusLift,
@@ -150,6 +150,38 @@ class TestRotationVector:
         assert abs(est.value[0] - 0.6) < 1e-12
         assert abs(est.value[1] - 0.2) < 1e-12
         assert est.error_bound < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-2.0, 2.0),
+        st.floats(-2.0, 2.0),
+        st.floats(0.0, 0.2),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.integers(1, 300),
+    )
+    def test_sums_are_the_stepwise_totals(self, a, b, wobble, v0, n):
+        # the running sums of the pairs, stepwise as a loop adds them
+        F = ProductTorusLift(
+            RotationLift(a),
+            callable_lift(lambda t: t + b + wobble * np.sin(2.0 * np.pi * t)),
+        )
+        half = n // 2
+        total, first = np.zeros(2), np.zeros(2)
+        lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+        for k, (v, fv) in enumerate(orbit(F, v0, n)):
+            d = fv - v
+            total += d
+            if k < half:
+                first += d
+            lo, hi = np.minimum(lo, d), np.maximum(hi, d)
+        err = max(
+            float(np.max(np.abs(first / max(half, 1) - (total - first) / max(n - half, 1)))),
+            float(np.linalg.norm(hi - lo)) / n,
+            1e-12,
+        )
+        est = rotation_vector(F, v0, n)
+        assert [x.hex() for x in est.value] == [float(x).hex() for x in total / n]
+        assert est.error_bound.hex() == err.hex()
 
 
 class TestHull:
