@@ -34,8 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# seconds of the benchmark run whose query lists are replayed
-WORKLOAD_SECONDS = 40.0
+# a side's interpreter: run_side(TREE, JOBS, OUT) of this file
+SIDE = ("import sys; sys.path.insert(0, sys.argv[1]); import same_outputs; "
+        "same_outputs.run_side(*sys.argv[2:])")
 
 
 def jobs():
@@ -49,7 +50,7 @@ def jobs():
     out = [{"id": " ".join(argv), "argv": argv} for argv in calls
            if argv[0] != "reproduce-all"]
     for workload in WORKLOADS:
-        for q in json.loads(json.dumps(generate(workload, 1, WORKLOAD_SECONDS))):
+        for q in json.loads(json.dumps(generate(workload, 1, 40.0))):
             out.append({"id": f"{workload} {q['id']} {q.get('argv') or q['kind']}",
                         "query": q})
     return out
@@ -90,13 +91,7 @@ def main(argv=None):
     sys.dont_write_bytecode = True
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="git revision to compare the working tree with")
-    ap.add_argument("--side", nargs=3, metavar=("TREE", "JOBS", "OUT"),
-                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.side:
-        run_side(*args.side)
-        return 0
-
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         base = tmp / "rev"
@@ -111,7 +106,7 @@ def main(argv=None):
         (tmp / "jobs.json").write_text(json.dumps(job_list))
         sides = {"rev": base, "tree": ROOT}
         procs = {
-            name: subprocess.Popen([sys.executable, "-B", __file__, args.rev, "--side",
+            name: subprocess.Popen([sys.executable, "-B", "-c", SIDE, str(ROOT / "scripts"),
                                     str(tree), str(tmp / "jobs.json"),
                                     str(tmp / f"{name}.jsonl")])
             for name, tree in sides.items()
