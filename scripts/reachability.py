@@ -54,6 +54,7 @@ CI_COMMANDS = (
     "finite-orbit product --k rot:1/5 0.5,0.5",
     "finite-orbit nonfaithful-circle --k rot:1/7",
     "finite-orbit nonfaithful-circle --k rot:1/7 --tol 1e-17",
+    "finite-orbit nonfaithful-circle --k rot:golden",
     "finite-orbit nonfaithful-circle --k denjoy:ln2,11,0.45",
     "minimal-set periodic-circle --n 2500 --iterates 20000",
     "minimal-set nonfaithful-circle --k rot:1/2500 --iterates 20000",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import INVERSE_TOL, _wrap_float as wrap_float, wrap
+from .circle import INVERSE_TOL, _wrap_float as wrap_float, orbit_arrays, wrap
 from .gl2z import IntMatrix2, finite_order
 from .report import Report
 from .space import SPACES, TORUS, space_of
@@ -235,6 +235,54 @@ def faithfulness(action: BSAction) -> FaithfulnessDecision:
 # 1.0e-6. The bound lies between the two, and a start within
 # merge_tol / 1000 of a common fixed point still closes onto it.
 CLOSED_DEFECT_RATIO = 1e-2
+# the first chunk of each arm of a chain; later chunks double
+_ARM_CHUNK = 64
+
+
+def _gaps_clear(points, merge_tol: float) -> bool:
+    """Whether every sorted circular gap of points in [0, 1), the seam's
+    included, is at least 2 merge_tol + 2^-50: then the walk's rounded
+    distance of every pair is at least merge_tol, and nothing merges.
+    The floor of 2^-50 covers the rounding of both distances, and the
+    walk's merge at distance 0 of two points below an ulp of 1 apart."""
+    s = np.sort(points)
+    return min(np.diff(s).min(), 1.0 - (s[-1] - s[0])) >= 2.0 * merge_tol + 2.0**-50
+
+
+def _chain_points(g, g_inv, x0: float, size: int, merge_tol: float):
+    """The first size >= 3 points x0, g x0, g^-1 x0, g^2 x0, g^-2 x0, ...
+    of the chain of a wrapped circle point x0, as the walk of
+    `finite_bs_orbit` finds them when nothing merges: size // 2 on the
+    g arm and the rest but x0 on the g^-1 arm. Each arm steps by
+    `orbit_arrays` in chunks that double from _ARM_CHUNK points, each
+    chunk from the last image of the one before, and every point is
+    wrapped with the walk's bits. None when the walk must decide: a
+    gap is not `_gaps_clear` after a chunk, or an arm raises ValueError
+    or ArithmeticError or ends in an image that is not finite, so that
+    the walk raises in its own order."""
+    pts = np.empty(size)
+    pts[0] = x0
+    arms = ((g, pts[1::2]), (g_inv, pts[2::2]))
+    ends, done, chunk = [x0, x0], 0, _ARM_CHUNK
+    while done < len(arms[0][1]):
+        for i, (F, out) in enumerate(arms):
+            m = min(chunk, len(out) - done)
+            if m < 1:  # the g^-1 arm is full, one point short of the g arm
+                continue
+            try:
+                images = orbit_arrays(F, ends[i], m)[1]
+            except (ValueError, ArithmeticError):
+                return None
+            ends[i] = float(images[-1])
+            if not math.isfinite(ends[i]):
+                return None
+            out[done : done + m] = wrap(images)
+        done += chunk
+        chunk *= 2
+        # both arms hold `done` points, or all of theirs
+        if not _gaps_clear(pts[: 1 + 2 * done], merge_tol):
+            return None
+    return pts
 
 
 @dataclass
@@ -281,6 +329,17 @@ def finite_bs_orbit(
     merge, the search runs again stepping every generator. So the
     points, their order, the cut and the defect are those of stepping
     all four.
+
+    A circle action whose kept generators are one map g and its inverse
+    steps a chain: the skipping search would add x0, g x0, g^-1 x0,
+    g^2 x0, g^-2 x0, ... until the cut. Its two arms step as single-start
+    orbits (`_chain_points`), in chunks that double from 64 points, and
+    the back-steps are checked as above. It takes the search point by
+    point instead when a sorted circular gap of the arms, the seam's
+    included, falls below 2 merge_tol + 2^-50 (some image might merge);
+    when an arm raises ValueError or ArithmeticError or ends in an image
+    that is not finite (the search raises in its own order); or when the
+    check of the back-steps fails.
 
     An image within merge_tol of an orbit point (circle or torus metric)
     merges with it, through a spatial hash whose buckets are scanned the
@@ -359,9 +418,9 @@ def finite_bs_orbit(
                     q = step(p)
                     if torus:  # place(q), inline
                         u, t = q
-                        r = u - u // 1.0
+                        r = u % 1.0
                         u = r if r < 1.0 else wrap_float(u)
-                        r = t - t // 1.0
+                        r = t % 1.0
                         t = r if r < 1.0 else wrap_float(t)
                         q = (u, t)
                         ku, kt = int(u * K) % K, int(t * K) % K
@@ -370,7 +429,7 @@ def finite_bs_orbit(
                         keys = (k + kt, k + lt, k + rt, a + kt, a + lt, a + rt,
                                 b + kt, b + lt, b + rt)
                     else:
-                        r = q - q // 1.0
+                        r = q % 1.0
                         q = r if r < 1.0 else wrap_float(q)
                         k = int(q * K) % K
                         keys = (k, (k - 1) % K, (k + 1) % K)
@@ -422,20 +481,34 @@ def finite_bs_orbit(
             k = k * K + int(y * K) % K
         return d if k in keys else inf, q, keys
 
+    # a circle chain, one map and its inverse: unless two of its points
+    # merge, the skipping walk adds one point per frontier point
+    chain = space is not TORUS and backs == [2, 1]
     for skip in (True, False):
-        # plans[c] lists the (step, code) pairs a point whose link ends in
-        # c takes: all but the back-step c - 1 when skipping
-        plans = [[(s, backs[i]) for i, s in enumerate(steps) if not skip or i != c - 1]
-                 for c in range(len(kept) + 1)]
         buckets, points, near_merges = {}, [], []
-        links = [0]
-        cut = walk(plans)
-        pts = np.asarray(points, dtype=float)
-        if not skip:
-            break
-        # every stepped point's back-step but the start's; a cut search
-        # needs only to know that each one merges
-        link = np.array(links[: (len(points) if cut is None else cut + 1)])
+        pts = None
+        if skip and chain:
+            pts = _chain_points(*kept, place(x0.tolist())[0], max(max_size, 2) + 1, merge_tol)
+        if pts is not None:
+            # the walk's cut and links: point i > 0 is the g (odd i) or
+            # g^-1 (even i) image of point max(i - 2, 0)
+            cut = len(pts) - 3
+            link = np.arange(cut + 1)
+            link = (link - 2).clip(0) * 8 + 1 + (link & 1)
+            link[0] = 0
+        else:
+            # plans[c] lists the (step, code) pairs a point whose link ends
+            # in c takes: all but the back-step c - 1 when skipping
+            plans = [[(s, backs[i]) for i, s in enumerate(steps) if not skip or i != c - 1]
+                     for c in range(len(kept) + 1)]
+            links = [0]
+            cut = walk(plans)
+            pts = np.asarray(points, dtype=float)
+            if not skip:
+                break
+            # every stepped point's back-step but the start's; a cut search
+            # needs only to know that each one merges
+            link = np.array(links[: (len(points) if cut is None else cut + 1)])
         batch = cut is not None and merge_tol >= INVERSE_TOL
         redo = []
         for i, g in enumerate(kept):
@@ -444,6 +517,8 @@ def finite_bs_orbit(
                 near = space.dist(wrap(g.raw(pts[mine])), pts[link[mine] >> 3])
                 mine = mine[~(near < merge_tol / 2)]
             redo += mine.tolist()
+        if redo and not points:  # a chain's back-steps, stepped one by one
+            points, links = pts.tolist(), link.tolist()
         try:
             measured = [back_step(j) for j in redo]
         except ValueError:
@@ -454,7 +529,7 @@ def finite_bs_orbit(
 
     if cut is not None:
         reason = f"cut at max_size {max_size}"
-        return FiniteOrbit(pts, len(points), False, merge_tol, None, reason)
+        return FiniteOrbit(pts, len(pts), False, merge_tol, None, reason)
     # The nearest orbit point to a merged image may be another than its
     # merge partner, one that joined later. Measure the merged images
     # against the final orbit in the buckets around them, the farthest
@@ -467,4 +542,4 @@ def finite_bs_orbit(
         defect = max(defect, float(np.min(space.dist(q, pts[near]))))
     closed = defect < CLOSED_DEFECT_RATIO * merge_tol
     reason = None if closed else f"near-closure at defect {defect:.3e}"
-    return FiniteOrbit(pts, len(points), closed, merge_tol, defect, reason)
+    return FiniteOrbit(pts, len(pts), closed, merge_tol, defect, reason)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bsdl import bsgroup
 from bsdl.bsgroup import (
     CLOSED_DEFECT_RATIO,
     FAITHFUL_TOL,
@@ -522,6 +523,21 @@ class TestFrontierClosure:
     # a rotation by 2^50 + 0.3 keeps two bits of its fraction, so a
     # back-step lands far from its parent and joins the orbit
     @example((BSAction(2, RotationLift(0.0), RotationLift(2.0**50 + 0.3), "circle"), 0.1), 3, 1e-6)
+    # a chain, h and h^-1 alone, steps its two arms as single-start
+    # orbits: odd caps, whose arms differ in length
+    @example((nonfaithful_circle(3, k="rot:golden"), 0.3), 7, 1e-6)
+    @example((nonfaithful_circle(2, k="denjoy:golden,11,0.45"), 0.0), 101, 1e-6)
+    # caps that cut at the first level
+    @example((nonfaithful_circle(3, k="rot:ln2"), 0.3), 2, 1e-6)
+    @example((nonfaithful_circle(3, k="rot:ln2"), 0.3), 3, 1e-17)
+    # a closing chain takes the walk after its first chunk
+    @example((nonfaithful_circle(3, k="rot:1/7"), 0.0), 400, 1e-6)
+    @example((nonfaithful_circle(3, k="rot:1/7"), 0.0), 400, 1e-17)
+    # a near-closure at defect 7.6e-8, whose gap below merge_tol sends it
+    # to the walk
+    @example((nonfaithful_circle(2, k="denjoy:ln2,11,0.45"), 0.0), 10000, 1e-6)
+    # chain points 3e-17 apart across the seam, which the walk keeps apart
+    @example((BSAction(2, RotationLift(0.0), RotationLift(3e-17), "circle"), 1.5e-17), 9, 1e-17)
     def test_equals_point_at_a_time_reference(self, case, max_size, merge_tol):
         action, x0 = case
         orb = finite_bs_orbit(action, x0, merge_tol=merge_tol, max_size=max_size)
@@ -571,6 +587,38 @@ class TestFrontierClosure:
             return step(self, x)
 
         monkeypatch.setattr(RotationLift, "step", counted)
-        orb = finite_bs_orbit(act, 0.3, max_size=1000)
-        assert orb.reason == "cut at max_size 1000"
-        assert calls <= 1000 + 2
+        for max_size in (1000, 10000):
+            calls = 0
+            orb = finite_bs_orbit(act, 0.3, max_size=max_size)
+            assert orb.reason == f"cut at max_size {max_size}"
+            assert calls <= max_size + 2
+
+    def test_close_chain_points_take_the_walk(self):
+        # two points 3e-17 apart at merge_tol 1e-17 are below the gap
+        # floor, inside [0, 1) and across the seam alike
+        for pts in ([0.5, 1e-16, 1.3e-16], [0.5, wrap(-1.5e-17), 1.5e-17]):
+            assert not bsgroup._gaps_clear(np.array(pts), 1e-17)
+        assert bsgroup._gaps_clear(np.array([0.5, 1e-16, 1e-14]), 1e-17)
+        h = RotationLift(3e-17)
+        for x0 in (1e-16, 1.5e-17):
+            assert bsgroup._chain_points(h, h.inverse(), x0, 9, 1e-17) is None
+
+    def test_closing_chain_steps_one_chunk_before_the_walk(self, monkeypatch):
+        act = nonfaithful_circle(3, k="rot:1/7")
+        calls = 0
+        step = RotationLift.step
+
+        def counted(self, x):
+            nonlocal calls
+            calls += 1
+            return step(self, x)
+
+        monkeypatch.setattr(RotationLift, "step", counted)
+        orb = finite_bs_orbit(act, 0.0)
+        arms_and_walk = calls
+        monkeypatch.setattr(bsgroup, "_chain_points", lambda *args: None)
+        calls = 0
+        walked = finite_bs_orbit(act, 0.0)
+        assert np.array_equal(walked.points, orb.points)
+        assert orb.closed and orb.size == walked.size == 7
+        assert arms_and_walk <= 2 * bsgroup._ARM_CHUNK + calls
