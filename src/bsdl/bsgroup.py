@@ -256,15 +256,17 @@ def _chain_points(g, g_inv, x0: float, size: int, merge_tol: float):
     g arm and the rest but x0 on the g^-1 arm. Each arm steps by
     `orbit_arrays` in chunks that double from _ARM_CHUNK points, each
     chunk from the last image of the one before, and every point is
-    wrapped with the walk's bits. None when the walk must decide: a
-    gap is not `_gaps_clear` after a chunk, or an arm raises ValueError
-    or ArithmeticError or ends in an image that is not finite, so that
-    the walk raises in its own order."""
+    wrapped with the walk's bits. Where the walk must decide, only the
+    points before the last chunk are returned, whole levels of the
+    chain: when a gap is not `_gaps_clear` after the chunk, or an arm
+    raises ValueError or ArithmeticError or ends in an image that is
+    not finite, so that the walk raises in its own order."""
     pts = np.empty(size)
     pts[0] = x0
     arms = ((g, pts[1::2]), (g_inv, pts[2::2]))
     ends, done, chunk = [x0, x0], 0, _ARM_CHUNK
     while done < len(arms[0][1]):
+        clear = pts[: 1 + 2 * done]  # both arms hold `done` points
         for i, (F, out) in enumerate(arms):
             m = min(chunk, len(out) - done)
             if m < 1:  # the g^-1 arm is full, one point short of the g arm
@@ -272,17 +274,26 @@ def _chain_points(g, g_inv, x0: float, size: int, merge_tol: float):
             try:
                 images = orbit_arrays(F, ends[i], m)[1]
             except (ValueError, ArithmeticError):
-                return None
+                return clear
             ends[i] = float(images[-1])
             if not math.isfinite(ends[i]):
-                return None
+                return clear
             out[done : done + m] = wrap(images)
         done += chunk
         chunk *= 2
-        # both arms hold `done` points, or all of theirs
         if not _gaps_clear(pts[: 1 + 2 * done], merge_tol):
-            return None
+            return clear
     return pts
+
+
+def _chain_links(m: int):
+    """The walk's links of the first m points of a chain: point i > 0 is
+    the g (odd i, back-step code 2) or g^-1 (even i, code 1) image of
+    point max(i - 2, 0)."""
+    i = np.arange(m)
+    link = (i - 2).clip(0) * 8 + 1 + (i & 1)
+    link[:1] = 0
+    return link
 
 
 @dataclass
@@ -334,12 +345,13 @@ def finite_bs_orbit(
     steps a chain: the skipping search would add x0, g x0, g^-1 x0,
     g^2 x0, g^-2 x0, ... until the cut. Its two arms step as single-start
     orbits (`_chain_points`), in chunks that double from 64 points, and
-    the back-steps are checked as above. It takes the search point by
-    point instead when a sorted circular gap of the arms, the seam's
-    included, falls below 2 merge_tol + 2^-50 (some image might merge);
-    when an arm raises ValueError or ArithmeticError or ends in an image
-    that is not finite (the search raises in its own order); or when the
-    check of the back-steps fails.
+    the back-steps are checked as above. The search goes on point by
+    point, from the points before the chunk, when a sorted circular gap
+    of the arms, the seam's included, falls below 2 merge_tol + 2^-50
+    after a chunk (some image might merge), or when an arm raises
+    ValueError or ArithmeticError or ends in an image that is not finite
+    (the search raises in its own order). If the check of the back-steps
+    fails, the search runs again stepping every generator, as above.
 
     An image within merge_tol of an orbit point (circle or torus metric)
     merges with it, through a spatial hash whose buckets are scanned the
@@ -404,13 +416,15 @@ def finite_bs_orbit(
     # metric on the torus). An image none is near joins the orbit with its
     # link, 8 times its parent's index plus 1 + the kept index of its
     # back-step (0: none); a merge at a positive distance is kept. It
-    # returns the point it was cut after, or None.
-    def walk(plans):
-        q, keys = place(x0.tolist())
-        points.append(q)
-        buckets[keys[0]] = [0]
+    # returns the point it was cut after, or None. It starts from x0, or
+    # from whole levels of a chain that nothing merges in.
+    def walk(plans, begin):
+        for q in begin:
+            buckets.setdefault(place(q)[1][0], []).append(len(points))
+            points.append(q)
         get = buckets.get
-        lo, hi, n = 0, 1, 1  # n = len(points)
+        n = len(points)
+        lo, hi = max(n - 2, 0), n
         while lo < hi:
             for j in range(lo, hi):
                 p = points[j]
@@ -482,27 +496,25 @@ def finite_bs_orbit(
         return d if k in keys else inf, q, keys
 
     # a circle chain, one map and its inverse: unless two of its points
-    # merge, the skipping walk adds one point per frontier point
+    # merge, the skipping walk adds one point per frontier point, size in
+    # all, and is cut after point size - 3
     chain = space is not TORUS and backs == [2, 1]
+    start, size = [place(x0.tolist())[0]], max(max_size, 2) + 1
     for skip in (True, False):
         buckets, points, near_merges = {}, [], []
-        pts = None
-        if skip and chain:
-            pts = _chain_points(*kept, place(x0.tolist())[0], max(max_size, 2) + 1, merge_tol)
-        if pts is not None:
-            # the walk's cut and links: point i > 0 is the g (odd i) or
-            # g^-1 (even i) image of point max(i - 2, 0)
-            cut = len(pts) - 3
-            link = np.arange(cut + 1)
-            link = (link - 2).clip(0) * 8 + 1 + (link & 1)
-            link[0] = 0
+        pts = _chain_points(*kept, start[0], size, merge_tol) if skip and chain else None
+        if pts is not None and len(pts) == size:
+            cut = size - 3
+            link = _chain_links(cut + 1)
         else:
             # plans[c] lists the (step, code) pairs a point whose link ends
             # in c takes: all but the back-step c - 1 when skipping
             plans = [[(s, backs[i]) for i, s in enumerate(steps) if not skip or i != c - 1]
                      for c in range(len(kept) + 1)]
-            links = [0]
-            cut = walk(plans)
+            # x0, or the chain's levels that the arms cleared
+            begin = start if pts is None else pts.tolist()
+            links = _chain_links(len(begin)).tolist()
+            cut = walk(plans, begin)
             pts = np.asarray(points, dtype=float)
             if not skip:
                 break

@@ -533,6 +533,8 @@ class TestFrontierClosure:
     # a closing chain takes the walk after its first chunk
     @example((nonfaithful_circle(3, k="rot:1/7"), 0.0), 400, 1e-6)
     @example((nonfaithful_circle(3, k="rot:1/7"), 0.0), 400, 1e-17)
+    # a closing chain of 300 points: the walk goes on from the first chunk
+    @example((nonfaithful_circle(2, k="rot:1/300"), 0.1), 400, 1e-6)
     # a near-closure at defect 7.6e-8, whose gap below merge_tol sends it
     # to the walk
     @example((nonfaithful_circle(2, k="denjoy:ln2,11,0.45"), 0.0), 10000, 1e-6)
@@ -599,12 +601,19 @@ class TestFrontierClosure:
         for pts in ([0.5, 1e-16, 1.3e-16], [0.5, wrap(-1.5e-17), 1.5e-17]):
             assert not bsgroup._gaps_clear(np.array(pts), 1e-17)
         assert bsgroup._gaps_clear(np.array([0.5, 1e-16, 1e-14]), 1e-17)
+        # so a chain of such points leaves the walk its start alone
         h = RotationLift(3e-17)
         for x0 in (1e-16, 1.5e-17):
-            assert bsgroup._chain_points(h, h.inverse(), x0, 9, 1e-17) is None
+            assert bsgroup._chain_points(h, h.inverse(), x0, 9, 1e-17).tolist() == [x0]
 
-    def test_closing_chain_steps_one_chunk_before_the_walk(self, monkeypatch):
-        act = nonfaithful_circle(3, k="rot:1/7")
+    # a closing chain leaves the arms in the chunk where it closes, and
+    # the walk goes on from the points before that chunk: rot:1/7 from
+    # x0, rot:1/300 from the 129 points of the first chunk
+    @pytest.mark.parametrize("q, chunks, cleared", [(7, 1, 0), (300, 2, 128)])
+    def test_closing_chain_steps_its_chunks_and_the_rest_of_the_walk(
+        self, monkeypatch, q, chunks, cleared
+    ):
+        act = nonfaithful_circle(3, k=f"rot:1/{q}")
         calls = 0
         step = RotationLift.step
 
@@ -616,9 +625,11 @@ class TestFrontierClosure:
         monkeypatch.setattr(RotationLift, "step", counted)
         orb = finite_bs_orbit(act, 0.0)
         arms_and_walk = calls
-        monkeypatch.setattr(bsgroup, "_chain_points", lambda *args: None)
+        # the walk alone, from x0
+        monkeypatch.setattr(bsgroup, "_chain_points", lambda g, g_inv, x0, *args: np.array([x0]))
         calls = 0
         walked = finite_bs_orbit(act, 0.0)
         assert np.array_equal(walked.points, orb.points)
-        assert orb.closed and orb.size == walked.size == 7
-        assert arms_and_walk <= 2 * bsgroup._ARM_CHUNK + calls
+        assert orb.closed and orb.size == walked.size == q
+        arms = 2 * bsgroup._ARM_CHUNK * (2**chunks - 1)
+        assert arms_and_walk <= arms + calls - cleared
