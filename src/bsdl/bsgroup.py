@@ -241,12 +241,13 @@ _ARM_CHUNK = 64
 
 def _gaps_clear(points, merge_tol: float) -> bool:
     """Whether every sorted circular gap of points in [0, 1), the seam's
-    included, is at least 2 merge_tol + 2^-50: then the walk's rounded
+    included, is at least merge_tol + 2^-50: then the walk's rounded
     distance of every pair is at least merge_tol, and nothing merges.
-    The floor of 2^-50 covers the rounding of both distances, and the
-    walk's merge at distance 0 of two points below an ulp of 1 apart."""
+    A sorted gap and the walk's distance each round by at most 2^-53;
+    the floor of 2^-50 covers both roundings, and the walk's merge at
+    distance 0 of two points below an ulp of 1 apart."""
     s = np.sort(points)
-    return min(np.diff(s).min(), 1.0 - (s[-1] - s[0])) >= 2.0 * merge_tol + 2.0**-50
+    return min(np.diff(s).min(), 1.0 - (s[-1] - s[0])) >= merge_tol + 2.0**-50
 
 
 def _chain_points(g, g_inv, x0: float, size: int, merge_tol: float):
@@ -347,7 +348,7 @@ def finite_bs_orbit(
     orbits (`_chain_points`), in chunks that double from 64 points, and
     the back-steps are checked as above. The search goes on point by
     point, from the points before the chunk, when a sorted circular gap
-    of the arms, the seam's included, falls below 2 merge_tol + 2^-50
+    of the arms, the seam's included, falls below merge_tol + 2^-50
     after a chunk (some image might merge), or when an arm raises
     ValueError or ArithmeticError or ends in an image that is not finite
     (the search raises in its own order). If the check of the back-steps

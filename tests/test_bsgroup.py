@@ -538,6 +538,9 @@ class TestFrontierClosure:
     # a near-closure at defect 7.6e-8, whose gap below merge_tol sends it
     # to the walk
     @example((nonfaithful_circle(2, k="denjoy:ln2,11,0.45"), 0.0), 10000, 1e-6)
+    # a chain whose gaps, 1.5 merge_tol, clear the gap floor of
+    # merge_tol + 2^-50: its arms alone give every point
+    @example((BSAction(2, RotationLift(0.0), RotationLift(1.5e-6), "circle"), 0.3), 300, 1e-6)
     # chain points 3e-17 apart across the seam, which the walk keeps apart
     @example((BSAction(2, RotationLift(0.0), RotationLift(3e-17), "circle"), 1.5e-17), 9, 1e-17)
     def test_equals_point_at_a_time_reference(self, case, max_size, merge_tol):
@@ -601,6 +604,13 @@ class TestFrontierClosure:
         for pts in ([0.5, 1e-16, 1.3e-16], [0.5, wrap(-1.5e-17), 1.5e-17]):
             assert not bsgroup._gaps_clear(np.array(pts), 1e-17)
         assert bsgroup._gaps_clear(np.array([0.5, 1e-16, 1e-14]), 1e-17)
+        # the floor is merge_tol + 2^-50, exact in these dyadic points
+        tol = 2.0**-20
+        assert bsgroup._gaps_clear(np.array([0.5, 0.25, 0.25 + tol + 2.0**-50]), tol)
+        assert not bsgroup._gaps_clear(np.array([0.5, 0.25, 0.25 + tol + 2.0**-51]), tol)
+        # gaps of 1.5 merge_tol: the arms give the whole chain
+        h = RotationLift(1.5e-6)
+        assert len(bsgroup._chain_points(h, h.inverse(), 0.3, 301, 1e-6)) == 301
         # so a chain of such points leaves the walk its start alone
         h = RotationLift(3e-17)
         for x0 in (1e-16, 1.5e-17):
