@@ -25,7 +25,6 @@ from .circle import (
     denjoy_lift,
     circle_dist,
     wrap,
-    orbit,
     parse_k_spec,
 )
 from .torus import (
@@ -103,7 +102,7 @@ __all__ = [
     "CircleLift", "RotationLift", "ChartAffineLift", "PiecewiseLift",
     "DenjoyLift",
     "RotationNumberEstimate", "compose", "rotation_number", "denjoy_lift",
-    "circle_dist", "wrap", "orbit",
+    "circle_dist", "wrap",
     "parse_k_spec",
     "TorusLift", "ProductTorusLift", "LinearTorusLift",
     "RotationVectorEstimate", "RotationSetEstimate", "compose2",

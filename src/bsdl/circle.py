@@ -21,8 +21,7 @@ Conventions used throughout the package:
   fuse `compose` and `power` into one lift of the family and compare
   through `same_params`, or, for the same map up to whole turns,
   `same_map`; other lifts compose into a `ComposedLift`, and
-  their powers beyond the first raise. `iterate(x, m)` is `power(m)` at
-  x, or |m| steps where the power has no closed form.
+  their powers beyond the first raise.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ __all__ = [
     "Witness",
     "denjoy_lift",
     "wrap",
-    "orbit",
     "orbit_arrays",
     "circle_dist",
     "parse_k_spec",
@@ -82,54 +80,6 @@ def wrap(x):
     the bits of `_wrap_float`; a non-finite one to NaN."""
     x = np.asarray(x, dtype=float)
     return np.minimum(x - np.floor(x), _BELOW_ONE)
-
-
-def orbit(F, x0, iterates: int, transient: int = 0):
-    """Yield (x_k, F(x_k)) along the orbit of x0 under a circle or torus lift.
-
-    x_k is rewrapped to [0, 1)^d before every step. The displacement
-    F(x) - x is periodic, so Birkhoff sums over the yielded pairs are
-    those of the unwrapped orbit, while the fractional part never loses
-    precision to a growing integer part. The first `transient` steps
-    are not yielded; `iterates` pairs follow.
-
-    A single start, a scalar start of a circle lift or a (2,) start of a
-    torus lift, is stepped by `orbit_arrays`, the one loop for single
-    starts, and its pairs are yielded from its arrays: Python floats on
-    the circle, (2,) arrays on the torus. The kind of point follows the
-    lift, not the shape of the start: an array start of a circle lift,
-    or an (m, 2) start of a torus lift, is a batch and steps as one
-    array through `F.raw`, each start following the orbit it would
-    follow alone. `step` returns the bits of `raw` on the point alone,
-    and the wrap x - floor(x) is the same on floats and arrays, so a
-    start of an elementwise lift, one whose `raw` gives each point the
-    bits it gives that point alone (the exact families), yields the
-    same numbers alone as inside a batch. Other lifts need not. A
-    conjugated action steps a single start through the float `step` of
-    its bump maps (`experiments.BumpTorusLift`), with the bits of their
-    `raw` on that point alone; but the bump field ends in one matrix
-    product, whose bits depend on the batch, so its batch rows may
-    differ from single starts by an ulp. A value that rounds up to 1.0
-    (x within 2^-54 below an integer) becomes the largest double below
-    1. A non-finite image of a single point raises ValueError.
-    """
-    if iterates < 1 or transient < 0:
-        raise ValueError(
-            f"need iterates >= 1 and transient >= 0, got {iterates}, {transient}"
-        )
-    if np.ndim(x0) == (0 if isinstance(F, CircleLift) else 1):
-        points, images = orbit_arrays(F, x0, iterates, transient)
-        if points.ndim == 1:
-            points, images = points.tolist(), images.tolist()
-        yield from zip(points, images)
-        return
-    raw = F.raw
-    fv = np.asarray(x0, dtype=float)
-    for k in range(-transient, iterates):
-        v = wrap(fv)
-        fv = raw(v)
-        if k >= 0:
-            yield v, fv
 
 
 def orbit_arrays(F, x0, iterates: int, transient: int = 0):
@@ -258,18 +208,6 @@ class Lift:
         """Whether other lifts the same map of the space: `same_params`,
         or, in a family that can tell, this lift moved by whole turns."""
         return self.same_params(other)
-
-    def iterate(self, x, m: int):
-        """m-th iterate (m may be negative) applied to x: the closed-form
-        power, or |m| steps of the lift or its inverse where the power
-        has none."""
-        try:
-            P = self.power(m)
-        except ValueError:  # no closed form
-            P = self if m > 0 else self.inverse()
-            for _ in range(abs(m) - 1):
-                x = P(x)
-        return P(x)
 
     def seam_distance(self, x):
         """Distance from x to the nearest non-smooth locus, None if smooth."""

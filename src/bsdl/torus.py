@@ -28,8 +28,8 @@ from .circle import (
     Lift,
     circle_dist,
     nearest_seam,
-    orbit,
     orbit_arrays,
+    wrap,
 )
 from .gl2z import IntMatrix2, rational_to_json
 from .report import Report
@@ -381,16 +381,24 @@ def rotation_set(F: TorusLift, grid: int = 32, iterates: int = 10**4) -> Rotatio
     _require_identity_linear_part(F, "rotation_set")
     if grid < 1:
         raise ValueError(f"grid must be positive, got {grid}")
+    if iterates < 1:
+        raise ValueError(f"iterates must be positive, got {iterates}")
     g = (np.arange(grid) + 0.5) / grid
     starts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     total = np.zeros_like(starts)
     lo = np.full(2, np.inf)
     hi = np.full(2, -np.inf)
-    for v, fv in orbit(F, starts, iterates, ROTATION_SET_TRANSIENT):
-        d = fv - v
-        total += d
-        lo = np.minimum(lo, d.min(axis=0))
-        hi = np.maximum(hi, d.max(axis=0))
+    # the grid steps as one array; the displacement is periodic, so each
+    # point is rewrapped before its step and never grows an integer part
+    fv = starts
+    for k in range(-ROTATION_SET_TRANSIENT, iterates):
+        v = wrap(fv)
+        fv = F.raw(v)
+        if k >= 0:
+            d = fv - v
+            total += d
+            lo = np.minimum(lo, d.min(axis=0))
+            hi = np.maximum(hi, d.max(axis=0))
     means = total / iterates
     hull = convex_hull(means)
     pts = np.atleast_2d(hull)

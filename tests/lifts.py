@@ -3,6 +3,9 @@ map: `callable_lift(fn)` on the circle, `callable_lift(fn, torus=True)`
 on the torus, with identity linear part. `CountingTorusLift(lift)` maps
 as `lift` does and counts its `raw` calls. `deck_defect(F, v, m)` is how
 far a torus lift F is from the deck law F(v + m) = F(v) + A m.
+`iterate(F, x, m)` is the tests' stepped reference for F^m at x, and
+`batch_orbit(F, starts, n)` their reference for an array of starts
+stepped together.
 
 `raw` is fn on float arrays, `step` is `raw` on one point, and the
 inverse swaps fn and inverse_fn; with no inverse_fn, `inverse` raises
@@ -12,7 +15,7 @@ power beyond the first raises ValueError: a callable has no closed form.
 
 import numpy as np
 
-from bsdl.circle import CircleLift
+from bsdl.circle import CircleLift, wrap
 from bsdl.torus import TorusLift
 
 
@@ -68,3 +71,31 @@ def deck_defect(F, v, m):
     expected = F.raw(v) + np.array(F.linear_part.apply(m), dtype=float)
     err = np.abs(F.raw(v + np.array(m, dtype=float)) - expected)
     return float(np.max(err / (1.0 + np.abs(expected))))
+
+
+def iterate(F, x, m):
+    """F^m at x (m may be negative): the closed-form power, or |m| steps
+    of F or of its inverse where the power has none."""
+    try:
+        P = F.power(m)
+    except ValueError:  # no closed form
+        P = F if m > 0 else F.inverse()
+        for _ in range(abs(m) - 1):
+            x = P(x)
+    return P(x)
+
+
+def batch_orbit(F, starts, iterates, transient=0):
+    """(points, images) of an array of starts stepped as one array through
+    `F.raw`, each point rewrapped by `wrap` before its step and the first
+    `transient` steps dropped, as arrays of shape (iterates,) + the
+    starts' shape: the loop by which `torus.rotation_set` steps its grid."""
+    fv = np.asarray(starts, dtype=float)
+    points, images = [], []
+    for k in range(-transient, iterates):
+        v = wrap(fv)
+        fv = F.raw(v)
+        if k >= 0:
+            points.append(v)
+            images.append(fv)
+    return np.array(points), np.array(images)

@@ -36,7 +36,7 @@ from bsdl.circle import (
 )
 from bsdl.experiments import conjugated_action, near_identity_diffeo
 from bsdl.gl2z import IntMatrix2
-from bsdl.torus import LinearTorusLift, ProductTorusLift, torus_dist
+from bsdl.torus import LinearTorusLift, ProductTorusLift, TorusLift, torus_dist
 
 from letters import apply_letters, element
 
@@ -242,6 +242,26 @@ class TestFiniteOrbits:
         assert orb.defect < 1e-9
         thetas = np.sort(orb.points[:, 1])
         assert np.max(np.abs(thetas - np.array([0.0, 0.25, 0.5, 0.75]))) < 1e-9
+
+    @pytest.mark.parametrize("x0,size", [((0.0, 0.0), 11), ((1 / 3, 2 / 3), 44)])
+    def test_hyperbolic_h_closes_a_rational_translation_orbit(self, x0, size, monkeypatch):
+        # h f h^-1 = f^5 with h = [[2, 1], [1, 1]] and f the translation by
+        # (4, 1)/11; the closure powers a LinearTorusLift to 0, which is
+        # TorusLift's identity
+        identity = TorusLift._identity
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return identity(self)
+
+        monkeypatch.setattr(TorusLift, "_identity", counted)
+        f = LinearTorusLift(IntMatrix2.identity(), (4 / 11, 1 / 11))
+        h = LinearTorusLift(IntMatrix2.from_rows((2, 1), (1, 1)))
+        orb = finite_bs_orbit(make_action(f, h, 5), x0)
+        assert orb.closed and orb.size == size
+        assert orb.defect < CLOSED_DEFECT_RATIO * orb.merge_tol
+        assert calls
 
     def test_merge_tol_collapses_near_points(self):
         act = affine_action(2)

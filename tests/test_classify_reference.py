@@ -21,7 +21,7 @@ from bsdl.circle import (
     INVERSE_TOL,
     CircleLift,
     RotationNumberEstimate,
-    orbit,
+    orbit_arrays,
     wrap,
 )
 from bsdl.estimators import CellSet, fixed_cells, gap_profile_label
@@ -36,7 +36,7 @@ from bsdl.experiments import (
 )
 from bsdl.torus import ProductTorusLift
 
-from lifts import callable_lift
+from lifts import callable_lift, iterate
 
 # ---------------------------------------------------------------------------
 # reference: the two-orbit classify_perturbed, its closure restriction and
@@ -59,11 +59,12 @@ def ref_rotation_number(F, iterates, q_max, tol=1e-8, x0=0.0, cert_grid=256):
     total = None
     if type(F).power is not CircleLift.power:  # a closed-form power
         try:
-            total = F.iterate(x0, iterates) - x0
+            total = iterate(F, x0, iterates) - x0
         except ValueError:
             pass
     if total is None:
-        total = sum(fy - y for y, fy in orbit(F, x0, iterates))
+        points, images = orbit_arrays(F, x0, iterates)
+        total = sum((images - points).tolist())
     value = float(wrap(total / iterates))
     witness = None
     xs = np.arange(cert_grid) / cert_grid
@@ -122,9 +123,7 @@ def ref_classify_perturbed(
         evidence["reason"] = f"rational witness but the orbit is open: {orb.reason}"
         return TrichotomyReport(rho, "Unknown", evidence, orb)
 
-    angles = np.array(
-        [t for t, _ in orbit(restriction, 0.0, int(orbit_iterates), transient)]
-    )
+    angles = orbit_arrays(restriction, 0.0, int(orbit_iterates), transient)[0]
     label, evidence["gap_profile"], reason = gap_profile_label(
         angles, min(resolutions)
     )

@@ -19,7 +19,8 @@ from bsdl.circle import (
     ChartAffineLift,
     RotationLift,
     circle_dist,
-    orbit,
+    denjoy_lift,
+    orbit_arrays,
     wrap,
 )
 from bsdl.estimators import (
@@ -75,7 +76,8 @@ class TestCellSet:
         idx = np.minimum((wrap(pts) * R).astype(int), R - 1)
         ref = sorted({(int(a), int(b)) for a, b in idx})
         cs = CellSet.from_points(pts, R, "torus")
-        assert as_tuples(cs) == ref and cs == CellSet(R, "torus", ref)
+        assert as_tuples(cs) == ref
+        assert np.array_equal(cs.cells, CellSet(R, "torus", ref).cells)
         assert cs.cells.dtype.kind == "i"
         circ = CellSet.from_points(pts[:, 0], R, "circle")
         assert circ.cells.tolist() == sorted({int(i) for i in idx[:, 0]})
@@ -118,7 +120,8 @@ class TestCellSet:
             for c in (lists[0], lists[1], lists[0] + lists[1])
         )
         assert as_tuples(a) == sorted(A) and len(a) == len(A)
-        assert (a == b) == (A == B) and ab == CellSet(R, space, ab.cells[::-1])
+        assert np.array_equal(a.cells, b.cells) == (A == B)
+        assert np.array_equal(ab.cells, CellSet(R, space, ab.cells[::-1]).cells)
         assert a.to_json()["cells"] == [list(c) if space is TORUS else c[0] for c in sorted(A)]
         assert a.issubset(b) == (A <= B) and a.issubset(ab)
         assert ab.issubset(a) == (B <= A)
@@ -186,12 +189,14 @@ class TestFixedCells:
 
 def backward_tail(h, x, transient, samples):
     """Wrapped backward orbit of x after a transient: the alpha-limit tail."""
-    return np.array([y for y, _ in orbit(h.inverse(), x, samples, transient)])
+    return orbit_arrays(h.inverse(), x, samples, transient)[0]
 
 
 def birkhoff_mean(F, x, iterates):
     """(1/N) sum_k (F(x_k) - x_k) over the wrapped orbit of x."""
-    return sum(fy - y for y, fy in orbit(F, x, iterates)) / iterates
+    points, images = orbit_arrays(F, x, iterates)
+    # running sums in orbit order, the bits of a stepwise total
+    return np.cumsum(images - points, axis=0)[-1] / iterates
 
 
 class TestAlphaLimit:
@@ -278,7 +283,7 @@ class TestGapProfileLabel:
         # the float orbit of the rotation by 1/2500 never repeats exactly,
         # and its largest gap falls from 0.6 at 10^3 points to 1/2500 at
         # 10^4 and holds, which alone reads as a circle
-        coords = np.array([x for x, _ in orbit(RotationLift(1 / 2500), 0.0, 20000)])
+        coords = orbit_arrays(RotationLift(1 / 2500), 0.0, 20000)[0]
         label, profile, reason = gap_profile_label(coords, 256)
         assert label == "Unknown"
         assert reason.startswith("orbit is periodic: step 2500 returns to ")
@@ -318,6 +323,17 @@ class TestDifferentialAt:
         assert np.allclose(r.jacobian, [[1.0]])
         assert abs(r.moduli[0] - 1.0) < 1e-12
         assert r.seam_distance is None
+
+    @pytest.mark.parametrize("x", [0.3, 0.05, 0.77])
+    @pytest.mark.parametrize("depth,gap_ratio", [(5, 0.3), (3, 0.5)])
+    def test_denjoy_seam_distance_is_the_nearest_breakpoint(self, x, depth, gap_ratio):
+        # a piecewise lift's seams are its breakpoints; a composition's are
+        # those of its inner lift at x and of its outer lift at D(x)
+        D = denjoy_lift(GOLDEN_MEAN, depth, gap_ratio)
+        near = lambda y: float(np.min(circle_dist(y, D.bx)))
+        assert differential_at(D, x).seam_distance == pytest.approx(near(x), abs=1e-15)
+        expected = min(near(x), near(D(x)))
+        assert differential_at(D.compose(D), x).seam_distance == pytest.approx(expected, abs=1e-15)
 
     def test_scaling_chart_contracts_at_glued_point(self):
         r = differential_at(standard_line(2).h, 0.0)

@@ -1,6 +1,7 @@
-"""Laws of the orbit kernels `bsdl.circle.orbit` and `orbit_arrays`,
-property-tested on lift families with drawn parameters, starts and orbit
-lengths."""
+"""Laws of the orbit kernel `bsdl.circle.orbit_arrays`, property-tested
+on lift families with drawn parameters, starts and orbit lengths, and of
+a batch of starts stepped as one array through `raw` (`lifts.batch_orbit`,
+the loop of `torus.rotation_set`) against each start alone."""
 
 import functools
 import math
@@ -16,7 +17,6 @@ from bsdl.circle import (
     RotationLift,
     _wrap_float,
     denjoy_lift,
-    orbit,
     orbit_arrays,
     rotation_number,
     wrap,
@@ -24,6 +24,8 @@ from bsdl.circle import (
 from bsdl.experiments import near_identity_diffeo
 from bsdl.torus import ConjugatedTorusLift, LinearTorusLift, ProductTorusLift
 from bsdl.gl2z import IntMatrix2
+
+from lifts import batch_orbit, iterate
 
 starts = st.floats(-3.0, 3.0)
 lengths = st.integers(1, 200)
@@ -45,20 +47,19 @@ def wrapped(y):
 def expansion(F, x0, n, h=1e-7):
     """Slope of F^n across [x0 - h, x0 + h]: the factor by which n steps
     amplify a round-off error in the start."""
-    return (F.iterate(x0 + h, n) - F.iterate(x0 - h, n)) / (2.0 * h)
+    return (iterate(F, x0 + h, n) - iterate(F, x0 - h, n)) / (2.0 * h)
 
 
 @settings(max_examples=200, deadline=None)
 @given(lifts, starts, lengths, st.integers(0, 20))
 def test_points_lie_in_the_unit_interval_and_chain(F, x0, n, transient):
-    pairs = list(orbit(F, x0, n, transient))
-    for x, _ in pairs:
-        assert 0.0 <= x < 1.0
+    points, images = orbit_arrays(F, x0, n, transient)
+    assert np.all((0.0 <= points) & (points < 1.0))
     # each point is the wrapped image of the one before, exactly
-    for (_, fx), (x_next, _) in zip(pairs, pairs[1:]):
+    for fx, x_next in zip(images.tolist(), points[1:].tolist()):
         assert x_next == wrapped(fx)
-    for v, _ in orbit(F, np.array([x0, -x0, x0 + 0.5]), n, transient):
-        assert np.all((0.0 <= v) & (v < 1.0))
+    v = batch_orbit(F, np.array([x0, -x0, x0 + 0.5]), n, transient)[0]
+    assert np.all((0.0 <= v) & (v < 1.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,20 +70,20 @@ def test_birkhoff_sum_telescopes_to_the_iterate(F, x0, n):
     # fixed tolerance can hold, so such starts are left out.
     assume(abs(expansion(F, x0, n)) < 1e4)
     total = 0.0
-    for x, fx in orbit(F, x0, n):
+    for x, fx in zip(*(a.tolist() for a in orbit_arrays(F, x0, n))):
         total += fx - x
-    expected = F.iterate(x0, n) - x0
+    expected = iterate(F, x0, n) - x0
     assert abs(total - expected) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)
 @given(lifts, st.lists(starts, min_size=1, max_size=8), lengths, st.integers(0, 20))
 def test_batch_steps_each_start_as_alone(F, xs, n, transient):
-    batch = [(v, fv) for v, fv in orbit(F, np.array(xs), n, transient)]
+    points, images = batch_orbit(F, np.array(xs), n, transient)
     for i, x0 in enumerate(xs):
-        alone = list(orbit(F, x0, n, transient))
-        assert [v[i] for v, _ in batch] == [x for x, _ in alone]
-        assert [fv[i] for _, fv in batch] == [fx for _, fx in alone]
+        alone = orbit_arrays(F, x0, n, transient)
+        assert points[:, i].tolist() == alone[0].tolist()
+        assert images[:, i].tolist() == alone[1].tolist()
 
 
 torus_lifts = st.one_of(
@@ -149,10 +150,6 @@ def test_arrays_are_the_float_loop_on_the_torus(F, p0, n, transient):
     got = orbit_arrays(F, np.array(p0), n, transient)
     assert got[0].shape == (n, 2)
     assert_same_arrays(got, reference_arrays(F, p0, n, transient))
-    # orbit yields the same pairs
-    pairs = list(orbit(F, p0, n, transient))
-    assert np.array([v for v, _ in pairs]).tobytes() == got[0].tobytes()
-    assert np.array([fv for _, fv in pairs]).tobytes() == got[1].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,49 +157,48 @@ def test_arrays_are_the_float_loop_on_the_torus(F, p0, n, transient):
        lengths, st.integers(0, 20))
 def test_torus_point_steps_as_row_zero_of_a_batch(F, p0, others, n, transient):
     # a lone torus point steps in floats, a batch as one array: same bits
-    alone = list(orbit(F, p0, n, transient))
-    batch = list(orbit(F, np.array([p0] + others), n, transient))
-    assert len(alone) == len(batch) == n
-    for (v, fv), (bv, bfv) in zip(alone, batch):
-        assert v.shape == fv.shape == (2,)
-        assert v.tobytes() == bv[0].tobytes() and fv.tobytes() == bfv[0].tobytes()
+    alone = orbit_arrays(F, p0, n, transient)
+    batch = batch_orbit(F, np.array([p0] + others), n, transient)
+    assert alone[0].shape == alone[1].shape == (n, 2)
+    for a, b in zip(alone, batch):
+        assert a.tobytes() == b[:, 0].tobytes()
 
 
 @settings(max_examples=50, deadline=None)
 @given(lifts, starts, starts, lengths)
 def test_two_circle_starts_are_a_batch(F, x0, x1, n):
-    # shape (2,) is a torus point only for a torus lift
-    pairs = list(orbit(F, np.array([x0, x1]), n))
+    # two circle starts, of the shape (2,) of one torus point, are a batch
+    points, images = batch_orbit(F, np.array([x0, x1]), n)
     for start, i in ((x0, 0), (x1, 1)):
-        alone = list(orbit(F, start, n))
-        assert [v[i] for v, _ in pairs] == [x for x, _ in alone]
-        assert [fv[i] for _, fv in pairs] == [fx for _, fx in alone]
+        alone = orbit_arrays(F, start, n)
+        assert points[:, i].tolist() == alone[0].tolist()
+        assert images[:, i].tolist() == alone[1].tolist()
 
 
 def test_transient_steps_are_not_yielded():
     F = RotationLift(0.25)
-    assert [x for x, _ in orbit(F, 0.0, 3, transient=2)] == [0.5, 0.75, 0.0]
+    assert orbit_arrays(F, 0.0, 3, transient=2)[0].tolist() == [0.5, 0.75, 0.0]
 
 
 def test_torus_point_and_batch():
     F = ProductTorusLift(RotationLift(0.25), ChartAffineLift(2.0, 0.0))
-    pts = [v for v, _ in orbit(F, (0.5, 0.3), 4)]
-    assert len(pts) == 4 and all(p.shape == (2,) for p in pts)
-    assert [p[0] for p in pts] == [0.5, 0.75, 0.0, 0.25]
-    batch = list(orbit(F, np.array([[0.5, 0.3], [0.1, 0.9]]), 4))
-    assert np.array_equal(np.array([v[0] for v, _ in batch]), np.array(pts))
+    pts = orbit_arrays(F, (0.5, 0.3), 4)[0]
+    assert pts.shape == (4, 2)
+    assert pts[:, 0].tolist() == [0.5, 0.75, 0.0, 0.25]
+    batch = batch_orbit(F, np.array([[0.5, 0.3], [0.1, 0.9]]), 4)[0]
+    assert np.array_equal(batch[:, 0], pts)
 
 
 def test_yielded_arrays_are_fresh():
     F = LinearTorusLift(IntMatrix2.identity(), (0.125, 0.5))
-    kept = [v for v, _ in orbit(F, (0.0, 0.0), 3)]
-    assert [list(v) for v in kept] == [[0.0, 0.0], [0.125, 0.5], [0.25, 0.0]]
+    kept = orbit_arrays(F, (0.0, 0.0), 3)[0]
+    assert kept.tolist() == [[0.0, 0.0], [0.125, 0.5], [0.25, 0.0]]
 
 
 def test_just_below_an_integer_wraps_below_one():
     # x - floor(x) rounds to 1.0 for x in (-2^-54, 0)
     F = RotationLift(-1e-20)
-    xs = [x for x, _ in orbit(F, 0.0, 3)]
+    xs = orbit_arrays(F, 0.0, 3)[0].tolist()
     assert xs[0] == 0.0 and all(0.0 <= x < 1.0 for x in xs)
     assert xs[1] == math.nextafter(1.0, 0.0)
 
@@ -225,8 +221,10 @@ def test_rotation_number_just_below_zero_lies_below_one():
 
 @pytest.mark.parametrize("iterates,transient", [(0, 0), (-1, 0), (5, -1)])
 def test_rejects_empty_orbits(iterates, transient):
+    # a torus start is rejected as a circle start is
+    F = LinearTorusLift(IntMatrix2.identity(), (0.1, 0.2))
     with pytest.raises(ValueError):
-        next(orbit(RotationLift(0.1), 0.0, iterates, transient))
+        orbit_arrays(F, (0.0, 0.0), iterates, transient)
 
 
 @pytest.mark.parametrize("iterates,transient", [(0, 0), (-1, 0), (5, -1)])
@@ -238,10 +236,8 @@ def test_arrays_reject_empty_orbits(iterates, transient):
 def test_non_finite_image_is_an_error():
     F = RotationLift(math.inf)
     with pytest.raises(ValueError, match="left the real line"):
-        list(orbit(F, 0.0, 2))
+        orbit_arrays(F, 0.0, 2)
     G = ProductTorusLift(RotationLift(0.5), RotationLift(math.nan))
-    with pytest.raises(ValueError, match="left the real line"):
-        list(orbit(G, (0.0, 0.0), 2))
     with pytest.raises(ValueError, match="left the real line"):
         orbit_arrays(G, (0.0, 0.0), 2)
     # the last image is not stepped again

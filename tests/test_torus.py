@@ -6,9 +6,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bsdl.circle import ChartAffineLift, RotationLift, circle_dist, compose, orbit, wrap
+from bsdl.circle import ChartAffineLift, RotationLift, circle_dist, compose, orbit_arrays, wrap
 from bsdl.gl2z import IntMatrix2
 from bsdl.torus import (
+    ROTATION_SET_TRANSIENT,
     ComposedTorusLift,
     LinearTorusLift,
     ProductTorusLift,
@@ -21,7 +22,7 @@ from bsdl.torus import (
     torus_dist,
 )
 
-from lifts import callable_lift, deck_defect
+from lifts import batch_orbit, callable_lift, deck_defect, iterate
 
 I2 = IntMatrix2.identity()
 
@@ -69,8 +70,8 @@ class TestLifts:
         w = v.copy()
         for _ in range(5):
             w = H.raw(w)
-        assert np.max(np.abs(H.iterate(v, 5) - w)) < 1e-9
-        assert np.max(np.abs(H.iterate(H.iterate(v, -3), 3) - v)) < 1e-9
+        assert np.max(np.abs(iterate(H, v, 5) - w)) < 1e-9
+        assert np.max(np.abs(iterate(H, iterate(H, v, -3), 3) - v)) < 1e-9
 
     @pytest.mark.parametrize(
         "rows",
@@ -89,24 +90,24 @@ class TestLifts:
         # A^m applied with a BLAS product rounded batch rows otherwise
         H = LinearTorusLift(IntMatrix2.from_rows((-3, 2), (-2, 1)), (0.1, -0.7))
         vs = np.random.default_rng(11).uniform(-1.0, 2.0, (300, 2))
-        batch = H.iterate(vs, m)
+        batch = iterate(H, vs, m)
         for v, row in zip(vs, batch):
-            assert H.iterate(v, m).tobytes() == row.tobytes()
+            assert iterate(H, v, m).tobytes() == row.tobytes()
         if m == 1:
-            assert H.iterate(vs, 1).tobytes() == H.raw(vs).tobytes()
+            assert iterate(H, vs, 1).tobytes() == H.raw(vs).tobytes()
 
     @pytest.mark.parametrize("m", [738, -738])
     def test_linear_power_beyond_the_floats_is_a_value_error(self, m):
         # [[2, 1], [1, 1]]^738 has an entry above 1.8e308; m = 737 fits
         H = LinearTorusLift(IntMatrix2.from_rows((2, 1), (1, 1)), (0.3, 0.1))
-        assert np.isfinite(H.iterate((0.2, 0.4), 737)).all()
+        assert np.isfinite(iterate(H, (0.2, 0.4), 737)).all()
         with pytest.raises(ValueError, match="beyond the float range"):
             H.power(m)
         # the iterate takes |m| steps of H or of its inverse instead
         G, v = (H if m > 0 else H.inverse()), np.array((0.2, 0.4))
         for _ in range(abs(m)):
             v = G.raw(v)
-        assert H.iterate((0.2, 0.4), m).tobytes() == v.tobytes()
+        assert iterate(H, (0.2, 0.4), m).tobytes() == v.tobytes()
 
     def test_linear_requires_unimodular(self):
         with pytest.raises(ValueError):
@@ -168,8 +169,8 @@ class TestRotationVector:
         half = n // 2
         total, first = np.zeros(2), np.zeros(2)
         lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
-        for k, (v, fv) in enumerate(orbit(F, v0, n)):
-            d = fv - v
+        points, images = orbit_arrays(F, v0, n)
+        for k, d in enumerate(images - points):
             total += d
             if k < half:
                 first += d
@@ -240,6 +241,28 @@ class TestRotationSet:
         assert min(np.linalg.norm(np.atleast_2d(est.vertices), axis=1)) < 1e-2
 
 
+    def test_steps_its_grid_as_the_batch_reference(self):
+        F = ProductTorusLift(
+            RotationLift(0.3), callable_lift(lambda t: t + 0.1 + 0.05 * np.sin(2.0 * np.pi * t))
+        )
+        grid, iterates = 4, 400
+        g = (np.arange(grid) + 0.5) / grid
+        starts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        points, images = batch_orbit(F, starts, iterates, ROTATION_SET_TRANSIENT)
+        d = images - points
+        est = rotation_set(F, grid=grid, iterates=iterates)
+        hull = np.atleast_2d(convex_hull(np.cumsum(d, axis=0)[-1] / iterates))
+        assert est.vertices.tobytes() == hull.tobytes()
+        spread = float(np.linalg.norm(d.max(axis=(0, 1)) - d.min(axis=(0, 1))))
+        assert est.error_bound == max(spread / math.sqrt(iterates), 1.0 / iterates)
+
+    @pytest.mark.parametrize("iterates", [0, -1])
+    def test_rejects_no_iterates(self, iterates):
+        F = ProductTorusLift(RotationLift(0.25), RotationLift(0.5))
+        with pytest.raises(ValueError, match="iterates must be positive"):
+            rotation_set(F, grid=2, iterates=iterates)
+
+
 class TestConjugacyCovariance:
     def test_conjugate_translations_consistent(self):
         A = IntMatrix2.from_rows((1, 1), (0, 1))
@@ -265,7 +288,7 @@ class TestRelationConstraint:
         h = LinearTorusLift(A)
         lhs = compose(compose(h, f), h.inverse())
         v = np.array([0.37, 0.81])
-        assert float(torus_dist(wrap(lhs.raw(v)), wrap(f.iterate(v, 4)))) < 1e-12
+        assert float(torus_dist(wrap(lhs.raw(v)), wrap(iterate(f, v, 4)))) < 1e-12
 
         est = rotation_vector(f, iterates=500)
         rep = bs_rotation_constraint(est.value, A, 4)
