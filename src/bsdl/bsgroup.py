@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import INVERSE_TOL, _wrap_float as wrap_float, orbit_arrays, wrap
+from .circle import INVERSE_TOL, _wrap_float as wrap_float, circle_dist, orbit_arrays, wrap
 from .gl2z import IntMatrix2, finite_order
 from .report import Report
 from .space import SPACES, TORUS, space_of
@@ -251,23 +251,29 @@ def _gaps_clear(points, merge_tol: float) -> bool:
 
 
 def _chain_points(g, g_inv, x0: float, size: int, merge_tol: float):
-    """The first size >= 3 points x0, g x0, g^-1 x0, g^2 x0, g^-2 x0, ...
-    of the chain of a wrapped circle point x0, as the walk of
-    `finite_bs_orbit` finds them when nothing merges: size // 2 on the
-    g arm and the rest but x0 on the g^-1 arm. Each arm steps by
+    """The size >= 3 points x0, g x0, g^-1 x0, g^2 x0, g^-2 x0, ... of
+    the chain of a wrapped circle point x0, as the walk of
+    `finite_bs_orbit` finds them before its cut after point size - 3;
+    None when the walk might find others. Each arm steps by
     `orbit_arrays` in chunks that double from _ARM_CHUNK points, each
     chunk from the last image of the one before, and every point is
-    wrapped with the walk's bits. Where the walk must decide, only the
-    points before the last chunk are returned, whole levels of the
-    chain: when a gap is not `_gaps_clear` after the chunk, or an arm
-    raises ValueError or ArithmeticError or ends in an image that is
-    not finite, so that the walk raises in its own order."""
+    wrapped with the walk's bits. The chain is returned only when
+    merge_tol >= INVERSE_TOL, every gap is `_gaps_clear` (no image
+    merges with another), and one batch `raw` call per arm puts the
+    step back to its parent of each point 1 ... size - 3 within
+    merge_tol / 2 of that parent: every such step merges, since the
+    bits of a batch row, of `circle_dist` and of the walk's distance
+    differ by roundings far below that margin. None as soon as a
+    chunk's gaps fail, or an arm raises ValueError or ArithmeticError
+    or ends in an image that is not finite, so that the walk decides
+    in its own order."""
+    if merge_tol < INVERSE_TOL:
+        return None
     pts = np.empty(size)
     pts[0] = x0
     arms = ((g, pts[1::2]), (g_inv, pts[2::2]))
     ends, done, chunk = [x0, x0], 0, _ARM_CHUNK
     while done < len(arms[0][1]):
-        clear = pts[: 1 + 2 * done]  # both arms hold `done` points
         for i, (F, out) in enumerate(arms):
             m = min(chunk, len(out) - done)
             if m < 1:  # the g^-1 arm is full, one point short of the g arm
@@ -275,26 +281,24 @@ def _chain_points(g, g_inv, x0: float, size: int, merge_tol: float):
             try:
                 images = orbit_arrays(F, ends[i], m)[1]
             except (ValueError, ArithmeticError):
-                return clear
+                return None
             ends[i] = float(images[-1])
             if not math.isfinite(ends[i]):
-                return clear
+                return None
             out[done : done + m] = wrap(images)
         done += chunk
         chunk *= 2
         if not _gaps_clear(pts[: 1 + 2 * done], merge_tol):
-            return clear
+            return None
+    # point i > 0 is the g (odd i) or g^-1 (even i) image of point
+    # max(i - 2, 0), and steps back by the other
+    i = np.arange(1, size - 2)
+    for back, mine in ((g_inv, i[::2]), (g, i[1::2])):
+        if mine.size:
+            near = circle_dist(wrap(back.raw(pts[mine])), pts[(mine - 2).clip(0)])
+            if not np.all(near < merge_tol / 2):
+                return None
     return pts
-
-
-def _chain_links(m: int):
-    """The walk's links of the first m points of a chain: point i > 0 is
-    the g (odd i, back-step code 2) or g^-1 (even i, code 1) image of
-    point max(i - 2, 0)."""
-    i = np.arange(m)
-    link = (i - 2).clip(0) * 8 + 1 + (i & 1)
-    link[:1] = 0
-    return link
 
 
 @dataclass
@@ -324,49 +328,38 @@ def finite_bs_orbit(
 ) -> FiniteOrbit:
     """Breadth-first closure of x0 under both generators and inverses.
 
-    Each frontier point in turn is mapped through the `step` methods of
-    f, h, f^-1 and h^-1, in Python floats (a float on the circle, a
-    (u, t) pair on the torus), and each image is wrapped to [0, 1)^d by
-    the orbit kernel's float wrap. `step` returns the bits of `raw`. A
-    generator that `same_params` matches with its own `power(0)`, the
-    exact identity, or with a generator before it in that order is not
-    stepped: its images would merge at distance 0. Nor is a point's
-    back-step, the inverse of the generator that reached it from its
-    parent; after the search each back-step is checked to merge with the
-    parent. A cut search calls `raw` once per generator and steps again
-    the rows not within merge_tol / 2, or all of them when merge_tol is
-    below `INVERSE_TOL` (a batch row of a bump map may differ from `step`
-    in its last bits). A saturated search steps every back-step and
-    keeps those at a positive distance as merges. If one would not
-    merge, the search runs again stepping every generator. So the
-    points, their order, the cut and the defect are those of stepping
-    all four.
+    Each orbit point in turn, in the order the points join, is mapped
+    through the `step` methods of f, h, f^-1 and h^-1, in Python floats
+    (a float on the circle, a (u, t) pair on the torus), and each image
+    is wrapped to [0, 1)^d by the orbit kernel's float wrap. `step`
+    returns the bits of `raw`. A generator that `same_params` matches
+    with its own `power(0)`, the exact identity, or with a generator
+    before it in that order is not stepped: its images would merge at
+    distance 0.
 
     A circle action whose kept generators are one map g and its inverse
-    steps a chain: the skipping search would add x0, g x0, g^-1 x0,
-    g^2 x0, g^-2 x0, ... until the cut. Its two arms step as single-start
-    orbits (`_chain_points`), in chunks that double from 64 points, and
-    the back-steps are checked as above. The search goes on point by
-    point, from the points before the chunk, when a sorted circular gap
-    of the arms, the seam's included, falls below merge_tol + 2^-50
-    after a chunk (some image might merge), or when an arm raises
-    ValueError or ArithmeticError or ends in an image that is not finite
-    (the search raises in its own order). If the check of the back-steps
-    fails, the search runs again stepping every generator, as above.
+    steps a chain: until two of its points merge, the search adds x0,
+    g x0, g^-1 x0, g^2 x0, g^-2 x0, ..., one point per orbit point, whose
+    other image steps back to its parent. Its two arms step as
+    single-start orbits (`_chain_points`), in chunks that double from 64
+    points. They are the result when the search is cut at max_size
+    before any image merges with another, and, at merge_tol >=
+    `INVERSE_TOL`, one batch `raw` call per arm puts every step back
+    within merge_tol / 2 of its parent. Otherwise the search runs from
+    x0.
 
     An image within merge_tol of an orbit point (circle or torus metric)
     merges with it, through a spatial hash whose buckets are scanned the
-    image's own first; otherwise it joins the orbit and the frontier. A
-    merge at a positive distance keeps its image and that distance. Once
-    the search saturates, the merged images are measured again against
-    the final orbit, without stepping, and the defect is the largest
-    distance from a generator image of an orbit point to the orbit, bit
-    for bit what re-stepping every point and scanning all points would
-    give; which orbit point an image first merged with does not change
-    it. A saturated search is closed when its defect is below
-    CLOSED_DEFECT_RATIO * merge_tol, and open as a near-closure
-    otherwise. If the search exceeds max_size the orbit is open and its
-    defect None, cut after the frontier point whose images pushed it
+    image's own first; otherwise it joins the orbit. A merge at a
+    positive distance keeps its image and that distance. Once the search
+    saturates, the merged images are measured again against the final
+    orbit, without stepping, and the defect is the largest distance from
+    a generator image of an orbit point to the orbit, bit for bit what
+    scanning all points would give; which orbit point an image first
+    merged with does not change it. A saturated search is closed when
+    its defect is below CLOSED_DEFECT_RATIO * merge_tol, and open as a
+    near-closure otherwise. If the search exceeds max_size the orbit is
+    open and its defect None, cut after the point whose images pushed it
     past.
 
     Raises ValueError unless merge_tol is positive and finite (with a
@@ -388,161 +381,89 @@ def finite_bs_orbit(
         slot.append(-1 if g.same_params(g.power(0)) else same[0])
         if slot[-1] == len(kept):
             kept.append(g)
-    steps = [g.step for g in kept]
-    # 1 + the kept index of each kept generator's inverse, 0 for none
-    backs = [slot[(slot.index(i) + 2) % 4] + 1 for i in range(len(kept))]
-    # buckets of width 1/K >= 2 merge_tol: two points within merge_tol
-    # share a bucket or sit in adjacent ones, across the seam too and
-    # whatever the rounding of q * K
-    K = max(3, int(0.5 / merge_tol))
     torus, inf = space is TORUS, math.inf
+    start = tuple(map(wrap_float, x0.tolist())) if torus else wrap_float(x0.tolist())
 
-    def place(q):
-        """q wrapped, and the buckets to scan around it, its own first; a
-        torus bucket (ku, kt) is ku K + kt. The walk has it inline."""
-        if torus:
-            u, t = map(wrap_float, q)
-            ku, kt = int(u * K) % K, int(t * K) % K
-            lt, rt = (kt - 1) % K, (kt + 1) % K
-            k, a, b = ku * K, (ku - 1) % K * K, (ku + 1) % K * K
-            return (u, t), (k + kt, k + lt, k + rt, a + kt, a + lt, a + rt,
-                            b + kt, b + lt, b + rt)
-        q = wrap_float(q)
-        k = int(q * K) % K
-        return q, (k, (k - 1) % K, (k + 1) % K)
-
-    # The walk wraps each image (the float wrap's common case inline) and
-    # scans the buckets around it for an orbit point within merge_tol, in
-    # circle_dist's arithmetic (d > 0.5 exactly when 1 - d < d; the sup
-    # metric on the torus). An image none is near joins the orbit with its
-    # link, 8 times its parent's index plus 1 + the kept index of its
-    # back-step (0: none); a merge at a positive distance is kept. It
-    # returns the point it was cut after, or None. It starts from x0, or
-    # from whole levels of a chain that nothing merges in.
-    def walk(plans, begin):
-        for q in begin:
-            buckets.setdefault(place(q)[1][0], []).append(len(points))
-            points.append(q)
-        get = buckets.get
-        n = len(points)
-        lo, hi = max(n - 2, 0), n
-        while lo < hi:
-            for j in range(lo, hi):
-                p = points[j]
-                for step, code in plans[links[j] & 7]:
-                    q = step(p)
-                    if torus:  # place(q), inline
-                        u, t = q
-                        r = u % 1.0
-                        u = r if r < 1.0 else wrap_float(u)
-                        r = t % 1.0
-                        t = r if r < 1.0 else wrap_float(t)
-                        q = (u, t)
-                        ku, kt = int(u * K) % K, int(t * K) % K
-                        lt, rt = (kt - 1) % K, (kt + 1) % K
-                        k, a, b = ku * K, (ku - 1) % K * K, (ku + 1) % K * K
-                        keys = (k + kt, k + lt, k + rt, a + kt, a + lt, a + rt,
-                                b + kt, b + lt, b + rt)
-                    else:
-                        r = q % 1.0
-                        q = r if r < 1.0 else wrap_float(q)
-                        k = int(q * K) % K
-                        keys = (k, (k - 1) % K, (k + 1) % K)
-                    d = inf
-                    for kk in keys:
-                        for idx in get(kk, ()):
-                            if torus:
-                                pu, pt = points[idx]
-                                d, e = u - pu, t - pt
-                                e -= e // 1.0
-                                if e > 0.5:
-                                    e = 1.0 - e
-                            else:
-                                d, e = q - points[idx], 0.0
-                            d -= d // 1.0
-                            if d > 0.5:
-                                d = 1.0 - d
-                            if e > d:
-                                d = e
-                            if d < merge_tol:
-                                break
-                        if d < merge_tol:
-                            break
-                    if d >= merge_tol:
-                        buckets.setdefault(keys[0], []).append(n)
-                        n += 1
-                        points.append(q)
-                        links.append(j * 8 + code)
-                    elif d > 0.0:
-                        near_merges.append((d, q, keys))
-                if n > max_size:
-                    return j
-            lo, hi = hi, n
-
-    def back_step(j):
-        # point j's back-step stepped again: its distance to the parent as
-        # the walk measures it, inf where the walk's scan misses the parent
-        # (as buckets narrower than an ulp can), its image and buckets
-        q, keys = place(steps[(links[j] & 7) - 1](points[j]))
-        p = points[links[j] >> 3]
-        d, k = 0.0, 0  # k: the parent's bucket
-        for x, y in zip(q, p) if torus else ((q, p),):
-            e = x - y
-            e -= e // 1.0
-            if e > 0.5:
-                e = 1.0 - e
-            if e > d:
-                d = e
-            k = k * K + int(y * K) % K
-        return d if k in keys else inf, q, keys
+    cut = f"cut at max_size {max_size}"
 
     # a circle chain, one map and its inverse: unless two of its points
-    # merge, the skipping walk adds one point per frontier point, size in
-    # all, and is cut after point size - 3
-    chain = space is not TORUS and backs == [2, 1]
-    start, size = [place(x0.tolist())[0]], max(max_size, 2) + 1
-    for skip in (True, False):
-        buckets, points, near_merges = {}, [], []
-        pts = _chain_points(*kept, start[0], size, merge_tol) if skip and chain else None
-        if pts is not None and len(pts) == size:
-            cut = size - 3
-            link = _chain_links(cut + 1)
-        else:
-            # plans[c] lists the (step, code) pairs a point whose link ends
-            # in c takes: all but the back-step c - 1 when skipping
-            plans = [[(s, backs[i]) for i, s in enumerate(steps) if not skip or i != c - 1]
-                     for c in range(len(kept) + 1)]
-            # x0, or the chain's levels that the arms cleared
-            begin = start if pts is None else pts.tolist()
-            links = _chain_links(len(begin)).tolist()
-            cut = walk(plans, begin)
-            pts = np.asarray(points, dtype=float)
-            if not skip:
-                break
-            # every stepped point's back-step but the start's; a cut search
-            # needs only to know that each one merges
-            link = np.array(links[: (len(points) if cut is None else cut + 1)])
-        batch = cut is not None and merge_tol >= INVERSE_TOL
-        redo = []
-        for i, g in enumerate(kept):
-            mine = np.flatnonzero((link & 7) == i + 1)
-            if batch and mine.size:
-                near = space.dist(wrap(g.raw(pts[mine])), pts[link[mine] >> 3])
-                mine = mine[~(near < merge_tol / 2)]
-            redo += mine.tolist()
-        if redo and not points:  # a chain's back-steps, stepped one by one
-            points, links = pts.tolist(), link.tolist()
-        try:
-            measured = [back_step(j) for j in redo]
-        except ValueError:
-            continue  # a non-finite back-step: the full walk raises in its order
-        if all(d < merge_tol for d, _, _ in measured):
-            near_merges += [m for m in measured if m[0] > 0.0 and cut is None]
+    # merge, the walk adds one point per orbit point, max(max_size, 2) + 1
+    # in all, and is cut after the third from last
+    inverse_of = [slot[(slot.index(i) + 2) % 4] for i in range(len(kept))]
+    if not torus and inverse_of == [1, 0]:
+        pts = _chain_points(*kept, start, max(max_size, 2) + 1, merge_tol)
+        if pts is not None:
+            return FiniteOrbit(pts, len(pts), False, merge_tol, None, cut)
+
+    # The walk steps each point in the order the points join, wraps each
+    # image (the float wrap's common case inline) and scans the buckets
+    # around it, its own first, for an orbit point within merge_tol, in
+    # circle_dist's arithmetic (d > 0.5 exactly when 1 - d < d; the sup
+    # metric on the torus). Buckets have width 1/K >= 2 merge_tol, so two
+    # points within merge_tol share a bucket or sit in adjacent ones,
+    # across the seam too and whatever the rounding of q * K; a torus
+    # bucket (ku, kt) is ku K + kt. An image none is near joins the
+    # orbit; a merge at a positive distance is kept.
+    K = max(3, int(0.5 / merge_tol))
+    key = 0
+    for c in start if torus else (start,):
+        key = key * K + int(c * K) % K
+    steps = [g.step for g in kept]
+    points, buckets, near_merges = [start], {key: [0]}, []
+    get = buckets.get
+    n = 1
+    for p in points:  # points grows as the walk goes
+        for step in steps:
+            q = step(p)
+            if torus:
+                u, t = q
+                r = u % 1.0
+                u = r if r < 1.0 else wrap_float(u)
+                r = t % 1.0
+                t = r if r < 1.0 else wrap_float(t)
+                q = (u, t)
+                ku, kt = int(u * K) % K, int(t * K) % K
+                lt, rt = (kt - 1) % K, (kt + 1) % K
+                k, a, b = ku * K, (ku - 1) % K * K, (ku + 1) % K * K
+                keys = (k + kt, k + lt, k + rt, a + kt, a + lt, a + rt,
+                        b + kt, b + lt, b + rt)
+            else:
+                r = q % 1.0
+                q = r if r < 1.0 else wrap_float(q)
+                k = int(q * K) % K
+                keys = (k, (k - 1) % K, (k + 1) % K)
+            d = inf
+            for kk in keys:
+                for idx in get(kk, ()):
+                    if torus:
+                        pu, pt = points[idx]
+                        d, e = u - pu, t - pt
+                        e -= e // 1.0
+                        if e > 0.5:
+                            e = 1.0 - e
+                    else:
+                        d, e = q - points[idx], 0.0
+                    d -= d // 1.0
+                    if d > 0.5:
+                        d = 1.0 - d
+                    if e > d:
+                        d = e
+                    if d < merge_tol:
+                        break
+                if d < merge_tol:
+                    break
+            if d >= merge_tol:
+                buckets.setdefault(keys[0], []).append(n)
+                n += 1
+                points.append(q)
+            elif d > 0.0:
+                near_merges.append((d, q, keys))
+        if n > max_size:
             break
 
-    if cut is not None:
-        reason = f"cut at max_size {max_size}"
-        return FiniteOrbit(pts, len(pts), False, merge_tol, None, reason)
+    pts = np.asarray(points, dtype=float)
+    if n > max_size:
+        return FiniteOrbit(pts, n, False, merge_tol, None, cut)
     # The nearest orbit point to a merged image may be another than its
     # merge partner, one that joined later. Measure the merged images
     # against the final orbit in the buckets around them, the farthest
@@ -551,7 +472,7 @@ def finite_bs_orbit(
     for d, q, keys in sorted(near_merges, reverse=True):
         if d <= defect:
             break
-        near = [idx for kk in keys for idx in buckets.get(kk, ())]
+        near = [idx for kk in keys for idx in get(kk, ())]
         defect = max(defect, float(np.min(space.dist(q, pts[near]))))
     closed = defect < CLOSED_DEFECT_RATIO * merge_tol
     reason = None if closed else f"near-closure at defect {defect:.3e}"

@@ -574,9 +574,12 @@ def rational_witness(F: CircleLift, tol: float = 1e-8):
 
     Scans periods q <= WITNESS_PERIODS over a uniform grid of WITNESS_GRID
     points, smallest q first. The grid contains 0, so fixed points
-    sitting at chart-rational positions certify exactly. Raises
-    ValueError unless tol is positive and finite: the test is strict,
-    so no residual passes tol 0.
+    sitting at chart-rational positions certify exactly. A witness
+    needs |p| <= q: a lift a turn or more out keeps fewer fraction bits,
+    and RotationLift(2^50 + 0.3) moves grid point 3/8 by exactly 2^50, a
+    false 0/1 at residual 0. So RotationLift(2.5) gets no witness; the
+    CLI wraps angles to [0, 1). Raises ValueError unless tol is
+    positive and finite: the test is strict, so no residual passes tol 0.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

@@ -51,6 +51,15 @@ def test_criterion_07_constructive_minimal_set(battery):
     _check(battery, 7)
 
 
+def test_criterion_07_integer_facts(battery):
+    # c7 passes on any decreasing family, and the report hash, which CI
+    # prints without asserting, folds these counts in: pin them
+    details = battery[7]["details"]
+    assert details["fixed_cells"] == 6656
+    assert details["k_counts"] == [6656, 3840, 2048, 1024, 512, 512, 512, 512, 512]
+    assert details["orbit_cells"] == 256
+
+
 def test_criterion_08_periodic_no_fixed_points(battery):
     _check(battery, 8)
 

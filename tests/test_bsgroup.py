@@ -118,6 +118,12 @@ class TestRelationReports:
         with pytest.raises(ValueError):
             make_action(RotationLift(0.3), RotationLift(0.1), 2)
 
+    def test_make_action_rejects_a_near_miss(self):
+        # h f h^-1 = f while f^2 rotates by 2e-6: a residual of 1.0e-6,
+        # above the gate of 1e-8 by a factor of 100, not of 10^7
+        with pytest.raises(ValueError, match=r"residual 1\.000e-06"):
+            make_action(RotationLift(1e-6), RotationLift(0.3), 2)
+
     def test_make_action_rejects_nan_residual(self):
         f = ProductTorusLift(ChartAffineLift(1.0, 1.0), RotationLift(math.nan))
         h = ProductTorusLift(ChartAffineLift(2.0, 0.0), RotationLift(0.3))
@@ -459,7 +465,7 @@ def translation_action(n, j):
 @functools.lru_cache(maxsize=None)
 def bump_conjugated_torus(n, eps, seed):
     # a batch row of a bump map may differ from its `step` in the last
-    # bits, which the closure's check of skipped back-steps allows for
+    # bits; the closure steps each point through `step` alone
     return conjugated_action(perturbed_torus(n, eps), near_identity_diffeo(1e-3, seed))
 
 
@@ -527,12 +533,13 @@ cases = st.one_of(
 
 
 class TestFrontierClosure:
-    """The closure, stepping each point through the generators' `step`
-    but for its back-step, equals the reference that calls `raw` once
-    per point and generator, bit for bit, with the overflow cut landing
-    at every frontier position. At merge_tol 1e-17 a rotation's
-    back-step can miss its parent by an ulp, and the closure runs its
-    search again stepping every generator."""
+    """The closure, stepping each point through every kept generator's
+    `step`, equals the reference that calls `raw` once per point and
+    generator, bit for bit, with the overflow cut landing at every
+    frontier position. A chain, h and h^-1 alone, gives its arms only
+    when nothing merges and each step back lands near its parent; at
+    merge_tol 1e-17 a rotation's step back can miss its parent by an
+    ulp, and the chain takes the walk."""
 
     @settings(max_examples=150, deadline=None)
     @given(cases, st.integers(1, 400), st.sampled_from([1e-6, 1e-17]))
@@ -553,7 +560,7 @@ class TestFrontierClosure:
     # a closing chain takes the walk after its first chunk
     @example((nonfaithful_circle(3, k="rot:1/7"), 0.0), 400, 1e-6)
     @example((nonfaithful_circle(3, k="rot:1/7"), 0.0), 400, 1e-17)
-    # a closing chain of 300 points: the walk goes on from the first chunk
+    # a closing chain of 300 points, whose second chunk sends it to the walk
     @example((nonfaithful_circle(2, k="rot:1/300"), 0.1), 400, 1e-6)
     # a near-closure at defect 7.6e-8, whose gap below merge_tol sends it
     # to the walk
@@ -563,6 +570,8 @@ class TestFrontierClosure:
     @example((BSAction(2, RotationLift(0.0), RotationLift(1.5e-6), "circle"), 0.3), 300, 1e-6)
     # chain points 3e-17 apart across the seam, which the walk keeps apart
     @example((BSAction(2, RotationLift(0.0), RotationLift(3e-17), "circle"), 1.5e-17), 9, 1e-17)
+    # a chain below INVERSE_TOL, which the walk closes from x0
+    @example((nonfaithful_circle(3, k="rot:golden"), 0.3), 400, 1e-13)
     def test_equals_point_at_a_time_reference(self, case, max_size, merge_tol):
         action, x0 = case
         orb = finite_bs_orbit(action, x0, merge_tol=merge_tol, max_size=max_size)
@@ -599,9 +608,9 @@ class TestFrontierClosure:
         assert 0.0 not in stepped and len(stepped) == 20
 
     def test_back_steps_are_not_stepped(self, monkeypatch):
-        # h and h^-1 step the irrational chain: each point but the start
-        # takes the one step away from its parent, and the batch check of
-        # the cut search steps none again
+        # h and h^-1 step the irrational chain as two arms, one step per
+        # point but the start, and one batch call per arm checks the steps
+        # back to the parents
         act = nonfaithful_circle(3, k="rot:golden")
         calls = 0
         step = RotationLift.step
@@ -631,17 +640,20 @@ class TestFrontierClosure:
         # gaps of 1.5 merge_tol: the arms give the whole chain
         h = RotationLift(1.5e-6)
         assert len(bsgroup._chain_points(h, h.inverse(), 0.3, 301, 1e-6)) == 301
-        # so a chain of such points leaves the walk its start alone
+        # so a chain of such points takes the walk, as does any chain
+        # below INVERSE_TOL
         h = RotationLift(3e-17)
         for x0 in (1e-16, 1.5e-17):
-            assert bsgroup._chain_points(h, h.inverse(), x0, 9, 1e-17).tolist() == [x0]
+            assert bsgroup._chain_points(h, h.inverse(), x0, 9, 1e-17) is None
+        h = RotationLift(1.5e-6)
+        assert bsgroup._chain_points(h, h.inverse(), 0.3, 301, 1e-13) is None
 
     # a closing chain leaves the arms in the chunk where it closes, and
-    # the walk goes on from the points before that chunk: rot:1/7 from
-    # x0, rot:1/300 from the 129 points of the first chunk
-    @pytest.mark.parametrize("q, chunks, cleared", [(7, 1, 0), (300, 2, 128)])
+    # the walk runs from x0: rot:1/7 after the first chunk, rot:1/300
+    # after the second
+    @pytest.mark.parametrize("q, chunks", [(7, 1), (300, 2)])
     def test_closing_chain_steps_its_chunks_and_the_rest_of_the_walk(
-        self, monkeypatch, q, chunks, cleared
+        self, monkeypatch, q, chunks
     ):
         act = nonfaithful_circle(3, k=f"rot:1/{q}")
         calls = 0
@@ -656,10 +668,10 @@ class TestFrontierClosure:
         orb = finite_bs_orbit(act, 0.0)
         arms_and_walk = calls
         # the walk alone, from x0
-        monkeypatch.setattr(bsgroup, "_chain_points", lambda g, g_inv, x0, *args: np.array([x0]))
+        monkeypatch.setattr(bsgroup, "_chain_points", lambda *args: None)
         calls = 0
         walked = finite_bs_orbit(act, 0.0)
         assert np.array_equal(walked.points, orb.points)
         assert orb.closed and orb.size == walked.size == q
         arms = 2 * bsgroup._ARM_CHUNK * (2**chunks - 1)
-        assert arms_and_walk <= arms + calls - cleared
+        assert arms_and_walk == arms + calls

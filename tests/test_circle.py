@@ -17,6 +17,7 @@ from bsdl.circle import (
     denjoy_lift,
     orbit_arrays,
     parse_k_spec,
+    rational_witness,
     rotation_number,
     wrap,
 )
@@ -85,6 +86,12 @@ class TestRotationLift:
         p, q, x, res = est.rational_witness
         assert (p, q) == (1, 3)
         assert res < 1e-8
+
+    def test_witness_refuses_a_lift_turns_out(self):
+        # 2^50 + 0.3 keeps two bits of its fraction, and from grid point
+        # 3/8 its step moves exactly 2^50: residual 0 at q = 1, a false
+        # 0/1, which the guard |p| <= q refuses
+        assert rational_witness(RotationLift(2.0**50 + 0.3)) is None
 
     def test_ln2_rotation_has_no_witness(self):
         est = rotation_number(RotationLift(math.log(2.0)), iterates=10**4)

@@ -288,6 +288,20 @@ class TestGapProfileLabel:
         assert label == "Unknown"
         assert reason.startswith("orbit is periodic: step 2500 returns to ")
 
+    def test_gap_moving_by_16_percent_is_unknown(self):
+        # 0.885 golden points, then 0.9 golden ones: the largest gap falls
+        # from 0.1160 at 1000 points to 0.1002 at 10^4, 15.9% of the last,
+        # past the 10% within which a Cantor set's widest gap holds
+        k = np.arange(1, 10001)
+        coords = np.where(k <= 1000, 0.885, 0.9) * ((k * GOLDEN_MEAN) % 1.0)
+        label, profile, reason = gap_profile_label(coords, 256)
+        g0, g = profile["1000"], profile["10000"]
+        assert label == "Unknown"
+        assert (round(g0, 4), round(g, 4)) == (0.1160, 0.1002)
+        assert reason.endswith(
+            f"not stabilized: it moved from {g0:.3e} at 1000 points, more than 10%"
+        )
+
     def test_unknown_reason_names_the_failed_tests(self):
         # a hole [0.5, 0.51) in 1000 points is filled down to [0.5, 0.507)
         # by 9000 more: the gap passes the 5/sqrt(N) test, does not halve
@@ -397,6 +411,15 @@ class TestMinimalSet:
         assert np.allclose(thetas, [0.0, 1 / 3, 2 / 3], atol=1e-9)
         assert np.all(est.points[:, 0] == 0.0)
         assert len(est.cells) == 3
+
+    def test_finite_orbit_of_a_few_hundred_points(self):
+        # h rotates by 1/300 and f is the identity: a closing chain, which
+        # the closure walks from x0, of 300 points within its cap of 2000
+        est = bs_minimal_set(nonfaithful_circle(2, "rot:1/300"))
+        assert est.label == "FiniteOrbit"
+        assert est.points.shape == (300,)
+        assert est.diagnostics["orbit_closed"]
+        assert est.diagnostics["orbit_size"] == 300
 
     def test_product_denjoy_fiber_is_cantor(self):
         est = bs_minimal_set(

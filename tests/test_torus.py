@@ -303,6 +303,14 @@ class TestRelationConstraint:
         assert not rep.satisfied
         assert rep.residual > 0.05
 
+    def test_near_miss_constraint(self):
+        # (2I - I) rho = rho lies 0.05 from Z^2: five times the residual
+        # of 1e-2 allowed, where test_violated_constraint's lies 0.45 out
+        rep = bs_rotation_constraint((0.05, 0.0), I2, 2)
+        assert not rep.satisfied
+        assert rep.residual == pytest.approx(0.05, abs=1e-15)
+        assert rep.snapped is None
+
     def test_standard_action_constraint_trivial(self):
         f, _ = standard_pair(2)
         est = rotation_vector(f, v0=(0.3, 0.3), iterates=800)
