@@ -120,7 +120,7 @@ class TestRelationReports:
 
     def test_make_action_rejects_a_near_miss(self):
         # h f h^-1 = f while f^2 rotates by 2e-6: a residual of 1.0e-6,
-        # above the gate of 1e-8 by a factor of 100, not of 10^7
+        # a hundred times the gate of 1e-8
         with pytest.raises(ValueError, match=r"residual 1\.000e-06"):
             make_action(RotationLift(1e-6), RotationLift(0.3), 2)
 
@@ -537,9 +537,9 @@ class TestFrontierClosure:
     `step`, equals the reference that calls `raw` once per point and
     generator, bit for bit, with the overflow cut landing at every
     frontier position. A chain, h and h^-1 alone, gives its arms only
-    when nothing merges and each step back lands near its parent; at
-    merge_tol 1e-17 a rotation's step back can miss its parent by an
-    ulp, and the chain takes the walk."""
+    when nothing merges and each step back lands near its parent. Below
+    INVERSE_TOL, as at merge_tol 1e-17, where a rotation's step back can
+    miss its parent by an ulp, the chain takes the walk."""
 
     @settings(max_examples=150, deadline=None)
     @given(cases, st.integers(1, 400), st.sampled_from([1e-6, 1e-17]))
