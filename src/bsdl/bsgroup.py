@@ -342,11 +342,10 @@ def finite_bs_orbit(
     g x0, g^-1 x0, g^2 x0, g^-2 x0, ..., one point per orbit point, whose
     other image steps back to its parent. Its two arms step as
     single-start orbits (`_chain_points`), in chunks that double from 64
-    points. They are the result when the search is cut at max_size
-    before any image merges with another, and, at merge_tol >=
-    `INVERSE_TOL`, one batch `raw` call per arm puts every step back
-    within merge_tol / 2 of its parent. Otherwise the search runs from
-    x0.
+    points. They are the result only when merge_tol >= `INVERSE_TOL`,
+    every gap of the chain cut at max_size clears merge_tol + 2^-50, and
+    one batch `raw` call per arm puts each step back within
+    merge_tol / 2 of its parent. Otherwise the search walks from x0.
 
     An image within merge_tol of an orbit point (circle or torus metric)
     merges with it, through a spatial hash whose buckets are scanned the
