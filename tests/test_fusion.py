@@ -86,7 +86,11 @@ def ref_params_power(F, m):
         am = F.a ** m
     except OverflowError:
         am = math.inf
-    return am, F.b * (am - 1.0) / (F.a - 1.0)
+    am1 = am - 1.0
+    if 0.5 < am < 2.0:
+        # the rule's one amendment: am - 1 cancels near am = 1
+        am1 = math.expm1(m * math.log1p(F.a - 1.0))
+    return am, F.b * am1 / (F.a - 1.0)
 
 
 def ref_power_lift(F, m):
@@ -343,6 +347,15 @@ def test_power_at_a_repelling_block_endpoint():
     # blocks has slope 1e32 there; the four steps of the inverse meet the
     # endpoint an ulp off, after their first rounding
     assert_power_is_steps(ChartAffineLift(1e8, 0.0, m=6), -4, 1.6666666666666667)
+
+
+def test_power_offset_near_a_unit_slope():
+    # a^2 - 1 cancels to five digits at a = 0.99999, which put the square
+    # 53 budgets from its two steps at x = 1.5, a draw of the block-shift
+    # law; the offset is b (1 + a) to the last bit
+    F = ChartAffineLift(0.99999, 1.0)
+    assert F.power(2).b == 1.0 + 0.99999
+    assert_power_is_steps(F, 2, 1.5)
 
 
 def test_well_conditioned_budget_is_the_chain():
