@@ -16,7 +16,7 @@ import numpy as np
 
 from .bsgroup import BSAction, finite_bs_orbit
 from .circle import circle_dist, orbit_arrays, wrap
-from .report import Report, jsonable
+from .report import POINT_SAMPLE, Report, jsonable
 from .space import CIRCLE, SPACES, TORUS, space_of
 
 # Samples per cell axis in `bs_minimal_set`, per space: corner-first
@@ -319,7 +319,7 @@ class MinimalSetEstimate(Report):
             "fixed_count": len(self.fixed),
             "k_counts": [len(k) for k in self.k_family],
             "diagnostics": jsonable(self.diagnostics),
-            "points": np.asarray(self.points, dtype=float)[:2000].tolist(),
+            "points": np.asarray(self.points, dtype=float)[:POINT_SAMPLE].tolist(),
         }
 
 

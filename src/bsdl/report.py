@@ -4,9 +4,10 @@
 its Python value, an ndarray its `tolist()`, a `Report` its `to_json()`,
 another dataclass or a named tuple the dict of its fields, a dict a dict
 with string keys, and a list or tuple a list. A result's JSON is
-`Report.to_json`, its fields; a result that renames or truncates fields
-overrides `to_json`, and `jsonable` honours the override wherever the
-result sits, so it writes the same JSON nested or not.
+`Report.to_json`, its fields, `points` cut to its first `POINT_SAMPLE`
+rows; a result that renames or truncates other fields overrides
+`to_json`, and `jsonable` honours the override wherever the result sits,
+so it writes the same JSON nested or not.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["Report", "jsonable"]
+__all__ = ["POINT_SAMPLE", "Report", "jsonable"]
 
 
 _PLAIN = {str, int, float, bool, type(None)}
+POINT_SAMPLE = 2000  # the most points a report writes; the result keeps all
 
 
 def jsonable(x):
@@ -52,9 +54,13 @@ def _fields(x):
 
 
 class Report:
-    """A dataclass result. Its JSON is its fields, through `jsonable`;
-    a subclass whose JSON differs overrides `to_json`, and returns plain
-    JSON values from it."""
+    """A dataclass result. Its JSON is its fields, through `jsonable`, and
+    at most `POINT_SAMPLE` rows of `points`; a subclass whose JSON differs
+    otherwise overrides `to_json`, and returns plain JSON values from it."""
 
     def to_json(self):
-        return _fields(self)
+        out = {}
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = jsonable(v[:POINT_SAMPLE] if f.name == "points" else v)
+        return out

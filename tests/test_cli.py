@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsdl import cli, experiments
-from bsdl.bsgroup import RelationReport
-from bsdl.catalog import CATALOG
+from bsdl.bsgroup import RelationReport, finite_bs_orbit
+from bsdl.catalog import CATALOG, build_action
 from bsdl.experiments import GraphFoldError, NonConvergentError
+from bsdl.report import POINT_SAMPLE
 
 
 def run(capsys, *argv):
@@ -184,6 +185,25 @@ class TestMatrixAndOrbits:
         assert code == cli.OK
         assert d["size"] == 3 and d["closed"]
         assert d["reason"] is None
+
+    def test_open_orbit_writes_a_point_sample(self, capsys):
+        # h and h^-1 step the irrational chain to its cut at 10,001
+        # points; the report writes the first POINT_SAMPLE of them
+        code, out, _ = run(capsys, "finite-orbit", "nonfaithful-circle", "--k", "rot:golden")
+        d = strict_json(out)
+        assert code == cli.INCONCLUSIVE and not d["closed"]
+        assert d["size"] == 10001 and len(d["points"]) == POINT_SAMPLE
+        orb = finite_bs_orbit(build_action("nonfaithful-circle", k="rot:golden"), 0.0)
+        assert len(orb.points) == 10001
+        assert d["points"] == orb.points[:POINT_SAMPLE].tolist()
+
+    def test_closed_orbit_below_the_sample_writes_every_point(self, capsys):
+        code, out, _ = run(capsys, "finite-orbit", "nonfaithful-circle", "--k", "rot:1/1999")
+        d = strict_json(out)
+        assert code == cli.OK and d["closed"]
+        assert d["size"] == len(d["points"]) == 1999 < POINT_SAMPLE
+        orb = finite_bs_orbit(build_action("nonfaithful-circle", k="rot:1/1999"), 0.0)
+        assert d["points"] == orb.points.tolist()
 
     def test_denjoy_near_closure_is_open(self, capsys):
         # an infinite Denjoy orbit squeezed below merge_tol used to

@@ -9,8 +9,12 @@ named tuple. `FaithfulnessDecision` came after the methods; its
 reference writes the fields it is documented to have. The three
 results that override `to_json` are checked against their former
 methods too: `TrichotomyReport`, which renames the witness point to
-`angle`, `MinimalSetEstimate`, which truncates its points, and
+`angle`, `MinimalSetEstimate`, which counts its cell sets, and
 `RotationConstraintReport`, which writes exact rationals.
+
+A report writes at most `POINT_SAMPLE` = 2000 points, the first rows of
+its `points`: the references of `FiniteOrbit` and `MinimalSetEstimate`
+cut their points there.
 
 `jsonable` writes a result nested in another value as it writes it
 alone, for every result type.
@@ -43,7 +47,9 @@ from bsdl.estimators import (
 )
 from bsdl.experiments import TrichotomyReport
 from bsdl.gl2z import IntMatrix2
-from bsdl.report import Report, jsonable
+from bsdl import estimators
+from bsdl.report import POINT_SAMPLE, Report, jsonable
+from bsdl.space import CIRCLE
 from bsdl.torus import (
     ConjugacyRotationReport,
     RotationConstraintReport,
@@ -66,7 +72,7 @@ def ref_finite_orbit(self):
         "merge_tol": self.merge_tol,
         "defect": self.defect,
         "reason": self.reason,
-        "points": self.points.tolist(),
+        "points": self.points[:2000].tolist(),
     }
 
 
@@ -300,6 +306,30 @@ def test_trichotomy_renames_only_the_witness_point(witness):
         assert_same_as_reference(rep)
         w = rep.to_json()["rotation_number"]["rational_witness"]
         assert w is None or set(w) == {"p", "q", "angle", "residual"}
+
+
+def test_reports_write_one_point_sample():
+    # every report that carries points writes their first POINT_SAMPLE
+    # rows, nested or not; the result keeps them all, and an orbit's size
+    # keeps the whole count
+    assert POINT_SAMPLE == 2000 and estimators.POINT_SAMPLE is POINT_SAMPLE
+    line = np.linspace(0.0, 1.0, POINT_SAMPLE + 7, endpoint=False)
+    plane = np.stack([line, line[::-1]], axis=1)
+    cells = CellSet(8, CIRCLE)
+    rho = RotationNumberEstimate(0.5, 10, None, 1e-3)
+    for pts in (line, plane):
+        orb = FiniteOrbit(pts, len(pts), False, 1e-6, None, "cut at max_size")
+        est = MinimalSetEstimate("Unknown", pts, cells, cells, [cells])
+        tri = TrichotomyReport(rho, "Unknown", {}, orb)
+        for sample in (
+            orb.to_json()["points"],
+            est.to_json()["points"],
+            jsonable([tri])[0]["orbit"]["points"],
+        ):
+            assert sample == pts[:POINT_SAMPLE].tolist()
+        assert len(orb.points) == orb.to_json()["size"] == POINT_SAMPLE + 7
+        short = FiniteOrbit(pts[:5], 5, True, 1e-6, 0.0)
+        assert short.to_json()["points"] == pts[:5].tolist()
 
 
 class TestJsonable:
