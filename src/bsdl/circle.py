@@ -396,10 +396,7 @@ class ChartAffineLift(CircleLift):
                 ak, bk = self.a**k, self.b * k
                 if self.a != 1.0:
                     am1 = ak - 1.0
-                    if 0.5 < ak < 2.0:
-                        # ak - 1 cancels near ak = 1 (a = 0.99999 lost
-                        # eleven bits at k = 2); a lies in (1/2, 2) here,
-                        # so a - 1 is exact and expm1 keeps every bit
+                    if 0.5 < ak < 2.0:  # ak - 1 cancels there, and a - 1 is exact
                         am1 = math.expm1(k * math.log1p(self.a - 1.0))
                     bk = self.b * am1 / (self.a - 1.0)
                 if _affine_params(ak, bk):

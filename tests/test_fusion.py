@@ -356,6 +356,9 @@ def test_power_offset_near_a_unit_slope():
     F = ChartAffineLift(0.99999, 1.0)
     assert F.power(2).b == 1.0 + 0.99999
     assert_power_is_steps(F, 2, 1.5)
+    # on three blocks, and through the inverse, 6.7 to 8.4 budgets before
+    for m in (-6, -1, 3, 6):
+        assert_power_is_steps(ChartAffineLift(1.0 - 2.0**-40, -7.0, m=3), m, 0.4)
 
 
 def test_well_conditioned_budget_is_the_chain():
