@@ -45,12 +45,8 @@ def jsonable(x):
     if isinstance(x, Fraction):
         return [int(x.numerator), int(x.denominator)]
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return _fields(x)
+        return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     return x
-
-
-def _fields(x):
-    return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
 
 
 class Report:

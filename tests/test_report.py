@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bsdl import estimators
 from bsdl.bsgroup import (
     FaithfulnessDecision,
     FiniteOrbit,
@@ -47,7 +48,6 @@ from bsdl.estimators import (
 )
 from bsdl.experiments import TrichotomyReport
 from bsdl.gl2z import IntMatrix2
-from bsdl import estimators
 from bsdl.report import POINT_SAMPLE, Report, jsonable
 from bsdl.space import CIRCLE
 from bsdl.torus import (
