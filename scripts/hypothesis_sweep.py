@@ -1,7 +1,7 @@
 """Run the property tests at hypothesis seeds 1 ... K with the example
 database off, and print each failing test with its falsifying draw.
 
-    python scripts/hypothesis_sweep.py --seeds 1-40 [--rev HEAD] [-k EXPR]
+    python scripts/hypothesis_sweep.py --seeds 1-40 [--rev HEAD]
 
 A Tier-1 run draws new inputs each time and replays the failures that
 the local `.hypothesis/` database holds, so a law that is false on a rare
@@ -98,7 +98,7 @@ def property_modules(copy):
     )
 
 
-def run_module(copy, plugin_dir, module, seed, keyword):
+def run_module(copy, plugin_dir, module, seed):
     """The failures of one module at one seed, as `failures` gives them."""
     junit = plugin_dir / "report.xml"
     junit.unlink(missing_ok=True)
@@ -107,8 +107,6 @@ def run_module(copy, plugin_dir, module, seed, keyword):
         "-p", "sweep_profile", "-m", "hypothesis", "--tb=short",
         f"--hypothesis-seed={seed}", f"--junitxml={junit}",
     ]
-    if keyword:
-        cmd += ["-k", keyword]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join([str(plugin_dir), str(copy / "src")])
     proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
@@ -122,7 +120,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default="1-40", help="A-B, inclusive (default 1-40)")
     ap.add_argument("--rev", default="HEAD", help="git revision to test (default HEAD)")
-    ap.add_argument("-k", dest="keyword", help="pytest -k expression")
     args = ap.parse_args(argv)
     failed_seeds = 0
     with tempfile.TemporaryDirectory(prefix="hypothesis-sweep-") as tmp:
@@ -136,7 +133,7 @@ def main(argv=None):
         for seed in parse_seeds(args.seeds):
             fails = []
             for module in modules:
-                fails += run_module(copy, plugin_dir, module, seed, args.keyword)
+                fails += run_module(copy, plugin_dir, module, seed)
             print(f"seed {seed}: {len(fails)} failed", flush=True)
             failed_seeds += bool(fails)
             for name, draw in fails:

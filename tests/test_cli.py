@@ -197,14 +197,6 @@ class TestMatrixAndOrbits:
         assert len(orb.points) == 10001
         assert d["points"] == orb.points[:POINT_SAMPLE].tolist()
 
-    def test_closed_orbit_below_the_sample_writes_every_point(self, capsys):
-        code, out, _ = run(capsys, "finite-orbit", "nonfaithful-circle", "--k", "rot:1/1999")
-        d = strict_json(out)
-        assert code == cli.OK and d["closed"]
-        assert d["size"] == len(d["points"]) == 1999 < POINT_SAMPLE
-        orb = finite_bs_orbit(build_action("nonfaithful-circle", k="rot:1/1999"), 0.0)
-        assert d["points"] == orb.points.tolist()
-
     def test_denjoy_near_closure_is_open(self, capsys):
         # an infinite Denjoy orbit squeezed below merge_tol used to
         # report a closed orbit of 9428 points
