@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import INVERSE_TOL, _wrap_float as wrap_float, circle_dist, orbit_arrays, wrap
+from .circle import INVERSE_TOL, _wrap_float as wrap_float, orbit_arrays, wrap
 from .gl2z import IntMatrix2, finite_order
 from .report import Report
 from .space import SPACES, TORUS, space_of
@@ -236,7 +236,7 @@ def faithfulness(action: BSAction) -> FaithfulnessDecision:
 # merge_tol / 1000 of a common fixed point still closes onto it.
 CLOSED_DEFECT_RATIO = 1e-2
 # the first chunk of each arm of a chain; later chunks double
-_ARM_CHUNK = 64
+_ARM_CHUNK = 8
 
 
 def _gaps_clear(points, merge_tol: float) -> bool:
@@ -250,29 +250,33 @@ def _gaps_clear(points, merge_tol: float) -> bool:
     return min(np.diff(s).min(), 1.0 - (s[-1] - s[0])) >= merge_tol + 2.0**-50
 
 
-def _chain_points(g, g_inv, x0: float, size: int, merge_tol: float):
+def _chain_points(g, g_inv, others, x0, size: int, merge_tol: float):
     """The size >= 3 points x0, g x0, g^-1 x0, g^2 x0, g^-2 x0, ... of
-    the chain of a wrapped circle point x0, as the walk of
+    the chain of a wrapped circle or torus point x0, as the walk of
     `finite_bs_orbit` finds them before its cut after point size - 3;
     None when the walk might find others. Each arm steps by
     `orbit_arrays` in chunks that double from _ARM_CHUNK points, each
     chunk from the last image of the one before, and every point is
     wrapped with the walk's bits. The chain is returned only when
-    merge_tol >= INVERSE_TOL, every gap is `_gaps_clear` (no image
-    merges with another), and one batch `raw` call per arm puts the
-    step back to its parent of each point 1 ... size - 3 within
-    merge_tol / 2 of that parent: every such step merges, since the
-    bits of a batch row, of `circle_dist` and of the walk's distance
+    merge_tol >= INVERSE_TOL; the gaps of one coordinate are
+    `_gaps_clear` (no image merges with another: the walk's torus
+    distance is the larger of its two circle distances); one batch
+    `raw` call per generator of others puts each point within
+    merge_tol / 2 of itself; and one batch `raw` call per arm
+    puts the step back to its parent of each point 1 ... size - 3
+    within merge_tol / 2 of that parent. Every such image merges, since
+    the bits of a batch row, of the space's distance and of the walk's
     differ by roundings far below that margin. None as soon as a
-    chunk's gaps fail, or an arm raises ValueError or ArithmeticError
-    or ends in an image that is not finite, so that the walk decides
-    in its own order."""
+    chunk's gaps or others fail, or an arm raises ValueError or
+    ArithmeticError or ends in an image that is not finite, so that the
+    walk decides in its own order."""
     if merge_tol < INVERSE_TOL:
         return None
-    pts = np.empty(size)
+    dist = space_of(g).dist
+    pts = np.empty((size,) + np.shape(x0))
     pts[0] = x0
     arms = ((g, pts[1::2]), (g_inv, pts[2::2]))
-    ends, done, chunk = [x0, x0], 0, _ARM_CHUNK
+    ends, done, chunk, checked = [x0, x0], 0, _ARM_CHUNK, 0
     while done < len(arms[0][1]):
         for i, (F, out) in enumerate(arms):
             m = min(chunk, len(out) - done)
@@ -282,20 +286,25 @@ def _chain_points(g, g_inv, x0: float, size: int, merge_tol: float):
                 images = orbit_arrays(F, ends[i], m)[1]
             except (ValueError, ArithmeticError):
                 return None
-            ends[i] = float(images[-1])
-            if not math.isfinite(ends[i]):
+            if not np.isfinite(images[-1]).all():
                 return None
+            ends[i] = images[-1].tolist()
             out[done : done + m] = wrap(images)
         done += chunk
         chunk *= 2
-        if not _gaps_clear(pts[: 1 + 2 * done], merge_tol):
+        head = pts[: 1 + 2 * done]
+        if not any(_gaps_clear(c, merge_tol) for c in head.reshape(len(head), -1).T):
             return None
+        new, checked = head[checked:], len(head)  # never empty
+        for k in others:
+            if not np.all(dist(wrap(k.raw(new)), new) < merge_tol / 2):
+                return None
     # point i > 0 is the g (odd i) or g^-1 (even i) image of point
     # max(i - 2, 0), and steps back by the other
     i = np.arange(1, size - 2)
     for back, mine in ((g_inv, i[::2]), (g, i[1::2])):
         if mine.size:
-            near = circle_dist(wrap(back.raw(pts[mine])), pts[(mine - 2).clip(0)])
+            near = dist(wrap(back.raw(pts[mine])), pts[(mine - 2).clip(0)])
             if not np.all(near < merge_tol / 2):
                 return None
     return pts
@@ -337,15 +346,19 @@ def finite_bs_orbit(
     before it in that order is not stepped: its images would merge at
     distance 0.
 
-    A circle action whose kept generators are one map g and its inverse
-    steps a chain: until two of its points merge, the search adds x0,
-    g x0, g^-1 x0, g^2 x0, g^-2 x0, ..., one point per orbit point, whose
-    other image steps back to its parent. Its two arms step as
-    single-start orbits (`_chain_points`), in chunks that double from 64
-    points. They are the result only when merge_tol >= `INVERSE_TOL`,
-    every gap of the chain cut at max_size clears merge_tol + 2^-50, and
+    One rule closes a chain on either space: the walk of a kept
+    generator g and its inverse, the last kept generator, from an x0
+    that every other kept generator fixes. Until two of its points
+    merge, the search adds x0, g x0, g^-1 x0, g^2 x0, g^-2 x0, ..., one
+    point per orbit point, whose other images merge. On the torus g is
+    h, with f and f^-1 the others; a circle chain with f the identity
+    has none. Its two arms step as single-start orbits
+    (`_chain_points`), in chunks that double from 8 points. They are the
+    result only when merge_tol >= `INVERSE_TOL`, the gaps of one
+    coordinate of the chain cut at max_size clear merge_tol + 2^-50, and
     one batch `raw` call per arm puts each step back within
-    merge_tol / 2 of its parent. Otherwise the search walks from x0.
+    merge_tol / 2 of its parent, and one per other generator each point
+    within merge_tol / 2 of itself. Otherwise the search walks from x0.
 
     An image within merge_tol of an orbit point (circle or torus metric)
     merges with it, through a spatial hash whose buckets are scanned the
@@ -385,12 +398,16 @@ def finite_bs_orbit(
 
     cut = f"cut at max_size {max_size}"
 
-    # a circle chain, one map and its inverse: unless two of its points
-    # merge, the walk adds one point per orbit point, max(max_size, 2) + 1
-    # in all, and is cut after the third from last
-    inverse_of = [slot[(slot.index(i) + 2) % 4] for i in range(len(kept))]
-    if not torus and inverse_of == [1, 0]:
-        pts = _chain_points(*kept, start, max(max_size, 2) + 1, merge_tol)
+    # a chain, g = kept[j] and its inverse kept last, which the others
+    # fix: unless two of its points merge, the walk adds one point per
+    # orbit point, max(max_size, 2) + 1 in all, and is cut after the
+    # third from last
+    j = slot[(slot.index(len(kept) - 1) + 2) % 4] if kept else -1
+    if 0 <= j < len(kept) - 1:
+        others = kept[:j] + kept[j + 1 : -1]
+        pts = _chain_points(
+            kept[j], kept[-1], others, start, max(max_size, 2) + 1, merge_tol
+        )
         if pts is not None:
             return FiniteOrbit(pts, len(pts), False, merge_tol, None, cut)
 

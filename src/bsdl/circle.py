@@ -102,18 +102,27 @@ def orbit_arrays(F, x0, iterates: int, transient: int = 0):
             f"need iterates >= 1 and transient >= 0, got {iterates}, {transient}"
         )
     step = F.step
-    # the chain x0, F(x_0), F(x_1), ... as one flat list of floats
+    # the chain x0, F(x_0), F(x_1), ... as one flat list of floats, each
+    # coordinate wrapped with the float wrap's common case inline
     if isinstance(F, CircleLift):
-        fx, wrap_point, shape = float(x0), _wrap_float, ()
-        chain = [fx]
+        x, shape = float(x0), ()
+        chain = [x]
         add = chain.append
+        for _ in range(transient + iterates):
+            r = x % 1.0
+            x = step(r if r < 1.0 else _wrap_float(x))
+            add(x)
     else:
-        fx, wrap_point, shape = tuple(float(c) for c in x0), _wrap_pair, (2,)
-        chain = list(fx)
+        (u, t), shape = (float(c) for c in x0), (2,)
+        chain = [u, t]
         add = chain.extend
-    for _ in range(transient + iterates):
-        fx = step(wrap_point(fx))
-        add(fx)
+        for _ in range(transient + iterates):
+            r = u % 1.0
+            u = r if r < 1.0 else _wrap_float(u)
+            r = t % 1.0
+            t = r if r < 1.0 else _wrap_float(t)
+            u, t = p = step((u, t))
+            add(p)
     chain = np.fromiter(chain, float, len(chain)).reshape((-1,) + shape)
     return wrap(chain[transient:-1]), chain[transient + 1 :]
 
@@ -129,12 +138,6 @@ def _wrap_float(x: float) -> float:
     if r == 1.0:
         return _BELOW_ONE
     raise ValueError(f"orbit left the real line at {x}")
-
-
-def _wrap_pair(p):
-    """A torus point (u, t) wrapped coordinatewise by `_wrap_float`."""
-    u, t = p
-    return _wrap_float(u), _wrap_float(t)
 
 
 def nearest_seam(*distances):

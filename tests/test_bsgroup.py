@@ -25,6 +25,7 @@ from bsdl.catalog import (
     periodic_torus_example,
     perturbed_torus,
     product_action,
+    standard_torus,
 )
 from bsdl.circle import (
     GOLDEN_MEAN,
@@ -536,8 +537,10 @@ class TestFrontierClosure:
     """The closure, stepping each point through every kept generator's
     `step`, equals the reference that calls `raw` once per point and
     generator, bit for bit, with the overflow cut landing at every
-    frontier position. A chain, h and h^-1 alone, gives its arms only
-    when nothing merges and each step back lands near its parent. Below
+    frontier position. A chain, h and h^-1 where the other kept
+    generators fix every point, gives its arms only when nothing merges,
+    each step back lands near its parent and each other image near its
+    point. Below
     INVERSE_TOL, as at merge_tol 1e-17, where a rotation's step back can
     miss its parent by an ulp, the chain takes the walk."""
 
@@ -560,7 +563,7 @@ class TestFrontierClosure:
     # a closing chain takes the walk after its first chunk
     @example((nonfaithful_circle(3, k="rot:1/7"), 0.0), 400, 1e-6)
     @example((nonfaithful_circle(3, k="rot:1/7"), 0.0), 400, 1e-17)
-    # a closing chain of 300 points, whose second chunk sends it to the walk
+    # a closing chain of 300 points, whose fifth chunk sends it to the walk
     @example((nonfaithful_circle(2, k="rot:1/300"), 0.1), 400, 1e-6)
     # a near-closure at defect 7.6e-8, whose gap below merge_tol sends it
     # to the walk
@@ -572,6 +575,16 @@ class TestFrontierClosure:
     @example((BSAction(2, RotationLift(0.0), RotationLift(3e-17), "circle"), 1.5e-17), 9, 1e-17)
     # a chain below INVERSE_TOL, which the walk closes from x0
     @example((nonfaithful_circle(3, k="rot:golden"), 0.3), 400, 1e-13)
+    # a torus chain on u = 0, which f and f^-1 fix: h and h^-1 step its
+    # arms, and below INVERSE_TOL the walk
+    @example((standard_torus(5), (0.0, 0.0)), 7, 1e-6)
+    @example((standard_torus(5), (0.0, 0.0)), 400, 1e-6)
+    @example((standard_torus(5), (0.0, 0.0)), 400, 1e-17)
+    @example((perturbed_torus(3, 0.0123), (0.0, 0.0)), 101, 1e-6)
+    # f moves the chain off u = 0, so it takes the walk
+    @example((standard_torus(2), (0.1, 0.3)), 400, 1e-6)
+    # a closing torus chain, whose gaps send it to the walk
+    @example((product_action(3, k="rot:1/7"), (0.0, 0.0)), 400, 1e-6)
     def test_equals_point_at_a_time_reference(self, case, max_size, merge_tol):
         action, x0 = case
         orb = finite_bs_orbit(action, x0, merge_tol=merge_tol, max_size=max_size)
@@ -593,7 +606,9 @@ class TestFrontierClosure:
 
     def test_product_identity_is_not_stepped(self, monkeypatch):
         # f = (rot 0, rot 0) matches its power(0), the product of its
-        # factors' identities, so the closure steps h and h^-1 alone
+        # factors' identities, so the closure steps h and h^-1 alone: the
+        # first chunk of each arm of their chain, which closes, then the
+        # walk of its 10 points
         act = make_action(rotations(0.0, 0.0), rotations(0.3, 0.1), 2)
         stepped = []
         step = ProductTorusLift.step
@@ -605,7 +620,7 @@ class TestFrontierClosure:
         monkeypatch.setattr(ProductTorusLift, "step", counted)
         orb = finite_bs_orbit(act, np.zeros(2))
         assert orb.closed and orb.size == 10
-        assert 0.0 not in stepped and len(stepped) == 20
+        assert 0.0 not in stepped and len(stepped) == 2 * bsgroup._ARM_CHUNK + 20
 
     def test_back_steps_are_not_stepped(self, monkeypatch):
         # h and h^-1 step the irrational chain as two arms, one step per
@@ -627,6 +642,43 @@ class TestFrontierClosure:
             assert orb.reason == f"cut at max_size {max_size}"
             assert calls <= max_size + 2
 
+    def test_torus_back_steps_are_not_stepped(self, monkeypatch):
+        # on u = 0, which f and f^-1 fix, h and h^-1 step the torus chain
+        # as two arms; one batch call per generator checks the rest
+        calls = 0
+        step = ProductTorusLift.step
+
+        def counted(self, p):
+            nonlocal calls
+            calls += 1
+            return step(self, p)
+
+        monkeypatch.setattr(ProductTorusLift, "step", counted)
+        act = standard_torus(5)
+        for max_size in (1000, 10000):
+            calls = 0
+            orb = finite_bs_orbit(act, (0.0, 0.0), max_size=max_size)
+            assert orb.reason == f"cut at max_size {max_size}"
+            assert calls <= max_size + 2
+
+    def test_off_chain_torus_start_leaves_the_arms_after_one_chunk(self, monkeypatch):
+        # f moves (0.1, 0.3), so the first chunk of each arm is all the
+        # arms step before the walk
+        arm_steps = 0
+        orbit_arrays = bsgroup.orbit_arrays
+
+        def counted(F, x0, iterates):
+            nonlocal arm_steps
+            arm_steps += iterates
+            return orbit_arrays(F, x0, iterates)
+
+        monkeypatch.setattr(bsgroup, "orbit_arrays", counted)
+        act = standard_torus(2)
+        orb = finite_bs_orbit(act, (0.1, 0.3), max_size=400)
+        assert arm_steps <= 2 * bsgroup._ARM_CHUNK
+        pts, size, _, _ = reference_finite_orbit(act, (0.1, 0.3), max_size=400)
+        assert np.array_equal(orb.points, pts) and orb.size == size
+
     def test_close_chain_points_take_the_walk(self):
         # two points 3e-17 apart at merge_tol 1e-17 are below the gap
         # floor, inside [0, 1) and across the seam alike
@@ -639,19 +691,19 @@ class TestFrontierClosure:
         assert not bsgroup._gaps_clear(np.array([0.5, 0.25, 0.25 + tol + 2.0**-51]), tol)
         # gaps of 1.5 merge_tol: the arms give the whole chain
         h = RotationLift(1.5e-6)
-        assert len(bsgroup._chain_points(h, h.inverse(), 0.3, 301, 1e-6)) == 301
+        assert len(bsgroup._chain_points(h, h.inverse(), [], 0.3, 301, 1e-6)) == 301
         # so a chain of such points takes the walk, as does any chain
         # below INVERSE_TOL
         h = RotationLift(3e-17)
         for x0 in (1e-16, 1.5e-17):
-            assert bsgroup._chain_points(h, h.inverse(), x0, 9, 1e-17) is None
+            assert bsgroup._chain_points(h, h.inverse(), [], x0, 9, 1e-17) is None
         h = RotationLift(1.5e-6)
-        assert bsgroup._chain_points(h, h.inverse(), 0.3, 301, 1e-13) is None
+        assert bsgroup._chain_points(h, h.inverse(), [], 0.3, 301, 1e-13) is None
 
     # a closing chain leaves the arms in the chunk where it closes, and
     # the walk runs from x0: rot:1/7 after the first chunk, rot:1/300
-    # after the second
-    @pytest.mark.parametrize("q, chunks", [(7, 1), (300, 2)])
+    # after the fifth
+    @pytest.mark.parametrize("q, chunks", [(7, 1), (300, 5)])
     def test_closing_chain_steps_its_chunks_and_the_rest_of_the_walk(
         self, monkeypatch, q, chunks
     ):
