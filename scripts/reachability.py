@@ -61,6 +61,9 @@ CI_COMMANDS = (
     "finite-orbit nonfaithful-circle --k rot:1/7 --tol 1e-17",
     "finite-orbit nonfaithful-circle --k rot:golden",
     "finite-orbit nonfaithful-circle --k rot:golden --tol 1e-13",
+    "finite-orbit standard-torus",
+    "finite-orbit standard-torus --tol 1e-13",
+    "finite-orbit standard-torus 0.1,0.3",
     "finite-orbit nonfaithful-circle --k denjoy:ln2,11,0.45",
     "minimal-set periodic-circle --n 2500 --iterates 20000",
     "minimal-set nonfaithful-circle --k rot:1/2500 --iterates 20000",

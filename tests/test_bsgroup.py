@@ -673,11 +673,9 @@ class TestFrontierClosure:
             return orbit_arrays(F, x0, iterates)
 
         monkeypatch.setattr(bsgroup, "orbit_arrays", counted)
-        act = standard_torus(2)
-        orb = finite_bs_orbit(act, (0.1, 0.3), max_size=400)
+        orb = finite_bs_orbit(standard_torus(2), (0.1, 0.3), max_size=400)
+        assert orb.reason == "cut at max_size 400"
         assert arm_steps <= 2 * bsgroup._ARM_CHUNK
-        pts, size, _, _ = reference_finite_orbit(act, (0.1, 0.3), max_size=400)
-        assert np.array_equal(orb.points, pts) and orb.size == size
 
     def test_close_chain_points_take_the_walk(self):
         # two points 3e-17 apart at merge_tol 1e-17 are below the gap
