@@ -501,38 +501,35 @@ BUMP_MODES = 2
 _TWO_PI = 2.0 * math.pi
 
 
-def _harmonics(x, cos, sin):
-    """cos a, sin a, cos 2a and sin 2a at a = 2 pi x, from one cos and
-    one sin: on a Python float with math's cos and sin, or elementwise on
-    an array with numpy's."""
-    a = _TWO_PI * x
-    c, s = cos(a), sin(a)
-    return c, s, c * c - s * s, 2.0 * s * c
-
-
 def _products(u, t):
     """The 25 products U_i T_j, i and j in 0..4, of U = (1, cos A, sin A,
     cos 2A, sin 2A) at A = 2 pi u and T, the same terms at B = 2 pi t,
-    with index 5 i + j. On two Python floats they are a list; on two
-    coordinate arrays of one shape, a (25,) + shape array from one
-    broadcast product. Every product is elementwise, so a point gets the
-    same bits as floats, alone or in a batch, where numpy's float64 cos
-    and sin are math's: numpy calls the C library for them (numpy 2.4,
+    with index 5 i + j: a point costs four libm calls and 16 products, a
+    product by 1 being the other factor. On two Python floats they are a
+    list; on two coordinate arrays of one shape, a (25,) + shape array from
+    one broadcast product. Every product is elementwise, so a point gets
+    the same bits as floats, alone or in a batch, where numpy's float64
+    cos and sin are math's: numpy calls the C library for them (numpy 2.4,
     AVX-512 included), and `test_products_are_elementwise` checks it.
     """
     if isinstance(u, float):
-        # math's cos and sin and a list: numpy's cost per call would
-        # double a float bump step, and orbits of single starts make
-        # these steps by the thousand
-        U = (1.0, *_harmonics(u, math.cos, math.sin))
-        T = (1.0, *_harmonics(t, math.cos, math.sin))
-        return [a * b for a in U for b in T]
-    # u and t pass through one set of calls, as the rows of one array
-    c, s, c2, s2 = _harmonics(np.array((u, t)), np.cos, np.sin)
-    one = np.ones(np.shape(u))
-    U = np.array((one, c[0], s[0], c2[0], s2[0]))
-    T = np.array((one, c[1], s[1], c2[1], s2[1]))
-    return (U[:, None] * T).reshape((25,) + one.shape)
+        # math's cos and sin and a list: numpy's per-call cost would double
+        # a float bump step, which orbits of single starts take by the thousand
+        a, b = _TWO_PI * u, _TWO_PI * t
+        c, s, C, S = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+        c2, s2, C2, S2 = c * c - s * s, 2.0 * s * c, C * C - S * S, 2.0 * S * C
+        return [1.0, C, S, C2, S2, c, c * C, c * S, c * C2, c * S2, s, s * C, s * S, s * C2,
+                s * S2, c2, c2 * C, c2 * S, c2 * C2, c2 * S2, s2, s2 * C, s2 * S, s2 * C2, s2 * S2]
+    # X[i] holds U_i and T_i; u and t share one cos and one sin call
+    # through X[4], whose [..., ] views a 0-d point can write to
+    X = np.empty((5, 2) + np.shape(u))
+    X[0] = 1.0
+    np.multiply(_TWO_PI, u, out=X[4, 0, ...])
+    np.multiply(_TWO_PI, t, out=X[4, 1, ...])
+    c, s = np.cos(X[4], out=X[1]), np.sin(X[4], out=X[2])
+    np.subtract(c * c, s * s, out=X[3])
+    np.multiply(2.0 * s, c, out=X[4])
+    return (X[:, 0, None] * X[:, 1]).reshape((25,) + X.shape[2:])
 
 
 def _wave_terms(k):
@@ -588,7 +585,8 @@ def _bump_field(size: float, seed: int):
     with D = size * B. Each is linear in the waves cos(K . v) and
     sin(K . v), so in the 25 `_products` at v: the field is one matrix
     product G @ products, G = M @ P with M the weights of the waves and
-    P the table of `_bump_modes`. Validates the arguments as
+    P the table of `_bump_modes`: a point costs four libm calls, 16
+    products and one 6 x 25 product. Validates the arguments as
     `near_identity_diffeo` documents.
     """
     if not (np.isfinite(size) and size >= 0.0):
@@ -622,8 +620,9 @@ def _bump_field(size: float, seed: int):
     G = size * scale * G
 
     def field(u, t):
-        d = G.dot(_products(u, t))
-        return d.tolist() if isinstance(u, float) else d
+        if isinstance(u, float):
+            return G.dot(np.fromiter(_products(u, t), float, 25)).tolist()
+        return G.dot(_products(u, t))
 
     return field
 
@@ -635,11 +634,12 @@ class BumpTorusLift(TorusLift):
     Python floats or the two coordinate arrays of a batch, and passes the
     field frac(v) in the same form; `raw` is `step` on the coordinates
     of its array, so a float `step` gives the bits of `raw` on that point
-    alone. The forward map is one field pass, the inverse Newton's
-    method from the starting guess y = w, stopping once every step, of
-    the whole batch on arrays, falls below 1e-15. A non-finite point
-    makes the inverse raise NonConvergentError, whose residuals are each
-    iteration's largest |step|.
+    alone. The forward map is one field pass (per point, four libm
+    calls, 16 products and one 6 x 25 product), the inverse Newton's
+    method from the starting guess y = w, stopping once every step of
+    the batch (at once, on an empty batch) falls below 1e-15. A
+    non-finite point makes the inverse raise NonConvergentError, whose
+    residuals are each iteration's largest |step|.
     """
 
     def __init__(self, field, label: str, inverted: bool = False):
@@ -654,7 +654,9 @@ class BumpTorusLift(TorusLift):
     def raw(self, v):
         v = np.asarray(v, dtype=float)
         w = v.reshape(-1, 2) if v.ndim > 1 else v
-        return np.stack(self.step((w[..., 0], w[..., 1])), axis=-1).reshape(v.shape)
+        out = np.empty(w.shape)
+        out[..., 0], out[..., 1] = self.step((w[..., 0], w[..., 1]))
+        return out.reshape(v.shape)
 
     def step(self, p):
         u, t = p
@@ -677,21 +679,18 @@ class BumpTorusLift(TorusLift):
         steps = []
         for _ in range(60):
             d0, d1, j00, j01, j10, j11 = self._field(p0 + z0, p1 + z1)
-            r0 = z0 + d0
-            r1 = z1 + d1
-            j00 += 1.0
-            j11 += 1.0
+            r0, r1 = z0 + d0, z1 + d1
+            j00, j11 = j00 + 1.0, j11 + 1.0
             det = j00 * j11 - j01 * j10
             s0 = (j11 * r0 - j01 * r1) / det
             s1 = (j00 * r1 - j10 * r0) / det
-            z0 -= s0
-            z1 -= s1
+            z0, z1 = z0 - s0, z1 - s1
             steps.append((s0, s1))
-            # false when a step is NaN, on floats and arrays alike
+            # false when a step is NaN; an empty batch is done at once
             if floats:
                 done = abs(s0) < 1e-15 and abs(s1) < 1e-15
             else:
-                done = np.max(np.abs(steps[-1])) < 1e-15
+                done = np.abs(s0).max(initial=0.0) < 1e-15 and np.abs(s1).max(initial=0.0) < 1e-15
             if done:
                 return u + z0, t + z1
         largest = [float(np.max(np.abs(s))) for s in steps]
@@ -710,14 +709,14 @@ def near_identity_diffeo(size: float = 1e-3, seed: int = 0) -> BumpTorusLift:
     64 sample grid, so `size` is the C0 distance to the identity. B and
     its analytic Jacobian are linear in the 25 products of (1, cos x,
     sin x, cos 2x, sin 2x) at x = 2 pi u and the same five terms at x =
-    2 pi t: a pass over a point takes four cos and sin values, the
-    products and one matrix product by the map's 6 x 25 weights
-    (`_bump_field`). The products on the normalization grid are the
-    same for every seed: they are computed once and shared read-only by
-    every later map, which draws only its amplitudes and phases. The
-    inverse is computed by Newton's method from the starting guess
-    y = w, and raises NonConvergentError if its steps do not fall below
-    1e-15 within 60 iterations.
+    2 pi t: a pass over a point takes four libm calls, 16 products and
+    one matrix product by the map's 6 x 25 weights (`_bump_field`). The
+    products on the normalization grid are the same for every seed: they
+    are computed once and shared read-only by every later map, which
+    draws only its amplitudes and phases. The inverse is computed by
+    Newton's method from the starting guess y = w, and raises
+    NonConvergentError if its steps do not fall below 1e-15 within 60
+    iterations.
 
     Raises ValueError unless size is finite and nonnegative and size *
     Lip < 1/2. Lip = scale * max_i sum_k |amp_ik| 2 pi |k|, with scale

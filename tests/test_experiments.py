@@ -20,8 +20,9 @@ from bsdl.catalog import (
     standard_torus,
 )
 from bsdl.circle import RotationLift, circle_dist, compose, wrap
-from bsdl.estimators import CellSet, fixed_cells
+from bsdl.estimators import CellSet, bs_minimal_set, fixed_cells
 from bsdl.experiments import (
+    BumpTorusLift,
     GraphFoldError,
     NonConvergentError,
     PeriodicSpline,
@@ -661,6 +662,22 @@ class TestNearIdentityDiffeo:
             assert out.shape == grid.shape
             assert out.tobytes() == F.raw(grid.reshape(-1, 2)).tobytes(), F.label
 
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 3, 2)])
+    def test_an_empty_batch_maps_to_an_empty_batch(self, shape):
+        psi = near_identity_diffeo(1e-3, seed=1)
+        act = conjugated_action(morse_smale_example(3), psi)
+        for F in (psi, psi.inverse(), act.f, act.h):
+            assert F.raw(np.zeros(shape)).shape == shape, F.label
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_minimal_set_with_an_emptied_k_family(self, seed):
+        # the K family empties after five h steps, and the later steps
+        # map empty batches through the bump inverse
+        act = conjugated_action(morse_smale_example(3), near_identity_diffeo(1e-3, seed))
+        est = bs_minimal_set(act)
+        assert est.diagnostics["k_counts"][-1] == 0
+        assert est.label in ("FiniteOrbit", "MinimalCircle", "MinimalCantor", "Unknown")
+
     def test_shared_waves_keep_every_bit(self, monkeypatch):
         pts = np.random.default_rng(4).uniform(-1.0, 2.0, size=(257, 2))
 
@@ -728,8 +745,58 @@ def reference_bump(size, seed, modes=2):
     return fn, inv
 
 
+# reference: the bump field as it was written before its products were
+# unrolled. The bump map must keep every bit of it.
+
+
+def ref_harmonics(x, cos, sin):
+    a = 2.0 * math.pi * x
+    c, s = cos(a), sin(a)
+    return c, s, c * c - s * s, 2.0 * s * c
+
+
+def ref_products(u, t):
+    if isinstance(u, float):
+        U = (1.0, *ref_harmonics(u, math.cos, math.sin))
+        T = (1.0, *ref_harmonics(t, math.cos, math.sin))
+        return [a * b for a in U for b in T]
+    c, s, c2, s2 = ref_harmonics(np.array((u, t)), np.cos, np.sin)
+    one = np.ones(np.shape(u))
+    U = np.array((one, c[0], s[0], c2[0], s2[0]))
+    T = np.array((one, c[1], s[1], c2[1], s2[1]))
+    return (U[:, None] * T).reshape((25,) + one.shape)
+
+
+def ref_field(field):
+    """The reference field on the 6 x 25 weights G that `field` closes over."""
+    G = dict(zip(field.__code__.co_freevars, (c.cell_contents for c in field.__closure__)))["G"]
+
+    def ref(u, t):
+        d = G.dot(ref_products(u, t))
+        return d.tolist() if isinstance(u, float) else d
+
+    return ref
+
+
+class RefBumpLift(BumpTorusLift):
+    """A bump map on the reference field, with `raw` as it stacked its rows."""
+
+    def inverse(self):
+        return RefBumpLift(self._field, self._label, not self._inverted)
+
+    def raw(self, v):
+        v = np.asarray(v, dtype=float)
+        w = v.reshape(-1, 2) if v.ndim > 1 else v
+        return np.stack(self.step((w[..., 0], w[..., 1])), axis=-1).reshape(v.shape)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 seeds = st.integers(0, 2**32 - 1)
 sizes = st.floats(1e-4, 1e-2)
+coords = st.floats(-1e4, 1e4) | st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5])
 points = st.lists(
     st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)), min_size=1, max_size=16
 ).map(lambda ps: np.array(ps, dtype=float))
@@ -784,6 +851,32 @@ class TestBumpLaws:
             assert type(alone) is list and all(type(x) is float for x in alone)
             assert np.array(alone).tobytes() == _products(np.array(u), np.array(t)).tobytes()
             assert np.array(alone).tobytes() == batch[:, i].tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, sizes, st.lists(st.tuples(coords, coords), min_size=1, max_size=6), seeds)
+    @example(0, 1e-2, [(-0.0, -0.0), (1e4, -1e4), (0.5, -0.0)], 0)
+    def test_bump_map_keeps_the_reference_bits(self, seed, size, drawn, fill):
+        psi = near_identity_diffeo(size, seed)
+        field = psi._field
+        ref = RefBumpLift(ref_field(field), psi._label)
+        pairs = ((psi, ref), (psi.inverse(), ref.inverse()))
+        for u, t in drawn:
+            for p in ((u, t), (np.float64(u), np.float64(t)), (np.array(u), np.array(t))):
+                assert bits(_products(*p)) == bits(ref_products(*p))
+                assert bits(field(*p)) == bits(ref._field(*p))
+                for F, R in pairs:
+                    assert bits(F.step(p)) == bits(R.step(p)), (F.label, p)
+            for F, R in pairs:
+                assert bits(F.raw(np.array((u, t)))) == bits(R.raw(np.array((u, t))))
+        rows = np.random.default_rng(fill).uniform(-2.0, 3.0, size=(257, 2))
+        rows[: len(drawn)] = drawn
+        for n in (1, 64, 257):
+            u, t = rows[:n, 0], rows[:n, 1]
+            assert bits(_products(u, t)) == bits(ref_products(u, t))
+            assert bits(field(u, t)) == bits(ref._field(u, t))
+            for F, R in pairs:
+                assert bits(F.step((u, t))) == bits(R.step((u, t))), (F.label, n)
+                assert bits(F.raw(rows[:n])) == bits(R.raw(rows[:n])), (F.label, n)
 
     def test_product_table_gives_the_waves(self):
         K, _, P, _ = _bump_modes()
