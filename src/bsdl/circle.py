@@ -155,12 +155,10 @@ def circle_dist(a, b):
 def _atan_frac(y):
     """0.5 + arctan(y)/pi computed so both tails keep relative precision."""
     y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        hi = 1.0 - np.arctan(1.0 / y) / np.pi
-        lo = np.arctan(-1.0 / y) / np.pi
-    mid = 0.5 + np.arctan(y) / np.pi
-    out = np.where(y > 1.0, hi, np.where(y < -1.0, lo, mid))
-    return np.where(np.isnan(y), np.nan, out)
+    ay = np.abs(y)
+    big = ay > 1.0
+    a = np.arctan(np.divide(1.0, ay, out=y.copy(), where=big)) / np.pi
+    return np.where(y > 1.0, 1.0 - a, np.where(big, a, 0.5 + a))
 
 
 class Lift:

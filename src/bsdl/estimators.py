@@ -18,6 +18,7 @@ from .bsgroup import BSAction, finite_bs_orbit
 from .circle import circle_dist, orbit_arrays, wrap
 from .report import POINT_SAMPLE, Report, jsonable
 from .space import CIRCLE, SPACES, TORUS, space_of
+from .torus import ProductTorusLift
 
 # Samples per cell axis in `bs_minimal_set`, per space: corner-first
 # samples for the K family, then a finer grid of each surviving cell for
@@ -141,25 +142,35 @@ def fixed_cells(f, resolution: int = 256, delta: float = None) -> CellSet:
     at the requested resolution. Default delta is twice the coarse cell
     diameter, 4 / resolution. Raises ValueError unless delta is positive
     and finite: the test is strict, so no cell passes delta 0.
+
+    A `ProductTorusLift`'s cells are the product of its factors' circle
+    cells at the same resolution and delta, exactly: `torus_dist` is the
+    larger of the two circle distances, so both tests factor.
     """
     if resolution < 2 or resolution % 2:
         raise ValueError("resolution must be an even integer >= 2")
-    space = space_of(f)
-    coarse = resolution // 2
     if delta is None:
         delta = 4.0 / resolution
     elif not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    return CellSet(resolution, space_of(f), _fixed_cells(f, resolution, delta))
+
+
+def _fixed_cells(f, resolution, delta):
+    """The cells of `fixed_cells`, as an int array."""
+    if isinstance(f, ProductTorusLift):
+        return TORUS.product([_fixed_cells(g, resolution, delta) for g in (f.base, f.fiber)])
+    space = space_of(f)
+    coarse = resolution // 2
     idx = space.grid(coarse)
     c = (idx + 0.5) / coarse
     flag = idx[space.dist(f.raw(c), c) < delta]
     if len(flag) == 0:
-        return CellSet(resolution, space)
+        return flag
     # the 2^dim children of each flagged cell
     kids = np.concatenate([2 * flag + o for o in space.grid(2)])
     xs = (kids + 0.5) / resolution
-    keep = space.dist(f.raw(xs), xs) < delta / 2.0
-    return CellSet(resolution, space, kids[keep])
+    return kids[space.dist(f.raw(xs), xs) < delta / 2.0]
 
 
 @dataclass
@@ -323,6 +334,27 @@ class MinimalSetEstimate(Report):
         }
 
 
+def _k_rounds(h, cells, resolution, space, corners):
+    """The cells of K_1, ..., K_8 from those of K_0, as int arrays: a cell
+    stays while some of its corners^dim samples, stepped forward by h and
+    back by its inverse, land in the dilated K_0."""
+    hinv = h.inverse()
+    near = CellSet(resolution, space, cells).dilate()
+    offs = space.grid(corners) / (corners - 1)
+    fwd = (cells[:, None] + offs) / resolution
+    bwd = fwd.copy()
+    rounds = []
+    for _ in range(8):
+        fwd = wrap(h.raw(fwd))
+        bwd = wrap(hinv.raw(bwd))
+        keep = _any_sample(near.contains(fwd)) & _any_sample(near.contains(bwd))
+        cells = cells[keep]
+        fwd = fwd[keep]
+        bwd = bwd[keep]
+        rounds.append(cells)
+    return rounds
+
+
 def bs_minimal_set(
     action: BSAction, resolution: int = 256, orbit_iterates: int = 100000
 ) -> MinimalSetEstimate:
@@ -340,6 +372,11 @@ def bs_minimal_set(
     classified by its largest-gap profile. Empty candidate regions (f
     has no fixed points at this tolerance) report Unknown. Raises
     ValueError unless orbit_iterates >= 1.
+
+    When f and h are both `ProductTorusLift`s, fix(f) is B x F and K_l is
+    the product of the circle K families of B and F under h's factors,
+    with the torus's samples per axis. This is exact: dilation factors
+    over the axes, and so does "some sample of the cell lands in a set".
     """
     if orbit_iterates < 1:
         raise ValueError(f"need orbit_iterates >= 1, got {orbit_iterates}")
@@ -359,27 +396,22 @@ def bs_minimal_set(
         )
 
     h = action.h
-    hinv = h.inverse()
-    near = P.dilate()
     # Sample closed cells corner-first: corners sit on invariant circles
     # that centers always miss, and under an expanding h the preimage of
     # the fixed band is thinner than one cell after a few steps. A cell
     # stays while some forward and some backward sample lands in the
     # dilated fixed set.
     corners, picks = _CELL_SAMPLES[space]
-    cells_now = P.cells
-    offs = space.grid(corners) / (corners - 1)
-    fwd = (cells_now[:, None] + offs) / resolution
-    bwd = fwd.copy()
-    family = [P]
-    for _ in range(8):
-        fwd = wrap(h.raw(fwd))
-        bwd = wrap(hinv.raw(bwd))
-        keep = _any_sample(near.contains(fwd)) & _any_sample(near.contains(bwd))
-        cells_now = cells_now[keep]
-        fwd = fwd[keep]
-        bwd = bwd[keep]
-        family.append(CellSet(resolution, space, cells_now))
+    if isinstance(action.f, ProductTorusLift) and isinstance(h, ProductTorusLift):
+        # on the factor cells of P = B x F, which is not empty here
+        axes = [
+            _k_rounds(g, np.unique(P.cells[:, i]), resolution, CIRCLE, corners)
+            for i, g in enumerate((h.base, h.fiber))
+        ]
+        rounds = [TORUS.product(pair) for pair in zip(*axes)]
+    else:
+        rounds = _k_rounds(h, P.cells, resolution, space, corners)
+    family = [P] + [CellSet(resolution, space, c) for c in rounds]
     K = family[-1]
     diag["k_counts"] = [len(k) for k in family]
 

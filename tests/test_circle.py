@@ -47,6 +47,18 @@ def real(u):
         return np.where(r == 0.0, np.inf, -1.0 / np.tan(np.pi * r))
 
 
+def atan_frac_three_arctans(y):
+    """The chart with one arctan per branch, as `_atan_frac` first took
+    it: the bitwise reference for its one-arctan form."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hi = 1.0 - np.arctan(1.0 / y) / np.pi
+        lo = np.arctan(-1.0 / y) / np.pi
+    mid = 0.5 + np.arctan(y) / np.pi
+    out = np.where(y > 1.0, hi, np.where(y < -1.0, lo, mid))
+    return np.where(np.isnan(y), np.nan, out)
+
+
 class TestChart:
     # `_atan_frac` is the chart of `ChartAffineLift.raw`
     def test_round_trip_real_points(self):
@@ -71,6 +83,24 @@ class TestChart:
         for x in (1e20, 1e300):
             assert chart(-x) == 0.0
             assert _atan_frac(-x) == pytest.approx(1.0 / (np.pi * x), rel=1e-14)
+
+    def test_bits_match_one_arctan_per_branch(self):
+        one = np.nextafter(1.0, [0.0, 2.0])
+        tiny = np.finfo(float).smallest_subnormal
+        special = np.array(
+            [0.0, 1.0, *one, tiny, 3 * tiny, 1e-310, 1e300, np.finfo(float).max, np.inf]
+        )
+        special = np.concatenate([special, -special, [np.nan]])
+        rng = np.random.default_rng(45)
+        magnitudes = 10.0 ** rng.uniform(-320.0, 300.0, 4096)
+        pool = np.concatenate(
+            [special, rng.choice([-1.0, 1.0], 4096) * magnitudes, rng.uniform(-3.0, 3.0, 4096)]
+        )
+        for y in special:
+            assert _atan_frac(y).tobytes() == atan_frac_three_arctans(y).tobytes(), y
+        for size in [*range(1, 258), 16384]:
+            y = rng.choice(pool, size)
+            assert _atan_frac(y).tobytes() == atan_frac_three_arctans(y).tobytes(), size
 
     def test_circle_dist(self):
         assert circle_dist(0.1, 0.9) == pytest.approx(0.2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsdl.catalog import (
+    build_action,
     morse_smale_example,
     nonfaithful_circle,
     periodic_circle_example,
@@ -13,7 +14,7 @@ from bsdl.catalog import (
     standard_line,
     standard_torus,
 )
-from bsdl.bsgroup import finite_bs_orbit, make_action
+from bsdl.bsgroup import BSAction, finite_bs_orbit, make_action
 from bsdl.circle import (
     GOLDEN_MEAN,
     ChartAffineLift,
@@ -33,7 +34,9 @@ from bsdl.estimators import (
 )
 from bsdl.gl2z import IntMatrix2
 from bsdl.space import CIRCLE, TORUS
-from bsdl.torus import LinearTorusLift, rotation_vector, torus_dist
+from bsdl.torus import LinearTorusLift, ProductTorusLift, rotation_vector, torus_dist
+
+from lifts import callable_lift
 
 
 def as_tuples(cs):
@@ -185,6 +188,82 @@ class TestFixedCells:
     def test_odd_resolution_rejected(self):
         with pytest.raises(ValueError):
             fixed_cells(RotationLift(0.0), 15)
+
+
+def opaque(F):
+    """A torus lift that maps as F and its inverse do, which the
+    estimators cannot see as a product: their generic grid path."""
+    return callable_lift(F.raw, F.inverse().raw, label=F.label, torus=True)
+
+
+def torus_cases():
+    """(entry, n, params) for every torus entry of the catalog at n in
+    {2, 3, 5}, with the fiber and eps settings the benchmark workloads
+    draw: rational and irrational fiber rotations, and detunings both
+    generic and tuned to a rational fiber angle. The periodic examples
+    need n >= 3."""
+    for n in (2, 3, 5):
+        for entry, params in (
+            ("standard-torus", {}),
+            ("product", {"k": "rot:1/3"}),
+            ("product", {"k": "rot:5/12"}),
+            ("product", {"k": "rot:golden"}),
+            ("product", {"k": "rot:ln5"}),
+            ("periodic-torus", {}),
+            ("perturbed-torus", {"eps": 1e-3}),
+            ("perturbed-torus", {"eps": 0.013751}),
+            ("perturbed-torus", {"eps": 2 / 7 - math.log(n)}),
+            ("morse-smale", {}),
+        ):
+            if not (entry == "periodic-torus" and n == 2):
+                yield entry, n, params
+
+
+def assert_same_cells(a, b):
+    assert (a.resolution, a.space) == (b.resolution, b.space)
+    assert a.cells.shape == b.cells.shape and a.cells.dtype == b.cells.dtype
+    assert a.cells.tobytes() == b.cells.tobytes()
+
+
+class TestProductLaws:
+    # A product lift's fixed cells and K family are products of its
+    # factors' circle scans; each law holds them to the generic grid scan
+    # of an opaque twin, bit for bit.
+    @pytest.mark.parametrize("entry, n, params", list(torus_cases()))
+    def test_fixed_cells_equal_the_generic_scan(self, entry, n, params):
+        f = build_action(entry, n, **params).f
+        assert isinstance(f, ProductTorusLift)
+        twin = opaque(f)
+        for resolution, delta in ((16, None), (64, None), (256, None), (64, 0.05)):
+            assert_same_cells(
+                fixed_cells(f, resolution, delta), fixed_cells(twin, resolution, delta)
+            )
+
+    @pytest.mark.parametrize("entry, n, params", list(torus_cases()))
+    def test_k_family_equals_the_generic_family(self, entry, n, params):
+        act = build_action(entry, n, **params)
+        twin = BSAction(act.n, opaque(act.f), opaque(act.h), act.space)
+        a = bs_minimal_set(act, orbit_iterates=1)
+        b = bs_minimal_set(twin, orbit_iterates=1)
+        assert_same_cells(a.fixed, b.fixed)
+        assert len(a.k_family) == len(b.k_family)
+        for ka, kb in zip(a.k_family, b.k_family):
+            assert_same_cells(ka, kb)
+        assert a.diagnostics.get("start") == b.diagnostics.get("start")
+        if entry == "periodic-torus":
+            # the block shift of the fiber fixes nothing: no product cells
+            assert len(a.fixed) == 0 and len(a.k_family) == 1
+
+    def test_product_f_with_an_opaque_h_takes_the_generic_family(self):
+        act = standard_torus(3)
+        mixed = BSAction(act.n, act.f, opaque(act.h), act.space)
+        twin = BSAction(act.n, opaque(act.f), opaque(act.h), act.space)
+        a = bs_minimal_set(mixed, orbit_iterates=1)
+        b = bs_minimal_set(twin, orbit_iterates=1)
+        assert len(a.k_family) == 9
+        for ka, kb in zip(a.k_family, b.k_family):
+            assert_same_cells(ka, kb)
+        assert a.diagnostics["start"] == b.diagnostics["start"]
 
 
 def backward_tail(h, x, transient, samples):
