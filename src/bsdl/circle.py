@@ -157,6 +157,7 @@ def _atan_frac(y):
     y = np.asarray(y, dtype=float)
     ay = np.abs(y)
     big = ay > 1.0
+    # one arctan per point: of 1/|y| where |y| > 1, of y (NaN too) elsewhere
     a = np.arctan(np.divide(1.0, ay, out=y.copy(), where=big)) / np.pi
     return np.where(y > 1.0, 1.0 - a, np.where(big, a, 0.5 + a))
 

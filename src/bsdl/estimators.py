@@ -373,10 +373,9 @@ def bs_minimal_set(
     has no fixed points at this tolerance) report Unknown. Raises
     ValueError unless orbit_iterates >= 1.
 
-    When f and h are both `ProductTorusLift`s, fix(f) is B x F and K_l is
-    the product of the circle K families of B and F under h's factors,
-    with the torus's samples per axis. This is exact: dilation factors
-    over the axes, and so does "some sample of the cell lands in a set".
+    When f and h are both `ProductTorusLift`s, K_l is the product of the
+    factors' circle K families, with the torus's samples per axis: exact,
+    as dilation and "some sample lands in a set" both factor over axes.
     """
     if orbit_iterates < 1:
         raise ValueError(f"need orbit_iterates >= 1, got {orbit_iterates}")

@@ -241,29 +241,37 @@ class TestProductLaws:
 
     @pytest.mark.parametrize("entry, n, params", list(torus_cases()))
     def test_k_family_equals_the_generic_family(self, entry, n, params):
-        act = build_action(entry, n, **params)
-        twin = BSAction(act.n, opaque(act.f), opaque(act.h), act.space)
-        a = bs_minimal_set(act, orbit_iterates=1)
-        b = bs_minimal_set(twin, orbit_iterates=1)
-        assert_same_cells(a.fixed, b.fixed)
-        assert len(a.k_family) == len(b.k_family)
-        for ka, kb in zip(a.k_family, b.k_family):
-            assert_same_cells(ka, kb)
-        assert a.diagnostics.get("start") == b.diagnostics.get("start")
+        a = assert_same_grid_estimates(build_action(entry, n, **params))
         if entry == "periodic-torus":
             # the block shift of the fiber fixes nothing: no product cells
             assert len(a.fixed) == 0 and len(a.k_family) == 1
 
+    def test_block_pairs_k_family_equals_the_generic_family(self):
+        # a product of two block-affine pairs, whose K family depends on
+        # the number of samples per cell axis: with 2 or 5 in place of 3
+        # on either axis it differs from the generic family
+        f = ProductTorusLift(ChartAffineLift(1.0, 1.0, m=3), ChartAffineLift(1.0, 1.0, m=6))
+        h = ProductTorusLift(ChartAffineLift(3.0, 0.0, m=3), ChartAffineLift(3.0, 0.0, m=6))
+        a = assert_same_grid_estimates(make_action(f, h, 3))
+        assert a.diagnostics["k_counts"][-1] < a.diagnostics["k_counts"][0]
+
     def test_product_f_with_an_opaque_h_takes_the_generic_family(self):
         act = standard_torus(3)
-        mixed = BSAction(act.n, act.f, opaque(act.h), act.space)
-        twin = BSAction(act.n, opaque(act.f), opaque(act.h), act.space)
-        a = bs_minimal_set(mixed, orbit_iterates=1)
-        b = bs_minimal_set(twin, orbit_iterates=1)
-        assert len(a.k_family) == 9
-        for ka, kb in zip(a.k_family, b.k_family):
-            assert_same_cells(ka, kb)
-        assert a.diagnostics["start"] == b.diagnostics["start"]
+        assert_same_grid_estimates(BSAction(act.n, act.f, opaque(act.h), act.space))
+
+
+def assert_same_grid_estimates(act):
+    """bs_minimal_set's fixed cells, K family and start for `act` equal
+    those of its opaque twin; returns the estimate for `act`."""
+    twin = BSAction(act.n, opaque(act.f), opaque(act.h), act.space)
+    a = bs_minimal_set(act, orbit_iterates=1)
+    b = bs_minimal_set(twin, orbit_iterates=1)
+    assert_same_cells(a.fixed, b.fixed)
+    assert len(a.k_family) == len(b.k_family)
+    for ka, kb in zip(a.k_family, b.k_family):
+        assert_same_cells(ka, kb)
+    assert a.diagnostics.get("start") == b.diagnostics.get("start")
+    return a
 
 
 def backward_tail(h, x, transient, samples):
