@@ -59,6 +59,7 @@ CI_COMMANDS = (
     "finite-orbit product --k rot:1/5 0.5,0.5",
     "finite-orbit nonfaithful-circle --k rot:1/7",
     "finite-orbit nonfaithful-circle --k rot:1/7 --tol 1e-17",
+    "finite-orbit nonfaithful-circle --k rot:1/2",
     "finite-orbit nonfaithful-circle --k rot:golden",
     "finite-orbit nonfaithful-circle --k rot:golden --tol 1e-13",
     "finite-orbit standard-torus",
@@ -100,7 +101,7 @@ EXPECTED = {
     "bsdl.space.Space.__reduce__": "keeps `space is TORUS` across copy and pickle",
     "bsdl.torus.TorusLift._identity": "LinearTorusLift.power(0): a hyperbolic h (ROADMAP item 14)",
     "bsdl.torus.LinearTorusLift.power": "a hyperbolic h (ROADMAP item 14)",
-    "bsdl.torus.LinearTorusLift.same_params": "a hyperbolic h (ROADMAP item 14)",
+    "bsdl.torus.LinearTorusLift.same_map": "a hyperbolic h (ROADMAP item 14)",
     "bsdl.torus._point_to_segment": "Hausdorff distance of segment-shaped rotation sets",
 }
 

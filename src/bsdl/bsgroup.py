@@ -66,7 +66,7 @@ def relation_residual(
     """Sup distance between h^p f h^-p and f^(n^p) over a sample grid.
 
     Exactly zero when both sides fuse to lifts of the same map
-    (`same_map`): the same parameters, or parameters a whole turn apart.
+    (`same_map`), whose parameters are equal up to whole turns.
     A power of h with no closed form is the composition h o ... o h.
     """
     if grid < 1:
@@ -341,10 +341,9 @@ def finite_bs_orbit(
     through the `step` methods of f, h, f^-1 and h^-1, in Python floats
     (a float on the circle, a (u, t) pair on the torus), and each image
     is wrapped to [0, 1)^d by the orbit kernel's float wrap. `step`
-    returns the bits of `raw`. A generator that `same_params` matches
-    with its own `power(0)`, the exact identity, or with a generator
-    before it in that order is not stepped: its images would merge at
-    distance 0.
+    returns the bits of `raw`. A generator that `same_map`s its own
+    `power(0)`, the exact identity, or a generator before it in that
+    order is not stepped: its images are the same points of the space.
 
     One rule closes a chain on either space: the walk of a kept
     generator g and its inverse, the last kept generator, from an x0
@@ -389,8 +388,8 @@ def finite_bs_orbit(
     gens = (action.f, action.h, action.f.inverse(), action.h.inverse())
     kept, slot = [], []  # slot: the kept index of each of gens, -1 for the identity
     for g in gens:
-        same = [i for i, k in enumerate(kept) if g.same_params(k)] or [len(kept)]
-        slot.append(-1 if g.same_params(g.power(0)) else same[0])
+        same = [i for i, k in enumerate(kept) if g.same_map(k)] or [len(kept)]
+        slot.append(-1 if g.same_map(g.power(0)) else same[0])
         if slot[-1] == len(kept):
             kept.append(g)
     torus, inf = space is TORUS, math.inf

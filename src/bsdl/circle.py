@@ -19,9 +19,9 @@ Conventions used throughout the package:
 * a power is a closed form or a ValueError: the exact families
   (rotations, and chart-affine maps on m blocks with a whole-block shift)
   fuse `compose` and `power` into one lift of the family and compare
-  through `same_params`, or, for the same map up to whole turns,
-  `same_map`; other lifts compose into a `ComposedLift`, and
-  their powers beyond the first raise.
+  through `same_map`, which matches lifts of the same map, whole turns
+  apart or not; other lifts compose into a `ComposedLift`, and their
+  powers beyond the first raise.
 """
 
 from __future__ import annotations
@@ -202,14 +202,12 @@ class Lift:
             return self
         raise ValueError(f"this power of {type(self).__name__} has no closed form")
 
-    def same_params(self, other) -> bool:
-        """Whether other is this exact lift, by its family and parameters."""
-        return False
-
     def same_map(self, other) -> bool:
-        """Whether other lifts the same map of the space: `same_params`,
-        or, in a family that can tell, this lift moved by whole turns."""
-        return self.same_params(other)
+        """Whether other lifts the same map of the space, as an exact
+        family tells from its parameters: the same family, parameters
+        equal up to a translation by whole turns. False outside the
+        exact families."""
+        return False
 
     def seam_distance(self, x):
         """Distance from x to the nearest non-smooth locus, None if smooth."""
@@ -292,9 +290,6 @@ class RotationLift(CircleLift):
         # an m of 2^1023 or more is beyond the floats; a NaN angle stays NaN
         alpha = self.alpha * m if 1 <= m < 2**1023 else math.inf
         return super().power(m) if math.isinf(alpha) else RotationLift(alpha)
-
-    def same_params(self, other):
-        return isinstance(other, RotationLift) and self.alpha == other.alpha
 
     def same_map(self, other):
         # angles a whole number of turns apart
@@ -406,12 +401,6 @@ class ChartAffineLift(CircleLift):
             except OverflowError:
                 pass
         return super().power(k)
-
-    def same_params(self, other):
-        same = isinstance(other, ChartAffineLift)
-        return same and (self.m, self.shift, self.a, self.b) == (
-            other.m, other.shift, other.a, other.b
-        )
 
     def same_map(self, other):
         # shifts a multiple of m blocks apart differ by whole turns

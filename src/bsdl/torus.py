@@ -113,11 +113,6 @@ class ProductTorusLift(TorusLift):
             return ProductTorusLift(self.base.power(m), self.fiber.power(m))
         return super().power(m)
 
-    def same_params(self, other):
-        if not isinstance(other, ProductTorusLift):
-            return False
-        return self.base.same_params(other.base) and self.fiber.same_params(other.fiber)
-
     def same_map(self, other):
         if not isinstance(other, ProductTorusLift):
             return False
@@ -181,9 +176,13 @@ class LinearTorusLift(TorusLift):
             out = out.compose(self)
         return out
 
-    def same_params(self, other):
-        same = isinstance(other, LinearTorusLift)
-        return same and (self.linear_part, self.b) == (other.linear_part, other.b)
+    def same_map(self, other):
+        # translations a whole number of turns apart in each coordinate
+        return (
+            isinstance(other, LinearTorusLift)
+            and self.linear_part == other.linear_part
+            and all((c - d) % 1.0 == 0.0 for c, d in zip(self.b, other.b))
+        )
 
 
 class ComposedTorusLift(Composition, TorusLift):
@@ -200,7 +199,7 @@ class ConjugatedTorusLift(ComposedTorusLift):
     Conjugates by the same psi object fuse on g: `compose`, `power` and
     `inverse` conjugate g's own fused result, so a relation that fuses
     exactly for g fuses exactly for its conjugates. `power(0)` is psi o
-    g^0 o psi^-1 too, so a conjugated identity `same_params` its own
+    g^0 o psi^-1 too, so a conjugated identity `same_map`s its own
     `power(0)`, as the exact identity g does.
     """
 
@@ -219,11 +218,6 @@ class ConjugatedTorusLift(ComposedTorusLift):
 
     def power(self, m: int):
         return ConjugatedTorusLift(self.psi, self.g.power(m))
-
-    def same_params(self, other):
-        if not isinstance(other, ConjugatedTorusLift) or other.psi is not self.psi:
-            return False
-        return self.g.same_params(other.g)
 
     def same_map(self, other):
         if not isinstance(other, ConjugatedTorusLift) or other.psi is not self.psi:

@@ -40,6 +40,7 @@ from bsdl.gl2z import IntMatrix2
 from bsdl.torus import LinearTorusLift, ProductTorusLift, TorusLift, torus_dist
 
 from letters import apply_letters, element
+from test_fusion import ref_same_map
 
 BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -191,6 +192,9 @@ class TestFaithfulness:
         lambda: make_action(RotationLift(1 / 3), RotationLift(0.25), 4),
         lambda: make_action(rotations(0.0, 0.0), rotations(0.3, 0.1), 2),
         lambda: make_action(rotations(1 / 3, 0.0), rotations(0.0, 0.2), 4),
+        # f^4 is the translation by exactly (2.0, 0.0), whole turns
+        lambda: linear_shear_action(3, 1, 1, (0.0, 0.0)),
+        lambda: translation_action(5, 2),
     ])
     def test_whole_turns_are_exactly_not_faithful(self, build):
         dec = faithfulness(build())
@@ -198,10 +202,13 @@ class TestFaithfulness:
         assert dec.reason == f"f^{dec.N} is the identity"
 
     @pytest.mark.parametrize("build", [
-        # f^N is a translation by whole turns, in floats that
-        # LinearTorusLift's `same_map` does not match with the identity
-        lambda: linear_shear_action(3, 1, 1, (0.0, 0.0)),
-        lambda: translation_action(5, 2),
+        # f^11 is the translation by (4.000000000000001, 1.0000000000000002):
+        # whole turns of (4, 1)/11 in exact arithmetic, not in floats
+        lambda: make_action(
+            LinearTorusLift(IntMatrix2.identity(), (4 / 11, 1 / 11)),
+            LinearTorusLift(IntMatrix2.from_rows((2, 1), (1, 1))),
+            5,
+        ),
     ])
     def test_unseen_finite_order_is_undecided(self, build):
         dec = faithfulness(build())
@@ -218,6 +225,17 @@ class TestFaithfulness:
 
 
 class TestFiniteOrbits:
+    @pytest.mark.parametrize("merge_tol", [1e-6, 1e-17])
+    @pytest.mark.parametrize("x0", [0.3, 0.7])
+    @pytest.mark.parametrize("turns", [1.0, -2.0])
+    def test_whole_turn_rotation_is_not_stepped(self, turns, x0, merge_tol):
+        # h and h^-1 rotate by whole turns: both `same_map` the identity,
+        # so no generator is stepped, and x0 + 1.0 rounding off x0 by an
+        # ulp neither joins the orbit nor counts as a defect
+        orb = finite_bs_orbit(nonfaithful_circle(2, RotationLift(turns)), x0, merge_tol)
+        assert (orb.size, orb.closed, orb.defect) == (1, True, 0.0)
+        assert orb.points.tolist() == [x0]
+
     def test_glued_periodic_orbit_closes(self):
         act = glued_action(3)
         orb = finite_bs_orbit(act, 0.0)
@@ -364,9 +382,14 @@ def reference_finite_orbit(action, x0, merge_tol=1e-6, max_size=10000):
     per turn: where a bucket is narrower than an ulp (merge_tol 1e-17),
     the rounded circle distance of two points an ulp apart can be 0 or
     not, so which of them an image merges with depends on the buckets
-    scanned."""
+    scanned. Of f, h, f^-1 and h^-1 it steps each generator that lifts
+    neither the identity nor the map of one before it, by the whole-turn
+    rule of tests/test_fusion.py's `ref_same_map`."""
     dim = 1 if action.space == "circle" else 2
-    gens = [action.f, action.h, action.f.inverse(), action.h.inverse()]
+    gens = []
+    for g in (action.f, action.h, action.f.inverse(), action.h.inverse()):
+        if not any(ref_same_map(g, k) for k in [g.power(0)] + gens):
+            gens.append(g)
     K = max(3, int(0.5 / merge_tol))
 
     def wrapped(p):
@@ -553,6 +576,11 @@ class TestFrontierClosure:
     # a rotation by 2^50 + 0.3 keeps two bits of its fraction, so a
     # back-step lands far from its parent and joins the orbit
     @example((BSAction(2, RotationLift(0.0), RotationLift(2.0**50 + 0.3), "circle"), 0.1), 3, 1e-6)
+    # f rotates by whole turns, which the closure does not step: x0 + 4.0
+    # wraps an ulp off x0, which would join at 1e-17 and count as a
+    # defect at 1e-6
+    @example((make_action(RotationLift(4.0), RotationLift(0.0), 2), 1.3316625032776739), 1, 1e-17)
+    @example((make_action(RotationLift(4.0), RotationLift(0.0), 2), 1.3316625032776739), 1, 1e-6)
     # a chain, h and h^-1 alone, steps its two arms as single-start
     # orbits: odd caps, whose arms differ in length
     @example((nonfaithful_circle(3, k="rot:golden"), 0.3), 7, 1e-6)

@@ -177,7 +177,7 @@ def test_conjugated_identity_fuses_to_the_identity():
     rot = ProductTorusLift(RotationLift(0.0), RotationLift(0.0))
     base = make_action(rot, ProductTorusLift(RotationLift(0.3), RotationLift(0.1)), 2)
     act = conjugated_action(base, psi)
-    assert act.f.same_params(act.f.power(0))
+    assert act.f.same_map(act.f.power(0))
     dec = faithfulness(act)
     assert (dec.faithful, dec.exact) == (faithfulness(base).faithful, True) == (False, True)
 
@@ -187,11 +187,11 @@ def test_fusion_needs_the_same_psi():
     twin = near_identity_diffeo(1e-3, seed=4)
     act = catalog_action("morse-smale", 3)
     C = ConjugatedTorusLift(psi, act.f)
-    assert C.same_params(ConjugatedTorusLift(psi, act.f.power(1)))
-    assert not C.same_params(ConjugatedTorusLift(psi, act.h))
+    assert C.same_map(ConjugatedTorusLift(psi, act.f.power(1)))
+    assert not C.same_map(ConjugatedTorusLift(psi, act.h))
     # an equal map, but another object: no fusion, no claim of equality
     other = ConjugatedTorusLift(twin, act.f)
-    assert not C.same_params(other)
+    assert not C.same_map(other)
     assert type(C.compose(other)) is ComposedTorusLift
     assert type(C.compose(act.f)) is ComposedTorusLift
 

@@ -1,5 +1,5 @@
 """The fusion laws of the exact lift families: `compose`, `power` and
-`same_params` on the lift classes.
+`same_map` on the lift classes.
 
 Checked against reference copies of the module-level rules they
 replaced (below), on the exact families of tests/test_step.py:
@@ -8,8 +8,10 @@ replaced (below), on the exact families of tests/test_step.py:
   and parameters bit for bit. A power is a closed form or a ValueError:
   where the reference nests m - 1 ComposedLift objects, a power with no
   closed form, `power` raises ValueError.
-* `same_params` answers as the reference does, and when it says yes
-  both lifts give the same bits on a lattice.
+* `same_map` answers as the reference's whole-turn rule does; when it
+  says yes, both lifts' `raw` values on a lattice differ by whole turns
+  up to ROUNDINGS eps (1 + |y| + |y'|) at each pair of values y, y',
+  and lifts with equal type and parameter bits give the same bits.
 * `F.power(m)`, where it has a closed form, agrees with m steps of F
   within the slope-derived rounding budgets of tests/test_space.py; so
   does the power of a chart-affine map on m blocks shifted by whole
@@ -33,6 +35,7 @@ from bsdl.gl2z import IntMatrix2
 from bsdl.space import CIRCLE, TORUS, space_of
 from bsdl.torus import (
     ComposedTorusLift,
+    ConjugatedTorusLift,
     LinearTorusLift,
     ProductTorusLift,
 )
@@ -114,16 +117,35 @@ def ref_power_lift(F, m):
     return out
 
 
-def ref_params_equal(u, v):
+def ref_same_map(u, v):
+    # the same family, with parameters equal up to whole turns
     if isinstance(u, RotationLift) and isinstance(v, RotationLift):
-        return u.alpha == v.alpha
+        return (u.alpha - v.alpha).is_integer()
     if isinstance(u, ChartAffineLift) and isinstance(v, ChartAffineLift):
-        return (u.m, u.shift, u.a, u.b) == (v.m, v.shift, v.a, v.b)
+        return (u.m, u.a, u.b) == (v.m, v.a, v.b) and (u.shift - v.shift) % u.m == 0
     if isinstance(u, ProductTorusLift) and isinstance(v, ProductTorusLift):
-        return ref_params_equal(u.base, v.base) and ref_params_equal(u.fiber, v.fiber)
+        return ref_same_map(u.base, v.base) and ref_same_map(u.fiber, v.fiber)
     if isinstance(u, LinearTorusLift) and isinstance(v, LinearTorusLift):
-        return u.linear_part == v.linear_part and u.b == v.b
+        turns = (c - d for c, d in zip(u.b, v.b))
+        return u.linear_part == v.linear_part and all(t.is_integer() for t in turns)
+    if isinstance(u, ConjugatedTorusLift) and isinstance(v, ConjugatedTorusLift):
+        return u.psi is v.psi and ref_same_map(u.g, v.g)
     return False
+
+
+def whole_turn(L):
+    """L moved by whole turns in its own family, or None outside the
+    exact families."""
+    if isinstance(L, RotationLift):
+        return RotationLift(L.alpha - 2.0)
+    if isinstance(L, ChartAffineLift):
+        return ChartAffineLift(L.a, L.b, m=L.m, shift=L.shift + L.m)
+    if isinstance(L, LinearTorusLift):
+        return LinearTorusLift(L.linear_part, (L.b[0] + 1.0, L.b[1] - 3.0))
+    if isinstance(L, ProductTorusLift):
+        base, fiber = whole_turn(L.base), whole_turn(L.fiber)
+        return None if base is None or fiber is None else ProductTorusLift(base, fiber)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +216,7 @@ exponents = st.integers(-6, 6)
 
 
 # ---------------------------------------------------------------------------
-# compose, power and same_params against the reference
+# compose, power and same_map against the reference
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,7 +249,7 @@ def test_torus_power_matches_reference(F, m):
 def candidates(F, G):
     """Lifts with equal and with unequal parameters: F^2, where it has a
     closed form, and F o F agree for rotations and often for the affine
-    families."""
+    families; F and G moved by whole turns lift the maps F and G."""
     lifts = [
         F, G, F.compose(F), F.compose(G), G.compose(F),
         F.power(0), G.power(0), F.compose(F.inverse()), F.power(-1), F.inverse(),
@@ -236,39 +258,52 @@ def candidates(F, G):
         lifts.append(F.power(2))
     except ValueError:
         pass
-    return lifts
+    return lifts + [L for L in (whole_turn(F), whole_turn(G)) if L is not None]
 
 
-def assert_same_params_law(F, G):
+def assert_whole_turns_apart(u, v):
+    """u and v give `raw` values a whole number of turns apart on the
+    lattice, each pair y, y' up to ROUNDINGS eps (1 + |y| + |y'|): the
+    two sides round their translations and their sums apart."""
+    with np.errstate(all="ignore"):
+        y, z = u.raw(LATTICE[space_of(u)]), v.raw(LATTICE[space_of(v)])
+    d = y - z
+    err = np.abs(d - np.rint(d))
+    assert np.all(err <= ROUNDINGS * EPS * (1.0 + np.abs(y) + np.abs(z))), (u.label, v.label)
+
+
+def assert_same_map_law(F, G):
     lifts = candidates(F, G)
     for u in lifts:
         for v in lifts:
-            same = u.same_params(v)
-            assert same == ref_params_equal(u, v), (u.label, v.label)
+            same = u.same_map(v)
+            assert same == ref_same_map(u, v), (u.label, v.label)
             if same:
+                assert_whole_turns_apart(u, v)
+            d = describe(u)
+            if exact(d) and d == describe(v):
                 assert bits(u) == bits(v), (u.label, v.label)
 
 
 @settings(max_examples=200, deadline=None)
 @given(exact_circle, exact_circle)
-def test_circle_same_params(F, G):
-    assert_same_params_law(F, G)
+def test_circle_same_map(F, G):
+    assert_same_map_law(F, G)
 
 
 @settings(max_examples=100, deadline=None)
 @given(exact_torus, exact_torus)
-def test_torus_same_params(F, G):
-    assert_same_params_law(F, G)
+def test_torus_same_map(F, G):
+    assert_same_map_law(F, G)
 
 
-def test_same_params_sees_equal_families():
-    assert RotationLift(0.5).same_params(RotationLift(0.25).power(2))
-    assert ChartAffineLift(1.0, 1.0).power(3).same_params(ChartAffineLift(1.0, 3.0))
-    assert not ChartAffineLift(2.0, 0.0, m=2).same_params(ChartAffineLift(2.0, 0.0, m=3))
-    assert not ChartAffineLift(2.0, 0.0, m=2).same_params(
-        ChartAffineLift(2.0, 0.0, m=2, shift=2)
-    )
+def test_same_map_sees_equal_families():
+    assert describe(RotationLift(0.5)) == describe(RotationLift(0.25).power(2))
+    assert describe(ChartAffineLift(1.0, 1.0).power(3)) == describe(ChartAffineLift(1.0, 3.0))
+    assert not ChartAffineLift(2.0, 0.0, m=2).same_map(ChartAffineLift(2.0, 0.0, m=3))
     # a shift of m blocks is a whole turn: the same map, not the same lift
+    F2, G2 = ChartAffineLift(2.0, 0.0, m=2), ChartAffineLift(2.0, 0.0, m=2, shift=2)
+    assert F2.same_map(G2) and describe(F2) != describe(G2)
     F = ChartAffineLift(2.0, 0.5, m=3, shift=1)
     assert F.same_map(F.power(1)) and F.same_map(ChartAffineLift(2.0, 0.5, m=3, shift=-5))
     assert not F.same_map(ChartAffineLift(2.0, 0.5, m=3, shift=2))
@@ -276,10 +311,15 @@ def test_same_params_sees_equal_families():
     # so is a rotation by a whole number of turns
     R = RotationLift(1 / 3).power(3)
     assert R.same_map(RotationLift(0.0)) and R.same_map(RotationLift(-2.0))
-    assert not R.same_params(RotationLift(0.0)) and not R.same_map(RotationLift(0.5))
+    assert describe(R) != describe(RotationLift(0.0)) and not R.same_map(RotationLift(0.5))
+    # and an integer-linear map whose translations are whole turns apart
     A = IntMatrix2.from_rows((2, 1), (1, 1))
-    assert LinearTorusLift(A, (0.5, 0.0)).same_params(LinearTorusLift(A, (0.5, 0.0)))
-    assert not RotationLift(0.1).compose(ChartAffineLift(1.0, 0.0)).same_params(
+    L = LinearTorusLift(A, (0.5, 0.0))
+    assert L.same_map(LinearTorusLift(A, (0.5, 0.0)))
+    assert L.same_map(LinearTorusLift(A, (-1.5, 3.0)))
+    assert not L.same_map(LinearTorusLift(A, (0.5, 0.5)))
+    assert not L.same_map(LinearTorusLift(A.inverse(), (0.5, 0.0)))
+    assert not RotationLift(0.1).compose(ChartAffineLift(1.0, 0.0)).same_map(
         RotationLift(0.1).compose(ChartAffineLift(1.0, 0.0))
     )
 
@@ -415,7 +455,9 @@ def test_every_block_shift_fuses():
     for m in range(1, 2000):
         for j in (1, m - 1, 2 * m + 1):
             P = ChartAffineLift(1.0, 1.0, m=m, shift=j).power(m + 5)
-            assert P.same_params(ChartAffineLift(1.0, m + 5.0, m=m, shift=j * (m + 5))), m
+            assert describe(P) == describe(
+                ChartAffineLift(1.0, m + 5.0, m=m, shift=j * (m + 5))
+            ), m
     # a rotation off the block grid does not commute with the blocks
     for alpha in (0.3, 1.0 / 3.0):
         F = compose(RotationLift(alpha), ChartAffineLift(1.0, 1.0, m=2))
