@@ -201,17 +201,13 @@ class TestFaithfulness:
         assert (dec.faithful, dec.exact) == (False, True)
         assert dec.reason == f"f^{dec.N} is the identity"
 
-    @pytest.mark.parametrize("build", [
+    def test_unseen_finite_order_is_undecided(self):
         # f^11 is the translation by (4.000000000000001, 1.0000000000000002):
         # whole turns of (4, 1)/11 in exact arithmetic, not in floats
-        lambda: make_action(
-            LinearTorusLift(IntMatrix2.identity(), (4 / 11, 1 / 11)),
-            LinearTorusLift(IntMatrix2.from_rows((2, 1), (1, 1))),
-            5,
-        ),
-    ])
-    def test_unseen_finite_order_is_undecided(self, build):
-        dec = faithfulness(build())
+        f = LinearTorusLift(IntMatrix2.identity(), (4 / 11, 1 / 11))
+        h = LinearTorusLift(IntMatrix2.from_rows((2, 1), (1, 1)))
+        dec = faithfulness(make_action(f, h, 5))
+        assert dec.N == 11
         assert dec.faithful is None and not dec.exact
         assert dec.displacement <= FAITHFUL_TOL
         assert "nor fuses to the identity" in dec.reason
