@@ -6,8 +6,8 @@ Under a `sys.setprofile` hook, in one process, this runs:
   report into a temporary directory with `--out` as CI does;
 * every subcommand on every catalog entry at its default settings, and
   again on each fiber of `FIBERS` for the entries that take `--k`;
-* the console commands of CI (`CI_COMMANDS`, copied from
-  `.github/workflows/tests.yml`);
+* the command of each row of `tests/console_cases.py`, the console
+  cases that Tier-1 checks;
 * the seed-1 query list of each benchmark workload, as
   `perfbench/workloads.py` builds it for a 40 s run, each query through
   `perfbench/worker.py`'s own functions.
@@ -39,56 +39,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 FIBERS = ("rot:1/3", "rot:golden", "denjoy:golden,5,0.3", "affine:2,0.1", "id")
 SUBCOMMANDS = (
     "verify-relation", "rotation-number", "rotation-set", "fixed-set",
     "minimal-set", "finite-orbit", "trichotomy", "persistent-fp",
-)
-CI_COMMANDS = (
-    "catalog",
-    "verify-relation standard-torus",
-    "verify-relation periodic-circle --n 40",
-    "verify-relation periodic-circle --n 50",
-    "verify-relation nonfaithful-circle",
-    "verify-relation periodic-circle --n 1001",
-    "verify-relation nonfaithful-circle --k denjoy:golden,5,0.3",
-    "verify-relation product --k denjoy:golden,5,0.3",
-    "finite-orbit product --k rot:1/5 0,0.5",
-    "finite-orbit product --k rot:1/5 0.5,0.5",
-    "finite-orbit nonfaithful-circle --k rot:1/7",
-    "finite-orbit nonfaithful-circle --k rot:1/7 --tol 1e-17",
-    "finite-orbit nonfaithful-circle --k rot:1/2",
-    "finite-orbit nonfaithful-circle --k rot:golden",
-    "finite-orbit nonfaithful-circle --k rot:golden --tol 1e-13",
-    "finite-orbit standard-torus",
-    "finite-orbit standard-torus --tol 1e-13",
-    "finite-orbit standard-torus 0.1,0.3",
-    "finite-orbit nonfaithful-circle --k denjoy:ln2,11,0.45",
-    "minimal-set periodic-circle --n 2500 --iterates 20000",
-    "minimal-set nonfaithful-circle --k rot:1/2500 --iterates 20000",
-    "trichotomy product --k rot:1/2500 --iterates 20000",
-    "minimal-set nonfaithful-circle --k denjoy:golden,12,0.05",
-    "catalog foo",
-    "classify-matrix 0,1,-1,0 --seed 3",
-    "rotation-number nonfaithful-circle --k rot:1/3",
-    "rotation-set standard-torus --resolution 8 --iterates 1000",
-    "fixed-set standard-torus",
-    "minimal-set product",
-    "trichotomy product --k rot:1/3",
-    "persistent-fp morse-smale",
-    "fixed-set standard-torus --tol -1",
-    "rotation-number nonfaithful-circle --k rot:inf",
-    "trichotomy perturbed-torus --eps nan",
-    "classify-matrix 1,2,0,1 1,3,0,1",
-    "classify-matrix 2,1,1,1 1,1,1,2",
-    "classify-matrix -- -5,-11,6,13 -4,-7,7,12",
-    f"rotation-number nonfaithful-circle --k rot:{10**400}/3",
-    "trichotomy product --eps nan",
-    "minimal-set nonfaithful-circle --eps inf",
-    f"verify-relation standard-line --n {2**1100}",
-    f"finite-orbit standard-torus --n {2**1100}",
 )
 
 # the functions allowed to stay unentered, each with why
@@ -128,15 +84,16 @@ def defined_functions():
 
 def cli_calls(out_dir):
     """The argv lists of the battery, writing into `out_dir`, the
-    subcommands on every entry and fiber, and the CI console commands."""
+    subcommands on every entry and fiber, and the console cases."""
     from bsdl.catalog import CATALOG
+    from console_cases import CASES
 
     calls = [["reproduce-all", "--seed", "7", "--out", str(Path(out_dir) / "report.json")]]
     for name, entry in CATALOG.items():
         calls.append(["catalog", name])
         fibers = [[]] + [["--k", k] for k in FIBERS if "k" in entry.defaults]
         calls += [[cmd, name] + k for cmd in SUBCOMMANDS for k in fibers]
-    calls += [cmd.split() for cmd in CI_COMMANDS]
+    calls += [case.argv for case in CASES]
     return calls
 
 

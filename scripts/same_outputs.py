@@ -7,8 +7,8 @@ The commands are:
 
 * those of `scripts/reachability.py` (every subcommand on every catalog
   entry, again on each fiber of its `FIBERS` for the entries that take
-  `--k`, and the CI console commands `CI_COMMANDS`), except
-  `reproduce-all`, whose report prints wall times;
+  `--k`, and the command of each row of `tests/console_cases.py`),
+  except `reproduce-all`, whose report prints wall times;
 * the seed-1 query list of each benchmark workload, as
   `perfbench/workloads.py` builds it for a 40 s run: CLI queries through
   `bsdl.cli.main`, library queries through `perfbench/worker.py`'s own
@@ -17,16 +17,19 @@ The commands are:
 Both sides run the one list, made from the working tree, each in its
 own interpreter on its own `src` and `perfbench`: REV from a `git
 archive` in a temporary directory, the two at once. Each CLI call runs
-in-process, its stdout and exit status kept. The script prints each
-command whose stdout, exit status or result differs, then the counts,
-and exits 1 if any differs. It writes no bytecode, so it imports the
-benchmark's files without writing to them. It takes a few minutes.
-Standard library only; the package itself needs numpy.
+in-process through `bsdl.cli.main`, its exit status, stdout and stderr
+kept. The script prints each command whose exit status, stdout, stderr
+or result differs, then the counts, and exits 1 if any differs. It
+writes no bytecode, so it imports the benchmark's files without writing
+to them. It takes a few minutes. Standard library only; the package
+itself needs numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -56,9 +59,19 @@ def jobs():
     return out
 
 
+def run_cli(argv):
+    """(exit status, stdout, stderr) of `bsdl.cli.main(argv)`, in-process."""
+    from bsdl import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
 def run_side(tree, jobs_path, out_path):
     """Run every job on the package and benchmark of `tree`, writing one
-    JSON line per job: its id, exit status and output."""
+    JSON line per job: its id, exit status, output and stderr."""
     tree = Path(tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import bsdl
@@ -68,11 +81,11 @@ def run_side(tree, jobs_path, out_path):
         raise SystemExit(f"imported bsdl from {bsdl.__file__}, not from {tree}")
     with open(out_path, "w") as out:
         for job in json.loads(Path(jobs_path).read_text()):
-            rec = {"id": job["id"], "status": 0, "output": ""}
+            rec = {"id": job["id"], "status": 0, "output": "", "stderr": ""}
             try:
                 q = job.get("query", {"kind": "cli", "argv": job.get("argv")})
                 if q["kind"] == "cli":
-                    rec["status"], rec["output"] = worker._run_cli_query(q["argv"])
+                    rec["status"], rec["output"], rec["stderr"] = run_cli(q["argv"])
                 else:
                     obj = worker._build_library_query(q)
                     result = worker._run_library_query(q, obj)
@@ -118,7 +131,7 @@ def main(argv=None):
 
     differ = 0
     for a, b in zip(rev, tree):
-        what = [k for k in ("status", "output") if a[k] != b[k]]
+        what = [k for k in ("status", "output", "stderr") if a[k] != b[k]]
         if what:
             differ += 1
             print(f"differs ({' and '.join(what)}): {a['id']}")

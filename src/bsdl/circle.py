@@ -555,8 +555,8 @@ def rotation_number(
         total = F.power(iterates)(0.0)
     except ValueError:  # no closed form
         xs, fxs = orbit_arrays(F, 0.0, iterates) if pairs is None else pairs()
-        # Python's float sum, in orbit order
-        total = sum((fxs[:iterates] - xs[:iterates]).tolist())
+        # a running sum in orbit order: a stepwise total's bits on any Python
+        total = np.cumsum(fxs[:iterates] - xs[:iterates])[-1]
     value = float(wrap(total / iterates))
     return RotationNumberEstimate(
         value, int(iterates), rational_witness(F, tol), 1.0 / iterates + INVERSE_TOL
@@ -719,17 +719,26 @@ _NAMED_ANGLES = {
 }
 
 
-def _parse_angle(tok: str) -> float:
+def _spec_number(cast, tok: str, spec: str):
+    """cast(tok), int or float, or a ValueError naming the fiber spec."""
+    try:
+        return cast(tok)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"fiber spec {spec!r} has {tok!r} where {kind} goes") from None
+
+
+def _parse_angle(tok: str, spec: str) -> float:
     tok = tok.strip()
     if tok in _NAMED_ANGLES:
         return _NAMED_ANGLES[tok]
     if tok.startswith("ln"):
-        x = float(tok[2:].lstrip(":"))
+        x = _spec_number(float, tok[2:].lstrip(":"), spec)
         if not x > 0.0:
             raise ValueError(f"angle {tok!r} takes ln of a number that is not positive")
         angle = math.log(x) % 1.0
     elif "/" in tok:
-        p, q = (int(t) for t in tok.split("/"))
+        p, q = (_spec_number(int, t, spec) for t in tok.split("/"))
         if q == 0:
             raise ValueError(f"angle {tok!r} has a zero denominator")
         try:
@@ -739,7 +748,7 @@ def _parse_angle(tok: str) -> float:
                 f"angle {tok!r} has a numerator or denominator beyond the floats"
             ) from None
     else:
-        angle = float(tok)
+        angle = _spec_number(float, tok, spec)
     if not math.isfinite(angle):
         raise ValueError(f"angle {tok!r} is not finite")
     return angle
@@ -759,13 +768,15 @@ def parse_k_spec(spec: str) -> CircleLift:
         raise ValueError(f"cannot parse fiber spec {spec!r}")
     kind, _, rest = spec.partition(":")
     if kind == "rot":
-        return RotationLift(wrap(_parse_angle(rest)))
+        return RotationLift(wrap(_parse_angle(rest, spec)))
     if kind == "affine":
-        a, b = rest.split(",")
-        return ChartAffineLift(float(a), float(b)).validate()
+        a, b = (_spec_number(float, t, spec) for t in rest.split(","))
+        return ChartAffineLift(a, b).validate()
     if kind == "denjoy":
         parts = rest.split(",")
         if len(parts) != 3:
             raise ValueError("denjoy spec needs <angle>,<depth>,<ratio>")
-        return denjoy_lift(_parse_angle(parts[0]), int(parts[1]), float(parts[2]))
+        angle, depth, ratio = parts
+        return denjoy_lift(_parse_angle(angle, spec), _spec_number(int, depth, spec),
+                           _spec_number(float, ratio, spec))
     raise ValueError(f"unknown fiber spec kind {kind!r}")

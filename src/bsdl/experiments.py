@@ -329,18 +329,18 @@ def classify_perturbed(
 ) -> TrichotomyReport:
     """Decide the minimal-set trichotomy on an h-invariant circle.
 
-    The restricted map is stepped along one orbit of 0 with N =
-    orbit_iterates, by `circle.orbit_arrays`. `circle.rotation_number`
-    sums its first N pairs (a lift with a closed-form power gives h^N(0)
-    instead, and nothing is stepped for it), and its points T ... T + N
-    - 1, T = GAP_TRANSIENT, give the gap profile. A rational rotation
-    number, certified by a witness of period at most
-    `circle.WITNESS_PERIODS`, stops the orbit after N pairs and sends
-    the search to finite_bs_orbit from the witness point (at its default
-    merge_tol, cut past 5000 points); FiniteOrbits is reported only when
-    that orbit actually closes. An irrational one is classified through
-    the largest-gap profile of the orbit, reusing it across all
-    resolutions. Anything inconclusive is Unknown.
+    The restricted map is stepped along one orbit of 0 of N + T points,
+    N = orbit_iterates and T = GAP_TRANSIENT, by `circle.orbit_arrays`,
+    once and only when it is read. `circle.rotation_number` sums its
+    first N pairs (a lift with a closed-form power gives h^N(0) instead),
+    and its points T ... T + N - 1 give the gap profile. A rational
+    rotation number, certified by a witness of period at most
+    `circle.WITNESS_PERIODS`, sends the search to finite_bs_orbit from
+    the witness point (at its default merge_tol, cut past 5000 points);
+    FiniteOrbits is reported only when that orbit actually closes. An
+    irrational one is classified through the largest-gap profile of the
+    orbit, reusing it across all resolutions. Anything inconclusive is
+    Unknown.
     """
     if action.space != "torus":
         raise ValueError("trichotomy classification expects a torus action")
@@ -362,14 +362,8 @@ def classify_perturbed(
 
     restriction, kind = restricted_circle_map(action.h, circle)
     evidence["restriction"] = kind
-    head = []
-
-    def first_pairs():
-        # the N pairs of the Birkhoff sum, stepped only without a closed form
-        head.append(orbit_arrays(restriction, 0.0, N))
-        return head[0]
-
-    rho = rotation_number(restriction, N, pairs=first_pairs)
+    orbit = cache(lambda: orbit_arrays(restriction, 0.0, N + GAP_TRANSIENT))
+    rho = rotation_number(restriction, N, pairs=orbit)
 
     if not meets:
         evidence["reason"] = "f-fixed cells never meet the circle"
@@ -388,15 +382,9 @@ def classify_perturbed(
         evidence["reason"] = f"rational witness but the orbit is open: {orb.reason}"
         return TrichotomyReport(rho, "Unknown", evidence, orb)
 
-    # irrational: the rest of the orbit (all of it when the Birkhoff sum
-    # came from a closed form), gap statistics at several sample sizes,
-    # cell coverage at several resolutions
-    if head:
-        [(angles, images)] = head
-        rest = orbit_arrays(restriction, images[-1], GAP_TRANSIENT)[0]
-        angles = np.concatenate([angles, rest])[GAP_TRANSIENT:]
-    else:
-        angles = orbit_arrays(restriction, 0.0, N, GAP_TRANSIENT)[0]
+    # irrational: gap statistics at several sample sizes, cell coverage
+    # at several resolutions
+    angles = orbit()[0][GAP_TRANSIENT:]
     label, evidence["gap_profile"], reason = gap_profile_label(
         angles, min(resolutions)
     )

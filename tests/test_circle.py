@@ -372,6 +372,22 @@ class TestRotationNumberGeneric:
         assert est == ref and est.value.hex() == ref.value.hex()
         assert calls == [N + 5]
 
+    @pytest.mark.parametrize(
+        "alpha,depth,gap_ratio",
+        [(GOLDEN_MEAN, 5, 0.3), (GOLDEN_MEAN, 6, 0.5), (math.log(2.0), 11, 0.45)],
+    )
+    def test_stepped_sum_is_a_sequential_total(self, alpha, depth, gap_ratio):
+        # the displacements add one at a time in orbit order on every
+        # Python; a compensated sum, as Python's float sum() is from 3.12,
+        # gives other last bits on each of these orbits
+        F = denjoy_lift(alpha, depth, gap_ratio)
+        for N in (1000, 10**4):
+            xs, fxs = orbit_arrays(F, 0.0, N)
+            total = 0.0
+            for d in (fxs - xs).tolist():
+                total += d
+            assert rotation_number(F, N).value.hex() == float(wrap(total / N)).hex()
+
     def test_closed_form_power_reads_no_pair(self):
         F = RotationLift(GOLDEN_MEAN)
 

@@ -64,7 +64,7 @@ def ref_rotation_number(F, iterates, q_max, tol=1e-8, x0=0.0, cert_grid=256):
             pass
     if total is None:
         points, images = orbit_arrays(F, x0, iterates)
-        total = sum((images - points).tolist())
+        total = np.cumsum(images - points)[-1]
     value = float(wrap(total / iterates))
     witness = None
     xs = np.arange(cert_grid) / cert_grid

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,8 @@ from bsdl.bsgroup import RelationReport, finite_bs_orbit
 from bsdl.catalog import CATALOG, build_action
 from bsdl.experiments import GraphFoldError, NonConvergentError
 from bsdl.report import POINT_SAMPLE
+
+from console_cases import CASES
 
 
 def run(capsys, *argv):
@@ -320,13 +323,27 @@ class TestOverflowingPowers:
         assert d["value"] == 0.0
 
 
-class TestBadInput:
-    def test_nan_parameter_is_an_error(self, capsys):
-        code, out, err = run(capsys, "verify-relation", "perturbed-torus", "--eps", "nan")
-        assert code == cli.ERROR
-        assert out == ""
-        assert "eps must be finite, got nan" in err
+@pytest.mark.parametrize(
+    "case", CASES, ids=lambda case: re.sub(r"\d{30,}", "<big>", case.command)
+)
+def test_console_case(capsys, case):
+    # a row of tests/console_cases.py: its exit status and texts, an empty
+    # stdout on exit 1, no traceback and no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *case.argv)
+    assert code == case.status
+    if code == cli.ERROR:
+        assert out == "" and "Traceback" not in err and "RuntimeWarning" not in err
+    shown = err if code == cli.ERROR else out
+    assert [text for text in case.holds if text not in shown] == []
+    assert [text for text in case.lacks if text in shown] == []
+    if case.points is not None:
+        assert len(strict_json(out)["points"]) == case.points
+    assert [str(w.message) for w in caught] == []
 
+
+class TestBadInput:
     def test_non_finite_report_is_an_error(self, capsys, monkeypatch):
         # a report that holds NaN stops at the JSON writer
         report = RelationReport(math.nan, 1e-8, 0.0, 1e-6, 10000, "torus")
@@ -347,74 +364,6 @@ class TestBadInput:
         assert out == ""
         assert err == "error: Unable to allocate 74.5 GiB for an array\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("fixed-set", "standard-torus", "--tol", "-1"),
-            ("fixed-set", "standard-torus", "--tol", "nan"),
-            ("rotation-number", "nonfaithful-circle", "--k", "rot:1/3", "--tol", "nan"),
-            ("verify-relation", "standard-torus", "--tol", "-1"),
-            ("persistent-fp", "morse-smale", "--tol", "nan"),
-            ("minimal-set", "product", "--iterates", "0"),
-            ("minimal-set", "product", "--iterates", "-5"),
-        ],
-    )
-    def test_out_of_range_tol_and_iterates_are_errors(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert code == cli.ERROR
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "argv,named",
-        [
-            (("rotation-number", "nonfaithful-circle", "--k", "rot:inf"), "'inf'"),
-            (("rotation-number", "nonfaithful-circle", "--k", "rot:nan"), "'nan'"),
-            (("trichotomy", "perturbed-torus", "--eps", "nan"), "eps must be finite, got nan"),
-            (("trichotomy", "perturbed-torus", "--eps", "inf"), "eps must be finite, got inf"),
-            (("rotation-number", "nonfaithful-circle", "--k", "denjoy:inf,3,0.5"), "'inf'"),
-            (("rotation-number", "nonfaithful-circle", "--k", "rot:ln0"), "'ln0'"),
-            (("rotation-number", "nonfaithful-circle", "--k", "rot:ln-1"), "'ln-1'"),
-            # a = 1e-300 takes points near the origin below 5.6e-309,
-            # where 1 / y overflows in the chart's unused branches
-            (("minimal-set", "nonfaithful-circle", "--k", "affine:1e-300,0"),
-             "not strictly increasing"),
-        ],
-    )
-    def test_non_finite_or_undefined_angle_or_eps_is_named(self, capsys, argv, named):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run(capsys, *argv)
-        assert code == cli.ERROR
-        assert out == ""
-        assert err.startswith("error: ") and named in err
-        assert "Traceback" not in err and "RuntimeWarning" not in err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    @pytest.mark.parametrize(
-        "argv,named",
-        [
-            (("rotation-number", "nonfaithful-circle", "--k", f"rot:{10**400}/3"),
-             "beyond the floats"),
-            (("rotation-number", "nonfaithful-circle", "--k", f"rot:1/{10**400}"),
-             "beyond the floats"),
-            (("trichotomy", "product", "--eps", "nan"), "product takes no --eps"),
-            (("minimal-set", "nonfaithful-circle", "--eps", "inf"),
-             "nonfaithful-circle takes no --eps"),
-            (("finite-orbit", "standard-torus", "--k", "rot:1/3"),
-             "standard-torus takes no --k"),
-        ],
-    )
-    def test_angle_beyond_the_floats_or_foreign_parameter_is_named(
-        self, capsys, argv, named
-    ):
-        code, out, err = run(capsys, *argv)
-        assert code == cli.ERROR
-        assert out == ""
-        assert err.startswith("error: ") and named in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("entry", sorted(CATALOG))
     @pytest.mark.parametrize("flag,value", [("eps", "0.01"), ("k", "rot:1/3")])
     def test_eps_and_k_are_taken_by_the_entries_whose_builders_read_them(
@@ -431,63 +380,6 @@ class TestBadInput:
         code, out, _ = run(capsys, "verify-relation", "standard-torus", "--tol", "0")
         assert code == cli.OK
         assert json.loads(out)["primary_residual"] == 0.0
-
-    def test_zero_denominator_angle_is_an_error(self, capsys):
-        code, _, err = run(capsys, "finite-orbit", "product", "--k", "rot:1/0")
-        assert code == cli.ERROR
-        assert "zero denominator" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("standard-line", "0.3", "--tol", "0"),
-            ("standard-line", "0.3", "--tol", "inf"),
-            ("standard-line", "0.3", "--tol", "-1"),
-            ("standard-line", "0.3", "--tol", "nan"),
-            ("standard-line", "nan"),
-            ("standard-torus", "0.3,inf"),
-        ],
-    )
-    def test_finite_orbit_rejects_bad_tol_and_start(self, capsys, argv):
-        code, out, err = run(capsys, "finite-orbit", *argv)
-        assert code == cli.ERROR
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "merge_tol" in err or "start" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("verify-relation", "standard-line", "--resolution", "0"),
-            ("rotation-number", "standard-line", "--iterates", "0"),
-            ("rotation-set", "standard-torus", "--resolution", "0"),
-            ("rotation-set", "standard-torus", "--iterates", "0"),
-            ("fixed-set", "standard-torus", "--resolution", "0"),
-            ("minimal-set", "nonfaithful-circle", "--resolution", "0"),
-            ("minimal-set", "nonfaithful-circle", "--iterates", "0"),
-            ("trichotomy", "perturbed-torus", "--resolution", "0"),
-            ("persistent-fp", "morse-smale", "--resolution", "0"),
-        ],
-    )
-    def test_zero_flags_are_not_replaced_by_defaults(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert code == cli.ERROR
-        assert out == ""
-        assert "positive" in err or ">= 2" in err or ">= 1" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("verify-relation", "standard-line"),
-            ("finite-orbit", "standard-torus"),
-        ],
-    )
-    def test_n_beyond_the_floats_is_an_error(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--n", str(2**1100))
-        assert code == cli.ERROR
-        assert out == ""
-        assert err.startswith("error: ") and "fit in a float" in err
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["catalog", "verify-relation"])
     @pytest.mark.parametrize("entry", sorted(CATALOG))
